@@ -3,11 +3,12 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [quick|paper] [fig1|fig4|fig5|table1|table2|table3|table4|table5|table6|power|combined|all]
+//! experiments [quick|paper] [fig1|fig4|fig5|table1|table2|table3|table4|table5|table6|power|combined|ablation|all]...
 //! ```
 //!
 //! With no arguments the `paper` preset and `all` experiments are run. The
-//! `quick` preset uses smaller corpora (useful for smoke tests).
+//! `quick` preset uses smaller corpora (useful for smoke tests). An unknown
+//! name exits with status 2 and lists the valid ones.
 
 use bench::corpus::ExperimentConfig;
 use bench::figures::{figure1, figure4, figure5, OrFigure};
@@ -17,20 +18,44 @@ use bench::tables::{
     combined_defense, table1, table2, table3, table4, table5, table6, AccuracyTable,
 };
 
+/// Every experiment, in the order they run.
+const EXPERIMENTS: [&str; 12] = [
+    "fig1", "fig4", "fig5", "table1", "table2", "table3", "table4", "table5", "table6", "power",
+    "combined", "ablation",
+];
+
+/// Splits the arguments into the preset (`paper` unless `quick` or `paper`
+/// is given first) and the experiments to run (all of them when none is
+/// named, or for `all`). Any other argument is an error naming the valid ones.
+fn select(args: &[String]) -> Result<(&'static str, Vec<&'static str>), String> {
+    let mut preset = None;
+    let mut selected = Vec::new();
+    for arg in args {
+        match arg.as_str() {
+            "quick" => preset = preset.or(Some("quick")),
+            "paper" => preset = preset.or(Some("paper")),
+            "all" => selected.extend(EXPERIMENTS),
+            name => selected.push(*EXPERIMENTS.iter().find(|&&e| e == name).ok_or_else(|| {
+                format!(
+                    "unknown experiment `{name}`; expected quick, paper, all or one of: {}",
+                    EXPERIMENTS.join(", ")
+                )
+            })?),
+        }
+    }
+    if selected.is_empty() {
+        selected = EXPERIMENTS.to_vec();
+    }
+    Ok((preset.unwrap_or("paper"), selected))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let preset = args
-        .iter()
-        .find(|a| *a == "quick" || *a == "paper")
-        .cloned()
-        .unwrap_or_else(|| "paper".to_string());
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| *a != "quick" && *a != "paper")
-        .cloned()
-        .collect();
-    let run_all = selected.is_empty() || selected.iter().any(|s| s == "all");
-    let wants = |name: &str| run_all || selected.iter().any(|s| s == name);
+    let (preset, selected) = select(&args).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(2);
+    });
+    let wants = |name: &str| selected.contains(&name);
 
     let config5 = if preset == "quick" {
         ExperimentConfig::quick()
@@ -323,4 +348,38 @@ fn print_combined(config: &ExperimentConfig) {
         raw_percent(result.combined_overhead),
     ]);
     println!("{}", table.render());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn no_arguments_run_every_experiment_on_the_paper_preset() {
+        let (preset, selected) = select(&[]).unwrap();
+        assert_eq!(preset, "paper");
+        assert_eq!(selected, EXPERIMENTS);
+        assert_eq!(select(&args(&["quick", "all"])).unwrap().1, selected);
+    }
+
+    #[test]
+    fn named_experiments_select_only_themselves() {
+        let (preset, selected) = select(&args(&["table2", "quick", "fig4"])).unwrap();
+        assert_eq!(preset, "quick");
+        assert_eq!(selected, ["table2", "fig4"]);
+        assert_eq!(select(&args(&["ablation"])).unwrap().1, ["ablation"]);
+    }
+
+    #[test]
+    fn unknown_names_are_rejected_with_the_valid_list() {
+        let err = select(&args(&["quick", "tabel2"])).unwrap_err();
+        assert!(err.contains("`tabel2`"), "{err}");
+        for name in EXPERIMENTS.iter().chain(&["all"]) {
+            assert!(err.contains(name), "{err} must list {name}");
+        }
+    }
 }

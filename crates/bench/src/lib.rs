@@ -34,7 +34,6 @@ pub mod pipeline;
 pub mod power;
 pub mod report;
 pub mod scenario;
-pub mod stagebench;
 pub mod streaming;
 pub mod tables;
 
@@ -46,4 +45,3 @@ pub use scenario::{
 pub use streaming::{
     Executor, ExecutorStats, FrozenScorer, StationRun, WindowScorer, WINDOW_BATCH,
 };
-pub use streaming::{StationReport, StationSpec};

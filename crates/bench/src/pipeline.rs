@@ -192,7 +192,7 @@ fn scheduler_for(
 
 /// Builds the streaming stage pipeline of any defense — the single defended
 /// data path shared by the table evaluation, the multi-station scenario and
-/// the throughput baseline.
+/// `bench_json`'s committed results.
 ///
 /// Since the scenario-engine refactor this is a thin wrapper over the
 /// declarative form: the kind expands to its

@@ -10,8 +10,9 @@
 //! Station outcomes are deterministic per seed whichever executor (and
 //! worker count) runs them, so the returned [`ScenarioReport`] is a pure
 //! function of the spec. It serializes straight to JSON through the serde
-//! shim, which is what `scenario_run` writes per scenario and `bench_json`
-//! embeds in the committed baseline.
+//! shim, which is what `scenario_run` writes per scenario; `bench_json`
+//! commits a few of its aggregates as the `scenario_*` keys of
+//! `BENCH_pipeline.json`.
 
 use crate::pipeline::{train_adversary, train_adversary_online};
 use crate::scenario::spec::{

@@ -43,112 +43,85 @@ pub use machine::{FrozenScorer, PhaseReport, ScheduledReport, WindowScorer, WIND
 pub use run::{StationRun, STATION_CALIB_SECS};
 pub use vtime::{ExecutionOutcome, Executor, ExecutorStats};
 
-use crate::pipeline::DefenseKind;
-use crate::scenario::spec::DefenseSpec;
-use classifier::online::PrequentialPoint;
-use defenses::overhead::Overhead;
-use traffic_gen::app::AppKind;
-use traffic_gen::spec::TrafficSpec;
-
-/// One station of a multi-station streaming scenario.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StationSpec {
-    /// The application the station runs.
-    pub app: AppKind,
-    /// Seed of the station's traffic stream (and of seeded stages).
-    pub seed: u64,
-    /// The defense pipeline protecting the station — any [`DefenseKind`],
-    /// including the composed morph-then-reshape pipeline.
-    pub defense: DefenseKind,
-    /// Number of virtual interfaces for the reshaping stages.
-    pub interfaces: usize,
-    /// Session length in seconds. Streaming keeps memory flat, so this can be
-    /// hours — far past what a materialised trace would tolerate.
-    pub session_secs: f64,
-}
-
-impl StationSpec {
-    /// The spec as a [`StationRun`] builder.
-    pub fn to_run(&self) -> StationRun<'static> {
-        StationRun::new(TrafficSpec::bounded(self.app, self.seed, self.session_secs))
-            .defense(DefenseSpec::from_kind(self.defense))
-            .interfaces(self.interfaces)
-    }
-}
-
-/// What one station's streamed session looked like to the adversary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StationReport {
-    /// The station's ground-truth application.
-    pub app: AppKind,
-    /// Packets that left the station's defense pipeline.
-    pub packets: u64,
-    /// Bytes that left the pipeline (equals the generated bytes for
-    /// zero-overhead defenses; larger under padding/morphing).
-    pub bytes: u64,
-    /// The defense pipeline's end-to-end overhead ledger.
-    pub overhead: Overhead,
-    /// Windows the adversary could classify across all sub-flows.
-    pub windows: usize,
-    /// Windows the adversary identified correctly (majority vote).
-    pub windows_identified: usize,
-}
-
-impl StationReport {
-    /// The adversary's per-station recognition rate (0 when no windows).
-    pub fn identification_rate(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.windows_identified as f64 / self.windows as f64
-        }
-    }
-}
-
-/// What one station's streamed session looked like to a **live, learning**
-/// adversary: the [`StationReport`] counters plus the station's own
-/// prequential identification trajectory.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineStationReport {
-    /// The station's ground-truth application.
-    pub app: AppKind,
-    /// Packets that left the station's defense pipeline.
-    pub packets: u64,
-    /// The defense pipeline's end-to-end overhead ledger.
-    pub overhead: Overhead,
-    /// Windows scored (test-then-train) across all sub-flows.
-    pub windows: u64,
-    /// Windows the live adversary identified correctly (majority vote,
-    /// scored *before* learning from the window).
-    pub windows_identified: u64,
-    /// The station's live identification trajectory: cumulative prequential
-    /// accuracy sampled every `STATION_SNAPSHOT_EVERY` windows.
-    pub timeline: Vec<PrequentialPoint>,
-}
-
-impl OnlineStationReport {
-    /// The live adversary's per-station recognition rate (0 when no windows).
-    pub fn identification_rate(&self) -> f64 {
-        if self.windows == 0 {
-            0.0
-        } else {
-            self.windows_identified as f64 / self.windows as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::ExperimentConfig;
-    use crate::pipeline::{defense_pipeline, train_adversary};
+    use crate::pipeline::{defense_pipeline, train_adversary, DefenseKind};
+    use crate::scenario::spec::DefenseSpec;
     use classifier::ensemble::AdversaryEnsemble;
-    use classifier::online::{OnlineAdversary, PrequentialEvaluator};
+    use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
     use classifier::window::FeatureMode;
+    use defenses::overhead::Overhead;
+    use traffic_gen::app::AppKind;
+    use traffic_gen::spec::TrafficSpec;
     use wlan_sim::time::SimDuration;
 
     /// Snapshot cadence (in windows) of per-station prequential timelines.
     const STATION_SNAPSHOT_EVERY: u64 = 10;
+
+    /// One station of a multi-station streaming scenario.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct StationSpec {
+        app: AppKind,
+        seed: u64,
+        defense: DefenseKind,
+        interfaces: usize,
+        session_secs: f64,
+    }
+
+    impl StationSpec {
+        /// The spec as a [`StationRun`] builder.
+        fn to_run(self) -> StationRun<'static> {
+            StationRun::new(TrafficSpec::bounded(self.app, self.seed, self.session_secs))
+                .defense(DefenseSpec::from_kind(self.defense))
+                .interfaces(self.interfaces)
+        }
+    }
+
+    /// What one station's streamed session looked like to a frozen adversary.
+    #[derive(Debug, Clone, PartialEq)]
+    struct StationReport {
+        app: AppKind,
+        packets: u64,
+        bytes: u64,
+        overhead: Overhead,
+        windows: usize,
+        windows_identified: usize,
+    }
+
+    impl StationReport {
+        fn identification_rate(&self) -> f64 {
+            if self.windows == 0 {
+                0.0
+            } else {
+                self.windows_identified as f64 / self.windows as f64
+            }
+        }
+    }
+
+    /// What one station's streamed session looked like to a live, learning
+    /// adversary: the [`StationReport`] counters plus the station's
+    /// prequential identification timeline.
+    #[derive(Debug, Clone, PartialEq)]
+    struct OnlineStationReport {
+        app: AppKind,
+        packets: u64,
+        overhead: Overhead,
+        windows: u64,
+        windows_identified: u64,
+        timeline: Vec<PrequentialPoint>,
+    }
+
+    impl OnlineStationReport {
+        fn identification_rate(&self) -> f64 {
+            if self.windows == 0 {
+                0.0
+            } else {
+                self.windows_identified as f64 / self.windows as f64
+            }
+        }
+    }
 
     /// [`ScheduledReport`] → the legacy batch-mode counters.
     fn station_report(report: &ScheduledReport) -> StationReport {
