@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint bench-compile bench-json perf-test scenario-check scenario-json examples ci
+.PHONY: verify build test fmt lint bench-json perf-test scenario-check scenario-json examples ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -17,9 +17,6 @@ fmt:
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
-
-bench-compile:
-	cargo bench --no-run --workspace
 
 # Deterministic results (overheads, adversary accuracies, scenario-family
 # reports) of the committed workloads; refreshes BENCH_pipeline.json. CI
@@ -51,4 +48,4 @@ examples:
 	cargo build --examples
 
 # Everything CI gates on, in one shot.
-ci: fmt lint verify test scenario-check bench-compile perf-test examples
+ci: fmt lint verify test scenario-check perf-test examples

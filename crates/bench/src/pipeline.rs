@@ -34,20 +34,19 @@ use defenses::frequency_hopping::FrequencyHopper;
 use defenses::morphing::{paper_morphing_target, TrafficMorpher};
 use defenses::padding::PacketPadder;
 use defenses::pseudonym::PseudonymRotator;
-use defenses::stage::{FlowId, StagePipeline};
+use defenses::spec::StageContext;
+use defenses::stage::{FlowId, StagePipeline, STAGE_BATCH};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use reshape_core::ranges::SizeRanges;
 use reshape_core::reshaper::Reshaper;
-use reshape_core::scheduler::{
-    OrthogonalModulo, OrthogonalRanges, RandomAssign, ReshapeAlgorithm, RoundRobin,
-};
 use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
+use traffic_gen::packet::PacketRecord;
 use traffic_gen::trace::Trace;
 
 use crate::corpus::ExperimentConfig;
+use crate::scenario::{AlgorithmSpec, DefenseSpec, StageSpec};
 
 /// The defenses compared by the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -155,55 +154,23 @@ pub fn train_adversary(config: &ExperimentConfig, mode: FeatureMode) -> Adversar
     )
 }
 
-/// The scheduling algorithm behind a pure reshaping defense, or `None` for
-/// the defenses that transform or time/identity-partition traffic (or
-/// compose several stages).
-pub fn reshape_algorithm(
-    defense: DefenseKind,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Option<Box<dyn ReshapeAlgorithm>> {
-    scheduler_for(defense, config.interfaces, seed)
-}
-
-/// [`reshape_algorithm`] with the interface count passed directly (the
-/// station scenario has no [`ExperimentConfig`]).
-fn scheduler_for(
-    defense: DefenseKind,
-    interfaces: usize,
-    seed: u64,
-) -> Option<Box<dyn ReshapeAlgorithm>> {
-    match defense {
-        DefenseKind::Random => Some(Box::new(RandomAssign::new(interfaces, seed))),
-        DefenseKind::RoundRobin => Some(Box::new(RoundRobin::new(interfaces))),
-        DefenseKind::Orthogonal => Some(Box::new(OrthogonalRanges::new(
-            SizeRanges::for_interface_count(interfaces)
-                .expect("experiment interface count is valid"),
-        ))),
-        DefenseKind::OrthogonalModulo => Some(Box::new(OrthogonalModulo::new(interfaces))),
-        DefenseKind::None
-        | DefenseKind::FrequencyHopping
-        | DefenseKind::Pseudonym
-        | DefenseKind::Padding
-        | DefenseKind::Morphing
-        | DefenseKind::MorphThenReshape => None,
-    }
-}
-
 /// Builds the streaming stage pipeline of any defense — the single defended
 /// data path shared by the table evaluation, the multi-station scenario and
 /// `bench_json`'s committed results.
 ///
-/// Since the scenario-engine refactor this is a thin wrapper over the
-/// declarative form: the kind expands to its
-/// [`DefenseSpec`](crate::scenario::DefenseSpec) stage list, which builds the
-/// pipeline with the same construction (and the same seeds) the scenario
-/// engine uses for spec files.
+/// This is a thin wrapper over the declarative form: the kind expands to its
+/// [`DefenseSpec`] stage list, which builds the pipeline with the same
+/// construction (and the same seeds) the scenario engine uses for spec
+/// files.
 ///
 /// `calib_secs` sizes the generated calibration sessions the morphing stages
 /// need (the paper's training-session length); `source` optionally provides
 /// the materialised trace so batch-equivalent runs estimate the morphing
 /// source CDF from the actual traffic, exactly like the batch wrapper.
+///
+/// # Panics
+/// If the interface count is invalid for the kind's scheduler, or a morphing
+/// calibration session (or `source`) holds no packets.
 pub fn defense_pipeline(
     defense: DefenseKind,
     app: AppKind,
@@ -212,7 +179,15 @@ pub fn defense_pipeline(
     calib_secs: f64,
     source: Option<&Trace>,
 ) -> StagePipeline {
-    crate::scenario::kind_pipeline(defense, app, interfaces, seed, calib_secs, source)
+    let ctx = StageContext {
+        app,
+        seed,
+        calib_secs,
+        source,
+    };
+    DefenseSpec::from_kind(defense)
+        .build(&ctx, interfaces)
+        .unwrap_or_else(|e| panic!("{defense:?} pipeline: {e}"))
 }
 
 /// Applies a defense to one labelled trace, returning the sub-flows the
@@ -229,12 +204,15 @@ pub fn apply_defense(
     config: &ExperimentConfig,
     seed: u64,
 ) -> Vec<Trace> {
-    if let Some(algorithm) = reshape_algorithm(defense, config, seed) {
-        return Reshaper::new(algorithm)
+    let reshape = |algorithm: AlgorithmSpec, trace: &Trace| {
+        let scheduler = algorithm
+            .build(config.interfaces, seed)
+            .expect("experiment interface count is valid");
+        Reshaper::new(scheduler)
             .reshape(trace)
             .sub_traces()
-            .to_vec();
-    }
+            .to_vec()
+    };
     match defense {
         DefenseKind::None => vec![trace.clone()],
         DefenseKind::FrequencyHopping => FrequencyHopper::default()
@@ -252,21 +230,19 @@ pub fn apply_defense(
         }
         DefenseKind::Padding => vec![PacketPadder::new().apply(trace).0],
         DefenseKind::Morphing => vec![morphed_reference(trace, config, seed)],
-        DefenseKind::MorphThenReshape => {
-            let morphed = morphed_reference(trace, config, seed);
-            Reshaper::new(Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(config.interfaces)
-                    .expect("experiment interface count is valid"),
-            )))
-            .reshape(&morphed)
-            .sub_traces()
-            .to_vec()
-        }
+        DefenseKind::MorphThenReshape => reshape(
+            AlgorithmSpec::Orthogonal,
+            &morphed_reference(trace, config, seed),
+        ),
         DefenseKind::Random
         | DefenseKind::RoundRobin
         | DefenseKind::Orthogonal
         | DefenseKind::OrthogonalModulo => {
-            unreachable!("reshaping defenses handled above")
+            let [StageSpec::Reshape { algorithm, .. }] = DefenseSpec::from_kind(defense).stages[..]
+            else {
+                unreachable!("a scheduler defense is one reshape stage")
+            };
+            reshape(algorithm, trace)
         }
     }
 }
@@ -287,9 +263,12 @@ fn morphed_reference(trace: &Trace, config: &ExperimentConfig, seed: u64) -> Tra
 /// example the adversary observes.
 ///
 /// Every defense — transforming, partitioning, reshaping or composed — runs
-/// through the same [`StagePipeline`]: packets stream from the trace through
-/// the stages into one [`StreamingWindower`] per emitted sub-flow, touching
-/// each packet exactly once with no sub-trace or window materialisation.
+/// through the same [`StagePipeline`]: packets go through the stages in
+/// [`STAGE_BATCH`]-sized slices ([`StagePipeline::process_batch`]), and each
+/// staged slice goes into one [`StreamingWindower`] per emitted sub-flow via
+/// [`FlowWindowers::push_slice`] — the slice path a scenario station takes —
+/// touching each packet exactly once with no sub-trace or window
+/// materialisation.
 pub fn defended_examples(
     trace: &Trace,
     defense: DefenseKind,
@@ -310,11 +289,22 @@ pub fn defended_examples(
     );
     let mut windowers = FlowWindowers::for_app(config.window(), DEFAULT_MIN_PACKETS, mode, app);
     let mut out = Vec::new();
-    pipeline.run(&mut trace.stream(), |flow: FlowId, packet| {
-        if let Some(example) = windowers.push(flow as usize, packet) {
-            out.push(example);
+    let mut flows = Vec::with_capacity(STAGE_BATCH);
+    let mut staged = Vec::with_capacity(STAGE_BATCH);
+    // Every slice of the trace, then `None` for the end-of-session flush.
+    for batch in trace.packets().chunks(STAGE_BATCH).map(Some).chain([None]) {
+        flows.clear();
+        staged.clear();
+        let collect = |flow: FlowId, packet: &PacketRecord| {
+            flows.push(flow as usize);
+            staged.push(*packet);
+        };
+        match batch {
+            Some(batch) => pipeline.process_batch(batch, collect),
+            None => pipeline.finish(collect),
         }
-    });
+        windowers.push_slice(&flows, &staged, &mut out);
+    }
     out.extend(windowers.finish());
     out
 }

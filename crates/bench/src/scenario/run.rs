@@ -451,4 +451,26 @@ mod tests {
             assert_eq!(total, station.windows);
         }
     }
+
+    #[test]
+    fn an_empty_morphing_calibration_is_an_error_not_a_panic() {
+        // calib_secs passes `--check` (positive, finite) but is too short
+        // for the calibration session to hold a packet: admission fails and
+        // the run reports it, on both executors.
+        let mut spec = small_spec();
+        spec.calib_secs = 1e-6;
+        spec.stations[1].defense = DefenseSpec::from_kind(DefenseKind::Morphing);
+        let scenario = spec.build().expect("passes the static checks");
+        for executor in [Executor::Pooled, Executor::virtual_time()] {
+            let scenario = CompiledScenario {
+                executor,
+                ..scenario.clone()
+            };
+            let err = run_scenario(&scenario).unwrap_err();
+            assert!(
+                err.contains("station 2") && err.contains("calib_secs"),
+                "{err}"
+            );
+        }
+    }
 }

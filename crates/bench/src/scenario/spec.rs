@@ -47,7 +47,6 @@ use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
 use traffic_gen::app::AppKind;
 use traffic_gen::spec::{app_from_value, TrafficSpec};
-use traffic_gen::trace::Trace;
 use wlan_sim::time::SimDuration;
 
 /// A reshaping scheduler, as data (Tables II/III's four algorithms).
@@ -291,7 +290,7 @@ impl DefenseSpec {
         let mut pipeline = StagePipeline::new();
         for stage in &self.stages {
             match stage {
-                StageSpec::Defense(d) => pipeline.push_stage(d.build(ctx)),
+                StageSpec::Defense(d) => pipeline.push_stage(d.build(ctx)?),
                 StageSpec::Reshape {
                     algorithm,
                     interfaces: stage_interfaces,
@@ -969,18 +968,24 @@ impl ScenarioSpec {
         if self.stations.is_empty() {
             return Err(format!("scenario `{}` has no stations", self.name));
         }
-        if self.window_secs <= 0.0 {
-            return Err("window_secs must be positive".to_string());
+        positive_secs("window_secs", self.window_secs)?;
+        // SimDuration counts whole microseconds in a u64.
+        if !(0.5..u64::MAX as f64).contains(&(self.window_secs * 1e6)) {
+            return Err(format!(
+                "window_secs {} is outside the simulator's time range (1 µs to {:.3e} s)",
+                self.window_secs,
+                u64::MAX as f64 / 1e6
+            ));
         }
+        positive_secs("calib_secs", self.calib_secs)?;
         let mut groups = Vec::with_capacity(self.stations.len());
         let mut first = 0usize;
         for (group_index, group) in self.stations.iter().enumerate() {
             if group.count == 0 {
                 return Err(format!("station group {group_index} has count 0"));
             }
-            if group.secs <= 0.0 {
-                return Err(format!("station group {group_index} has non-positive secs"));
-            }
+            positive_secs("secs", group.secs)
+                .map_err(|e| format!("station group {group_index}: {e}"))?;
             if !group.stagger_secs.is_finite() || group.stagger_secs < 0.0 {
                 return Err(format!(
                     "station group {group_index} has invalid stagger_secs {}",
@@ -1118,6 +1123,18 @@ impl ScenarioSpec {
     }
 }
 
+/// Accepts a duration key only when it is a positive, finite number of
+/// seconds (`x <= 0.0` alone lets NaN through).
+fn positive_secs(key: &str, secs: f64) -> Result<(), String> {
+    if secs.is_finite() && secs > 0.0 {
+        Ok(())
+    } else {
+        Err(format!(
+            "{key} must be a positive, finite number of seconds, got {secs}"
+        ))
+    }
+}
+
 /// Derives a station group's base seed from the scenario seed (the same
 /// golden-ratio mixing the corpus generators use), leaving room for
 /// consecutive member seeds.
@@ -1125,28 +1142,6 @@ fn derive_group_seed(scenario_seed: u64, group_index: usize) -> u64 {
     scenario_seed
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(((group_index as u64) + 1) << 16)
-}
-
-/// Reproduces [`crate::pipeline::defense_pipeline`]'s historical signature on
-/// top of the declarative form — the one defended-pipeline constructor both
-/// the enum shorthand and the scenario engine share.
-pub fn kind_pipeline(
-    kind: DefenseKind,
-    app: AppKind,
-    interfaces: usize,
-    seed: u64,
-    calib_secs: f64,
-    source: Option<&Trace>,
-) -> StagePipeline {
-    let ctx = StageContext {
-        app,
-        seed,
-        calib_secs,
-        source,
-    };
-    DefenseSpec::from_kind(kind)
-        .build(&ctx, interfaces)
-        .expect("experiment interface count is valid")
 }
 
 /// The feature mode scenarios evaluate with (the paper's full feature set).
@@ -1352,6 +1347,52 @@ mod tests {
         let mut bad_stagger = demo_spec();
         bad_stagger.stations[0].stagger_secs = -1.0;
         assert!(bad_stagger.build().unwrap_err().contains("stagger"));
+    }
+
+    #[test]
+    fn bad_durations_are_rejected_naming_their_key() {
+        // `x <= 0.0` is false for NaN, so every duration key needs an
+        // explicit finiteness check.
+        for bad in [0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut spec = demo_spec();
+            spec.calib_secs = bad;
+            assert!(spec.build().unwrap_err().contains("calib_secs"), "{bad}");
+            let mut spec = demo_spec();
+            spec.window_secs = bad;
+            assert!(spec.build().unwrap_err().contains("window_secs"), "{bad}");
+            let mut spec = demo_spec();
+            spec.stations[1].secs = bad;
+            let err = spec.build().unwrap_err();
+            assert!(err.contains("station group 1: secs"), "{bad}: {err}");
+        }
+        // Beyond SimDuration's u64 microseconds, or below one microsecond.
+        for bad in [1e300, 1.9e13, 1e-9] {
+            let mut spec = demo_spec();
+            spec.window_secs = bad;
+            assert!(spec.build().unwrap_err().contains("window_secs"), "{bad}");
+        }
+        // The same keys through the TOML front end `--check` uses
+        // (`1e400` parses to infinity).
+        for (doc, key) in [
+            ("calib_secs = 0.0\n[[stations]]\napp = \"bt\"", "calib_secs"),
+            (
+                "calib_secs = -5.0\n[[stations]]\napp = \"bt\"",
+                "calib_secs",
+            ),
+            (
+                "window_secs = 1e400\n[[stations]]\napp = \"bt\"",
+                "window_secs",
+            ),
+            (
+                "window_secs = 1e300\n[[stations]]\napp = \"bt\"",
+                "window_secs",
+            ),
+            ("[[stations]]\napp = \"bt\"\nsecs = 1e400", "secs"),
+        ] {
+            let value = crate::scenario::toml::parse(doc).expect("well-formed TOML");
+            let spec = ScenarioSpec::from_value(&value).expect("parses");
+            assert!(spec.build().unwrap_err().contains(key), "{doc}");
+        }
     }
 
     #[test]

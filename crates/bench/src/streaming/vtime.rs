@@ -299,7 +299,9 @@ impl Executor {
             Executor::Pooled => {
                 let results: Result<Vec<(T, u64)>, String> = pooled(count, |i| {
                     let mut scorer = scorer_of(i);
-                    let report = run_of(i).run(&mut scorer)?;
+                    let report = run_of(i)
+                        .run(&mut scorer)
+                        .map_err(|e| format!("station {i}: {e}"))?;
                     let packets = report.packets;
                     Ok((finish(i, report, scorer), packets))
                 })

@@ -98,8 +98,12 @@ impl DefenseStageSpec {
     }
 
     /// Constructs the streaming stage this spec describes.
-    pub fn build(&self, ctx: &StageContext<'_>) -> Box<dyn PacketStage> {
-        match self {
+    ///
+    /// Fails when a morphing calibration session (or the context's source
+    /// trace) holds no packets, since no size distribution can be estimated
+    /// from it.
+    pub fn build(&self, ctx: &StageContext<'_>) -> Result<Box<dyn PacketStage>, String> {
+        Ok(match self {
             DefenseStageSpec::Padding { size } => {
                 let padder = match size {
                     Some(s) => PacketPadder::to_size(*s),
@@ -107,7 +111,7 @@ impl DefenseStageSpec {
                 };
                 Box::new(padder.stage())
             }
-            DefenseStageSpec::Morphing { target } => Box::new(morphing_stage(target, ctx)),
+            DefenseStageSpec::Morphing { target } => Box::new(morphing_stage(target, ctx)?),
             DefenseStageSpec::Pseudonym { period_secs } => {
                 let rotator = match period_secs {
                     Some(secs) => PseudonymRotator::new(SimDuration::from_secs_f64(*secs)),
@@ -125,7 +129,7 @@ impl DefenseStageSpec {
                 };
                 Box::new(hopper.stage())
             }
-        }
+        })
     }
 }
 
@@ -133,20 +137,38 @@ impl DefenseStageSpec {
 /// comes from a generated session of the morphing target (the paper's pairing
 /// unless overridden), the source CDF from the materialised trace when one is
 /// given or from a generated calibration session otherwise. Seeding matches
-/// the historical hand-coded pipeline exactly.
-fn morphing_stage(target: &Option<AppKind>, ctx: &StageContext<'_>) -> MorphingStage {
+/// the historical hand-coded pipeline exactly. Fails, naming the session,
+/// when either side has no packets.
+fn morphing_stage(
+    target: &Option<AppKind>,
+    ctx: &StageContext<'_>,
+) -> Result<MorphingStage, String> {
+    let no_packets = |app: AppKind| {
+        format!(
+            "morphing: no {app} packets to estimate a size distribution from \
+             (calib_secs = {} s)",
+            ctx.calib_secs
+        )
+    };
     let target_app = target.unwrap_or_else(|| paper_morphing_target(ctx.app));
     let target_trace =
         SessionGenerator::new(target_app, ctx.seed ^ 0xfeed).generate_secs(ctx.calib_secs);
-    let morpher = TrafficMorpher::from_target_trace(target_app, &target_trace);
-    match ctx.source {
-        Some(trace) => morpher.stage_for_source_trace(trace),
-        None => {
-            let calib =
-                SessionGenerator::new(ctx.app, ctx.seed ^ 0xca1b).generate_secs(ctx.calib_secs);
-            morpher.stage_for_source_trace(&calib)
-        }
+    if target_trace.is_empty() {
+        return Err(no_packets(target_app));
     }
+    let morpher = TrafficMorpher::from_target_trace(target_app, &target_trace);
+    let calib;
+    let source = match ctx.source {
+        Some(trace) => trace,
+        None => {
+            calib = SessionGenerator::new(ctx.app, ctx.seed ^ 0xca1b).generate_secs(ctx.calib_secs);
+            &calib
+        }
+    };
+    if source.is_empty() {
+        return Err(no_packets(ctx.app));
+    }
+    Ok(morpher.stage_for_source_trace(source))
 }
 
 impl Serialize for DefenseStageSpec {
@@ -250,11 +272,15 @@ mod tests {
     fn padding_spec_builds_the_default_padder() {
         let trace = trace();
         let ctx = StageContext::live(AppKind::BitTorrent, 1, 20.0);
-        let mut stage = DefenseStageSpec::Padding { size: None }.build(&ctx);
+        let mut stage = DefenseStageSpec::Padding { size: None }
+            .build(&ctx)
+            .unwrap();
         let out = stage_trace(stage.as_mut(), &trace);
         assert_eq!(out.len(), trace.len());
         assert!(out.iter().all(|(_, p)| p.size == MAX_PACKET_SIZE));
-        let mut sized = DefenseStageSpec::Padding { size: Some(400) }.build(&ctx);
+        let mut sized = DefenseStageSpec::Padding { size: Some(400) }
+            .build(&ctx)
+            .unwrap();
         let out = stage_trace(sized.as_mut(), &trace);
         assert!(out.iter().all(|(_, p)| p.size >= 400.min(MAX_PACKET_SIZE)));
     }
@@ -271,7 +297,9 @@ mod tests {
             source: Some(&trace),
         };
         // Pseudonym: same seed, same pseudonym draws, same partitions.
-        let mut from_spec = DefenseStageSpec::Pseudonym { period_secs: None }.build(&ctx);
+        let mut from_spec = DefenseStageSpec::Pseudonym { period_secs: None }
+            .build(&ctx)
+            .unwrap();
         let mut direct =
             PseudonymRotator::default().stage_with_rng(StdRng::seed_from_u64(ctx.seed));
         assert_eq!(
@@ -279,7 +307,9 @@ mod tests {
             stage_trace(&mut direct, &trace)
         );
         // Morphing with a materialised source: same seeds, same CDFs.
-        let mut from_spec = DefenseStageSpec::Morphing { target: None }.build(&ctx);
+        let mut from_spec = DefenseStageSpec::Morphing { target: None }
+            .build(&ctx)
+            .unwrap();
         let target_trace =
             SessionGenerator::new(AppKind::Video, ctx.seed ^ 0xfeed).generate_secs(20.0);
         let mut direct = TrafficMorpher::from_target_trace(AppKind::Video, &target_trace)
@@ -295,14 +325,42 @@ mod tests {
         let trace = trace();
         let ctx = StageContext::live(AppKind::BitTorrent, 9, 20.0);
         let mut pipeline = StagePipeline::new();
-        pipeline.push_stage(DefenseStageSpec::Morphing { target: None }.build(&ctx));
-        pipeline.push_stage(DefenseStageSpec::Padding { size: None }.build(&ctx));
+        pipeline.push_stage(
+            DefenseStageSpec::Morphing { target: None }
+                .build(&ctx)
+                .unwrap(),
+        );
+        pipeline.push_stage(
+            DefenseStageSpec::Padding { size: None }
+                .build(&ctx)
+                .unwrap(),
+        );
         let mut out = Vec::new();
         pipeline.run(&mut trace.stream(), |flow, p| out.push((flow, *p)));
         assert_eq!(out.len(), trace.len());
         assert!(out
             .iter()
             .all(|(f, p)| *f == ROOT_FLOW && p.size == MAX_PACKET_SIZE));
+    }
+
+    #[test]
+    fn morphing_without_calibration_packets_is_an_error() {
+        // A calibration session too short to hold a packet cannot define a
+        // size distribution: the build fails instead of panicking.
+        let spec = DefenseStageSpec::Morphing { target: None };
+        let err = spec
+            .build(&StageContext::live(AppKind::BitTorrent, 3, 1e-6))
+            .unwrap_err();
+        assert!(err.contains("calib_secs"), "{err}");
+        let empty = Trace::new();
+        let with_empty_source = StageContext {
+            source: Some(&empty),
+            ..StageContext::live(AppKind::BitTorrent, 3, 20.0)
+        };
+        assert!(spec.build(&with_empty_source).is_err());
+        assert!(spec
+            .build(&StageContext::live(AppKind::BitTorrent, 3, 20.0))
+            .is_ok());
     }
 
     #[test]

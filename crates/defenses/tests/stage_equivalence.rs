@@ -2,7 +2,7 @@
 //! defense and every seed, driving the streaming [`PacketStage`] one packet at
 //! a time produces byte-identical output (and an identical overhead ledger) to
 //! the batch `apply` / `partition` call — the same pattern that ties the
-//! online reshaper to the batch `Reshaper`.
+//! reshaping stage to the batch `Reshaper`.
 
 use defenses::morphing::{paper_morphing_target, TrafficMorpher};
 use defenses::stage::{FlowId, PacketStage, StageOutput, ROOT_FLOW};

@@ -21,15 +21,13 @@
 //! * [`scheduler`] — the reshaping algorithms: Random (RA), Round-Robin (RR),
 //!   Orthogonal Reshaping over size ranges (OR, Fig. 4) and the size-modulo
 //!   OR variant (Fig. 5).
-//! * [`online`] — the **streaming** engine (Fig. 3's actual data path): one
-//!   packet in, one assignment out, O(interfaces) state, pluggable per-vif
-//!   sub-flow sinks.
-//! * [`reshaper`] — the batch façade over the online engine: partitions a
-//!   whole trace into per-interface sub-flows and verifies the zero-overhead
-//!   invariant.
-//! * [`stage`] — the engine as a composable `PacketStage` of the `defenses`
+//! * [`stage`] — the reshaping engine (Fig. 3's actual data path): one packet
+//!   in, one assignment out, as a composable `PacketStage` of the `defenses`
 //!   stage pipeline, so defense∘reshaping orderings (morph-then-reshape,
 //!   per-vif padding, …) are first-class streaming data paths.
+//! * [`reshaper`] — the batch façade over the stage: partitions a whole trace
+//!   into per-interface sub-flows, tracks the Eq. 1 realized distributions
+//!   and verifies the zero-overhead invariant.
 //! * [`params`] — parameter selection for `L`, `I` and φ (§III-C3), privacy
 //!   entropy.
 //! * [`power`] — per-packet transmission power control against RSSI linking (§V-A).
@@ -62,7 +60,6 @@
 pub mod combined;
 pub mod config;
 pub mod error;
-pub mod online;
 pub mod optimizer;
 pub mod params;
 pub mod power;
@@ -75,11 +72,10 @@ pub mod translation;
 pub mod vif;
 
 pub use error::{Error, Result};
-pub use online::{NullSink, OnlineReshaper, SubFlowSink, SubTraceCollector};
 pub use ranges::SizeRanges;
 pub use reshaper::{ReshapeOutcome, Reshaper};
 pub use scheduler::{
     OrthogonalModulo, OrthogonalRanges, RandomAssign, ReshapeAlgorithm, RoundRobin,
 };
-pub use stage::{reshape_staged, ReshapeStage};
+pub use stage::ReshapeStage;
 pub use vif::{VifIndex, VirtualInterface, VirtualInterfaceSet};

@@ -1,25 +1,29 @@
-//! The batch reshaping engine: partitioning a whole trace into per-interface
-//! sub-flows.
+//! The batch view of reshaping: partitioning a whole trace into
+//! per-interface sub-flows.
 //!
-//! [`Reshaper`] is a thin wrapper over the streaming
-//! [`OnlineReshaper`](crate::online::OnlineReshaper) — the actual data plane —
-//! that applies it to a whole [`Trace`], producing one sub-trace per virtual
+//! [`Reshaper`] is a thin wrapper over [`ReshapeStage`], the one reshaping
+//! engine: it feeds a whole [`Trace`] through the stage from
+//! [`ROOT_FLOW`](defenses::stage::ROOT_FLOW), maps each output sub-flow back
+//! to its interface (`vif_of`), and builds one sub-trace per virtual
 //! interface (the sets `S_i` of §III-C1) together with the realized
-//! distributions needed to evaluate the Eq. 1 objective. Because both paths
-//! share one engine, batch and streaming assignments are byte-identical for
-//! the same algorithm and seed (property-tested in
-//! `tests/streaming_equivalence.rs`). Two invariants are enforced and tested:
+//! distributions needed to evaluate the Eq. 1 objective.
+//! Eq. 1 tracking lives here, not in the stage: it is an analysis quantity
+//! (Table I, Figs. 4/5), so only the batch API pays for it. Batch and
+//! streaming assignments are byte-identical for the same algorithm and seed
+//! (property-tested in `tests/streaming_equivalence.rs`). Two invariants are
+//! enforced and tested:
 //!
 //! * **partition**: every packet lands on exactly one interface
 //!   (`∪_i S_i = S`, `S_i ∩ S_j = ∅`), and
 //! * **zero overhead**: the total number of packets and bytes is unchanged —
 //!   reshaping never adds noise traffic.
 
-use crate::online::{OnlineReshaper, SubFlowSink, SubTraceCollector};
 use crate::optimizer::RealizedDistributions;
 use crate::ranges::SizeRanges;
 use crate::scheduler::ReshapeAlgorithm;
+use crate::stage::ReshapeStage;
 use crate::vif::VifIndex;
+use defenses::stage::{stage_trace, PacketStage};
 use traffic_gen::trace::Trace;
 
 /// The result of reshaping one trace.
@@ -79,20 +83,19 @@ impl ReshapeOutcome {
     }
 }
 
-/// Applies a reshaping algorithm to whole traces (the batch façade of the
-/// streaming [`OnlineReshaper`]).
+/// Applies a reshaping algorithm to whole traces (the batch façade of
+/// [`ReshapeStage`]).
 #[derive(Debug)]
 pub struct Reshaper {
-    online: OnlineReshaper,
+    stage: ReshapeStage,
+    tracking_ranges: SizeRanges,
 }
 
 impl Reshaper {
     /// Creates a reshaper around an algorithm, tracking realized distributions
     /// over the paper's default size ranges.
     pub fn new(algorithm: Box<dyn ReshapeAlgorithm>) -> Self {
-        Reshaper {
-            online: OnlineReshaper::new(algorithm),
-        }
+        Self::with_tracking_ranges(algorithm, SizeRanges::paper_default())
     }
 
     /// Creates a reshaper that tracks realized distributions over custom ranges
@@ -100,44 +103,47 @@ impl Reshaper {
     /// over equal-width ranges).
     pub fn with_tracking_ranges(algorithm: Box<dyn ReshapeAlgorithm>, ranges: SizeRanges) -> Self {
         Reshaper {
-            online: OnlineReshaper::with_tracking_ranges(algorithm, ranges),
+            stage: ReshapeStage::new(algorithm),
+            tracking_ranges: ranges,
         }
     }
 
     /// The number of virtual interfaces of the underlying algorithm.
     pub fn interface_count(&self) -> usize {
-        self.online.interface_count()
+        self.stage.interface_count()
     }
 
     /// The name of the underlying algorithm.
     pub fn algorithm_name(&self) -> &'static str {
-        self.online.algorithm_name()
-    }
-
-    /// The streaming engine behind this batch façade; use it directly to
-    /// reshape packet sources without materialising traces.
-    pub fn online_mut(&mut self) -> &mut OnlineReshaper {
-        &mut self.online
+        self.stage.name()
     }
 
     /// Reshapes a trace into per-interface sub-flows.
     ///
-    /// The engine is reset first, so a single `Reshaper` can be reused across
+    /// The stage is reset first, so a single `Reshaper` can be reused across
     /// traces without leaking state between them.
     pub fn reshape(&mut self, trace: &Trace) -> ReshapeOutcome {
-        self.online.reset();
-        let interfaces = self.online.interface_count();
-        let mut collector = SubTraceCollector::new(interfaces, trace.app());
+        self.stage.reset();
+        let interfaces = self.stage.interface_count();
+        let mut sub_packets = vec![Vec::new(); interfaces];
         let mut assignments = Vec::with_capacity(trace.len());
-        for (index, packet) in trace.packets().iter().enumerate() {
-            let vif = self.online.assign(packet);
-            collector.accept(vif, packet);
+        let mut realized = RealizedDistributions::new(interfaces, self.tracking_ranges.clone());
+        for (index, (flow, packet)) in stage_trace(&mut self.stage, trace).into_iter().enumerate() {
+            let vif = self
+                .stage
+                .vif_of(flow)
+                .expect("the stage maps every output flow to an interface");
+            sub_packets[vif.index()].push(packet);
+            realized.record(vif, packet.size);
             assignments.push((index, vif));
         }
         ReshapeOutcome {
-            sub_traces: collector.into_traces(),
+            sub_traces: sub_packets
+                .into_iter()
+                .map(|packets| Trace::from_packets(trace.app(), packets))
+                .collect(),
             assignments,
-            realized: self.online.realized().clone(),
+            realized,
         }
     }
 }

@@ -1,26 +1,28 @@
-//! Traffic reshaping as a pipeline stage: the glue that makes
-//! defense∘reshaping compositions first-class.
+//! The reshaping engine: one packet in, one virtual-interface assignment out.
 //!
-//! [`ReshapeStage`] adapts the streaming [`OnlineReshaper`] to the
-//! [`PacketStage`] contract of the `defenses` crate, so the reshaping engine
-//! slots into a [`StagePipeline`] anywhere a defense does: morph-then-reshape
-//! puts a `MorphingStage` in front of it, reshape-then-pad puts a
-//! `PaddingStage` behind it (per-vif padding, since the padding stage sees one
-//! sub-flow per virtual interface), and so on. Each virtual interface becomes
-//! one output sub-flow, allocated in first-use order per incoming flow.
+//! The paper's Fig. 3 data path dispatches each packet to a virtual interface
+//! the moment it leaves the TCP/IP stack. [`ReshapeStage`] is that data path,
+//! and the only one: it owns a [`ReshapeAlgorithm`], calls it once per packet
+//! and emits the packet on one output sub-flow per `(incoming flow,
+//! interface)` pair, keeping O(flows × interfaces) state and no per-packet
+//! storage, so sessions of unbounded length stream through it.
 //!
-//! [`reshape_staged`] goes the other way: it makes the online reshaper a
-//! *consumer* of upstream stages, draining a packet source through a defense
-//! pipeline straight into the engine and its [`SubFlowSink`]s — the Fig. 3
-//! data path with arbitrary defenses spliced in before the dispatcher.
+//! As a [`PacketStage`] it slots into a [`StagePipeline`] anywhere a defense
+//! does: morph-then-reshape puts a `MorphingStage` in front of it,
+//! reshape-then-pad puts a `PaddingStage` behind it (per-vif padding, since
+//! the padding stage sees one sub-flow per virtual interface), and so on.
+//! [`vif_of`](ReshapeStage::vif_of) maps an output sub-flow back to its
+//! interface; the bridge uses it to pick each frame's virtual MAC. The Eq. 1
+//! realized distributions are an analysis quantity and live in the batch
+//! [`Reshaper`](crate::reshaper::Reshaper), not here.
+//!
+//! [`StagePipeline`]: defenses::stage::StagePipeline
 
-use crate::online::{OnlineReshaper, SubFlowSink};
 use crate::scheduler::ReshapeAlgorithm;
 use crate::vif::VifIndex;
 use defenses::overhead::Overhead;
-use defenses::stage::{FlowId, PacketStage, StageOutput, StagePipeline};
+use defenses::stage::{FlowId, PacketStage, StageOutput};
 use traffic_gen::packet::PacketRecord;
-use traffic_gen::stream::PacketSource;
 
 /// Sentinel marking an unallocated `(incoming flow, interface)` slot in the
 /// dense flow table.
@@ -34,8 +36,10 @@ const NO_FLOW: FlowId = FlowId::MAX;
 /// reports: bytes in equals bytes out, packet for packet.
 #[derive(Debug)]
 pub struct ReshapeStage {
-    online: OnlineReshaper,
-    /// Dense flow table indexed by `incoming flow × interface_count + vif`,
+    algorithm: Box<dyn ReshapeAlgorithm>,
+    /// The algorithm's interface count, read once at construction.
+    interfaces: usize,
+    /// Dense flow table indexed by `incoming flow × interfaces + vif`,
     /// [`NO_FLOW`] where unallocated. The interface count is fixed by the
     /// algorithm, so this replaces the per-packet `FlowMap` hash lookup with
     /// one bounds-checked load while allocating the same dense ids in the
@@ -49,13 +53,9 @@ pub struct ReshapeStage {
 impl ReshapeStage {
     /// Creates a stage dispatching through `algorithm`.
     pub fn new(algorithm: Box<dyn ReshapeAlgorithm>) -> Self {
-        Self::from_online(OnlineReshaper::new(algorithm))
-    }
-
-    /// Wraps an existing online engine (keeping its tracking ranges).
-    pub fn from_online(online: OnlineReshaper) -> Self {
         ReshapeStage {
-            online,
+            interfaces: algorithm.interface_count(),
+            algorithm,
             flow_table: Vec::new(),
             next_flow: 0,
             vifs: Vec::new(),
@@ -63,10 +63,9 @@ impl ReshapeStage {
         }
     }
 
-    /// The streaming engine behind the stage (realized distributions,
-    /// per-interface counters).
-    pub fn online(&self) -> &OnlineReshaper {
-        &self.online
+    /// The number of virtual interfaces the algorithm schedules over.
+    pub fn interface_count(&self) -> usize {
+        self.interfaces
     }
 
     /// Number of output sub-flows opened so far (≤ incoming flows × vifs).
@@ -78,10 +77,10 @@ impl ReshapeStage {
     /// id on first sight (same contract as `FlowMap::id_of`).
     #[inline]
     fn id_of(&mut self, flow: FlowId, vif: VifIndex) -> (FlowId, bool) {
-        let vifs = self.online.interface_count();
-        let slot = flow as usize * vifs + vif.index();
+        let slot = flow as usize * self.interfaces + vif.index();
         if slot >= self.flow_table.len() {
-            self.flow_table.resize((flow as usize + 1) * vifs, NO_FLOW);
+            self.flow_table
+                .resize((flow as usize + 1) * self.interfaces, NO_FLOW);
         }
         let entry = &mut self.flow_table[slot];
         if *entry != NO_FLOW {
@@ -101,11 +100,16 @@ impl ReshapeStage {
 
 impl PacketStage for ReshapeStage {
     fn name(&self) -> &'static str {
-        self.online.algorithm_name()
+        self.algorithm.name()
     }
 
     fn on_packet(&mut self, flow: FlowId, packet: &PacketRecord, out: &mut StageOutput) {
-        let vif = self.online.assign(packet);
+        let vif = self.algorithm.assign(packet);
+        assert!(
+            vif.index() < self.interfaces,
+            "algorithm {} returned out-of-range {vif}",
+            self.algorithm.name()
+        );
         let (out_flow, fresh) = self.id_of(flow, vif);
         if fresh {
             self.vifs.push(vif);
@@ -119,7 +123,7 @@ impl PacketStage for ReshapeStage {
     }
 
     fn reset(&mut self) {
-        self.online.reset();
+        self.algorithm.reset();
         self.flow_table.clear();
         self.next_flow = 0;
         self.vifs.clear();
@@ -127,36 +131,18 @@ impl PacketStage for ReshapeStage {
     }
 }
 
-/// Drains a packet source through an upstream defense pipeline and then the
-/// online reshaper, delivering every reshaped packet to `sink` — the
-/// defense∘reshape data path with the engine as the pipeline's consumer.
-/// Returns the number of packets pulled from the source.
-pub fn reshape_staged<P, S>(
-    source: &mut P,
-    pre: &mut StagePipeline,
-    online: &mut OnlineReshaper,
-    sink: &mut S,
-) -> usize
-where
-    P: PacketSource + ?Sized,
-    S: SubFlowSink + ?Sized,
-{
-    pre.run(source, |_, packet| {
-        online.assign_to(packet, sink);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::SubTraceCollector;
     use crate::ranges::SizeRanges;
     use crate::reshaper::Reshaper;
     use crate::scheduler::{OrthogonalRanges, RoundRobin};
-    use defenses::stage::ROOT_FLOW;
+    use defenses::stage::{StagePipeline, ROOT_FLOW};
     use defenses::PacketPadder;
     use traffic_gen::app::AppKind;
     use traffic_gen::generator::SessionGenerator;
+    use traffic_gen::packet::Direction;
+    use traffic_gen::stream::{PacketSource, StreamingSession};
     use traffic_gen::trace::Trace;
     use traffic_gen::MAX_PACKET_SIZE;
 
@@ -173,6 +159,7 @@ mod tests {
         let trace = bt_trace(1);
         let mut stage = or_stage();
         assert_eq!(stage.name(), "OR");
+        assert_eq!(stage.interface_count(), 3);
         let mut out = StageOutput::new();
         let mut staged = Vec::new();
         for packet in trace.packets() {
@@ -197,30 +184,27 @@ mod tests {
         // Zero overhead, ledger-verified.
         assert_eq!(stage.overhead().percent(), 0.0);
         assert_eq!(stage.overhead().original_bytes, trace.total_bytes());
-        assert_eq!(stage.online().packets_seen(), trace.len() as u64);
+        assert_eq!(stage.overhead().original_packets, trace.len() as u64);
     }
 
     #[test]
-    fn morph_like_prestage_feeds_the_engine_via_reshape_staged() {
-        // Pad-then-reshape through reshape_staged: every packet reaches the
-        // engine at the padded size, so OR sees only full-size packets.
+    fn pad_then_reshape_sends_every_packet_to_the_large_range() {
+        // Pad-then-reshape: every packet reaches the engine at the padded
+        // size, so OR sees only full-size packets and opens one sub-flow, on
+        // the interface owning the large range.
         let trace = bt_trace(2);
         let mut pre = StagePipeline::new().with_stage(PacketPadder::new().stage());
-        let mut online =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
-        let mut collector = SubTraceCollector::new(3, trace.app());
-        let consumed = reshape_staged(&mut trace.stream(), &mut pre, &mut online, &mut collector);
+        let mut stage = or_stage();
+        let mut out = StageOutput::new();
+        let consumed = pre.run(&mut trace.stream(), |flow, packet| {
+            stage.on_packet(flow, packet, &mut out)
+        });
         assert_eq!(consumed, trace.len());
-        assert_eq!(collector.len(), trace.len());
-        let subs = collector.into_traces();
+        assert_eq!(out.len(), trace.len());
+        assert!(out.iter().all(|&(flow, _)| flow == 0));
         let large_range = SizeRanges::paper_default().range_of(MAX_PACKET_SIZE);
-        for (i, sub) in subs.iter().enumerate() {
-            if i == large_range {
-                assert_eq!(sub.len(), trace.len(), "all padded packets land here");
-            } else {
-                assert!(sub.is_empty(), "interface {i} must be starved by padding");
-            }
-        }
+        assert_eq!(stage.flow_count(), 1);
+        assert_eq!(stage.vif_of(0), Some(VifIndex::new(large_range)));
         assert_eq!(pre.overhead().original_bytes, trace.total_bytes());
         assert!(pre.overhead().percent() > 0.0);
     }
@@ -270,5 +254,48 @@ mod tests {
             second.extend(out.iter().copied());
         }
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn or_keeps_unbounded_sub_flows_pure() {
+        // 20k packets of an infinite session stream through without any
+        // per-packet storage, and every OR sub-flow carries only its own
+        // interface's size range.
+        let ranges = SizeRanges::paper_default();
+        let mut session = StreamingSession::unbounded(AppKind::BitTorrent, 3);
+        let mut stage = or_stage();
+        let mut out = StageOutput::new();
+        for _ in 0..20_000 {
+            let packet = session.next_packet().expect("infinite source");
+            out.clear();
+            stage.on_packet(ROOT_FLOW, &packet, &mut out);
+            let (flow, emitted) = out[0];
+            let vif = stage.vif_of(flow).expect("every output flow has a vif");
+            assert_eq!(ranges.range_of(emitted.size), vif.index());
+        }
+        assert_eq!(stage.overhead().original_packets, 20_000);
+        assert_eq!(stage.flow_count(), 3, "one sub-flow per interface");
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-range")]
+    fn out_of_range_assignment_panics() {
+        // A scheduler that lies about its interface count is caught.
+        #[derive(Debug)]
+        struct Rogue;
+        impl ReshapeAlgorithm for Rogue {
+            fn assign(&mut self, _p: &PacketRecord) -> VifIndex {
+                VifIndex::new(7)
+            }
+            fn interface_count(&self) -> usize {
+                2
+            }
+            fn name(&self) -> &'static str {
+                "rogue"
+            }
+        }
+        let mut stage = ReshapeStage::new(Box::new(Rogue));
+        let p = PacketRecord::at_secs(0.0, 100, Direction::Downlink, AppKind::Video);
+        stage.on_packet(ROOT_FLOW, &p, &mut StageOutput::new());
     }
 }

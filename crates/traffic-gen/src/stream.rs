@@ -22,7 +22,7 @@
 //! [`StreamingSession`] is distribution-identical but not packet-identical to
 //! [`SessionGenerator::generate_secs`](crate::generator::SessionGenerator::generate_secs).
 //! Reshaping equivalence is therefore stated where it matters: feeding the
-//! *same* packets (via [`TraceStream`]) through the online reshaper yields
+//! *same* packets (via [`TraceStream`]) through the reshaping stage yields
 //! byte-identical assignments to the batch reshaper.
 
 use crate::app::AppKind;
@@ -122,7 +122,7 @@ impl<S: PacketSource> PacketSource for PeekableSource<S> {
 /// A [`PacketSource`] view over a batch [`Trace`].
 ///
 /// Used to drive streaming stages with pre-recorded packets — in particular
-/// by the equivalence tests that prove the online reshaper reproduces the
+/// by the equivalence tests that prove the reshaping stage reproduces the
 /// batch reshaper exactly.
 #[derive(Debug, Clone)]
 pub struct TraceStream<'a> {

@@ -11,19 +11,20 @@
 //! * the batch [`trace_to_frames`], which converts a whole materialised
 //!   [`Trace`] at once, and
 //! * the streaming [`FrameStream`] (built by [`stream_frames`]), the online
-//!   Fig. 3 path: packets are pulled from any
-//!   [`PacketSource`], dispatched through the
-//!   [`OnlineReshaper`] and emitted as on-air frames one at a time — memory
-//!   stays O(1) even for unbounded sessions.
+//!   Fig. 3 path: packets are pulled from any [`PacketSource`], dispatched
+//!   through the [`ReshapeStage`] — the one reshaping engine — and emitted
+//!   as on-air frames one at a time, so memory stays O(1) even for unbounded
+//!   sessions.
 //!
 //! The streaming adapter accepts a defense [`StagePipeline`] in front of
 //! the reshaper ([`stream_frames_staged`]): packets are padded, morphed or
 //! otherwise transformed stage by stage before the engine dispatches them, so
 //! composed defense∘reshape scenarios reach the air with no extra plumbing.
-//! On-air identity always comes from the reshaper's vif → MAC translation:
-//! upstream sub-flow ids are deliberately collapsed at the engine, so use
-//! transforming stages here — a partitioning stage (pseudonyms, FH) changes
-//! nothing on the air and belongs in the evaluation pipeline instead.
+//! On-air identity always comes from the stage's vif ([`ReshapeStage::vif_of`])
+//! through the vif → MAC translation: every staged packet enters the engine
+//! on [`ROOT_FLOW`], so upstream sub-flow ids are deliberately collapsed.
+//! Use transforming stages here — a partitioning stage (pseudonyms, FH)
+//! changes nothing on the air and belongs in the evaluation pipeline instead.
 //!
 //! Both paths resolve a packet's virtual MAC through the installed
 //! [`TranslationTable`], exactly as the paper's data path does, and produce
@@ -38,9 +39,9 @@
 //! materialised trace.
 
 use crate::analysis::online::AdversarySink;
-use crate::defense::stage::{StagePipeline, STAGE_BATCH};
-use crate::reshape::online::OnlineReshaper;
+use crate::defense::stage::{PacketStage, StageOutput, StagePipeline, ROOT_FLOW, STAGE_BATCH};
 use crate::reshape::reshaper::Reshaper;
+use crate::reshape::stage::ReshapeStage;
 use crate::reshape::translation::TranslationTable;
 use crate::reshape::vif::VifIndex;
 use crate::traffic::app::AppKind;
@@ -107,10 +108,10 @@ pub fn trace_to_frames(
 /// The streaming packets → stages → reshaper → frames adapter.
 ///
 /// Pulls packets from a [`PacketSource`], runs each through an optional
-/// defense [`StagePipeline`] (identity by default), assigns every surviving
-/// packet to a virtual interface through the [`OnlineReshaper`] and yields
-/// the on-air frame immediately: at most one source packet in flight at a
-/// time, no trace materialisation. Create one with [`stream_frames`] or
+/// defense [`StagePipeline`] (identity by default), dispatches every
+/// surviving packet to a virtual interface through the [`ReshapeStage`] and
+/// yields the on-air frame immediately: at most one source packet in flight
+/// at a time, no trace materialisation. Create one with [`stream_frames`] or
 /// [`stream_frames_staged`].
 #[derive(Debug)]
 pub struct FrameStream<'a, S: PacketSource> {
@@ -123,16 +124,19 @@ pub struct FrameStream<'a, S: PacketSource> {
     /// in one [`StagePipeline::process_batch`] call.
     batch: Vec<PacketRecord>,
     flushed: bool,
-    reshaper: &'a mut OnlineReshaper,
+    reshaper: &'a mut ReshapeStage,
+    /// The reshaper's output for the packet being dispatched.
+    dispatched: StageOutput,
     table: &'a TranslationTable,
     physical: MacAddress,
     ap: MacAddress,
 }
 
 impl<S: PacketSource> FrameStream<'_, S> {
-    /// Packets emitted so far (delegates to the engine's running counter).
+    /// Packets emitted so far (the reshaper's ledger, which counts across
+    /// every source the stage has dispatched since its last reset).
     pub fn packets_emitted(&self) -> u64 {
-        self.reshaper.packets_seen()
+        self.reshaper.overhead().transformed_packets
     }
 
     /// The defense pipeline in front of the reshaper (its overhead ledger
@@ -170,12 +174,25 @@ impl<S: PacketSource> FrameStream<'_, S> {
                 self.stages.finish(|_, staged| pending.push_back(*staged));
             }
         }
-        for packet in self.pending.drain(..) {
-            let vif = self.reshaper.assign(&packet);
-            let addr = on_air_address(self.table, self.physical, vif);
-            out.push((packet.time, packet_to_frame(&packet, addr, self.ap)));
+        while let Some(packet) = self.pending.pop_front() {
+            out.push(self.dispatch(&packet));
         }
         out.len()
+    }
+
+    /// Dispatches one staged packet through the reshaper and converts it to
+    /// the on-air frame of the virtual interface it was assigned to.
+    fn dispatch(&mut self, packet: &PacketRecord) -> (SimTime, Frame) {
+        self.dispatched.clear();
+        self.reshaper
+            .on_packet(ROOT_FLOW, packet, &mut self.dispatched);
+        let (flow, _) = self.dispatched[0];
+        let vif = self
+            .reshaper
+            .vif_of(flow)
+            .expect("the stage maps every output flow to an interface");
+        let addr = on_air_address(self.table, self.physical, vif);
+        (packet.time, packet_to_frame(packet, addr, self.ap))
     }
 }
 
@@ -185,9 +202,7 @@ impl<S: PacketSource> Iterator for FrameStream<'_, S> {
     fn next(&mut self) -> Option<(SimTime, Frame)> {
         loop {
             if let Some(packet) = self.pending.pop_front() {
-                let vif = self.reshaper.assign(&packet);
-                let addr = on_air_address(self.table, self.physical, vif);
-                return Some((packet.time, packet_to_frame(&packet, addr, self.ap)));
+                return Some(self.dispatch(&packet));
             }
             if self.flushed {
                 return None;
@@ -207,11 +222,11 @@ impl<S: PacketSource> Iterator for FrameStream<'_, S> {
 }
 
 /// Builds the streaming packets → reshaper → frames pipeline over any packet
-/// source. The reshaper is **not** reset, so one engine can span multiple
-/// sources when a session is delivered in segments.
+/// source. The reshaper stage is **not** reset, so one engine can span
+/// multiple sources when a session is delivered in segments.
 pub fn stream_frames<'a, S: PacketSource>(
     source: S,
-    reshaper: &'a mut OnlineReshaper,
+    reshaper: &'a mut ReshapeStage,
     table: &'a TranslationTable,
     physical: MacAddress,
     ap: MacAddress,
@@ -224,13 +239,14 @@ pub fn stream_frames<'a, S: PacketSource>(
 /// per packet, so the composition streams in O(1) memory like the plain path.
 ///
 /// The stages should be **transforming** (padding, morphing, a nested
-/// pipeline of both): every staged packet is dispatched through the reshaper,
-/// whose vif → MAC translation alone decides the on-air address, so any
-/// sub-flow partitioning an upstream stage performs is collapsed here.
+/// pipeline of both): every staged packet enters the reshaper on
+/// [`ROOT_FLOW`], and its vif → MAC translation alone decides the on-air
+/// address, so any sub-flow partitioning an upstream stage performs is
+/// collapsed here.
 pub fn stream_frames_staged<'a, S: PacketSource>(
     source: S,
     stages: StagePipeline,
-    reshaper: &'a mut OnlineReshaper,
+    reshaper: &'a mut ReshapeStage,
     table: &'a TranslationTable,
     physical: MacAddress,
     ap: MacAddress,
@@ -242,6 +258,7 @@ pub fn stream_frames_staged<'a, S: PacketSource>(
         batch: Vec::new(),
         flushed: false,
         reshaper,
+        dispatched: StageOutput::with_capacity(1),
         table,
         physical,
         ap,
@@ -395,6 +412,10 @@ mod tests {
         Reshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())))
     }
 
+    fn or_stage() -> ReshapeStage {
+        ReshapeStage::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())))
+    }
+
     #[test]
     fn packet_to_frame_maps_directions() {
         let down = PacketRecord::at_secs(0.0, 1400, Direction::Downlink, AppKind::Video);
@@ -491,12 +512,11 @@ mod tests {
         let (_, table) = installed_vifs(5, 3);
         let trace = SessionGenerator::new(AppKind::BitTorrent, 9).generate_secs(10.0);
         let batch = trace_to_frames(&trace, &mut or_reshaper(), &table, station(), ap());
-        let mut online =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+        let mut stage = or_stage();
         let streamed: Vec<(SimTime, Frame)> =
-            stream_frames(trace.stream(), &mut online, &table, station(), ap()).collect();
+            stream_frames(trace.stream(), &mut stage, &table, station(), ap()).collect();
         assert_eq!(batch, streamed);
-        assert_eq!(online.packets_seen() as usize, trace.len());
+        assert_eq!(stage.overhead().transformed_packets as usize, trace.len());
     }
 
     #[test]
@@ -507,27 +527,26 @@ mod tests {
         use crate::defense::PacketPadder;
         let (_, table) = installed_vifs(13, 3);
         let trace = SessionGenerator::new(AppKind::BitTorrent, 17).generate_secs(5.0);
-        let mut online =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+        let mut stage = or_stage();
         let stages = StagePipeline::new().with_stage(PacketPadder::new().stage());
         let frames: Vec<(SimTime, Frame)> =
-            stream_frames_staged(trace.stream(), stages, &mut online, &table, station(), ap())
+            stream_frames_staged(trace.stream(), stages, &mut stage, &table, station(), ap())
                 .collect();
         assert_eq!(frames.len(), trace.len());
         assert!(frames.iter().all(|(_, f)| f.air_size() == 1576));
         let large = SizeRanges::paper_default().range_of(1576);
+        assert_eq!(stage.overhead().transformed_packets, trace.len() as u64);
+        assert_eq!(stage.flow_count(), 1, "one interface carries every packet");
         assert_eq!(
-            online.packets_on(crate::reshape::vif::VifIndex::new(large)),
-            trace.len() as u64,
+            stage.vif_of(0),
+            Some(VifIndex::new(large)),
             "padded packets all belong to the large-size interface"
         );
         // The staged and plain adapters agree when the pipeline is empty.
-        let mut plain =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+        let mut plain = or_stage();
         let unstaged: Vec<(SimTime, Frame)> =
             stream_frames(trace.stream(), &mut plain, &table, station(), ap()).collect();
-        let mut identity =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+        let mut identity = or_stage();
         let staged_identity: Vec<(SimTime, Frame)> = stream_frames_staged(
             trace.stream(),
             StagePipeline::new(),
@@ -555,8 +574,7 @@ mod tests {
                     StagePipeline::new()
                 }
             };
-            let mut per_frame_engine =
-                OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+            let mut per_frame_engine = or_stage();
             let per_frame: Vec<(SimTime, Frame)> = stream_frames_staged(
                 trace.stream(),
                 stages(),
@@ -567,8 +585,7 @@ mod tests {
             )
             .collect();
 
-            let mut chunked_engine =
-                OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+            let mut chunked_engine = or_stage();
             let mut stream = stream_frames_staged(
                 trace.stream(),
                 stages(),
@@ -583,10 +600,7 @@ mod tests {
                 chunked.append(&mut chunk);
             }
             assert_eq!(per_frame, chunked, "staged={staged}");
-            assert_eq!(
-                per_frame_engine.packets_seen(),
-                chunked_engine.packets_seen()
-            );
+            assert_eq!(per_frame_engine.overhead(), chunked_engine.overhead());
         }
     }
 
@@ -603,10 +617,9 @@ mod tests {
         use crate::wlan::time::SimDuration;
 
         let table = TranslationTable::new();
-        let mut online =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+        let mut stage = or_stage();
         let session = StreamingSession::bounded(AppKind::Video, 39, 45.0);
-        let frames = stream_frames(session, &mut online, &table, station(), ap());
+        let frames = stream_frames(session, &mut stage, &table, station(), ap());
         let medium = Medium::new(PathLossModel::deterministic(40.0, 2.0), -96.0);
         let mut sniffer = Sniffer::new(Position::new(4.0, 4.0), ap(), Channel::CH6);
         let mut rng = StdRng::seed_from_u64(13);
@@ -663,13 +676,12 @@ mod tests {
 
     #[test]
     fn frame_stream_feeds_wlan_injection_end_to_end() {
-        // Streaming generator -> online reshaper -> frames -> sniffer:
+        // Streaming generator -> reshaping stage -> frames -> sniffer:
         // the full Fig. 3 pipeline without a single materialised trace.
         let (vifs, table) = installed_vifs(11, 3);
-        let mut online =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+        let mut stage = or_stage();
         let session = StreamingSession::bounded(AppKind::BitTorrent, 21, 10.0);
-        let frames = stream_frames(session, &mut online, &table, station(), ap());
+        let frames = stream_frames(session, &mut stage, &table, station(), ap());
 
         let medium = Medium::new(PathLossModel::deterministic(40.0, 2.0), -96.0);
         let mut sniffer = Sniffer::new(Position::new(5.0, 5.0), ap(), Channel::CH6);
@@ -691,7 +703,7 @@ mod tests {
         for mac in vifs.macs() {
             recovered += captures_to_trace(sniffer.captures(), mac, None).len();
         }
-        assert_eq!(recovered as u64, online.packets_seen());
+        assert_eq!(recovered as u64, stage.overhead().transformed_packets);
     }
 
     #[test]
@@ -708,10 +720,9 @@ mod tests {
         use crate::wlan::time::SimDuration;
 
         let table = TranslationTable::new(); // physical address on the air
-        let mut online =
-            OnlineReshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
+        let mut stage = or_stage();
         let session = StreamingSession::bounded(AppKind::Video, 33, 45.0);
-        let frames = stream_frames(session, &mut online, &table, station(), ap());
+        let frames = stream_frames(session, &mut stage, &table, station(), ap());
 
         let medium = Medium::new(PathLossModel::deterministic(40.0, 2.0), -96.0);
         let mut sniffer = Sniffer::new(Position::new(4.0, 4.0), ap(), Channel::CH6);
