@@ -13,16 +13,25 @@
 //! * `#` comments.
 //!
 //! Dates, multi-line strings and exotic escapes are not part of the schema
-//! and are rejected with a line-numbered error rather than misparsed.
+//! and are rejected with a line-numbered error rather than misparsed. So is
+//! nesting deeper than `MAX_NESTING` (32): arrays and inline tables parse
+//! recursively, and an unbounded document would overflow the stack.
 
 use serde::Value;
+
+/// The deepest nesting the reader accepts, counted separately for nested
+/// arrays/inline tables and for the segments of one dotted key. The spec
+/// schema needs at most 3.
+const MAX_NESTING: usize = 32;
 
 /// Parses a TOML document into a [`Value::Map`] tree.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut parser = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
         line: 1,
+        depth: 0,
     };
     let mut root = Value::Map(Vec::new());
     // Path of the table currently being filled by key/value lines.
@@ -137,14 +146,30 @@ fn insert_at(table: &mut Value, path: &[String], value: Value, line: usize) -> R
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and inline tables currently open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
+    }
+
+    /// The character at the cursor, decoded for error messages (a non-ASCII
+    /// byte printed `as char` would read as Latin-1).
+    fn peek_char(&self) -> char {
+        self.input
+            .get(self.pos..)
+            .and_then(|rest| rest.chars().next())
+            .unwrap_or(char::REPLACEMENT_CHARACTER)
+    }
+
+    fn nesting_error(&self) -> String {
+        format!("line {}: nesting deeper than {MAX_NESTING}", self.line)
     }
 
     fn advance(&mut self) {
@@ -201,9 +226,10 @@ impl Parser<'_> {
                 self.skip_comment();
                 Ok(())
             }
-            Some(other) => Err(format!(
+            Some(_) => Err(format!(
                 "line {}: unexpected `{}` after value",
-                self.line, other as char
+                self.line,
+                self.peek_char()
             )),
         }
     }
@@ -212,6 +238,9 @@ impl Parser<'_> {
     fn parse_key_path(&mut self) -> Result<Vec<String>, String> {
         let mut path = Vec::new();
         loop {
+            if path.len() == MAX_NESTING {
+                return Err(self.nesting_error());
+            }
             self.skip_spaces();
             path.push(self.parse_key()?);
             self.skip_spaces();
@@ -246,12 +275,24 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'"') => self.parse_basic_string().map(Value::Str),
             Some(b'\'') => self.parse_literal_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_inline_table(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_inline_table),
             Some(b't' | b'f') => self.parse_bool(),
             Some(b) if b == b'-' || b == b'+' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(format!("line {}: expected a value", self.line)),
         }
+    }
+
+    /// Runs a recursive `parse` one nesting level deeper, refusing to go
+    /// past `MAX_NESTING`.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_NESTING {
+            return Err(self.nesting_error());
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_bool(&mut self) -> Result<Value, String> {
@@ -310,20 +351,21 @@ impl Parser<'_> {
                     let esc = self
                         .peek()
                         .ok_or_else(|| format!("line {}: unterminated escape", self.line))?;
-                    self.advance();
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        other => {
+                    out.push(match esc {
+                        b'"' => '"',
+                        b'\\' => '\\',
+                        b'n' => '\n',
+                        b't' => '\t',
+                        b'r' => '\r',
+                        _ => {
                             return Err(format!(
                                 "line {}: unsupported escape `\\{}`",
-                                self.line, other as char
+                                self.line,
+                                self.peek_char()
                             ))
                         }
-                    }
+                    });
+                    self.advance();
                 }
                 Some(_) => {
                     // Consume one UTF-8 sequence.
@@ -505,5 +547,33 @@ sizes = [
         assert!(parse("a = \"unterminated").is_err());
         assert!(parse("[t]\nx = 1 garbage").is_err());
         assert!(parse("a = 2020-01-01").is_err(), "dates are not supported");
+    }
+
+    #[test]
+    fn deep_nesting_is_a_line_numbered_error_not_a_stack_overflow() {
+        let deep_key = vec!["a"; 1_000_000].join(".");
+        for doc in [
+            format!("name = {}", "[".repeat(100_000)),
+            format!("name = {}", "{a = ".repeat(100_000)),
+            format!("{deep_key} = 1"),
+            format!("[{deep_key}]"),
+            format!("y = {}", "[".repeat(MAX_NESTING + 1)),
+        ] {
+            let err = parse(&format!("x = 1\n\n{doc}")).expect_err("nesting past the limit");
+            assert!(err.starts_with("line 3: nesting deeper than 32"), "{err}");
+        }
+        // The limit itself still parses.
+        let at_limit = format!("a = {}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
+        assert!(parse(&at_limit).is_ok());
+        let key_at_limit = format!("{} = 1", vec!["a"; MAX_NESTING].join("."));
+        assert!(parse(&key_at_limit).is_ok());
+    }
+
+    #[test]
+    fn errors_quote_the_offending_character_decoded() {
+        let err = parse("a = 1 é = 1").unwrap_err();
+        assert_eq!(err, "line 1: unexpected `é` after value");
+        let err = parse("a = \"\\é\"").unwrap_err();
+        assert_eq!(err, "line 1: unsupported escape `\\é`");
     }
 }

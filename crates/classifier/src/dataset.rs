@@ -253,9 +253,7 @@ impl RunningNormalizer {
 
     /// Appends the normalised form of `features` to `out` with the
     /// **current** statistics — the allocation-free counterpart of
-    /// [`apply`](Self::apply). Note each call re-derives mean/std per column;
-    /// slice-scoring paths should [`snapshot_into`](Self::snapshot_into)
-    /// once per slice instead.
+    /// [`apply`](Self::apply).
     pub fn transform_into(&self, features: &[f64], out: &mut Vec<f64>) {
         out.extend(
             features
@@ -265,24 +263,14 @@ impl RunningNormalizer {
         );
     }
 
-    /// Freezes the current statistics into a static [`Normalizer`].
+    /// Freezes the current statistics into a static [`Normalizer`]. Applying
+    /// the snapshot is bit-identical to [`apply`](Self::apply) (which derives
+    /// the same mean and safe standard deviation per column).
     pub fn snapshot(&self) -> Normalizer {
-        let mut norm = Normalizer::default();
-        self.snapshot_into(&mut norm);
-        norm
-    }
-
-    /// [`snapshot`](Self::snapshot) into an existing [`Normalizer`], reusing
-    /// its buffers — lets a slice-scoring hot path freeze the current
-    /// statistics once per slice without allocating. Applying the snapshot
-    /// is bit-identical to [`apply`](Self::apply) (which derives the same
-    /// mean and safe standard deviation per column).
-    pub fn snapshot_into(&self, norm: &mut Normalizer) {
-        norm.means.clear();
-        norm.stds.clear();
-        norm.means.extend(self.stats.iter().map(RunningStats::mean));
-        norm.stds
-            .extend(self.stats.iter().map(|s| safe_std(s.std_dev())));
+        Normalizer {
+            means: self.stats.iter().map(RunningStats::mean).collect(),
+            stds: self.stats.iter().map(|s| safe_std(s.std_dev())).collect(),
+        }
     }
 }
 

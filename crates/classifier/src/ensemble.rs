@@ -216,13 +216,9 @@ impl AdversaryEnsemble {
     }
 }
 
-/// Reusable buffers for the slice-vote paths
-/// ([`AdversaryEnsemble::predict_majority_slice`] and the online
-/// adversary's counterpart).
+/// Reusable buffers for [`AdversaryEnsemble::predict_majority_slice`].
 #[derive(Debug, Clone, Default)]
 pub struct VoteScratch {
-    /// Frozen normaliser cache (used by the online adversary's slice path).
-    pub(crate) snapshot: Normalizer,
     /// The normalised feature block, rows packed back to back.
     pub(crate) block: Vec<f64>,
     /// Member-level kernel scratch.
@@ -246,14 +242,14 @@ impl VoteScratch {
     }
 }
 
-/// The shared slice-vote kernel over an **already normalised** block held in
+/// The slice-vote kernel over an **already normalised** block held in
 /// `scratch.block` (`n` rows of `dim`): for the committed three-member shape
 /// the first two members score the whole block, and the third scores only
 /// the gathered disagreeing rows (two agreeing members already decide a
 /// three-way vote). Any other shape falls back to the general
 /// [`majority_vote`] per row. Both paths reproduce the scalar vote exactly.
-pub(crate) fn vote_slice<T: Classifier + ?Sized>(
-    members: &[Box<T>],
+fn vote_slice(
+    members: &[Box<dyn Classifier>],
     classes: usize,
     dim: usize,
     scratch: &mut VoteScratch,

@@ -25,9 +25,9 @@
 //! * [`ensemble`] — "highest accuracy of SVM/NN", as reported by the paper.
 //! * [`online`] — the **streaming adversary**: every classifier also
 //!   implements [`OnlineClassifier`] (incremental `partial_fit` on single
-//!   window examples), and [`online::PrequentialEvaluator`] /
-//!   [`online::AdversarySink`] score a live packet stream test-then-train,
-//!   window by window, without ever materialising a dataset.
+//!   window examples), and [`online::PrequentialEvaluator`] scores the
+//!   windows a [`FlowWindowers`] bank closes test-then-train, window by
+//!   window, without ever materialising a dataset.
 //!
 //! # Example
 //!
@@ -67,8 +67,8 @@ pub mod window;
 pub use dataset::Dataset;
 pub use features::FeatureVector;
 pub use metrics::ConfusionMatrix;
-pub use online::{AdversarySink, OnlineAdversary, PrequentialEvaluator};
-pub use stream::{streamed_examples, FlowWindowers, StreamingWindower, WindowExample};
+pub use online::{OnlineAdversary, PrequentialEvaluator};
+pub use stream::{FlowWindowers, StreamingWindower, WindowExample};
 
 /// A trained multi-class classifier.
 ///

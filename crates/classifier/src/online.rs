@@ -16,22 +16,21 @@
 //!   [`ConfusionMatrix`]es and an accuracy timeline), and only then used for
 //!   learning. The timeline is what exposes concept drift: splice a defense
 //!   into the session and the curve drops.
-//! * [`AdversarySink`] — the packet-facing end: per-sub-flow
-//!   [`StreamingWindower`](crate::stream::StreamingWindower)s (a
-//!   [`FlowWindowers`] bank) feeding every closed window straight into the
-//!   evaluator. Push `(flow, packet)` pairs from any defense stage pipeline
-//!   and the adversary learns and scores as the windows close — no dataset,
-//!   no second pass, O(flows + models) state.
+//!
+//! The packet-facing driver is the station runner (`bench::streaming`): its
+//! per-sub-flow [`FlowWindowers`](crate::stream::FlowWindowers) hand every
+//! closed window to [`PrequentialEvaluator::absorb`], so the adversary learns
+//! and scores as the windows close — no dataset, no second pass,
+//! O(flows + models) state.
 
 use crate::dataset::RunningNormalizer;
-use crate::ensemble::{majority_vote, vote_slice, EnsembleConfig, VoteScratch};
+use crate::ensemble::{majority_vote, EnsembleConfig};
 use crate::kernel;
 use crate::metrics::ConfusionMatrix;
 use crate::nn::NeuralNet;
-use crate::stream::{FlowWindowers, WindowExample};
+use crate::stream::WindowExample;
 use crate::svm::LinearSvm;
 use crate::{bayes::GaussianNaiveBayes, OnlineClassifier};
-use traffic_gen::packet::PacketRecord;
 
 /// The incremental adversary: a running normalizer plus one online classifier
 /// per ensemble member.
@@ -117,20 +116,11 @@ impl OnlineAdversary {
         self.examples_seen += 1;
     }
 
-    /// Every member's prediction for one feature vector (normalised once
-    /// with the current running statistics).
-    pub fn predict_members(&self, features: &[f64]) -> Vec<usize> {
-        let normalized = self.normalizer.apply(features);
-        self.members
-            .iter()
-            .map(|m| m.predict(&normalized))
-            .collect()
-    }
-
-    /// Every member's prediction with caller-provided buffers: `normalized`
-    /// holds the scaled features, `out` one vote per member. Bit-identical
-    /// to [`predict_members`](Self::predict_members) without the per-call
-    /// allocations.
+    /// Every member's prediction for one feature vector, normalised once
+    /// with the current running statistics: `normalized` holds the scaled
+    /// features, `out` one vote per member. The online adversary's one
+    /// scoring entry — [`PrequentialEvaluator::test_then_train`] feeds its
+    /// votes to [`majority_vote`].
     pub fn predict_members_into(
         &self,
         features: &[f64],
@@ -141,69 +131,6 @@ impl OnlineAdversary {
         self.normalizer.transform_into(features, normalized);
         out.clear();
         out.extend(self.members.iter().map(|m| m.predict(normalized)));
-    }
-
-    /// The majority vote over all members, with the batch ensemble's tie
-    /// rule (ties go to the first member, the SVM).
-    ///
-    /// For the committed three-member shape the vote short-circuits exactly
-    /// like the batch ensemble's: two agreeing members decide a three-way
-    /// vote, so the third (naive Bayes, by far the costliest single
-    /// predictor) only runs as arbiter when SVM and NN disagree.
-    pub fn predict_majority(&self, features: &[f64]) -> usize {
-        let normalized = self.normalizer.apply(features);
-        self.vote_normalized(&normalized)
-    }
-
-    /// [`predict_majority`](Self::predict_majority) with caller scratch, so
-    /// the per-window hot path allocates nothing.
-    pub fn predict_majority_with(&self, features: &[f64], scratch: &mut VoteScratch) -> usize {
-        scratch.block.clear();
-        self.normalizer.transform_into(features, &mut scratch.block);
-        self.vote_normalized(&scratch.block)
-    }
-
-    /// The short-circuit vote over an already-normalised vector (general
-    /// member counts fall back to the shared [`majority_vote`] rule).
-    fn vote_normalized(&self, normalized: &[f64]) -> usize {
-        if let [first, second, third] = self.members.as_slice() {
-            let m0 = first.predict(normalized);
-            let m1 = second.predict(normalized);
-            if m0 == m1 {
-                return m0;
-            }
-            let m2 = third.predict(normalized);
-            return if m2 == m1 { m1 } else { m0 };
-        }
-        let predictions: Vec<usize> = self.members.iter().map(|m| m.predict(normalized)).collect();
-        majority_vote(&predictions, self.classes)
-    }
-
-    /// Batched [`predict_majority`](Self::predict_majority): one vote per
-    /// `dim`-wide row of `rows`, into `out`. The running statistics are
-    /// frozen once per slice (a prediction never mutates them, so this is
-    /// bit-identical to re-deriving them per row), the whole block is
-    /// normalised in place, and the members vote through the same gathered
-    /// short-circuit kernel as the batch ensemble.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is zero.
-    pub fn predict_majority_slice(
-        &self,
-        rows: &[f64],
-        dim: usize,
-        out: &mut Vec<usize>,
-        scratch: &mut VoteScratch,
-    ) {
-        assert!(dim > 0, "predict_majority_slice needs a positive dimension");
-        self.normalizer.snapshot_into(&mut scratch.snapshot);
-        scratch.block.clear();
-        for row in rows.chunks_exact(dim) {
-            scratch.snapshot.transform_into(row, &mut scratch.block);
-        }
-        let stride = dim.min(self.normalizer.dim()).max(1);
-        vote_slice(&self.members, self.classes, stride, scratch, out);
     }
 }
 
@@ -417,108 +344,11 @@ impl PrequentialEvaluator {
     }
 }
 
-/// The packet-facing end of the online adversary: a bank of per-sub-flow
-/// windowers feeding every closed window straight into a
-/// [`PrequentialEvaluator`].
-///
-/// Wire it behind any defense stage pipeline exactly like a plain
-/// [`FlowWindowers`]: call [`push`](Self::push) per emitted `(flow, packet)`
-/// and [`finish`](Self::finish) at session end. The adversary tests and
-/// trains the moment each window closes.
-#[derive(Debug, Clone)]
-pub struct AdversarySink {
-    windowers: FlowWindowers,
-    evaluator: PrequentialEvaluator,
-    /// Closed-window buffer the sliced entries reuse.
-    closed: Vec<WindowExample>,
-}
-
-impl AdversarySink {
-    /// Couples a windower bank to a prequential evaluator.
-    pub fn new(windowers: FlowWindowers, evaluator: PrequentialEvaluator) -> Self {
-        AdversarySink {
-            windowers,
-            evaluator,
-            closed: Vec::new(),
-        }
-    }
-
-    /// Folds one packet of sub-flow `flow` in; when this packet closes that
-    /// sub-flow's window, the example is scored-then-learned immediately and
-    /// the majority-vote prediction is returned.
-    pub fn push(&mut self, flow: usize, packet: &PacketRecord) -> Option<usize> {
-        self.windowers
-            .push(flow, packet)
-            .map(|example| self.evaluator.absorb(&example))
-    }
-
-    /// Folds a staged slice in (`flows[i]` is the sub-flow of `packets[i]`),
-    /// scoring-then-learning every window the slice closes in exact close
-    /// order — bit-identical to [`push`](Self::push)ing each pair, one
-    /// windower-bank dispatch per run instead of per packet. Returns the
-    /// number of windows scored.
-    pub fn push_slice(&mut self, flows: &[usize], packets: &[PacketRecord]) -> usize {
-        self.closed.clear();
-        self.windowers.push_slice(flows, packets, &mut self.closed);
-        for example in &self.closed {
-            self.evaluator.absorb(example);
-        }
-        self.closed.len()
-    }
-
-    /// [`push_slice`](Self::push_slice) for a single-sub-flow run (e.g. a
-    /// sniffer feed, where one observed device is one sub-flow). Returns the
-    /// number of windows scored.
-    pub fn push_run(&mut self, flow: usize, packets: &[PacketRecord]) -> usize {
-        self.closed.clear();
-        self.windowers.push_run(flow, packets, &mut self.closed);
-        for example in &self.closed {
-            self.evaluator.absorb(example);
-        }
-        self.closed.len()
-    }
-
-    /// Closes every sub-flow's trailing window at session end, feeding the
-    /// remaining examples to the evaluator.
-    pub fn finish(&mut self) {
-        for example in self.windowers.finish() {
-            self.evaluator.absorb(&example);
-        }
-    }
-
-    /// Windows scored so far.
-    pub fn windows(&self) -> u64 {
-        self.evaluator.examples()
-    }
-
-    /// The evaluator behind the sink.
-    pub fn evaluator(&self) -> &PrequentialEvaluator {
-        &self.evaluator
-    }
-
-    /// Mutable access to the evaluator (e.g. for segment bookkeeping around
-    /// a mid-session defense splice).
-    pub fn evaluator_mut(&mut self) -> &mut PrequentialEvaluator {
-        &mut self.evaluator
-    }
-
-    /// Unwraps the evaluator (and with it the trained adversary).
-    pub fn into_evaluator(self) -> PrequentialEvaluator {
-        self.evaluator
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::FEATURE_DIM;
-    use crate::stream::streamed_examples;
-    use crate::window::{FeatureMode, DEFAULT_MIN_PACKETS};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use traffic_gen::app::AppKind;
-    use traffic_gen::generator::SessionGenerator;
-    use wlan_sim::time::SimDuration;
 
     fn blob_stream(seed: u64, n_per_class: usize) -> Vec<(Vec<f64>, usize)> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -543,10 +373,16 @@ mod tests {
             adversary.partial_fit(&f, l);
         }
         assert_eq!(adversary.examples_seen(), 300);
+        // Score through the production vote: every member's prediction, then
+        // the shared majority rule (what `test_then_train` does per window).
         let test = blob_stream(2, 30);
+        let (mut normalized, mut votes) = (Vec::new(), Vec::new());
         let correct = test
             .iter()
-            .filter(|(f, l)| adversary.predict_majority(f) == *l)
+            .filter(|(f, l)| {
+                adversary.predict_members_into(f, &mut normalized, &mut votes);
+                majority_vote(&votes, adversary.class_count()) == *l
+            })
             .count();
         assert!(
             correct as f64 / test.len() as f64 > 0.9,
@@ -603,37 +439,5 @@ mod tests {
         // The warmed-up second segment is at least as accurate.
         assert!(second.majority_accuracy() >= first.majority_accuracy());
         assert!(second.best_accuracy() >= second.majority_accuracy());
-    }
-
-    #[test]
-    fn adversary_sink_scores_every_window_the_batch_path_produces() {
-        let window = SimDuration::from_secs(5);
-        let app = AppKind::Video;
-        let trace = SessionGenerator::new(app, 9).generate_secs(60.0);
-        let reference = streamed_examples(
-            &mut trace.stream(),
-            app,
-            window,
-            DEFAULT_MIN_PACKETS,
-            FeatureMode::Full,
-        );
-        let adversary =
-            OnlineAdversary::new(FEATURE_DIM, AppKind::COUNT, &EnsembleConfig::default());
-        let mut sink = AdversarySink::new(
-            FlowWindowers::for_app(window, DEFAULT_MIN_PACKETS, FeatureMode::Full, app),
-            PrequentialEvaluator::new(adversary, 4),
-        );
-        let mut source = trace.stream();
-        use traffic_gen::stream::PacketSource;
-        while let Some(packet) = source.next_packet() {
-            sink.push(0, &packet);
-        }
-        sink.finish();
-        assert_eq!(sink.windows(), reference.len() as u64);
-        assert_eq!(
-            sink.evaluator().adversary().examples_seen(),
-            reference.len() as u64
-        );
-        assert!(!sink.evaluator().timeline().is_empty());
     }
 }

@@ -23,7 +23,6 @@ use crate::features::FEATURE_DIM;
 use crate::window::FeatureMode;
 use traffic_gen::app::AppKind;
 use traffic_gen::packet::{Direction, PacketRecord};
-use traffic_gen::stream::PacketSource;
 use traffic_gen::trace::IDLE_GAP_SECS;
 use wlan_sim::time::{SimDuration, SimTime};
 
@@ -369,7 +368,7 @@ impl StreamingWindower {
     /// closes the previous window (at most one per call).
     ///
     /// Packets must arrive in non-decreasing timestamp order — the order
-    /// every [`PacketSource`] guarantees.
+    /// every [`PacketSource`](traffic_gen::stream::PacketSource) guarantees.
     pub fn push(&mut self, packet: &PacketRecord) -> Option<WindowExample> {
         if self.window.is_zero() {
             return None;
@@ -650,19 +649,6 @@ impl FlowWindowers {
         }
     }
 
-    /// Folds a single-sub-flow run in, appending closed examples to `out` —
-    /// [`push_slice`](Self::push_slice) for the common one-flow case (e.g. a
-    /// sniffer feed) without a parallel flow-id slice.
-    pub fn push_run(
-        &mut self,
-        flow: usize,
-        packets: &[PacketRecord],
-        out: &mut Vec<WindowExample>,
-    ) {
-        self.ensure(flow);
-        self.windowers[flow].push_slice(packets, out);
-    }
-
     /// Grows the bank so sub-flow `flow` exists (first-appearance allocation
     /// order, like the historical grow-loop).
     fn ensure(&mut self, flow: usize) {
@@ -684,33 +670,11 @@ impl FlowWindowers {
     }
 }
 
-/// Drains a packet source through a fresh windower, returning every example.
-///
-/// The streaming counterpart of
-/// [`windowed_examples`](crate::window::windowed_examples); the source is
-/// consumed exactly once.
-pub fn streamed_examples<P: PacketSource + ?Sized>(
-    source: &mut P,
-    app: AppKind,
-    window: SimDuration,
-    min_packets: usize,
-    mode: FeatureMode,
-) -> Vec<WindowExample> {
-    let mut windower = StreamingWindower::for_app(window, min_packets, mode, app);
-    let mut out = Vec::new();
-    while let Some(packet) = source.next_packet() {
-        if let Some(example) = windower.push(&packet) {
-            out.push(example);
-        }
-    }
-    out.extend(windower.finish());
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::features::{FeatureVector, FEATURES_PER_DIRECTION};
+    use crate::window::windowed_examples;
     use proptest::prelude::*;
     use traffic_gen::generator::SessionGenerator;
     use traffic_gen::trace::Trace;
@@ -781,13 +745,7 @@ mod tests {
                     min_packets,
                     mode,
                 );
-                let streamed = streamed_examples(
-                    &mut trace.stream(),
-                    app,
-                    SimDuration::from_secs_f64(window_secs),
-                    min_packets,
-                    mode,
-                );
+                let streamed = windowed_examples(&trace, SimDuration::from_secs_f64(window_secs), min_packets, mode);
                 assert_examples_equivalent(&streamed, &batch);
             }
         }
@@ -806,13 +764,7 @@ mod tests {
         let trace = Trace::from_packets(Some(AppKind::Browsing), packets);
         let window = SimDuration::from_secs(60);
         let batch = batch_reference(&trace, window, 1, FeatureMode::Full);
-        let streamed = streamed_examples(
-            &mut trace.stream(),
-            AppKind::Browsing,
-            window,
-            1,
-            FeatureMode::Full,
-        );
+        let streamed = windowed_examples(&trace, window, 1, FeatureMode::Full);
         assert_examples_equivalent(&streamed, &batch);
         // Mean gap = (0.5 + 0.2) / 2, the 9.5 s idle gap dropped.
         assert!((streamed[0].0[7] - 0.35).abs() < 1e-12);
@@ -833,20 +785,8 @@ mod tests {
     fn min_packets_discards_sparse_windows_without_stalling() {
         let trace = SessionGenerator::new(AppKind::Chatting, 5).generate_secs(60.0);
         let window = SimDuration::from_secs(5);
-        let lenient = streamed_examples(
-            &mut trace.stream(),
-            AppKind::Chatting,
-            window,
-            1,
-            FeatureMode::Full,
-        );
-        let strict = streamed_examples(
-            &mut trace.stream(),
-            AppKind::Chatting,
-            window,
-            8,
-            FeatureMode::Full,
-        );
+        let lenient = windowed_examples(&trace, window, 1, FeatureMode::Full);
+        let strict = windowed_examples(&trace, window, 8, FeatureMode::Full);
         assert!(strict.len() <= lenient.len());
     }
 

@@ -5,15 +5,14 @@
 //! traces into [`Dataset`]s by cutting them into windows and extracting the
 //! feature vector of every window.
 //!
-//! Since the streaming refactor the windowing itself is performed by
-//! [`StreamingWindower`](crate::stream::StreamingWindower): packets are folded
-//! into per-window running statistics instead of being copied into
-//! per-window sub-traces, so a trace is traversed exactly once with O(1)
-//! window state.
+//! The windowing itself is a [`StreamingWindower`] fed packet by packet:
+//! packets are folded into per-window running statistics instead of being
+//! copied into per-window sub-traces, so a trace is traversed exactly once
+//! with O(1) window state.
 
 use crate::dataset::Dataset;
 use crate::features::FEATURE_DIM;
-use crate::stream::streamed_examples;
+use crate::stream::StreamingWindower;
 use traffic_gen::trace::Trace;
 use wlan_sim::time::SimDuration;
 
@@ -44,7 +43,17 @@ pub fn windowed_examples(
     let Some(app) = trace.app() else {
         return Vec::new();
     };
-    streamed_examples(&mut trace.stream(), app, window, min_packets, mode)
+    // Packet by packet rather than through `push_slice`: the slice path's
+    // per-trace scratch buffers shift glibc's dynamic mmap threshold and,
+    // with it, the peak RSS of morph-defended runs by up to ~2 MB.
+    let mut windower = StreamingWindower::for_app(window, min_packets, mode, app);
+    let mut examples: Vec<_> = trace
+        .packets()
+        .iter()
+        .filter_map(|packet| windower.push(packet))
+        .collect();
+    examples.extend(windower.finish());
+    examples
 }
 
 /// Builds a dataset from many labelled traces.

@@ -1,7 +1,7 @@
 //! Sliced == per-example equivalence for the batched inference plane.
 //!
 //! The contract the whole scoring plane rests on: for every member
-//! classifier and for the ensembles' majority votes, `predict_slice` over an
+//! classifier and for the ensemble's majority vote, `predict_slice` over an
 //! arbitrary packing of rows is **bit-identical** to calling the scalar
 //! `predict`/`predict_majority` per row — the blocked kernels only unroll
 //! across output rows, never inside one dot product, so no floating-point
@@ -14,7 +14,6 @@ use classifier::bayes::GaussianNaiveBayes;
 use classifier::ensemble::{AdversaryEnsemble, EnsembleConfig, VoteScratch};
 use classifier::kernel::Scratch;
 use classifier::nn::{NeuralNet, NnConfig};
-use classifier::online::OnlineAdversary;
 use classifier::svm::{LinearSvm, SvmConfig};
 use classifier::Classifier;
 use proptest::prelude::*;
@@ -141,45 +140,6 @@ proptest! {
             for (i, &got) in out.iter().enumerate() {
                 let row = &slice[i * dim..(i + 1) * dim];
                 assert_eq!(got, ensemble.predict_majority(row), "row {}", offset + i);
-            }
-            offset += size;
-        }
-    }
-
-    #[test]
-    fn online_majority_slice_matches_the_scalar_vote(
-        seed in 0u64..500,
-        classes in 2usize..6,
-        dim in 2usize..8,
-        member_shape in 0u64..2,
-    ) {
-        // A partially-trained online adversary (including the Bayes-less
-        // two-member shape, whose every tie falls to the first member).
-        let config = EnsembleConfig { include_bayes: member_shape == 0, ..EnsembleConfig::default() };
-        let mut adversary = OnlineAdversary::new(dim, classes, &config);
-        let data = noisy_dataset(seed, classes, 20, dim, 6.0);
-        for e in data.examples() {
-            adversary.partial_fit(&e.features, e.label);
-        }
-        let rows = query_rows(seed, 70, dim);
-        let mut scratch = VoteScratch::new();
-        let mut out = Vec::new();
-        let mut offset = 0;
-        for size in chunk_sizes(seed.rotate_left(17), 70) {
-            let slice = &rows[offset * dim..(offset + size) * dim];
-            adversary.predict_majority_slice(slice, dim, &mut out, &mut scratch);
-            for (i, &got) in out.iter().enumerate() {
-                let row = &slice[i * dim..(i + 1) * dim];
-                assert_eq!(got, adversary.predict_majority(row), "row {}", offset + i);
-                assert_eq!(
-                    got,
-                    classifier::ensemble::majority_vote(
-                        &adversary.predict_members(row),
-                        adversary.class_count()
-                    ),
-                    "short-circuit diverged from the reference vote at row {}",
-                    offset + i
-                );
             }
             offset += size;
         }

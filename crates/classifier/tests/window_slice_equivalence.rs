@@ -144,34 +144,4 @@ proptest! {
 
         prop_assert_eq!(expected, actual);
     }
-
-    /// The single-flow entry (`push_run`) agrees with both of the above.
-    #[test]
-    fn push_run_matches_per_packet_push(
-        seed in 0u64..u64::MAX,
-        len in 0usize..300,
-    ) {
-        let app = AppKind::ALL[(seed % AppKind::COUNT as u64) as usize];
-        let packets = stream_of(seed, len, app);
-        let window = SimDuration::from_secs(2);
-
-        let mut reference = FlowWindowers::for_app(window, 2, FeatureMode::Full, app);
-        let mut expected: Vec<WindowExample> = Vec::new();
-        for packet in &packets {
-            expected.extend(reference.push(0, packet));
-        }
-        expected.extend(reference.finish());
-
-        let mut sliced = FlowWindowers::for_app(window, 2, FeatureMode::Full, app);
-        let mut actual: Vec<WindowExample> = Vec::new();
-        let mut rest = packets.as_slice();
-        for run in slice_plan(seed ^ 2, packets.len()) {
-            let (slice, tail) = rest.split_at(run);
-            sliced.push_run(0, slice, &mut actual);
-            rest = tail;
-        }
-        actual.extend(sliced.finish());
-
-        prop_assert_eq!(expected, actual);
-    }
 }

@@ -12,9 +12,10 @@
 //! reshape-then-pad puts a `PaddingStage` behind it (per-vif padding, since
 //! the padding stage sees one sub-flow per virtual interface), and so on.
 //! [`vif_of`](ReshapeStage::vif_of) maps an output sub-flow back to its
-//! interface; the bridge uses it to pick each frame's virtual MAC. The Eq. 1
-//! realized distributions are an analysis quantity and live in the batch
-//! [`Reshaper`](crate::reshaper::Reshaper), not here.
+//! interface; the batch [`Reshaper`](crate::reshaper::Reshaper) records
+//! each packet's interface through it, which is how the bridge picks each
+//! frame's virtual MAC. The Eq. 1 realized distributions are an analysis
+//! quantity and live in that batch wrapper, not here.
 //!
 //! [`StagePipeline`]: defenses::stage::StagePipeline
 

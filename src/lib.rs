@@ -5,9 +5,9 @@
 //! 2011).
 //!
 //! The workspace is split into focused crates; this facade re-exports them and
-//! adds the small amount of glue ([`bridge`]) needed to move data between the
-//! WLAN simulator, the traffic generators, the reshaping engine and the
-//! traffic-analysis adversary.
+//! adds the small amount of glue ([`bridge`]) that puts reshaped traffic on
+//! the simulated air: packets become frames carrying the virtual MAC of the
+//! interface the reshaping engine picked.
 //!
 //! * [`wlan`] — 802.11-style MAC/PHY simulator (stations, AP, sniffer).
 //! * [`traffic`] — synthetic application traffic and trace handling.
