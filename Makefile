@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint bench-json perf-test scenario-check scenario-json examples ci
+.PHONY: verify build test fmt lint bench-json bench-json-check perf-test scenario-check scenario-json examples ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -19,10 +19,14 @@ lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Deterministic results (overheads, adversary accuracies, scenario-family
-# reports) of the committed workloads; refreshes BENCH_pipeline.json. CI
-# runs it and fails when the committed file changes.
+# reports) of the committed workloads; refreshes BENCH_pipeline.json.
 bench-json:
 	cargo run --release -p bench --bin bench_json BENCH_pipeline.json
+
+# Regenerates BENCH_pipeline.json and fails when the committed file changes
+# (about a second once built); CI blocks on it.
+bench-json-check: bench-json
+	git diff --exit-code BENCH_pipeline.json
 
 # Builds the benchmark package (its own Cargo workspace, so no other target
 # compiles it) and runs its tests on tiny workloads.
@@ -48,4 +52,4 @@ examples:
 	cargo build --examples
 
 # Everything CI gates on, in one shot.
-ci: fmt lint verify test scenario-check perf-test examples
+ci: fmt lint verify test scenario-check bench-json-check perf-test examples

@@ -26,6 +26,8 @@ use bench::pipeline::{
 use bench::scenario::{default_scenarios_dir, load_spec, run_scenario, Scenario};
 use classifier::window::FeatureMode;
 use defenses::spec::StageContext;
+use traffic_gen::generator::SessionGenerator;
+use traffic_gen::trace::Trace;
 
 /// Loads and compiles one committed scenario spec, or dies with its error.
 fn committed_scenario(file: &str) -> Scenario {
@@ -35,11 +37,18 @@ fn committed_scenario(file: &str) -> Scenario {
         .unwrap_or_else(|e| panic!("committed scenario {file} must build: {e}"))
 }
 
+/// The batch trace of one spec'd station's traffic.
+fn station_trace(scenario: &Scenario, index: usize) -> Trace {
+    let station = scenario.station(index);
+    SessionGenerator::new(station.traffic.app, station.traffic.seed)
+        .generate_secs(station.session_secs())
+}
+
 /// The byte overhead (in percent) of one spec'd station's defense pipeline
 /// after one pass over the station's own trace.
 fn defended_overhead_pct(scenario: &Scenario, index: usize) -> f64 {
     let station = scenario.station(index);
-    let trace = station.traffic.trace();
+    let trace = station_trace(scenario, index);
     let ctx = StageContext {
         app: station.traffic.app,
         seed: station.traffic.seed,
@@ -59,7 +68,7 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "BENCH_pipeline.json".to_string());
     let baseline = committed_scenario("throughput_baseline.toml");
-    let packets = baseline.station(0).traffic.trace().len();
+    let packets = station_trace(&baseline, 0).len();
     let padding_overhead_pct = defended_overhead_pct(&baseline, 0);
     let morphing_overhead_pct = defended_overhead_pct(&baseline, 1);
     let morph_or_overhead_pct = defended_overhead_pct(&baseline, 2);

@@ -165,7 +165,7 @@ struct StationResult {
 }
 
 /// A compiled station as the builder the executors consume.
-fn station_run(scenario: &CompiledScenario, station: ScenarioStation) -> StationRun<'static> {
+fn station_run(scenario: &CompiledScenario, station: ScenarioStation) -> StationRun {
     let ScenarioStation {
         traffic,
         interfaces,

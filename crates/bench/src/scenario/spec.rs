@@ -782,17 +782,6 @@ impl ScenarioStation {
     pub fn session_secs(&self) -> f64 {
         self.traffic.secs.expect("compiled stations are bounded")
     }
-
-    /// Builds the defense pipelines for the station's phases:
-    /// `(start_secs, pipeline)` with the initial defense at 0.
-    pub fn build_pipelines(&self, calib_secs: f64) -> Result<Vec<(f64, StagePipeline)>, String> {
-        let ctx = StageContext::live(self.traffic.app, self.traffic.seed, calib_secs);
-        let mut phases = vec![(0.0, self.defense.build(&ctx, self.interfaces)?)];
-        for (at, defense) in &self.splices {
-            phases.push((*at, defense.build(&ctx, self.interfaces)?));
-        }
-        Ok(phases)
-    }
 }
 
 /// One compiled station group: seeds resolved, interfaces defaulted.
@@ -968,16 +957,9 @@ impl ScenarioSpec {
         if self.stations.is_empty() {
             return Err(format!("scenario `{}` has no stations", self.name));
         }
-        positive_secs("window_secs", self.window_secs)?;
-        // SimDuration counts whole microseconds in a u64.
-        if !(0.5..u64::MAX as f64).contains(&(self.window_secs * 1e6)) {
-            return Err(format!(
-                "window_secs {} is outside the simulator's time range (1 µs to {:.3e} s)",
-                self.window_secs,
-                u64::MAX as f64 / 1e6
-            ));
-        }
+        window_secs("window_secs", self.window_secs)?;
         positive_secs("calib_secs", self.calib_secs)?;
+        validate_train(&self.adversary.train)?;
         let mut groups = Vec::with_capacity(self.stations.len());
         let mut first = 0usize;
         for (group_index, group) in self.stations.iter().enumerate() {
@@ -1133,6 +1115,37 @@ fn positive_secs(key: &str, secs: f64) -> Result<(), String> {
             "{key} must be a positive, finite number of seconds, got {secs}"
         ))
     }
+}
+
+/// Accepts a window length only when [`positive_secs`] does and it fits
+/// [`SimDuration`], which counts whole microseconds in a u64.
+fn window_secs(key: &str, secs: f64) -> Result<(), String> {
+    positive_secs(key, secs)?;
+    if !(0.5..u64::MAX as f64).contains(&(secs * 1e6)) {
+        return Err(format!(
+            "{key} {secs} is outside the simulator's time range (1 µs to {:.3e} s)",
+            u64::MAX as f64 / 1e6
+        ));
+    }
+    Ok(())
+}
+
+/// Validates the `[adversary.train]` overlay: training on an empty corpus
+/// panics, and an infinite session never finishes generating.
+fn validate_train(train: &ExperimentConfig) -> Result<(), String> {
+    let key = |name: &str| format!("adversary.train.{name}");
+    positive_secs(&key("train_session_secs"), train.train_session_secs)?;
+    positive_secs(&key("eval_session_secs"), train.eval_session_secs)?;
+    window_secs(&key("window_secs"), train.window_secs)?;
+    for (name, sessions) in [
+        ("train_sessions", train.train_sessions),
+        ("eval_sessions", train.eval_sessions),
+    ] {
+        if sessions == 0 {
+            return Err(format!("{} must be at least 1, got 0", key(name)));
+        }
+    }
+    Ok(())
 }
 
 /// Derives a station group's base seed from the scenario seed (the same
@@ -1393,6 +1406,55 @@ mod tests {
             let spec = ScenarioSpec::from_value(&value).expect("parses");
             assert!(spec.build().unwrap_err().contains(key), "{doc}");
         }
+    }
+
+    /// Asserts that a spec whose `[adversary.train]` table holds `train`
+    /// parses, as `--check` did before the overlay was validated, but fails
+    /// to build with an error naming `adversary.train.<key>`.
+    fn assert_train_rejected(train: &str, key: &str) {
+        let doc = format!("[[stations]]\napp = \"bt\"\n[adversary.train]\n{train}");
+        let value = crate::scenario::toml::parse(&doc).expect("well-formed TOML");
+        let spec = ScenarioSpec::from_value(&value).expect("parses");
+        let err = spec.build().unwrap_err();
+        assert!(
+            err.contains(&format!("adversary.train.{key}")),
+            "{train}: {err}"
+        );
+    }
+
+    #[test]
+    fn negative_train_session_secs_is_rejected() {
+        // Trains on an empty dataset, which panics.
+        assert_train_rejected("train_session_secs = -1.0", "train_session_secs");
+    }
+
+    #[test]
+    fn zero_train_sessions_is_rejected() {
+        assert_train_rejected("train_sessions = 0", "train_sessions");
+    }
+
+    #[test]
+    fn infinite_train_session_secs_is_rejected() {
+        // `1e400` parses to infinity: generation would never end.
+        assert_train_rejected("train_session_secs = 1e400", "train_session_secs");
+    }
+
+    #[test]
+    fn negative_train_window_secs_is_rejected() {
+        assert_train_rejected("window_secs = -5.0", "window_secs");
+    }
+
+    #[test]
+    fn infinite_train_window_secs_is_rejected() {
+        // Beyond `SimDuration`'s range, finite or not.
+        assert_train_rejected("window_secs = 1e400", "window_secs");
+        assert_train_rejected("window_secs = 1e300", "window_secs");
+    }
+
+    #[test]
+    fn empty_eval_corpus_is_rejected() {
+        assert_train_rejected("eval_sessions = 0", "eval_sessions");
+        assert_train_rejected("eval_session_secs = 0.0", "eval_session_secs");
     }
 
     #[test]

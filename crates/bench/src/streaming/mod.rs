@@ -47,7 +47,7 @@ pub use vtime::{ExecutionOutcome, Executor, ExecutorStats};
 mod tests {
     use super::*;
     use crate::corpus::ExperimentConfig;
-    use crate::pipeline::{defense_pipeline, train_adversary, DefenseKind};
+    use crate::pipeline::{train_adversary, DefenseKind};
     use crate::scenario::spec::DefenseSpec;
     use classifier::ensemble::AdversaryEnsemble;
     use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
@@ -72,7 +72,7 @@ mod tests {
 
     impl StationSpec {
         /// The spec as a [`StationRun`] builder.
-        fn to_run(self) -> StationRun<'static> {
+        fn to_run(self) -> StationRun {
             StationRun::new(TrafficSpec::bounded(self.app, self.seed, self.session_secs))
                 .defense(DefenseSpec::from_kind(self.defense))
                 .interfaces(self.interfaces)
@@ -582,45 +582,13 @@ mod tests {
     }
 
     #[test]
-    fn prebuilt_phases_and_external_sources_match_the_declarative_run() {
-        // The two escape hatches of the builder — an external packet source
-        // and pre-built phase pipelines — must reproduce the declarative
-        // generated-traffic run exactly.
+    fn a_non_finite_splice_time_fails_the_run() {
         let adversary = quick_adversary();
-        let window = SimDuration::from_secs(5);
-        let spec = StationSpec {
-            app: AppKind::BitTorrent,
-            seed: 77,
-            defense: DefenseKind::Padding,
-            interfaces: 3,
-            session_secs: 30.0,
-        };
-        let make_phases = || {
-            vec![(
-                0.0,
-                defense_pipeline(
-                    DefenseKind::Orthogonal,
-                    spec.app,
-                    spec.interfaces,
-                    spec.seed,
-                    STATION_CALIB_SECS,
-                    None,
-                ),
-            )]
-        };
-        let mut session =
-            traffic_gen::stream::StreamingSession::bounded(spec.app, spec.seed, spec.session_secs);
-        let external = StationRun::from_source(spec.app, &mut session)
-            .phases(make_phases())
-            .window(window)
-            .feature_mode(FeatureMode::Full)
+        let err = StationRun::new(TrafficSpec::bounded(AppKind::Chatting, 3, 10.0))
+            .splice(f64::NAN, DefenseSpec::from_kind(DefenseKind::Padding))
             .run(&mut FrozenScorer::new(&adversary))
-            .expect("pre-built phases cannot fail");
-        let direct = StationRun::new(TrafficSpec::bounded(spec.app, spec.seed, spec.session_secs))
-            .phases(make_phases())
-            .run(&mut FrozenScorer::new(&adversary))
-            .expect("pre-built phases cannot fail");
-        assert_eq!(external, direct);
+            .expect_err("a NaN splice time cannot be scheduled");
+        assert!(err.contains("splice time NaN"), "{err}");
     }
 
     #[test]

@@ -26,11 +26,12 @@ use super::machine::{ScheduledReport, StagedScratch, StationMachine, WindowScore
 use crate::scenario::spec::DefenseSpec;
 use classifier::window::FeatureMode;
 use defenses::spec::StageContext;
-use defenses::stage::{StagePipeline, STAGE_BATCH};
+use defenses::stage::STAGE_BATCH;
+use std::cmp::Ordering;
 use traffic_gen::app::AppKind;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::spec::TrafficSpec;
-use traffic_gen::stream::{PacketSource, PeekableSource};
+use traffic_gen::stream::{PacketSource, PeekableSource, StreamingSession};
 use wlan_sim::time::SimDuration;
 
 /// Session length of the calibration traces generated for morphing stations
@@ -38,36 +39,20 @@ use wlan_sim::time::SimDuration;
 /// short generated session of the same application).
 pub const STATION_CALIB_SECS: f64 = 60.0;
 
-/// Where a run's packets come from.
-enum SourceSpec<'a> {
-    /// Generated lazily from a traffic spec **at admission time** — until
-    /// then the station holds no generator state at all.
-    Traffic(TrafficSpec),
-    /// An externally supplied source (trace replay, custom generators).
-    External(Box<dyn PacketSource + 'a>),
-}
-
-/// How the run's defense schedule is stated.
-enum PhasePlan {
-    /// Declaratively: an initial [`DefenseSpec`] plus `(session-relative
-    /// second, spec)` splices, built into pipelines at admission.
-    Spec {
-        initial: DefenseSpec,
-        splices: Vec<(f64, DefenseSpec)>,
-    },
-    /// Pre-built pipelines (the legacy scheduled entry point).
-    Built(Vec<(f64, StagePipeline)>),
-}
-
-/// One station's evaluation, as a value: traffic (or an external packet
-/// source), a defense schedule, the eavesdropping window and an arrival
-/// time. Execute it directly with [`run`](StationRun::run), or hand many of
-/// them to an [`Executor`](super::Executor).
-pub struct StationRun<'a> {
-    app: AppKind,
+/// One station's evaluation, as a value: traffic, a defense schedule, the
+/// eavesdropping window and an arrival time. Execute it directly with
+/// [`run`](StationRun::run), or hand many of them to an
+/// [`Executor`](super::Executor).
+pub struct StationRun {
     seed: u64,
-    source: SourceSpec<'a>,
-    plan: PhasePlan,
+    /// Generated lazily **at admission time** — until then the station holds
+    /// no generator state at all.
+    traffic: TrafficSpec,
+    /// The defense active from the session start.
+    initial: DefenseSpec,
+    /// `(session-relative second, defense)` splices, built into pipelines
+    /// at admission.
+    splices: Vec<(f64, DefenseSpec)>,
     interfaces: usize,
     calib_secs: f64,
     window: SimDuration,
@@ -76,7 +61,7 @@ pub struct StationRun<'a> {
     window_batch: usize,
 }
 
-impl StationRun<'static> {
+impl StationRun {
     /// A run over generated traffic, undefended by default.
     ///
     /// Defaults: no defense, 3 virtual interfaces, a 5 s window, the full
@@ -84,36 +69,10 @@ impl StationRun<'static> {
     /// [`STATION_CALIB_SECS`].
     pub fn new(traffic: TrafficSpec) -> Self {
         StationRun {
-            app: traffic.app,
             seed: traffic.seed,
-            source: SourceSpec::Traffic(traffic),
-            plan: PhasePlan::Spec {
-                initial: DefenseSpec::none(),
-                splices: Vec::new(),
-            },
-            interfaces: 3,
-            calib_secs: STATION_CALIB_SECS,
-            window: SimDuration::from_secs(5),
-            mode: FeatureMode::Full,
-            arrival_secs: 0.0,
-            window_batch: WINDOW_BATCH,
-        }
-    }
-}
-
-impl<'a> StationRun<'a> {
-    /// A run over an external packet source (same defaults as
-    /// [`new`](StationRun::new); seeded stages derive from seed 0 unless
-    /// [`seed`](StationRun::seed) overrides it).
-    pub fn from_source(app: AppKind, source: impl PacketSource + 'a) -> Self {
-        StationRun {
-            app,
-            seed: 0,
-            source: SourceSpec::External(Box::new(source)),
-            plan: PhasePlan::Spec {
-                initial: DefenseSpec::none(),
-                splices: Vec::new(),
-            },
+            traffic,
+            initial: DefenseSpec::none(),
+            splices: Vec::new(),
             interfaces: 3,
             calib_secs: STATION_CALIB_SECS,
             window: SimDuration::from_secs(5),
@@ -125,37 +84,22 @@ impl<'a> StationRun<'a> {
 
     /// Sets the defense active from the session start.
     pub fn defense(mut self, defense: DefenseSpec) -> Self {
-        match &mut self.plan {
-            PhasePlan::Spec { initial, .. } => *initial = defense,
-            PhasePlan::Built(_) => panic!("defense() conflicts with pre-built phases()"),
-        }
+        self.initial = defense;
         self
     }
 
     /// Splices `defense` in at session-relative second `at_secs` (any
-    /// number of splices; they are sorted at build time).
+    /// number of splices; they are sorted at build time, and a non-finite
+    /// time makes [`run`](Self::run) fail).
     pub fn splice(mut self, at_secs: f64, defense: DefenseSpec) -> Self {
-        match &mut self.plan {
-            PhasePlan::Spec { splices, .. } => splices.push((at_secs, defense)),
-            PhasePlan::Built(_) => panic!("splice() conflicts with pre-built phases()"),
-        }
+        self.splices.push((at_secs, defense));
         self
     }
 
     /// Replaces the splice schedule wholesale (`(session-relative second,
     /// defense)` pairs).
     pub fn splices(mut self, schedule: Vec<(f64, DefenseSpec)>) -> Self {
-        match &mut self.plan {
-            PhasePlan::Spec { splices, .. } => *splices = schedule,
-            PhasePlan::Built(_) => panic!("splices() conflicts with pre-built phases()"),
-        }
-        self
-    }
-
-    /// Supplies pre-built `(session-relative second, pipeline)` phases,
-    /// bypassing the declarative defense schedule entirely.
-    pub fn phases(mut self, phases: Vec<(f64, StagePipeline)>) -> Self {
-        self.plan = PhasePlan::Built(phases);
+        self.splices = schedule;
         self
     }
 
@@ -208,7 +152,7 @@ impl<'a> StationRun<'a> {
 
     /// The station's ground-truth application.
     pub fn app(&self) -> AppKind {
-        self.app
+        self.traffic.app
     }
 
     /// The station's wall-clock arrival second.
@@ -219,40 +163,35 @@ impl<'a> StationRun<'a> {
     /// Admits the station: builds its defense pipelines and packet source.
     /// This is the moment a station starts holding state — before it, a run
     /// is just a description.
-    pub(crate) fn admit(self) -> Result<AdmittedStation<'a>, String> {
-        let phases = match self.plan {
-            PhasePlan::Built(phases) => phases,
-            PhasePlan::Spec { initial, splices } => {
-                let ctx = StageContext::live(self.app, self.seed, self.calib_secs);
-                let mut phases = vec![(0.0, initial.build(&ctx, self.interfaces)?)];
-                let mut splices = splices;
-                splices.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("splice times must be finite"));
-                for (at, defense) in &splices {
-                    phases.push((*at, defense.build(&ctx, self.interfaces)?));
-                }
-                phases
-            }
-        };
-        let source = match self.source {
-            SourceSpec::Traffic(traffic) => Box::new(traffic.build()) as Box<dyn PacketSource + 'a>,
-            SourceSpec::External(source) => source,
-        };
+    pub(crate) fn admit(self) -> Result<AdmittedStation, String> {
+        let mut splices = self.splices;
+        if let Some((at, _)) = splices.iter().find(|(at, _)| !at.is_finite()) {
+            return Err(format!("splice time {at} is not finite"));
+        }
+        // Finite times always compare; the sort is stable, so equal times
+        // (`-0.0` and `0.0` included) keep their insertion order.
+        splices.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
+        let ctx = StageContext::live(self.traffic.app, self.seed, self.calib_secs);
+        let mut phases = vec![(0.0, self.initial.build(&ctx, self.interfaces)?)];
+        for (at, defense) in &splices {
+            phases.push((*at, defense.build(&ctx, self.interfaces)?));
+        }
         Ok(AdmittedStation {
             machine: StationMachine::new(
-                self.app,
+                self.traffic.app,
                 phases,
                 self.window,
                 self.mode,
                 self.window_batch,
             ),
-            source: PeekableSource::new(source),
+            source: PeekableSource::new(self.traffic.build()),
             arrival_secs: self.arrival_secs,
         })
     }
 
     /// Runs the station to completion with `scorer`, returning its report.
-    /// Fails only if a defense stage cannot be built (e.g. an invalid
-    /// interface count for orthogonal reshaping).
+    /// Fails if a splice time is not finite or a defense stage cannot be
+    /// built (e.g. an invalid interface count for orthogonal reshaping).
     pub fn run(self, scorer: &mut dyn WindowScorer) -> Result<ScheduledReport, String> {
         let mut station = self.admit()?;
         station.drain(scorer);
@@ -294,13 +233,13 @@ pub(crate) struct DrainRun {
 
 /// A station that has been admitted: live pipelines, a peekable source, and
 /// the machine driving both. Only admitted stations hold per-station state.
-pub(crate) struct AdmittedStation<'a> {
+pub(crate) struct AdmittedStation {
     machine: StationMachine,
-    source: PeekableSource<Box<dyn PacketSource + 'a>>,
+    source: PeekableSource<StreamingSession>,
     arrival_secs: f64,
 }
 
-impl AdmittedStation<'_> {
+impl AdmittedStation {
     /// Wall-clock time of the station's next packet (`None` once the source
     /// is exhausted) — the timestamp its next event carries in the
     /// virtual-time heap.

@@ -284,10 +284,10 @@ impl Executor {
     /// Per-station results are identical whichever executor (and worker
     /// count) runs them: stations share no mutable state, and each one sees
     /// exactly its own packets in order.
-    pub fn run<'a, S, T>(
+    pub fn run<S, T>(
         &self,
         count: usize,
-        run_of: impl Fn(usize) -> StationRun<'a> + Sync,
+        run_of: impl Fn(usize) -> StationRun + Sync,
         scorer_of: impl Fn(usize) -> S + Sync,
         finish: impl Fn(usize, ScheduledReport, S) -> T + Sync,
     ) -> Result<ExecutionOutcome<T>, String>
@@ -332,11 +332,11 @@ impl Executor {
 
 /// The virtual-time core: per-worker event heaps over station shards, then
 /// a deterministic k-way merge of the per-shard churn logs.
-fn virtual_time<'a, S, T>(
+fn virtual_time<S, T>(
     workers: usize,
     max_slice: Option<SimDuration>,
     count: usize,
-    run_of: &(impl Fn(usize) -> StationRun<'a> + Sync),
+    run_of: &(impl Fn(usize) -> StationRun + Sync),
     scorer_of: &(impl Fn(usize) -> S + Sync),
     finish: &(impl Fn(usize, ScheduledReport, S) -> T + Sync),
 ) -> Result<ExecutionOutcome<T>, String>
@@ -439,12 +439,12 @@ where
 /// Drives one shard's heap to exhaustion. Returns the shard's churn log and
 /// counters, or the lowest-index station whose admission failed.
 #[allow(clippy::too_many_arguments)]
-fn drive_shard<'a, S, T>(
+fn drive_shard<S, T>(
     worker: usize,
     workers: usize,
     max_slice: Option<SimDuration>,
     count: usize,
-    run_of: &impl Fn(usize) -> StationRun<'a>,
+    run_of: &impl Fn(usize) -> StationRun,
     scorer_of: &impl Fn(usize) -> S,
     finish: &impl Fn(usize, ScheduledReport, S) -> T,
     slots: &[Mutex<Option<T>>],
@@ -457,7 +457,7 @@ where
     // / workers. A `None` is 8 bytes of bookkeeping — the O(population)
     // floor — while the boxed state behind a `Some` is the O(active) part.
     let shard_len = count.saturating_sub(worker).div_ceil(workers.max(1));
-    let mut live: Vec<Option<Box<LiveStation<'a, S>>>> = Vec::new();
+    let mut live: Vec<Option<Box<LiveStation<S>>>> = Vec::new();
     live.resize_with(shard_len, || None);
     let local = |station: usize| (station - worker) / workers;
     // Seed the heap with one admission event per station of the shard. The
@@ -532,8 +532,8 @@ where
 }
 
 /// A station on air: its admitted machine/source plus its own scorer.
-struct LiveStation<'a, S> {
-    inner: super::run::AdmittedStation<'a>,
+struct LiveStation<S> {
+    inner: super::run::AdmittedStation,
     scorer: S,
 }
 
@@ -544,12 +544,12 @@ struct LiveStation<'a, S> {
 /// pushing a `Retire` event at the last packet's wall time so the departure
 /// is logged in canonical order.
 #[allow(clippy::too_many_arguments)]
-fn drain_slice<'a, S, T>(
+fn drain_slice<S, T>(
     event: Event,
-    mut station: Box<LiveStation<'a, S>>,
+    mut station: Box<LiveStation<S>>,
     max_slice_secs: Option<f64>,
     heap: &mut BinaryHeap<Event>,
-    slot: &mut Option<Box<LiveStation<'a, S>>>,
+    slot: &mut Option<Box<LiveStation<S>>>,
     scratch: &mut StationScratch,
     finish: &impl Fn(usize, ScheduledReport, S) -> T,
     slots: &[Mutex<Option<T>>],

@@ -37,7 +37,7 @@ const WINDOW_SECS: u64 = 2;
 /// Station `i` of the mixed population: apps and defenses cycle, station 0
 /// splices its defense mid-session so a phase boundary closes with windows
 /// still pending in the batch buffer.
-fn run_of(i: usize, seed: u64, batch: usize) -> StationRun<'static> {
+fn run_of(i: usize, seed: u64, batch: usize) -> StationRun {
     let kinds = [
         DefenseKind::Padding,
         DefenseKind::Orthogonal,

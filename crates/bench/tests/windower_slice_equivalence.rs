@@ -86,7 +86,7 @@ fn per_packet_reference(
 }
 
 /// The sliced path under test, configured identically to the reference.
-fn station_run(app: AppKind, seed: u64, kind: DefenseKind) -> StationRun<'static> {
+fn station_run(app: AppKind, seed: u64, kind: DefenseKind) -> StationRun {
     StationRun::new(TrafficSpec::bounded(app, seed, SESSION_SECS))
         .defense(DefenseSpec::from_kind(kind))
         .interfaces(3)

@@ -1,35 +1,17 @@
-//! The [`TrafficModel`] trait and the seeded [`SessionGenerator`].
+//! The seeded [`SessionGenerator`]: batch sessions of an application's
+//! calibrated model.
+//!
+//! A batch session drains the model's two [`FlowStream`](crate::stream::FlowStream)s
+//! with one sequential RNG, downlink first and then uplink (see
+//! [`BidirectionalModel::generate`]), so a seed reproduces every packet.
 
 use crate::app::AppKind;
-use crate::models::{self, BidirectionalModel};
-use crate::stream::StreamingSession;
+use crate::models::{spec_for, BidirectionalModel};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
-/// A synthetic model of one application's wireless traffic.
-///
-/// Implementations produce both downlink and uplink packets for a session of
-/// a requested duration. Models are deterministic given the RNG, so an entire
-/// experiment can be reproduced from a single seed.
-pub trait TrafficModel: std::fmt::Debug + Send + Sync {
-    /// The application this model imitates.
-    fn app(&self) -> AppKind;
-
-    /// Generates a labelled trace spanning `duration_secs` seconds.
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace;
-
-    /// The bidirectional flow specification behind this model, when the model
-    /// is expressible as one (all seven calibrated defaults are). Models that
-    /// return `Some` can be generated *lazily* through
-    /// [`StreamingSession`]; custom batch-only models keep the
-    /// default of `None`.
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        None
-    }
-}
-
-/// Convenience wrapper that owns a model and a seed and produces traces.
+/// Owns an application's calibrated model and a seed, and produces traces.
 ///
 /// # Example
 ///
@@ -42,7 +24,7 @@ pub trait TrafficModel: std::fmt::Debug + Send + Sync {
 /// ```
 #[derive(Debug)]
 pub struct SessionGenerator {
-    model: Box<dyn TrafficModel>,
+    model: BidirectionalModel,
     seed: u64,
 }
 
@@ -50,19 +32,14 @@ impl SessionGenerator {
     /// Creates a generator for `app` using the calibrated default model.
     pub fn new(app: AppKind, seed: u64) -> Self {
         SessionGenerator {
-            model: models::model_for(app),
+            model: spec_for(app),
             seed,
         }
     }
 
-    /// Creates a generator around a custom model.
-    pub fn with_model(model: Box<dyn TrafficModel>, seed: u64) -> Self {
-        SessionGenerator { model, seed }
-    }
-
     /// The application being generated.
     pub fn app(&self) -> AppKind {
-        self.model.app()
+        self.model.app_kind()
     }
 
     /// The seed in use.
@@ -72,43 +49,8 @@ impl SessionGenerator {
 
     /// Generates a trace of the given duration (seconds).
     pub fn generate_secs(&self, duration_secs: f64) -> Trace {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ (self.app().class_index() as u64) << 56);
-        self.model.generate(&mut rng, duration_secs)
-    }
-
-    /// Streams a session of `duration_secs` seconds lazily: packets are
-    /// produced one at a time instead of materialising a [`Trace`].
-    ///
-    /// The stream draws per-flow derived RNG streams, so it is
-    /// distribution-identical (not packet-identical) to
-    /// [`generate_secs`](Self::generate_secs); see [`crate::stream`] for the
-    /// equivalence contract of the streaming data plane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not expose a flow specification
-    /// ([`TrafficModel::flow_spec`] returns `None`).
-    pub fn stream_secs(&self, duration_secs: f64) -> StreamingSession {
-        StreamingSession::from_model(self.streamable_spec(), self.seed, Some(duration_secs))
-    }
-
-    /// Streams an **unbounded** session: an infinite packet source for
-    /// long-running scenarios that can never fit in memory as a batch trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model does not expose a flow specification.
-    pub fn stream_unbounded(&self) -> StreamingSession {
-        StreamingSession::from_model(self.streamable_spec(), self.seed, None)
-    }
-
-    fn streamable_spec(&self) -> &BidirectionalModel {
-        self.model.flow_spec().unwrap_or_else(|| {
-            panic!(
-                "the {} model does not expose flow specs; implement TrafficModel::flow_spec to stream it",
-                self.app()
-            )
-        })
+        let rng = StdRng::seed_from_u64(self.seed ^ (self.app().class_index() as u64) << 56);
+        self.model.generate(rng, duration_secs)
     }
 
     /// Generates `count` independent session traces, each of `duration_secs`,
@@ -116,25 +58,16 @@ impl SessionGenerator {
     pub fn generate_sessions(&self, count: usize, duration_secs: f64) -> Vec<Trace> {
         (0..count)
             .map(|i| {
-                let mut rng = StdRng::seed_from_u64(
+                let rng = StdRng::seed_from_u64(
                     self.seed
                         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                         .wrapping_add(i as u64 + 1)
                         ^ ((self.app().class_index() as u64) << 56),
                 );
-                self.model.generate(&mut rng, duration_secs)
+                self.model.generate(rng, duration_secs)
             })
             .collect()
     }
-}
-
-/// Generates one trace per application with a shared base seed; the workhorse
-/// for building training/evaluation corpora.
-pub fn generate_corpus(base_seed: u64, duration_secs: f64) -> Vec<Trace> {
-    AppKind::ALL
-        .iter()
-        .map(|&app| SessionGenerator::new(app, base_seed).generate_secs(duration_secs))
-        .collect()
 }
 
 #[cfg(test)]
@@ -190,14 +123,5 @@ mod tests {
         assert_eq!(sessions.len(), 3);
         assert_ne!(sessions[0], sessions[1]);
         assert_ne!(sessions[1], sessions[2]);
-    }
-
-    #[test]
-    fn corpus_covers_all_apps() {
-        let corpus = generate_corpus(1, 5.0);
-        assert_eq!(corpus.len(), 7);
-        for (trace, app) in corpus.iter().zip(AppKind::ALL) {
-            assert_eq!(trace.app(), Some(app));
-        }
     }
 }

@@ -18,6 +18,16 @@
 //! features, so traces that match these first- and second-order statistics
 //! reproduce the same classification geometry as the real captures.
 //!
+//! Each application is one [`BidirectionalModel`](models::BidirectionalModel)
+//! (two [`FlowSpec`](models::FlowSpec)s, looked up with
+//! [`models::spec_for`]), and [`FlowStream`] is the one engine that turns a
+//! flow spec into packets. [`SessionGenerator::generate_secs`] drains the two
+//! flows with one sequential RNG into a batch [`Trace`]; training corpora and
+//! calibration sessions are built this way. [`StreamingSession`] merges the
+//! flows lazily for live stations with one derived RNG stream per direction,
+//! so it is distribution-identical but not packet-identical to the batch
+//! session.
+//!
 //! # Example
 //!
 //! ```rust
@@ -49,7 +59,7 @@ pub mod stream;
 pub mod trace;
 
 pub use app::AppKind;
-pub use generator::{SessionGenerator, TrafficModel};
+pub use generator::SessionGenerator;
 pub use packet::{Direction, PacketRecord};
 pub use spec::TrafficSpec;
 pub use stream::{FlowStream, PacketSource, StreamingSession, TraceStream};

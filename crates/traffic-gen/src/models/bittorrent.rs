@@ -8,68 +8,30 @@
 
 use super::{ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::app::AppKind;
-use crate::generator::TrafficModel;
 use crate::packet::Direction;
 use crate::sampler::SizeMixture;
-use crate::trace::Trace;
-use rand::RngCore;
 
-/// Calibrated BitTorrent traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BitTorrentModel {
-    inner: BidirectionalModel,
-}
-
-impl Default for BitTorrentModel {
-    fn default() -> Self {
-        let downlink = FlowSpec::new(
-            Direction::Downlink,
-            SizeMixture::new(&[
-                (0.36, 108, 232),   // protocol chatter, ACKs
-                (0.09, 400, 1200),  // partial blocks
-                (0.55, 1546, 1576), // full piece segments
-            ]),
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.024,
-            },
-        );
-        let uplink = FlowSpec::new(
-            Direction::Uplink,
-            SizeMixture::new(&[(0.45, 108, 232), (0.15, 400, 1200), (0.40, 1546, 1576)]),
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.050,
-            },
-        );
-        BitTorrentModel {
-            inner: BidirectionalModel::new(AppKind::BitTorrent, downlink, uplink),
-        }
-    }
-}
-
-impl BitTorrentModel {
-    /// Creates the calibrated default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying bidirectional specification.
-    pub fn spec(&self) -> &BidirectionalModel {
-        &self.inner
-    }
-}
-
-impl TrafficModel for BitTorrentModel {
-    fn app(&self) -> AppKind {
-        AppKind::BitTorrent
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace {
-        self.inner.generate(rng, duration_secs)
-    }
-
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        Some(&self.inner)
-    }
+/// The calibrated BitTorrent traffic model.
+pub fn model() -> BidirectionalModel {
+    let downlink = FlowSpec::new(
+        Direction::Downlink,
+        SizeMixture::new(&[
+            (0.36, 108, 232),   // protocol chatter, ACKs
+            (0.09, 400, 1200),  // partial blocks
+            (0.55, 1546, 1576), // full piece segments
+        ]),
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.024,
+        },
+    );
+    let uplink = FlowSpec::new(
+        Direction::Uplink,
+        SizeMixture::new(&[(0.45, 108, 232), (0.15, 400, 1200), (0.40, 1546, 1576)]),
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.050,
+        },
+    );
+    BidirectionalModel::new(AppKind::BitTorrent, downlink, uplink)
 }
 
 #[cfg(test)]
@@ -81,13 +43,12 @@ mod tests {
 
     #[test]
     fn matches_table_one_statistics() {
-        assert_calibrated(&BitTorrentModel::default(), 0.10, 0.25);
+        assert_calibrated(&model(), 0.10, 0.25);
     }
 
     #[test]
     fn size_distribution_is_bimodal_in_both_directions() {
-        let mut rng = StdRng::seed_from_u64(70);
-        let trace = BitTorrentModel::default().generate(&mut rng, 60.0);
+        let trace = model().generate(StdRng::seed_from_u64(70), 60.0);
         for dir in Direction::ALL {
             let sizes = trace.sizes(dir);
             let small = sizes.iter().filter(|s| **s <= 232).count() as f64 / sizes.len() as f64;
@@ -99,8 +60,7 @@ mod tests {
 
     #[test]
     fn uplink_carries_substantial_traffic() {
-        let mut rng = StdRng::seed_from_u64(71);
-        let trace = BitTorrentModel::default().generate(&mut rng, 30.0);
+        let trace = model().generate(StdRng::seed_from_u64(71), 30.0);
         let up_bytes: usize = trace.sizes(Direction::Uplink).iter().sum();
         let down_bytes: usize = trace.sizes(Direction::Downlink).iter().sum();
         let ratio = up_bytes as f64 / down_bytes as f64;

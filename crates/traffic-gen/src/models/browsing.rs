@@ -7,72 +7,34 @@
 
 use super::{ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::app::AppKind;
-use crate::generator::TrafficModel;
 use crate::packet::Direction;
 use crate::sampler::SizeMixture;
-use crate::trace::Trace;
-use rand::RngCore;
 
-/// Calibrated web-browsing traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BrowsingModel {
-    inner: BidirectionalModel,
-}
-
-impl Default for BrowsingModel {
-    fn default() -> Self {
-        let downlink = FlowSpec::new(
-            Direction::Downlink,
-            SizeMixture::new(&[
-                (0.32, 108, 232),   // TCP ACKs, small objects
-                (0.08, 400, 1000),  // medium objects (css, small images)
-                (0.60, 1546, 1576), // full-size data segments
-            ]),
-            ArrivalProcess::OnOff {
-                mean_burst_packets: 40.0,
-                in_burst_gap_secs: 0.010,
-                off_gap_secs: 0.80,
-            },
-        );
-        let uplink = FlowSpec::new(
-            Direction::Uplink,
-            SizeMixture::new(&[(0.88, 108, 320), (0.12, 320, 760)]),
-            ArrivalProcess::OnOff {
-                mean_burst_packets: 12.0,
-                in_burst_gap_secs: 0.015,
-                off_gap_secs: 0.9,
-            },
-        );
-        BrowsingModel {
-            inner: BidirectionalModel::new(AppKind::Browsing, downlink, uplink),
-        }
-    }
-}
-
-impl BrowsingModel {
-    /// Creates the calibrated default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying bidirectional specification.
-    pub fn spec(&self) -> &BidirectionalModel {
-        &self.inner
-    }
-}
-
-impl TrafficModel for BrowsingModel {
-    fn app(&self) -> AppKind {
-        AppKind::Browsing
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace {
-        self.inner.generate(rng, duration_secs)
-    }
-
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        Some(&self.inner)
-    }
+/// The calibrated web-browsing traffic model.
+pub fn model() -> BidirectionalModel {
+    let downlink = FlowSpec::new(
+        Direction::Downlink,
+        SizeMixture::new(&[
+            (0.32, 108, 232),   // TCP ACKs, small objects
+            (0.08, 400, 1000),  // medium objects (css, small images)
+            (0.60, 1546, 1576), // full-size data segments
+        ]),
+        ArrivalProcess::OnOff {
+            mean_burst_packets: 40.0,
+            in_burst_gap_secs: 0.010,
+            off_gap_secs: 0.80,
+        },
+    );
+    let uplink = FlowSpec::new(
+        Direction::Uplink,
+        SizeMixture::new(&[(0.88, 108, 320), (0.12, 320, 760)]),
+        ArrivalProcess::OnOff {
+            mean_burst_packets: 12.0,
+            in_burst_gap_secs: 0.015,
+            off_gap_secs: 0.9,
+        },
+    );
+    BidirectionalModel::new(AppKind::Browsing, downlink, uplink)
 }
 
 #[cfg(test)]
@@ -84,13 +46,12 @@ mod tests {
 
     #[test]
     fn matches_table_one_statistics() {
-        assert_calibrated(&BrowsingModel::default(), 0.12, 0.45);
+        assert_calibrated(&model(), 0.12, 0.45);
     }
 
     #[test]
     fn downlink_sizes_are_bimodal() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let trace = BrowsingModel::default().generate(&mut rng, 60.0);
+        let trace = model().generate(StdRng::seed_from_u64(33), 60.0);
         let sizes = trace.sizes(Direction::Downlink);
         let small = sizes.iter().filter(|s| **s <= 232).count();
         let large = sizes.iter().filter(|s| **s >= 1546).count();
@@ -100,8 +61,7 @@ mod tests {
 
     #[test]
     fn burstiness_shows_in_gap_distribution() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let trace = BrowsingModel::default().generate(&mut rng, 60.0);
+        let trace = model().generate(StdRng::seed_from_u64(34), 60.0);
         let gaps = trace.interarrival_secs(Direction::Downlink, 5.0);
         let short = gaps.iter().filter(|g| **g < 0.05).count();
         assert!(short as f64 / gaps.len() as f64 > 0.5);

@@ -6,66 +6,28 @@
 
 use super::{ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::app::AppKind;
-use crate::generator::TrafficModel;
 use crate::packet::Direction;
 use crate::sampler::SizeMixture;
-use crate::trace::Trace;
-use rand::RngCore;
 
-/// Calibrated chat traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChattingModel {
-    inner: BidirectionalModel,
-}
-
-impl Default for ChattingModel {
-    fn default() -> Self {
-        let downlink = FlowSpec::new(
-            Direction::Downlink,
-            SizeMixture::new(&[
-                (0.84, 108, 232),   // text messages, presence updates
-                (0.12, 300, 700),   // stickers / formatted messages
-                (0.04, 1546, 1576), // occasional media chunk
-            ]),
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.95,
-            },
-        );
-        let uplink = FlowSpec::new(
-            Direction::Uplink,
-            SizeMixture::new(&[(0.85, 108, 232), (0.15, 300, 700)]),
-            ArrivalProcess::Poisson { mean_gap_secs: 1.1 },
-        );
-        ChattingModel {
-            inner: BidirectionalModel::new(AppKind::Chatting, downlink, uplink),
-        }
-    }
-}
-
-impl ChattingModel {
-    /// Creates the calibrated default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying bidirectional specification.
-    pub fn spec(&self) -> &BidirectionalModel {
-        &self.inner
-    }
-}
-
-impl TrafficModel for ChattingModel {
-    fn app(&self) -> AppKind {
-        AppKind::Chatting
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace {
-        self.inner.generate(rng, duration_secs)
-    }
-
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        Some(&self.inner)
-    }
+/// The calibrated chat traffic model.
+pub fn model() -> BidirectionalModel {
+    let downlink = FlowSpec::new(
+        Direction::Downlink,
+        SizeMixture::new(&[
+            (0.84, 108, 232),   // text messages, presence updates
+            (0.12, 300, 700),   // stickers / formatted messages
+            (0.04, 1546, 1576), // occasional media chunk
+        ]),
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.95,
+        },
+    );
+    let uplink = FlowSpec::new(
+        Direction::Uplink,
+        SizeMixture::new(&[(0.85, 108, 232), (0.15, 300, 700)]),
+        ArrivalProcess::Poisson { mean_gap_secs: 1.1 },
+    );
+    BidirectionalModel::new(AppKind::Chatting, downlink, uplink)
 }
 
 #[cfg(test)]
@@ -77,13 +39,12 @@ mod tests {
 
     #[test]
     fn matches_table_one_statistics() {
-        assert_calibrated(&ChattingModel::default(), 0.15, 0.30);
+        assert_calibrated(&model(), 0.15, 0.30);
     }
 
     #[test]
     fn chat_is_a_low_rate_small_packet_application() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let trace = ChattingModel::default().generate(&mut rng, 300.0);
+        let trace = model().generate(StdRng::seed_from_u64(10), 300.0);
         // Low rate: far fewer packets than a bulk transfer would produce.
         assert!(
             trace.len() < 1500,

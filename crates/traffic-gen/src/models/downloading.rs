@@ -6,67 +6,29 @@
 
 use super::{ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::app::AppKind;
-use crate::generator::TrafficModel;
 use crate::packet::Direction;
 use crate::sampler::SizeMixture;
-use crate::trace::Trace;
-use rand::RngCore;
 
-/// Calibrated bulk-download traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DownloadingModel {
-    inner: BidirectionalModel,
-}
-
-impl Default for DownloadingModel {
-    fn default() -> Self {
-        let downlink = FlowSpec::new(
-            Direction::Downlink,
-            SizeMixture::new(&[
-                (0.999, 1576, 1576), // full-size TCP segments
-                (0.001, 108, 232),   // rare control packets
-            ]),
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.0023,
-            },
-        );
-        let uplink = FlowSpec::new(
-            Direction::Uplink,
-            SizeMixture::new(&[(1.0, 60, 120)]), // TCP ACKs
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.0046,
-            },
-        );
-        DownloadingModel {
-            inner: BidirectionalModel::new(AppKind::Downloading, downlink, uplink),
-        }
-    }
-}
-
-impl DownloadingModel {
-    /// Creates the calibrated default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying bidirectional specification.
-    pub fn spec(&self) -> &BidirectionalModel {
-        &self.inner
-    }
-}
-
-impl TrafficModel for DownloadingModel {
-    fn app(&self) -> AppKind {
-        AppKind::Downloading
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace {
-        self.inner.generate(rng, duration_secs)
-    }
-
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        Some(&self.inner)
-    }
+/// The calibrated bulk-download traffic model.
+pub fn model() -> BidirectionalModel {
+    let downlink = FlowSpec::new(
+        Direction::Downlink,
+        SizeMixture::new(&[
+            (0.999, 1576, 1576), // full-size TCP segments
+            (0.001, 108, 232),   // rare control packets
+        ]),
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.0023,
+        },
+    );
+    let uplink = FlowSpec::new(
+        Direction::Uplink,
+        SizeMixture::new(&[(1.0, 60, 120)]), // TCP ACKs
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.0046,
+        },
+    );
+    BidirectionalModel::new(AppKind::Downloading, downlink, uplink)
 }
 
 #[cfg(test)]
@@ -78,13 +40,12 @@ mod tests {
 
     #[test]
     fn matches_table_one_statistics() {
-        assert_calibrated(&DownloadingModel::default(), 0.05, 0.25);
+        assert_calibrated(&model(), 0.05, 0.25);
     }
 
     #[test]
     fn downlink_is_nearly_all_full_size_packets() {
-        let mut rng = StdRng::seed_from_u64(40);
-        let trace = DownloadingModel::default().generate(&mut rng, 10.0);
+        let trace = model().generate(StdRng::seed_from_u64(40), 10.0);
         let sizes = trace.sizes(Direction::Downlink);
         let full = sizes.iter().filter(|s| **s == 1576).count();
         assert!(full as f64 / sizes.len() as f64 > 0.99);
@@ -92,8 +53,7 @@ mod tests {
 
     #[test]
     fn uplink_is_tiny_acks() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let trace = DownloadingModel::default().generate(&mut rng, 10.0);
+        let trace = model().generate(StdRng::seed_from_u64(41), 10.0);
         let up = trace.sizes(Direction::Uplink);
         assert!(!up.is_empty());
         assert!(up.iter().all(|s| *s <= 232));

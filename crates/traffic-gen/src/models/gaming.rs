@@ -6,68 +6,30 @@
 
 use super::{ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::app::AppKind;
-use crate::generator::TrafficModel;
 use crate::packet::Direction;
 use crate::sampler::SizeMixture;
-use crate::trace::Trace;
-use rand::RngCore;
 
-/// Calibrated online-gaming traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GamingModel {
-    inner: BidirectionalModel,
-}
-
-impl Default for GamingModel {
-    fn default() -> Self {
-        let downlink = FlowSpec::new(
-            Direction::Downlink,
-            SizeMixture::new(&[
-                (0.62, 108, 232),   // state updates
-                (0.23, 400, 900),   // aggregated updates
-                (0.15, 1500, 1576), // asset / map data
-            ]),
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.30,
-            },
-        );
-        let uplink = FlowSpec::new(
-            Direction::Uplink,
-            SizeMixture::new(&[(0.80, 108, 232), (0.20, 300, 800)]),
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.28,
-            },
-        );
-        GamingModel {
-            inner: BidirectionalModel::new(AppKind::Gaming, downlink, uplink),
-        }
-    }
-}
-
-impl GamingModel {
-    /// Creates the calibrated default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying bidirectional specification.
-    pub fn spec(&self) -> &BidirectionalModel {
-        &self.inner
-    }
-}
-
-impl TrafficModel for GamingModel {
-    fn app(&self) -> AppKind {
-        AppKind::Gaming
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace {
-        self.inner.generate(rng, duration_secs)
-    }
-
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        Some(&self.inner)
-    }
+/// The calibrated online-gaming traffic model.
+pub fn model() -> BidirectionalModel {
+    let downlink = FlowSpec::new(
+        Direction::Downlink,
+        SizeMixture::new(&[
+            (0.62, 108, 232),   // state updates
+            (0.23, 400, 900),   // aggregated updates
+            (0.15, 1500, 1576), // asset / map data
+        ]),
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.30,
+        },
+    );
+    let uplink = FlowSpec::new(
+        Direction::Uplink,
+        SizeMixture::new(&[(0.80, 108, 232), (0.20, 300, 800)]),
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.28,
+        },
+    );
+    BidirectionalModel::new(AppKind::Gaming, downlink, uplink)
 }
 
 #[cfg(test)]
@@ -79,13 +41,12 @@ mod tests {
 
     #[test]
     fn matches_table_one_statistics() {
-        assert_calibrated(&GamingModel::default(), 0.15, 0.30);
+        assert_calibrated(&model(), 0.15, 0.30);
     }
 
     #[test]
     fn gaming_mean_size_sits_between_chat_and_bulk() {
-        let mut rng = StdRng::seed_from_u64(21);
-        let trace = GamingModel::default().generate(&mut rng, 120.0);
+        let trace = model().generate(StdRng::seed_from_u64(21), 120.0);
         let sizes = trace.sizes(Direction::Downlink);
         let mean = sizes.iter().sum::<usize>() as f64 / sizes.len() as f64;
         assert!(mean > 300.0 && mean < 700.0, "gaming mean size {mean}");
@@ -93,8 +54,7 @@ mod tests {
 
     #[test]
     fn uplink_and_downlink_rates_are_comparable() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let trace = GamingModel::default().generate(&mut rng, 120.0);
+        let trace = model().generate(StdRng::seed_from_u64(22), 120.0);
         let down = trace.packets_in(Direction::Downlink).count() as f64;
         let up = trace.packets_in(Direction::Uplink).count() as f64;
         let ratio = down / up;

@@ -8,64 +8,26 @@
 
 use super::{ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::app::AppKind;
-use crate::generator::TrafficModel;
 use crate::packet::Direction;
 use crate::sampler::SizeMixture;
-use crate::trace::Trace;
-use rand::RngCore;
 
-/// Calibrated bulk-upload traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct UploadingModel {
-    inner: BidirectionalModel,
-}
-
-impl Default for UploadingModel {
-    fn default() -> Self {
-        let downlink = FlowSpec::new(
-            Direction::Downlink,
-            SizeMixture::new(&[(1.0, 108, 158)]), // TCP ACKs from the server
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.030,
-            },
-        );
-        let uplink = FlowSpec::new(
-            Direction::Uplink,
-            SizeMixture::new(&[(0.98, 1546, 1576), (0.02, 108, 232)]),
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.0060,
-            },
-        );
-        UploadingModel {
-            inner: BidirectionalModel::new(AppKind::Uploading, downlink, uplink),
-        }
-    }
-}
-
-impl UploadingModel {
-    /// Creates the calibrated default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying bidirectional specification.
-    pub fn spec(&self) -> &BidirectionalModel {
-        &self.inner
-    }
-}
-
-impl TrafficModel for UploadingModel {
-    fn app(&self) -> AppKind {
-        AppKind::Uploading
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace {
-        self.inner.generate(rng, duration_secs)
-    }
-
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        Some(&self.inner)
-    }
+/// The calibrated bulk-upload traffic model.
+pub fn model() -> BidirectionalModel {
+    let downlink = FlowSpec::new(
+        Direction::Downlink,
+        SizeMixture::new(&[(1.0, 108, 158)]), // TCP ACKs from the server
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.030,
+        },
+    );
+    let uplink = FlowSpec::new(
+        Direction::Uplink,
+        SizeMixture::new(&[(0.98, 1546, 1576), (0.02, 108, 232)]),
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.0060,
+        },
+    );
+    BidirectionalModel::new(AppKind::Uploading, downlink, uplink)
 }
 
 #[cfg(test)]
@@ -77,13 +39,12 @@ mod tests {
 
     #[test]
     fn matches_table_one_statistics() {
-        assert_calibrated(&UploadingModel::default(), 0.10, 0.25);
+        assert_calibrated(&model(), 0.10, 0.25);
     }
 
     #[test]
     fn traffic_asymmetry_is_reversed_compared_to_downloading() {
-        let mut rng = StdRng::seed_from_u64(50);
-        let trace = UploadingModel::default().generate(&mut rng, 10.0);
+        let trace = model().generate(StdRng::seed_from_u64(50), 10.0);
         let up_bytes: usize = trace.sizes(Direction::Uplink).iter().sum();
         let down_bytes: usize = trace.sizes(Direction::Downlink).iter().sum();
         assert!(
@@ -94,8 +55,7 @@ mod tests {
 
     #[test]
     fn uplink_is_full_size_segments() {
-        let mut rng = StdRng::seed_from_u64(51);
-        let trace = UploadingModel::default().generate(&mut rng, 10.0);
+        let trace = model().generate(StdRng::seed_from_u64(51), 10.0);
         let up = trace.sizes(Direction::Uplink);
         let full = up.iter().filter(|s| **s >= 1546).count();
         assert!(full as f64 / up.len() as f64 > 0.9);

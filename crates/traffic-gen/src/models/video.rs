@@ -7,68 +7,30 @@
 
 use super::{ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::app::AppKind;
-use crate::generator::TrafficModel;
 use crate::packet::Direction;
 use crate::sampler::SizeMixture;
-use crate::trace::Trace;
-use rand::RngCore;
 
-/// Calibrated video-streaming traffic model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VideoModel {
-    inner: BidirectionalModel,
-}
-
-impl Default for VideoModel {
-    fn default() -> Self {
-        let downlink = FlowSpec::new(
-            Direction::Downlink,
-            SizeMixture::new(&[
-                (0.975, 1546, 1576), // media segments
-                (0.025, 108, 232),   // control / manifest packets
-            ]),
-            ArrivalProcess::ConstantRate {
-                gap_secs: 0.0119,
-                jitter_secs: 0.0020,
-            },
-        );
-        let uplink = FlowSpec::new(
-            Direction::Uplink,
-            SizeMixture::new(&[(1.0, 60, 140)]), // ACKs and player telemetry
-            ArrivalProcess::Poisson {
-                mean_gap_secs: 0.024,
-            },
-        );
-        VideoModel {
-            inner: BidirectionalModel::new(AppKind::Video, downlink, uplink),
-        }
-    }
-}
-
-impl VideoModel {
-    /// Creates the calibrated default model.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The underlying bidirectional specification.
-    pub fn spec(&self) -> &BidirectionalModel {
-        &self.inner
-    }
-}
-
-impl TrafficModel for VideoModel {
-    fn app(&self) -> AppKind {
-        AppKind::Video
-    }
-
-    fn generate(&self, rng: &mut dyn RngCore, duration_secs: f64) -> Trace {
-        self.inner.generate(rng, duration_secs)
-    }
-
-    fn flow_spec(&self) -> Option<&BidirectionalModel> {
-        Some(&self.inner)
-    }
+/// The calibrated video-streaming traffic model.
+pub fn model() -> BidirectionalModel {
+    let downlink = FlowSpec::new(
+        Direction::Downlink,
+        SizeMixture::new(&[
+            (0.975, 1546, 1576), // media segments
+            (0.025, 108, 232),   // control / manifest packets
+        ]),
+        ArrivalProcess::ConstantRate {
+            gap_secs: 0.0119,
+            jitter_secs: 0.0020,
+        },
+    );
+    let uplink = FlowSpec::new(
+        Direction::Uplink,
+        SizeMixture::new(&[(1.0, 60, 140)]), // ACKs and player telemetry
+        ArrivalProcess::Poisson {
+            mean_gap_secs: 0.024,
+        },
+    );
+    BidirectionalModel::new(AppKind::Video, downlink, uplink)
 }
 
 #[cfg(test)]
@@ -80,13 +42,12 @@ mod tests {
 
     #[test]
     fn matches_table_one_statistics() {
-        assert_calibrated(&VideoModel::default(), 0.05, 0.25);
+        assert_calibrated(&model(), 0.05, 0.25);
     }
 
     #[test]
     fn data_rate_is_stable() {
-        let mut rng = StdRng::seed_from_u64(60);
-        let trace = VideoModel::default().generate(&mut rng, 30.0);
+        let trace = model().generate(StdRng::seed_from_u64(60), 30.0);
         // Compare per-second downlink byte counts: the coefficient of variation
         // should be small for a constant-rate stream.
         let mut per_second = vec![0u64; 30];
@@ -111,8 +72,7 @@ mod tests {
 
     #[test]
     fn most_packets_are_near_mtu() {
-        let mut rng = StdRng::seed_from_u64(61);
-        let trace = VideoModel::default().generate(&mut rng, 10.0);
+        let trace = model().generate(StdRng::seed_from_u64(61), 10.0);
         let sizes = trace.sizes(Direction::Downlink);
         let large = sizes.iter().filter(|s| **s >= 1546).count();
         assert!(large as f64 / sizes.len() as f64 > 0.9);

@@ -3,16 +3,13 @@
 //! The scenario engine describes whole experiments declaratively (TOML specs
 //! compiled into the streaming machinery); [`TrafficSpec`] is the traffic-gen
 //! end of that contract. One spec names an application, a seed and an optional
-//! duration, and builds any of the crate's generation entry points — the lazy
-//! [`StreamingSession`], the batch [`SessionGenerator`], or the calibrated
-//! [`BidirectionalModel`] behind both — so a committed spec file reproduces a
-//! workload exactly (same seed, same packets) without a line of Rust.
+//! duration, and builds the lazy [`StreamingSession`] of that application's
+//! calibrated model, so a committed spec file reproduces a workload exactly
+//! (same seed, same packets) without a line of Rust.
 
 use crate::app::AppKind;
-use crate::generator::SessionGenerator;
-use crate::models::{spec_for, BidirectionalModel};
+use crate::models::spec_for;
 use crate::stream::StreamingSession;
-use crate::trace::Trace;
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// One station's traffic, as data: the application model to run, the seed
@@ -38,32 +35,10 @@ impl TrafficSpec {
         }
     }
 
-    /// The calibrated bidirectional flow model behind the spec.
-    pub fn model(&self) -> BidirectionalModel {
-        spec_for(self.app)
-    }
-
-    /// A batch generator over the spec's model and seed.
-    pub fn generator(&self) -> SessionGenerator {
-        SessionGenerator::new(self.app, self.seed)
-    }
-
     /// Builds the spec's lazy packet source (bounded by `secs` when given,
     /// infinite otherwise).
     pub fn build(&self) -> StreamingSession {
-        StreamingSession::from_model(&self.model(), self.seed, self.secs)
-    }
-
-    /// Materialises the session as a batch [`Trace`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec is unbounded.
-    pub fn trace(&self) -> Trace {
-        let secs = self
-            .secs
-            .expect("cannot materialise an unbounded traffic spec");
-        self.generator().generate_secs(secs)
+        StreamingSession::from_model(&spec_for(self.app), self.seed, self.secs)
     }
 }
 
@@ -113,17 +88,6 @@ mod tests {
         let direct: Vec<_> = StreamingSession::bounded(AppKind::BitTorrent, 7, 20.0).collect();
         assert_eq!(from_spec, direct);
         assert!(!from_spec.is_empty());
-    }
-
-    #[test]
-    fn spec_trace_matches_the_session_generator() {
-        let spec = TrafficSpec::bounded(AppKind::Chatting, 3, 15.0);
-        assert_eq!(
-            spec.trace(),
-            SessionGenerator::new(AppKind::Chatting, 3).generate_secs(15.0)
-        );
-        assert_eq!(spec.model().app_kind(), AppKind::Chatting);
-        assert_eq!(spec.generator().seed(), 3);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Streaming packet sources: the online counterpart of batch [`Trace`]
-//! generation.
+//! Packet sources, and [`FlowStream`]: the crate's one packet generator.
 //!
 //! The paper's Fig. 3 data path is online — every packet is dispatched to a
 //! virtual interface the moment it leaves the TCP/IP stack — so the data
@@ -9,17 +8,19 @@
 //! * [`PacketSource`] — the pull-based trait every streaming stage consumes;
 //! * [`TraceStream`] — adapts an existing batch [`Trace`] to the trait, which
 //!   is how the batch and streaming paths are proven byte-identical;
-//! * [`FlowStream`] — one direction of an application model, generated lazily
-//!   with exactly the RNG consumption order of
-//!   [`generate_flow`](crate::models::generate_flow) (property-tested);
+//! * [`FlowStream`] — one direction of an application model, generated lazily.
+//!   It is the only engine: batch sessions
+//!   ([`SessionGenerator::generate_secs`](crate::generator::SessionGenerator::generate_secs))
+//!   drain one per direction with a single sequential RNG, downlink then
+//!   uplink;
 //! * [`StreamingSession`] — a full bidirectional session, merged on the fly
 //!   by timestamp. With no duration bound it is an *infinite* session: the
 //!   long-running and multi-station scenarios that can never fit in memory as
 //!   batch traces.
 //!
-//! Batch and streaming generation draw different random streams (a lazy merge
-//! cannot replay the batch path's single sequential RNG), so a
-//! [`StreamingSession`] is distribution-identical but not packet-identical to
+//! A lazy merge cannot share the batch path's single sequential RNG, so a
+//! [`StreamingSession`] gives each direction its own derived RNG stream: it
+//! is distribution-identical but not packet-identical to
 //! [`SessionGenerator::generate_secs`](crate::generator::SessionGenerator::generate_secs).
 //! Reshaping equivalence is therefore stated where it matters: feeding the
 //! *same* packets (via [`TraceStream`]) through the reshaping stage yields
@@ -192,11 +193,10 @@ struct BurstState {
 
 /// One direction of an application's traffic, generated lazily.
 ///
-/// The stream consumes its RNG in exactly the order of the batch
-/// [`generate_flow`](crate::models::generate_flow), so for the same spec,
-/// RNG seed and duration bound the two paths produce identical packets
-/// (property-tested in `stream::tests`). Without a duration bound the flow
-/// never ends.
+/// Every generated packet comes from here, batch or streaming. A test-only
+/// reference generator with one loop per arrival process pins the RNG
+/// consumption order (property-tested in `stream::tests`). Without a
+/// duration bound the flow never ends.
 #[derive(Debug, Clone)]
 pub struct FlowStream {
     spec: FlowSpec,
@@ -237,12 +237,10 @@ impl FlowStream {
         self.clock_secs
     }
 
-    fn past_limit(&self) -> bool {
-        matches!(self.limit_secs, Some(limit) if self.clock_secs > limit)
-    }
-
-    fn emit(&mut self) -> PacketRecord {
-        make_packet(&self.spec, self.app, self.clock_secs, &mut self.rng)
+    /// Unwraps the RNG in its current state, so a second flow can continue
+    /// the same sequential stream where this one stopped.
+    pub fn into_rng(self) -> StdRng {
+        self.rng
     }
 }
 
@@ -251,51 +249,38 @@ impl PacketSource for FlowStream {
         if self.done {
             return None;
         }
-        match self.spec.arrivals.clone() {
+        let limit = self.limit_secs.unwrap_or(f64::INFINITY);
+        let rng = &mut self.rng;
+        match &self.spec.arrivals {
             ArrivalProcess::Poisson { mean_gap_secs } => {
-                let gaps = Exponential::new(mean_gap_secs);
-                self.clock_secs += gaps.sample(&mut self.rng);
-                if self.past_limit() {
-                    self.done = true;
-                    return None;
-                }
-                Some(self.emit())
+                self.clock_secs += Exponential::new(*mean_gap_secs).sample(rng);
             }
             ArrivalProcess::ConstantRate {
                 gap_secs,
                 jitter_secs,
             } => {
-                let jitter = Normal::new(gap_secs, jitter_secs);
-                self.clock_secs +=
-                    jitter.sample_clamped(&mut self.rng, gap_secs * 0.1, gap_secs * 4.0);
-                if self.past_limit() {
-                    self.done = true;
-                    return None;
-                }
-                Some(self.emit())
+                let jitter = Normal::new(*gap_secs, *jitter_secs);
+                self.clock_secs += jitter.sample_clamped(rng, gap_secs * 0.1, gap_secs * 4.0);
             }
             ArrivalProcess::OnOff {
                 mean_burst_packets,
                 in_burst_gap_secs,
                 off_gap_secs,
             } => {
-                let in_burst = Exponential::new(in_burst_gap_secs);
-                let off = Exponential::new(off_gap_secs);
                 if self.burst.emitted >= self.burst.total {
                     // Between bursts: the first burst starts at the clock
                     // origin, later ones after an exponential think-time.
                     if self.burst.started {
-                        self.clock_secs += off.sample(&mut self.rng);
-                        if self.past_limit() {
+                        self.clock_secs += Exponential::new(*off_gap_secs).sample(rng);
+                        if self.clock_secs > limit {
                             self.done = true;
                             return None;
                         }
                     }
-                    self.burst.started = true;
                     // Geometric burst length with the requested mean (>= 1).
                     let p_stop = 1.0 / mean_burst_packets.max(1.0);
                     let mut total = 1usize;
-                    while self.rng.gen::<f64>() > p_stop && total < 10_000 {
+                    while rng.gen::<f64>() > p_stop && total < 10_000 {
                         total += 1;
                     }
                     self.burst = BurstState {
@@ -305,16 +290,21 @@ impl PacketSource for FlowStream {
                     };
                 }
                 if self.burst.emitted > 0 {
-                    self.clock_secs += in_burst.sample(&mut self.rng);
+                    self.clock_secs += Exponential::new(*in_burst_gap_secs).sample(rng);
                 }
                 self.burst.emitted += 1;
-                if self.past_limit() {
-                    self.done = true;
-                    return None;
-                }
-                Some(self.emit())
             }
         }
+        if self.clock_secs > limit {
+            self.done = true;
+            return None;
+        }
+        Some(make_packet(
+            &self.spec,
+            self.app,
+            self.clock_secs,
+            &mut self.rng,
+        ))
     }
 
     fn label(&self) -> Option<AppKind> {
@@ -446,7 +436,7 @@ impl Iterator for StreamingSession {
 mod tests {
     use super::*;
     use crate::generator::SessionGenerator;
-    use crate::models::generate_flow;
+    use crate::models::test_support::generate_flow;
     use crate::packet::Direction;
     use proptest::prelude::*;
 
