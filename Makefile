@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint bench-json bench-json-check perf-test scenario-check scenario-json examples ci
+.PHONY: verify build test fmt lint bench-json bench-json-check experiments-check perf-test scenario-check scenario-json examples ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -28,6 +28,13 @@ bench-json:
 bench-json-check: bench-json
 	git diff --exit-code BENCH_pipeline.json
 
+# Regenerates every paper table and figure (release `experiments paper all`,
+# a few seconds once built) into EXPERIMENTS_paper.txt and fails when the
+# committed file changes; CI blocks on it.
+experiments-check:
+	cargo run --release -p bench --bin experiments -- paper all > EXPERIMENTS_paper.txt
+	git diff --exit-code EXPERIMENTS_paper.txt
+
 # Builds the benchmark package (its own Cargo workspace, so no other target
 # compiles it) and runs its tests on tiny workloads.
 perf-test:
@@ -52,4 +59,4 @@ examples:
 	cargo build --examples
 
 # Everything CI gates on, in one shot.
-ci: fmt lint verify test scenario-check bench-json-check perf-test examples
+ci: fmt lint verify test scenario-check bench-json-check experiments-check perf-test examples

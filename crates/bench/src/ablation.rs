@@ -11,7 +11,8 @@ use classifier::window::FeatureMode;
 use serde::{Deserialize, Serialize};
 
 use crate::corpus::ExperimentConfig;
-use crate::pipeline::{self, DefenseKind};
+use crate::pipeline;
+use crate::scenario::DefenseSpec;
 
 /// One ablation variant and its outcome.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,25 +25,34 @@ pub struct AblationOutcome {
     pub mean_false_positive: f64,
 }
 
+/// The scheduler variants of [`scheduler_ablation`]: the printed label and
+/// the defense's shorthand.
+const SCHEDULERS: [(&str, &str); 4] = [
+    ("RA", "ra"),
+    ("RR", "rr"),
+    ("OR", "or"),
+    ("OR-mod", "or_mod"),
+];
+
 /// Ablation 1 — scheduling flavour: Orthogonal Reshaping over the paper's
 /// observation-driven ranges vs. the size-modulo variant vs. the naive RA/RR
 /// baselines, all with `I = 3`.
 pub fn scheduler_ablation(config: &ExperimentConfig) -> Vec<AblationOutcome> {
     let adversary = pipeline::train_adversary(config, FeatureMode::Full);
     let eval = config.evaluation_corpus();
-    [
-        DefenseKind::Random,
-        DefenseKind::RoundRobin,
-        DefenseKind::Orthogonal,
-        DefenseKind::OrthogonalModulo,
-    ]
-    .iter()
-    .map(|&defense| {
-        let matrix =
-            pipeline::evaluate_defense(&adversary, &eval, defense, config, FeatureMode::Full);
-        outcome(defense.label().to_string(), &matrix)
-    })
-    .collect()
+    SCHEDULERS
+        .iter()
+        .map(|&(label, shorthand)| {
+            let matrix = pipeline::evaluate_defense(
+                &adversary,
+                &eval,
+                &DefenseSpec::parse(shorthand).expect("valid shorthand"),
+                config,
+                FeatureMode::Full,
+            );
+            outcome(label.to_string(), &matrix)
+        })
+        .collect()
 }
 
 /// Ablation 2 — number of virtual interfaces beyond the paper's Table V
@@ -63,12 +73,12 @@ pub fn interface_count_ablation(
                 ..*config
             };
             let defense = if interfaces == 1 {
-                DefenseKind::None
+                DefenseSpec::none()
             } else {
-                DefenseKind::Orthogonal
+                DefenseSpec::parse("or").expect("valid shorthand")
             };
             let matrix =
-                pipeline::evaluate_defense(&adversary, &eval, defense, &cfg, FeatureMode::Full);
+                pipeline::evaluate_defense(&adversary, &eval, &defense, &cfg, FeatureMode::Full);
             outcome(format!("OR, I = {interfaces}"), &matrix)
         })
         .collect()

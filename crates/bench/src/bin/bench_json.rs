@@ -21,9 +21,9 @@
 //!   family (`mixed_population`, `station_churn`, `staged_defense`).
 
 use bench::pipeline::{
-    evaluate_defense, evaluate_defense_online, train_adversary, train_adversary_online, DefenseKind,
+    evaluate_defense, evaluate_defense_online, train_adversary, train_adversary_online,
 };
-use bench::scenario::{default_scenarios_dir, load_spec, run_scenario, Scenario};
+use bench::scenario::{default_scenarios_dir, load_spec, run_scenario, DefenseSpec, Scenario};
 use classifier::window::FeatureMode;
 use defenses::spec::StageContext;
 use traffic_gen::generator::SessionGenerator;
@@ -79,7 +79,7 @@ fn main() {
     let warm_evaluator = train_adversary_online(&config, FeatureMode::Full);
     let batch_adversary = train_adversary(&config, FeatureMode::Full);
     let eval_corpus = config.evaluation_corpus();
-    let accuracy_pair = |defense: DefenseKind| {
+    let accuracy_pair = |defense: &DefenseSpec| {
         let batch = evaluate_defense(
             &batch_adversary,
             &eval_corpus,
@@ -100,15 +100,8 @@ fn main() {
         .mean_accuracy();
         (batch, online)
     };
-    let kind_of = |index: usize| -> DefenseKind {
-        baseline
-            .station(index)
-            .defense
-            .as_kind()
-            .expect("baseline stations use shorthand kinds")
-    };
-    let (batch_acc_padding, online_acc_padding) = accuracy_pair(kind_of(0));
-    let (batch_acc_morph_or, online_acc_morph_or) = accuracy_pair(kind_of(2));
+    let (batch_acc_padding, online_acc_padding) = accuracy_pair(&baseline.station(0).defense);
+    let (batch_acc_morph_or, online_acc_morph_or) = accuracy_pair(&baseline.station(2).defense);
 
     let mut scenario_json = String::new();
     for family in ["mixed_population", "station_churn", "staged_defense"] {

@@ -4,7 +4,7 @@
 //! configurable number of synthetic sessions per application. Two presets are
 //! provided: [`ExperimentConfig::paper`] (the sizes used by the `experiments`
 //! binary and EXPERIMENTS.md) and [`ExperimentConfig::quick`] (small sizes for
-//! unit tests and Criterion benches).
+//! unit tests and the default training corpus of scenario adversaries).
 
 use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;

@@ -21,8 +21,8 @@
 //! | Ablations (scheduler flavour, interface count) | [`ablation`] |
 //! | Streaming scenarios (long sessions, multi-station) | [`streaming`] |
 //!
-//! The `experiments` binary prints all of them; the Criterion benches under
-//! `benches/` measure the runtime cost of each pipeline.
+//! The `experiments` binary prints all of them; `perfbench` (its own
+//! workspace under `perfbench/`) measures the runtime cost of each layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +38,6 @@ pub mod streaming;
 pub mod tables;
 
 pub use corpus::ExperimentConfig;
-pub use pipeline::DefenseKind;
 pub use scenario::{
     run_scenario, CompiledScenario, DefenseSpec, Scenario, ScenarioReport, ScenarioSpec,
 };

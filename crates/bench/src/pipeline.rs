@@ -12,13 +12,11 @@
 //! application traffic looks like, and the defense succeeds when per-interface
 //! sub-flows no longer resemble it.
 //!
-//! Since the stage refactor there is exactly **one** defended data path:
-//! [`defense_pipeline`] builds a streaming
-//! [`StagePipeline`] for any [`DefenseKind`] — padding, morphing, pseudonyms,
-//! frequency hopping, the reshaping schedulers, or compositions of them — and
-//! [`defended_examples`] streams packets through it into one
-//! [`StreamingWindower`] per emitted sub-flow, touching each packet exactly
-//! once. There is no defense-specific batch plumbing left in the evaluation;
+//! There is exactly **one** defended data path: [`defended_examples`] builds
+//! the streaming stage pipeline of any [`DefenseSpec`] — padding, morphing,
+//! pseudonyms, frequency hopping, the reshaping schedulers, or compositions
+//! of them — and streams packets through it into one `StreamingWindower` per
+//! emitted sub-flow, touching each packet exactly once. There is no defense-specific batch plumbing left in the evaluation;
 //! the batch wrappers survive only inside [`apply_defense`], which is kept as
 //! the independent reference the equivalence tests check the streaming path
 //! against.
@@ -34,112 +32,19 @@ use defenses::frequency_hopping::FrequencyHopper;
 use defenses::morphing::{paper_morphing_target, TrafficMorpher};
 use defenses::padding::PacketPadder;
 use defenses::pseudonym::PseudonymRotator;
-use defenses::spec::StageContext;
-use defenses::stage::{FlowId, StagePipeline, STAGE_BATCH};
+use defenses::spec::{DefenseStageSpec, StageContext};
+use defenses::stage::{FlowId, STAGE_BATCH};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reshape_core::reshaper::Reshaper;
-use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::trace::Trace;
+use wlan_sim::time::SimDuration;
 
 use crate::corpus::ExperimentConfig;
-use crate::scenario::{AlgorithmSpec, DefenseSpec, StageSpec};
-
-/// The defenses compared by the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum DefenseKind {
-    /// No defense: the adversary sees the original traffic.
-    None,
-    /// Frequency hopping over channels 1/6/11 with a 500 ms dwell.
-    FrequencyHopping,
-    /// Random assignment over virtual interfaces (RA).
-    Random,
-    /// Round-robin assignment over virtual interfaces (RR).
-    RoundRobin,
-    /// Orthogonal Reshaping over packet-size ranges (OR).
-    Orthogonal,
-    /// The size-modulo OR variant of Fig. 5.
-    OrthogonalModulo,
-    /// MAC pseudonym rotation (per-60 s address change).
-    Pseudonym,
-    /// Packet padding to the maximum packet size.
-    Padding,
-    /// Traffic morphing using the paper's application pairing.
-    Morphing,
-    /// The composed defense∘reshape scenario: morph toward the paper's
-    /// pairing target first, then reshape the morphed stream with OR — a
-    /// two-stage pipeline (§V-C's composition idea, streamed end to end).
-    MorphThenReshape,
-}
-
-impl DefenseKind {
-    /// The four scheduling algorithms of Tables II/III, in paper order
-    /// (plus the undefended baseline first).
-    pub const TABLE23: [DefenseKind; 5] = [
-        DefenseKind::None,
-        DefenseKind::FrequencyHopping,
-        DefenseKind::Random,
-        DefenseKind::RoundRobin,
-        DefenseKind::Orthogonal,
-    ];
-
-    /// Every defense kind, in paper/table order.
-    pub const ALL: [DefenseKind; 10] = [
-        DefenseKind::None,
-        DefenseKind::FrequencyHopping,
-        DefenseKind::Random,
-        DefenseKind::RoundRobin,
-        DefenseKind::Orthogonal,
-        DefenseKind::OrthogonalModulo,
-        DefenseKind::Pseudonym,
-        DefenseKind::Padding,
-        DefenseKind::Morphing,
-        DefenseKind::MorphThenReshape,
-    ];
-
-    /// The column label used in the printed tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            DefenseKind::None => "Original",
-            DefenseKind::FrequencyHopping => "FH",
-            DefenseKind::Random => "RA",
-            DefenseKind::RoundRobin => "RR",
-            DefenseKind::Orthogonal => "OR",
-            DefenseKind::OrthogonalModulo => "OR-mod",
-            DefenseKind::Pseudonym => "Pseudonym",
-            DefenseKind::Padding => "Padding",
-            DefenseKind::Morphing => "Morphing",
-            DefenseKind::MorphThenReshape => "Morph+OR",
-        }
-    }
-}
-
-impl std::str::FromStr for DefenseKind {
-    type Err = String;
-
-    /// Parses the shorthand used by scenario spec files (table labels and
-    /// snake_case aliases both work).
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let lowered = s.trim().to_ascii_lowercase();
-        let kind = match lowered.as_str() {
-            "none" | "original" => DefenseKind::None,
-            "fh" | "frequency_hopping" => DefenseKind::FrequencyHopping,
-            "ra" | "random" => DefenseKind::Random,
-            "rr" | "round_robin" => DefenseKind::RoundRobin,
-            "or" | "orthogonal" => DefenseKind::Orthogonal,
-            "or_mod" | "or-mod" | "orthogonal_modulo" => DefenseKind::OrthogonalModulo,
-            "pseudonym" => DefenseKind::Pseudonym,
-            "padding" => DefenseKind::Padding,
-            "morphing" => DefenseKind::Morphing,
-            "morph_or" | "morph+or" | "morph_then_reshape" => DefenseKind::MorphThenReshape,
-            _ => return Err(format!("unknown defense kind: {s:?}")),
-        };
-        Ok(kind)
-    }
-}
+use crate::scenario::{DefenseSpec, StageSpec};
 
 /// Trains the paper's adversary on original traffic windows.
 pub fn train_adversary(config: &ExperimentConfig, mode: FeatureMode) -> AdversaryEnsemble {
@@ -154,104 +59,94 @@ pub fn train_adversary(config: &ExperimentConfig, mode: FeatureMode) -> Adversar
     )
 }
 
-/// Builds the streaming stage pipeline of any defense — the single defended
-/// data path shared by the table evaluation, the multi-station scenario and
-/// `bench_json`'s committed results.
-///
-/// This is a thin wrapper over the declarative form: the kind expands to its
-/// [`DefenseSpec`] stage list, which builds the pipeline with the same
-/// construction (and the same seeds) the scenario engine uses for spec
-/// files.
-///
-/// `calib_secs` sizes the generated calibration sessions the morphing stages
-/// need (the paper's training-session length); `source` optionally provides
-/// the materialised trace so batch-equivalent runs estimate the morphing
-/// source CDF from the actual traffic, exactly like the batch wrapper.
-///
-/// # Panics
-/// If the interface count is invalid for the kind's scheduler, or a morphing
-/// calibration session (or `source`) holds no packets.
-pub fn defense_pipeline(
-    defense: DefenseKind,
-    app: AppKind,
-    interfaces: usize,
-    seed: u64,
-    calib_secs: f64,
-    source: Option<&Trace>,
-) -> StagePipeline {
-    let ctx = StageContext {
-        app,
-        seed,
-        calib_secs,
-        source,
-    };
-    DefenseSpec::from_kind(defense)
-        .build(&ctx, interfaces)
-        .unwrap_or_else(|e| panic!("{defense:?} pipeline: {e}"))
-}
-
 /// Applies a defense to one labelled trace, returning the sub-flows the
 /// adversary observes. Each sub-flow keeps the ground-truth label so the
 /// evaluation can score predictions.
 ///
-/// This is the **batch reference** built on the per-defense batch wrappers
+/// This is the **batch reference** built on the per-stage batch wrappers
 /// (`apply` / `partition` / `Reshaper`), kept so the equivalence tests can
-/// check the unified streaming path against an independent composition; the
-/// evaluation itself never calls it.
+/// check the streaming path against an independent composition; the
+/// evaluation itself never calls it. Each stage's wrapper is folded over the
+/// sub-traces the previous stages produced, in order, so the reference
+/// matches the streaming path wherever the stages behind a partitioning
+/// stage treat each packet on its own (padding, the reshaping schedulers).
+///
+/// # Panics
+/// If a stage's parameters or interface count are invalid.
 pub fn apply_defense(
     trace: &Trace,
-    defense: DefenseKind,
+    defense: &DefenseSpec,
     config: &ExperimentConfig,
     seed: u64,
 ) -> Vec<Trace> {
-    let reshape = |algorithm: AlgorithmSpec, trace: &Trace| {
-        let scheduler = algorithm
-            .build(config.interfaces, seed)
-            .expect("experiment interface count is valid");
-        Reshaper::new(scheduler)
-            .reshape(trace)
-            .sub_traces()
-            .to_vec()
-    };
-    match defense {
-        DefenseKind::None => vec![trace.clone()],
-        DefenseKind::FrequencyHopping => FrequencyHopper::default()
-            .partition(trace)
-            .into_iter()
-            .map(|(_, t)| t)
-            .collect(),
-        DefenseKind::Pseudonym => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            PseudonymRotator::default()
-                .partition(trace, &mut rng)
-                .into_iter()
-                .map(|(_, t)| t)
+    defense
+        .stages
+        .iter()
+        .fold(vec![trace.clone()], |observed, stage| {
+            observed
+                .iter()
+                .flat_map(|sub| apply_stage(stage, sub, config, seed))
                 .collect()
+        })
+}
+
+/// One stage's batch wrapper over one (sub-)trace, seeded like the
+/// streaming stage [`DefenseSpec::build`] constructs.
+fn apply_stage(
+    stage: &StageSpec,
+    trace: &Trace,
+    config: &ExperimentConfig,
+    seed: u64,
+) -> Vec<Trace> {
+    match *stage {
+        StageSpec::Defense(DefenseStageSpec::Padding { size }) => {
+            let padder = size.map_or_else(PacketPadder::new, PacketPadder::to_size);
+            vec![padder.apply(trace).0]
         }
-        DefenseKind::Padding => vec![PacketPadder::new().apply(trace).0],
-        DefenseKind::Morphing => vec![morphed_reference(trace, config, seed)],
-        DefenseKind::MorphThenReshape => reshape(
-            AlgorithmSpec::Orthogonal,
-            &morphed_reference(trace, config, seed),
-        ),
-        DefenseKind::Random
-        | DefenseKind::RoundRobin
-        | DefenseKind::Orthogonal
-        | DefenseKind::OrthogonalModulo => {
-            let [StageSpec::Reshape { algorithm, .. }] = DefenseSpec::from_kind(defense).stages[..]
-            else {
-                unreachable!("a scheduler defense is one reshape stage")
-            };
-            reshape(algorithm, trace)
+        StageSpec::Defense(DefenseStageSpec::Morphing { target }) => {
+            vec![morphed_reference(trace, target, config, seed)]
+        }
+        StageSpec::Defense(DefenseStageSpec::Pseudonym { period_secs }) => {
+            let rotator = period_secs.map_or_else(PseudonymRotator::default, |secs| {
+                PseudonymRotator::new(SimDuration::from_secs_f64(secs))
+            });
+            let mut rng = StdRng::seed_from_u64(seed);
+            let parts = rotator.partition(trace, &mut rng);
+            parts.into_iter().map(|(_, t)| t).collect()
+        }
+        StageSpec::Defense(DefenseStageSpec::FrequencyHopping { dwell_ms }) => {
+            let hopper = dwell_ms.map_or_else(FrequencyHopper::default, |ms| {
+                let channels = FrequencyHopper::default().channels().to_vec();
+                FrequencyHopper::new(channels, SimDuration::from_millis(ms))
+            });
+            let parts = hopper.partition(trace);
+            parts.into_iter().map(|(_, t)| t).collect()
+        }
+        StageSpec::Reshape {
+            algorithm,
+            interfaces,
+        } => {
+            let scheduler = algorithm
+                .build(interfaces.unwrap_or(config.interfaces), seed)
+                .expect("reference interface count is valid");
+            Reshaper::new(scheduler)
+                .reshape(trace)
+                .sub_traces()
+                .to_vec()
         }
     }
 }
 
-/// The batch morphing reference: the paper pairing with the same seeds as the
-/// streaming [`morphing_stage`].
-fn morphed_reference(trace: &Trace, config: &ExperimentConfig, seed: u64) -> Trace {
+/// The batch morphing reference: the paper pairing (unless `target`
+/// overrides it) with the same seeds as the streaming morphing stage.
+fn morphed_reference(
+    trace: &Trace,
+    target: Option<AppKind>,
+    config: &ExperimentConfig,
+    seed: u64,
+) -> Trace {
     let app = trace.app().expect("evaluation traces are labelled");
-    let target_app = paper_morphing_target(app);
+    let target_app = target.unwrap_or_else(|| paper_morphing_target(app));
     let target_trace =
         SessionGenerator::new(target_app, seed ^ 0xfeed).generate_secs(config.train_session_secs);
     TrafficMorpher::from_target_trace(target_app, &target_trace)
@@ -263,15 +158,25 @@ fn morphed_reference(trace: &Trace, config: &ExperimentConfig, seed: u64) -> Tra
 /// example the adversary observes.
 ///
 /// Every defense — transforming, partitioning, reshaping or composed — runs
-/// through the same [`StagePipeline`]: packets go through the stages in
-/// [`STAGE_BATCH`]-sized slices ([`StagePipeline::process_batch`]), and each
+/// through the same stage pipeline: packets go through the stages in
+/// [`STAGE_BATCH`]-sized slices (`StagePipeline::process_batch`), and each
 /// staged slice goes into one [`StreamingWindower`] per emitted sub-flow via
 /// [`FlowWindowers::push_slice`] — the slice path a scenario station takes —
 /// touching each packet exactly once with no sub-trace or window
 /// materialisation.
+///
+/// The pipeline is built with the materialised trace as its
+/// [`StageContext::source`], so morphing estimates its source CDF from the
+/// actual traffic, and its calibration sessions last
+/// `config.train_session_secs`.
+///
+/// # Panics
+/// If `defense` does not build for `config.interfaces`, or a morphing
+/// calibration session holds no packets. The evaluated defenses are
+/// constants or specs `ScenarioSpec::build` has already validated.
 pub fn defended_examples(
     trace: &Trace,
-    defense: DefenseKind,
+    defense: &DefenseSpec,
     config: &ExperimentConfig,
     seed: u64,
     mode: FeatureMode,
@@ -279,14 +184,15 @@ pub fn defended_examples(
     let Some(app) = trace.app() else {
         return Vec::new();
     };
-    let mut pipeline = defense_pipeline(
-        defense,
+    let ctx = StageContext {
         app,
-        config.interfaces,
         seed,
-        config.train_session_secs,
-        Some(trace),
-    );
+        calib_secs: config.train_session_secs,
+        source: Some(trace),
+    };
+    let mut pipeline = defense
+        .build(&ctx, config.interfaces)
+        .expect("evaluated defenses are constants or validated specs");
     let mut windowers = FlowWindowers::for_app(config.window(), DEFAULT_MIN_PACKETS, mode, app);
     let mut out = Vec::new();
     let mut flows = Vec::with_capacity(STAGE_BATCH);
@@ -320,7 +226,7 @@ pub fn defended_examples(
 pub fn evaluate_defense(
     adversary: &AdversaryEnsemble,
     eval_traces: &[Trace],
-    defense: DefenseKind,
+    defense: &DefenseSpec,
     config: &ExperimentConfig,
     mode: FeatureMode,
 ) -> ConfusionMatrix {
@@ -343,7 +249,7 @@ pub fn evaluate_defense(
 /// modes.
 fn defended_example_shards(
     eval_traces: &[Trace],
-    defense: DefenseKind,
+    defense: &DefenseSpec,
     config: &ExperimentConfig,
     seed_base: u64,
     mode: FeatureMode,
@@ -436,7 +342,7 @@ pub fn train_adversary_online(
     evaluate_defense_online(
         &mut evaluator,
         &training,
-        DefenseKind::None,
+        &DefenseSpec::none(),
         config,
         config.train_seed,
         mode,
@@ -457,7 +363,7 @@ pub fn train_adversary_online(
 pub fn evaluate_defense_online(
     evaluator: &mut PrequentialEvaluator,
     eval_traces: &[Trace],
-    defense: DefenseKind,
+    defense: &DefenseSpec,
     config: &ExperimentConfig,
     seed_base: u64,
     mode: FeatureMode,
@@ -477,48 +383,41 @@ pub fn evaluate_defense_online(
     }
 }
 
-/// Convenience wrapper: train the adversary and evaluate a set of defenses,
-/// returning `(defense, confusion matrix)` pairs.
-pub fn run_defense_comparison(
-    config: &ExperimentConfig,
-    defenses: &[DefenseKind],
-    mode: FeatureMode,
-) -> Vec<(DefenseKind, ConfusionMatrix)> {
-    let adversary = train_adversary(config, mode);
-    let eval = config.evaluation_corpus();
-    defenses
-        .iter()
-        .map(|&d| (d, evaluate_defense(&adversary, &eval, d, config, mode)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use classifier::window::windowed_examples;
 
+    /// Parses a shorthand the tests name literally.
+    fn spec(shorthand: &str) -> DefenseSpec {
+        DefenseSpec::parse(shorthand).expect("valid shorthand")
+    }
+
     #[test]
     fn streaming_evaluation_sees_the_same_windows_as_the_batch_path() {
         // The unified stage-pipeline evaluation must observe exactly the
-        // windows the independent batch reference (per-defense wrappers ->
+        // windows the independent batch reference (per-stage wrappers ->
         // sub-traces -> windowed_examples) does — for every defense,
-        // including the composed morph-then-reshape pipeline.
+        // including the composed pipelines in either order.
         let config = ExperimentConfig::quick();
         let trace = SessionGenerator::new(AppKind::BitTorrent, 5).generate_secs(40.0);
-        for defense in [
-            DefenseKind::None,
-            DefenseKind::Random,
-            DefenseKind::RoundRobin,
-            DefenseKind::Orthogonal,
-            DefenseKind::OrthogonalModulo,
-            DefenseKind::FrequencyHopping,
-            DefenseKind::Pseudonym,
-            DefenseKind::Padding,
-            DefenseKind::Morphing,
-            DefenseKind::MorphThenReshape,
+        for shorthand in [
+            "none",
+            "ra",
+            "rr",
+            "or",
+            "or_mod",
+            "fh",
+            "pseudonym",
+            "padding",
+            "morphing",
+            "morph_or",
+            "padding+or",
+            "or+padding",
         ] {
-            let streamed = defended_examples(&trace, defense, &config, 1, FeatureMode::Full);
-            let batch: usize = apply_defense(&trace, defense, &config, 1)
+            let defense = spec(shorthand);
+            let streamed = defended_examples(&trace, &defense, &config, 1, FeatureMode::Full);
+            let batch: usize = apply_defense(&trace, &defense, &config, 1)
                 .iter()
                 .map(|observed| {
                     windowed_examples(
@@ -530,48 +429,28 @@ mod tests {
                     .len()
                 })
                 .sum();
-            assert_eq!(streamed.len(), batch, "{defense:?} window counts diverge");
-            assert!(!streamed.is_empty(), "{defense:?} produced no examples");
+            assert_eq!(streamed.len(), batch, "{shorthand} window counts diverge");
+            assert!(!streamed.is_empty(), "{shorthand} produced no examples");
         }
-    }
-
-    #[test]
-    fn defense_labels_are_unique() {
-        let labels: Vec<&str> = DefenseKind::TABLE23.iter().map(|d| d.label()).collect();
-        assert_eq!(labels, vec!["Original", "FH", "RA", "RR", "OR"]);
-        assert_eq!(DefenseKind::Padding.label(), "Padding");
-        assert_eq!(DefenseKind::MorphThenReshape.label(), "Morph+OR");
     }
 
     #[test]
     fn apply_defense_preserves_packets_for_partitioning_defenses() {
         let config = ExperimentConfig::quick();
         let trace = SessionGenerator::new(AppKind::BitTorrent, 5).generate_secs(20.0);
-        for defense in [
-            DefenseKind::None,
-            DefenseKind::FrequencyHopping,
-            DefenseKind::Random,
-            DefenseKind::RoundRobin,
-            DefenseKind::Orthogonal,
-            DefenseKind::OrthogonalModulo,
-            DefenseKind::Pseudonym,
-        ] {
-            let observed = apply_defense(&trace, defense, &config, 1);
+        for shorthand in ["none", "fh", "ra", "rr", "or", "or_mod", "pseudonym"] {
+            let observed = apply_defense(&trace, &spec(shorthand), &config, 1);
             let total: usize = observed.iter().map(Trace::len).sum();
             assert_eq!(
                 total,
                 trace.len(),
-                "{defense:?} must not add or drop packets"
+                "{shorthand} must not add or drop packets"
             );
         }
-        // Padding, morphing and the composition keep the packet count but may
-        // grow bytes.
-        for defense in [
-            DefenseKind::Padding,
-            DefenseKind::Morphing,
-            DefenseKind::MorphThenReshape,
-        ] {
-            let observed = apply_defense(&trace, defense, &config, 1);
+        // Padding, morphing and the compositions keep the packet count but
+        // may grow bytes.
+        for shorthand in ["padding", "morphing", "morph_or", "or+padding"] {
+            let observed = apply_defense(&trace, &spec(shorthand), &config, 1);
             let total: usize = observed.iter().map(Trace::len).sum();
             assert_eq!(total, trace.len());
             let bytes: u64 = observed.iter().map(Trace::total_bytes).sum();
@@ -585,14 +464,15 @@ mod tests {
         // (reshaping adds none), and the per-stage ledgers agree.
         let config = ExperimentConfig::quick();
         let trace = SessionGenerator::new(AppKind::Chatting, 9).generate_secs(40.0);
-        let mut pipeline = defense_pipeline(
-            DefenseKind::MorphThenReshape,
-            AppKind::Chatting,
-            config.interfaces,
-            7,
-            config.train_session_secs,
-            Some(&trace),
-        );
+        let ctx = StageContext {
+            app: AppKind::Chatting,
+            seed: 7,
+            calib_secs: config.train_session_secs,
+            source: Some(&trace),
+        };
+        let mut pipeline = spec("morph_or")
+            .build(&ctx, config.interfaces)
+            .expect("valid composition");
         let mut emitted = 0usize;
         pipeline.run(&mut trace.stream(), |_, _| emitted += 1);
         assert_eq!(emitted, trace.len());
@@ -616,8 +496,7 @@ mod tests {
         // contribution exactly. The invariant this pins: wherever padding
         // (or any byte-adding stage) applies, the composed pipeline's
         // overhead is at least every component's added bytes.
-        use crate::scenario::{AlgorithmSpec, DefenseSpec, StageSpec};
-        use defenses::spec::{DefenseStageSpec, StageContext};
+        use crate::scenario::AlgorithmSpec;
 
         let trace = SessionGenerator::new(AppKind::BitTorrent, 3).generate_secs(40.0);
         let ctx = StageContext {
@@ -664,14 +543,13 @@ mod tests {
         // The observed equality itself, pinned: morph∘OR costs exactly what
         // morphing alone costs, because the reshape stage is zero-overhead
         // while still recording every byte through the shared ledger.
-        let run_overhead = |defense: DefenseKind| {
-            let mut pipeline =
-                defense_pipeline(defense, AppKind::BitTorrent, 3, 3, 40.0, Some(&trace));
+        let run_overhead = |shorthand: &str| {
+            let mut pipeline = spec(shorthand).build(&ctx, 3).expect("valid defense");
             pipeline.run(&mut trace.stream(), |_, _| {});
             pipeline.overhead()
         };
-        let morphing_only = run_overhead(DefenseKind::Morphing);
-        let composed = run_overhead(DefenseKind::MorphThenReshape);
+        let morphing_only = run_overhead("morphing");
+        let composed = run_overhead("morph_or");
         assert_eq!(morphing_only.added_bytes(), composed.added_bytes());
         assert_eq!(morphing_only.percent(), composed.percent());
     }
@@ -684,7 +562,7 @@ mod tests {
         let matrix = evaluate_defense(
             &adversary,
             &eval,
-            DefenseKind::None,
+            &DefenseSpec::none(),
             &config,
             FeatureMode::Full,
         );
@@ -713,7 +591,7 @@ mod tests {
 
         let batch = train_adversary(&config, mode);
         let batch_acc =
-            evaluate_defense(&batch, &eval, DefenseKind::None, &config, mode).mean_accuracy();
+            evaluate_defense(&batch, &eval, &DefenseSpec::none(), &config, mode).mean_accuracy();
 
         let mut evaluator = train_adversary_online(&config, mode);
         let warmup_examples = evaluator.examples();
@@ -724,7 +602,7 @@ mod tests {
         let online = evaluate_defense_online(
             &mut evaluator,
             &eval,
-            DefenseKind::None,
+            &DefenseSpec::none(),
             &config,
             config.eval_seed,
             mode,
@@ -745,16 +623,21 @@ mod tests {
     #[test]
     fn orthogonal_reshaping_hurts_the_adversary_more_than_round_robin() {
         let config = ExperimentConfig::quick();
-        let results = run_defense_comparison(
-            &config,
-            &[
-                DefenseKind::None,
-                DefenseKind::RoundRobin,
-                DefenseKind::Orthogonal,
-            ],
-            FeatureMode::Full,
-        );
-        let acc: Vec<f64> = results.iter().map(|(_, m)| m.mean_accuracy()).collect();
+        let adversary = train_adversary(&config, FeatureMode::Full);
+        let eval = config.evaluation_corpus();
+        let acc: Vec<f64> = ["none", "rr", "or"]
+            .into_iter()
+            .map(|shorthand| {
+                evaluate_defense(
+                    &adversary,
+                    &eval,
+                    &spec(shorthand),
+                    &config,
+                    FeatureMode::Full,
+                )
+                .mean_accuracy()
+            })
+            .collect();
         // Original >= RR accuracy >= OR accuracy (with a small tolerance for noise).
         assert!(
             acc[0] > acc[2],

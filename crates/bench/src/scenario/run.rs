@@ -297,7 +297,6 @@ pub fn run_scenario(scenario: &CompiledScenario) -> Result<ScenarioReport, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::DefenseKind;
     use crate::scenario::spec::{
         AdversarySpec, DefenseSpec, EventKind, EventSpec, ScenarioSpec, StationGroupSpec,
     };
@@ -316,7 +315,7 @@ mod tests {
                     seed: Some(700),
                     secs: 30.0,
                     interfaces: None,
-                    defense: DefenseSpec::from_kind(DefenseKind::Orthogonal),
+                    defense: DefenseSpec::parse("or").unwrap(),
                     stagger_secs: 0.0,
                 },
                 StationGroupSpec {
@@ -437,7 +436,7 @@ mod tests {
         spec.events = vec![EventSpec {
             at_secs: 15.0,
             station: None,
-            kind: EventKind::Splice(DefenseSpec::from_kind(DefenseKind::Padding)),
+            kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
             line: None,
         }];
         let report = run_scenario(&spec.build().expect("valid")).expect("runs");
@@ -459,7 +458,7 @@ mod tests {
         // the run reports it, on both executors.
         let mut spec = small_spec();
         spec.calib_secs = 1e-6;
-        spec.stations[1].defense = DefenseSpec::from_kind(DefenseKind::Morphing);
+        spec.stations[1].defense = DefenseSpec::parse("morphing").unwrap();
         let scenario = spec.build().expect("passes the static checks");
         for executor in [Executor::Pooled, Executor::virtual_time()] {
             let scenario = CompiledScenario {

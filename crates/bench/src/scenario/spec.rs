@@ -21,7 +21,7 @@
 //! app = "bt"            # any AppKind alias
 //! count = 4             # expands into 4 stations with consecutive seeds
 //! secs = 120.0          # session length per station
-//! defense = "padding"   # DefenseKind shorthand, or a [[stations.defense]] stage list
+//! defense = "padding"   # "+"-joined stage tags, or a [[stations.defense]] stage list
 //!
 //! [adversary]
 //! mode = "online"        # "batch" (frozen ensemble) or "online" (prequential)
@@ -33,7 +33,6 @@
 //! ```
 
 use crate::corpus::ExperimentConfig;
-use crate::pipeline::DefenseKind;
 use crate::streaming::Executor;
 use classifier::window::FeatureMode;
 use defenses::spec::{DefenseStageSpec, StageContext};
@@ -219,52 +218,24 @@ impl DefenseSpec {
         DefenseSpec::default()
     }
 
-    /// The stage list of a named [`DefenseKind`] — the bridge that makes the
-    /// historical enum a thin shorthand over the declarative form.
-    pub fn from_kind(kind: DefenseKind) -> Self {
-        let reshape = |algorithm| StageSpec::Reshape {
-            algorithm,
-            interfaces: None,
+    /// Parses the `defense = "…"` shorthand: the grammar [`label`](Self::label)
+    /// prints. The string is trimmed and lower-cased; `none` (or `original`)
+    /// is the empty list, anything else is `+`-joined stage tags, each read
+    /// like a bare `[[stations.defense]]` tag. `morph_or` and
+    /// `morph_then_reshape` stay as aliases of `morphing+or`.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        let lowered = s.trim().to_ascii_lowercase();
+        let tags = match lowered.as_str() {
+            "none" | "original" => return Ok(DefenseSpec::none()),
+            "morph_or" | "morph_then_reshape" => "morphing+or",
+            tags => tags,
         };
-        let stages = match kind {
-            DefenseKind::None => vec![],
-            DefenseKind::FrequencyHopping => {
-                vec![StageSpec::Defense(DefenseStageSpec::FrequencyHopping {
-                    dwell_ms: None,
-                })]
-            }
-            DefenseKind::Random => vec![reshape(AlgorithmSpec::Random)],
-            DefenseKind::RoundRobin => vec![reshape(AlgorithmSpec::RoundRobin)],
-            DefenseKind::Orthogonal => vec![reshape(AlgorithmSpec::Orthogonal)],
-            DefenseKind::OrthogonalModulo => vec![reshape(AlgorithmSpec::OrthogonalModulo)],
-            DefenseKind::Pseudonym => {
-                vec![StageSpec::Defense(DefenseStageSpec::Pseudonym {
-                    period_secs: None,
-                })]
-            }
-            DefenseKind::Padding => {
-                vec![StageSpec::Defense(DefenseStageSpec::Padding { size: None })]
-            }
-            DefenseKind::Morphing => {
-                vec![StageSpec::Defense(DefenseStageSpec::Morphing {
-                    target: None,
-                })]
-            }
-            DefenseKind::MorphThenReshape => vec![
-                StageSpec::Defense(DefenseStageSpec::Morphing { target: None }),
-                reshape(AlgorithmSpec::Orthogonal),
-            ],
-        };
-        DefenseSpec { stages }
-    }
-
-    /// The [`DefenseKind`] this spec is the expansion of, if any — the
-    /// inverse of [`from_kind`](Self::from_kind), used where an API still
-    /// speaks the enum shorthand (e.g. `evaluate_defense`).
-    pub fn as_kind(&self) -> Option<DefenseKind> {
-        DefenseKind::ALL
-            .into_iter()
-            .find(|kind| &DefenseSpec::from_kind(*kind) == self)
+        let stages = tags
+            .split('+')
+            .map(|tag| StageSpec::from_value(&Value::Str(tag.to_string())))
+            .collect::<Result<_, _>>()
+            .map_err(|e| format!("unknown defense `{s}`: {e}"))?;
+        Ok(DefenseSpec { stages })
     }
 
     /// A human-readable label (`"morphing+or"`, `"none"`).
@@ -309,12 +280,12 @@ impl DefenseSpec {
     /// constructing stages (morphing calibration is expensive).
     pub fn validate(&self, interfaces: usize) -> Result<(), String> {
         for stage in &self.stages {
-            if let StageSpec::Reshape {
-                algorithm,
-                interfaces: stage_interfaces,
-            } = stage
-            {
-                algorithm.validate(stage_interfaces.unwrap_or(interfaces))?;
+            match stage {
+                StageSpec::Defense(d) => d.validate()?,
+                StageSpec::Reshape {
+                    algorithm,
+                    interfaces: stage_interfaces,
+                } => algorithm.validate(stage_interfaces.unwrap_or(interfaces))?,
             }
         }
         Ok(())
@@ -330,13 +301,8 @@ impl Serialize for DefenseSpec {
 impl Deserialize for DefenseSpec {
     fn from_value(v: &Value) -> Result<Self, Error> {
         match v {
-            // A DefenseKind shorthand (`defense = "morph_or"`).
-            Value::Str(s) => {
-                let kind = s
-                    .parse::<DefenseKind>()
-                    .map_err(|e| Error::custom(format!("{e} (and `{s}` is not a stage list)")))?;
-                Ok(DefenseSpec::from_kind(kind))
-            }
+            // The shorthand (`defense = "morph_or"`).
+            Value::Str(s) => DefenseSpec::parse(s).map_err(Error::custom),
             Value::Seq(stages) => Ok(DefenseSpec {
                 stages: stages
                     .iter()
@@ -1178,7 +1144,7 @@ mod tests {
                     seed: Some(100),
                     secs: 40.0,
                     interfaces: None,
-                    defense: DefenseSpec::from_kind(DefenseKind::Orthogonal),
+                    defense: DefenseSpec::parse("or").unwrap(),
                     stagger_secs: 0.0,
                 },
                 StationGroupSpec {
@@ -1256,7 +1222,7 @@ mod tests {
             EventSpec {
                 at_secs: 20.0,
                 station: None,
-                kind: EventKind::Splice(DefenseSpec::from_kind(DefenseKind::Padding)),
+                kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
                 line: None,
             },
         ];
@@ -1309,7 +1275,7 @@ mod tests {
             EventSpec {
                 at_secs: 25.0,
                 station: Some(0),
-                kind: EventKind::Splice(DefenseSpec::from_kind(DefenseKind::Padding)),
+                kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
                 line: Some(31),
             },
         ];
@@ -1331,7 +1297,7 @@ mod tests {
             EventSpec {
                 at_secs: 25.0,
                 station: None,
-                kind: EventKind::Splice(DefenseSpec::from_kind(DefenseKind::Padding)),
+                kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
                 line: None,
             },
         ];
@@ -1488,27 +1454,160 @@ mod tests {
         assert_eq!(spec.stations[0].secs, 9.0);
     }
 
+    /// Asserts that a one-station `bt` spec with the `[[stations.defense]]`
+    /// entry `stage` parses but fails to build with an error naming `key`:
+    /// these values used to pass `--check` and then panic at admission.
+    fn assert_stage_rejected(stage: &str, key: &str) {
+        let doc = format!("[[stations]]\napp = \"bt\"\n[[stations.defense]]\n{stage}");
+        let value = crate::scenario::toml::parse(&doc).expect("well-formed TOML");
+        let spec = ScenarioSpec::from_value(&value).expect("parses");
+        let err = spec.build().unwrap_err();
+        assert!(err.contains(key), "{stage}: {err}");
+    }
+
+    #[test]
+    fn zero_padding_size_is_rejected() {
+        assert_stage_rejected("stage = \"padding\"\nsize = 0", "size");
+    }
+
+    #[test]
+    fn zero_pseudonym_period_is_rejected() {
+        assert_stage_rejected("stage = \"pseudonym\"\nperiod_secs = 0.0", "period_secs");
+    }
+
+    #[test]
+    fn negative_pseudonym_period_is_rejected() {
+        assert_stage_rejected("stage = \"pseudonym\"\nperiod_secs = -1.0", "period_secs");
+    }
+
+    #[test]
+    fn zero_hopping_dwell_is_rejected() {
+        assert_stage_rejected("stage = \"frequency_hopping\"\ndwell_ms = 0", "dwell_ms");
+    }
+
+    #[test]
+    fn invalid_splice_stages_are_rejected() {
+        // Splices validate their stages like station groups do.
+        let mut spec = demo_spec();
+        spec.events = vec![EventSpec {
+            at_secs: 10.0,
+            station: None,
+            kind: EventKind::Splice(DefenseSpec {
+                stages: vec![StageSpec::Defense(DefenseStageSpec::Padding {
+                    size: Some(0),
+                })],
+            }),
+            line: Some(4),
+        }];
+        let err = spec.build().unwrap_err();
+        assert!(err.contains("(line 4)") && err.contains("size"), "{err}");
+    }
+
+    #[test]
+    fn shorthand_grammar_reads_every_named_defense() {
+        let reshape = |algorithm| StageSpec::Reshape {
+            algorithm,
+            interfaces: None,
+        };
+        let fh = StageSpec::Defense(DefenseStageSpec::FrequencyHopping { dwell_ms: None });
+        let pseudonym = StageSpec::Defense(DefenseStageSpec::Pseudonym { period_secs: None });
+        let padding = StageSpec::Defense(DefenseStageSpec::Padding { size: None });
+        let morphing = StageSpec::Defense(DefenseStageSpec::Morphing { target: None });
+        let ra = reshape(AlgorithmSpec::Random);
+        let rr = reshape(AlgorithmSpec::RoundRobin);
+        let or = reshape(AlgorithmSpec::Orthogonal);
+        let or_mod = reshape(AlgorithmSpec::OrthogonalModulo);
+        // Every string the retired enum shorthand accepted, with the stage
+        // list it expanded to.
+        let named: [(&str, Vec<StageSpec>); 23] = [
+            ("none", vec![]),
+            ("original", vec![]),
+            ("fh", vec![fh]),
+            ("frequency_hopping", vec![fh]),
+            ("ra", vec![ra]),
+            ("random", vec![ra]),
+            ("rr", vec![rr]),
+            ("round_robin", vec![rr]),
+            ("or", vec![or]),
+            ("orthogonal", vec![or]),
+            ("or_mod", vec![or_mod]),
+            ("or-mod", vec![or_mod]),
+            ("orthogonal_modulo", vec![or_mod]),
+            ("pseudonym", vec![pseudonym]),
+            ("padding", vec![padding]),
+            ("morphing", vec![morphing]),
+            ("morph_or", vec![morphing, or]),
+            ("morph+or", vec![morphing, or]),
+            ("morph_then_reshape", vec![morphing, or]),
+            // Case and surrounding whitespace are ignored.
+            (" OR ", vec![or]),
+            ("Original", vec![]),
+            ("\tMorph_Or\n", vec![morphing, or]),
+            ("PADDING", vec![padding]),
+        ];
+        for (shorthand, stages) in named {
+            let spec = DefenseSpec::from_value(&Value::Str(shorthand.to_string()))
+                .unwrap_or_else(|e| panic!("{shorthand:?}: {e}"));
+            assert_eq!(spec.stages, stages, "{shorthand:?}");
+            // The table form reads back the same list.
+            assert_eq!(DefenseSpec::from_value(&spec.to_value()).unwrap(), spec);
+        }
+
+        for bad in ["bogus", "or+", "+", "none+or", ""] {
+            assert!(
+                DefenseSpec::from_value(&Value::Str(bad.to_string())).is_err(),
+                "{bad:?} must be rejected"
+            );
+        }
+    }
+
     #[test]
     fn defense_spec_round_trips_every_kind() {
-        for kind in [
-            DefenseKind::None,
-            DefenseKind::FrequencyHopping,
-            DefenseKind::Random,
-            DefenseKind::RoundRobin,
-            DefenseKind::Orthogonal,
-            DefenseKind::OrthogonalModulo,
-            DefenseKind::Pseudonym,
-            DefenseKind::Padding,
-            DefenseKind::Morphing,
-            DefenseKind::MorphThenReshape,
+        let reshape = |algorithm| StageSpec::Reshape {
+            algorithm,
+            interfaces: None,
+        };
+        let fh = StageSpec::Defense(DefenseStageSpec::FrequencyHopping { dwell_ms: None });
+        let pseudonym = StageSpec::Defense(DefenseStageSpec::Pseudonym { period_secs: None });
+        let padding = StageSpec::Defense(DefenseStageSpec::Padding { size: None });
+        let morphing = StageSpec::Defense(DefenseStageSpec::Morphing { target: None });
+        let ra = reshape(AlgorithmSpec::Random);
+        let rr = reshape(AlgorithmSpec::RoundRobin);
+        let or = reshape(AlgorithmSpec::Orthogonal);
+        let or_mod = reshape(AlgorithmSpec::OrthogonalModulo);
+        // `label()` prints the shorthand: every parameter-free named
+        // defense, and compositions in either order, read back unchanged,
+        // from the label and from the table form alike.
+        for stages in [
+            vec![],
+            vec![fh],
+            vec![ra],
+            vec![rr],
+            vec![or],
+            vec![or_mod],
+            vec![pseudonym],
+            vec![padding],
+            vec![morphing],
+            vec![morphing, or],
+            vec![padding, or],
+            vec![or, padding],
         ] {
-            let spec = DefenseSpec::from_kind(kind);
-            let back = DefenseSpec::from_value(&spec.to_value()).expect("round trip");
-            assert_eq!(back, spec, "{kind:?}");
+            let spec = DefenseSpec { stages };
+            let label = spec.label();
+            assert_eq!(
+                DefenseSpec::from_value(&Value::Str(label.clone())).unwrap(),
+                spec,
+                "{label}"
+            );
+            assert_eq!(
+                DefenseSpec::from_value(&spec.to_value()).unwrap(),
+                spec,
+                "{label}"
+            );
         }
-        assert_eq!(DefenseSpec::from_kind(DefenseKind::None).label(), "none");
+        assert_eq!(DefenseSpec::none().label(), "none");
         assert_eq!(
-            DefenseSpec::from_kind(DefenseKind::MorphThenReshape).label(),
+            DefenseSpec::parse("morph_or").unwrap().label(),
             "morphing+or"
         );
     }

@@ -47,7 +47,7 @@ pub use vtime::{ExecutionOutcome, Executor, ExecutorStats};
 mod tests {
     use super::*;
     use crate::corpus::ExperimentConfig;
-    use crate::pipeline::{train_adversary, DefenseKind};
+    use crate::pipeline::train_adversary;
     use crate::scenario::spec::DefenseSpec;
     use classifier::ensemble::AdversaryEnsemble;
     use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
@@ -65,7 +65,8 @@ mod tests {
     struct StationSpec {
         app: AppKind,
         seed: u64,
-        defense: DefenseKind,
+        /// The defense, as its shorthand.
+        defense: &'static str,
         interfaces: usize,
         session_secs: f64,
     }
@@ -74,7 +75,7 @@ mod tests {
         /// The spec as a [`StationRun`] builder.
         fn to_run(self) -> StationRun {
             StationRun::new(TrafficSpec::bounded(self.app, self.seed, self.session_secs))
-                .defense(DefenseSpec::from_kind(self.defense))
+                .defense(DefenseSpec::parse(self.defense).expect("valid shorthand"))
                 .interfaces(self.interfaces)
         }
     }
@@ -193,7 +194,7 @@ mod tests {
         // quick batch corpus (40 s sessions), streamed packet by packet.
         let adversary = quick_adversary();
         let report = StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 5, 1200.0))
-            .defense(DefenseSpec::from_kind(DefenseKind::Orthogonal))
+            .defense(DefenseSpec::parse("or").unwrap())
             .run(&mut FrozenScorer::new(&adversary))
             .expect("OR builds on 3 interfaces");
         assert!(
@@ -209,16 +210,16 @@ mod tests {
 
     fn mixed_specs(count: usize) -> Vec<StationSpec> {
         let kinds = [
-            DefenseKind::None,
-            DefenseKind::FrequencyHopping,
-            DefenseKind::Random,
-            DefenseKind::RoundRobin,
-            DefenseKind::Orthogonal,
-            DefenseKind::OrthogonalModulo,
-            DefenseKind::Pseudonym,
-            DefenseKind::Padding,
-            DefenseKind::Morphing,
-            DefenseKind::MorphThenReshape,
+            "none",
+            "fh",
+            "ra",
+            "rr",
+            "or",
+            "or_mod",
+            "pseudonym",
+            "padding",
+            "morphing",
+            "morph_or",
         ];
         (0..count)
             .map(|i| StationSpec {
@@ -268,19 +269,9 @@ mod tests {
         // Transforming defenses report their cost through the shared ledger.
         for (spec, report) in stations.iter().zip(&outcome.results) {
             match spec.defense {
-                DefenseKind::Padding => assert!(report.overhead.percent() > 0.0),
-                DefenseKind::None
-                | DefenseKind::FrequencyHopping
-                | DefenseKind::Pseudonym
-                | DefenseKind::Random
-                | DefenseKind::RoundRobin
-                | DefenseKind::Orthogonal
-                | DefenseKind::OrthogonalModulo => {
-                    assert_eq!(report.overhead.added_bytes(), 0)
-                }
-                DefenseKind::Morphing | DefenseKind::MorphThenReshape => {
-                    assert!(report.overhead.percent() >= 0.0)
-                }
+                "padding" => assert!(report.overhead.percent() > 0.0),
+                "morphing" | "morph_or" => assert!(report.overhead.percent() >= 0.0),
+                _ => assert_eq!(report.overhead.added_bytes(), 0),
             }
         }
     }
@@ -363,12 +354,7 @@ mod tests {
         // The online mode on the work-stealing pool: each station forks the
         // shared warm adversary, so pooled and sequential runs are identical.
         let base = warm_base();
-        let kinds = [
-            DefenseKind::None,
-            DefenseKind::Orthogonal,
-            DefenseKind::Padding,
-            DefenseKind::MorphThenReshape,
-        ];
+        let kinds = ["none", "or", "padding", "morph_or"];
         let stations: Vec<StationSpec> = (0..12)
             .map(|i| StationSpec {
                 app: AppKind::ALL[i % AppKind::COUNT],
@@ -417,7 +403,7 @@ mod tests {
         let spec = StationSpec {
             app: AppKind::BitTorrent,
             seed: 41,
-            defense: DefenseKind::None,
+            defense: "none",
             interfaces: 1,
             session_secs: 240.0,
         };
@@ -441,7 +427,7 @@ mod tests {
         let base = warm_base();
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let report = StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 17, 240.0))
-            .splice(120.0, DefenseSpec::from_kind(DefenseKind::Orthogonal))
+            .splice(120.0, DefenseSpec::parse("or").unwrap())
             .run(&mut evaluator)
             .expect("OR builds on 3 interfaces");
         let pre_stats = report.phases[0].segment.as_ref().expect("live scorer");
@@ -469,7 +455,7 @@ mod tests {
         let traffic = TrafficSpec::bounded(AppKind::BitTorrent, 17, 120.0);
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let spliced = StationRun::new(traffic)
-            .splice(0.0, DefenseSpec::from_kind(DefenseKind::Orthogonal))
+            .splice(0.0, DefenseSpec::parse("or").unwrap())
             .run(&mut evaluator)
             .expect("OR builds on 3 interfaces");
         let pre = spliced.phases[0].segment.as_ref().expect("live scorer");
@@ -480,7 +466,7 @@ mod tests {
         // Reference: the same session with the defense active from the start.
         let mut reference = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let single = StationRun::new(traffic)
-            .defense(DefenseSpec::from_kind(DefenseKind::Orthogonal))
+            .defense(DefenseSpec::parse("or").unwrap())
             .run(&mut reference)
             .expect("OR builds on 3 interfaces");
         assert_eq!(spliced.packets, single.packets);
@@ -499,7 +485,7 @@ mod tests {
         let traffic = TrafficSpec::bounded(AppKind::BitTorrent, 23, 60.0);
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let report = StationRun::new(traffic)
-            .splice(1e6, DefenseSpec::from_kind(DefenseKind::Padding))
+            .splice(1e6, DefenseSpec::parse("padding").unwrap())
             .run(&mut evaluator)
             .expect("padding always builds");
         let pre = report.phases[0].segment.as_ref().expect("live scorer");
@@ -522,8 +508,8 @@ mod tests {
         let base = warm_base();
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let report = StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 31, 180.0))
-            .splice(60.0, DefenseSpec::from_kind(DefenseKind::Padding))
-            .splice(120.0, DefenseSpec::from_kind(DefenseKind::Orthogonal))
+            .splice(60.0, DefenseSpec::parse("padding").unwrap())
+            .splice(120.0, DefenseSpec::parse("or").unwrap())
             .run(&mut evaluator)
             .expect("padding and OR build");
         assert_eq!(report.phases.len(), 3);
@@ -554,25 +540,15 @@ mod tests {
         // than the same undefended session.
         let adversary = quick_adversary();
         let window = SimDuration::from_secs(5);
-        let make = |defense: DefenseKind, interfaces: usize| StationSpec {
+        let make = |defense: &'static str, interfaces: usize| StationSpec {
             app: AppKind::BitTorrent,
             seed: 9,
             defense,
             interfaces,
             session_secs: 120.0,
         };
-        let undefended = frozen_station(
-            &make(DefenseKind::None, 1),
-            &adversary,
-            window,
-            FeatureMode::Full,
-        );
-        let defended = frozen_station(
-            &make(DefenseKind::Orthogonal, 3),
-            &adversary,
-            window,
-            FeatureMode::Full,
-        );
+        let undefended = frozen_station(&make("none", 1), &adversary, window, FeatureMode::Full);
+        let defended = frozen_station(&make("or", 3), &adversary, window, FeatureMode::Full);
         assert!(
             defended.identification_rate() < undefended.identification_rate() + 1e-9,
             "OR ({:.2}) should not beat the undefended baseline ({:.2})",
@@ -585,7 +561,7 @@ mod tests {
     fn a_non_finite_splice_time_fails_the_run() {
         let adversary = quick_adversary();
         let err = StationRun::new(TrafficSpec::bounded(AppKind::Chatting, 3, 10.0))
-            .splice(f64::NAN, DefenseSpec::from_kind(DefenseKind::Padding))
+            .splice(f64::NAN, DefenseSpec::parse("padding").unwrap())
             .run(&mut FrozenScorer::new(&adversary))
             .expect_err("a NaN splice time cannot be scheduled");
         assert!(err.contains("splice time NaN"), "{err}");
@@ -600,7 +576,7 @@ mod tests {
         let base = warm_base();
         let run_of = || {
             StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 13, 90.0))
-                .splice(45.0, DefenseSpec::from_kind(DefenseKind::Padding))
+                .splice(45.0, DefenseSpec::parse("padding").unwrap())
         };
         let frozen_at = |batch: usize| {
             run_of()

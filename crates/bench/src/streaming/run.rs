@@ -11,15 +11,14 @@
 //! ```no_run
 //! use bench::streaming::{FrozenScorer, StationRun};
 //! use bench::scenario::DefenseSpec;
-//! use bench::DefenseKind;
 //! use traffic_gen::spec::TrafficSpec;
 //! use traffic_gen::app::AppKind;
 //! # let adversary: classifier::ensemble::AdversaryEnsemble = unimplemented!();
 //! let report = StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 7, 120.0))
-//!     .defense(DefenseSpec::from_kind(DefenseKind::Orthogonal))
-//!     .splice(60.0, DefenseSpec::from_kind(DefenseKind::Padding))
-//!     .run(&mut FrozenScorer::new(&adversary))
-//!     .expect("valid defense stages");
+//!     .defense(DefenseSpec::parse("or")?)
+//!     .splice(60.0, DefenseSpec::parse("padding")?)
+//!     .run(&mut FrozenScorer::new(&adversary))?;
+//! # Ok::<(), String>(())
 //! ```
 
 use super::machine::{ScheduledReport, StagedScratch, StationMachine, WindowScorer, WINDOW_BATCH};

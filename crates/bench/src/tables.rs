@@ -18,7 +18,8 @@ use traffic_gen::packet::Direction;
 use traffic_gen::trace::Trace;
 
 use crate::corpus::ExperimentConfig;
-use crate::pipeline::{self, DefenseKind};
+use crate::pipeline;
+use crate::scenario::DefenseSpec;
 
 // ---------------------------------------------------------------------------
 // Table I — traffic features on virtual interfaces (AP -> user direction)
@@ -123,18 +124,40 @@ impl AccuracyTable {
     }
 }
 
+/// The columns of Tables II and III in paper order: the printed label and
+/// the defense's shorthand.
+const TABLE23: [(&str, &str); 5] = [
+    ("Original", "none"),
+    ("FH", "fh"),
+    ("RA", "ra"),
+    ("RR", "rr"),
+    ("OR", "or"),
+];
+
+/// The defense a table column names by its shorthand.
+fn defense(shorthand: &str) -> DefenseSpec {
+    DefenseSpec::parse(shorthand).expect("table defenses are valid shorthands")
+}
+
 /// Tables II and III: classification accuracy of the original traffic and of
 /// FH / RA / RR / OR, for the eavesdropping window of `config`.
 pub fn accuracy_table(config: &ExperimentConfig) -> AccuracyTable {
-    let results =
-        pipeline::run_defense_comparison(config, &DefenseKind::TABLE23, FeatureMode::Full);
-    AccuracyTable::from_matrices(
-        config.window_secs,
-        results
-            .into_iter()
-            .map(|(d, m)| (d.label().to_string(), m))
-            .collect(),
-    )
+    let adversary = pipeline::train_adversary(config, FeatureMode::Full);
+    let eval = config.evaluation_corpus();
+    let results = TABLE23
+        .iter()
+        .map(|&(label, shorthand)| {
+            let matrix = pipeline::evaluate_defense(
+                &adversary,
+                &eval,
+                &defense(shorthand),
+                config,
+                FeatureMode::Full,
+            );
+            (label.to_string(), matrix)
+        })
+        .collect();
+    AccuracyTable::from_matrices(config.window_secs, results)
 }
 
 /// Table II (W = 5 s).
@@ -165,13 +188,19 @@ pub struct FalsePositiveTable {
 
 /// Table IV runner.
 pub fn table4(config: &ExperimentConfig) -> FalsePositiveTable {
-    let results = pipeline::run_defense_comparison(
-        config,
-        &[DefenseKind::None, DefenseKind::Orthogonal],
-        FeatureMode::Full,
-    );
-    let original = &results[0].1;
-    let reshaped = &results[1].1;
+    let adversary = pipeline::train_adversary(config, FeatureMode::Full);
+    let eval = config.evaluation_corpus();
+    let evaluate = |shorthand| {
+        pipeline::evaluate_defense(
+            &adversary,
+            &eval,
+            &defense(shorthand),
+            config,
+            FeatureMode::Full,
+        )
+    };
+    let original = &evaluate("none");
+    let reshaped = &evaluate("or");
     let rows: Vec<(AppKind, f64, f64)> = AppKind::ALL
         .iter()
         .map(|&app| {
@@ -211,7 +240,7 @@ pub fn table5(config: &ExperimentConfig, interface_counts: &[usize]) -> Accuracy
             let matrix = pipeline::evaluate_defense(
                 &adversary,
                 &eval,
-                DefenseKind::Orthogonal,
+                &defense("or"),
                 &cfg,
                 FeatureMode::Full,
             );
@@ -282,14 +311,14 @@ pub fn table6(config: &ExperimentConfig) -> EfficiencyTable {
     let padded_matrix = pipeline::evaluate_defense(
         &timing_adversary,
         &eval,
-        DefenseKind::Padding,
+        &defense("padding"),
         config,
         FeatureMode::TimingOnly,
     );
     let reshaped_matrix = pipeline::evaluate_defense(
         &full_adversary,
         &eval,
-        DefenseKind::Orthogonal,
+        &defense("or"),
         config,
         FeatureMode::Full,
     );
@@ -361,13 +390,8 @@ pub fn combined_defense(config: &ExperimentConfig) -> CombinedResult {
     let adversary = pipeline::train_adversary(config, FeatureMode::Full);
     let eval = config.evaluation_corpus();
 
-    let or_matrix = pipeline::evaluate_defense(
-        &adversary,
-        &eval,
-        DefenseKind::Orthogonal,
-        config,
-        FeatureMode::Full,
-    );
+    let or_matrix =
+        pipeline::evaluate_defense(&adversary, &eval, &defense("or"), config, FeatureMode::Full);
 
     // OR + morphing of interface 1 (small packets) toward gaming.
     let gaming = SessionGenerator::new(AppKind::Gaming, config.train_seed ^ 0xcafe)

@@ -7,9 +7,10 @@
 //!    from its specs are **byte-identical** to independent hand-coded
 //!    constructions of the same defenses — so the refactored `bench_json`
 //!    reproduces its prior numbers from data.
-//! 3. The shorthand ↔ declarative bridge round-trips every `DefenseKind`.
+//!
+//! The shorthand grammar itself is pinned by `scenario::spec`'s unit tests;
+//! here every named defense only has to read back from its own label.
 
-use bench::pipeline::DefenseKind;
 use bench::scenario::{default_scenarios_dir, load_spec, spec_files, AdversaryMode, DefenseSpec};
 use bench::ExperimentConfig;
 use defenses::morphing::{paper_morphing_target, TrafficMorpher};
@@ -57,18 +58,12 @@ fn throughput_baseline_spec_pins_the_historical_bench_json_workload() {
     assert_eq!(scenario.calib_secs, 60.0);
     assert_eq!(scenario.adversary.mode, AdversaryMode::Batch);
     assert_eq!(scenario.adversary.train, ExperimentConfig::quick());
-    let kinds: Vec<DefenseKind> = scenario
-        .stations()
-        .map(|s| s.defense.as_kind().expect("shorthand kinds"))
+    let defenses: Vec<DefenseSpec> = scenario.stations().map(|s| s.defense).collect();
+    let expected: Vec<DefenseSpec> = ["padding", "morphing", "morph_or"]
+        .into_iter()
+        .map(|shorthand| DefenseSpec::parse(shorthand).unwrap())
         .collect();
-    assert_eq!(
-        kinds,
-        vec![
-            DefenseKind::Padding,
-            DefenseKind::Morphing,
-            DefenseKind::MorphThenReshape
-        ]
-    );
+    assert_eq!(defenses, expected);
     for station in scenario.stations() {
         assert_eq!(station.traffic.app, AppKind::BitTorrent);
         assert_eq!(station.traffic.seed, 1);
@@ -85,24 +80,59 @@ fn staged(mut pipeline: StagePipeline, trace: &Trace) -> Vec<(u32, PacketRecord)
     out
 }
 
-/// The historical hand-coded pipeline of a [`DefenseKind`], reconstructed
-/// independently of the declarative path (this is what
-/// `bench::pipeline::defense_pipeline` did before the refactor).
+/// Every named defense, by shorthand.
+const NAMED: [&str; 10] = [
+    "none",
+    "fh",
+    "ra",
+    "rr",
+    "or",
+    "or_mod",
+    "pseudonym",
+    "padding",
+    "morphing",
+    "morph_or",
+];
+
+#[test]
+fn kind_round_trips_through_the_declarative_form() {
+    // Every named defense reads back unchanged from the label it prints.
+    for shorthand in NAMED {
+        let spec = DefenseSpec::parse(shorthand).unwrap();
+        assert_eq!(
+            DefenseSpec::parse(&spec.label()).unwrap(),
+            spec,
+            "{shorthand}"
+        );
+    }
+    // A stage with a parameter is NOT a named defense: its label names the
+    // stage only, so it reads back with the default parameter.
+    let custom = DefenseSpec {
+        stages: vec![bench::scenario::StageSpec::Defense(
+            defenses::spec::DefenseStageSpec::Padding { size: Some(400) },
+        )],
+    };
+    assert_eq!(custom.label(), "padding");
+    assert_ne!(DefenseSpec::parse(&custom.label()).unwrap(), custom);
+}
+
+/// The historical hand-coded pipeline of a named defense, reconstructed
+/// independently of the declarative path.
 fn hand_coded_pipeline(
-    kind: DefenseKind,
+    shorthand: &str,
     app: AppKind,
     interfaces: usize,
     seed: u64,
     calib_secs: f64,
     source: Option<&Trace>,
 ) -> StagePipeline {
-    let scheduler: Option<Box<dyn ReshapeAlgorithm>> = match kind {
-        DefenseKind::Random => Some(Box::new(RandomAssign::new(interfaces, seed))),
-        DefenseKind::RoundRobin => Some(Box::new(RoundRobin::new(interfaces))),
-        DefenseKind::Orthogonal => Some(Box::new(OrthogonalRanges::new(
+    let scheduler: Option<Box<dyn ReshapeAlgorithm>> = match shorthand {
+        "ra" => Some(Box::new(RandomAssign::new(interfaces, seed))),
+        "rr" => Some(Box::new(RoundRobin::new(interfaces))),
+        "or" => Some(Box::new(OrthogonalRanges::new(
             SizeRanges::for_interface_count(interfaces).expect("valid"),
         ))),
-        DefenseKind::OrthogonalModulo => Some(Box::new(OrthogonalModulo::new(interfaces))),
+        "or_mod" => Some(Box::new(OrthogonalModulo::new(interfaces))),
         _ => None,
     };
     if let Some(algorithm) = scheduler {
@@ -120,59 +150,42 @@ fn hand_coded_pipeline(
             }
         }
     };
-    match kind {
-        DefenseKind::None => StagePipeline::new(),
-        DefenseKind::FrequencyHopping => {
-            StagePipeline::new().with_stage(FrequencyHopper::default().stage())
-        }
-        DefenseKind::Pseudonym => StagePipeline::new()
+    match shorthand {
+        "none" => StagePipeline::new(),
+        "fh" => StagePipeline::new().with_stage(FrequencyHopper::default().stage()),
+        "pseudonym" => StagePipeline::new()
             .with_stage(PseudonymRotator::default().stage_with_rng(StdRng::seed_from_u64(seed))),
-        DefenseKind::Padding => StagePipeline::new().with_stage(PacketPadder::new().stage()),
-        DefenseKind::Morphing => StagePipeline::new().with_stage(morphing(app)),
-        DefenseKind::MorphThenReshape => {
-            StagePipeline::new()
-                .with_stage(morphing(app))
-                .with_stage(ReshapeStage::new(Box::new(OrthogonalRanges::new(
-                    SizeRanges::for_interface_count(interfaces).expect("valid"),
-                ))))
-        }
-        _ => unreachable!("reshaping kinds handled above"),
+        "padding" => StagePipeline::new().with_stage(PacketPadder::new().stage()),
+        "morphing" => StagePipeline::new().with_stage(morphing(app)),
+        "morph_or" => StagePipeline::new()
+            .with_stage(morphing(app))
+            .with_stage(ReshapeStage::new(Box::new(OrthogonalRanges::new(
+                SizeRanges::for_interface_count(interfaces).expect("valid"),
+            )))),
+        other => unreachable!("no hand-coded pipeline for `{other}`"),
     }
 }
 
 #[test]
 fn spec_built_pipelines_are_byte_identical_to_the_hand_coded_constructions() {
     let trace = SessionGenerator::new(AppKind::BitTorrent, 1).generate_secs(40.0);
-    for kind in DefenseKind::ALL {
+    for shorthand in NAMED {
         let ctx = StageContext {
             app: AppKind::BitTorrent,
             seed: 1,
             calib_secs: 40.0,
             source: Some(&trace),
         };
-        let from_spec = DefenseSpec::from_kind(kind)
+        let from_spec = DefenseSpec::parse(shorthand)
+            .unwrap()
             .build(&ctx, 3)
             .expect("valid spec");
-        let reference = hand_coded_pipeline(kind, AppKind::BitTorrent, 3, 1, 40.0, Some(&trace));
+        let reference =
+            hand_coded_pipeline(shorthand, AppKind::BitTorrent, 3, 1, 40.0, Some(&trace));
         assert_eq!(
             staged(from_spec, &trace),
             staged(reference, &trace),
-            "{kind:?}: spec-built pipeline diverged from the historical construction"
+            "{shorthand}: spec-built pipeline diverged from the historical construction"
         );
     }
-}
-
-#[test]
-fn kind_round_trips_through_the_declarative_form() {
-    for kind in DefenseKind::ALL {
-        let spec = DefenseSpec::from_kind(kind);
-        assert_eq!(spec.as_kind(), Some(kind));
-    }
-    // A custom stage list is NOT a shorthand kind.
-    let custom = DefenseSpec {
-        stages: vec![bench::scenario::StageSpec::Defense(
-            defenses::spec::DefenseStageSpec::Padding { size: Some(400) },
-        )],
-    };
-    assert_eq!(custom.as_kind(), None);
 }

@@ -10,9 +10,10 @@
 //! Flushing stays a `finish`-time event: chopping a stream into slices must
 //! never flush mid-session.
 
-use bench::pipeline::{defense_pipeline, DefenseKind};
+use bench::scenario::DefenseSpec;
 use defenses::overhead::Overhead;
 use defenses::padding::PacketPadder;
+use defenses::spec::StageContext;
 use defenses::stage::{FlowId, StagePipeline};
 use proptest::prelude::*;
 use reshape_core::ranges::SizeRanges;
@@ -25,6 +26,39 @@ use traffic_gen::trace::Trace;
 
 const CALIB_SECS: f64 = 30.0;
 const INTERFACES: usize = 3;
+
+/// Every named defense, by shorthand.
+const NAMED: [&str; 10] = [
+    "none",
+    "fh",
+    "ra",
+    "rr",
+    "or",
+    "or_mod",
+    "pseudonym",
+    "padding",
+    "morphing",
+    "morph_or",
+];
+
+/// The stage pipeline of a named defense, built the way the table
+/// evaluation builds it.
+fn named_pipeline(
+    shorthand: &str,
+    app: AppKind,
+    seed: u64,
+    source: Option<&Trace>,
+) -> StagePipeline {
+    let ctx = StageContext {
+        app,
+        seed,
+        calib_secs: CALIB_SECS,
+        source,
+    };
+    DefenseSpec::parse(shorthand)
+        .and_then(|spec| spec.build(&ctx, INTERFACES))
+        .expect("named defenses build")
+}
 
 /// Expands a seed into 1–10 slice lengths in `1..=199` (the vendored
 /// proptest shim has no collection strategy, so the vector is derived).
@@ -82,7 +116,7 @@ fn via_run(pipeline: &mut StagePipeline, trace: &Trace) -> (Emitted, Overhead) {
 }
 
 /// The composed pad∘OR pipeline (per-vif padding behind the reshaper) — a
-/// composition no `DefenseKind` covers, so slice handoff between stages with
+/// composition no named defense covers, so slice handoff between stages with
 /// different flow fan-outs is exercised too.
 fn pad_then_or() -> StagePipeline {
     StagePipeline::new()
@@ -101,21 +135,20 @@ proptest! {
         sizes_seed in 0u64..1_000_000,
     ) {
         let sizes = chunk_sizes(sizes_seed);
-        for kind in DefenseKind::ALL {
+        for kind in NAMED {
             let app = AppKind::BitTorrent;
             let trace = trace_for(app, seed);
-            let build =
-                || defense_pipeline(kind, app, INTERFACES, seed, CALIB_SECS, Some(&trace));
+            let build = || named_pipeline(kind, app, seed, Some(&trace));
             let reference = per_packet(&mut build(), &trace);
             let sliced = batched(&mut build(), &trace, &sizes);
             prop_assert!(
                 sliced == reference,
-                "{kind:?}: slicing at {sizes:?} changed the output (seed {seed})"
+                "{kind}: slicing at {sizes:?} changed the output (seed {seed})"
             );
             let ran = via_run(&mut build(), &trace);
             prop_assert!(
                 ran == reference,
-                "{kind:?}: run() diverged from the per-packet path (seed {seed})"
+                "{kind}: run() diverged from the per-packet path (seed {seed})"
             );
         }
     }
@@ -127,7 +160,7 @@ proptest! {
     ) {
         let sizes = chunk_sizes(sizes_seed);
         let trace = trace_for(AppKind::BitTorrent, seed);
-        // pad∘OR, built by hand; morph∘OR is DefenseKind::MorphThenReshape.
+        // pad∘OR, built by hand; morph∘OR is the named `morph_or`.
         let reference = per_packet(&mut pad_then_or(), &trace);
         let sliced = batched(&mut pad_then_or(), &trace, &sizes);
         prop_assert!(
@@ -158,8 +191,7 @@ fn slices_never_flush_mid_session() {
     // so feeding two half-traces must differ from two separate sessions
     // whenever the defense carries cross-packet state (round-robin does).
     let trace = trace_for(AppKind::BitTorrent, 7);
-    let kind = DefenseKind::RoundRobin;
-    let build = || defense_pipeline(kind, AppKind::BitTorrent, INTERFACES, 7, CALIB_SECS, None);
+    let build = || named_pipeline("rr", AppKind::BitTorrent, 7, None);
 
     let (whole, _) = batched(&mut build(), &trace, &[trace.len()]);
     let (halved, _) = batched(&mut build(), &trace, &[trace.len() / 2]);

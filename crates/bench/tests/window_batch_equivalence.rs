@@ -20,9 +20,7 @@
 //!    earlier window tested.
 
 use bench::pipeline::{train_adversary, train_adversary_online};
-use bench::{
-    DefenseKind, DefenseSpec, Executor, ExperimentConfig, FrozenScorer, StationRun, WINDOW_BATCH,
-};
+use bench::{DefenseSpec, Executor, ExperimentConfig, FrozenScorer, StationRun, WINDOW_BATCH};
 use classifier::ensemble::AdversaryEnsemble;
 use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
 use classifier::window::FeatureMode;
@@ -38,24 +36,19 @@ const WINDOW_SECS: u64 = 2;
 /// splices its defense mid-session so a phase boundary closes with windows
 /// still pending in the batch buffer.
 fn run_of(i: usize, seed: u64, batch: usize) -> StationRun {
-    let kinds = [
-        DefenseKind::Padding,
-        DefenseKind::Orthogonal,
-        DefenseKind::Morphing,
-        DefenseKind::None,
-    ];
+    let kinds = ["padding", "or", "morphing", "none"];
     let mut run = StationRun::new(TrafficSpec::bounded(
         AppKind::ALL[i % AppKind::COUNT],
         seed.wrapping_add(i as u64),
         20.0,
     ))
-    .defense(DefenseSpec::from_kind(kinds[i % kinds.len()]))
+    .defense(DefenseSpec::parse(kinds[i % kinds.len()]).unwrap())
     .interfaces(3)
     .window(SimDuration::from_secs(WINDOW_SECS))
     .feature_mode(FeatureMode::Full)
     .window_batch(batch);
     if i == 0 {
-        run = run.splice(9.0, DefenseSpec::from_kind(DefenseKind::Padding));
+        run = run.splice(9.0, DefenseSpec::parse("padding").unwrap());
     }
     run
 }

@@ -23,7 +23,7 @@ use bench::scenario::{
     ScenarioSpec,
 };
 use bench::streaming::STATION_CALIB_SECS;
-use bench::{DefenseKind, Executor, ExperimentConfig, FrozenScorer, StationRun};
+use bench::{Executor, ExperimentConfig, FrozenScorer, StationRun};
 use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
 use classifier::stream::FlowWindowers;
 use classifier::window::{FeatureMode, DEFAULT_MIN_PACKETS};
@@ -45,11 +45,12 @@ const SESSION_SECS: f64 = 20.0;
 fn per_packet_reference(
     app: AppKind,
     seed: u64,
-    kind: DefenseKind,
+    kind: &str,
     mut score: impl FnMut(&classifier::stream::WindowExample) -> usize,
 ) -> (u64, u64) {
     let ctx = StageContext::live(app, seed, STATION_CALIB_SECS);
-    let mut pipeline = DefenseSpec::from_kind(kind)
+    let mut pipeline = DefenseSpec::parse(kind)
+        .unwrap()
         .build(&ctx, 3)
         .expect("committed kinds build");
     let mut windowers = FlowWindowers::for_app(
@@ -86,9 +87,9 @@ fn per_packet_reference(
 }
 
 /// The sliced path under test, configured identically to the reference.
-fn station_run(app: AppKind, seed: u64, kind: DefenseKind) -> StationRun {
+fn station_run(app: AppKind, seed: u64, kind: &str) -> StationRun {
     StationRun::new(TrafficSpec::bounded(app, seed, SESSION_SECS))
-        .defense(DefenseSpec::from_kind(kind))
+        .defense(DefenseSpec::parse(kind).unwrap())
         .interfaces(3)
         .window(SimDuration::from_secs(WINDOW_SECS))
         .feature_mode(FeatureMode::Full)
@@ -107,10 +108,10 @@ proptest! {
         let base = train_adversary_online(&ExperimentConfig::quick(), FeatureMode::Full)
             .into_adversary();
         let kinds = [
-            DefenseKind::None,
-            DefenseKind::Padding,
-            DefenseKind::Orthogonal,
-            DefenseKind::Morphing,
+            "none",
+            "padding",
+            "or",
+            "morphing",
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
             let app = AppKind::ALL[i % AppKind::COUNT];
@@ -221,12 +222,7 @@ fn sliced_windowing_keeps_live_timelines_executor_invariant() {
     // must be identical on every executor shape.
     let base: OnlineAdversary =
         train_adversary_online(&ExperimentConfig::quick(), FeatureMode::Full).into_adversary();
-    let kinds = [
-        DefenseKind::Padding,
-        DefenseKind::Orthogonal,
-        DefenseKind::Morphing,
-        DefenseKind::None,
-    ];
+    let kinds = ["padding", "or", "morphing", "none"];
     let run_of = |i: usize| {
         station_run(
             AppKind::ALL[i % AppKind::COUNT],

@@ -97,12 +97,42 @@ impl DefenseStageSpec {
         }
     }
 
+    /// Checks the stage's parameters, naming the bad key: a padding `size`
+    /// of at least one byte, a pseudonym `period_secs` that is positive,
+    /// finite and within [`SimDuration`]'s range (whole microseconds in a
+    /// u64), and a hopping `dwell_ms` of at least one millisecond that fits
+    /// the same range. Everything else the constructors would assert on.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            DefenseStageSpec::Padding { size: Some(0) } => {
+                Err("padding: size must be at least 1 byte, got 0".to_string())
+            }
+            DefenseStageSpec::Pseudonym {
+                period_secs: Some(secs),
+            } if !(0.5..u64::MAX as f64).contains(&(secs * 1e6)) => Err(format!(
+                "pseudonym: period_secs must be a positive, finite number of seconds \
+                 between 1 µs and {:.3e} s, got {secs}",
+                u64::MAX as f64 / 1e6
+            )),
+            DefenseStageSpec::FrequencyHopping { dwell_ms: Some(ms) }
+                if ms == 0 || ms > u64::MAX / 1_000 =>
+            {
+                Err(format!(
+                    "frequency_hopping: dwell_ms must be between 1 and {}, got {ms}",
+                    u64::MAX / 1_000
+                ))
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Constructs the streaming stage this spec describes.
     ///
-    /// Fails when a morphing calibration session (or the context's source
-    /// trace) holds no packets, since no size distribution can be estimated
-    /// from it.
+    /// Fails when [`validate`](Self::validate) does, or when a morphing
+    /// calibration session (or the context's source trace) holds no packets,
+    /// since no size distribution can be estimated from it.
     pub fn build(&self, ctx: &StageContext<'_>) -> Result<Box<dyn PacketStage>, String> {
+        self.validate()?;
         Ok(match self {
             DefenseStageSpec::Padding { size } => {
                 let padder = match size {
@@ -361,6 +391,35 @@ mod tests {
         assert!(spec
             .build(&StageContext::live(AppKind::BitTorrent, 3, 20.0))
             .is_ok());
+    }
+
+    #[test]
+    fn out_of_range_parameters_fail_to_build_instead_of_panicking() {
+        let ctx = StageContext::live(AppKind::BitTorrent, 1, 20.0);
+        let size = |s| DefenseStageSpec::Padding { size: Some(s) };
+        let period = |secs| DefenseStageSpec::Pseudonym {
+            period_secs: Some(secs),
+        };
+        let dwell = |ms| DefenseStageSpec::FrequencyHopping { dwell_ms: Some(ms) };
+        let mut rejected = vec![
+            (size(0), "size"),
+            (dwell(0), "dwell_ms"),
+            (dwell(u64::MAX), "dwell_ms"),
+        ];
+        // Zero, negative, NaN, below one microsecond, beyond u64 microseconds.
+        for secs in [0.0, -1.0, f64::NAN, 1e-9, 1e300] {
+            rejected.push((period(secs), "period_secs"));
+        }
+        for (spec, key) in rejected {
+            let Err(err) = spec.build(&ctx) else {
+                panic!("{spec:?} must be rejected");
+            };
+            assert!(err.contains(key), "{spec:?}: {err}");
+        }
+        // The smallest valid values still build.
+        for spec in [size(1), period(1e-6), dwell(1)] {
+            assert!(spec.build(&ctx).is_ok(), "{spec:?}");
+        }
     }
 
     #[test]

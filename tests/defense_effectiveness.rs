@@ -200,15 +200,16 @@ fn transforming_defenses_stream_through_the_same_unified_path() {
     // The bench evaluation's single streaming path handles transforming
     // defenses too: padding examples streamed through the stage pipeline
     // match the batch wrapper -> windowing reference exactly.
-    use bench::pipeline::{apply_defense, defended_examples, DefenseKind};
-    use bench::ExperimentConfig;
+    use bench::pipeline::{apply_defense, defended_examples};
+    use bench::{DefenseSpec, ExperimentConfig};
 
     let config = ExperimentConfig::quick();
     let trace = SessionGenerator::new(AppKind::Chatting, 77).generate_secs(45.0);
-    for defense in [DefenseKind::Padding, DefenseKind::Morphing] {
-        let streamed = defended_examples(&trace, defense, &config, 3, FeatureMode::Full);
+    for shorthand in ["padding", "morphing"] {
+        let defense = DefenseSpec::parse(shorthand).unwrap();
+        let streamed = defended_examples(&trace, &defense, &config, 3, FeatureMode::Full);
         let mut batch = Vec::new();
-        for observed in apply_defense(&trace, defense, &config, 3) {
+        for observed in apply_defense(&trace, &defense, &config, 3) {
             batch.extend(windowed_examples(
                 &observed,
                 config.window(),
@@ -216,7 +217,7 @@ fn transforming_defenses_stream_through_the_same_unified_path() {
                 FeatureMode::Full,
             ));
         }
-        assert!(!streamed.is_empty(), "{defense:?} produced no examples");
-        assert_eq!(streamed, batch, "{defense:?} paths diverge");
+        assert!(!streamed.is_empty(), "{shorthand} produced no examples");
+        assert_eq!(streamed, batch, "{shorthand} paths diverge");
     }
 }
