@@ -49,12 +49,12 @@ fn station_trace(scenario: &Scenario, index: usize) -> Trace {
 fn defended_overhead_pct(scenario: &Scenario, index: usize) -> f64 {
     let station = scenario.station(index);
     let trace = station_trace(scenario, index);
-    let ctx = StageContext {
-        app: station.traffic.app,
-        seed: station.traffic.seed,
-        calib_secs: scenario.calib_secs,
-        source: Some(&trace),
-    };
+    let ctx = StageContext::batch(
+        station.traffic.app,
+        station.traffic.seed,
+        scenario.calib_secs,
+        &trace,
+    );
     let mut pipeline = station
         .defense
         .build(&ctx, station.interfaces)

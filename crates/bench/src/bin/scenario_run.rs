@@ -124,13 +124,14 @@ fn main() {
                 );
                 println!(
                     "    [{}: {} workers, {:.0} stations/s, peak_active {}, \
-                     {} events, {:.1} packets/event]",
+                     {} events, {:.1} packets/event, {} calibrations]",
                     scenario.executor.name(),
                     stats.workers,
                     report.stations as f64 / secs,
                     stats.peak_active,
                     stats.events_popped,
-                    stats.packets_per_event()
+                    stats.packets_per_event(),
+                    stats.calibrations
                 );
             }
             Err(e) => {

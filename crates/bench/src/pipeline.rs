@@ -167,8 +167,8 @@ fn morphed_reference(
 ///
 /// The pipeline is built with the materialised trace as its
 /// [`StageContext::source`], so morphing estimates its source CDF from the
-/// actual traffic, and its calibration sessions last
-/// `config.train_session_secs`.
+/// actual traffic, and its target calibration session (seeded from `seed`)
+/// lasts `config.train_session_secs`.
 ///
 /// # Panics
 /// If `defense` does not build for `config.interfaces`, or a morphing
@@ -184,12 +184,7 @@ pub fn defended_examples(
     let Some(app) = trace.app() else {
         return Vec::new();
     };
-    let ctx = StageContext {
-        app,
-        seed,
-        calib_secs: config.train_session_secs,
-        source: Some(trace),
-    };
+    let ctx = StageContext::batch(app, seed, config.train_session_secs, trace);
     let mut pipeline = defense
         .build(&ctx, config.interfaces)
         .expect("evaluated defenses are constants or validated specs");
@@ -464,12 +459,7 @@ mod tests {
         // (reshaping adds none), and the per-stage ledgers agree.
         let config = ExperimentConfig::quick();
         let trace = SessionGenerator::new(AppKind::Chatting, 9).generate_secs(40.0);
-        let ctx = StageContext {
-            app: AppKind::Chatting,
-            seed: 7,
-            calib_secs: config.train_session_secs,
-            source: Some(&trace),
-        };
+        let ctx = StageContext::batch(AppKind::Chatting, 7, config.train_session_secs, &trace);
         let mut pipeline = spec("morph_or")
             .build(&ctx, config.interfaces)
             .expect("valid composition");
@@ -499,12 +489,7 @@ mod tests {
         use crate::scenario::AlgorithmSpec;
 
         let trace = SessionGenerator::new(AppKind::BitTorrent, 3).generate_secs(40.0);
-        let ctx = StageContext {
-            app: AppKind::BitTorrent,
-            seed: 3,
-            calib_secs: 40.0,
-            source: Some(&trace),
-        };
+        let ctx = StageContext::batch(AppKind::BitTorrent, 3, 40.0, &trace);
         let pad = StageSpec::Defense(DefenseStageSpec::Padding { size: None });
         let morph = StageSpec::Defense(DefenseStageSpec::Morphing { target: None });
         let or = StageSpec::Reshape {

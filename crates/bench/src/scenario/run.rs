@@ -390,6 +390,40 @@ mod tests {
     }
 
     #[test]
+    fn each_worker_calibrates_each_morphing_pair_once() {
+        // Four BitTorrent stations share the BT→video calibration, the video
+        // station adds video→downloading: two pairs, two sessions each.
+        let mut spec = small_spec();
+        spec.stations[0].count = 4;
+        spec.stations[0].defense = DefenseSpec::parse("morphing").unwrap();
+        spec.stations[1].defense = DefenseSpec::parse("morph_or").unwrap();
+        let scenario = spec.build().expect("valid spec");
+        let adversary = train_for(&scenario);
+        let run = |workers| {
+            execute_scenario(
+                &scenario,
+                &adversary,
+                Executor::VirtualTime {
+                    workers: Some(workers),
+                    max_slice: None,
+                },
+            )
+            .expect("runs")
+        };
+        let (one, stats) = run(1);
+        assert_eq!(stats.calibrations, 4);
+        // Worker 0 holds stations 0, 2 and 4 (both pairs), worker 1 stations
+        // 1 and 3 (one pair).
+        let (two, stats) = run(2);
+        assert_eq!(stats.calibrations, 6);
+        assert_eq!(one, two);
+        let (pooled, stats) =
+            execute_scenario(&scenario, &adversary, Executor::Pooled).expect("runs");
+        assert!((4..=4 * stats.workers as u64).contains(&stats.calibrations));
+        assert_eq!(one, pooled);
+    }
+
+    #[test]
     fn the_report_cap_keeps_aggregates_over_everyone() {
         let mut spec = small_spec();
         spec.max_station_reports = 1;
@@ -460,7 +494,14 @@ mod tests {
         spec.calib_secs = 1e-6;
         spec.stations[1].defense = DefenseSpec::parse("morphing").unwrap();
         let scenario = spec.build().expect("passes the static checks");
-        for executor in [Executor::Pooled, Executor::virtual_time()] {
+        for executor in [
+            Executor::Pooled,
+            Executor::virtual_time(),
+            Executor::VirtualTime {
+                workers: Some(1),
+                max_slice: None,
+            },
+        ] {
             let scenario = CompiledScenario {
                 executor,
                 ..scenario.clone()
@@ -471,5 +512,19 @@ mod tests {
                 "{err}"
             );
         }
+        // Every morphing station of a worker fails, the later ones with the
+        // error the memo cached from the first.
+        let mut spec = small_spec();
+        spec.calib_secs = 1e-6;
+        spec.stations[0].defense = DefenseSpec::parse("morph_or").unwrap();
+        let scenario = spec.build().expect("passes the static checks");
+        let memo = defenses::spec::MorphCalibrations::new();
+        for i in 0..2 {
+            let Err(err) = station_run(&scenario, scenario.station(i)).admit(&memo) else {
+                panic!("station {i} must fail to admit");
+            };
+            assert!(err.contains("calib_secs"), "station {i}: {err}");
+        }
+        assert_eq!(memo.sessions(), 1, "the failed calibration is cached");
     }
 }

@@ -392,17 +392,13 @@ impl StationMachine {
     }
 
     /// Session end: closes the running phase, reports any phase scheduled
-    /// past the end as empty, and returns the station's report.
-    pub(crate) fn finish(self, scorer: &mut dyn WindowScorer) -> ScheduledReport {
-        self.finish_with(scorer, None)
-    }
-
-    /// [`finish`](Self::finish), optionally reclaiming every phase
-    /// pipeline's scratch buffers into `reclaim` for the next admission.
-    pub(crate) fn finish_with(
+    /// past the end as empty, reclaims every phase pipeline's scratch
+    /// buffers into `reclaim` for the next admission, and returns the
+    /// station's report.
+    pub(crate) fn finish(
         mut self,
         scorer: &mut dyn WindowScorer,
-        mut reclaim: Option<&mut Vec<StageOutput>>,
+        reclaim: &mut Vec<StageOutput>,
     ) -> ScheduledReport {
         close_phase(
             &mut self.phases[self.index].1,
@@ -432,13 +428,11 @@ impl StationMachine {
                     segment: scorer.end_phase(),
                 });
             }
-            if let Some(pool) = reclaim.as_deref_mut() {
-                let (mut a, mut b) = pipeline.release_scratch();
-                a.clear();
-                b.clear();
-                pool.push(a);
-                pool.push(b);
-            }
+            let (mut a, mut b) = pipeline.release_scratch();
+            a.clear();
+            b.clear();
+            reclaim.push(a);
+            reclaim.push(b);
         }
         ScheduledReport {
             app: self.app,

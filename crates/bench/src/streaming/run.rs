@@ -24,7 +24,7 @@
 use super::machine::{ScheduledReport, StagedScratch, StationMachine, WindowScorer, WINDOW_BATCH};
 use crate::scenario::spec::DefenseSpec;
 use classifier::window::FeatureMode;
-use defenses::spec::StageContext;
+use defenses::spec::{MorphCalibrations, StageContext};
 use defenses::stage::STAGE_BATCH;
 use std::cmp::Ordering;
 use traffic_gen::app::AppKind;
@@ -35,7 +35,9 @@ use wlan_sim::time::SimDuration;
 
 /// Session length of the calibration traces generated for morphing stations
 /// (the live stream never materialises, so the source CDF comes from a
-/// short generated session of the same application).
+/// short generated session of the same application). The sessions do not
+/// depend on the station (see [`defenses::spec::LIVE_CALIBRATION_SEED`]), so
+/// an executor worker calibrates each `(app, target)` pair once per run.
 pub const STATION_CALIB_SECS: f64 = 60.0;
 
 /// One station's evaluation, as a value: traffic, a defense schedule, the
@@ -108,7 +110,9 @@ impl StationRun {
         self
     }
 
-    /// Seed of seeded defense stages (defaults to the traffic seed).
+    /// Seed of seeded defense stages (defaults to the traffic seed): the
+    /// pseudonym draws and the random-assignment scheduler. Morphing
+    /// calibration does not use it; it is the same for every station.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
@@ -161,8 +165,9 @@ impl StationRun {
 
     /// Admits the station: builds its defense pipelines and packet source.
     /// This is the moment a station starts holding state — before it, a run
-    /// is just a description.
-    pub(crate) fn admit(self) -> Result<AdmittedStation, String> {
+    /// is just a description. Morphing stages come from the worker's memo of
+    /// `calibrations`.
+    pub(crate) fn admit(self, calibrations: &MorphCalibrations) -> Result<AdmittedStation, String> {
         let mut splices = self.splices;
         if let Some((at, _)) = splices.iter().find(|(at, _)| !at.is_finite()) {
             return Err(format!("splice time {at} is not finite"));
@@ -170,7 +175,10 @@ impl StationRun {
         // Finite times always compare; the sort is stable, so equal times
         // (`-0.0` and `0.0` included) keep their insertion order.
         splices.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
-        let ctx = StageContext::live(self.traffic.app, self.seed, self.calib_secs);
+        let ctx = StageContext {
+            calibrations: Some(calibrations),
+            ..StageContext::live(self.traffic.app, self.seed, self.calib_secs)
+        };
         let mut phases = vec![(0.0, self.initial.build(&ctx, self.interfaces)?)];
         for (at, defense) in &splices {
             phases.push((*at, defense.build(&ctx, self.interfaces)?));
@@ -192,30 +200,43 @@ impl StationRun {
     /// Fails if a splice time is not finite or a defense stage cannot be
     /// built (e.g. an invalid interface count for orthogonal reshaping).
     pub fn run(self, scorer: &mut dyn WindowScorer) -> Result<ScheduledReport, String> {
-        let mut station = self.admit()?;
-        station.drain(scorer);
-        Ok(station.finish(scorer))
+        self.run_in(scorer, &mut StationScratch::new())
+    }
+
+    /// [`run`](Self::run) on a worker's recycled `scratch` (buffers and
+    /// morphing calibrations).
+    pub(crate) fn run_in(
+        self,
+        scorer: &mut dyn WindowScorer,
+        scratch: &mut StationScratch,
+    ) -> Result<ScheduledReport, String> {
+        let mut station = self.admit(&scratch.calibrations)?;
+        station.adopt_scratch(scratch);
+        station.drain_until(None, scratch, scorer);
+        Ok(station.finish_into(scorer, scratch))
     }
 }
 
-/// Per-worker recycled allocations: the drain micro-batch plus a pool of
-/// stage scratch buffers handed to pipelines at admission
+/// Per-worker recycled state: the drain micro-batch, a pool of stage scratch
+/// buffers handed to pipelines at admission
 /// ([`AdmittedStation::adopt_scratch`]) and reclaimed at retirement
-/// ([`AdmittedStation::finish_into`]), so high-churn populations pay the
-/// buffer growth once per worker instead of once per admission.
+/// ([`AdmittedStation::finish_into`]), and the memo of morphing
+/// calibrations, so high-churn populations pay the buffer growth and each
+/// `(app, target)` calibration once per worker instead of once per
+/// admission. It lives for one execution.
 #[derive(Debug, Default)]
 pub(crate) struct StationScratch {
     batch: Vec<PacketRecord>,
     staged: StagedScratch,
     outputs: Vec<defenses::stage::StageOutput>,
+    pub(crate) calibrations: MorphCalibrations,
 }
 
 impl StationScratch {
     pub(crate) fn new() -> Self {
         StationScratch {
             batch: Vec::with_capacity(STAGE_BATCH),
-            staged: StagedScratch::default(),
-            outputs: Vec::new(),
+            ..StationScratch::default()
         }
     }
 }
@@ -294,25 +315,14 @@ impl AdmittedStation {
         run
     }
 
-    /// Drains the whole source in [`STAGE_BATCH`]-sized micro-batches — the
-    /// station-at-a-time fast path, byte-identical to stepping per packet.
-    pub(crate) fn drain(&mut self, scorer: &mut dyn WindowScorer) {
-        let mut scratch = StationScratch::new();
-        self.drain_until(None, &mut scratch, scorer);
-    }
-
-    /// Retires the station and returns its report.
-    pub(crate) fn finish(self, scorer: &mut dyn WindowScorer) -> ScheduledReport {
-        self.machine.finish(scorer)
-    }
-
-    /// [`finish`](Self::finish), reclaiming the phase pipelines' scratch
-    /// buffers into the per-worker pool for the next admission.
+    /// Retires the station and returns its report, reclaiming the phase
+    /// pipelines' scratch buffers into the per-worker pool for the next
+    /// admission.
     pub(crate) fn finish_into(
         self,
         scorer: &mut dyn WindowScorer,
         scratch: &mut StationScratch,
     ) -> ScheduledReport {
-        self.machine.finish_with(scorer, Some(&mut scratch.outputs))
+        self.machine.finish(scorer, &mut scratch.outputs)
     }
 }

@@ -50,34 +50,48 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use wlan_sim::time::SimDuration;
 
-/// The bounded work-stealing pool shared by the batch and online station
-/// runners (and the scenario engine): at most `available_parallelism`
-/// workers steal the next unprocessed index from a shared atomic queue and
-/// run `body` on it. Results come back in index order.
-pub(crate) fn pooled<T: Send>(count: usize, body: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// The bounded work-stealing pool: at most `available_parallelism` workers,
+/// each owning one `state()`, steal the next unprocessed index from a shared
+/// atomic queue and run `body` on it. Results come back in index order, the
+/// worker states after them.
+fn pooled<W: Send, T: Send>(
+    count: usize,
+    state: impl Fn() -> W + Sync,
+    body: impl Fn(&mut W, usize) -> T + Sync,
+) -> (Vec<T>, Vec<W>) {
     let workers = default_parallelism().min(count.max(1));
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                let result = body(i);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
-        }
+    let states = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut worker = state();
+                    loop {
+                        let i = next.fetch_add(1, AtomicOrdering::Relaxed);
+                        if i >= count {
+                            break worker;
+                        }
+                        let result = body(&mut worker, i);
+                        *slots[i].lock().expect("result slot poisoned") = Some(result);
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().expect("pool worker panicked"))
+            .collect()
     });
-    slots
+    let results = slots
         .into_iter()
         .map(|slot| {
             slot.into_inner()
                 .expect("result slot poisoned")
                 .expect("every stolen index produced a result")
         })
-        .collect()
+        .collect();
+    (results, states)
 }
 
 /// The machine's available parallelism (8 when unknown).
@@ -174,6 +188,10 @@ pub struct ExecutorStats {
     pub events_popped: u64,
     /// Packets pulled from every station's source.
     pub packets: u64,
+    /// Morphing calibration sessions generated, summed over workers. Each
+    /// worker calibrates an `(app, target)` pair once per execution, so this
+    /// is at most two sessions per pair per worker, whatever the population.
+    pub calibrations: u64,
 }
 
 impl ExecutorStats {
@@ -218,12 +236,13 @@ fn churn_order(a: &ChurnRecord, b: &ChurnRecord) -> Ordering {
 }
 
 /// One shard's contribution to an execution: its churn log (already in
-/// canonical order) plus its event/packet counters.
+/// canonical order) plus its event/packet/calibration counters.
 #[derive(Debug, Default)]
 struct ShardLog {
     records: Vec<ChurnRecord>,
     events_popped: u64,
     packets: u64,
+    calibrations: u64,
 }
 
 /// An event in a shard's heap, ordered by `(time, station, kind)` with
@@ -297,18 +316,19 @@ impl Executor {
     {
         match *self {
             Executor::Pooled => {
-                let results: Result<Vec<(T, u64)>, String> = pooled(count, |i| {
+                let (results, scratches) = pooled(count, StationScratch::new, |scratch, i| {
                     let mut scorer = scorer_of(i);
                     let report = run_of(i)
-                        .run(&mut scorer)
+                        .run_in(&mut scorer, scratch)
                         .map_err(|e| format!("station {i}: {e}"))?;
                     let packets = report.packets;
                     Ok((finish(i, report, scorer), packets))
-                })
-                .into_iter()
-                .collect();
-                let workers = default_parallelism().min(count.max(1));
-                let pairs = results?;
+                });
+                let workers = scratches.len();
+                let calibrations = scratches.iter().map(|s| s.calibrations.sessions()).sum();
+                let pairs = results
+                    .into_iter()
+                    .collect::<Result<Vec<(T, u64)>, String>>()?;
                 let packets = pairs.iter().map(|(_, p)| p).sum();
                 Ok(ExecutionOutcome {
                     results: pairs.into_iter().map(|(t, _)| t).collect(),
@@ -319,6 +339,7 @@ impl Executor {
                         virtual_secs: 0.0,
                         events_popped: 0,
                         packets,
+                        calibrations,
                     },
                 })
             }
@@ -391,6 +412,7 @@ where
     }));
     let events_popped = shards.iter().map(|log| log.events_popped).sum();
     let packets = shards.iter().map(|log| log.packets).sum();
+    let calibrations = shards.iter().map(|log| log.calibrations).sum();
     let total: usize = shards.iter().map(|log| log.records.len()).sum();
     let mut cursors = vec![0usize; shards.len()];
     let mut active = 0usize;
@@ -432,6 +454,7 @@ where
             virtual_secs,
             events_popped,
             packets,
+            calibrations,
         },
     })
 }
@@ -481,7 +504,7 @@ where
         match event.kind {
             EventKind::Admit => {
                 let mut admitted = run_of(event.station)
-                    .admit()
+                    .admit(&scratch.calibrations)
                     .map_err(|e| (event.station, e))?;
                 admitted.adopt_scratch(&mut scratch);
                 let station = Box::new(LiveStation {
@@ -528,6 +551,7 @@ where
             }),
         }
     }
+    log.calibrations = scratch.calibrations.sessions();
     Ok(log)
 }
 

@@ -14,7 +14,7 @@
 use bench::scenario::{default_scenarios_dir, load_spec, spec_files, AdversaryMode, DefenseSpec};
 use bench::ExperimentConfig;
 use defenses::morphing::{paper_morphing_target, TrafficMorpher};
-use defenses::spec::StageContext;
+use defenses::spec::{StageContext, LIVE_CALIBRATION_SEED};
 use defenses::stage::StagePipeline;
 use defenses::{FrequencyHopper, PacketPadder, PseudonymRotator};
 use rand::rngs::StdRng;
@@ -138,14 +138,23 @@ fn hand_coded_pipeline(
     if let Some(algorithm) = scheduler {
         return StagePipeline::new().with_stage(ReshapeStage::new(algorithm));
     }
+    // A materialised source seeds the target session from the station; a
+    // live station calibrates both sessions from the shared constant.
     let morphing = |app: AppKind| {
         let target_app = paper_morphing_target(app);
-        let target = SessionGenerator::new(target_app, seed ^ 0xfeed).generate_secs(calib_secs);
+        let calib_seed = if source.is_some() {
+            seed
+        } else {
+            LIVE_CALIBRATION_SEED
+        };
+        let target =
+            SessionGenerator::new(target_app, calib_seed ^ 0xfeed).generate_secs(calib_secs);
         let morpher = TrafficMorpher::from_target_trace(target_app, &target);
         match source {
             Some(trace) => morpher.stage_for_source_trace(trace),
             None => {
-                let calib = SessionGenerator::new(app, seed ^ 0xca1b).generate_secs(calib_secs);
+                let calib =
+                    SessionGenerator::new(app, calib_seed ^ 0xca1b).generate_secs(calib_secs);
                 morpher.stage_for_source_trace(&calib)
             }
         }
@@ -169,23 +178,25 @@ fn hand_coded_pipeline(
 #[test]
 fn spec_built_pipelines_are_byte_identical_to_the_hand_coded_constructions() {
     let trace = SessionGenerator::new(AppKind::BitTorrent, 1).generate_secs(40.0);
-    for shorthand in NAMED {
-        let ctx = StageContext {
-            app: AppKind::BitTorrent,
-            seed: 1,
-            calib_secs: 40.0,
-            source: Some(&trace),
-        };
-        let from_spec = DefenseSpec::parse(shorthand)
-            .unwrap()
-            .build(&ctx, 3)
-            .expect("valid spec");
-        let reference =
-            hand_coded_pipeline(shorthand, AppKind::BitTorrent, 3, 1, 40.0, Some(&trace));
-        assert_eq!(
-            staged(from_spec, &trace),
-            staged(reference, &trace),
-            "{shorthand}: spec-built pipeline diverged from the historical construction"
-        );
+    // Batch (a materialised source) and live (calibration sessions only).
+    for source in [Some(&trace), None] {
+        for shorthand in NAMED {
+            let ctx = StageContext {
+                source,
+                ..StageContext::live(AppKind::BitTorrent, 1, 40.0)
+            };
+            let from_spec = DefenseSpec::parse(shorthand)
+                .unwrap()
+                .build(&ctx, 3)
+                .expect("valid spec");
+            let reference = hand_coded_pipeline(shorthand, AppKind::BitTorrent, 3, 1, 40.0, source);
+            assert_eq!(
+                staged(from_spec, &trace),
+                staged(reference, &trace),
+                "{shorthand} (source {}): spec-built pipeline diverged from the \
+                 historical construction",
+                source.is_some()
+            );
+        }
     }
 }

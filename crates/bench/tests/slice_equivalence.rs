@@ -50,10 +50,8 @@ fn named_pipeline(
     source: Option<&Trace>,
 ) -> StagePipeline {
     let ctx = StageContext {
-        app,
-        seed,
-        calib_secs: CALIB_SECS,
         source,
+        ..StageContext::live(app, seed, CALIB_SECS)
     };
     DefenseSpec::parse(shorthand)
         .and_then(|spec| spec.build(&ctx, INTERFACES))

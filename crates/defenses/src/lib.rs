@@ -44,5 +44,5 @@ pub use morphing::{MorphingStage, TrafficMorpher};
 pub use overhead::Overhead;
 pub use padding::{PacketPadder, PaddingStage};
 pub use pseudonym::{PseudonymRotator, PseudonymStage};
-pub use spec::{DefenseStageSpec, StageContext};
+pub use spec::{DefenseStageSpec, MorphCalibrations, StageContext, LIVE_CALIBRATION_SEED};
 pub use stage::{FlowId, FlowMap, FlowTraces, PacketStage, StagePipeline, ROOT_FLOW};

@@ -30,6 +30,7 @@ use crate::stage::{stage_trace, FlowId, PacketStage, StageOutput};
 use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::distribution::SizeHistogram;
+use traffic_gen::generator::SessionGenerator;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::trace::Trace;
 use traffic_gen::MAX_PACKET_SIZE;
@@ -51,6 +52,22 @@ pub fn paper_morphing_target(source: AppKind) -> AppKind {
     }
 }
 
+/// A trace's packet sizes over the morphing bins.
+fn morphing_histogram(trace: &Trace) -> SizeHistogram {
+    SizeHistogram::from_sizes(
+        trace.packets().iter().map(|p| p.size),
+        MAX_PACKET_SIZE,
+        MORPH_BIN_WIDTH,
+    )
+}
+
+/// The size histogram, over the morphing bins, of the generated session
+/// `SessionGenerator::new(app, seed).generate_secs(secs)`, streamed without
+/// materialising the session (bit-identical to binning the trace).
+pub(crate) fn calibration_histogram(app: AppKind, seed: u64, secs: f64) -> SizeHistogram {
+    SessionGenerator::new(app, seed).size_histogram_secs(secs, MAX_PACKET_SIZE, MORPH_BIN_WIDTH)
+}
+
 /// Morphs packet sizes of a source trace toward a target application's
 /// empirical size distribution.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -68,18 +85,28 @@ impl TrafficMorpher {
     ///
     /// Panics if the target trace is empty.
     pub fn from_target_trace(target_app: AppKind, target_trace: &Trace) -> Self {
+        Self::from_target_histogram(target_app, &morphing_histogram(target_trace))
+    }
+
+    /// Builds a morpher from a size histogram of the target application
+    /// over the morphing bins (e.g. [`calibration_histogram`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the histogram is empty or uses other bins.
+    pub(crate) fn from_target_histogram(target_app: AppKind, target: &SizeHistogram) -> Self {
         assert!(
-            !target_trace.is_empty(),
+            !target.is_empty(),
             "cannot build a morphing target from an empty trace"
         );
-        let hist = SizeHistogram::from_sizes(
-            target_trace.packets().iter().map(|p| p.size),
-            MAX_PACKET_SIZE,
+        assert_eq!(
+            target.bin_width(),
             MORPH_BIN_WIDTH,
+            "not a morphing histogram"
         );
         TrafficMorpher {
             target_app,
-            target_cdf: hist.cdf(),
+            target_cdf: target.cdf(),
             bin_width: MORPH_BIN_WIDTH,
         }
     }
@@ -108,16 +135,26 @@ impl TrafficMorpher {
     ///
     /// Panics if the source trace is empty.
     pub fn stage_for_source_trace(&self, source_trace: &Trace) -> MorphingStage {
+        self.stage_for_source_histogram(&morphing_histogram(source_trace))
+    }
+
+    /// The streaming morphing stage for a source size histogram over the
+    /// morphing bins (e.g. [`calibration_histogram`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the histogram is empty or uses other bins.
+    pub(crate) fn stage_for_source_histogram(&self, source: &SizeHistogram) -> MorphingStage {
         assert!(
-            !source_trace.is_empty(),
+            !source.is_empty(),
             "cannot estimate a source CDF from an empty trace"
         );
-        let hist = SizeHistogram::from_sizes(
-            source_trace.packets().iter().map(|p| p.size),
-            MAX_PACKET_SIZE,
+        assert_eq!(
+            source.bin_width(),
             self.bin_width,
+            "not a morphing histogram"
         );
-        MorphingStage::new(self.clone(), hist.cdf())
+        MorphingStage::new(self.clone(), source.cdf())
     }
 
     /// Morphs a source trace: every packet's size is replaced by the target
@@ -220,7 +257,6 @@ impl PacketStage for MorphingStage {
 mod tests {
     use super::*;
     use crate::stage::ROOT_FLOW;
-    use traffic_gen::generator::SessionGenerator;
     use traffic_gen::packet::Direction;
 
     fn trace_of(app: AppKind, seed: u64, secs: f64) -> Trace {

@@ -6,6 +6,7 @@
 //! [`BidirectionalModel::generate`]), so a seed reproduces every packet.
 
 use crate::app::AppKind;
+use crate::distribution::SizeHistogram;
 use crate::models::{spec_for, BidirectionalModel};
 use crate::trace::Trace;
 use rand::rngs::StdRng;
@@ -49,8 +50,26 @@ impl SessionGenerator {
 
     /// Generates a trace of the given duration (seconds).
     pub fn generate_secs(&self, duration_secs: f64) -> Trace {
-        let rng = StdRng::seed_from_u64(self.seed ^ (self.app().class_index() as u64) << 56);
-        self.model.generate(rng, duration_secs)
+        self.model.generate(self.session_rng(), duration_secs)
+    }
+
+    /// The size histogram of [`generate_secs`](Self::generate_secs)'s trace,
+    /// streamed without materialising it (see
+    /// [`BidirectionalModel::size_histogram`]).
+    pub fn size_histogram_secs(
+        &self,
+        duration_secs: f64,
+        max_size: usize,
+        bin_width: usize,
+    ) -> SizeHistogram {
+        self.model
+            .size_histogram(self.session_rng(), duration_secs, max_size, bin_width)
+    }
+
+    /// The RNG of the single session [`generate_secs`](Self::generate_secs)
+    /// draws.
+    fn session_rng(&self) -> StdRng {
+        StdRng::seed_from_u64(self.seed ^ (self.app().class_index() as u64) << 56)
     }
 
     /// Generates `count` independent session traces, each of `duration_secs`,
@@ -114,6 +133,27 @@ mod tests {
                 trace.packets_in(Direction::Uplink).count() > 0,
                 "{app} has no uplink packets"
             );
+        }
+    }
+
+    #[test]
+    fn streamed_size_histogram_equals_the_generated_traces() {
+        // The streamed histogram consumes the RNG exactly as the batch
+        // session does, so it is bit-identical to binning the trace.
+        use crate::MAX_PACKET_SIZE;
+        for app in AppKind::ALL {
+            for seed in [0, 1, 7, 0xca1b, u64::MAX] {
+                let gen = SessionGenerator::new(app, seed);
+                let trace = gen.generate_secs(20.0);
+                let binned = SizeHistogram::from_sizes(
+                    trace.packets().iter().map(|p| p.size),
+                    MAX_PACKET_SIZE,
+                    8,
+                );
+                let streamed = gen.size_histogram_secs(20.0, MAX_PACKET_SIZE, 8);
+                assert_eq!(streamed.cdf(), binned.cdf(), "{app} seed {seed}");
+                assert_eq!(streamed, binned, "{app} seed {seed}");
+            }
         }
     }
 

@@ -22,8 +22,10 @@
 //! (two [`FlowSpec`](models::FlowSpec)s, looked up with
 //! [`models::spec_for`]), and [`FlowStream`] is the one engine that turns a
 //! flow spec into packets. [`SessionGenerator::generate_secs`] drains the two
-//! flows with one sequential RNG into a batch [`Trace`]; training corpora and
-//! calibration sessions are built this way. [`StreamingSession`] merges the
+//! flows with one sequential RNG into a batch [`Trace`]; training corpora are
+//! built this way, and morphing calibration sessions consume the RNG the
+//! same way but keep only a size histogram
+//! ([`SessionGenerator::size_histogram_secs`]). [`StreamingSession`] merges the
 //! flows lazily for live stations with one derived RNG stream per direction,
 //! so it is distribution-identical but not packet-identical to the batch
 //! session.

@@ -16,6 +16,7 @@ pub mod uploading;
 pub mod video;
 
 use crate::app::AppKind;
+use crate::distribution::SizeHistogram;
 use crate::packet::{Direction, PacketRecord};
 use crate::sampler::SizeMixture;
 use crate::stream::FlowStream;
@@ -160,6 +161,31 @@ impl BidirectionalModel {
             FlowStream::new(self.uplink.clone(), self.app, rng, limit).collect();
         packets.extend(uplink);
         Trace::from_packets(Some(self.app), packets)
+    }
+
+    /// The size histogram of the trace [`generate`](Self::generate) would
+    /// return for the same `rng` and duration, streamed: the downlink is
+    /// drained first and hands its RNG on to the uplink, exactly as
+    /// `generate` consumes it, but no packet is kept. A histogram ignores
+    /// order, so it equals `SizeHistogram::from_sizes` over the trace.
+    pub fn size_histogram(
+        &self,
+        rng: StdRng,
+        duration_secs: f64,
+        max_size: usize,
+        bin_width: usize,
+    ) -> SizeHistogram {
+        let limit = Some(duration_secs);
+        let mut hist = SizeHistogram::new(max_size, bin_width);
+        let mut downlink = FlowStream::new(self.downlink.clone(), self.app, rng, limit);
+        for packet in downlink.by_ref() {
+            hist.add(packet.size);
+        }
+        let uplink = FlowStream::new(self.uplink.clone(), self.app, downlink.into_rng(), limit);
+        for packet in uplink {
+            hist.add(packet.size);
+        }
+        hist
     }
 }
 
