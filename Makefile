@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint bench-json bench-json-check experiments-check perf-test scenario-check scenario-json examples ci
+.PHONY: verify build test fmt lint bench-json bench-json-check experiments-check perf-test scenario-check scenario-json examples perf-ab ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -57,6 +57,16 @@ scenario-json:
 
 examples:
 	cargo build --examples
+
+# A/B of perfbench: BASE against the working tree in alternating --trace 0
+# pairs, printing each metric's median per side and the pairs the working
+# tree won. Not part of `ci` (it takes PAIRS × 2 × RUN_SECONDS plus builds).
+BASE ?= HEAD
+WORKLOAD ?= online_churn
+PAIRS ?= 10
+RUN_SECONDS ?= 10
+perf-ab:
+	scripts/perf_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
 # Everything CI gates on, in one shot.
 ci: fmt lint verify test scenario-check bench-json-check experiments-check perf-test examples

@@ -7,13 +7,22 @@
 //! The model is stored as **incremental sufficient statistics** — per-class
 //! counts plus Welford-style running means and centred second moments — so it
 //! learns online via [`OnlineClassifier::partial_fit`] in O(classes × dim)
-//! state and predicts straight off the cached means (no re-derivation on the
-//! hot path); the batch [`train`](GaussianNaiveBayes::train) entry point is a
+//! state; the batch [`train`](GaussianNaiveBayes::train) entry point is a
 //! thin wrapper that feeds the dataset through `partial_fit` once, in dataset
 //! order. Welford's update is numerically stable for the same reason the
 //! shifted accumulation in [`RunningStats`](crate::stream::RunningStats) is:
 //! the second moment is accumulated already centred, so large means with tiny
 //! spreads never catastrophically cancel.
+//!
+//! Derived state is kept current where the model changes, not where it is
+//! read: next to the statistics sits a `(variance, ln variance)` table, and
+//! `partial_fit` rewrites the touched class's row (one `ln` per feature).
+//! Every read — [`predict`](Classifier::predict),
+//! [`predict_slice`](Classifier::predict_slice) and
+//! [`log_posteriors`](GaussianNaiveBayes::log_posteriors) — goes through the
+//! one log-likelihood formula over that table, so none of them takes a
+//! per-feature `ln`; only the class priors (which move with every example of
+//! any class) take one `ln` per class per call.
 
 use crate::dataset::Dataset;
 use crate::kernel::Scratch;
@@ -28,11 +37,15 @@ pub struct GaussianNaiveBayes {
     total: u64,
     /// Examples absorbed per class.
     counts: Vec<u64>,
-    /// Welford running mean per class and feature.
-    means: Vec<Vec<f64>>,
-    /// Welford centred second moment `M₂ = Σ (x − mean)²` per class and
-    /// feature (variance = `M₂ / count`).
-    m2s: Vec<Vec<f64>>,
+    /// Welford running mean, flat row-major `classes × dim`.
+    means: Vec<f64>,
+    /// Welford centred second moment `M₂ = Σ (x − mean)²`, flat row-major
+    /// `classes × dim` (variance = `M₂ / count`).
+    m2s: Vec<f64>,
+    /// `(variance, ln variance)` per class and feature, flat row-major
+    /// `classes × dim`: the floored variance of the statistics above,
+    /// refreshed row by row in `partial_fit`.
+    variances: Vec<(f64, f64)>,
 }
 
 /// Variance floor to keep the log-likelihood finite for constant features.
@@ -52,8 +65,10 @@ impl GaussianNaiveBayes {
             dim,
             total: 0,
             counts: vec![0; classes],
-            means: vec![vec![0.0; dim]; classes],
-            m2s: vec![vec![0.0; dim]; classes],
+            means: vec![0.0; classes * dim],
+            m2s: vec![0.0; classes * dim],
+            // An unseen class reads the floor on every feature.
+            variances: vec![(VARIANCE_FLOOR, VARIANCE_FLOOR.ln()); classes * dim],
         }
     }
 
@@ -76,30 +91,11 @@ impl GaussianNaiveBayes {
         nb
     }
 
-    /// Per-class log posterior (up to a constant) for a feature vector —
-    /// read-only over the cached Welford statistics.
+    /// Per-class log posterior (up to a constant) for a feature vector.
     pub fn log_posteriors(&self, features: &[f64]) -> Vec<f64> {
         let total = self.total.max(1) as f64;
         (0..self.counts.len())
-            .map(|c| {
-                let prior = (self.counts[c] as f64 / total).max(1e-12);
-                let n = self.counts[c] as f64;
-                let mut lp = prior.ln();
-                for ((x, m), m2) in features
-                    .iter()
-                    .take(self.dim)
-                    .zip(&self.means[c])
-                    .zip(&self.m2s[c])
-                {
-                    let v = if self.counts[c] == 0 {
-                        VARIANCE_FLOOR
-                    } else {
-                        (m2 / n).max(VARIANCE_FLOOR)
-                    };
-                    lp += -0.5 * ((x - m).powi(2) / v + v.ln() + (2.0 * std::f64::consts::PI).ln());
-                }
-                lp
-            })
+            .map(|c| self.log_posterior(c, self.log_prior(c, total), features))
             .collect()
     }
 
@@ -107,38 +103,52 @@ impl GaussianNaiveBayes {
     pub fn class_count(&self) -> usize {
         self.counts.len()
     }
-}
 
-impl Classifier for GaussianNaiveBayes {
-    fn predict(&self, features: &[f64]) -> usize {
-        // Streaming argmax over the per-class log posteriors, computed with
-        // exactly the arithmetic of `log_posteriors` but never collected.
-        let total = self.total.max(1) as f64;
+    /// `ln` of class `c`'s prior, with `total` the examples absorbed (at
+    /// least 1).
+    fn log_prior(&self, c: usize, total: f64) -> f64 {
+        (self.counts[c] as f64 / total).max(1e-12).ln()
+    }
+
+    /// Class `c`'s log posterior: `log_prior` plus the Gaussian
+    /// log-likelihood of each feature, read off the variance table.
+    fn log_posterior(&self, c: usize, log_prior: f64, features: &[f64]) -> f64 {
+        let ln_2pi = (2.0 * std::f64::consts::PI).ln();
+        let row = c * self.dim..(c + 1) * self.dim;
+        let mut lp = log_prior;
+        for ((x, m), (v, ln_v)) in features
+            .iter()
+            .take(self.dim)
+            .zip(&self.means[row.clone()])
+            .zip(&self.variances[row])
+        {
+            lp += -0.5 * ((x - m).powi(2) / v + ln_v + ln_2pi);
+        }
+        lp
+    }
+
+    /// The first class with the highest log posterior, given every class's
+    /// log prior.
+    fn argmax_posterior(&self, log_priors: impl Iterator<Item = f64>, features: &[f64]) -> usize {
         let mut best = 0;
         let mut best_value = f64::NEG_INFINITY;
-        for c in 0..self.counts.len() {
-            let prior = (self.counts[c] as f64 / total).max(1e-12);
-            let n = self.counts[c] as f64;
-            let mut lp = prior.ln();
-            for ((x, m), m2) in features
-                .iter()
-                .take(self.dim)
-                .zip(&self.means[c])
-                .zip(&self.m2s[c])
-            {
-                let v = if self.counts[c] == 0 {
-                    VARIANCE_FLOOR
-                } else {
-                    (m2 / n).max(VARIANCE_FLOOR)
-                };
-                lp += -0.5 * ((x - m).powi(2) / v + v.ln() + (2.0 * std::f64::consts::PI).ln());
-            }
+        for (c, log_prior) in log_priors.enumerate() {
+            let lp = self.log_posterior(c, log_prior, features);
             if lp > best_value {
                 best_value = lp;
                 best = c;
             }
         }
         best
+    }
+}
+
+impl Classifier for GaussianNaiveBayes {
+    fn predict(&self, features: &[f64]) -> usize {
+        // Streaming argmax over `log_posteriors`, never collected.
+        let total = self.total.max(1) as f64;
+        let log_priors = (0..self.counts.len()).map(|c| self.log_prior(c, total));
+        self.argmax_posterior(log_priors, features)
     }
 
     fn name(&self) -> &'static str {
@@ -147,53 +157,16 @@ impl Classifier for GaussianNaiveBayes {
 
     fn predict_slice(&self, rows: &[f64], dim: usize, out: &mut Vec<usize>, scratch: &mut Scratch) {
         assert!(dim > 0, "predict_slice needs a positive feature dimension");
-        // Hoist everything that does not depend on the example out of the
-        // per-row loop: the per-class log priors and the per-(class, feature)
-        // `(variance, ln variance)` pairs — the `ln` calls dominate the
-        // streaming `predict`, and they are invariant across a slice. The
-        // per-row expression keeps the exact association of the scalar path
-        // (`(x−m)²/v + ln v` first, then `+ ln 2π`), so hoisting changes
-        // nothing bit-wise.
-        let classes = self.counts.len();
+        // The log priors are the only per-call `ln`s; take them once per
+        // slice instead of once per row.
         let total = self.total.max(1) as f64;
-        let ln_2pi = (2.0 * std::f64::consts::PI).ln();
-        scratch.a.clear();
         scratch.b.clear();
-        for c in 0..classes {
-            let prior = (self.counts[c] as f64 / total).max(1e-12);
-            scratch.b.push(prior.ln());
-            let n = self.counts[c] as f64;
-            for m2 in &self.m2s[c] {
-                let v = if self.counts[c] == 0 {
-                    VARIANCE_FLOOR
-                } else {
-                    (m2 / n).max(VARIANCE_FLOOR)
-                };
-                scratch.a.push(v);
-                scratch.a.push(v.ln());
-            }
-        }
+        scratch
+            .b
+            .extend((0..self.counts.len()).map(|c| self.log_prior(c, total)));
         out.clear();
         for row in rows.chunks_exact(dim) {
-            let mut best = 0;
-            let mut best_value = f64::NEG_INFINITY;
-            for c in 0..classes {
-                let mut lp = scratch.b[c];
-                let table = &scratch.a[c * self.dim * 2..(c + 1) * self.dim * 2];
-                for ((x, m), vl) in row
-                    .iter()
-                    .take(self.dim)
-                    .zip(&self.means[c])
-                    .zip(table.chunks_exact(2))
-                {
-                    lp += -0.5 * ((x - m).powi(2) / vl[0] + vl[1] + ln_2pi);
-                }
-                if lp > best_value {
-                    best_value = lp;
-                    best = c;
-                }
-            }
-            out.push(best);
+            out.push(self.argmax_posterior(scratch.b.iter().copied(), row));
         }
     }
 }
@@ -208,17 +181,23 @@ impl OnlineClassifier for GaussianNaiveBayes {
         self.counts[label] += 1;
         self.total += 1;
         let n = self.counts[label] as f64;
+        let row = label * self.dim..(label + 1) * self.dim;
         for ((&x, m), m2) in features
             .iter()
             .take(self.dim)
-            .zip(&mut self.means[label])
-            .zip(&mut self.m2s[label])
+            .zip(&mut self.means[row.clone()])
+            .zip(&mut self.m2s[row.clone()])
         {
             // Welford: centre against the running mean before and after the
             // mean update.
             let delta = x - *m;
             *m += delta / n;
             *m2 += delta * (x - *m);
+        }
+        // The count moved, so every variance of the row did.
+        for (vl, m2) in self.variances[row.clone()].iter_mut().zip(&self.m2s[row]) {
+            let v = (m2 / n).max(VARIANCE_FLOOR);
+            *vl = (v, v.ln());
         }
     }
 

@@ -299,27 +299,38 @@ fn vote_slice(
 /// most-voted class wins, with ties broken in favour of the first member's
 /// prediction (the SVM).
 ///
+/// Votes outside `0..classes` count for nothing. When the first member's
+/// class is not among the most voted, the highest-numbered most-voted class
+/// wins. Counting rescans the (few) votes per candidate instead of
+/// allocating a per-class tally.
+///
 /// # Panics
 ///
 /// Panics if `predictions` is empty.
 pub fn majority_vote(predictions: &[usize], classes: usize) -> usize {
-    let mut votes = vec![0usize; classes.max(1)];
+    let classes = classes.max(1);
+    let votes = |class: usize| {
+        if class < classes {
+            predictions.iter().filter(|&&p| p == class).count()
+        } else {
+            0
+        }
+    };
+    let first_choice = predictions[0];
+    let first_votes = votes(first_choice);
+    let mut max_votes = 0;
+    let mut top = first_choice;
     for &p in predictions {
-        if p < votes.len() {
-            votes[p] += 1;
+        let v = votes(p);
+        if v > max_votes || (v == max_votes && p > top) {
+            max_votes = v;
+            top = p;
         }
     }
-    let first_choice = predictions[0];
-    let max_votes = votes.iter().copied().max().unwrap_or(0);
-    if votes.get(first_choice).copied().unwrap_or(0) == max_votes {
+    if first_votes == max_votes {
         first_choice
     } else {
-        votes
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, v)| **v)
-            .map(|(i, _)| i)
-            .unwrap_or(first_choice)
+        top
     }
 }
 
@@ -426,6 +437,55 @@ mod tests {
                 majority_vote(&predictions, ensemble.class_count),
                 "members voted {predictions:?}"
             );
+        }
+    }
+
+    /// `majority_vote` as it was with a per-class tally: the reference its
+    /// allocation-free body must reproduce.
+    fn tally_majority_vote(predictions: &[usize], classes: usize) -> usize {
+        let mut votes = vec![0usize; classes.max(1)];
+        for &p in predictions {
+            if p < votes.len() {
+                votes[p] += 1;
+            }
+        }
+        let first_choice = predictions[0];
+        let max_votes = votes.iter().copied().max().unwrap_or(0);
+        if votes.get(first_choice).copied().unwrap_or(0) == max_votes {
+            first_choice
+        } else {
+            votes
+                .iter()
+                .enumerate()
+                .max_by_key(|(_, v)| **v)
+                .map(|(i, _)| i)
+                .unwrap_or(first_choice)
+        }
+    }
+
+    #[test]
+    fn majority_vote_keeps_the_tally_tie_rule_on_every_pattern() {
+        // Every 2- and 3-member pattern over 7 labels, against class counts
+        // from 1 to 8 so out-of-range votes are covered too.
+        for classes in 1..=8 {
+            for a in 0..7 {
+                for b in 0..7 {
+                    let pair = [a, b];
+                    assert_eq!(
+                        majority_vote(&pair, classes),
+                        tally_majority_vote(&pair, classes),
+                        "votes {pair:?}, {classes} classes"
+                    );
+                    for c in 0..7 {
+                        let triple = [a, b, c];
+                        assert_eq!(
+                            majority_vote(&triple, classes),
+                            tally_majority_vote(&triple, classes),
+                            "votes {triple:?}, {classes} classes"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -16,8 +16,9 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConfusionMatrix {
     classes: usize,
-    /// `counts[true][predicted]`.
-    counts: Vec<Vec<u64>>,
+    /// Flat row-major `classes × classes` counts: `counts[true · classes +
+    /// predicted]`, so a fresh matrix is one allocation.
+    counts: Vec<u64>,
 }
 
 impl ConfusionMatrix {
@@ -30,8 +31,13 @@ impl ConfusionMatrix {
         assert!(classes > 0, "a confusion matrix needs at least one class");
         ConfusionMatrix {
             classes,
-            counts: vec![vec![0; classes]; classes],
+            counts: vec![0; classes * classes],
         }
+    }
+
+    /// The row of counts for instances whose true label is `class`.
+    fn row(&self, class: usize) -> &[u64] {
+        &self.counts[class * self.classes..(class + 1) * self.classes]
     }
 
     /// Builds a matrix from `(true, predicted)` pairs.
@@ -59,7 +65,7 @@ impl ConfusionMatrix {
             "label out of range: true {true_label}, predicted {predicted}, classes {}",
             self.classes
         );
-        self.counts[true_label][predicted] += 1;
+        self.counts[true_label * self.classes + predicted] += 1;
     }
 
     /// Records `count` identical classification outcomes at once — the O(1)
@@ -74,7 +80,7 @@ impl ConfusionMatrix {
             "label out of range: true {true_label}, predicted {predicted}, classes {}",
             self.classes
         );
-        self.counts[true_label][predicted] += count;
+        self.counts[true_label * self.classes + predicted] += count;
     }
 
     /// Returns a copy of this matrix widened to `classes` classes, with every
@@ -95,7 +101,7 @@ impl ConfusionMatrix {
         let mut wide = ConfusionMatrix::new(classes);
         for t in 0..self.classes {
             for p in 0..self.classes {
-                let count = self.counts[t][p];
+                let count = self.count(t, p);
                 if count > 0 {
                     wide.add_counts(t, p, count);
                 }
@@ -111,26 +117,24 @@ impl ConfusionMatrix {
     /// Panics if the class counts differ.
     pub fn merge(&mut self, other: &ConfusionMatrix) {
         assert_eq!(self.classes, other.classes, "class counts differ");
-        for (row, other_row) in self.counts.iter_mut().zip(&other.counts) {
-            for (c, o) in row.iter_mut().zip(other_row) {
-                *c += o;
-            }
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c += o;
         }
     }
 
     /// The raw count of instances of `true_label` predicted as `predicted`.
     pub fn count(&self, true_label: usize, predicted: usize) -> u64 {
-        self.counts[true_label][predicted]
+        self.row(true_label)[predicted]
     }
 
     /// Total number of recorded instances.
     pub fn total(&self) -> u64 {
-        self.counts.iter().flatten().sum()
+        self.counts.iter().sum()
     }
 
     /// Number of instances whose true label is `class`.
     pub fn class_total(&self, class: usize) -> u64 {
-        self.counts[class].iter().sum()
+        self.row(class).iter().sum()
     }
 
     /// Overall accuracy: correct / total (0 when empty).
@@ -139,7 +143,7 @@ impl ConfusionMatrix {
         if total == 0 {
             return 0.0;
         }
-        let correct: u64 = (0..self.classes).map(|c| self.counts[c][c]).sum();
+        let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
         correct as f64 / total as f64
     }
 
@@ -150,7 +154,7 @@ impl ConfusionMatrix {
         if total == 0 {
             return 0.0;
         }
-        self.counts[class][class] as f64 / total as f64
+        self.count(class, class) as f64 / total as f64
     }
 
     /// The paper's mean accuracy: average per-class accuracy over the classes
@@ -176,7 +180,7 @@ impl ConfusionMatrix {
                 continue;
             }
             negatives += self.class_total(t);
-            fp += self.counts[t][class];
+            fp += self.count(t, class);
         }
         if negatives == 0 {
             0.0
@@ -210,7 +214,7 @@ impl fmt::Display for ConfusionMatrix {
             self.classes,
             self.total()
         )?;
-        for (t, row) in self.counts.iter().enumerate() {
+        for (t, row) in self.counts.chunks_exact(self.classes).enumerate() {
             write!(f, "  true {t}:")?;
             for c in row {
                 write!(f, " {c:6}")?;
@@ -299,6 +303,74 @@ mod tests {
         let s = m.to_string();
         assert!(s.contains("confusion matrix"));
         assert!(s.contains("true 0"));
+    }
+
+    /// A 7-class matrix touched by every constructor and combinator: a
+    /// 5-class `from_pairs` widened to 7, merged with bulk counts, one of
+    /// them wider than the six-character column.
+    fn seven_class_golden() -> ConfusionMatrix {
+        let pairs: Vec<(usize, usize)> = (0..40).map(|i| (i % 5, (i * 3) % 5)).collect();
+        let mut m = ConfusionMatrix::from_pairs(5, &pairs).widen_to(7);
+        let mut bulk = ConfusionMatrix::new(7);
+        bulk.add_counts(5, 5, 123);
+        bulk.add_counts(6, 2, 4_567_890);
+        bulk.add_counts(0, 6, 7);
+        bulk.record(6, 6);
+        m.merge(&bulk);
+        m
+    }
+
+    #[test]
+    fn display_and_accuracies_are_pinned_for_seven_classes() {
+        // Captured from the nested-row storage this layout replaced.
+        let m = seven_class_golden();
+        assert_eq!(
+            m.to_string(),
+            "confusion matrix (7 classes, 4568061 instances):\n\
+             \x20 true 0:      8      0      0      0      0      0      7\n\
+             \x20 true 1:      0      0      0      8      0      0      0\n\
+             \x20 true 2:      0      8      0      0      0      0      0\n\
+             \x20 true 3:      0      0      0      0      8      0      0\n\
+             \x20 true 4:      0      0      8      0      0      0      0\n\
+             \x20 true 5:      0      0      0      0      0    123      0\n\
+             \x20 true 6:      0      0 4567890      0      0      0      1\n"
+        );
+        assert_eq!(m.total(), 4_568_061);
+        assert_eq!(m.overall_accuracy(), 2.889628663014789e-5);
+        assert_eq!(m.mean_accuracy(), 0.2190476503218204);
+        assert_eq!(m.mean_false_positive_rate(), 0.148735399023235);
+        assert_eq!(
+            m.class_accuracies(),
+            [
+                0.5333333333333333,
+                0.0,
+                0.0,
+                0.0,
+                0.0,
+                1.0,
+                2.1891940941673082e-7
+            ]
+        );
+        let fp: Vec<f64> = (0..7).map(|c| m.false_positive_rate(c)).collect();
+        assert_eq!(
+            fp,
+            [
+                0.0,
+                1.7512931658192231e-6,
+                0.9999660686949122,
+                1.7512931658192231e-6,
+                1.7512931658192231e-6,
+                0.0,
+                0.041176470588235294
+            ]
+        );
+        // Widening to the same size is a copy; widening further pads with
+        // empty rows and columns.
+        assert_eq!(m.widen_to(7), m);
+        let wide = m.widen_to(9);
+        assert_eq!(wide.total(), m.total());
+        assert_eq!(wide.count(6, 2), 4_567_890);
+        assert_eq!(wide.class_total(8), 0);
     }
 
     #[test]

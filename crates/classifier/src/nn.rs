@@ -262,6 +262,10 @@ fn softmax_in_place(logits: &mut [f64]) {
     }
 }
 
+/// Hidden layers up to this width run `predict` without allocating (the
+/// default `NnConfig` has 32 units).
+const STACK_HIDDEN: usize = 64;
+
 #[cfg(test)]
 fn softmax(logits: &[f64]) -> Vec<f64> {
     let mut out = logits.to_vec();
@@ -274,10 +278,18 @@ impl Classifier for NeuralNet {
         // Softmax is strictly monotonic, so the argmax of the logits is the
         // argmax of the probabilities — the exp/normalise pass (and its
         // vectors) would be dead work here. The hidden layer is computed
-        // exactly as in `forward`.
+        // exactly as in `forward`, on the stack unless the layer is wider
+        // than `STACK_HIDDEN`.
         let hidden_units = self.b1.len();
-        let mut hidden = vec![0.0; hidden_units];
-        kernel::matvec_bias(&self.w1, &self.b1, features, self.dim, &mut hidden);
+        let mut stack = [0.0; STACK_HIDDEN];
+        let mut heap = Vec::new();
+        let hidden = if hidden_units <= STACK_HIDDEN {
+            &mut stack[..hidden_units]
+        } else {
+            heap.resize(hidden_units, 0.0);
+            &mut heap[..]
+        };
+        kernel::matvec_bias(&self.w1, &self.b1, features, self.dim, hidden);
         for z in hidden.iter_mut() {
             *z = z.max(0.0);
         }
@@ -289,7 +301,7 @@ impl Classifier for NeuralNet {
             .zip(&self.b2)
             .enumerate()
         {
-            let logit: f64 = w.iter().zip(&hidden).map(|(wi, hi)| wi * hi).sum::<f64>() + b;
+            let logit: f64 = w.iter().zip(&*hidden).map(|(wi, hi)| wi * hi).sum::<f64>() + b;
             if logit > best_value {
                 best_value = logit;
                 best = i;

@@ -212,7 +212,7 @@ impl PrequentialEvaluator {
     /// timeline every `snapshot_every` examples (clamped to at least 1).
     pub fn new(adversary: OnlineAdversary, snapshot_every: u64) -> Self {
         let classes = adversary.class_count();
-        let member_count = adversary.member_names().len();
+        let member_count = adversary.members.len();
         PrequentialEvaluator {
             adversary,
             majority: ConfusionMatrix::new(classes),

@@ -12,9 +12,14 @@
 //!   **bit for bit**.
 //! * `Normalizer::fit` is a `RunningNormalizer` absorbing the dataset once
 //!   and snapshotting.
+//! * Naive Bayes's cached `(variance, ln variance)` table is exact: after
+//!   every `partial_fit` step, `predict`, `predict_slice` and
+//!   `log_posteriors` equal a reference that recomputes each variance and
+//!   its `ln` from the sufficient statistics on every read.
 
 use classifier::bayes::GaussianNaiveBayes;
 use classifier::dataset::{Dataset, Normalizer, RunningNormalizer};
+use classifier::kernel::Scratch;
 use classifier::svm::{LinearSvm, SvmConfig};
 use classifier::{Classifier, OnlineClassifier};
 use proptest::prelude::*;
@@ -44,8 +49,145 @@ fn random_dataset(seed: u64, classes: usize, per_class: usize, dim: usize) -> Da
     data
 }
 
+/// Naive Bayes with no cached table: nested per-class Welford statistics,
+/// and every read recomputes `(m2 / n).max(VARIANCE_FLOOR)` and its `ln`
+/// inline.
+struct ReferenceBayes {
+    dim: usize,
+    total: u64,
+    counts: Vec<u64>,
+    means: Vec<Vec<f64>>,
+    m2s: Vec<Vec<f64>>,
+}
+
+/// The model's variance floor.
+const VARIANCE_FLOOR: f64 = 1e-6;
+
+impl ReferenceBayes {
+    fn new(dim: usize, classes: usize) -> Self {
+        ReferenceBayes {
+            dim,
+            total: 0,
+            counts: vec![0; classes],
+            means: vec![vec![0.0; dim]; classes],
+            m2s: vec![vec![0.0; dim]; classes],
+        }
+    }
+
+    fn partial_fit(&mut self, features: &[f64], label: usize) {
+        self.counts[label] += 1;
+        self.total += 1;
+        let n = self.counts[label] as f64;
+        for ((&x, m), m2) in features
+            .iter()
+            .take(self.dim)
+            .zip(&mut self.means[label])
+            .zip(&mut self.m2s[label])
+        {
+            let delta = x - *m;
+            *m += delta / n;
+            *m2 += delta * (x - *m);
+        }
+    }
+
+    fn log_posteriors(&self, features: &[f64]) -> Vec<f64> {
+        let total = self.total.max(1) as f64;
+        (0..self.counts.len())
+            .map(|c| {
+                let prior = (self.counts[c] as f64 / total).max(1e-12);
+                let n = self.counts[c] as f64;
+                let mut lp = prior.ln();
+                for ((x, m), m2) in features
+                    .iter()
+                    .take(self.dim)
+                    .zip(&self.means[c])
+                    .zip(&self.m2s[c])
+                {
+                    let v = if self.counts[c] == 0 {
+                        VARIANCE_FLOOR
+                    } else {
+                        (m2 / n).max(VARIANCE_FLOOR)
+                    };
+                    lp += -0.5 * ((x - m).powi(2) / v + v.ln() + (2.0 * std::f64::consts::PI).ln());
+                }
+                lp
+            })
+            .collect()
+    }
+
+    /// The first class with the highest log posterior.
+    fn predict(&self, features: &[f64]) -> usize {
+        let mut best = 0;
+        let mut best_value = f64::NEG_INFINITY;
+        for (c, lp) in self.log_posteriors(features).into_iter().enumerate() {
+            if lp > best_value {
+                best_value = lp;
+                best = c;
+            }
+        }
+        best
+    }
+}
+
+/// One random feature vector: some features pinned to a constant (so the
+/// variance floor engages), the rest spread over a few orders of magnitude.
+fn random_features(rng: &mut StdRng, dim: usize, label: usize) -> Vec<f64> {
+    (0..dim)
+        .map(|f| {
+            if f % 3 == 2 {
+                1.0
+            } else {
+                let scale = 10f64.powi((f % 4) as i32 - 1);
+                scale * (label as f64 + rng.gen_range(-1.5..1.5))
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn bayes_variance_table_matches_inline_recomputation(
+        seed in 0u64..500,
+        classes in 1usize..8,
+        seen in 1usize..8,
+        steps in 1usize..60,
+        dim in 1usize..19,
+    ) {
+        // Labels come from the first `seen` classes only, so classes past
+        // them stay unseen (and on the floor) for the whole sequence.
+        let seen = seen.min(classes);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = GaussianNaiveBayes::new(dim, classes);
+        let mut reference = ReferenceBayes::new(dim, classes);
+        let mut scratch = Scratch::new();
+        let mut sliced = Vec::new();
+        for _ in 0..steps {
+            let label = rng.gen_range(0..seen);
+            let features = random_features(&mut rng, dim, label);
+            model.partial_fit(&features, label);
+            reference.partial_fit(&features, label);
+
+            let queries: Vec<Vec<f64>> = (0..4)
+                .map(|_| {
+                    let near = rng.gen_range(0..classes);
+                    random_features(&mut rng, dim, near)
+                })
+                .collect();
+            for q in &queries {
+                let got: Vec<u64> = model.log_posteriors(q).iter().map(|v| v.to_bits()).collect();
+                let want: Vec<u64> = reference.log_posteriors(q).iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(model.predict(q), reference.predict(q));
+            }
+            let rows: Vec<f64> = queries.concat();
+            model.predict_slice(&rows, dim, &mut sliced, &mut scratch);
+            let want: Vec<usize> = queries.iter().map(|q| reference.predict(q)).collect();
+            prop_assert_eq!(&sliced, &want);
+        }
+        prop_assert_eq!(model.examples_seen(), steps as u64);
+    }
 
     #[test]
     fn bayes_batch_train_is_one_partial_fit_pass(

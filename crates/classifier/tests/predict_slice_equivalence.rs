@@ -98,13 +98,15 @@ proptest! {
         seed in 0u64..500,
         classes in 2usize..6,
         dim in 2usize..8,
+        // Both sides of the MLP's on-stack hidden layer limit (64 units).
+        hidden_units in 1usize..100,
     ) {
         let data = noisy_dataset(seed, classes, 25, dim, 5.0);
         let normalized = data.normalized(&data.fit_normalizer());
         let svm = LinearSvm::train(&normalized, &SvmConfig { epochs: 8, ..SvmConfig::default() }, seed);
         let nn = NeuralNet::train(
             &normalized,
-            &NnConfig { epochs: 4, ..NnConfig::default() },
+            &NnConfig { epochs: 4, hidden_units, ..NnConfig::default() },
             seed ^ 0x55,
         );
         let bayes = GaussianNaiveBayes::train(&normalized);
