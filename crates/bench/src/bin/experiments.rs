@@ -125,6 +125,8 @@ fn main() {
 
 fn print_ablation(config: &ExperimentConfig) {
     use bench::ablation::{interface_count_ablation, scheduler_ablation};
+    use reshape_core::params::entropy_gain_bits;
+    use traffic_gen::app::AppKind;
     println!(
         "Ablation — scheduling flavour (I = 3, W = {}s)",
         config.window_secs
@@ -140,12 +142,21 @@ fn print_ablation(config: &ExperimentConfig) {
     println!("{}", table.render());
 
     println!("Ablation — number of virtual interfaces (OR)");
-    let mut table = TextTable::new(["variant", "mean accuracy (%)", "mean FP (%)"]);
-    for outcome in interface_count_ablation(config, &[1, 2, 3, 4, 5]) {
+    let mut table = TextTable::new([
+        "variant",
+        "mean accuracy (%)",
+        "mean FP (%)",
+        "entropy gain (bits)",
+    ]);
+    let counts = [1, 2, 3, 4, 5];
+    // §III-C3's privacy entropy over a WLAN of one station per application.
+    let clients = AppKind::ALL.len() as u64;
+    for (outcome, interfaces) in interface_count_ablation(config, &counts).iter().zip(counts) {
         table.row([
             outcome.variant.clone(),
             percent(outcome.mean_accuracy),
             percent(outcome.mean_false_positive),
+            format!("{:.2}", entropy_gain_bits(clients, interfaces as u64)),
         ]);
     }
     println!("{}", table.render());
@@ -210,11 +221,14 @@ fn print_or_figure(title: &str, figure: &OrFigure) {
 
 fn print_table1(config: &ExperimentConfig) {
     println!("Table I — features on virtual interfaces (from AP to the user)");
-    let mut table = TextTable::new(["App.", "Feature", "Original", "i = 1", "i = 2", "i = 3"]);
+    let mut table = TextTable::new([
+        "App.", "Feature", "Paper", "Original", "i = 1", "i = 2", "i = 3",
+    ]);
     for row in table1(config) {
         table.row([
             row.app.abbrev().to_string(),
             "Avg. packet size".to_string(),
+            bytes(row.paper.0),
             bytes(row.original.0),
             bytes(row.per_interface[0].0),
             bytes(row.per_interface[1].0),
@@ -223,6 +237,7 @@ fn print_table1(config: &ExperimentConfig) {
         table.row([
             row.app.abbrev().to_string(),
             "Interarrival time".to_string(),
+            seconds(row.paper.1),
             seconds(row.original.1),
             seconds(row.per_interface[0].1),
             seconds(row.per_interface[1].1),

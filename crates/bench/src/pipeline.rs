@@ -468,7 +468,7 @@ mod tests {
         assert_eq!(emitted, trace.len());
         let end_to_end = pipeline.overhead();
         assert!(end_to_end.percent() > 0.0, "morphing chat adds bytes");
-        assert_eq!(end_to_end.added_packets(), 0);
+        assert_eq!(end_to_end.transformed_packets, end_to_end.original_packets);
         let morph = pipeline.stages()[0].overhead();
         let reshape = pipeline.stages()[1].overhead();
         assert_eq!(end_to_end.added_bytes(), morph.added_bytes());

@@ -124,7 +124,7 @@ mod tests {
         }
     }
 
-    /// [`ScheduledReport`] → the legacy batch-mode counters.
+    /// [`ScheduledReport`] → the [`StationReport`] counters the tests compare.
     fn station_report(report: &ScheduledReport) -> StationReport {
         let overhead = report.overhead();
         StationReport {
@@ -149,7 +149,7 @@ mod tests {
             .window(window)
             .feature_mode(mode)
             .run(&mut FrozenScorer::new(adversary))
-            .expect("legacy defense kinds always build");
+            .expect("every test shorthand builds");
         station_report(&report)
     }
 
@@ -167,7 +167,7 @@ mod tests {
             .window(window)
             .feature_mode(mode)
             .run(&mut evaluator)
-            .expect("legacy defense kinds always build");
+            .expect("every test shorthand builds");
         let overhead = report.overhead();
         OnlineStationReport {
             app: report.app,
@@ -382,7 +382,7 @@ mod tests {
                     }
                 },
             )
-            .expect("legacy defense kinds always build");
+            .expect("every test shorthand builds");
         let pooled = outcome.results;
         let sequential: Vec<OnlineStationReport> = stations
             .iter()
@@ -434,8 +434,8 @@ mod tests {
         let post_stats = report.phases[1].segment.as_ref().expect("live scorer");
         assert!(pre_stats.total > 10, "pre windows {}", pre_stats.total);
         assert!(post_stats.total > 10, "post windows {}", post_stats.total);
-        let pre = pre_stats.majority_accuracy();
-        let post = post_stats.majority_accuracy();
+        let pre = pre_stats.majority_correct as f64 / pre_stats.total as f64;
+        let post = post_stats.majority_correct as f64 / post_stats.total as f64;
         eprintln!("drift: pre {pre:.3}, post {post:.3}");
         assert!(
             post < pre,

@@ -15,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::packet::Direction;
+use traffic_gen::profile::paper_profile;
 use traffic_gen::trace::Trace;
 
 use crate::corpus::ExperimentConfig;
@@ -25,12 +26,16 @@ use crate::scenario::DefenseSpec;
 // Table I — traffic features on virtual interfaces (AP -> user direction)
 // ---------------------------------------------------------------------------
 
-/// One row of Table I: an application's downlink features on the original
-/// traffic and on each of the three OR virtual interfaces.
+/// One row of Table I: an application's downlink features as the paper
+/// publishes them, on the original traffic and on each of the three OR
+/// virtual interfaces.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FeatureRow {
     /// The application.
     pub app: AppKind,
+    /// `(mean packet size, mean inter-arrival)` of the paper's original
+    /// downlink traces (Table I, "Original").
+    pub paper: (f64, f64),
     /// `(mean packet size, mean inter-arrival)` of the original downlink traffic.
     pub original: (f64, f64),
     /// `(mean packet size, mean inter-arrival)` per virtual interface, in order.
@@ -38,7 +43,7 @@ pub struct FeatureRow {
 }
 
 /// Table I: features of the original downlink traffic vs. the three OR
-/// virtual interfaces, for every application.
+/// virtual interfaces, for every application, beside the paper's values.
 pub fn table1(config: &ExperimentConfig) -> Vec<FeatureRow> {
     AppKind::ALL
         .iter()
@@ -59,8 +64,10 @@ pub fn table1(config: &ExperimentConfig) -> Vec<FeatureRow> {
                     t.mean_interarrival_secs(Direction::Downlink),
                 )
             };
+            let paper = paper_profile(app);
             FeatureRow {
                 app,
+                paper: (paper.mean_packet_size, paper.mean_interarrival_secs),
                 original: stats(&downlink),
                 per_interface: outcome.sub_traces().iter().map(stats).collect(),
             }
@@ -106,21 +113,6 @@ impl AccuracyTable {
             rows,
             mean,
         }
-    }
-
-    /// The accuracy of one application under one column label.
-    pub fn accuracy(&self, app: AppKind, column: &str) -> Option<f64> {
-        let col = self.columns.iter().position(|c| c == column)?;
-        self.rows
-            .iter()
-            .find(|(a, _)| *a == app)
-            .and_then(|(_, accs)| accs.get(col).copied())
-    }
-
-    /// The mean accuracy of one column.
-    pub fn mean_of(&self, column: &str) -> Option<f64> {
-        let col = self.columns.iter().position(|c| c == column)?;
-        self.mean.get(col).copied()
     }
 }
 
@@ -465,13 +457,13 @@ mod tests {
         assert_eq!(table.columns, vec!["Original", "FH", "RA", "RR", "OR"]);
         assert_eq!(table.rows.len(), 7);
         assert_eq!(table.mean.len(), 5);
-        let original = table.mean_of("Original").unwrap();
-        let or = table.mean_of("OR").unwrap();
+        let (original, or) = (table.mean[0], table.mean[4]);
         assert!(
             original > or,
             "OR must reduce mean accuracy ({original} vs {or})"
         );
-        assert!(table.accuracy(AppKind::Downloading, "Original").unwrap() > 0.5);
+        let (_, downloading) = &table.rows[AppKind::Downloading.class_index()];
+        assert!(downloading[0] > 0.5);
     }
 
     #[test]

@@ -393,7 +393,14 @@ mod tests {
     #[test]
     fn accuracy_ties_break_deterministically_by_member_name() {
         use crate::metrics::ConfusionMatrix;
-        let perfect = ConfusionMatrix::from_pairs(2, &[(0, 0), (1, 1)]);
+        let from_pairs = |pairs: &[(usize, usize)]| {
+            let mut m = ConfusionMatrix::new(2);
+            for &(t, p) in pairs {
+                m.record(t, p);
+            }
+            m
+        };
+        let perfect = from_pairs(&[(0, 0), (1, 1)]);
         // Equal accuracy in every order: the lexicographically smallest name wins.
         for results in [
             vec![("svm", perfect.clone()), ("nn", perfect.clone())],
@@ -403,7 +410,7 @@ mod tests {
             assert_eq!(name, "nn");
         }
         // A strictly better member still wins regardless of its name.
-        let worse = ConfusionMatrix::from_pairs(2, &[(0, 0), (1, 0)]);
+        let worse = from_pairs(&[(0, 0), (1, 0)]);
         let (name, _) = AdversaryEnsemble::best_of(vec![("aaa", worse), ("svm", perfect.clone())]);
         assert_eq!(name, "svm");
     }

@@ -97,22 +97,6 @@ impl FeatureVector {
     pub fn dim(&self) -> usize {
         self.values.len()
     }
-
-    /// The mean downlink packet size feature (convenience accessor used by the
-    /// Table I experiment).
-    pub fn downlink_mean_size(&self) -> f64 {
-        self.values[3]
-    }
-
-    /// The mean downlink inter-arrival time feature.
-    pub fn downlink_mean_interarrival(&self) -> f64 {
-        self.values[7]
-    }
-
-    /// The mean uplink packet size feature.
-    pub fn uplink_mean_size(&self) -> f64 {
-        self.values[FEATURES_PER_DIRECTION + 3]
-    }
 }
 
 #[cfg(test)]
@@ -121,6 +105,12 @@ mod tests {
     use traffic_gen::app::AppKind;
     use traffic_gen::generator::SessionGenerator;
     use traffic_gen::packet::PacketRecord;
+
+    /// Positions of the mean downlink size, mean downlink inter-arrival and
+    /// mean uplink size in the vector.
+    const DOWN_MEAN_SIZE: usize = 3;
+    const DOWN_MEAN_IAT: usize = 7;
+    const UP_MEAN_SIZE: usize = FEATURES_PER_DIRECTION + 3;
 
     fn pkt(secs: f64, size: usize, dir: Direction) -> PacketRecord {
         PacketRecord::at_secs(secs, size, dir, AppKind::Gaming)
@@ -152,10 +142,10 @@ mod tests {
         assert_eq!(v[1], 100.0); // min size
         assert_eq!(v[2], 300.0); // max size
         assert!((v[3] - 200.0).abs() < 1e-9); // mean size
-        assert!((fv.downlink_mean_size() - 200.0).abs() < 1e-9);
-        assert!((fv.downlink_mean_interarrival() - 1.0).abs() < 1e-9);
+        assert!((fv.values()[DOWN_MEAN_SIZE] - 200.0).abs() < 1e-9);
+        assert!((fv.values()[DOWN_MEAN_IAT] - 1.0).abs() < 1e-9);
         assert_eq!(v[9], 1.0); // uplink packet count
-        assert!((fv.uplink_mean_size() - 1000.0).abs() < 1e-9);
+        assert!((fv.values()[UP_MEAN_SIZE] - 1000.0).abs() < 1e-9);
         // Single uplink packet: no inter-arrival statistics.
         assert_eq!(v[16], 0.0);
     }
@@ -176,8 +166,8 @@ mod tests {
         let trace = SessionGenerator::new(AppKind::Downloading, 1).generate_secs(5.0);
         let full = FeatureVector::from_trace(&trace);
         let timing = FeatureVector::timing_only(&trace);
-        assert!(full.downlink_mean_size() > 1000.0);
-        assert_eq!(timing.downlink_mean_size(), 0.0);
+        assert!(full.values()[DOWN_MEAN_SIZE] > 1000.0);
+        assert_eq!(timing.values()[DOWN_MEAN_SIZE], 0.0);
         assert_eq!(timing.values()[0], full.values()[0], "counts preserved");
         assert_eq!(timing.values()[7], full.values()[7], "iat preserved");
     }
@@ -188,8 +178,8 @@ mod tests {
         let b = SessionGenerator::new(AppKind::Downloading, 2).generate_secs(30.0);
         let fa = FeatureVector::from_trace(&a);
         let fb = FeatureVector::from_trace(&b);
-        assert!(fb.downlink_mean_size() > fa.downlink_mean_size() + 500.0);
-        assert!(fa.downlink_mean_interarrival() > fb.downlink_mean_interarrival());
+        assert!(fb.values()[DOWN_MEAN_SIZE] > fa.values()[DOWN_MEAN_SIZE] + 500.0);
+        assert!(fa.values()[DOWN_MEAN_IAT] > fb.values()[DOWN_MEAN_IAT]);
     }
 
     #[test]

@@ -40,15 +40,6 @@ impl ConfusionMatrix {
         &self.counts[class * self.classes..(class + 1) * self.classes]
     }
 
-    /// Builds a matrix from `(true, predicted)` pairs.
-    pub fn from_pairs(classes: usize, pairs: &[(usize, usize)]) -> Self {
-        let mut m = ConfusionMatrix::new(classes);
-        for &(t, p) in pairs {
-            m.record(t, p);
-        }
-        m
-    }
-
     /// Number of classes.
     pub fn class_count(&self) -> usize {
         self.classes
@@ -137,16 +128,6 @@ impl ConfusionMatrix {
         self.row(class).iter().sum()
     }
 
-    /// Overall accuracy: correct / total (0 when empty).
-    pub fn overall_accuracy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let correct: u64 = (0..self.classes).map(|c| self.count(c, c)).sum();
-        correct as f64 / total as f64
-    }
-
     /// Per-class accuracy (recall): fraction of class-`c` instances predicted
     /// as `c`. Returns 0 for classes with no instances.
     pub fn class_accuracy(&self, class: usize) -> f64 {
@@ -199,11 +180,6 @@ impl ConfusionMatrix {
             .collect();
         rates.iter().sum::<f64>() / rates.len() as f64
     }
-
-    /// Per-class accuracies as a vector.
-    pub fn class_accuracies(&self) -> Vec<f64> {
-        (0..self.classes).map(|c| self.class_accuracy(c)).collect()
-    }
 }
 
 impl fmt::Display for ConfusionMatrix {
@@ -229,6 +205,15 @@ impl fmt::Display for ConfusionMatrix {
 mod tests {
     use super::*;
 
+    /// Builds a matrix from `(true, predicted)` pairs.
+    fn from_pairs(classes: usize, pairs: &[(usize, usize)]) -> ConfusionMatrix {
+        let mut m = ConfusionMatrix::new(classes);
+        for &(t, p) in pairs {
+            m.record(t, p);
+        }
+        m
+    }
+
     #[test]
     fn perfect_classifier_metrics() {
         let mut m = ConfusionMatrix::new(3);
@@ -238,7 +223,6 @@ mod tests {
             }
         }
         assert_eq!(m.total(), 30);
-        assert_eq!(m.overall_accuracy(), 1.0);
         assert_eq!(m.mean_accuracy(), 1.0);
         for c in 0..3 {
             assert_eq!(m.class_accuracy(c), 1.0);
@@ -255,7 +239,6 @@ mod tests {
         for _ in 0..70 {
             m.record(1, 0);
         }
-        assert!((m.overall_accuracy() - 0.3).abs() < 1e-12);
         assert_eq!(m.class_accuracy(0), 1.0);
         assert_eq!(m.class_accuracy(1), 0.0);
         assert!((m.mean_accuracy() - 0.5).abs() < 1e-12);
@@ -266,21 +249,19 @@ mod tests {
 
     #[test]
     fn from_pairs_and_counts() {
-        let m = ConfusionMatrix::from_pairs(3, &[(0, 0), (0, 1), (1, 1), (2, 1)]);
+        let m = from_pairs(3, &[(0, 0), (0, 1), (1, 1), (2, 1)]);
         assert_eq!(m.count(0, 1), 1);
         assert_eq!(m.class_total(0), 2);
         assert_eq!(m.class_count(), 3);
         assert!((m.class_accuracy(0) - 0.5).abs() < 1e-12);
         // FP for class 1: true 0 predicted 1 (1) + true 2 predicted 1 (1) over 3 negatives.
         assert!((m.false_positive_rate(1) - 2.0 / 3.0).abs() < 1e-12);
-        let accs = m.class_accuracies();
-        assert_eq!(accs.len(), 3);
     }
 
     #[test]
     fn merge_adds_counts() {
-        let a = ConfusionMatrix::from_pairs(2, &[(0, 0), (1, 1)]);
-        let b = ConfusionMatrix::from_pairs(2, &[(0, 1), (1, 1)]);
+        let a = from_pairs(2, &[(0, 0), (1, 1)]);
+        let b = from_pairs(2, &[(0, 1), (1, 1)]);
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.total(), 4);
@@ -291,7 +272,6 @@ mod tests {
     #[test]
     fn empty_matrix_metrics_are_zero() {
         let m = ConfusionMatrix::new(4);
-        assert_eq!(m.overall_accuracy(), 0.0);
         assert_eq!(m.mean_accuracy(), 0.0);
         assert_eq!(m.mean_false_positive_rate(), 0.0);
         assert_eq!(m.class_accuracy(2), 0.0);
@@ -299,7 +279,7 @@ mod tests {
 
     #[test]
     fn display_contains_counts() {
-        let m = ConfusionMatrix::from_pairs(2, &[(0, 0), (1, 0)]);
+        let m = from_pairs(2, &[(0, 0), (1, 0)]);
         let s = m.to_string();
         assert!(s.contains("confusion matrix"));
         assert!(s.contains("true 0"));
@@ -310,7 +290,7 @@ mod tests {
     /// them wider than the six-character column.
     fn seven_class_golden() -> ConfusionMatrix {
         let pairs: Vec<(usize, usize)> = (0..40).map(|i| (i % 5, (i * 3) % 5)).collect();
-        let mut m = ConfusionMatrix::from_pairs(5, &pairs).widen_to(7);
+        let mut m = from_pairs(5, &pairs).widen_to(7);
         let mut bulk = ConfusionMatrix::new(7);
         bulk.add_counts(5, 5, 123);
         bulk.add_counts(6, 2, 4_567_890);
@@ -336,11 +316,11 @@ mod tests {
              \x20 true 6:      0      0 4567890      0      0      0      1\n"
         );
         assert_eq!(m.total(), 4_568_061);
-        assert_eq!(m.overall_accuracy(), 2.889628663014789e-5);
         assert_eq!(m.mean_accuracy(), 0.2190476503218204);
         assert_eq!(m.mean_false_positive_rate(), 0.148735399023235);
+        let accs: Vec<f64> = (0..7).map(|c| m.class_accuracy(c)).collect();
         assert_eq!(
-            m.class_accuracies(),
+            accs,
             [
                 0.5333333333333333,
                 0.0,

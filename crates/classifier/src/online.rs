@@ -156,35 +156,6 @@ pub struct SegmentStats {
     pub member_correct: Vec<u64>,
 }
 
-impl SegmentStats {
-    /// Majority-vote accuracy over the segment (0 when empty).
-    pub fn majority_accuracy(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.majority_correct as f64 / self.total as f64
-        }
-    }
-
-    /// The best per-member accuracy over the segment, never below the
-    /// majority accuracy — the online counterpart of the paper's
-    /// "highest accuracy of SVM/NN" reporting.
-    pub fn best_accuracy(&self) -> f64 {
-        let best_member = self
-            .member_correct
-            .iter()
-            .map(|&c| {
-                if self.total == 0 {
-                    0.0
-                } else {
-                    c as f64 / self.total as f64
-                }
-            })
-            .fold(0.0, f64::max);
-        best_member.max(self.majority_accuracy())
-    }
-}
-
 /// Test-then-train evaluation of an [`OnlineAdversary`].
 ///
 /// Every example is scored against the model *before* the model learns from
@@ -333,11 +304,6 @@ impl PrequentialEvaluator {
         )
     }
 
-    /// The adversary being evaluated.
-    pub fn adversary(&self) -> &OnlineAdversary {
-        &self.adversary
-    }
-
     /// Unwraps the (now trained) adversary.
     pub fn into_adversary(self) -> OnlineAdversary {
         self.adversary
@@ -436,8 +402,7 @@ mod tests {
             first.majority_correct + second.majority_correct,
             (evaluator.accuracy() * 180.0).round() as u64
         );
-        // The warmed-up second segment is at least as accurate.
-        assert!(second.majority_accuracy() >= first.majority_accuracy());
-        assert!(second.best_accuracy() >= second.majority_accuracy());
+        // The warmed-up second segment (of equal length) is at least as accurate.
+        assert!(second.majority_correct >= first.majority_correct);
     }
 }

@@ -359,11 +359,6 @@ impl StreamingWindower {
         Self::new(window, min_packets, mode, app.class_index())
     }
 
-    /// Number of packets folded into the currently open window.
-    pub fn open_window_len(&self) -> usize {
-        self.packets_in_window
-    }
-
     /// Folds one packet in; returns a finished example when this packet
     /// closes the previous window (at most one per call).
     ///

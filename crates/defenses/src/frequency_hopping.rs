@@ -61,11 +61,6 @@ impl FrequencyHopper {
         self.dwell
     }
 
-    /// The channel in use at `elapsed` time since the start of the schedule.
-    pub fn channel_at(&self, elapsed: SimDuration) -> Channel {
-        self.channels[self.channel_index_at(elapsed)]
-    }
-
     /// The index into [`channels`](Self::channels) in use at `elapsed` time.
     fn channel_index_at(&self, elapsed: SimDuration) -> usize {
         let slot = (elapsed.as_micros() / self.dwell.as_micros().max(1)) as usize;
@@ -143,12 +138,6 @@ impl FrequencyHoppingStage {
     pub fn channel_index_of(&self, flow: FlowId) -> Option<usize> {
         self.channel_indices.get(flow as usize).copied()
     }
-
-    /// The channel that sub-flow `flow` carries.
-    pub fn channel_of(&self, flow: FlowId) -> Option<Channel> {
-        self.channel_index_of(flow)
-            .map(|i| self.hopper.channels()[i])
-    }
 }
 
 impl PacketStage for FrequencyHoppingStage {
@@ -192,10 +181,11 @@ mod tests {
         let fh = FrequencyHopper::default();
         assert_eq!(fh.channels().len(), 3);
         assert_eq!(fh.dwell(), SimDuration::from_millis(500));
-        assert_eq!(fh.channel_at(SimDuration::from_millis(0)), Channel::CH1);
-        assert_eq!(fh.channel_at(SimDuration::from_millis(600)), Channel::CH6);
-        assert_eq!(fh.channel_at(SimDuration::from_millis(1100)), Channel::CH11);
-        assert_eq!(fh.channel_at(SimDuration::from_millis(1600)), Channel::CH1);
+        let channel_at = |ms| fh.channels()[fh.channel_index_at(SimDuration::from_millis(ms))];
+        assert_eq!(channel_at(0), Channel::CH1);
+        assert_eq!(channel_at(600), Channel::CH6);
+        assert_eq!(channel_at(1100), Channel::CH11);
+        assert_eq!(channel_at(1600), Channel::CH1);
     }
 
     #[test]
@@ -246,7 +236,7 @@ mod tests {
         stage.flush(&mut out);
         let channels: Vec<Channel> = out
             .iter()
-            .map(|(f, _)| stage.channel_of(*f).unwrap())
+            .map(|(f, _)| fh.channels()[stage.channel_index_of(*f).unwrap()])
             .collect();
         assert_eq!(
             channels,
@@ -259,7 +249,7 @@ mod tests {
             ]
         );
         assert_eq!(stage.flow_count(), 3);
-        assert_eq!(stage.channel_of(9), None);
+        assert_eq!(stage.channel_index_of(9), None);
         assert_eq!(stage.overhead().percent(), 0.0, "FH adds no bytes");
         stage.reset();
         assert_eq!(stage.flow_count(), 0);

@@ -299,7 +299,10 @@ mod tests {
             "morphing should move the mean toward the target: before {before:.0}, after {after:.0}, target {target:.0}"
         );
         assert!(overhead.percent() > 0.0);
-        assert_eq!(overhead.added_packets(), 0, "morphing never adds packets");
+        assert_eq!(
+            overhead.transformed_packets, overhead.original_packets,
+            "morphing never adds packets"
+        );
     }
 
     #[test]

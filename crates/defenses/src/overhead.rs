@@ -73,12 +73,6 @@ impl Overhead {
         self.transformed_bytes.saturating_sub(self.original_bytes)
     }
 
-    /// Extra packets added by the defense (saturating at zero).
-    pub fn added_packets(&self) -> u64 {
-        self.transformed_packets
-            .saturating_sub(self.original_packets)
-    }
-
     /// Overhead as a percentage of the original bytes, the metric of Table VI.
     /// Returns 0 for an empty original trace.
     pub fn percent(&self) -> f64 {
@@ -97,16 +91,6 @@ impl Overhead {
             transformed_packets: self.transformed_packets + other.transformed_packets,
         }
     }
-}
-
-/// Averages the *percentages* of several overhead records, which is how the
-/// paper computes the "Mean" row of Table VI (a mean of per-application
-/// percentages, not a byte-weighted mean).
-pub fn mean_percent(overheads: &[Overhead]) -> f64 {
-    if overheads.is_empty() {
-        return 0.0;
-    }
-    overheads.iter().map(Overhead::percent).sum::<f64>() / overheads.len() as f64
 }
 
 #[cfg(test)]
@@ -136,7 +120,6 @@ mod tests {
         assert_eq!(o.added_bytes(), 2000);
         assert_eq!(o.original_packets, 2);
         assert_eq!(o.transformed_packets, 2);
-        assert_eq!(o.added_packets(), 0);
         assert!((o.percent() - 200.0).abs() < 1e-9);
     }
 
@@ -171,7 +154,7 @@ mod tests {
         ledger.absorb(500);
         ledger.emit(500);
         ledger.emit(60); // e.g. a cover packet injected by a future defense
-        assert_eq!(ledger.added_packets(), 1);
+        assert_eq!(ledger.transformed_packets - ledger.original_packets, 1);
         assert_eq!(ledger.added_bytes(), 60);
     }
 
@@ -182,7 +165,5 @@ mod tests {
         let c = a.combined(&b);
         assert_eq!(c.original_bytes, 1100);
         assert_eq!(c.transformed_bytes, 1200);
-        assert!((mean_percent(&[a, b]) - 50.0).abs() < 1e-9);
-        assert_eq!(mean_percent(&[]), 0.0);
     }
 }

@@ -128,7 +128,10 @@ mod tests {
         assert!(padded.packets().iter().all(|p| p.size == MAX_PACKET_SIZE));
         assert!(overhead.percent() > 100.0, "chat padding is very expensive");
         assert_eq!(overhead.original_packets, trace.len() as u64);
-        assert_eq!(overhead.added_packets(), 0, "padding never adds packets");
+        assert_eq!(
+            overhead.transformed_packets, overhead.original_packets,
+            "padding never adds packets"
+        );
     }
 
     #[test]

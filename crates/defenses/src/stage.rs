@@ -360,8 +360,7 @@ impl PacketStage for StagePipeline {
 }
 
 /// Collects the output of a stage pipeline into one labelled [`Trace`] per
-/// sub-flow — the batch view of a staged stream, used by the batch wrappers
-/// and the equivalence tests.
+/// sub-flow — the batch view of a staged stream.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTraces {
     app: Option<AppKind>,

@@ -251,7 +251,7 @@ mod tests {
         assert_eq!(vifs.len(), 3);
         // The AP's alias table resolves every virtual address to the station.
         for mac in vifs.macs() {
-            assert!(mac.is_locally_administered());
+            assert_ne!(mac.octets()[0] & 0x02, 0, "locally administered");
             assert_eq!(
                 ap.resolve_physical(mac),
                 Some(MacAddress::new([0x00, 0x11, 0x22, 0, 0, 0x01]))

@@ -28,8 +28,7 @@
 //! * [`reshaper`] — the batch façade over the stage: partitions a whole trace
 //!   into per-interface sub-flows, tracks the Eq. 1 realized distributions
 //!   and verifies the zero-overhead invariant.
-//! * [`params`] — parameter selection for `L`, `I` and φ (§III-C3), privacy
-//!   entropy.
+//! * [`params`] — the privacy entropy of §III-C3.
 //! * [`power`] — per-packet transmission power control against RSSI linking (§V-A).
 //! * [`combined`] — traffic reshaping combined with morphing on a virtual
 //!   interface (§V-C).

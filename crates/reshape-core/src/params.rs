@@ -1,24 +1,10 @@
-//! Parameter selection (§III-C3) and the privacy-entropy argument.
+//! The privacy-entropy argument of §III-C3.
 //!
-//! The paper gives selection rules for the number of size ranges `L`, the
-//! number of virtual interfaces `I` and the target distributions φ:
-//!
-//! * `L >= 3`, based on the observation that packet sizes cluster in
-//!   `[108, 232]` and `[1546, 1576]` bytes;
-//! * `I = 3` is generally enough (Table V shows diminishing returns beyond 3),
-//!   and `I` can be tuned per client against resource availability;
-//! * privacy is quantified by the entropy `H = log2(N)` where `N` is the number
-//!   of MAC addresses visible in the WLAN: each virtual interface adds one
-//!   more candidate identity the adversary has to consider.
-
-use crate::ranges::SizeRanges;
-use serde::{Deserialize, Serialize};
-
-/// The recommended minimum number of size ranges.
-pub const MIN_RANGES: usize = 3;
-
-/// The recommended (and evaluated) default number of virtual interfaces.
-pub const DEFAULT_INTERFACES: usize = 3;
+//! Privacy is quantified by the entropy `H = log2(N)` where `N` is the number
+//! of MAC addresses visible in the WLAN: each virtual interface adds one more
+//! candidate identity the adversary has to consider. The section's other
+//! selection rules (`L >= I`, `I = 3` by default) live in
+//! [`SizeRanges::for_interface_count`](crate::ranges::SizeRanges::for_interface_count).
 
 /// The privacy entropy of a WLAN with `visible_identities` MAC addresses:
 /// `H = log2(N)` bits (§III-C3). Returns 0 for zero identities.
@@ -36,64 +22,6 @@ pub fn entropy_gain_bits(clients: u64, interfaces: u64) -> f64 {
     privacy_entropy_bits(clients.saturating_mul(interfaces.max(1))) - privacy_entropy_bits(clients)
 }
 
-/// A requested privacy/resource trade-off level used to pick parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum PrivacyLevel {
-    /// Minimal resources: two interfaces, two ranges.
-    Low,
-    /// The paper's default: three interfaces, three ranges.
-    Standard,
-    /// More interfaces for clients that can afford the extra state.
-    High,
-}
-
-/// A concrete parameter choice for the reshaping engine.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReshapeParameters {
-    /// Number of virtual interfaces `I`.
-    pub interfaces: usize,
-    /// The packet-size ranges (`L = ranges.len()`).
-    pub ranges: SizeRanges,
-}
-
-impl ReshapeParameters {
-    /// Parameters for a requested privacy level, following §III-C3 and Table V.
-    pub fn for_level(level: PrivacyLevel) -> Self {
-        match level {
-            PrivacyLevel::Low => ReshapeParameters {
-                interfaces: 2,
-                ranges: SizeRanges::paper_two(),
-            },
-            PrivacyLevel::Standard => ReshapeParameters {
-                interfaces: DEFAULT_INTERFACES,
-                ranges: SizeRanges::paper_default(),
-            },
-            PrivacyLevel::High => ReshapeParameters {
-                interfaces: 5,
-                ranges: SizeRanges::paper_five(),
-            },
-        }
-    }
-
-    /// The number of size ranges `L`.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Checks the paper's selection rules: `L >= I`, and for the standard and
-    /// high levels `L >= 3`.
-    pub fn satisfies_selection_rules(&self) -> bool {
-        self.range_count() >= self.interfaces
-            && (self.interfaces < MIN_RANGES || self.range_count() >= MIN_RANGES)
-    }
-}
-
-impl Default for ReshapeParameters {
-    fn default() -> Self {
-        Self::for_level(PrivacyLevel::Standard)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,40 +35,5 @@ mod tests {
         assert!((entropy_gain_bits(10, 3) - 3f64.log2()).abs() < 1e-12);
         assert_eq!(entropy_gain_bits(10, 1), 0.0);
         assert_eq!(entropy_gain_bits(0, 3), 0.0);
-    }
-
-    #[test]
-    fn levels_map_to_table_five_configurations() {
-        let low = ReshapeParameters::for_level(PrivacyLevel::Low);
-        assert_eq!(low.interfaces, 2);
-        assert_eq!(low.range_count(), 2);
-        let standard = ReshapeParameters::default();
-        assert_eq!(standard.interfaces, 3);
-        assert_eq!(standard.ranges, SizeRanges::paper_default());
-        let high = ReshapeParameters::for_level(PrivacyLevel::High);
-        assert_eq!(high.interfaces, 5);
-        assert_eq!(high.range_count(), 5);
-        for level in [
-            PrivacyLevel::Low,
-            PrivacyLevel::Standard,
-            PrivacyLevel::High,
-        ] {
-            assert!(ReshapeParameters::for_level(level).satisfies_selection_rules());
-        }
-    }
-
-    #[test]
-    fn selection_rules_reject_more_interfaces_than_ranges() {
-        let bad = ReshapeParameters {
-            interfaces: 5,
-            ranges: SizeRanges::paper_default(),
-        };
-        assert!(!bad.satisfies_selection_rules());
-    }
-
-    #[test]
-    fn privacy_levels_are_ordered() {
-        assert!(PrivacyLevel::Low < PrivacyLevel::Standard);
-        assert!(PrivacyLevel::Standard < PrivacyLevel::High);
     }
 }

@@ -118,12 +118,6 @@ impl SizeRanges {
         &self.boundaries
     }
 
-    /// The half-open range `(lo, hi]` at index `j`.
-    pub fn range_bounds(&self, j: usize) -> (usize, usize) {
-        let lo = if j == 0 { 0 } else { self.boundaries[j - 1] };
-        (lo, self.boundaries[j])
-    }
-
     /// The index of the range containing `size`. Sizes above `ℓ_max` fall into
     /// the last range; a size of zero falls into the first.
     pub fn range_of(&self, size: usize) -> usize {
@@ -169,9 +163,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.boundaries(), &[232, 1540, 1576]);
         assert_eq!(r.max_size(), 1576);
-        assert_eq!(r.range_bounds(0), (0, 232));
-        assert_eq!(r.range_bounds(1), (232, 1540));
-        assert_eq!(r.range_bounds(2), (1540, 1576));
         assert_eq!(SizeRanges::default(), r);
     }
 
@@ -219,8 +210,7 @@ mod tests {
         let r = SizeRanges::equal_width(3, 1576).unwrap();
         assert_eq!(r.len(), 3);
         assert_eq!(r.max_size(), 1576);
-        let (_, b0) = r.range_bounds(0);
-        assert!((524..=526).contains(&b0));
+        assert!((524..=526).contains(&r.boundaries()[0]));
         assert!(SizeRanges::equal_width(0, 100).is_err());
         assert!(SizeRanges::equal_width(200, 100).is_err());
     }
@@ -256,7 +246,8 @@ mod tests {
             let r = SizeRanges::paper_default();
             let j = r.range_of(size);
             prop_assert!(j < r.len());
-            let (lo, hi) = r.range_bounds(j);
+            let lo = if j == 0 { 0 } else { r.boundaries()[j - 1] };
+            let hi = r.boundaries()[j];
             if size <= r.max_size() && size > 0 {
                 prop_assert!(size > lo && size <= hi, "size {size} not in ({lo}, {hi}]");
             }

@@ -40,24 +40,13 @@ impl ReshapeOutcome {
         &self.sub_traces
     }
 
-    /// The sub-trace of one interface.
-    pub fn sub_trace(&self, vif: VifIndex) -> Option<&Trace> {
-        self.sub_traces.get(vif.index())
-    }
-
     /// The per-packet assignments as `(original packet index, interface)`
     /// pairs, in original packet order.
     ///
     /// Packets are not duplicated here — they already live in the sub-traces;
-    /// use [`assignment_of`](Self::assignment_of) or zip with the original
-    /// trace's packets to recover the full pairing.
+    /// zip with the original trace's packets to recover the full pairing.
     pub fn assignments(&self) -> &[(usize, VifIndex)] {
         &self.assignments
-    }
-
-    /// The interface assigned to the packet at `index` of the original trace.
-    pub fn assignment_of(&self, index: usize) -> Option<VifIndex> {
-        self.assignments.get(index).map(|&(_, vif)| vif)
     }
 
     /// Number of virtual interfaces.
@@ -208,8 +197,8 @@ mod tests {
         let mut reshaper =
             Reshaper::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
         let outcome = reshaper.reshape(&trace);
-        let small = outcome.sub_trace(VifIndex::new(0)).unwrap();
-        let large = outcome.sub_trace(VifIndex::new(2)).unwrap();
+        let small = &outcome.sub_traces()[0];
+        let large = &outcome.sub_traces()[2];
         assert!(small.mean_packet_size() < 250.0);
         assert!(large.mean_packet_size() > 1540.0);
         assert!((small.mean_packet_size() - original_mean).abs() > 300.0);
@@ -262,7 +251,7 @@ mod tests {
         assert_eq!(outcome.total_packets(), 0);
         assert_eq!(outcome.total_bytes(), 0);
         assert!(outcome.sub_traces().iter().all(Trace::is_empty));
-        assert!(outcome.sub_trace(VifIndex::new(5)).is_none());
+        assert!(outcome.sub_traces().get(5).is_none());
     }
 
     proptest! {

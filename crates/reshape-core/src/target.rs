@@ -48,19 +48,6 @@ impl TargetDistribution {
         Ok(TargetDistribution { probabilities })
     }
 
-    /// An indicator distribution that puts all mass on range `owned_range`
-    /// (the building block of OR: `∃! i : φ^i_j = 1`).
-    pub fn indicator(length: usize, owned_range: usize) -> Result<Self> {
-        if owned_range >= length {
-            return Err(Error::InvalidTargetDistribution(format!(
-                "owned range {owned_range} out of bounds for length {length}"
-            )));
-        }
-        let mut probabilities = vec![0.0; length];
-        probabilities[owned_range] = 1.0;
-        Ok(TargetDistribution { probabilities })
-    }
-
     /// The probabilities `φ^i_j`.
     pub fn probabilities(&self) -> &[f64] {
         &self.probabilities
@@ -187,11 +174,6 @@ impl TargetSet {
         self.targets.len()
     }
 
-    /// Number of ranges `L`.
-    pub fn range_count(&self) -> usize {
-        self.targets[0].len()
-    }
-
     /// The target for one interface.
     pub fn target(&self, vif: VifIndex) -> Option<&TargetDistribution> {
         self.targets.get(vif.index())
@@ -240,9 +222,8 @@ mod tests {
         assert!(TargetDistribution::new(vec![0.7, 0.7]).is_err());
         assert!(TargetDistribution::new(vec![-0.1, 1.1]).is_err());
         assert!(TargetDistribution::new(vec![f64::NAN, 1.0]).is_err());
-        let ind = TargetDistribution::indicator(3, 1).unwrap();
+        let ind = TargetDistribution::new(vec![0.0, 1.0, 0.0]).unwrap();
         assert_eq!(ind.probabilities(), &[0.0, 1.0, 0.0]);
-        assert!(TargetDistribution::indicator(3, 3).is_err());
     }
 
     #[test]
@@ -250,7 +231,7 @@ mod tests {
         // φ1 = [1,0,0], φ2 = [0,1,0], φ3 = [0,0,1] from §III-C2.
         let set = TargetSet::orthogonal(3, 3).unwrap();
         assert_eq!(set.interface_count(), 3);
-        assert_eq!(set.range_count(), 3);
+        assert!(set.targets().iter().all(|t| t.len() == 3));
         set.check_orthogonality().unwrap();
         for (i, t) in set.targets().iter().enumerate() {
             let expected: Vec<f64> = (0..3).map(|j| if i == j { 1.0 } else { 0.0 }).collect();
@@ -305,7 +286,7 @@ mod tests {
 
     #[test]
     fn distance_to_realized_distribution() {
-        let t = TargetDistribution::indicator(3, 0).unwrap();
+        let t = TargetDistribution::new(vec![1.0, 0.0, 0.0]).unwrap();
         assert_eq!(t.distance_to(&[1.0, 0.0, 0.0]), 0.0);
         let d = t.distance_to(&[0.0, 1.0, 0.0]);
         assert!((d - 2f64.sqrt()).abs() < 1e-12);

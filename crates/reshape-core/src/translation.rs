@@ -81,11 +81,6 @@ impl TranslationTable {
             .copied()
     }
 
-    /// All virtual addresses of a station, in interface order.
-    pub fn virtuals_of(&self, physical: MacAddress) -> Option<&[MacAddress]> {
-        self.to_virtual.get(&physical).map(Vec::as_slice)
-    }
-
     /// Rewrites an uplink frame's virtual source address to the physical one
     /// (the AP-side translation of Fig. 3).
     ///
@@ -159,7 +154,7 @@ mod tests {
         }
         assert_eq!(table.physical_of(physical(1)), Some(physical(1)));
         assert_eq!(table.physical_of(physical(9)), None);
-        assert_eq!(table.virtuals_of(physical(1)).unwrap().len(), 3);
+        assert_eq!(table.virtual_of(physical(1), VifIndex::new(3)), None);
         assert!(table.remove(physical(1)));
         assert!(!table.remove(physical(1)));
         assert_eq!(table.physical_of(set.macs()[0]), None);
@@ -178,7 +173,11 @@ mod tests {
             "stale aliases removed"
         );
         assert_eq!(table.physical_of(new.macs()[1]), Some(physical(1)));
-        assert_eq!(table.virtuals_of(physical(1)).unwrap().len(), 2);
+        assert_eq!(
+            table.virtual_of(physical(1), VifIndex::new(1)),
+            Some(new.macs()[1])
+        );
+        assert_eq!(table.virtual_of(physical(1), VifIndex::new(2)), None);
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl VirtualInterfaceSet {
         self.interfaces.get_mut(index.index())
     }
 
-    /// Finds the interface owning a MAC address.
-    pub fn by_mac(&self, mac: MacAddress) -> Option<&VirtualInterface> {
-        self.interfaces.iter().find(|v| v.mac() == mac)
-    }
-
     /// The MAC addresses of all interfaces, in index order.
     pub fn macs(&self) -> Vec<MacAddress> {
         self.interfaces.iter().map(|v| v.mac()).collect()
@@ -221,8 +216,6 @@ mod tests {
         assert_eq!(set.macs(), addrs);
         assert_eq!(set.get(VifIndex::new(1)).unwrap().mac(), addrs[1]);
         assert!(set.get(VifIndex::new(3)).is_none());
-        assert_eq!(set.by_mac(addrs[2]).unwrap().index(), VifIndex::new(2));
-        assert!(set.by_mac(MacAddress::BROADCAST).is_none());
 
         set.get_mut(VifIndex::new(0)).unwrap().record(1576);
         set.get_mut(VifIndex::new(0)).unwrap().record(100);

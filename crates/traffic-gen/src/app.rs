@@ -79,11 +79,6 @@ impl AppKind {
             AppKind::BitTorrent => 6,
         }
     }
-
-    /// The inverse of [`class_index`](Self::class_index).
-    pub fn from_class_index(index: usize) -> Option<AppKind> {
-        AppKind::ALL.get(index).copied()
-    }
 }
 
 impl fmt::Display for AppKind {
@@ -129,9 +124,8 @@ mod tests {
     fn class_index_round_trips() {
         for (i, app) in AppKind::ALL.iter().enumerate() {
             assert_eq!(app.class_index(), i);
-            assert_eq!(AppKind::from_class_index(i), Some(*app));
+            assert_eq!(AppKind::ALL[app.class_index()], *app);
         }
-        assert_eq!(AppKind::from_class_index(7), None);
     }
 
     #[test]

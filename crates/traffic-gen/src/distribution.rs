@@ -58,11 +58,6 @@ impl SizeHistogram {
         self.bin_width
     }
 
-    /// The number of bins.
-    pub fn bin_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Total number of observations.
     pub fn total(&self) -> u64 {
         self.total

@@ -318,6 +318,7 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     #[test]
     fn arrival_mean_gap_formula() {
@@ -350,8 +351,13 @@ mod tests {
                 mean_gap_secs: 0.01,
             },
         );
-        let packets: Vec<PacketRecord> =
-            FlowStream::seeded(spec, AppKind::Downloading, 7, Some(10.0)).collect();
+        let packets: Vec<PacketRecord> = FlowStream::new(
+            spec,
+            AppKind::Downloading,
+            StdRng::seed_from_u64(7),
+            Some(10.0),
+        )
+        .collect();
         assert!(packets.iter().all(|p| p.time.as_secs_f64() <= 10.0));
         // Expected ~1000 packets; allow wide slack.
         assert!(
@@ -373,8 +379,13 @@ mod tests {
                 off_gap_secs: 1.0,
             },
         );
-        let packets: Vec<PacketRecord> =
-            FlowStream::seeded(spec, AppKind::Browsing, 8, Some(60.0)).collect();
+        let packets: Vec<PacketRecord> = FlowStream::new(
+            spec,
+            AppKind::Browsing,
+            StdRng::seed_from_u64(8),
+            Some(60.0),
+        )
+        .collect();
         assert!(packets.len() > 100);
         let gaps: Vec<f64> = packets
             .windows(2)
@@ -397,7 +408,7 @@ mod tests {
             },
         );
         let packets: Vec<PacketRecord> =
-            FlowStream::seeded(spec, AppKind::Video, 9, Some(20.0)).collect();
+            FlowStream::new(spec, AppKind::Video, StdRng::seed_from_u64(9), Some(20.0)).collect();
         let gaps: Vec<f64> = packets
             .windows(2)
             .map(|w| w[1].time.as_secs_f64() - w[0].time.as_secs_f64())

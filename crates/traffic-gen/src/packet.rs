@@ -71,12 +71,6 @@ impl PacketRecord {
         PacketRecord::new(SimTime::from_secs_f64(secs), size, direction, app)
     }
 
-    /// Returns a copy shifted later in time by `offset_secs`.
-    pub fn shifted_by_secs(mut self, offset_secs: f64) -> Self {
-        self.time = SimTime::from_secs_f64(self.time.as_secs_f64() + offset_secs);
-        self
-    }
-
     /// Returns a copy with a different size (used by padding / morphing).
     pub fn with_size(mut self, size: usize) -> Self {
         self.size = size;
@@ -103,8 +97,6 @@ mod tests {
         let p = PacketRecord::at_secs(1.5, 1400, Direction::Downlink, AppKind::Video);
         assert_eq!(p.time.as_micros(), 1_500_000);
         assert_eq!(p.size, 1400);
-        let shifted = p.shifted_by_secs(0.5);
-        assert_eq!(shifted.time.as_secs_f64(), 2.0);
         let resized = p.with_size(1576);
         assert_eq!(resized.size, 1576);
         assert_eq!(resized.time, p.time);

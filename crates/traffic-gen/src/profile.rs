@@ -70,12 +70,6 @@ pub fn paper_profile(app: AppKind) -> AppProfile {
         .expect("all seven applications are present")
 }
 
-/// The two packet-size ranges the paper observes most packets to fall into
-/// (§III-C3): small packets `[108, 232]` and near-MTU packets `[1546, 1576]`.
-pub const SMALL_PACKET_RANGE: (usize, usize) = (108, 232);
-/// See [`SMALL_PACKET_RANGE`].
-pub const LARGE_PACKET_RANGE: (usize, usize) = (1546, 1576);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,7 +101,5 @@ mod tests {
             assert!(p.mean_packet_size <= crate::MAX_PACKET_SIZE as f64);
             assert!(p.mean_interarrival_secs > 0.0);
         }
-        assert!(SMALL_PACKET_RANGE.0 < SMALL_PACKET_RANGE.1);
-        assert!(LARGE_PACKET_RANGE.1 == crate::MAX_PACKET_SIZE);
     }
 }

@@ -1,8 +1,8 @@
 //! Self-contained random samplers.
 //!
 //! The traffic models need a handful of continuous and discrete distributions
-//! (exponential inter-arrivals, normal jitter, log-normal burst sizes, Pareto
-//! object sizes, categorical packet-size mixtures). To keep the dependency
+//! (exponential inter-arrivals, normal jitter, categorical packet-size
+//! mixtures). To keep the dependency
 //! footprint to the pre-approved `rand` crate, the samplers are implemented
 //! here directly from uniform variates.
 

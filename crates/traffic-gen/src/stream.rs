@@ -227,16 +227,6 @@ impl FlowStream {
         }
     }
 
-    /// Convenience constructor seeding the RNG from a `u64`.
-    pub fn seeded(spec: FlowSpec, app: AppKind, seed: u64, limit_secs: Option<f64>) -> Self {
-        FlowStream::new(spec, app, StdRng::seed_from_u64(seed), limit_secs)
-    }
-
-    /// The stream clock: the timestamp of the most recently emitted packet.
-    pub fn clock_secs(&self) -> f64 {
-        self.clock_secs
-    }
-
     /// Unwraps the RNG in its current state, so a second flow can continue
     /// the same sequential stream where this one stopped.
     pub fn into_rng(self) -> StdRng {
@@ -462,7 +452,7 @@ mod tests {
             for spec in [model.downlink(), model.uplink()] {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let batch = generate_flow(spec, app, &mut rng, 10.0);
-                let stream = FlowStream::seeded(spec.clone(), app, seed, Some(10.0));
+                let stream = FlowStream::new(spec.clone(), app, StdRng::seed_from_u64(seed), Some(10.0));
                 let streamed: Vec<PacketRecord> = stream.collect();
                 prop_assert_eq!(&streamed, &batch);
             }

@@ -92,19 +92,6 @@ impl Trace {
         self.packets.first().map(|p| p.time)
     }
 
-    /// The timestamp of the last packet.
-    pub fn end_time(&self) -> Option<SimTime> {
-        self.packets.last().map(|p| p.time)
-    }
-
-    /// The time spanned by the trace (zero when fewer than two packets).
-    pub fn duration(&self) -> SimDuration {
-        match (self.start_time(), self.end_time()) {
-            (Some(s), Some(e)) => e.saturating_since(s),
-            _ => SimDuration::ZERO,
-        }
-    }
-
     /// Total number of bytes across all packets.
     pub fn total_bytes(&self) -> u64 {
         self.packets.iter().map(|p| p.size as u64).sum()
@@ -212,15 +199,6 @@ impl Trace {
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("trace serialization cannot fail")
     }
-
-    /// Deserializes a trace from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a descriptive error string when the JSON is malformed.
-    pub fn from_json(json: &str) -> Result<Trace, String> {
-        serde_json::from_str(json).map_err(|e| format!("invalid trace json: {e}"))
-    }
 }
 
 impl FromIterator<PacketRecord> for Trace {
@@ -284,11 +262,11 @@ mod tests {
         );
         assert_eq!(t.total_bytes(), 900);
         assert!((t.mean_packet_size() - 300.0).abs() < 1e-9);
-        assert_eq!(t.duration().as_secs_f64(), 2.0);
+        assert_eq!(t.packets()[2].time.as_secs_f64(), 2.0);
         assert_eq!(t.sizes(Direction::Downlink), vec![100, 200]);
         assert_eq!(t.sizes(Direction::Uplink), vec![600]);
         assert_eq!(Trace::new().mean_packet_size(), 0.0);
-        assert_eq!(Trace::new().duration(), SimDuration::ZERO);
+        assert_eq!(Trace::new().start_time(), None);
     }
 
     #[test]
@@ -320,7 +298,10 @@ mod tests {
         assert_eq!(windows.len(), 4, "20 s of traffic in 5 s windows");
         for w in &windows {
             assert_eq!(w.app(), Some(AppKind::Browsing));
-            assert!(w.duration().as_secs_f64() <= 5.0 + 1e-9);
+            let span = w.packets()[w.len() - 1]
+                .time
+                .saturating_since(w.packets()[0].time);
+            assert!(span.as_secs_f64() <= 5.0 + 1e-9);
         }
         assert!(t.windows(SimDuration::ZERO).is_empty());
         assert!(Trace::new().windows(SimDuration::from_secs(5)).is_empty());
@@ -359,7 +340,7 @@ mod tests {
         );
         let r = t.rebased();
         assert_eq!(r.start_time().unwrap().as_secs_f64(), 0.0);
-        assert!((r.end_time().unwrap().as_secs_f64() - 2.5).abs() < 1e-9);
+        assert!((r.packets()[1].time.as_secs_f64() - 2.5).abs() < 1e-9);
         assert_eq!(Trace::new().rebased(), Trace::new());
     }
 
@@ -373,9 +354,9 @@ mod tests {
             ],
         );
         let json = t.to_json();
-        let back = Trace::from_json(&json).unwrap();
+        let back: Trace = serde_json::from_str(&json).unwrap();
         assert_eq!(back, t);
-        assert!(Trace::from_json("not json").is_err());
+        assert!(serde_json::from_str::<Trace>("not json").is_err());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::mac::{MacAddress, MacAddressPool};
 use parking_lot::RwLock;
 use rand::Rng;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Default AP transmit power in dBm.
 pub const DEFAULT_AP_TX_POWER_DBM: f64 = 18.0;
@@ -34,7 +33,7 @@ pub struct AccessPoint {
     sequence: u16,
     associations: HashMap<MacAddress, AssociationRecord>,
     /// virtual address -> physical address of the owning station.
-    alias_table: Arc<RwLock<HashMap<MacAddress, MacAddress>>>,
+    alias_table: RwLock<HashMap<MacAddress, MacAddress>>,
     pool: MacAddressPool,
     frames_forwarded: u64,
 }
@@ -53,7 +52,7 @@ impl AccessPoint {
             next_aid: 1,
             sequence: 0,
             associations: HashMap::new(),
-            alias_table: Arc::new(RwLock::new(HashMap::new())),
+            alias_table: RwLock::new(HashMap::new()),
             pool,
             frames_forwarded: 0,
         }
@@ -74,11 +73,6 @@ impl AccessPoint {
         self.tx_power_dbm
     }
 
-    /// Sets the AP transmit power.
-    pub fn set_tx_power_dbm(&mut self, dbm: f64) {
-        self.tx_power_dbm = dbm;
-    }
-
     /// Number of currently associated stations.
     pub fn station_count(&self) -> usize {
         self.associations.len()
@@ -87,12 +81,6 @@ impl AccessPoint {
     /// Total number of data frames the AP has forwarded (either direction).
     pub fn frames_forwarded(&self) -> u64 {
         self.frames_forwarded
-    }
-
-    /// A cheap shared handle to the alias table, usable by sniffer-side
-    /// ground-truth bookkeeping in tests and experiments.
-    pub fn alias_table_handle(&self) -> Arc<RwLock<HashMap<MacAddress, MacAddress>>> {
-        Arc::clone(&self.alias_table)
     }
 
     fn next_sequence(&mut self) -> u16 {
@@ -325,7 +313,7 @@ mod tests {
         assert_eq!(addrs.len(), 3);
         assert_eq!(ap.virtual_addrs_of(sta(1)), addrs);
         for a in &addrs {
-            assert!(a.is_locally_administered());
+            assert_ne!(a.octets()[0] & 0x02, 0, "locally administered");
             assert_eq!(ap.resolve_physical(*a), Some(sta(1)));
         }
         assert_eq!(ap.resolve_physical(sta(1)), Some(sta(1)));

@@ -59,16 +59,6 @@ impl Default for PathLossModel {
 }
 
 impl PathLossModel {
-    /// Creates a model without shadowing (deterministic RSSI).
-    pub fn deterministic(reference_loss_db: f64, exponent: f64) -> Self {
-        PathLossModel {
-            reference_loss_db,
-            reference_distance_m: 1.0,
-            exponent,
-            shadowing_sigma_db: 0.0,
-        }
-    }
-
     /// Mean path loss in dB at distance `d` meters (no shadowing).
     pub fn mean_path_loss_db(&self, distance_m: f64) -> f64 {
         let d = distance_m.max(self.reference_distance_m);
@@ -167,6 +157,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// A model without shadowing (deterministic RSSI).
+    fn deterministic(reference_loss_db: f64, exponent: f64) -> PathLossModel {
+        PathLossModel {
+            reference_loss_db,
+            exponent,
+            shadowing_sigma_db: 0.0,
+            ..PathLossModel::default()
+        }
+    }
+
     #[test]
     fn distance_is_euclidean() {
         let a = Position::new(0.0, 0.0);
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn path_loss_monotone_in_distance() {
-        let m = PathLossModel::deterministic(40.0, 3.0);
+        let m = deterministic(40.0, 3.0);
         let mut last = 0.0;
         for d in [1.0, 2.0, 5.0, 10.0, 20.0, 50.0] {
             let pl = m.mean_path_loss_db(d);
@@ -188,7 +188,7 @@ mod tests {
 
     #[test]
     fn distances_below_reference_are_clamped() {
-        let m = PathLossModel::deterministic(40.0, 3.0);
+        let m = deterministic(40.0, 3.0);
         assert_eq!(m.mean_path_loss_db(0.0), m.mean_path_loss_db(1.0));
         assert_eq!(m.mean_path_loss_db(0.5), 40.0);
     }
@@ -228,7 +228,7 @@ mod tests {
 
     #[test]
     fn deterministic_model_has_no_shadowing() {
-        let m = PathLossModel::deterministic(40.0, 3.0);
+        let m = deterministic(40.0, 3.0);
         let mut rng = StdRng::seed_from_u64(4);
         let a = m.sample_path_loss_db(7.0, &mut rng);
         let b = m.sample_path_loss_db(7.0, &mut rng);
@@ -237,7 +237,7 @@ mod tests {
 
     #[test]
     fn receivability_threshold() {
-        let medium = Medium::new(PathLossModel::deterministic(40.0, 3.5), -95.0);
+        let medium = Medium::new(deterministic(40.0, 3.5), -95.0);
         let ap = Position::new(0.0, 0.0);
         assert!(medium.is_receivable(ap, Position::new(5.0, 0.0), 15.0));
         assert!(!medium.is_receivable(ap, Position::new(500.0, 0.0), 15.0));

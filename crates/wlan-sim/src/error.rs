@@ -23,13 +23,6 @@ pub enum Error {
     UnknownDestination(crate::mac::MacAddress),
     /// Text could not be parsed as a MAC address.
     ParseMacAddress(String),
-    /// The event queue was asked to schedule an event in the past.
-    EventInPast {
-        /// Current simulation time.
-        now: crate::time::SimTime,
-        /// Requested (past) event time.
-        requested: crate::time::SimTime,
-    },
     /// An invalid channel number was supplied (valid 2.4 GHz channels are 1..=14).
     InvalidChannel(u8),
     /// Decryption failed because the key did not match.
@@ -46,10 +39,6 @@ impl fmt::Display for Error {
             Error::FrameDecode(msg) => write!(f, "frame decode error: {msg}"),
             Error::UnknownDestination(a) => write!(f, "unknown destination address {a}"),
             Error::ParseMacAddress(s) => write!(f, "invalid mac address syntax: {s:?}"),
-            Error::EventInPast { now, requested } => write!(
-                f,
-                "cannot schedule event at {requested} because the clock is already at {now}"
-            ),
             Error::InvalidChannel(c) => write!(f, "invalid 802.11 channel number {c}"),
             Error::DecryptionFailed => write!(f, "decryption failed: wrong key"),
         }
@@ -62,7 +51,6 @@ impl std::error::Error for Error {}
 mod tests {
     use super::*;
     use crate::mac::MacAddress;
-    use crate::time::SimTime;
 
     #[test]
     fn display_is_nonempty_and_lowercase() {
@@ -74,10 +62,6 @@ mod tests {
             Error::FrameDecode("short".into()),
             Error::UnknownDestination(MacAddress::BROADCAST),
             Error::ParseMacAddress("xx".into()),
-            Error::EventInPast {
-                now: SimTime::from_micros(10),
-                requested: SimTime::from_micros(5),
-            },
             Error::InvalidChannel(99),
             Error::DecryptionFailed,
         ];

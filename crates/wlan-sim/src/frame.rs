@@ -18,10 +18,6 @@ use std::fmt;
 /// addresses, sequence control) plus the frame check sequence.
 pub const MAC_OVERHEAD_BYTES: usize = 34;
 
-/// Maximum on-air frame size used throughout the reproduction, matching the
-/// paper's maximum observed packet size `ℓ_max = 1576` bytes.
-pub const MAX_FRAME_BYTES: usize = 1576;
-
 /// Management frame subtypes used by the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -431,7 +427,8 @@ mod tests {
 
     #[test]
     fn data_of_air_size_round_trips_size() {
-        for size in [MAC_OVERHEAD_BYTES, 100, 232, 525, 1050, MAX_FRAME_BYTES] {
+        // Up to the paper's largest observed packet, `ℓ_max = 1576` bytes.
+        for size in [MAC_OVERHEAD_BYTES, 100, 232, 525, 1050, 1576] {
             let f = Frame::data_of_air_size(addr(1), addr(2), size);
             assert_eq!(f.air_size(), size);
         }

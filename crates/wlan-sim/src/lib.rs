@@ -1,6 +1,6 @@
 //! # wlan-sim
 //!
-//! An event-driven, 802.11-style MAC/PHY simulator used as the substrate for the
+//! An 802.11-style MAC/PHY simulator used as the substrate for the
 //! traffic-reshaping reproduction (Zhang, He, Liu — ICDCS 2011).
 //!
 //! The paper's defense runs inside a modified MadWifi driver on real Atheros
@@ -17,7 +17,6 @@
 //! * [`crypto`] — payload opacity (the adversary sees lengths, not contents).
 //! * [`station`] / [`ap`] — client and access-point state machines.
 //! * [`sniffer`] — the passive eavesdropper.
-//! * [`event`] — a deterministic discrete-event engine.
 //!
 //! # Example
 //!
@@ -43,7 +42,6 @@ pub mod association;
 pub mod channel;
 pub mod crypto;
 pub mod error;
-pub mod event;
 pub mod frame;
 pub mod mac;
 pub mod phy;

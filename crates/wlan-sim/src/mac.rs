@@ -46,29 +46,15 @@ impl MacAddress {
         self.0[0] & 0x01 != 0
     }
 
-    /// Returns `true` if the locally-administered bit is set.
+    /// Generates a random unicast, locally-administered address.
     ///
     /// Virtual interface addresses handed out by the AP are always
     /// locally administered so they can never clash with burned-in addresses.
-    pub fn is_locally_administered(self) -> bool {
-        self.0[0] & 0x02 != 0
-    }
-
-    /// Generates a random unicast, locally-administered address.
     pub fn random_locally_administered<R: Rng + ?Sized>(rng: &mut R) -> Self {
         let mut octets = [0u8; 6];
         rng.fill(&mut octets);
         octets[0] |= 0x02; // locally administered
         octets[0] &= !0x01; // unicast
-        MacAddress(octets)
-    }
-
-    /// Generates a random unicast, globally-unique style address (as a
-    /// stand-in for a burned-in physical address).
-    pub fn random_universal<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let mut octets = [0u8; 6];
-        rng.fill(&mut octets);
-        octets[0] &= !0x03; // universal + unicast
         MacAddress(octets)
     }
 
@@ -155,7 +141,6 @@ impl From<MacAddress> for [u8; 6] {
 #[derive(Debug, Clone, Default)]
 pub struct MacAddressPool {
     in_use: HashSet<MacAddress>,
-    allocated: u64,
 }
 
 impl MacAddressPool {
@@ -192,11 +177,6 @@ impl MacAddressPool {
         self.in_use.is_empty()
     }
 
-    /// Total number of virtual addresses handed out over the lifetime of the pool.
-    pub fn total_allocated(&self) -> u64 {
-        self.allocated
-    }
-
     /// Allocates one unused, locally-administered unicast address.
     ///
     /// # Errors
@@ -211,7 +191,6 @@ impl MacAddressPool {
             let candidate = MacAddress::random_locally_administered(rng);
             if !self.in_use.contains(&candidate) {
                 self.in_use.insert(candidate);
-                self.allocated += 1;
                 return Ok(candidate);
             }
         }
@@ -305,11 +284,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..100 {
             let la = MacAddress::random_locally_administered(&mut rng);
-            assert!(la.is_locally_administered());
+            assert_ne!(la.octets()[0] & 0x02, 0, "locally administered");
             assert!(!la.is_multicast());
-            let uni = MacAddress::random_universal(&mut rng);
-            assert!(!uni.is_locally_administered());
-            assert!(!uni.is_multicast());
         }
     }
 
@@ -328,9 +304,8 @@ mod tests {
         let unique: HashSet<_> = addrs.iter().copied().collect();
         assert_eq!(unique.len(), 64);
         assert_eq!(pool.len(), 64);
-        assert_eq!(pool.total_allocated(), 64);
         for a in &addrs {
-            assert!(a.is_locally_administered());
+            assert_ne!(a.octets()[0] & 0x02, 0, "locally administered");
             assert!(pool.contains(*a));
         }
     }

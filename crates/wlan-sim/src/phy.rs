@@ -126,11 +126,6 @@ impl Channel {
         }
     }
 
-    /// The channel number.
-    pub fn number(self) -> u8 {
-        self.0
-    }
-
     /// Center frequency in MHz.
     pub fn center_frequency_mhz(self) -> u32 {
         if self.0 == 14 {

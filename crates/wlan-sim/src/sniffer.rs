@@ -235,7 +235,14 @@ mod tests {
     #[test]
     fn out_of_range_transmissions_are_missed() {
         let mut sniffer = make_sniffer();
-        let medium = Medium::new(PathLossModel::deterministic(40.0, 4.0), -95.0);
+        let medium = Medium::new(
+            PathLossModel {
+                exponent: 4.0,
+                shadowing_sigma_db: 0.0,
+                ..PathLossModel::default()
+            },
+            -95.0,
+        );
         let mut rng = StdRng::seed_from_u64(0);
         let frame = Frame::data(sta(1), bssid(), vec![0u8; 500]);
         let far = Position::new(10_000.0, 0.0);

@@ -101,12 +101,6 @@ impl Station {
         self.association = AssociationState::Associated { aid };
     }
 
-    /// Drops the association and all virtual interfaces.
-    pub fn disassociate(&mut self) {
-        self.association = AssociationState::Unassociated;
-        self.clear_virtual_addrs();
-    }
-
     /// The virtual MAC addresses configured on this station, in interface order.
     pub fn virtual_addrs(&self) -> &[MacAddress] {
         &self.virtual_addrs
@@ -223,8 +217,6 @@ mod tests {
         assert_eq!(sta.association(), AssociationState::Pending);
         sta.complete_association(5);
         assert_eq!(sta.association().aid(), Some(5));
-        sta.disassociate();
-        assert!(!sta.association().is_associated());
     }
 
     #[test]

@@ -209,7 +209,7 @@ impl From<SimDuration> for std::time::Duration {
     }
 }
 
-/// A monotone virtual clock used by the event engine and the state machines.
+/// A monotone virtual clock.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VirtualClock {
     now: SimTime,

@@ -1,13 +1,12 @@
 //! Integration test of the WLAN substrate: two stations associate with an AP,
-//! exchange data frames driven by the discrete-event engine, and a passive
-//! sniffer observes the channel. Exercises association, the event queue, the
-//! channel model, address filtering and AP-side translation together.
+//! exchange data frames in time order, and a passive sniffer observes the
+//! channel. Exercises association, the channel model, address filtering and
+//! AP-side translation together.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use wlan_sim::ap::AccessPoint;
 use wlan_sim::channel::{Medium, Position};
-use wlan_sim::event::EventQueue;
 use wlan_sim::frame::{Frame, FrameType};
 use wlan_sim::mac::MacAddress;
 use wlan_sim::phy::{Channel, PhyRate};
@@ -56,8 +55,8 @@ fn two_station_bss_with_eavesdropper() {
     }
     assert_eq!(ap.station_count(), 2);
 
-    // Schedule alternating uplink/downlink traffic through the event engine.
-    let mut queue: EventQueue<Event> = EventQueue::new();
+    // Alternating uplink/downlink traffic, played back in time order.
+    let mut events: Vec<(SimTime, Event)> = Vec::new();
     for k in 0..200u64 {
         let station = (k % 2) as usize;
         let t = SimTime::from_millis(k * 10);
@@ -72,13 +71,16 @@ fn two_station_bss_with_eavesdropper() {
                 payload: 200 + (k as usize % 5) * 100,
             }
         };
-        queue.schedule(t, event).unwrap();
+        events.push((t, event));
     }
+    events.sort_by_key(|&(t, _)| t);
 
     let mut delivered_uplink = 0u64;
     let mut delivered_downlink = 0u64;
-    while let Some(scheduled) = queue.pop() {
-        match scheduled.payload {
+    let mut processed = 0u64;
+    for (time, event) in events {
+        processed += 1;
+        match event {
             Event::Uplink { station, payload } => {
                 let sta = &mut stations[station];
                 let frame =
@@ -86,7 +88,7 @@ fn two_station_bss_with_eavesdropper() {
                 // Airtime is well-defined for the selected rate.
                 assert!(PhyRate::Mbps54.airtime(frame.air_size()) > SimDuration::ZERO);
                 sniffer.observe(
-                    scheduled.time,
+                    time,
                     &frame,
                     sta.position(),
                     sta.tx_power_dbm(),
@@ -108,7 +110,7 @@ fn two_station_bss_with_eavesdropper() {
                 let on_air = ap.translate_downlink(&from_ds, sta_addr).unwrap();
                 assert_eq!(on_air.header().frame_type(), FrameType::Data);
                 sniffer.observe(
-                    scheduled.time,
+                    time,
                     &on_air,
                     ap.position(),
                     ap.tx_power_dbm(),
@@ -126,7 +128,7 @@ fn two_station_bss_with_eavesdropper() {
         }
     }
 
-    assert_eq!(queue.processed(), 200);
+    assert_eq!(processed, 200);
     assert_eq!(delivered_uplink + delivered_downlink, 200);
     assert!(ap.frames_forwarded() >= 200);
 

@@ -9,11 +9,10 @@ use traffic_gen::app::AppKind;
 #[test]
 fn table2_shape_original_high_partitioning_weak_or_strong() {
     let table = table2(&ExperimentConfig::quick());
-    let original = table.mean_of("Original").unwrap();
-    let fh = table.mean_of("FH").unwrap();
-    let ra = table.mean_of("RA").unwrap();
-    let rr = table.mean_of("RR").unwrap();
-    let or = table.mean_of("OR").unwrap();
+    assert_eq!(table.columns, ["Original", "FH", "RA", "RR", "OR"]);
+    let &[original, fh, ra, rr, or] = table.mean.as_slice() else {
+        panic!("one mean per column");
+    };
 
     // (i) The adversary works well on original traffic.
     assert!(original > 0.7, "original mean accuracy {original}");
