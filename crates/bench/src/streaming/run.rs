@@ -30,7 +30,7 @@ use std::cmp::Ordering;
 use traffic_gen::app::AppKind;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::spec::TrafficSpec;
-use traffic_gen::stream::{PacketSource, PeekableSource, StreamingSession};
+use traffic_gen::stream::StreamingSession;
 use wlan_sim::time::SimDuration;
 
 /// Session length of the calibration traces generated for morphing stations
@@ -191,7 +191,7 @@ impl StationRun {
                 self.mode,
                 self.window_batch,
             ),
-            source: PeekableSource::new(self.traffic.build()),
+            source: self.traffic.build(),
             arrival_secs: self.arrival_secs,
         })
     }
@@ -251,11 +251,11 @@ pub(crate) struct DrainRun {
     pub(crate) packets: u64,
 }
 
-/// A station that has been admitted: live pipelines, a peekable source, and
-/// the machine driving both. Only admitted stations hold per-station state.
+/// A station that has been admitted: live pipelines, its streaming session,
+/// and the machine driving both. Only admitted stations hold per-station state.
 pub(crate) struct AdmittedStation {
     machine: StationMachine,
-    source: PeekableSource<StreamingSession>,
+    source: StreamingSession,
     arrival_secs: f64,
 }
 
@@ -276,8 +276,9 @@ impl AdmittedStation {
     /// `horizon` (the whole source when `None`) in [`STAGE_BATCH`]-sized
     /// micro-batches — the coalesced fast path, byte-identical to stepping
     /// per packet because [`StationMachine::offer_slice`] splits each batch
-    /// at phase-splice boundaries. The caller's `scratch` batch is reused
-    /// across runs and stations.
+    /// at phase-splice boundaries. The session fills each batch in one
+    /// [`StreamingSession::fill_until`] call. The caller's `scratch` batch is
+    /// reused across runs and stations.
     pub(crate) fn drain_until(
         &mut self,
         horizon: Option<f64>,
@@ -291,19 +292,8 @@ impl AdmittedStation {
         let StationScratch { batch, staged, .. } = scratch;
         loop {
             batch.clear();
-            while batch.len() < STAGE_BATCH {
-                let Some(t) = self.source.next_time_secs() else {
-                    break;
-                };
-                if horizon.is_some_and(|h| self.arrival_secs + t >= h) {
-                    break;
-                }
-                batch.push(
-                    self.source
-                        .next_packet()
-                        .expect("a peeked time has a packet"),
-                );
-            }
+            self.source
+                .fill_until(self.arrival_secs, horizon, batch, STAGE_BATCH);
             let Some(last) = batch.last() else { break };
             run.last_secs = Some(self.arrival_secs + last.time.as_secs_f64());
             run.packets += batch.len() as u64;

@@ -143,6 +143,11 @@ impl BidirectionalModel {
         &self.uplink
     }
 
+    /// Hands the two flow specs over, downlink first.
+    pub(crate) fn into_flows(self) -> (FlowSpec, FlowSpec) {
+        (self.downlink, self.uplink)
+    }
+
     /// Generates a labelled trace spanning `duration_secs` seconds.
     ///
     /// Both flows share `rng` sequentially: the downlink [`FlowStream`] is
@@ -150,16 +155,17 @@ impl BidirectionalModel {
     /// reproduces the whole trace.
     pub fn generate(&self, rng: StdRng, duration_secs: f64) -> Trace {
         let limit = Some(duration_secs);
-        let mut downlink = FlowStream::new(self.downlink.clone(), self.app, rng, limit);
-        let mut packets: Vec<PacketRecord> = downlink.by_ref().collect();
-        let rng = downlink.into_rng();
+        let mut packets = Vec::new();
+        let rng = FlowStream::new(self.downlink.clone(), self.app, rng, limit)
+            .drain_runs(|run| packets.extend_from_slice(run));
         // Collected on its own and appended with one reservation: pushing
         // straight into `packets` grows it by doubling, and freeing that
         // larger buffer raises glibc's dynamic mmap threshold (1-2 MB more
         // peak RSS measured on the benchmark workloads).
-        let uplink: Vec<PacketRecord> =
-            FlowStream::new(self.uplink.clone(), self.app, rng, limit).collect();
-        packets.extend(uplink);
+        let mut uplink = Vec::new();
+        FlowStream::new(self.uplink.clone(), self.app, rng, limit)
+            .drain_runs(|run| uplink.extend_from_slice(run));
+        packets.extend_from_slice(&uplink);
         Trace::from_packets(Some(self.app), packets)
     }
 
@@ -177,14 +183,9 @@ impl BidirectionalModel {
     ) -> SizeHistogram {
         let limit = Some(duration_secs);
         let mut hist = SizeHistogram::new(max_size, bin_width);
-        let mut downlink = FlowStream::new(self.downlink.clone(), self.app, rng, limit);
-        for packet in downlink.by_ref() {
-            hist.add(packet.size);
-        }
-        let uplink = FlowStream::new(self.uplink.clone(), self.app, downlink.into_rng(), limit);
-        for packet in uplink {
-            hist.add(packet.size);
-        }
+        let mut add = |run: &[PacketRecord]| run.iter().for_each(|p| hist.add(p.size));
+        let rng = FlowStream::new(self.downlink.clone(), self.app, rng, limit).drain_runs(&mut add);
+        FlowStream::new(self.uplink.clone(), self.app, rng, limit).drain_runs(&mut add);
         hist
     }
 }

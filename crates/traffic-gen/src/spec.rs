@@ -38,7 +38,7 @@ impl TrafficSpec {
     /// Builds the spec's lazy packet source (bounded by `secs` when given,
     /// infinite otherwise).
     pub fn build(&self) -> StreamingSession {
-        StreamingSession::from_model(&spec_for(self.app), self.seed, self.secs)
+        StreamingSession::from_model(spec_for(self.app), self.seed, self.secs)
     }
 }
 
@@ -72,6 +72,14 @@ impl Deserialize for TrafficSpec {
             Some(s) => Some(f64::from_value(s)?),
             None => None,
         };
+        // A bound that is NaN or infinite never ends the session (the flow
+        // clock is never past it), and one that is not positive ends it
+        // before the first packet.
+        if let Some(secs) = secs.filter(|s| !(s.is_finite() && *s > 0.0)) {
+            return Err(Error::custom(format!(
+                "traffic spec `secs` must be positive and finite, got {secs}"
+            )));
+        }
         Ok(TrafficSpec { app, seed, secs })
     }
 }
@@ -120,5 +128,17 @@ mod tests {
         // Unknown applications are rejected.
         let v = Value::Map(vec![("app".into(), Value::Str("telnet".into()))]);
         assert!(TrafficSpec::from_value(&v).is_err());
+    }
+
+    #[test]
+    fn rejects_a_secs_that_is_not_positive_and_finite() {
+        for secs in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let v = Value::Map(vec![
+                ("app".into(), Value::Str("video".into())),
+                ("secs".into(), Value::F64(secs)),
+            ]);
+            let err = TrafficSpec::from_value(&v).expect_err("unusable secs");
+            assert!(err.to_string().contains("`secs`"), "{secs}: {err}");
+        }
     }
 }

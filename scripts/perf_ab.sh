@@ -12,6 +12,9 @@
 # drift in host speed does not favour either. Prints every run's metrics,
 # then each metric's median per side and the number of pairs the working
 # tree won (better in the direction BENCHMARK.json gives; ties are not wins).
+# A run whose result line is not `"correct": true` is reported and left out
+# of the medians and the pairs; the failed/attempted count of each side is
+# printed under the table.
 #
 # The environment passes through to both sides, e.g.
 #   MALLOC_MMAP_THRESHOLD_=131072 scripts/perf_ab.sh HEAD~1 metropolis_churn 4 10
@@ -65,13 +68,19 @@ better_of() {
 
 results="$ab/results.tsv"
 : >"$results"
+declare -A attempted=([base]=0 [head]=0) failed=([base]=0 [head]=0)
 run() { # SIDE BIN PAIR
     local out
+    attempted[$1]=$((attempted[$1] + 1))
     out=$("$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null |
         tail -n 1) || true
     case "$out" in
         *'"correct": true'*) ;;
-        *) echo "pair $3 $1: run not correct: $out" >&2 ;;
+        *)
+            failed[$1]=$((failed[$1] + 1))
+            echo "pair $3 $1: run failed, left out: $out" >&2
+            return
+            ;;
     esac
     # One `SIDE PAIR METRIC VALUE` row per metric of the result line, and
     # one `pair N SIDE metric=value ...` line on standard output.
@@ -123,3 +132,5 @@ for metric in $(cut -f3 "$results" | awk '!seen[$0]++'); do
     printf '%-18s %14.6g %14.6g %9s %6s  (%s is better)\n' \
         "$metric" "$base_median" "$head_median" "$change" "$won" "$direction"
 done
+printf '%-18s %14s %14s\n' "failed runs" \
+    "${failed[base]}/${attempted[base]}" "${failed[head]}/${attempted[head]}"
