@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test fmt lint pub-scan bench-json bench-json-check experiments-check perf-test scenario-check scenario-json examples perf-ab ci
+.PHONY: verify build test equivalence-release fmt lint pub-scan bench-json bench-json-check experiments-check perf-test scenario-check scenario-json examples perf-ab ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -11,6 +11,13 @@ build:
 
 test:
 	cargo test --workspace
+
+# The bit-identity suites in the release profile. The lane-panel kernels are
+# written for the autovectorizer, and only the release build vectorises them,
+# so the debug runs of `verify` and `test` do not exercise that code.
+equivalence-release:
+	cargo test --release -q -p classifier
+	cargo test --release -q -p bench --test executor_equivalence --test windower_slice_equivalence
 
 fmt:
 	cargo fmt --all --check
@@ -64,14 +71,16 @@ examples:
 	cargo build --examples
 
 # A/B of perfbench: BASE against the working tree in alternating --trace 0
-# pairs, printing each metric's median per side and the pairs the working
-# tree won. Not part of `ci` (it takes PAIRS × 2 × RUN_SECONDS plus builds).
+# pairs on seeds FIRST_SEED.., printing each metric's quartiles per side,
+# the pairs the working tree won and a gain/regression verdict. Not part of
+# `ci` (it takes PAIRS × 2 × RUN_SECONDS plus builds).
 BASE ?= HEAD
 WORKLOAD ?= online_churn
 PAIRS ?= 10
 RUN_SECONDS ?= 10
+FIRST_SEED ?= 1
 perf-ab:
-	scripts/perf_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
+	scripts/perf_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS) $(FIRST_SEED)
 
 # Everything CI gates on, in one shot.
-ci: fmt lint pub-scan verify test scenario-check bench-json-check experiments-check perf-test examples
+ci: fmt lint pub-scan verify test equivalence-release scenario-check bench-json-check experiments-check perf-test examples

@@ -18,12 +18,9 @@ use crate::pipeline::{train_adversary, train_adversary_online};
 use crate::scenario::spec::{
     AdversaryMode, CompiledScenario, ScenarioStation, SCENARIO_FEATURE_MODE,
 };
-use crate::streaming::{
-    Executor, ExecutorStats, FrozenScorer, ScheduledReport, StationRun, WindowScorer,
-};
+use crate::streaming::{Executor, ExecutorStats, FrozenScorer, ScheduledReport, StationRun};
 use classifier::ensemble::AdversaryEnsemble;
-use classifier::online::{OnlineAdversary, PrequentialEvaluator, SegmentStats};
-use classifier::stream::WindowExample;
+use classifier::online::{OnlineAdversary, PrequentialEvaluator};
 use serde::Serialize;
 use traffic_gen::app::AppKind;
 
@@ -97,7 +94,7 @@ pub struct ScenarioReport {
 /// times.
 pub enum TrainedAdversary {
     /// A frozen batch ensemble, shared by reference across all stations.
-    Frozen(AdversaryEnsemble),
+    Frozen(Box<AdversaryEnsemble>),
     /// A warm-started online adversary, forked (cloned) per station.
     Warm {
         /// The warm base every station forks.
@@ -110,47 +107,15 @@ pub enum TrainedAdversary {
 /// Trains the adversary a scenario's spec asks for.
 pub fn train_for(scenario: &CompiledScenario) -> TrainedAdversary {
     match scenario.adversary.mode {
-        AdversaryMode::Batch => TrainedAdversary::Frozen(train_adversary(
+        AdversaryMode::Batch => TrainedAdversary::Frozen(Box::new(train_adversary(
             &scenario.adversary.train,
             SCENARIO_FEATURE_MODE,
-        )),
+        ))),
         AdversaryMode::Online => TrainedAdversary::Warm {
             adversary: train_adversary_online(&scenario.adversary.train, SCENARIO_FEATURE_MODE)
                 .into_adversary(),
             snapshot_every: scenario.adversary.snapshot_every,
         },
-    }
-}
-
-/// Either scoring mode behind one scorer type, so a single executor call
-/// covers both adversary modes.
-enum ScenarioScorer<'a> {
-    Frozen(FrozenScorer<'a>),
-    Live(PrequentialEvaluator),
-}
-
-impl WindowScorer for ScenarioScorer<'_> {
-    fn score(&mut self, example: &WindowExample) -> usize {
-        match self {
-            ScenarioScorer::Frozen(scorer) => scorer.score(example),
-            ScenarioScorer::Live(evaluator) => evaluator.score(example),
-        }
-    }
-
-    fn score_slice(&mut self, examples: &[WindowExample], out: &mut Vec<usize>) {
-        // Forwarded so the frozen arm keeps its blocked inference path (the
-        // live arm's default loop preserves test-then-train order).
-        match self {
-            ScenarioScorer::Frozen(scorer) => scorer.score_slice(examples, out),
-            ScenarioScorer::Live(evaluator) => evaluator.score_slice(examples, out),
-        }
-    }
-
-    fn end_phase(&mut self) -> Option<SegmentStats> {
-        match self {
-            ScenarioScorer::Frozen(scorer) => scorer.end_phase(),
-            ScenarioScorer::Live(evaluator) => evaluator.end_phase(),
-        }
     }
 }
 
@@ -236,26 +201,31 @@ pub fn execute_scenario(
     adversary: &TrainedAdversary,
     executor: Executor,
 ) -> Result<(ScenarioReport, ExecutorStats), String> {
-    let outcome = executor.run(
-        scenario.station_count(),
-        |i| station_run(scenario, scenario.station(i)),
-        |_| match adversary {
-            TrainedAdversary::Frozen(ensemble) => {
-                ScenarioScorer::Frozen(FrozenScorer::new(ensemble))
-            }
-            TrainedAdversary::Warm {
-                adversary,
-                snapshot_every,
-            } => ScenarioScorer::Live(PrequentialEvaluator::new(
-                adversary.clone(),
-                *snapshot_every,
-            )),
-        },
-        |i, report, _| {
-            let station = scenario.station(i);
-            station_result(&station, &report, i < scenario.max_station_reports)
-        },
-    )?;
+    // One executor call per adversary mode, so each station holds its
+    // scorer inline.
+    let count = scenario.station_count();
+    let run_of = |i| station_run(scenario, scenario.station(i));
+    let result_of = |i, report: &ScheduledReport| {
+        let station = scenario.station(i);
+        station_result(&station, report, i < scenario.max_station_reports)
+    };
+    let outcome = match adversary {
+        TrainedAdversary::Frozen(ensemble) => executor.run(
+            count,
+            run_of,
+            |_| FrozenScorer::new(ensemble),
+            |i, report, _| result_of(i, &report),
+        ),
+        TrainedAdversary::Warm {
+            adversary,
+            snapshot_every,
+        } => executor.run(
+            count,
+            run_of,
+            |_| PrequentialEvaluator::new(adversary.clone(), *snapshot_every),
+            |i, report, _| result_of(i, &report),
+        ),
+    }?;
     let results = outcome.results;
     let packets = results.iter().map(|s| s.packets).sum();
     let windows: u64 = results.iter().map(|s| s.windows).sum();

@@ -10,15 +10,15 @@
 //! feed), [`finish`](StationMachine::finish) flushes the running phase and
 //! returns the [`ScheduledReport`]. Windows closed inside a drain slice are
 //! buffered and pushed through [`WindowScorer::score_slice`] in
-//! [`WINDOW_BATCH`]-sized blocks, in close order — so batch scorers amortise
-//! inference across a block while live test-then-train scorers still see
-//! each window exactly where a per-window feed would have scored it. Because the machine only ever sees its
-//! own station's packets in order, the pooled executor (station-at-a-time)
+//! [`WINDOW_BATCH`]-sized blocks, in close order — so live test-then-train
+//! scorers still see each window exactly where a per-window feed would have
+//! scored it. Because the machine only ever sees its own station's packets
+//! in order, the pooled executor (station-at-a-time)
 //! and the virtual-time executor (station slices interleaved on a global
 //! clock) produce bit-identical per-station reports — stations share no
 //! mutable state, so interleaving cannot leak between them.
 
-use classifier::ensemble::{AdversaryEnsemble, VoteScratch};
+use classifier::ensemble::AdversaryEnsemble;
 use classifier::online::{PrequentialEvaluator, SegmentStats};
 use classifier::stream::{FlowWindowers, WindowExample};
 use classifier::window::{FeatureMode, DEFAULT_MIN_PACKETS};
@@ -38,10 +38,9 @@ pub trait WindowScorer {
 
     /// Scores a slice of window examples in close order, appending one
     /// prediction per example to `out` (cleared first). The default loops
-    /// [`score`](Self::score), so live test-then-train scorers keep their
-    /// exact per-window ordering; batch scorers override it with the blocked
-    /// inference plane. Every override must stay **bit-identical** to the
-    /// per-example loop.
+    /// [`score`](Self::score), so test-then-train scorers keep their exact
+    /// per-window ordering; an override must stay **bit-identical** to that
+    /// loop.
     fn score_slice(&mut self, examples: &[WindowExample], out: &mut Vec<usize>) {
         out.clear();
         out.extend(examples.iter().map(|e| self.score(e)));
@@ -55,60 +54,31 @@ pub trait WindowScorer {
 }
 
 /// How many closed windows [`StationMachine`] buffers before it pushes them
-/// through [`WindowScorer::score_slice`] as one block. Large enough that the
-/// blocked kernels amortise their setup, small enough that a drain slice's
-/// buffered windows stay cache-resident.
+/// through [`WindowScorer::score_slice`] as one block. Scoring itself is per
+/// window; the bound keeps a drain slice's buffered windows cache-resident.
 pub const WINDOW_BATCH: usize = 64;
 
 /// A frozen batch ensemble as a [`WindowScorer`] (majority vote, no
-/// learning). Owns the vote scratch its sliced scoring path reuses across
-/// blocks, so a long session's windows are scored without per-window
-/// allocation.
-#[derive(Debug, Clone)]
+/// learning). It holds only the ensemble: each window is voted on through
+/// the ensemble's inference plan
+/// ([`predict_majority`](AdversaryEnsemble::predict_majority)) on the stack,
+/// so a scorer costs nothing to create per station and scoring allocates
+/// nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct FrozenScorer<'a> {
     ensemble: &'a AdversaryEnsemble,
-    scratch: VoteScratch,
-    rows: Vec<f64>,
 }
 
 impl<'a> FrozenScorer<'a> {
     /// Wraps a trained ensemble as a scorer.
     pub fn new(ensemble: &'a AdversaryEnsemble) -> Self {
-        FrozenScorer {
-            ensemble,
-            scratch: VoteScratch::new(),
-            rows: Vec::new(),
-        }
+        FrozenScorer { ensemble }
     }
 }
 
 impl WindowScorer for FrozenScorer<'_> {
     fn score(&mut self, example: &WindowExample) -> usize {
         self.ensemble.predict_majority(&example.0)
-    }
-
-    fn score_slice(&mut self, examples: &[WindowExample], out: &mut Vec<usize>) {
-        out.clear();
-        let Some(first) = examples.first() else {
-            return;
-        };
-        let dim = first.0.len();
-        if dim == 0 || examples.iter().any(|e| e.0.len() != dim) {
-            // Ragged feature rows cannot pack into one block; score them the
-            // scalar way (bit-identical by definition).
-            out.extend(
-                examples
-                    .iter()
-                    .map(|e| self.ensemble.predict_majority(&e.0)),
-            );
-            return;
-        }
-        self.rows.clear();
-        for example in examples {
-            self.rows.extend_from_slice(&example.0);
-        }
-        self.ensemble
-            .predict_majority_slice(&self.rows, dim, out, &mut self.scratch);
     }
 }
 

@@ -28,9 +28,9 @@
 //! Windows closed inside a drain slice are buffered by the machine and
 //! flushed through [`WindowScorer::score_slice`] in [`WINDOW_BATCH`]-sized
 //! blocks (override per run with
-//! [`StationRun::window_batch`]) — batch scorers amortise ensemble inference
-//! across a block, live scorers keep exact test-then-train order, and
-//! reports are bit-identical for every batch size.
+//! [`StationRun::window_batch`]) — scorers see the windows in exact close
+//! order, so live scorers keep test-then-train order and reports are
+//! bit-identical for every batch size.
 //!
 //! [`Trace`]: traffic_gen::trace::Trace
 //! [`StagePipeline`]: defenses::stage::StagePipeline

@@ -17,15 +17,16 @@
 //! Derived state is kept current where the model changes, not where it is
 //! read: next to the statistics sits a `(variance, ln variance)` table, and
 //! `partial_fit` rewrites the touched class's row (one `ln` per feature).
-//! Every read — [`predict`](Classifier::predict),
-//! [`predict_slice`](Classifier::predict_slice) and
+//! Every read — [`predict`](Classifier::predict) and
 //! [`log_posteriors`](GaussianNaiveBayes::log_posteriors) — goes through the
 //! one log-likelihood formula over that table, so none of them takes a
 //! per-feature `ln`; only the class priors (which move with every example of
-//! any class) take one `ln` per class per call.
+//! any class) take one `ln` per class per call. A frozen model's priors no
+//! longer move, so the batch adversary's inference plan takes them once
+//! ([`log_priors`](GaussianNaiveBayes::log_priors)) and arbitrates through
+//! [`argmax_posterior`](GaussianNaiveBayes::argmax_posterior).
 
 use crate::dataset::Dataset;
-use crate::kernel::Scratch;
 use crate::{Classifier, OnlineClassifier};
 use serde::{Deserialize, Serialize};
 
@@ -104,6 +105,15 @@ impl GaussianNaiveBayes {
         self.counts.len()
     }
 
+    /// Every class's log prior, as [`predict`](Classifier::predict) takes
+    /// them on each call.
+    pub(crate) fn log_priors(&self) -> Vec<f64> {
+        let total = self.total.max(1) as f64;
+        (0..self.counts.len())
+            .map(|c| self.log_prior(c, total))
+            .collect()
+    }
+
     /// `ln` of class `c`'s prior, with `total` the examples absorbed (at
     /// least 1).
     fn log_prior(&self, c: usize, total: f64) -> f64 {
@@ -129,7 +139,11 @@ impl GaussianNaiveBayes {
 
     /// The first class with the highest log posterior, given every class's
     /// log prior.
-    fn argmax_posterior(&self, log_priors: impl Iterator<Item = f64>, features: &[f64]) -> usize {
+    pub(crate) fn argmax_posterior(
+        &self,
+        log_priors: impl Iterator<Item = f64>,
+        features: &[f64],
+    ) -> usize {
         let mut best = 0;
         let mut best_value = f64::NEG_INFINITY;
         for (c, log_prior) in log_priors.enumerate() {
@@ -153,21 +167,6 @@ impl Classifier for GaussianNaiveBayes {
 
     fn name(&self) -> &'static str {
         "naive-bayes"
-    }
-
-    fn predict_slice(&self, rows: &[f64], dim: usize, out: &mut Vec<usize>, scratch: &mut Scratch) {
-        assert!(dim > 0, "predict_slice needs a positive feature dimension");
-        // The log priors are the only per-call `ln`s; take them once per
-        // slice instead of once per row.
-        let total = self.total.max(1) as f64;
-        scratch.b.clear();
-        scratch
-            .b
-            .extend((0..self.counts.len()).map(|c| self.log_prior(c, total)));
-        out.clear();
-        for row in rows.chunks_exact(dim) {
-            out.push(self.argmax_posterior(scratch.b.iter().copied(), row));
-        }
     }
 }
 

@@ -187,15 +187,18 @@ impl Normalizer {
     }
 
     /// Appends the normalised form of `features` to `out` — the
-    /// allocation-free counterpart of [`apply`](Self::apply), appending so
-    /// callers can pack many rows into one flat slice buffer.
+    /// allocation-free counterpart of [`apply`](Self::apply).
     pub fn transform_into(&self, features: &[f64], out: &mut Vec<f64>) {
-        out.extend(
-            features
-                .iter()
-                .zip(self.means.iter().zip(&self.stds))
-                .map(|(x, (m, s))| (x - m) / s),
-        );
+        out.extend(self.transformed(features));
+    }
+
+    /// The normalised form of `features`, one value per column that both
+    /// `features` and the normaliser cover (`apply`'s values, uncollected).
+    pub(crate) fn transformed<'a>(&'a self, features: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        features
+            .iter()
+            .zip(self.means.iter().zip(&self.stds))
+            .map(|(x, (m, s))| (x - m) / s)
     }
 
     /// The feature dimensionality the normaliser was fitted on.

@@ -6,13 +6,20 @@
 //! Bayes as an internal cross-check), normalises features with statistics
 //! fitted on the training set only, and exposes evaluation helpers that pick
 //! the best classifier per evaluation set.
+//!
+//! The eavesdropper labels every window it captures by the members' majority
+//! vote ([`AdversaryEnsemble::predict_majority`]). Training ends by packing
+//! the frozen members into an inference plan — the SVM's and the NN's
+//! weights in lane panels ([`kernel::pack_panels`]), naive Bayes's log
+//! priors as constants — so each window is voted on with no heap use and
+//! bit-identically to the members' own `predict`.
 
 use crate::bayes::GaussianNaiveBayes;
 use crate::dataset::{Dataset, Normalizer};
 use crate::kernel;
 use crate::metrics::ConfusionMatrix;
-use crate::nn::{NeuralNet, NnConfig};
-use crate::svm::{LinearSvm, SvmConfig};
+use crate::nn::{self, NeuralNet, NnConfig, STACK_HIDDEN};
+use crate::svm::{self, LinearSvm, SvmConfig};
 use crate::Classifier;
 
 /// Training configuration for the ensemble.
@@ -39,16 +46,62 @@ impl Default for EnsembleConfig {
     }
 }
 
-/// The trained adversary: a normaliser plus one or more classifiers.
+/// The trained adversary: a normaliser, the SVM and the NN, optionally
+/// naive Bayes, and the inference plan its majority vote runs on.
 #[derive(Debug)]
 pub struct AdversaryEnsemble {
     normalizer: Normalizer,
-    classifiers: Vec<Box<dyn Classifier>>,
+    svm: LinearSvm,
+    nn: NeuralNet,
+    bayes: Option<GaussianNaiveBayes>,
     class_count: usize,
+    plan: InferencePlan,
+}
+
+/// What the frozen vote reads per window, derived once from the trained
+/// members: the SVM's decision layer and both NN layers packed into lane
+/// panels ([`kernel::pack_panels`]), and the naive-Bayes log priors, which
+/// never move once the model is frozen.
+#[derive(Debug)]
+struct InferencePlan {
+    svm: PanelLayer,
+    hidden: PanelLayer,
+    logits: PanelLayer,
+    /// Empty when the ensemble has no naive Bayes.
+    bayes_log_priors: Vec<f64>,
+}
+
+/// One linear layer in lane panels.
+#[derive(Debug)]
+struct PanelLayer {
+    panels: Vec<f64>,
+    biases: Vec<f64>,
+    w_dim: usize,
+}
+
+impl PanelLayer {
+    /// Packs a `(row-major weights, biases, row width)` layer.
+    fn pack((weights, biases, w_dim): (&[f64], &[f64], usize)) -> Self {
+        PanelLayer {
+            panels: kernel::pack_panels(weights, biases.len(), w_dim),
+            biases: biases.to_vec(),
+            w_dim,
+        }
+    }
+
+    /// `out = W x + b`, bit-identical to the member's row-major kernel.
+    fn apply(&self, x: &[f64], out: &mut [f64]) {
+        kernel::matvec_panels(&self.panels, &self.biases, x, self.w_dim, out);
+    }
+
+    fn rows(&self) -> usize {
+        self.biases.len()
+    }
 }
 
 impl AdversaryEnsemble {
-    /// Trains the ensemble on a labelled training set.
+    /// Trains the ensemble on a labelled training set and builds its
+    /// inference plan.
     ///
     /// # Panics
     ///
@@ -78,27 +131,35 @@ impl AdversaryEnsemble {
                 bayes,
             )
         });
-        let mut classifiers: Vec<Box<dyn Classifier>> = Vec::new();
-        classifiers.push(Box::new(svm));
-        classifiers.push(Box::new(nn));
-        if let Some(bayes) = bayes {
-            classifiers.push(Box::new(bayes));
-        }
+        let [hidden, logits] = nn.layers().map(PanelLayer::pack);
+        let plan = InferencePlan {
+            svm: PanelLayer::pack(svm.layer()),
+            hidden,
+            logits,
+            bayes_log_priors: bayes
+                .as_ref()
+                .map_or_else(Vec::new, GaussianNaiveBayes::log_priors),
+        };
         AdversaryEnsemble {
             normalizer,
-            classifiers,
+            svm,
+            nn,
+            bayes,
             class_count: training.class_count(),
+            plan,
         }
+    }
+
+    /// The members in vote order: SVM, NN, then naive Bayes if trained.
+    fn members(&self) -> impl Iterator<Item = &dyn Classifier> {
+        [&self.svm as &dyn Classifier, &self.nn]
+            .into_iter()
+            .chain(self.bayes.as_ref().map(|b| b as &dyn Classifier))
     }
 
     /// The number of classes the adversary distinguishes.
     pub fn class_count(&self) -> usize {
         self.class_count
-    }
-
-    /// Names of the trained member classifiers.
-    pub fn member_names(&self) -> Vec<&'static str> {
-        self.classifiers.iter().map(|c| c.name()).collect()
     }
 
     /// Evaluates one member classifier on an evaluation set, returning its
@@ -116,9 +177,8 @@ impl AdversaryEnsemble {
 
     /// Evaluates every member and returns `(name, confusion matrix)` pairs.
     pub fn evaluate_all(&self, eval: &Dataset) -> Vec<(&'static str, ConfusionMatrix)> {
-        self.classifiers
-            .iter()
-            .map(|c| (c.name(), self.evaluate_member(c.as_ref(), eval)))
+        self.members()
+            .map(|c| (c.name(), self.evaluate_member(c, eval)))
             .collect()
     }
 
@@ -159,139 +219,67 @@ impl AdversaryEnsemble {
             .expect("ensemble has at least one classifier")
     }
 
-    /// Predicts a single feature vector with every member and returns the
-    /// majority vote (ties broken in favour of the first member, the SVM).
+    /// The majority vote of the members on one raw feature vector (ties
+    /// broken in favour of the SVM), scored through the inference plan with
+    /// no heap use for layers up to [`STACK_HIDDEN`] wide:
     ///
-    /// For the committed three-member shape (SVM, NN, naive Bayes) the vote
-    /// short-circuits: two agreeing members already decide a three-way vote,
-    /// so the third member only runs as arbiter when the first two disagree,
-    /// and a three-way split falls back to the first member exactly as
-    /// [`majority_vote`]'s tie rule does.
+    /// 1. normalise the features into a stack buffer;
+    /// 2. the SVM's vote: the argmax of its panel decision values;
+    /// 3. the NN's vote: layer-1 panels, ReLU, layer-2 panels, argmax of the
+    ///    logits (softmax is monotonic, so it is skipped as in
+    ///    [`NeuralNet`]'s `predict`);
+    /// 4. [`short_circuit_vote`]: naive Bayes, with the plan's log priors,
+    ///    runs only when the SVM and the NN disagree.
+    ///
+    /// Every step reproduces the member's own `predict` bit for bit, so the
+    /// vote equals [`majority_vote`] over every member's prediction on
+    /// [`Normalizer::apply`]'s output.
     pub fn predict_majority(&self, features: &[f64]) -> usize {
-        let normalized = self.normalizer.apply(features);
-        if let [first, second, third] = self.classifiers.as_slice() {
-            let m0 = first.predict(&normalized);
-            let m1 = second.predict(&normalized);
-            if m0 == m1 {
-                return m0;
-            }
-            let m2 = third.predict(&normalized);
-            return if m2 == m1 { m1 } else { m0 };
+        let plan = &self.plan;
+        let mut stacks = [[0.0; STACK_HIDDEN]; 3];
+        let mut heaps: [Vec<f64>; 3] = Default::default();
+        let [x_stack, hidden_stack, scores_stack] = &mut stacks;
+        let [x_heap, hidden_heap, scores_heap] = &mut heaps;
+        let width = features.len().min(self.normalizer.dim());
+        let x = nn::stack_or_heap(x_stack, x_heap, width);
+        for (xi, v) in x.iter_mut().zip(self.normalizer.transformed(features)) {
+            *xi = v;
         }
-        let predictions: Vec<usize> = self
-            .classifiers
-            .iter()
-            .map(|c| c.predict(&normalized))
-            .collect();
-        majority_vote(&predictions, self.class_count)
-    }
-
-    /// Batched [`predict_majority`](Self::predict_majority): one majority
-    /// vote per `dim`-wide row of `rows`, into `out`. Normalisation packs
-    /// every row into one flat block, the first two members score the whole
-    /// block through their `predict_slice` kernels, and the third member
-    /// arbitrates only the **gathered** rows where they disagree — the same
-    /// per-row short-circuit as the scalar path, so the votes are
-    /// bit-identical to calling `predict_majority` row by row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is zero.
-    pub fn predict_majority_slice(
-        &self,
-        rows: &[f64],
-        dim: usize,
-        out: &mut Vec<usize>,
-        scratch: &mut VoteScratch,
-    ) {
-        assert!(dim > 0, "predict_majority_slice needs a positive dimension");
-        scratch.block.clear();
-        for row in rows.chunks_exact(dim) {
-            self.normalizer.transform_into(row, &mut scratch.block);
+        let scores = nn::stack_or_heap(scores_stack, scores_heap, plan.svm.rows());
+        plan.svm.apply(x, scores);
+        let svm_vote = svm::argmax(scores);
+        let hidden = nn::stack_or_heap(hidden_stack, hidden_heap, plan.hidden.rows());
+        plan.hidden.apply(x, hidden);
+        for z in hidden.iter_mut() {
+            *z = z.max(0.0);
         }
-        // The normalised stride can be shorter than `dim` when the rows are
-        // wider than the fitted normaliser (matching `apply`'s zip).
-        let stride = dim.min(self.normalizer.dim()).max(1);
-        vote_slice(&self.classifiers, self.class_count, stride, scratch, out);
+        let logits = &mut scores[..plan.logits.rows()];
+        plan.logits.apply(hidden, logits);
+        let nn_vote = svm::argmax(logits);
+        let arbiter = self
+            .bayes
+            .as_ref()
+            .map(|bayes| || bayes.argmax_posterior(plan.bayes_log_priors.iter().copied(), x));
+        short_circuit_vote(svm_vote, nn_vote, arbiter, self.class_count)
     }
 }
 
-/// Reusable buffers for [`AdversaryEnsemble::predict_majority_slice`].
-#[derive(Debug, Clone, Default)]
-pub struct VoteScratch {
-    /// The normalised feature block, rows packed back to back.
-    pub(crate) block: Vec<f64>,
-    /// Member-level kernel scratch.
-    pub(crate) kernel: kernel::Scratch,
-    /// First member's votes for the whole block.
-    pub(crate) v0: Vec<usize>,
-    /// Second member's votes for the whole block.
-    pub(crate) v1: Vec<usize>,
-    /// Arbiter votes for the gathered disagreeing rows.
-    pub(crate) v2: Vec<usize>,
-    /// Disagreeing rows, gathered contiguously for the arbiter pass.
-    pub(crate) gather: Vec<f64>,
-    /// Block indices of the gathered rows.
-    pub(crate) gather_idx: Vec<usize>,
-}
-
-impl VoteScratch {
-    /// Creates an empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        VoteScratch::default()
-    }
-}
-
-/// The slice-vote kernel over an **already normalised** block held in
-/// `scratch.block` (`n` rows of `dim`): for the committed three-member shape
-/// the first two members score the whole block, and the third scores only
-/// the gathered disagreeing rows (two agreeing members already decide a
-/// three-way vote). Any other shape falls back to the general
-/// [`majority_vote`] per row. Both paths reproduce the scalar vote exactly.
-fn vote_slice(
-    members: &[Box<dyn Classifier>],
+/// The vote of an SVM/NN adversary with an optional arbiter (naive Bayes):
+/// two agreeing members decide it, and the arbiter runs only when they
+/// disagree. Equals [`majority_vote`] over every member's prediction, since
+/// two equal votes out of at most three are already a majority.
+pub(crate) fn short_circuit_vote(
+    svm: usize,
+    nn: usize,
+    arbiter: Option<impl FnOnce() -> usize>,
     classes: usize,
-    dim: usize,
-    scratch: &mut VoteScratch,
-    out: &mut Vec<usize>,
-) {
-    let VoteScratch {
-        block,
-        kernel,
-        v0,
-        v1,
-        v2,
-        gather,
-        gather_idx,
-        ..
-    } = scratch;
-    let n = block.len() / dim;
-    if let [first, second, third] = members {
-        first.predict_slice(block, dim, v0, kernel);
-        second.predict_slice(block, dim, v1, kernel);
-        out.clear();
-        out.extend_from_slice(v0);
-        gather.clear();
-        gather_idx.clear();
-        for i in 0..n {
-            if v0[i] != v1[i] {
-                gather.extend_from_slice(&block[i * dim..(i + 1) * dim]);
-                gather_idx.push(i);
-            }
-        }
-        if !gather_idx.is_empty() {
-            third.predict_slice(gather, dim, v2, kernel);
-            for (&i, &m2) in gather_idx.iter().zip(v2.iter()) {
-                out[i] = if m2 == v1[i] { v1[i] } else { v0[i] };
-            }
-        }
-        return;
+) -> usize {
+    if svm == nn {
+        return svm;
     }
-    out.clear();
-    for row in block.chunks_exact(dim) {
-        v0.clear();
-        v0.extend(members.iter().map(|m| m.predict(row)));
-        out.push(majority_vote(v0, classes));
+    match arbiter {
+        Some(arbiter) => majority_vote(&[svm, nn, arbiter()], classes),
+        None => majority_vote(&[svm, nn], classes),
     }
 }
 
@@ -356,13 +344,17 @@ mod tests {
         data
     }
 
+    fn member_names(ensemble: &AdversaryEnsemble) -> Vec<&'static str> {
+        ensemble.members().map(|c| c.name()).collect()
+    }
+
     #[test]
     fn ensemble_trains_and_evaluates() {
         let train = blobs(1, 1.0);
         let test = blobs(2, 1.0);
         let ensemble = AdversaryEnsemble::train(&train, &EnsembleConfig::default());
         assert_eq!(ensemble.class_count(), 3);
-        assert_eq!(ensemble.member_names(), vec!["svm", "nn", "naive-bayes"]);
+        assert_eq!(member_names(&ensemble), ["svm", "nn", "naive-bayes"]);
         let (name, matrix) = ensemble.evaluate_best(&test);
         assert!(["svm", "nn", "naive-bayes"].contains(&name));
         assert!(
@@ -433,18 +425,76 @@ mod tests {
             // Points all over the space, including far between the blobs,
             // so the members genuinely disagree on a fraction of them.
             let f: Vec<f64> = (0..3).map(|_| rng.gen_range(-4.0..12.0)).collect();
-            let normalized = ensemble.normalizer.apply(&f);
-            let predictions: Vec<usize> = ensemble
-                .classifiers
-                .iter()
-                .map(|c| c.predict(&normalized))
-                .collect();
+            let predictions = row_major_votes(&ensemble, &f);
             assert_eq!(
                 ensemble.predict_majority(&f),
                 majority_vote(&predictions, ensemble.class_count),
                 "members voted {predictions:?}"
             );
         }
+    }
+
+    /// Every member's own row-major `predict` on `Normalizer::apply`'s
+    /// output: the reference the plan's panel vote must reproduce.
+    fn row_major_votes(ensemble: &AdversaryEnsemble, features: &[f64]) -> Vec<usize> {
+        let normalized = ensemble.normalizer.apply(features);
+        ensemble.members().map(|c| c.predict(&normalized)).collect()
+    }
+
+    #[test]
+    fn plan_vote_matches_the_row_major_members_on_every_shape() {
+        let mut rng = StdRng::seed_from_u64(23);
+        // SVM/NN disagreements without and with Bayes, and the ones Bayes
+        // settled for the NN (only there does dropping it change the vote).
+        let (mut disagreements, mut arbiter_decided) = ([0; 2], 0);
+        // Hidden widths on both sides of the stack limit, class counts of
+        // one partial panel and of more than one, and query rows narrower
+        // and wider than the normaliser.
+        for (case, hidden_units) in [1, 5, 8, 9, 31, 63, 64, 65, 99].into_iter().enumerate() {
+            let dim = rng.gen_range(2..12);
+            let classes = [3, 7, 9][case % 3];
+            let mut data = Dataset::new(dim);
+            for label in 0..classes {
+                for _ in 0..12 {
+                    let f = (0..dim)
+                        .map(|j| {
+                            rng.gen_range(-3.0..3.0) + if j == label % dim { 4.0 } else { 0.0 }
+                        })
+                        .collect();
+                    data.push(f, label);
+                }
+            }
+            let config = EnsembleConfig {
+                svm: SvmConfig {
+                    epochs: 3,
+                    ..SvmConfig::default()
+                },
+                nn: NnConfig {
+                    hidden_units,
+                    epochs: 3,
+                    ..NnConfig::default()
+                },
+                include_bayes: case % 2 == 0,
+                seed: case as u64,
+            };
+            let ensemble = AdversaryEnsemble::train(&data, &config);
+            for _ in 0..60 {
+                let width = rng.gen_range(dim.saturating_sub(2).max(1)..dim + 3);
+                let f: Vec<f64> = (0..width).map(|_| rng.gen_range(-5.0..9.0)).collect();
+                let votes = row_major_votes(&ensemble, &f);
+                if votes[0] != votes[1] {
+                    disagreements[usize::from(config.include_bayes)] += 1;
+                    arbiter_decided += usize::from(votes.get(2) == Some(&votes[1]));
+                }
+                assert_eq!(
+                    ensemble.predict_majority(&f),
+                    majority_vote(&votes, classes),
+                    "hidden {hidden_units}, width {width} of {dim}: members voted {votes:?}"
+                );
+            }
+        }
+        assert!(disagreements[0] > 0, "no disagreement without Bayes");
+        assert!(arbiter_decided > 0, "the arbiter never decided a vote");
     }
 
     /// `majority_vote` as it was with a per-class tally: the reference its
@@ -497,6 +547,29 @@ mod tests {
     }
 
     #[test]
+    fn short_circuit_vote_is_the_majority_rule_on_every_in_range_pattern() {
+        for classes in 1..=6 {
+            for (a, b) in (0..classes).flat_map(|a| (0..classes).map(move |b| (a, b))) {
+                assert_eq!(
+                    short_circuit_vote(a, b, None::<fn() -> usize>, classes),
+                    majority_vote(&[a, b], classes)
+                );
+                for c in 0..classes {
+                    let arbiter = || {
+                        assert_ne!(a, b, "the arbiter ran on agreeing votes");
+                        c
+                    };
+                    assert_eq!(
+                        short_circuit_vote(a, b, Some(arbiter), classes),
+                        majority_vote(&[a, b, c], classes),
+                        "votes {a}, {b}, {c}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn bayes_can_be_disabled() {
         let train = blobs(6, 1.0);
         let config = EnsembleConfig {
@@ -504,7 +577,7 @@ mod tests {
             ..EnsembleConfig::default()
         };
         let ensemble = AdversaryEnsemble::train(&train, &config);
-        assert_eq!(ensemble.member_names(), vec!["svm", "nn"]);
+        assert_eq!(member_names(&ensemble), ["svm", "nn"]);
     }
 
     #[test]

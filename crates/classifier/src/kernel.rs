@@ -1,28 +1,34 @@
-//! Blocked linear kernels shared by the batched inference plane.
+//! Linear kernels shared by the classifiers and the frozen adversary's
+//! inference plan.
 //!
-//! The batched `predict_slice` paths of the SVM, the MLP and (indirectly)
-//! naive Bayes all reduce to the same primitive: a row-major weight matrix
-//! times one or many feature vectors, plus a bias. This module implements
-//! that primitive once, shaped for the autovectorizer:
+//! Every linear layer of the SVM and the MLP is a weight matrix times one
+//! feature vector, plus a bias. The models store each layer as one flat
+//! row-major `rows × dim` `Vec<f64>`, which is what training updates row by
+//! row and what [`matvec_bias`] reads. Inference on a frozen model reads the
+//! same weights packed into **lane panels** instead:
 //!
-//! * **Row-major weight blocks** — each model stores its weights as one flat
-//!   `rows × dim` `Vec<f64>`, so a whole layer is a single contiguous scan.
-//! * **4-wide unrolled accumulators** — [`matvec_bias`] walks four output
-//!   rows at a time with four independent accumulators sharing each loaded
-//!   `x[j]`. Crucially the unroll is across *output rows*, never within one
-//!   dot product: every accumulator still sums its products strictly left to
-//!   right from `0.0`, exactly like the scalar
-//!   `w.iter().zip(x).map(|(w, x)| w * x).sum::<f64>()` reference, so the
-//!   batched plane is **bit-identical** to the per-example one (the contract
-//!   `tests/predict_slice_equivalence.rs` proptests).
-//! * **Caller-provided scratch** — [`Scratch`] owns the intermediate
-//!   buffers, so steady-state inference performs no allocation at all.
+//! * [`pack_panels`] — [`PANEL`] output rows per panel, stored column by
+//!   column (the `PANEL` weights of one input column are adjacent), with the
+//!   last panel zero-padded to full width. Packing happens once, when the
+//!   model is frozen.
+//! * [`matvec_panels`] — [`PANEL`] independent lane accumulators per panel,
+//!   each loaded `x[j]` shared by all of them, so the inner loop is a
+//!   vector multiply-add across lanes rather than a scalar chain per row.
+//!   The lanes are across *output rows*, never within one dot product: every
+//!   lane still sums its row's products strictly left to right from `0.0`,
+//!   exactly like the scalar
+//!   `w.iter().zip(x).map(|(w, x)| w * x).sum::<f64>()` reference, so every
+//!   output is **bit-identical** to [`matvec_bias`] (proptested in
+//!   `tests/panel_equivalence.rs`).
+//! * [`Scratch`] — caller-owned buffers for the training hot loop
+//!   ([`partial_fit_with`](crate::OnlineClassifier::partial_fit_with)), so
+//!   steady-state training performs no allocation.
 
-/// Reusable intermediate buffers for the batched inference plane.
+/// Reusable intermediate buffers for the training hot loop.
 ///
-/// One `Scratch` serves every member of an ensemble in turn: each
-/// `predict_slice` override resizes the buffers it needs and leaves their
-/// capacity behind for the next call. Buffers carry no state between calls.
+/// One `Scratch` serves every member of an online adversary in turn: each
+/// `partial_fit_with` resizes the buffers it needs and leaves their capacity
+/// behind for the next call. Buffers carry no state between calls.
 #[derive(Debug, Clone, Default)]
 pub struct Scratch {
     /// First intermediate buffer (e.g. decision values, hidden activations).
@@ -93,30 +99,56 @@ pub fn matvec_bias(weights: &[f64], biases: &[f64], x: &[f64], w_dim: usize, out
     }
 }
 
-/// Batched [`matvec_bias`]: every `x_dim`-wide row of `xs` through the same
-/// `rows × w_dim` weight matrix, `rows` outputs per example, row-major into
-/// `out` (resized to `n · rows`).
-///
-/// The weight row width is inferred as `weights.len() / rows`, so the
-/// example width `x_dim` and the weight width may legally differ (the dot
-/// product truncates like the scalar `zip`). A trailing partial example in
-/// `xs` is ignored, matching `chunks_exact`.
+/// Output rows per lane panel (see [`pack_panels`]).
+pub const PANEL: usize = 8;
+
+/// Packs a flat row-major `rows × w_dim` weight matrix into lane panels for
+/// [`matvec_panels`]: panel `p` holds rows `PANEL·p .. PANEL·p + PANEL`
+/// column by column, so `panels[(p·w_dim + j)·PANEL + l]` is the weight of
+/// row `PANEL·p + l` at column `j`. Lanes past the last row are zero.
 ///
 /// # Panics
 ///
-/// Panics if `x_dim` is zero.
-pub fn matmat_bias(weights: &[f64], biases: &[f64], xs: &[f64], x_dim: usize, out: &mut Vec<f64>) {
-    assert!(x_dim > 0, "matmat_bias needs a positive example width");
-    let rows = biases.len();
-    let w_dim = weights.len().checked_div(rows).unwrap_or(0);
-    let n = xs.len() / x_dim;
-    out.clear();
-    out.resize(n * rows, 0.0);
-    for (x, o) in xs
-        .chunks_exact(x_dim)
-        .zip(out.chunks_exact_mut(rows.max(1)))
-    {
-        matvec_bias(weights, biases, x, w_dim, o);
+/// Panics if `weights` is shorter than `rows × w_dim`.
+pub fn pack_panels(weights: &[f64], rows: usize, w_dim: usize) -> Vec<f64> {
+    assert!(
+        weights.len() >= rows * w_dim,
+        "weight matrix too short for {rows} rows of {w_dim}"
+    );
+    let mut panels = vec![0.0; rows.div_ceil(PANEL) * PANEL * w_dim];
+    for (r, row) in weights.chunks_exact(w_dim.max(1)).take(rows).enumerate() {
+        let panel = &mut panels[r / PANEL * PANEL * w_dim..];
+        for (j, &w) in row.iter().take(w_dim).enumerate() {
+            panel[j * PANEL + r % PANEL] = w;
+        }
+    }
+    panels
+}
+
+/// [`matvec_bias`] over a matrix packed by [`pack_panels`]:
+/// `out[r] = Σ_j w[r][j] · x[j] + biases[r]` for `rows = biases.len()`,
+/// with the dot product over `min(w_dim, x.len())` columns. Each of a
+/// panel's [`PANEL`] lanes sums its row's products left to right from
+/// `0.0`, so every `out[r]` is bit-identical to `matvec_bias`.
+///
+/// # Panics
+///
+/// Panics if `out.len() < biases.len()` or `panels` holds fewer panels than
+/// the rows need.
+pub fn matvec_panels(panels: &[f64], biases: &[f64], x: &[f64], w_dim: usize, out: &mut [f64]) {
+    assert!(out.len() >= biases.len(), "output shorter than the rows");
+    let stride = PANEL * w_dim;
+    for (p, (bias, out)) in biases.chunks(PANEL).zip(out.chunks_mut(PANEL)).enumerate() {
+        let (columns, _) = panels[p * stride..(p + 1) * stride].as_chunks::<PANEL>();
+        let mut acc = [0.0f64; PANEL];
+        for (column, &xj) in columns.iter().zip(x) {
+            for (a, w) in acc.iter_mut().zip(column) {
+                *a += w * xj;
+            }
+        }
+        for ((o, a), b) in out.iter_mut().zip(acc).zip(bias) {
+            *o = a + b;
+        }
     }
 }
 
@@ -168,23 +200,6 @@ mod tests {
         let mut out = [0.0; 2];
         matvec_bias(&weights, &biases, &[3.0], 2, &mut out);
         assert_eq!(out, [3.5, 6.25]);
-    }
-
-    #[test]
-    fn matmat_matches_per_example_matvec() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let (rows, dim, n) = (6usize, 18usize, 9usize);
-        let weights: Vec<f64> = (0..rows * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let biases: Vec<f64> = (0..rows).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let xs: Vec<f64> = (0..n * dim).map(|_| rng.gen_range(-2.0..2.0)).collect();
-        let mut batched = Vec::new();
-        matmat_bias(&weights, &biases, &xs, dim, &mut batched);
-        assert_eq!(batched.len(), n * rows);
-        for (i, x) in xs.chunks_exact(dim).enumerate() {
-            let mut single = vec![0.0; rows];
-            matvec_bias(&weights, &biases, x, dim, &mut single);
-            assert_eq!(&batched[i * rows..(i + 1) * rows], single.as_slice());
-        }
     }
 
     #[test]

@@ -88,33 +88,6 @@ pub trait Classifier: std::fmt::Debug + Send + Sync {
             .map(|ex| (ex.label, self.predict(&ex.features)))
             .collect()
     }
-
-    /// Batched prediction: `rows` is a flat `n × dim` row-major feature
-    /// matrix; one prediction per row is written into `out` (cleared first).
-    ///
-    /// The default implementation loops [`predict`](Self::predict); models
-    /// with a linear hot path override it with blocked
-    /// [`kernel`] calls. Either way the predictions are **bit-identical** to
-    /// calling `predict` per row (proptested in
-    /// `tests/predict_slice_equivalence.rs`), so batching is always legal
-    /// where per-example scoring was.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dim` is zero. A trailing partial row is ignored
-    /// (`chunks_exact` semantics).
-    fn predict_slice(
-        &self,
-        rows: &[f64],
-        dim: usize,
-        out: &mut Vec<usize>,
-        scratch: &mut kernel::Scratch,
-    ) {
-        assert!(dim > 0, "predict_slice needs a positive feature dimension");
-        let _ = scratch;
-        out.clear();
-        out.extend(rows.chunks_exact(dim).map(|row| self.predict(row)));
-    }
 }
 
 /// A classifier that learns **incrementally**, one window example at a time.

@@ -246,6 +246,16 @@ impl NeuralNet {
     pub fn class_count(&self) -> usize {
         self.b2.len()
     }
+
+    /// Both layers as `(row-major weights, biases, row width)`: layer 1 is
+    /// `hidden × dim`, layer 2 `classes × hidden`. For packing into lane
+    /// panels.
+    pub(crate) fn layers(&self) -> [(&[f64], &[f64], usize); 2] {
+        [
+            (&self.w1, &self.b1, self.dim),
+            (&self.w2, &self.b2, self.b1.len()),
+        ]
+    }
 }
 
 /// Softmax in place: max-shifted exponentials normalised by their sum, with
@@ -263,8 +273,24 @@ fn softmax_in_place(logits: &mut [f64]) {
 }
 
 /// Hidden layers up to this width run `predict` without allocating (the
-/// default `NnConfig` has 32 units).
-const STACK_HIDDEN: usize = 64;
+/// default `NnConfig` has 32 units); the frozen adversary's plan keeps every
+/// per-window buffer up to this width on the stack too.
+pub(crate) const STACK_HIDDEN: usize = 64;
+
+/// A `len`-wide buffer: the front of `stack` when `len` fits in
+/// [`STACK_HIDDEN`], otherwise `heap` resized to `len`.
+pub(crate) fn stack_or_heap<'a>(
+    stack: &'a mut [f64; STACK_HIDDEN],
+    heap: &'a mut Vec<f64>,
+    len: usize,
+) -> &'a mut [f64] {
+    if len <= STACK_HIDDEN {
+        &mut stack[..len]
+    } else {
+        heap.resize(len, 0.0);
+        heap
+    }
+}
 
 #[cfg(test)]
 fn softmax(logits: &[f64]) -> Vec<f64> {
@@ -281,14 +307,8 @@ impl Classifier for NeuralNet {
         // exactly as in `forward`, on the stack unless the layer is wider
         // than `STACK_HIDDEN`.
         let hidden_units = self.b1.len();
-        let mut stack = [0.0; STACK_HIDDEN];
-        let mut heap = Vec::new();
-        let hidden = if hidden_units <= STACK_HIDDEN {
-            &mut stack[..hidden_units]
-        } else {
-            heap.resize(hidden_units, 0.0);
-            &mut heap[..]
-        };
+        let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
+        let hidden = stack_or_heap(&mut stack, &mut heap, hidden_units);
         kernel::matvec_bias(&self.w1, &self.b1, features, self.dim, hidden);
         for z in hidden.iter_mut() {
             *z = z.max(0.0);
@@ -312,38 +332,6 @@ impl Classifier for NeuralNet {
 
     fn name(&self) -> &'static str {
         "nn"
-    }
-
-    fn predict_slice(&self, rows: &[f64], dim: usize, out: &mut Vec<usize>, scratch: &mut Scratch) {
-        assert!(dim > 0, "predict_slice needs a positive feature dimension");
-        let hidden = self.b1.len();
-        let classes = self.b2.len();
-        // GEMM-shaped forward in logit space: layer 1 for every row, ReLU in
-        // place, layer 2 for every row, then the first-maximum rule per row.
-        // Softmax is skipped exactly as in the streaming `predict`.
-        kernel::matmat_bias(&self.w1, &self.b1, rows, dim, &mut scratch.a);
-        for z in scratch.a.iter_mut() {
-            *z = z.max(0.0);
-        }
-        kernel::matmat_bias(
-            &self.w2,
-            &self.b2,
-            &scratch.a,
-            hidden.max(1),
-            &mut scratch.b,
-        );
-        out.clear();
-        for logits in scratch.b.chunks_exact(classes) {
-            let mut best = 0;
-            let mut best_value = f64::NEG_INFINITY;
-            for (i, &logit) in logits.iter().enumerate() {
-                if logit > best_value {
-                    best_value = logit;
-                    best = i;
-                }
-            }
-            out.push(best);
-        }
     }
 }
 

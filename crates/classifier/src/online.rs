@@ -12,10 +12,10 @@
 //!   Bayes), all learning one [`WindowExample`] at a time.
 //! * [`PrequentialEvaluator`] — the standard online-learning protocol:
 //!   **test, then train**. Every example is first classified with the model
-//!   as it stands (counted into live per-member and majority-vote
-//!   [`ConfusionMatrix`]es and an accuracy timeline), and only then used for
-//!   learning. The timeline is what exposes concept drift: splice a defense
-//!   into the session and the curve drops.
+//!   as it stands (counted into a live majority-vote [`ConfusionMatrix`]
+//!   and an accuracy timeline), and only then used for learning. The
+//!   timeline is what exposes concept drift: splice a defense into the
+//!   session and the curve drops.
 //!
 //! The packet-facing driver is the station runner (`bench::streaming`): its
 //! per-sub-flow [`FlowWindowers`](crate::stream::FlowWindowers) hand every
@@ -24,7 +24,7 @@
 //! O(flows + models) state.
 
 use crate::dataset::RunningNormalizer;
-use crate::ensemble::{majority_vote, EnsembleConfig};
+use crate::ensemble::{short_circuit_vote, EnsembleConfig};
 use crate::kernel;
 use crate::metrics::ConfusionMatrix;
 use crate::nn::NeuralNet;
@@ -85,11 +85,6 @@ impl OnlineAdversary {
         self.classes
     }
 
-    /// Names of the member classifiers.
-    pub fn member_names(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.name()).collect()
-    }
-
     /// Examples absorbed so far.
     pub fn examples_seen(&self) -> u64 {
         self.examples_seen
@@ -116,21 +111,23 @@ impl OnlineAdversary {
         self.examples_seen += 1;
     }
 
-    /// Every member's prediction for one feature vector, normalised once
-    /// with the current running statistics: `normalized` holds the scaled
-    /// features, `out` one vote per member. The online adversary's one
-    /// scoring entry — [`PrequentialEvaluator::test_then_train`] feeds its
-    /// votes to [`majority_vote`].
-    pub fn predict_members_into(
-        &self,
-        features: &[f64],
-        normalized: &mut Vec<f64>,
-        out: &mut Vec<usize>,
-    ) {
+    /// The majority vote for one feature vector, normalised once into
+    /// `normalized` with the current running statistics. The vote is the
+    /// frozen ensemble's rule ([`short_circuit_vote`]): naive Bayes, when
+    /// present, predicts only when the SVM and the NN disagree.
+    fn predict_majority(&self, features: &[f64], normalized: &mut Vec<f64>) -> usize {
         normalized.clear();
         self.normalizer.transform_into(features, normalized);
-        out.clear();
-        out.extend(self.members.iter().map(|m| m.predict(normalized)));
+        let [svm, nn, rest @ ..] = self.members.as_slice() else {
+            unreachable!("the adversary always has an SVM and an NN");
+        };
+        let arbiter = rest.first().map(|bayes| || bayes.predict(normalized));
+        short_circuit_vote(
+            svm.predict(normalized),
+            nn.predict(normalized),
+            arbiter,
+            self.classes,
+        )
     }
 }
 
@@ -152,8 +149,6 @@ pub struct SegmentStats {
     pub total: u64,
     /// Majority-vote hits in the segment.
     pub majority_correct: u64,
-    /// Per-member hits in the segment (ensemble member order).
-    pub member_correct: Vec<u64>,
 }
 
 /// Test-then-train evaluation of an [`OnlineAdversary`].
@@ -167,15 +162,13 @@ pub struct SegmentStats {
 pub struct PrequentialEvaluator {
     adversary: OnlineAdversary,
     majority: ConfusionMatrix,
-    member_matrices: Vec<ConfusionMatrix>,
     timeline: Vec<PrequentialPoint>,
     snapshot_every: u64,
     segment: SegmentStats,
     correct: u64,
     scored: u64,
-    /// Reused per-example buffers (normalised features, member votes).
+    /// Reused per-example buffer of normalised features.
     normalized: Vec<f64>,
-    member_predictions: Vec<usize>,
 }
 
 impl PrequentialEvaluator {
@@ -183,21 +176,15 @@ impl PrequentialEvaluator {
     /// timeline every `snapshot_every` examples (clamped to at least 1).
     pub fn new(adversary: OnlineAdversary, snapshot_every: u64) -> Self {
         let classes = adversary.class_count();
-        let member_count = adversary.members.len();
         PrequentialEvaluator {
             adversary,
             majority: ConfusionMatrix::new(classes),
-            member_matrices: vec![ConfusionMatrix::new(classes); member_count],
             timeline: Vec::new(),
             snapshot_every: snapshot_every.max(1),
-            segment: SegmentStats {
-                member_correct: vec![0; member_count],
-                ..SegmentStats::default()
-            },
+            segment: SegmentStats::default(),
             correct: 0,
             scored: 0,
             normalized: Vec::new(),
-            member_predictions: Vec::new(),
         }
     }
 
@@ -208,41 +195,23 @@ impl PrequentialEvaluator {
     ///
     /// Panics if `label` is out of range for the adversary's class count.
     pub fn test_then_train(&mut self, features: &[f64], label: usize) -> usize {
-        // One normalisation + one prediction per member into reused buffers
-        // (the evaluator needs every member's vote for the per-member
-        // matrices, so the majority short-circuit does not apply here).
         let Self {
             adversary,
             majority,
-            member_matrices,
             timeline,
             snapshot_every,
             segment,
             correct,
             scored,
             normalized,
-            member_predictions,
         } = &mut *self;
-        adversary.predict_members_into(features, normalized, member_predictions);
-        let predicted = majority_vote(member_predictions, adversary.class_count());
+        let predicted = adversary.predict_majority(features, normalized);
         majority.record(label, predicted);
-        for (matrix, &p) in member_matrices.iter_mut().zip(member_predictions.iter()) {
-            matrix.record(label, p);
-        }
         *scored += 1;
         segment.total += 1;
         if predicted == label {
             *correct += 1;
             segment.majority_correct += 1;
-        }
-        for (c, &p) in segment
-            .member_correct
-            .iter_mut()
-            .zip(member_predictions.iter())
-        {
-            if p == label {
-                *c += 1;
-            }
         }
         if scored.is_multiple_of(*snapshot_every) {
             timeline.push(PrequentialPoint {
@@ -278,15 +247,6 @@ impl PrequentialEvaluator {
         &self.majority
     }
 
-    /// Live `(member name, cumulative confusion matrix)` pairs.
-    pub fn member_matrices(&self) -> Vec<(&'static str, &ConfusionMatrix)> {
-        self.adversary
-            .member_names()
-            .into_iter()
-            .zip(self.member_matrices.iter())
-            .collect()
-    }
-
     /// The accuracy timeline recorded so far.
     pub fn timeline(&self) -> &[PrequentialPoint] {
         &self.timeline
@@ -295,13 +255,7 @@ impl PrequentialEvaluator {
     /// Returns the prequential counts accumulated since the previous call
     /// (or since construction) and starts a fresh segment.
     pub fn take_segment(&mut self) -> SegmentStats {
-        std::mem::replace(
-            &mut self.segment,
-            SegmentStats {
-                member_correct: vec![0; self.member_matrices.len()],
-                ..SegmentStats::default()
-            },
-        )
+        std::mem::take(&mut self.segment)
     }
 
     /// Unwraps the (now trained) adversary.
@@ -334,21 +288,19 @@ mod tests {
     fn online_adversary_learns_blobs_incrementally() {
         let mut adversary = OnlineAdversary::new(3, 3, &EnsembleConfig::default());
         assert_eq!(adversary.class_count(), 3);
-        assert_eq!(adversary.member_names(), vec!["svm", "nn", "naive-bayes"]);
+        let names: Vec<_> = adversary.members.iter().map(|m| m.name()).collect();
+        assert_eq!(names, ["svm", "nn", "naive-bayes"]);
         for (f, l) in blob_stream(1, 100) {
             adversary.partial_fit(&f, l);
         }
         assert_eq!(adversary.examples_seen(), 300);
-        // Score through the production vote: every member's prediction, then
-        // the shared majority rule (what `test_then_train` does per window).
+        // Score through the production vote (what `test_then_train` does
+        // per window).
         let test = blob_stream(2, 30);
-        let (mut normalized, mut votes) = (Vec::new(), Vec::new());
+        let mut normalized = Vec::new();
         let correct = test
             .iter()
-            .filter(|(f, l)| {
-                adversary.predict_members_into(f, &mut normalized, &mut votes);
-                majority_vote(&votes, adversary.class_count()) == *l
-            })
+            .filter(|(f, l)| adversary.predict_majority(f, &mut normalized) == *l)
             .count();
         assert!(
             correct as f64 / test.len() as f64 > 0.9,
@@ -376,10 +328,6 @@ mod tests {
             "prequential accuracy should improve: {first} -> {last}"
         );
         assert!(last > 0.8, "converged accuracy {last}");
-        // Member matrices cover the same stream.
-        for (name, matrix) in evaluator.member_matrices() {
-            assert_eq!(matrix.total(), 360, "{name} matrix incomplete");
-        }
     }
 
     #[test]

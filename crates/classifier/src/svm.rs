@@ -124,6 +124,12 @@ impl LinearSvm {
     pub fn class_count(&self) -> usize {
         self.biases.len()
     }
+
+    /// The decision layer as `(row-major classes × dim weights, biases,
+    /// dim)`, for packing into lane panels.
+    pub(crate) fn layer(&self) -> (&[f64], &[f64], usize) {
+        (&self.weights, &self.biases, self.dim)
+    }
 }
 
 fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -153,32 +159,6 @@ impl Classifier for LinearSvm {
 
     fn name(&self) -> &'static str {
         "svm"
-    }
-
-    fn predict_slice(
-        &self,
-        rows: &[f64],
-        dim: usize,
-        out: &mut Vec<usize>,
-        scratch: &mut kernel::Scratch,
-    ) {
-        assert!(dim > 0, "predict_slice needs a positive feature dimension");
-        // All decision values in one blocked pass, then the same
-        // first-maximum rule per row as the streaming `predict`.
-        kernel::matmat_bias(&self.weights, &self.biases, rows, dim, &mut scratch.a);
-        let classes = self.biases.len();
-        out.clear();
-        for values in scratch.a.chunks_exact(classes) {
-            let mut best = 0;
-            let mut best_value = f64::NEG_INFINITY;
-            for (i, &v) in values.iter().enumerate() {
-                if v > best_value {
-                    best_value = v;
-                    best = i;
-                }
-            }
-            out.push(best);
-        }
     }
 }
 
@@ -213,9 +193,9 @@ impl OnlineClassifier for LinearSvm {
     }
 }
 
-/// First-maximum rule every streaming `predict` mirrors inline; kept as the
-/// reference implementation for the equivalence tests.
-#[cfg(test)]
+/// The first index of the maximum value: the rule every streaming `predict`
+/// mirrors inline, and the one the frozen adversary's plan applies to its
+/// panel outputs.
 pub(crate) fn argmax(values: &[f64]) -> usize {
     let mut best = 0;
     let mut best_value = f64::NEG_INFINITY;

@@ -13,13 +13,12 @@
 //! * `Normalizer::fit` is a `RunningNormalizer` absorbing the dataset once
 //!   and snapshotting.
 //! * Naive Bayes's cached `(variance, ln variance)` table is exact: after
-//!   every `partial_fit` step, `predict`, `predict_slice` and
-//!   `log_posteriors` equal a reference that recomputes each variance and
-//!   its `ln` from the sufficient statistics on every read.
+//!   every `partial_fit` step, `predict` and `log_posteriors` equal a
+//!   reference that recomputes each variance and its `ln` from the
+//!   sufficient statistics on every read.
 
 use classifier::bayes::GaussianNaiveBayes;
 use classifier::dataset::{Dataset, Normalizer, RunningNormalizer};
-use classifier::kernel::Scratch;
 use classifier::svm::{LinearSvm, SvmConfig};
 use classifier::{Classifier, OnlineClassifier};
 use proptest::prelude::*;
@@ -161,8 +160,6 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut model = GaussianNaiveBayes::new(dim, classes);
         let mut reference = ReferenceBayes::new(dim, classes);
-        let mut scratch = Scratch::new();
-        let mut sliced = Vec::new();
         for _ in 0..steps {
             let label = rng.gen_range(0..seen);
             let features = random_features(&mut rng, dim, label);
@@ -181,10 +178,6 @@ proptest! {
                 prop_assert_eq!(got, want);
                 prop_assert_eq!(model.predict(q), reference.predict(q));
             }
-            let rows: Vec<f64> = queries.concat();
-            model.predict_slice(&rows, dim, &mut sliced, &mut scratch);
-            let want: Vec<usize> = queries.iter().map(|q| reference.predict(q)).collect();
-            prop_assert_eq!(&sliced, &want);
         }
         prop_assert_eq!(model.examples_seen(), steps as u64);
     }

@@ -2,33 +2,44 @@
 # A/B comparison of the end-to-end benchmark: a base revision against the
 # working tree, in alternating pairs.
 #
-#   scripts/perf_ab.sh BASE_REV WORKLOAD PAIRS SECONDS
+#   scripts/perf_ab.sh BASE_REV WORKLOAD PAIRS SECONDS [FIRST_SEED]
 #
 # Builds perfbench for BASE_REV in a temporary `git worktree` under
 # target/perf-ab/ and for the working tree (uncommitted changes included),
 # each into its own target directory under target/perf-ab/. Then runs PAIRS
-# pairs of `--trace 0` runs of SECONDS each; pair i uses seed i on both
-# sides, and the side that goes first alternates from pair to pair so a
-# drift in host speed does not favour either. Prints every run's metrics,
-# then each metric's median per side and the number of pairs the working
-# tree won (better in the direction BENCHMARK.json gives; ties are not wins).
+# pairs of `--trace 0` runs of SECONDS each; pair i (from 1) uses seed
+# FIRST_SEED + i - 1 (FIRST_SEED defaults to 1) on both sides, so a claim
+# can be re-checked on seeds not used while developing, and the side that
+# goes first alternates from pair to pair so a drift in host speed does not
+# favour either. Prints every run's metrics, then per metric each side's
+# first quartile, median and third quartile (linear interpolation), the
+# number of pairs the working tree won (better in the direction
+# BENCHMARK.json gives; ties are not wins) and a verdict:
+#   gain holds          the working tree won at least 90% of the pairs and
+#                       its median is better than the base's by more than
+#                       the base's interquartile range;
+#   worse beyond bound  its median is worse than the base's by more than the
+#                       metric's relative bound in BENCHMARK.json (end-to-end
+#                       metrics only; the others have no bound);
+#   -                   neither.
 # A run whose result line is not `"correct": true` is reported and left out
-# of the medians and the pairs; the failed/attempted count of each side is
-# printed under the table.
+# of the statistics and the pairs; the failed/attempted count of each side
+# is printed under the table.
 #
 # The environment passes through to both sides, e.g.
 #   MALLOC_MMAP_THRESHOLD_=131072 scripts/perf_ab.sh HEAD~1 metropolis_churn 4 10
 # Nothing under perfbench/ and no tracked file is written.
 set -euo pipefail
 
-if [ $# -ne 4 ]; then
-    echo "usage: $0 BASE_REV WORKLOAD PAIRS SECONDS" >&2
+if [ $# -ne 4 ] && [ $# -ne 5 ]; then
+    echo "usage: $0 BASE_REV WORKLOAD PAIRS SECONDS [FIRST_SEED]" >&2
     exit 2
 fi
 base_rev=$1
 workload=$2
 pairs=$3
 seconds=$4
+first_seed=${5:-1}
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
@@ -66,14 +77,19 @@ better_of() {
     esac
 }
 
+# metric -> its relative bound in BENCHMARK.json, or nothing if it has none.
+bound_of() {
+    grep "\"name\": \"$1\"" BENCHMARK.json | sed -n 's/.*"bound": *\([0-9.]*\).*/\1/p'
+}
+
 results="$ab/results.tsv"
 : >"$results"
 declare -A attempted=([base]=0 [head]=0) failed=([base]=0 [head]=0)
 run() { # SIDE BIN PAIR
     local out
     attempted[$1]=$((attempted[$1] + 1))
-    out=$("$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 2>/dev/null |
-        tail -n 1) || true
+    out=$("$2" --workload "$workload" --seed $((first_seed + $3 - 1)) --seconds "$seconds" \
+        --trace 0 2>/dev/null | tail -n 1) || true
     case "$out" in
         *'"correct": true'*) ;;
         *)
@@ -103,20 +119,30 @@ for pair in $(seq 1 "$pairs"); do
     fi
 done
 
-median() { # reads numbers, one a line
+quartiles() { # reads numbers, one a line; prints "Q1 MEDIAN Q3"
     sort -g | awk '{ v[NR] = $1 } END {
-        if (NR == 0) { print "nan"; exit }
-        if (NR % 2) print v[(NR + 1) / 2]; else print (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+        if (NR == 0) { print "nan nan nan"; exit }
+        split("0.25 0.5 0.75", q, " ")
+        for (i = 1; i <= 3; i++) {
+            h = (NR - 1) * q[i] + 1; lo = int(h)
+            x = (lo < NR) ? v[lo] + (h - lo) * (v[lo + 1] - v[lo]) : v[lo]
+            printf "%s%.10g", (i > 1 ? " " : ""), x
+        }
+        print ""
+    }'
 }
 
 echo
-echo "${workload}: ${pairs} pairs of ${seconds} s, base ${base_rev} (${base_sha:0:12}) vs working tree"
-printf '%-18s %14s %14s %9s %6s\n' metric base head change won
+echo "${workload}: ${pairs} pairs of ${seconds} s (seeds ${first_seed}..$((first_seed + pairs - 1))), base ${base_rev} (${base_sha:0:12}) vs working tree"
+printf '%-18s %32s %32s %8s %6s  %s\n' metric "base Q1 / median / Q3" \
+    "head Q1 / median / Q3" change won verdict
 for metric in $(cut -f3 "$results" | awk '!seen[$0]++'); do
-    base_median=$(awk -F'\t' -v m="$metric" '$1 == "base" && $3 == m { print $4 }' "$results" | median)
-    head_median=$(awk -F'\t' -v m="$metric" '$1 == "head" && $3 == m { print $4 }' "$results" | median)
+    read -r base_q1 base_median base_q3 < <(awk -F'\t' -v m="$metric" \
+        '$1 == "base" && $3 == m { print $4 }' "$results" | quartiles)
+    read -r head_q1 head_median head_q3 < <(awk -F'\t' -v m="$metric" \
+        '$1 == "head" && $3 == m { print $4 }' "$results" | quartiles)
     direction=$(better_of "$metric")
-    won=$(awk -F'\t' -v m="$metric" -v dir="$direction" '
+    read -r won paired < <(awk -F'\t' -v m="$metric" -v dir="$direction" '
         $3 == m { v[$1, $2] = $4; seen[$2] = 1 }
         END {
             for (p in seen) {
@@ -125,12 +151,22 @@ for metric in $(cut -f3 "$results" | awk '!seen[$0]++'); do
                 b = v["base", p] + 0; h = v["head", p] + 0
                 if ((dir == "higher" && h > b) || (dir == "lower" && h < b)) w++
             }
-            printf "%d/%d", w, n
+            print w + 0, n + 0
         }' "$results")
-    change=$(awk -v b="$base_median" -v h="$head_median" \
-        'BEGIN { if (b == 0) print "n/a"; else printf "%+.1f%%", 100 * (h - b) / b }')
-    printf '%-18s %14.6g %14.6g %9s %6s  (%s is better)\n' \
-        "$metric" "$base_median" "$head_median" "$change" "$won" "$direction"
+    read -r change verdict < <(awk -v b="$base_median" -v h="$head_median" \
+        -v q1="$base_q1" -v q3="$base_q3" -v won="$won" -v n="$paired" \
+        -v dir="$direction" -v bound="$(bound_of "$metric")" 'BEGIN {
+            spread = q3 - q1
+            gain = dir == "higher" ? h - b : b - h
+            if (b == 0) change = "n/a"; else change = sprintf("%+.1f%%", 100 * (h - b) / b)
+            if (n > 0 && won >= 0.9 * n && gain > spread) verdict = "gain holds"
+            else if (bound != "" && -gain > bound * (b < 0 ? -b : b)) verdict = "worse beyond bound"
+            else verdict = "-"
+            print change, verdict
+        }')
+    printf '%-18s %10.5g %10.5g %10.5g %10.5g %10.5g %10.5g %8s %6s  %s (%s is better)\n' \
+        "$metric" "$base_q1" "$base_median" "$base_q3" "$head_q1" "$head_median" "$head_q3" \
+        "$change" "$won/$paired" "$verdict" "$direction"
 done
-printf '%-18s %14s %14s\n' "failed runs" \
+printf '%-18s %32s %32s\n' "failed runs" \
     "${failed[base]}/${attempted[base]}" "${failed[head]}/${attempted[head]}"
