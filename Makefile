@@ -12,12 +12,13 @@ build:
 test:
 	cargo test --workspace
 
-# The bit-identity suites in the release profile. The lane-panel kernels are
-# written for the autovectorizer, and only the release build vectorises them,
-# so the debug runs of `verify` and `test` do not exercise that code.
+# The bit-identity suites and the scoring allocation budgets in the release
+# profile the benchmark runs. The lane-panel kernels are written for the
+# autovectorizer, and only the release build vectorises them, so the debug
+# runs of `verify` and `test` do not exercise that code.
 equivalence-release:
 	cargo test --release -q -p classifier
-	cargo test --release -q -p bench --test executor_equivalence --test windower_slice_equivalence
+	cargo test --release -q -p bench --test executor_equivalence --test windower_slice_equivalence --test scoring_alloc_budget --test window_batch_equivalence
 
 fmt:
 	cargo fmt --all --check

@@ -94,7 +94,7 @@ pub struct ScenarioReport {
 /// times.
 pub enum TrainedAdversary {
     /// A frozen batch ensemble, shared by reference across all stations.
-    Frozen(Box<AdversaryEnsemble>),
+    Frozen(AdversaryEnsemble),
     /// A warm-started online adversary, forked (cloned) per station.
     Warm {
         /// The warm base every station forks.
@@ -107,10 +107,10 @@ pub enum TrainedAdversary {
 /// Trains the adversary a scenario's spec asks for.
 pub fn train_for(scenario: &CompiledScenario) -> TrainedAdversary {
     match scenario.adversary.mode {
-        AdversaryMode::Batch => TrainedAdversary::Frozen(Box::new(train_adversary(
+        AdversaryMode::Batch => TrainedAdversary::Frozen(train_adversary(
             &scenario.adversary.train,
             SCENARIO_FEATURE_MODE,
-        ))),
+        )),
         AdversaryMode::Online => TrainedAdversary::Warm {
             adversary: train_adversary_online(&scenario.adversary.train, SCENARIO_FEATURE_MODE)
                 .into_adversary(),

@@ -1,16 +1,23 @@
-//! Allocation budget of the frozen adversary's scoring.
+//! Allocation budgets of the adversary's scoring, on the committed shape
+//! (18 features, 7 classes, a 32-unit hidden layer, naive Bayes as arbiter).
 //!
-//! The frozen ensemble votes on each window through its inference plan,
-//! with every per-window buffer on the stack, and `FrozenScorer` holds
-//! nothing but the ensemble. So on the committed shape (18 features, 7
-//! classes, a 32-unit hidden layer, naive Bayes as arbiter) scoring a block
-//! of windows allocates nothing beyond the capacity of the prediction
-//! buffer. The allocator counts per thread, so the test harness's own
-//! threads (and the ensemble's training threads) do not leak into the count.
+//! * Frozen: the ensemble votes on each window through its inference plan,
+//!   with every per-window buffer on the stack, and `FrozenScorer` holds
+//!   nothing but the ensemble. So scoring a block of windows allocates
+//!   nothing beyond the capacity of the prediction buffer.
+//! * Live: a per-station fork of the warm online adversary copies model
+//!   state only (its members are concrete and its per-window buffers live
+//!   on the stack), so forking plus the first two windows stays within 15
+//!   allocations, and every later window allocates nothing but the accuracy
+//!   timeline's growth.
+//!
+//! The allocator counts per thread, so the test harness's own threads (and
+//! the adversaries' training threads) do not leak into the count.
 
-use bench::pipeline::train_adversary;
+use bench::pipeline::{train_adversary, train_adversary_online};
 use bench::streaming::{FrozenScorer, WindowScorer, WINDOW_BATCH};
 use bench::ExperimentConfig;
+use classifier::online::PrequentialEvaluator;
 use classifier::stream::WindowExample;
 use classifier::window::{build_dataset, FeatureMode, DEFAULT_MIN_PACKETS};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -107,4 +114,57 @@ fn scoring_a_block_of_windows_allocates_nothing() {
     );
     assert_eq!(out.len(), WINDOW_BATCH);
     assert_eq!(out.iter().sum::<usize>(), votes);
+}
+
+/// Allocations a fork may make, from `PrequentialEvaluator::new` of the
+/// clone through its first two windows: 13 heap blocks of model state (the
+/// running statistics and the scale they derive, the SVM's 2, the NN's 4
+/// and naive Bayes's 4), the confusion matrix, and the pending window's
+/// feature buffer at the first window.
+const LIVE_FORK_BUDGET: usize = 15;
+
+#[test]
+fn a_live_fork_copies_only_model_state_and_scores_without_allocating() {
+    let config = ExperimentConfig::quick();
+    let adversary = train_adversary_online(&config, FeatureMode::Full).into_adversary();
+    let data = build_dataset(
+        &config.training_corpus(),
+        config.window(),
+        DEFAULT_MIN_PACKETS,
+        FeatureMode::Full,
+    );
+    let windows: Vec<WindowExample> = data
+        .examples()
+        .iter()
+        .map(|e| (e.features.clone(), e.label))
+        .take(WINDOW_BATCH)
+        .collect();
+    assert_eq!(windows.len(), WINDOW_BATCH);
+    assert_eq!(windows[0].0.len(), 18);
+
+    // The stations' timeline cadence.
+    let snapshot_every = 10;
+    let start = allocations();
+    let mut evaluator = PrequentialEvaluator::new(adversary.clone(), snapshot_every);
+    evaluator.absorb(&windows[0]);
+    evaluator.absorb(&windows[1]);
+    let forked = allocations() - start;
+    assert!(
+        forked <= LIVE_FORK_BUDGET,
+        "forking and two windows allocated {forked} times, budget {LIVE_FORK_BUDGET}"
+    );
+
+    for (i, window) in windows.iter().enumerate().skip(2) {
+        let points = evaluator.timeline().len();
+        let start = allocations();
+        evaluator.absorb(window);
+        let scored = allocations() - start;
+        // A window that appends a timeline point may grow the timeline.
+        let snapshot = usize::from(evaluator.timeline().len() > points);
+        assert!(
+            scored <= snapshot,
+            "window {i} allocated {scored} times (timeline points appended: {snapshot})"
+        );
+    }
+    assert_eq!(evaluator.examples(), WINDOW_BATCH as u64);
 }

@@ -203,10 +203,6 @@ impl OnlineClassifier for GaussianNaiveBayes {
     fn examples_seen(&self) -> u64 {
         self.total
     }
-
-    fn clone_online(&self) -> Box<dyn OnlineClassifier> {
-        Box::new(self.clone())
-    }
 }
 
 #[cfg(test)]

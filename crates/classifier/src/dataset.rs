@@ -1,5 +1,6 @@
 //! Labelled datasets, normalisation and train/test splitting.
 
+use crate::nn::{stack_or_heap, STACK_HIDDEN};
 use crate::stream::RunningStats;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -168,15 +169,24 @@ fn safe_std(s: f64) -> f64 {
 }
 
 impl Normalizer {
-    /// Fits means and standard deviations per feature column — a thin wrapper
-    /// over a [`RunningNormalizer`] absorbing the dataset once and
-    /// snapshotting.
+    /// Fits means and standard deviations per feature column: the dataset
+    /// folds into a [`RunningNormalizer`]'s statistics, and the scale is
+    /// derived once, by the final [`snapshot`](RunningNormalizer::snapshot).
     pub fn fit(data: &Dataset) -> Self {
         let mut running = RunningNormalizer::new(data.dim());
         for e in data.examples() {
-            running.observe(&e.features);
+            running.fold(&e.features);
         }
         running.snapshot()
+    }
+
+    /// The scale of per-column statistics: each column's mean and safe
+    /// standard deviation.
+    fn derive(stats: &[RunningStats]) -> Self {
+        Normalizer {
+            means: stats.iter().map(RunningStats::mean).collect(),
+            stds: stats.iter().map(|s| safe_std(s.std_dev())).collect(),
+        }
     }
 
     /// Applies the normalisation to one feature vector.
@@ -194,11 +204,27 @@ impl Normalizer {
 
     /// The normalised form of `features`, one value per column that both
     /// `features` and the normaliser cover (`apply`'s values, uncollected).
-    pub(crate) fn transformed<'a>(&'a self, features: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+    fn transformed<'a>(&'a self, features: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
         features
             .iter()
             .zip(self.means.iter().zip(&self.stds))
             .map(|(x, (m, s))| (x - m) / s)
+    }
+
+    /// `apply`'s values written into the front of `stack`, or into `heap`
+    /// when more than [`STACK_HIDDEN`] columns are covered: the per-window
+    /// buffer of the adversaries' votes and training steps.
+    pub(crate) fn transform_onto<'a>(
+        &self,
+        features: &[f64],
+        stack: &'a mut [f64; STACK_HIDDEN],
+        heap: &'a mut Vec<f64>,
+    ) -> &'a mut [f64] {
+        let x = stack_or_heap(stack, heap, features.len().min(self.dim()));
+        for (xi, v) in x.iter_mut().zip(self.transformed(features)) {
+            *xi = v;
+        }
+        x
     }
 
     /// The feature dimensionality the normaliser was fitted on.
@@ -212,19 +238,24 @@ impl Normalizer {
 ///
 /// This is the online adversary's replacement for the static [`Normalizer`]:
 /// there is no training set to fit on up front, so the scale estimates evolve
-/// with the stream. O(dim) state; [`snapshot`](Self::snapshot) freezes the
-/// current statistics into a [`Normalizer`] (which is exactly how
-/// [`Normalizer::fit`] is implemented).
+/// with the stream. O(dim) state. The scale the statistics derive (each
+/// column's mean and safe standard deviation) is kept as a [`Normalizer`]
+/// and refreshed in [`observe`](Self::observe), where the statistics move,
+/// so every transform is the frozen normaliser's formula and derives
+/// nothing; [`snapshot`](Self::snapshot) hands that scale out.
 #[derive(Debug, Clone, Default)]
 pub struct RunningNormalizer {
     stats: Vec<RunningStats>,
+    scale: Normalizer,
 }
 
 impl RunningNormalizer {
     /// Creates a normalizer for `dim`-dimensional features.
     pub fn new(dim: usize) -> Self {
+        let stats = vec![RunningStats::default(); dim];
         RunningNormalizer {
-            stats: vec![RunningStats::default(); dim],
+            scale: Normalizer::derive(&stats),
+            stats,
         }
     }
 
@@ -238,8 +269,26 @@ impl RunningNormalizer {
         self.stats.first().map_or(0, RunningStats::count)
     }
 
-    /// Absorbs one feature vector into the per-column statistics.
+    /// Absorbs one feature vector into the per-column statistics and
+    /// re-derives the kept scale of every column it moved.
     pub fn observe(&mut self, features: &[f64]) {
+        let Normalizer { means, stds } = &mut self.scale;
+        for (((s, m), sd), &x) in self
+            .stats
+            .iter_mut()
+            .zip(means.iter_mut())
+            .zip(stds.iter_mut())
+            .zip(features)
+        {
+            s.push(x);
+            *m = s.mean();
+            *sd = safe_std(s.std_dev());
+        }
+    }
+
+    /// Absorbs one feature vector into the statistics only, leaving the kept
+    /// scale behind them: for a normalizer that is snapshotted, not applied.
+    fn fold(&mut self, features: &[f64]) {
         for (s, &x) in self.stats.iter_mut().zip(features) {
             s.push(x);
         }
@@ -249,31 +298,27 @@ impl RunningNormalizer {
     /// Zero-variance columns are centred but not scaled (see [`safe_std`] —
     /// before the fix a constant column yielded NaN/inf features).
     pub fn apply(&self, features: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(features.len().min(self.stats.len()));
-        self.transform_into(features, &mut out);
-        out
+        self.scale.apply(features)
     }
 
     /// Appends the normalised form of `features` to `out` with the
     /// **current** statistics — the allocation-free counterpart of
     /// [`apply`](Self::apply).
     pub fn transform_into(&self, features: &[f64], out: &mut Vec<f64>) {
-        out.extend(
-            features
-                .iter()
-                .zip(&self.stats)
-                .map(|(x, s)| (x - s.mean()) / safe_std(s.std_dev())),
-        );
+        self.scale.transform_into(features, out);
     }
 
-    /// Freezes the current statistics into a static [`Normalizer`]. Applying
-    /// the snapshot is bit-identical to [`apply`](Self::apply) (which derives
-    /// the same mean and safe standard deviation per column).
+    /// The scale of the current statistics, as the transforms apply it.
+    pub(crate) fn scale(&self) -> &Normalizer {
+        &self.scale
+    }
+
+    /// Freezes the current statistics into a static [`Normalizer`], derived
+    /// afresh from them. After [`observe`](Self::observe) it equals the kept
+    /// scale, so applying the snapshot is bit-identical to
+    /// [`apply`](Self::apply).
     pub fn snapshot(&self) -> Normalizer {
-        Normalizer {
-            means: self.stats.iter().map(RunningStats::mean).collect(),
-            stds: self.stats.iter().map(|s| safe_std(s.std_dev())).collect(),
-        }
+        Normalizer::derive(&self.stats)
     }
 }
 

@@ -240,11 +240,7 @@ impl AdversaryEnsemble {
         let mut heaps: [Vec<f64>; 3] = Default::default();
         let [x_stack, hidden_stack, scores_stack] = &mut stacks;
         let [x_heap, hidden_heap, scores_heap] = &mut heaps;
-        let width = features.len().min(self.normalizer.dim());
-        let x = nn::stack_or_heap(x_stack, x_heap, width);
-        for (xi, v) in x.iter_mut().zip(self.normalizer.transformed(features)) {
-            *xi = v;
-        }
+        let x = self.normalizer.transform_onto(features, x_stack, x_heap);
         let scores = nn::stack_or_heap(scores_stack, scores_heap, plan.svm.rows());
         plan.svm.apply(x, scores);
         let svm_vote = svm::argmax(scores);
@@ -448,10 +444,16 @@ mod tests {
         // settled for the NN (only there does dropping it change the vote).
         let (mut disagreements, mut arbiter_decided) = ([0; 2], 0);
         // Hidden widths on both sides of the stack limit, class counts of
-        // one partial panel and of more than one, and query rows narrower
-        // and wider than the normaliser.
+        // one partial panel and of more than one, query rows narrower and
+        // wider than the normaliser (empty ones included), and normalisers
+        // 0 and 1 wide, with and without Bayes: at 0 wide only the biases
+        // decide.
         for (case, hidden_units) in [1, 5, 8, 9, 31, 63, 64, 65, 99].into_iter().enumerate() {
-            let dim = rng.gen_range(2..12);
+            let dim = match case {
+                0 | 1 => 0,
+                2 | 3 => 1,
+                _ => rng.gen_range(2..12),
+            };
             let classes = [3, 7, 9][case % 3];
             let mut data = Dataset::new(dim);
             for label in 0..classes {
@@ -479,7 +481,7 @@ mod tests {
             };
             let ensemble = AdversaryEnsemble::train(&data, &config);
             for _ in 0..60 {
-                let width = rng.gen_range(dim.saturating_sub(2).max(1)..dim + 3);
+                let width = rng.gen_range(dim.saturating_sub(2)..dim + 3);
                 let f: Vec<f64> = (0..width).map(|_| rng.gen_range(-5.0..9.0)).collect();
                 let votes = row_major_votes(&ensemble, &f);
                 if votes[0] != votes[1] {

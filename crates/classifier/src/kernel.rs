@@ -20,32 +20,6 @@
 //!   `w.iter().zip(x).map(|(w, x)| w * x).sum::<f64>()` reference, so every
 //!   output is **bit-identical** to [`matvec_bias`] (proptested in
 //!   `tests/panel_equivalence.rs`).
-//! * [`Scratch`] — caller-owned buffers for the training hot loop
-//!   ([`partial_fit_with`](crate::OnlineClassifier::partial_fit_with)), so
-//!   steady-state training performs no allocation.
-
-/// Reusable intermediate buffers for the training hot loop.
-///
-/// One `Scratch` serves every member of an online adversary in turn: each
-/// `partial_fit_with` resizes the buffers it needs and leaves their capacity
-/// behind for the next call. Buffers carry no state between calls.
-#[derive(Debug, Clone, Default)]
-pub struct Scratch {
-    /// First intermediate buffer (e.g. decision values, hidden activations).
-    pub a: Vec<f64>,
-    /// Second intermediate buffer (e.g. logits, probabilities).
-    pub b: Vec<f64>,
-    /// Third intermediate buffer (e.g. backpropagated hidden deltas).
-    pub c: Vec<f64>,
-}
-
-impl Scratch {
-    /// Creates an empty scratch; buffers grow on first use and are reused
-    /// afterwards.
-    pub fn new() -> Self {
-        Scratch::default()
-    }
-}
 
 /// `out[r] = Σ_j weights[r·w_dim + j] · x[j] + biases[r]` for every row.
 ///
@@ -217,12 +191,5 @@ mod tests {
         for (a, b) in via_axpy.iter().zip(&via_sub) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-    }
-
-    #[test]
-    fn scratch_starts_empty_and_is_cloneable() {
-        let s = Scratch::new();
-        assert!(s.a.is_empty() && s.b.is_empty() && s.c.is_empty());
-        let _ = s.clone();
     }
 }

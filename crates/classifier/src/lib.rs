@@ -102,27 +102,10 @@ pub trait Classifier: std::fmt::Debug + Send + Sync {
 pub trait OnlineClassifier: Classifier {
     /// Absorbs one labelled example: a single SGD step for the
     /// discriminative models, a sufficient-statistics update for naive Bayes.
+    /// No member allocates in it (the NN keeps its activations on the stack
+    /// for hidden layers up to 64 units).
     fn partial_fit(&mut self, features: &[f64], label: usize);
-
-    /// [`partial_fit`](Self::partial_fit) with caller-provided scratch, so a
-    /// hot training loop (the online adversary, the prequential evaluator)
-    /// performs no per-example allocation. The update is bit-identical to
-    /// `partial_fit`; the default simply ignores the scratch.
-    fn partial_fit_with(&mut self, features: &[f64], label: usize, scratch: &mut kernel::Scratch) {
-        let _ = scratch;
-        self.partial_fit(features, label);
-    }
 
     /// Number of examples absorbed so far (counting repeats across epochs).
     fn examples_seen(&self) -> u64;
-
-    /// Clones the model behind the trait object, so a warm-started adversary
-    /// can be forked per station without knowing the concrete type.
-    fn clone_online(&self) -> Box<dyn OnlineClassifier>;
-}
-
-impl Clone for Box<dyn OnlineClassifier> {
-    fn clone(&self) -> Self {
-        self.clone_online()
-    }
 }

@@ -6,12 +6,13 @@
 //!
 //! The trainer is SGD, so the network is also an [`OnlineClassifier`]:
 //! [`partial_fit`](OnlineClassifier::partial_fit) performs one
-//! single-example gradient step (a mini-batch of one), sharing the
-//! forward/backward implementation with the batch
-//! [`train`](NeuralNet::train) loop.
+//! single-example gradient step (a mini-batch of one), sharing the forward
+//! pass with the batch [`train`](NeuralNet::train) loop. Both keep their
+//! per-example activations on the stack up to [`STACK_HIDDEN`] units, so a
+//! network holds nothing but its parameters.
 
 use crate::dataset::Dataset;
-use crate::kernel::{self, Scratch};
+use crate::kernel;
 use crate::{Classifier, OnlineClassifier};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -143,17 +144,16 @@ impl NeuralNet {
 
         let mut order: Vec<usize> = (0..data.len()).collect();
         let examples = data.examples();
-        // One gradient accumulator and one scratch for the whole run — each
-        // mini-batch zeroes the accumulators instead of reallocating them.
+        // One gradient accumulator for the whole run — each mini-batch
+        // zeroes the accumulators instead of reallocating them.
         let mut grads = Gradients::zeroed(net.dim, net.b1.len(), net.b2.len());
-        let mut scratch = Scratch::new();
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for batch in order.chunks(config.batch_size.max(1)) {
                 grads.zero();
                 for &idx in batch {
                     let ex = &examples[idx];
-                    net.accumulate(&ex.features, ex.label, &mut grads, &mut scratch);
+                    net.accumulate(&ex.features, ex.label, &mut grads);
                     net.seen += 1;
                 }
                 net.apply(&grads, config.learning_rate / batch.len() as f64);
@@ -163,24 +163,22 @@ impl NeuralNet {
     }
 
     /// Adds one example's softmax cross-entropy gradient into `grads`.
-    /// `scratch.a`/`scratch.b` hold the forward activations afterwards.
-    fn accumulate(
-        &self,
-        features: &[f64],
-        label: usize,
-        grads: &mut Gradients,
-        scratch: &mut Scratch,
-    ) {
+    fn accumulate(&self, features: &[f64], label: usize, grads: &mut Gradients) {
         let hidden = self.b1.len();
-        self.forward_into(features, scratch);
+        let mut stacks = [[0.0; STACK_HIDDEN]; 2];
+        let mut heaps: [Vec<f64>; 2] = Default::default();
+        let [hidden_stack, probs_stack] = &mut stacks;
+        let [hidden_heap, probs_heap] = &mut heaps;
+        let hidden_out = stack_or_heap(hidden_stack, hidden_heap, hidden);
+        let delta_out = stack_or_heap(probs_stack, probs_heap, self.b2.len());
+        self.forward_onto(features, hidden_out, delta_out);
         // Output delta: softmax cross-entropy gradient, in place over the
         // probabilities.
-        scratch.b[label] -= 1.0;
-        let (hidden_out, delta_out) = (&scratch.a, &scratch.b);
+        delta_out[label] -= 1.0;
         for (c, &delta) in delta_out.iter().enumerate() {
             for (g, h_out) in grads.gw2[c * hidden..(c + 1) * hidden]
                 .iter_mut()
-                .zip(hidden_out)
+                .zip(&*hidden_out)
             {
                 *g += delta * h_out;
             }
@@ -214,32 +212,24 @@ impl NeuralNet {
         kernel::axpy(&mut self.b2, &grads.gb2, -step);
     }
 
-    /// Forward pass into caller scratch: `scratch.a` receives the hidden
-    /// activations, `scratch.b` the class probabilities. No allocation in
-    /// steady state.
-    fn forward_into(&self, features: &[f64], scratch: &mut Scratch) {
-        let hidden = self.b1.len();
-        scratch.a.resize(hidden, 0.0);
-        kernel::matvec_bias(&self.w1, &self.b1, features, self.dim, &mut scratch.a);
-        for z in scratch.a.iter_mut() {
+    /// Forward pass into caller buffers: `hidden` (one slot per hidden
+    /// unit) receives the ReLU activations, `probs` (one slot per class)
+    /// the class probabilities.
+    fn forward_onto(&self, features: &[f64], hidden: &mut [f64], probs: &mut [f64]) {
+        kernel::matvec_bias(&self.w1, &self.b1, features, self.dim, hidden);
+        for z in hidden.iter_mut() {
             *z = z.max(0.0);
         }
-        let classes = self.b2.len();
-        scratch.b.resize(classes, 0.0);
-        kernel::matvec_bias(&self.w2, &self.b2, &scratch.a, hidden, &mut scratch.b);
-        softmax_in_place(&mut scratch.b);
-    }
-
-    /// Forward pass returning `(hidden activations, class probabilities)`.
-    fn forward(&self, features: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut scratch = Scratch::new();
-        self.forward_into(features, &mut scratch);
-        (scratch.a, scratch.b)
+        kernel::matvec_bias(&self.w2, &self.b2, hidden, self.b1.len(), probs);
+        softmax_in_place(probs);
     }
 
     /// Class probabilities for a feature vector.
     pub fn probabilities(&self, features: &[f64]) -> Vec<f64> {
-        self.forward(features).1
+        let mut hidden = vec![0.0; self.b1.len()];
+        let mut probs = vec![0.0; self.b2.len()];
+        self.forward_onto(features, &mut hidden, &mut probs);
+        probs
     }
 
     /// Number of classes the network distinguishes.
@@ -272,9 +262,10 @@ fn softmax_in_place(logits: &mut [f64]) {
     }
 }
 
-/// Hidden layers up to this width run `predict` without allocating (the
-/// default `NnConfig` has 32 units); the frozen adversary's plan keeps every
-/// per-window buffer up to this width on the stack too.
+/// Hidden layers up to this width run `predict`, `partial_fit` and the
+/// batch trainer's forward pass without allocating (the default `NnConfig`
+/// has 32 units); both adversaries keep every per-window buffer up to this
+/// width on the stack too.
 pub(crate) const STACK_HIDDEN: usize = 64;
 
 /// A `len`-wide buffer: the front of `stack` when `len` fits in
@@ -304,7 +295,7 @@ impl Classifier for NeuralNet {
         // Softmax is strictly monotonic, so the argmax of the logits is the
         // argmax of the probabilities — the exp/normalise pass (and its
         // vectors) would be dead work here. The hidden layer is computed
-        // exactly as in `forward`, on the stack unless the layer is wider
+        // exactly as in `forward_onto`, on the stack unless the layer is wider
         // than `STACK_HIDDEN`.
         let hidden_units = self.b1.len();
         let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
@@ -336,29 +327,31 @@ impl Classifier for NeuralNet {
 }
 
 impl OnlineClassifier for NeuralNet {
-    fn partial_fit(&mut self, features: &[f64], label: usize) {
-        self.partial_fit_with(features, label, &mut Scratch::new());
-    }
-
     /// One fused SGD step without gradient materialisation: the hidden
-    /// deltas are computed against the **pre-update** output weights (into
-    /// `scratch.c`) before either layer moves, so every parameter sees
-    /// exactly the update the accumulate/apply path would have produced
-    /// (`w -= lr * (δ · activation)`, identical expression tree).
-    fn partial_fit_with(&mut self, features: &[f64], label: usize, scratch: &mut Scratch) {
+    /// deltas are computed against the **pre-update** output weights before
+    /// either layer moves, so every parameter sees exactly the update the
+    /// accumulate/apply path would have produced (`w -= lr * (δ ·
+    /// activation)`, identical expression tree). The activations, the
+    /// output deltas and the hidden deltas live on the stack up to
+    /// [`STACK_HIDDEN`] units.
+    fn partial_fit(&mut self, features: &[f64], label: usize) {
         let hidden = self.b1.len();
-        let classes = self.b2.len();
         let lr = self.learning_rate;
-        self.forward_into(features, scratch);
-        scratch.b[label] -= 1.0;
+        let mut stacks = [[0.0; STACK_HIDDEN]; 3];
+        let mut heaps: [Vec<f64>; 3] = Default::default();
+        let [hidden_stack, delta_stack, hidden_delta_stack] = &mut stacks;
+        let [hidden_heap, delta_heap, hidden_delta_heap] = &mut heaps;
+        let hidden_out = stack_or_heap(hidden_stack, hidden_heap, hidden);
+        let delta_out = stack_or_heap(delta_stack, delta_heap, self.b2.len());
+        let hidden_delta = stack_or_heap(hidden_delta_stack, hidden_delta_heap, hidden);
+        self.forward_onto(features, hidden_out, delta_out);
+        delta_out[label] -= 1.0;
         // Hidden deltas first — they read the output weights pre-update.
-        scratch.c.resize(hidden, 0.0);
-        for h in 0..hidden {
-            scratch.c[h] = if scratch.a[h] <= 0.0 {
+        for (h, d) in hidden_delta.iter_mut().enumerate() {
+            *d = if hidden_out[h] <= 0.0 {
                 0.0
             } else {
-                scratch
-                    .b
+                delta_out
                     .iter()
                     .zip(self.w2.chunks_exact(hidden))
                     .map(|(dc, w2c)| dc * w2c[h])
@@ -366,11 +359,10 @@ impl OnlineClassifier for NeuralNet {
             };
         }
         // Output layer.
-        for c in 0..classes {
-            let delta = scratch.b[c];
+        for (c, &delta) in delta_out.iter().enumerate() {
             for (w, h_out) in self.w2[c * hidden..(c + 1) * hidden]
                 .iter_mut()
-                .zip(&scratch.a)
+                .zip(&*hidden_out)
             {
                 *w -= lr * (delta * h_out);
             }
@@ -379,10 +371,10 @@ impl OnlineClassifier for NeuralNet {
         // Hidden layer.
         let dim = self.dim;
         for h in 0..hidden {
-            if scratch.a[h] <= 0.0 {
+            if hidden_out[h] <= 0.0 {
                 continue;
             }
-            let d = scratch.c[h];
+            let d = hidden_delta[h];
             for (w, x) in self.w1[h * dim..(h + 1) * dim].iter_mut().zip(features) {
                 *w -= lr * (d * x);
             }
@@ -393,10 +385,6 @@ impl OnlineClassifier for NeuralNet {
 
     fn examples_seen(&self) -> u64 {
         self.seen
-    }
-
-    fn clone_online(&self) -> Box<dyn OnlineClassifier> {
-        Box::new(self.clone())
     }
 }
 

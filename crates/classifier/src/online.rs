@@ -8,8 +8,10 @@
 //!
 //! * [`OnlineAdversary`] — the incremental counterpart of the ensemble: a
 //!   [`RunningNormalizer`] (statistics evolve with the stream) in front of
-//!   one [`OnlineClassifier`] per member (SVM, NN and optionally naive
-//!   Bayes), all learning one [`WindowExample`] at a time.
+//!   the SVM, the NN and optionally naive Bayes, held as concrete members
+//!   like the ensemble's, all learning one [`WindowExample`] at a time. Its
+//!   per-window buffers live on the stack, so a clone (a per-station fork)
+//!   copies model state only.
 //! * [`PrequentialEvaluator`] — the standard online-learning protocol:
 //!   **test, then train**. Every example is first classified with the model
 //!   as it stands (counted into a live majority-vote [`ConfusionMatrix`]
@@ -17,36 +19,40 @@
 //!   timeline is what exposes concept drift: splice a defense into the
 //!   session and the curve drops.
 //!
+//! Training is **deferred** to the moment it can be observed: the model
+//! learns from window k just before it tests window k+1 (or when
+//! [`PrequentialEvaluator::into_adversary`] hands it out). Every prediction
+//! is the one an eager test-then-train loop makes, and a fork dropped at
+//! station retirement skips its last step, which nothing would ever read.
+//!
 //! The packet-facing driver is the station runner (`bench::streaming`): its
 //! per-sub-flow [`FlowWindowers`](crate::stream::FlowWindowers) hand every
 //! closed window to [`PrequentialEvaluator::absorb`], so the adversary learns
 //! and scores as the windows close — no dataset, no second pass,
 //! O(flows + models) state.
 
+use crate::bayes::GaussianNaiveBayes;
 use crate::dataset::RunningNormalizer;
 use crate::ensemble::{short_circuit_vote, EnsembleConfig};
-use crate::kernel;
 use crate::metrics::ConfusionMatrix;
-use crate::nn::NeuralNet;
+use crate::nn::{NeuralNet, STACK_HIDDEN};
 use crate::stream::WindowExample;
 use crate::svm::LinearSvm;
-use crate::{bayes::GaussianNaiveBayes, OnlineClassifier};
+use crate::{Classifier, OnlineClassifier};
 
-/// The incremental adversary: a running normalizer plus one online classifier
-/// per ensemble member.
+/// The incremental adversary: a running normalizer plus the online SVM, NN
+/// and optional naive Bayes.
 ///
 /// Clone a trained (or warm-started) adversary to fork it — e.g. one
 /// independent copy per station in a multi-station scenario.
 #[derive(Debug, Clone)]
 pub struct OnlineAdversary {
     normalizer: RunningNormalizer,
-    members: Vec<Box<dyn OnlineClassifier>>,
+    svm: LinearSvm,
+    nn: NeuralNet,
+    bayes: Option<GaussianNaiveBayes>,
     classes: usize,
     examples_seen: u64,
-    /// Reused buffers for the `partial_fit` hot loop (stateless between
-    /// calls; cloning an adversary clones only their capacity).
-    fit_normalized: Vec<f64>,
-    fit_kernel: kernel::Scratch,
 }
 
 impl OnlineAdversary {
@@ -59,24 +65,15 @@ impl OnlineAdversary {
     /// Panics if `classes` is zero.
     pub fn new(dim: usize, classes: usize, config: &EnsembleConfig) -> Self {
         assert!(classes > 0, "the adversary needs at least one class");
-        let mut members: Vec<Box<dyn OnlineClassifier>> = Vec::new();
-        members.push(Box::new(LinearSvm::new(dim, classes, &config.svm)));
-        members.push(Box::new(NeuralNet::new(
-            dim,
-            classes,
-            &config.nn,
-            config.seed ^ 0x55,
-        )));
-        if config.include_bayes {
-            members.push(Box::new(GaussianNaiveBayes::new(dim, classes)));
-        }
         OnlineAdversary {
             normalizer: RunningNormalizer::new(dim),
-            members,
+            svm: LinearSvm::new(dim, classes, &config.svm),
+            nn: NeuralNet::new(dim, classes, &config.nn, config.seed ^ 0x55),
+            bayes: config
+                .include_bayes
+                .then(|| GaussianNaiveBayes::new(dim, classes)),
             classes,
             examples_seen: 0,
-            fit_normalized: Vec::new(),
-            fit_kernel: kernel::Scratch::new(),
         }
     }
 
@@ -92,39 +89,37 @@ impl OnlineAdversary {
 
     /// Absorbs one labelled example: the normalizer observes the raw
     /// features first, then every member takes one incremental step on the
-    /// freshly-normalised vector. Buffer reuse keeps the loop
-    /// allocation-free in steady state.
+    /// freshly-normalised vector, which lives on the stack. Nothing
+    /// allocates for feature and hidden widths up to 64.
     pub fn partial_fit(&mut self, features: &[f64], label: usize) {
-        let OnlineAdversary {
-            normalizer,
-            members,
-            fit_normalized,
-            fit_kernel,
-            ..
-        } = self;
-        normalizer.observe(features);
-        fit_normalized.clear();
-        normalizer.transform_into(features, fit_normalized);
-        for member in members.iter_mut() {
-            member.partial_fit_with(fit_normalized, label, fit_kernel);
+        self.normalizer.observe(features);
+        let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
+        let x = self
+            .normalizer
+            .scale()
+            .transform_onto(features, &mut stack, &mut heap);
+        self.svm.partial_fit(x, label);
+        self.nn.partial_fit(x, label);
+        if let Some(bayes) = &mut self.bayes {
+            bayes.partial_fit(x, label);
         }
         self.examples_seen += 1;
     }
 
-    /// The majority vote for one feature vector, normalised once into
-    /// `normalized` with the current running statistics. The vote is the
-    /// frozen ensemble's rule ([`short_circuit_vote`]): naive Bayes, when
-    /// present, predicts only when the SVM and the NN disagree.
-    fn predict_majority(&self, features: &[f64], normalized: &mut Vec<f64>) -> usize {
-        normalized.clear();
-        self.normalizer.transform_into(features, normalized);
-        let [svm, nn, rest @ ..] = self.members.as_slice() else {
-            unreachable!("the adversary always has an SVM and an NN");
-        };
-        let arbiter = rest.first().map(|bayes| || bayes.predict(normalized));
+    /// The majority vote for one feature vector, normalised onto the stack
+    /// with the current running statistics. The vote is the frozen
+    /// ensemble's rule ([`short_circuit_vote`]): naive Bayes, when present,
+    /// predicts only when the SVM and the NN disagree.
+    fn predict_majority(&self, features: &[f64]) -> usize {
+        let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
+        let x: &[f64] = self
+            .normalizer
+            .scale()
+            .transform_onto(features, &mut stack, &mut heap);
+        let arbiter = self.bayes.as_ref().map(|bayes| || bayes.predict(x));
         short_circuit_vote(
-            svm.predict(normalized),
-            nn.predict(normalized),
+            self.svm.predict(x),
+            self.nn.predict(x),
             arbiter,
             self.classes,
         )
@@ -158,6 +153,11 @@ pub struct SegmentStats {
 /// performance over the whole stream, and the [`timeline`](Self::timeline)
 /// tracks how that accuracy evolves — flat stream, convergence; mid-stream
 /// defense splice, a visible drop.
+///
+/// The last example scored is kept **pending**: the model learns from it
+/// at the next [`test_then_train`](Self::test_then_train), just before the
+/// next test, or in [`into_adversary`](Self::into_adversary). An evaluator
+/// dropped without either never pays for that step.
 #[derive(Debug, Clone)]
 pub struct PrequentialEvaluator {
     adversary: OnlineAdversary,
@@ -167,8 +167,11 @@ pub struct PrequentialEvaluator {
     segment: SegmentStats,
     correct: u64,
     scored: u64,
-    /// Reused per-example buffer of normalised features.
-    normalized: Vec<f64>,
+    /// The features of the example scored last and not yet learnt (a
+    /// buffer reused from window to window).
+    pending: Vec<f64>,
+    /// That example's label; `None` when nothing is pending.
+    pending_label: Option<usize>,
 }
 
 impl PrequentialEvaluator {
@@ -184,43 +187,50 @@ impl PrequentialEvaluator {
             segment: SegmentStats::default(),
             correct: 0,
             scored: 0,
-            normalized: Vec::new(),
+            pending: Vec::new(),
+            pending_label: None,
         }
     }
 
     /// Scores one labelled example with the current model, then trains on
     /// it. Returns the majority-vote prediction.
     ///
+    /// The model first learns from the previous example, which is the last
+    /// moment that step can wait for: window k is learnt just before window
+    /// k+1 is tested. This example becomes the pending one, so each
+    /// prediction equals an eager test-then-train loop's.
+    ///
     /// # Panics
     ///
     /// Panics if `label` is out of range for the adversary's class count.
     pub fn test_then_train(&mut self, features: &[f64], label: usize) -> usize {
-        let Self {
-            adversary,
-            majority,
-            timeline,
-            snapshot_every,
-            segment,
-            correct,
-            scored,
-            normalized,
-        } = &mut *self;
-        let predicted = adversary.predict_majority(features, normalized);
-        majority.record(label, predicted);
-        *scored += 1;
-        segment.total += 1;
+        self.learn_pending();
+        let predicted = self.adversary.predict_majority(features);
+        self.majority.record(label, predicted);
+        self.scored += 1;
+        self.segment.total += 1;
         if predicted == label {
-            *correct += 1;
-            segment.majority_correct += 1;
+            self.correct += 1;
+            self.segment.majority_correct += 1;
         }
-        if scored.is_multiple_of(*snapshot_every) {
-            timeline.push(PrequentialPoint {
-                examples: *scored,
-                accuracy: *correct as f64 / *scored as f64,
+        if self.scored.is_multiple_of(self.snapshot_every) {
+            self.timeline.push(PrequentialPoint {
+                examples: self.scored,
+                accuracy: self.correct as f64 / self.scored as f64,
             });
         }
-        adversary.partial_fit(features, label);
+        self.pending.clear();
+        self.pending.extend_from_slice(features);
+        self.pending_label = Some(label);
         predicted
+    }
+
+    /// The deferred training step: the model learns from the pending
+    /// example, if any.
+    fn learn_pending(&mut self) {
+        if let Some(label) = self.pending_label.take() {
+            self.adversary.partial_fit(&self.pending, label);
+        }
     }
 
     /// Scores and trains on one [`WindowExample`].
@@ -258,8 +268,10 @@ impl PrequentialEvaluator {
         std::mem::take(&mut self.segment)
     }
 
-    /// Unwraps the (now trained) adversary.
-    pub fn into_adversary(self) -> OnlineAdversary {
+    /// Unwraps the adversary, trained on every example scored: the pending
+    /// example is learnt first.
+    pub fn into_adversary(mut self) -> OnlineAdversary {
+        self.learn_pending();
         self.adversary
     }
 }
@@ -288,8 +300,9 @@ mod tests {
     fn online_adversary_learns_blobs_incrementally() {
         let mut adversary = OnlineAdversary::new(3, 3, &EnsembleConfig::default());
         assert_eq!(adversary.class_count(), 3);
-        let names: Vec<_> = adversary.members.iter().map(|m| m.name()).collect();
-        assert_eq!(names, ["svm", "nn", "naive-bayes"]);
+        let bayes = adversary.bayes.as_ref().map(|b| b.name());
+        assert_eq!([adversary.svm.name(), adversary.nn.name()], ["svm", "nn"]);
+        assert_eq!(bayes, Some("naive-bayes"));
         for (f, l) in blob_stream(1, 100) {
             adversary.partial_fit(&f, l);
         }
@@ -297,10 +310,9 @@ mod tests {
         // Score through the production vote (what `test_then_train` does
         // per window).
         let test = blob_stream(2, 30);
-        let mut normalized = Vec::new();
         let correct = test
             .iter()
-            .filter(|(f, l)| adversary.predict_majority(f, &mut normalized) == *l)
+            .filter(|(f, l)| adversary.predict_majority(f) == *l)
             .count();
         assert!(
             correct as f64 / test.len() as f64 > 0.9,
@@ -328,6 +340,104 @@ mod tests {
             "prequential accuracy should improve: {first} -> {last}"
         );
         assert!(last > 0.8, "converged accuracy {last}");
+    }
+
+    /// Test-then-train done eagerly: every example is scored, recorded and
+    /// learnt at once. The reference the deferred evaluator must reproduce.
+    struct EagerEvaluator {
+        adversary: OnlineAdversary,
+        majority: ConfusionMatrix,
+        timeline: Vec<PrequentialPoint>,
+        segment: SegmentStats,
+        snapshot_every: u64,
+        correct: u64,
+        scored: u64,
+    }
+
+    impl EagerEvaluator {
+        fn test_then_train(&mut self, features: &[f64], label: usize) -> usize {
+            let predicted = self.adversary.predict_majority(features);
+            self.majority.record(label, predicted);
+            self.scored += 1;
+            self.segment.total += 1;
+            if predicted == label {
+                self.correct += 1;
+                self.segment.majority_correct += 1;
+            }
+            if self.scored.is_multiple_of(self.snapshot_every) {
+                self.timeline.push(PrequentialPoint {
+                    examples: self.scored,
+                    accuracy: self.correct as f64 / self.scored as f64,
+                });
+            }
+            self.adversary.partial_fit(features, label);
+            predicted
+        }
+    }
+
+    #[test]
+    fn deferred_training_predicts_like_an_eager_loop() {
+        let mut rng = StdRng::seed_from_u64(41);
+        for case in 0..40u64 {
+            let snapshot_every = 1 + case % 5;
+            let dim = rng.gen_range(1..6);
+            let classes = rng.gen_range(2..7);
+            // Labels come from the first `seen` classes only, so the
+            // classes above them are never seen and the ones below appear
+            // for the first time at random points of the stream.
+            let seen = rng.gen_range(1..=classes);
+            let config = EnsembleConfig {
+                include_bayes: case % 2 == 0,
+                seed: case,
+                ..EnsembleConfig::default()
+            };
+            let base = OnlineAdversary::new(dim, classes, &config);
+            let mut eager = EagerEvaluator {
+                adversary: base.clone(),
+                majority: ConfusionMatrix::new(classes),
+                timeline: Vec::new(),
+                segment: SegmentStats::default(),
+                snapshot_every,
+                correct: 0,
+                scored: 0,
+            };
+            let mut deferred = PrequentialEvaluator::new(base, snapshot_every);
+            let example = |rng: &mut StdRng| {
+                let label = rng.gen_range(0..seen);
+                let features: Vec<f64> = (0..dim)
+                    .map(|j| rng.gen_range(-2.0..2.0) + if j == label % dim { 3.0 } else { 0.0 })
+                    .collect();
+                (features, label)
+            };
+            for i in 0..rng.gen_range(1..80) {
+                let (features, label) = example(&mut rng);
+                assert_eq!(
+                    deferred.test_then_train(&features, label),
+                    eager.test_then_train(&features, label),
+                    "case {case}, example {i}"
+                );
+                if rng.gen_bool(0.1) {
+                    assert_eq!(deferred.take_segment(), std::mem::take(&mut eager.segment));
+                }
+            }
+            assert_eq!(deferred.matrix(), &eager.majority, "case {case}");
+            assert_eq!(
+                deferred.timeline(),
+                eager.timeline.as_slice(),
+                "case {case}"
+            );
+            assert_eq!(deferred.take_segment(), eager.segment, "case {case}");
+            let trained = deferred.into_adversary();
+            assert_eq!(trained.examples_seen(), eager.adversary.examples_seen());
+            for _ in 0..20 {
+                let (probe, _) = example(&mut rng);
+                assert_eq!(
+                    trained.predict_majority(&probe),
+                    eager.adversary.predict_majority(&probe),
+                    "case {case}: probe {probe:?}"
+                );
+            }
+        }
     }
 
     #[test]

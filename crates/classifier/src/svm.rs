@@ -15,6 +15,7 @@
 
 use crate::dataset::Dataset;
 use crate::kernel;
+use crate::nn::{stack_or_heap, STACK_HIDDEN};
 use crate::{Classifier, OnlineClassifier};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -138,23 +139,13 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 
 impl Classifier for LinearSvm {
     fn predict(&self, features: &[f64]) -> usize {
-        // Streaming [`argmax`] over the decision values (same first-maximum
-        // rule), so the per-call score vector is never materialised.
-        let mut best = 0;
-        let mut best_value = f64::NEG_INFINITY;
-        for (i, (w, b)) in self
-            .weights
-            .chunks_exact(self.dim.max(1))
-            .zip(&self.biases)
-            .enumerate()
-        {
-            let v = dot(w, features) + b;
-            if v > best_value {
-                best_value = v;
-                best = i;
-            }
-        }
-        best
+        // The [`argmax`] of the decision values, scored into a stack buffer
+        // unless there are more than `STACK_HIDDEN` classes. With 0-wide
+        // features every value is its class's bias.
+        let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
+        let scores = stack_or_heap(&mut stack, &mut heap, self.biases.len());
+        kernel::matvec_bias(&self.weights, &self.biases, features, self.dim, scores);
+        argmax(scores)
     }
 
     fn name(&self) -> &'static str {
@@ -187,15 +178,11 @@ impl OnlineClassifier for LinearSvm {
     fn examples_seen(&self) -> u64 {
         self.step
     }
-
-    fn clone_online(&self) -> Box<dyn OnlineClassifier> {
-        Box::new(self.clone())
-    }
 }
 
-/// The first index of the maximum value: the rule every streaming `predict`
-/// mirrors inline, and the one the frozen adversary's plan applies to its
-/// panel outputs.
+/// The first index of the maximum value: the rule every `predict` applies
+/// (the NN's and naive Bayes's inline), and the one the frozen adversary's
+/// plan applies to its panel outputs.
 pub(crate) fn argmax(values: &[f64]) -> usize {
     let mut best = 0;
     let mut best_value = f64::NEG_INFINITY;
@@ -315,11 +302,19 @@ mod tests {
             .filter(|(t, p)| t == p)
             .count();
         assert!(correct as f64 / data.len() as f64 > 0.9);
-        // The boxed clone is the same model.
-        let boxed = svm.clone_online();
-        assert_eq!(
-            boxed.predict(&data.examples()[0].features),
-            svm.predict(&data.examples()[0].features)
-        );
+    }
+
+    #[test]
+    fn predict_reads_the_biases_on_empty_features() {
+        // 0-wide features leave only the biases to decide, and the majority
+        // class's bias wins.
+        let mut data = Dataset::new(0);
+        for label in [0; 5].into_iter().chain([1; 20]) {
+            data.push(Vec::new(), label);
+        }
+        let svm = LinearSvm::train(&data, &SvmConfig::default(), 3);
+        let values = svm.decision_values(&[]);
+        assert_eq!(svm.predict(&[]), 1, "decision values {values:?}");
+        assert_eq!(svm.predict(&[]), argmax(&values));
     }
 }

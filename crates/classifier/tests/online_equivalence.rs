@@ -12,6 +12,11 @@
 //!   **bit for bit**.
 //! * `Normalizer::fit` is a `RunningNormalizer` absorbing the dataset once
 //!   and snapshotting.
+//! * `RunningNormalizer`'s kept scale is exact: after every `observe`,
+//!   `transform_into` equals an inline `(x − mean) / safe_std(std_dev)`
+//!   over the running statistics bit for bit, and so does applying
+//!   `snapshot` (which derives the scale afresh), which also equals a
+//!   `Normalizer::fit` of the rows observed so far.
 //! * Naive Bayes's cached `(variance, ln variance)` table is exact: after
 //!   every `partial_fit` step, `predict` and `log_posteriors` equal a
 //!   reference that recomputes each variance and its `ln` from the
@@ -19,6 +24,7 @@
 
 use classifier::bayes::GaussianNaiveBayes;
 use classifier::dataset::{Dataset, Normalizer, RunningNormalizer};
+use classifier::stream::RunningStats;
 use classifier::svm::{LinearSvm, SvmConfig};
 use classifier::{Classifier, OnlineClassifier};
 use proptest::prelude::*;
@@ -267,5 +273,59 @@ proptest! {
         prop_assert_eq!(&running.snapshot(), &batch);
         let probe: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1e3..1e3)).collect();
         prop_assert_eq!(running.apply(&probe), batch.apply(&probe));
+    }
+
+    #[test]
+    fn running_normalizer_scale_matches_inline_recomputation(
+        seed in 0u64..500,
+        rows in 1usize..40,
+        dim in 1usize..8,
+    ) {
+        // The normaliser's divisor: the standard deviation, or 1 for a
+        // degenerate (constant or NaN) column.
+        fn safe_std(s: f64) -> f64 {
+            if s > 1e-12 {
+                s
+            } else {
+                1.0
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Some streams hold one column constant, so the fallback divisor
+        // is exercised past the first row too.
+        let constant = rng.gen_bool(0.5).then(|| rng.gen_range(0..dim));
+        let mut running = RunningNormalizer::new(dim);
+        let mut stats = vec![RunningStats::default(); dim];
+        let mut observed = Dataset::new(dim);
+        let mut out = Vec::new();
+        for _ in 0..rows {
+            let features: Vec<f64> = (0..dim)
+                .map(|j| if constant == Some(j) { 42.0 } else { rng.gen_range(-1e3..1e3) })
+                .collect();
+            running.observe(&features);
+            for (s, &x) in stats.iter_mut().zip(&features) {
+                s.push(x);
+            }
+            observed.push(features, 0);
+            // Probes one column short, exact and one column long.
+            let width = rng.gen_range(dim - 1..=dim + 1);
+            let probe: Vec<f64> = (0..width).map(|_| rng.gen_range(-2e3..2e3)).collect();
+            out.clear();
+            running.transform_into(&probe, &mut out);
+            let inline: Vec<u64> = probe
+                .iter()
+                .zip(&stats)
+                .map(|(x, s)| ((x - s.mean()) / safe_std(s.std_dev())).to_bits())
+                .collect();
+            let bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(&bits, &inline);
+            // The snapshot derives the scale afresh: it must be the one the
+            // transform applied, and the one a batch fit of the same rows
+            // derives.
+            let snapshot = running.snapshot();
+            let frozen: Vec<u64> = snapshot.apply(&probe).iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(frozen, inline);
+            prop_assert_eq!(snapshot, Normalizer::fit(&observed));
+        }
     }
 }
