@@ -27,8 +27,10 @@ lint:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Fails on a public item of the library crates that no non-test code uses
-# and scripts/pub_scan.allow does not list with a reason (bash + awk only).
+# and scripts/pub_scan.allow does not list with a reason (bash + awk only),
+# after checking the scan's rules on its fixture tree.
 pub-scan:
+	scripts/pub_scan_selftest.sh
 	scripts/pub_scan.sh
 
 # Deterministic results (overheads, adversary accuracies, scenario-family

@@ -25,7 +25,7 @@ use classifier::dataset::Dataset;
 use classifier::ensemble::{AdversaryEnsemble, EnsembleConfig};
 use classifier::features::FEATURE_DIM;
 use classifier::metrics::ConfusionMatrix;
-use classifier::online::{OnlineAdversary, PrequentialEvaluator, SegmentStats};
+use classifier::online::{OnlineAdversary, PrequentialEvaluator};
 use classifier::stream::{FlowWindowers, WindowExample};
 use classifier::window::{build_dataset, FeatureMode, DEFAULT_MIN_PACKETS};
 use defenses::frequency_hopping::FrequencyHopper;
@@ -292,23 +292,6 @@ fn interleave_shards(shards: Vec<Vec<WindowExample>>) -> Vec<WindowExample> {
     out
 }
 
-/// The result of one online (prequential) evaluation phase.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OnlineEvaluation {
-    /// Majority-vote confusion matrix over **this phase's** examples only,
-    /// widened to all seven classes like the batch matrices.
-    pub matrix: ConfusionMatrix,
-    /// Prequential counts of this phase, including per-member hits.
-    pub segment: SegmentStats,
-}
-
-impl OnlineEvaluation {
-    /// The phase's majority-vote mean accuracy (the paper's metric).
-    pub fn mean_accuracy(&self) -> f64 {
-        self.matrix.mean_accuracy()
-    }
-}
-
 /// Creates the untrained online counterpart of [`train_adversary`]'s
 /// ensemble: same members, same seeding rule, but learning one window at a
 /// time behind a running normalizer.
@@ -351,10 +334,11 @@ pub fn train_adversary_online(
 /// scored test-then-train through the evaluator's adversary, which keeps
 /// learning as it scores.
 ///
-/// Returns this phase's confusion matrix and segment counts; cumulative
-/// state (matrices, timeline, the adversary itself) stays on `evaluator`, so
-/// phases chain: warm up on undefended traffic, then splice in a defense and
-/// watch the prequential curve drop.
+/// Returns this phase's majority-vote confusion matrix, widened to all seven
+/// classes like [`evaluate_defense`]'s; cumulative state (the timeline, the
+/// adversary itself) stays on `evaluator`, so phases chain: warm up on
+/// undefended traffic, then splice in a defense and watch the prequential
+/// curve drop.
 pub fn evaluate_defense_online(
     evaluator: &mut PrequentialEvaluator,
     eval_traces: &[Trace],
@@ -362,20 +346,18 @@ pub fn evaluate_defense_online(
     config: &ExperimentConfig,
     seed_base: u64,
     mode: FeatureMode,
-) -> OnlineEvaluation {
+) -> ConfusionMatrix {
     let shards = defended_example_shards(eval_traces, defense, config, seed_base, mode);
     let stream = interleave_shards(shards);
     let mut matrix = ConfusionMatrix::new(AppKind::COUNT);
-    // Start a fresh segment for this phase.
-    let _ = evaluator.take_segment();
     for (features, label) in &stream {
         let predicted = evaluator.test_then_train(features, *label);
         matrix.record(*label, predicted);
     }
-    OnlineEvaluation {
-        matrix,
-        segment: evaluator.take_segment(),
-    }
+    // The matrix holds this phase's counts: leave no segment behind for the
+    // stations that fork the evaluator.
+    let _ = evaluator.take_segment();
+    matrix
 }
 
 #[cfg(test)]
@@ -599,10 +581,8 @@ mod tests {
             "online mean accuracy {online_acc:.3} must converge to within 5pp \
              of the batch ensemble {batch_acc:.3}"
         );
-        // The phase bookkeeping is consistent: segment counts cover exactly
-        // the evaluation stream.
-        assert_eq!(online.segment.total, online.matrix.total());
-        assert_eq!(evaluator.examples(), warmup_examples + online.segment.total);
+        // The phase covers exactly the examples it scored.
+        assert_eq!(evaluator.examples(), warmup_examples + online.total());
     }
 
     #[test]

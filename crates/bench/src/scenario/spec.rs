@@ -903,12 +903,6 @@ impl CompiledScenario {
     pub fn station(&self, index: usize) -> ScenarioStation {
         self.population.station(index)
     }
-
-    /// Iterates the whole population in station order, materialising each
-    /// member on demand.
-    pub fn stations(&self) -> impl Iterator<Item = ScenarioStation> + '_ {
-        (0..self.station_count()).map(|i| self.station(i))
-    }
 }
 
 impl ScenarioSpec {
@@ -1177,7 +1171,7 @@ mod tests {
             derive_group_seed(7, 1),
             "unpinned groups derive their seed from the scenario seed"
         );
-        assert_eq!(scenario.stations().count(), 3);
+        assert_eq!(scenario.station_count(), 3);
     }
 
     #[test]

@@ -427,7 +427,7 @@ mod tests {
         let base = warm_base();
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let report = StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 17, 240.0))
-            .splice(120.0, DefenseSpec::parse("or").unwrap())
+            .splices(vec![(120.0, DefenseSpec::parse("or").unwrap())])
             .run(&mut evaluator)
             .expect("OR builds on 3 interfaces");
         let pre_stats = report.phases[0].segment.as_ref().expect("live scorer");
@@ -455,7 +455,7 @@ mod tests {
         let traffic = TrafficSpec::bounded(AppKind::BitTorrent, 17, 120.0);
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let spliced = StationRun::new(traffic)
-            .splice(0.0, DefenseSpec::parse("or").unwrap())
+            .splices(vec![(0.0, DefenseSpec::parse("or").unwrap())])
             .run(&mut evaluator)
             .expect("OR builds on 3 interfaces");
         let pre = spliced.phases[0].segment.as_ref().expect("live scorer");
@@ -485,7 +485,7 @@ mod tests {
         let traffic = TrafficSpec::bounded(AppKind::BitTorrent, 23, 60.0);
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let report = StationRun::new(traffic)
-            .splice(1e6, DefenseSpec::parse("padding").unwrap())
+            .splices(vec![(1e6, DefenseSpec::parse("padding").unwrap())])
             .run(&mut evaluator)
             .expect("padding always builds");
         let pre = report.phases[0].segment.as_ref().expect("live scorer");
@@ -508,8 +508,10 @@ mod tests {
         let base = warm_base();
         let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
         let report = StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 31, 180.0))
-            .splice(60.0, DefenseSpec::parse("padding").unwrap())
-            .splice(120.0, DefenseSpec::parse("or").unwrap())
+            .splices(vec![
+                (60.0, DefenseSpec::parse("padding").unwrap()),
+                (120.0, DefenseSpec::parse("or").unwrap()),
+            ])
             .run(&mut evaluator)
             .expect("padding and OR build");
         assert_eq!(report.phases.len(), 3);
@@ -561,7 +563,7 @@ mod tests {
     fn a_non_finite_splice_time_fails_the_run() {
         let adversary = quick_adversary();
         let err = StationRun::new(TrafficSpec::bounded(AppKind::Chatting, 3, 10.0))
-            .splice(f64::NAN, DefenseSpec::parse("padding").unwrap())
+            .splices(vec![(f64::NAN, DefenseSpec::parse("padding").unwrap())])
             .run(&mut FrozenScorer::new(&adversary))
             .expect_err("a NaN splice time cannot be scheduled");
         assert!(err.contains("splice time NaN"), "{err}");
@@ -576,7 +578,7 @@ mod tests {
         let base = warm_base();
         let run_of = || {
             StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 13, 90.0))
-                .splice(45.0, DefenseSpec::parse("padding").unwrap())
+                .splices(vec![(45.0, DefenseSpec::parse("padding").unwrap())])
         };
         let frozen_at = |batch: usize| {
             run_of()

@@ -16,7 +16,7 @@
 //! # let adversary: classifier::ensemble::AdversaryEnsemble = unimplemented!();
 //! let report = StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 7, 120.0))
 //!     .defense(DefenseSpec::parse("or")?)
-//!     .splice(60.0, DefenseSpec::parse("padding")?)
+//!     .splices(vec![(60.0, DefenseSpec::parse("padding")?)])
 //!     .run(&mut FrozenScorer::new(&adversary))?;
 //! # Ok::<(), String>(())
 //! ```
@@ -45,7 +45,6 @@ pub const STATION_CALIB_SECS: f64 = 60.0;
 /// [`run`](StationRun::run), or hand many of them to an
 /// [`Executor`](super::Executor).
 pub struct StationRun {
-    seed: u64,
     /// Generated lazily **at admission time** — until then the station holds
     /// no generator state at all.
     traffic: TrafficSpec,
@@ -70,7 +69,6 @@ impl StationRun {
     /// [`STATION_CALIB_SECS`].
     pub fn new(traffic: TrafficSpec) -> Self {
         StationRun {
-            seed: traffic.seed,
             traffic,
             initial: DefenseSpec::none(),
             splices: Vec::new(),
@@ -89,16 +87,9 @@ impl StationRun {
         self
     }
 
-    /// Splices `defense` in at session-relative second `at_secs` (any
-    /// number of splices; they are sorted at build time, and a non-finite
-    /// time makes [`run`](Self::run) fail).
-    pub fn splice(mut self, at_secs: f64, defense: DefenseSpec) -> Self {
-        self.splices.push((at_secs, defense));
-        self
-    }
-
-    /// Replaces the splice schedule wholesale (`(session-relative second,
-    /// defense)` pairs).
+    /// Sets the splice schedule: `(session-relative second, defense)` pairs,
+    /// each spliced in at its second (any number of splices; they are sorted
+    /// at build time, and a non-finite time makes [`run`](Self::run) fail).
     pub fn splices(mut self, schedule: Vec<(f64, DefenseSpec)>) -> Self {
         self.splices = schedule;
         self
@@ -107,14 +98,6 @@ impl StationRun {
     /// Virtual-interface count for reshape stages (default 3).
     pub fn interfaces(mut self, interfaces: usize) -> Self {
         self.interfaces = interfaces;
-        self
-    }
-
-    /// Seed of seeded defense stages (defaults to the traffic seed): the
-    /// pseudonym draws and the random-assignment scheduler. Morphing
-    /// calibration does not use it; it is the same for every station.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -177,7 +160,7 @@ impl StationRun {
         splices.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
         let ctx = StageContext {
             calibrations: Some(calibrations),
-            ..StageContext::live(self.traffic.app, self.seed, self.calib_secs)
+            ..StageContext::live(self.traffic.app, self.traffic.seed, self.calib_secs)
         };
         let mut phases = vec![(0.0, self.initial.build(&ctx, self.interfaces)?)];
         for (at, defense) in &splices {

@@ -58,13 +58,15 @@ fn throughput_baseline_spec_pins_the_historical_bench_json_workload() {
     assert_eq!(scenario.calib_secs, 60.0);
     assert_eq!(scenario.adversary.mode, AdversaryMode::Batch);
     assert_eq!(scenario.adversary.train, ExperimentConfig::quick());
-    let defenses: Vec<DefenseSpec> = scenario.stations().map(|s| s.defense).collect();
+    let defenses: Vec<DefenseSpec> = (0..scenario.station_count())
+        .map(|i| scenario.station(i).defense)
+        .collect();
     let expected: Vec<DefenseSpec> = ["padding", "morphing", "morph_or"]
         .into_iter()
         .map(|shorthand| DefenseSpec::parse(shorthand).unwrap())
         .collect();
     assert_eq!(defenses, expected);
-    for station in scenario.stations() {
+    for station in (0..scenario.station_count()).map(|i| scenario.station(i)) {
         assert_eq!(station.traffic.app, AppKind::BitTorrent);
         assert_eq!(station.traffic.seed, 1);
         assert_eq!(station.traffic.secs, Some(60.0));

@@ -119,9 +119,9 @@ fn scoring_a_block_of_windows_allocates_nothing() {
 /// Allocations a fork may make, from `PrequentialEvaluator::new` of the
 /// clone through its first two windows: 13 heap blocks of model state (the
 /// running statistics and the scale they derive, the SVM's 2, the NN's 4
-/// and naive Bayes's 4), the confusion matrix, and the pending window's
-/// feature buffer at the first window.
-const LIVE_FORK_BUDGET: usize = 15;
+/// and naive Bayes's 4) and the pending window's feature buffer at the
+/// first window.
+const LIVE_FORK_BUDGET: usize = 14;
 
 #[test]
 fn a_live_fork_copies_only_model_state_and_scores_without_allocating() {

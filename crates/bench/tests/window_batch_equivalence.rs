@@ -48,7 +48,7 @@ fn run_of(i: usize, seed: u64, batch: usize) -> StationRun {
     .feature_mode(FeatureMode::Full)
     .window_batch(batch);
     if i == 0 {
-        run = run.splice(9.0, DefenseSpec::parse("padding").unwrap());
+        run = run.splices(vec![(9.0, DefenseSpec::parse("padding").unwrap())]);
     }
     run
 }

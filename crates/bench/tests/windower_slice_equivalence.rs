@@ -144,7 +144,7 @@ proptest! {
                 "prequential timelines diverged: {:?}",
                 kind
             );
-            prop_assert_eq!(reference_eval.matrix(), live_eval.matrix());
+            prop_assert_eq!(reference_eval.examples(), live_eval.examples());
         }
     }
 }

@@ -2,10 +2,7 @@
 
 use crate::nn::{stack_or_heap, STACK_HIDDEN};
 use crate::stream::RunningStats;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// One labelled training/evaluation example.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,15 +70,6 @@ impl Dataset {
         self.examples.iter().map(|e| e.label + 1).max().unwrap_or(0)
     }
 
-    /// Number of examples per label.
-    pub fn label_histogram(&self) -> HashMap<usize, usize> {
-        let mut h = HashMap::new();
-        for e in &self.examples {
-            *h.entry(e.label).or_insert(0) += 1;
-        }
-        h
-    }
-
     /// Fits a z-score normaliser on this dataset.
     pub fn fit_normalizer(&self) -> Normalizer {
         Normalizer::fit(self)
@@ -101,47 +89,6 @@ impl Dataset {
             dim: self.dim,
             examples,
         }
-    }
-
-    /// Splits into `(train, test)` with approximately `test_fraction` of each
-    /// class going to the test set (stratified split).
-    pub fn stratified_split<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        test_fraction: f64,
-    ) -> (Dataset, Dataset) {
-        let test_fraction = test_fraction.clamp(0.0, 1.0);
-        let mut by_label: HashMap<usize, Vec<&LabeledExample>> = HashMap::new();
-        for e in &self.examples {
-            by_label.entry(e.label).or_default().push(e);
-        }
-        let mut train = Dataset::new(self.dim);
-        let mut test = Dataset::new(self.dim);
-        let mut labels: Vec<usize> = by_label.keys().copied().collect();
-        labels.sort_unstable();
-        for label in labels {
-            let mut group = by_label.remove(&label).expect("label exists");
-            group.shuffle(rng);
-            let n_test = ((group.len() as f64) * test_fraction).round() as usize;
-            for (i, e) in group.into_iter().enumerate() {
-                if i < n_test {
-                    test.push(e.features.clone(), e.label);
-                } else {
-                    train.push(e.features.clone(), e.label);
-                }
-            }
-        }
-        (train, test)
-    }
-
-    /// Merges another dataset into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(self.dim, other.dim, "dataset dimensions differ");
-        self.examples.extend_from_slice(&other.examples);
     }
 }
 
@@ -325,8 +272,6 @@ impl RunningNormalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn toy_dataset() -> Dataset {
         let mut d = Dataset::new(2);
@@ -344,9 +289,8 @@ mod tests {
         assert_eq!(d.len(), 80);
         assert!(!d.is_empty());
         assert_eq!(d.class_count(), 2);
-        let hist = d.label_histogram();
-        assert_eq!(hist[&0], 40);
-        assert_eq!(hist[&1], 40);
+        assert_eq!(d.examples().iter().filter(|e| e.label == 0).count(), 40);
+        assert_eq!(d.examples().iter().filter(|e| e.label == 1).count(), 40);
     }
 
     #[test]
@@ -430,27 +374,5 @@ mod tests {
         // Mean 5, std 5 now.
         let z = running.apply(&[10.0]);
         assert!((z[0] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stratified_split_respects_fraction_and_classes() {
-        let d = toy_dataset();
-        let mut rng = StdRng::seed_from_u64(5);
-        let (train, test) = d.stratified_split(&mut rng, 0.25);
-        assert_eq!(train.len() + test.len(), d.len());
-        let test_hist = test.label_histogram();
-        assert_eq!(test_hist[&0], 10);
-        assert_eq!(test_hist[&1], 10);
-        let (all_train, empty_test) = d.stratified_split(&mut rng, 0.0);
-        assert_eq!(all_train.len(), d.len());
-        assert!(empty_test.is_empty());
-    }
-
-    #[test]
-    fn extend_from_merges() {
-        let mut a = toy_dataset();
-        let b = toy_dataset();
-        a.extend_from(&b);
-        assert_eq!(a.len(), 160);
     }
 }

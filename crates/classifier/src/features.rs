@@ -18,27 +18,6 @@ pub const FEATURES_PER_DIRECTION: usize = 9;
 /// Total dimensionality of the feature vector (downlink + uplink).
 pub const FEATURE_DIM: usize = FEATURES_PER_DIRECTION * 2;
 
-/// Human-readable names of the features, in vector order.
-pub fn feature_names() -> Vec<String> {
-    let mut names = Vec::with_capacity(FEATURE_DIM);
-    for dir in ["down", "up"] {
-        for f in [
-            "packet_count",
-            "size_min",
-            "size_max",
-            "size_mean",
-            "size_std",
-            "iat_min",
-            "iat_max",
-            "iat_mean",
-            "iat_std",
-        ] {
-            names.push(format!("{dir}_{f}"));
-        }
-    }
-    names
-}
-
 /// An extracted feature vector for one eavesdropping window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FeatureVector {
@@ -105,6 +84,7 @@ mod tests {
     use traffic_gen::app::AppKind;
     use traffic_gen::generator::SessionGenerator;
     use traffic_gen::packet::PacketRecord;
+    use wlan_sim::time::SimTime;
 
     /// Positions of the mean downlink size, mean downlink inter-arrival and
     /// mean uplink size in the vector.
@@ -113,15 +93,7 @@ mod tests {
     const UP_MEAN_SIZE: usize = FEATURES_PER_DIRECTION + 3;
 
     fn pkt(secs: f64, size: usize, dir: Direction) -> PacketRecord {
-        PacketRecord::at_secs(secs, size, dir, AppKind::Gaming)
-    }
-
-    #[test]
-    fn feature_names_match_dimension() {
-        assert_eq!(feature_names().len(), FEATURE_DIM);
-        assert_eq!(FEATURE_DIM, 18);
-        assert_eq!(feature_names()[0], "down_packet_count");
-        assert_eq!(feature_names()[9], "up_packet_count");
+        PacketRecord::new(SimTime::from_secs_f64(secs), size, dir, AppKind::Gaming)
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! * [`stream`] — the streaming windower: folds a packet stream into
 //!   per-window running statistics and emits examples on window close,
 //!   without materialising window sub-traces.
-//! * [`dataset`] — labelled datasets, normalisation, stratified splits.
+//! * [`dataset`] — labelled datasets and normalisation.
 //! * [`svm`] — a multi-class linear SVM (one-vs-rest, SGD hinge loss).
 //! * [`nn`] — a multi-layer perceptron with one hidden layer.
 //! * [`bayes`] — Gaussian naive Bayes, used as a sanity check.

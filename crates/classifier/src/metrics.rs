@@ -101,18 +101,6 @@ impl ConfusionMatrix {
         wide
     }
 
-    /// Merges another matrix into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the class counts differ.
-    pub fn merge(&mut self, other: &ConfusionMatrix) {
-        assert_eq!(self.classes, other.classes, "class counts differ");
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-    }
-
     /// The raw count of instances of `true_label` predicted as `predicted`.
     pub fn count(&self, true_label: usize, predicted: usize) -> u64 {
         self.row(true_label)[predicted]
@@ -259,17 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adds_counts() {
-        let a = from_pairs(2, &[(0, 0), (1, 1)]);
-        let b = from_pairs(2, &[(0, 1), (1, 1)]);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.total(), 4);
-        assert_eq!(merged.count(0, 1), 1);
-        assert_eq!(merged.count(1, 1), 2);
-    }
-
-    #[test]
     fn empty_matrix_metrics_are_zero() {
         let m = ConfusionMatrix::new(4);
         assert_eq!(m.mean_accuracy(), 0.0);
@@ -286,17 +263,15 @@ mod tests {
     }
 
     /// A 7-class matrix touched by every constructor and combinator: a
-    /// 5-class `from_pairs` widened to 7, merged with bulk counts, one of
-    /// them wider than the six-character column.
+    /// 5-class `from_pairs` widened to 7, plus bulk counts, one of them wider
+    /// than the six-character column.
     fn seven_class_golden() -> ConfusionMatrix {
         let pairs: Vec<(usize, usize)> = (0..40).map(|i| (i % 5, (i * 3) % 5)).collect();
         let mut m = from_pairs(5, &pairs).widen_to(7);
-        let mut bulk = ConfusionMatrix::new(7);
-        bulk.add_counts(5, 5, 123);
-        bulk.add_counts(6, 2, 4_567_890);
-        bulk.add_counts(0, 6, 7);
-        bulk.record(6, 6);
-        m.merge(&bulk);
+        m.add_counts(5, 5, 123);
+        m.add_counts(6, 2, 4_567_890);
+        m.add_counts(0, 6, 7);
+        m.record(6, 6);
         m
     }
 

@@ -14,8 +14,8 @@
 //!   copies model state only.
 //! * [`PrequentialEvaluator`] — the standard online-learning protocol:
 //!   **test, then train**. Every example is first classified with the model
-//!   as it stands (counted into a live majority-vote [`ConfusionMatrix`]
-//!   and an accuracy timeline), and only then used for learning. The
+//!   as it stands (counted into per-phase [`SegmentStats`] and an accuracy
+//!   timeline), and only then used for learning. The
 //!   timeline is what exposes concept drift: splice a defense into the
 //!   session and the curve drops.
 //!
@@ -34,7 +34,6 @@
 use crate::bayes::GaussianNaiveBayes;
 use crate::dataset::RunningNormalizer;
 use crate::ensemble::{short_circuit_vote, EnsembleConfig};
-use crate::metrics::ConfusionMatrix;
 use crate::nn::{NeuralNet, STACK_HIDDEN};
 use crate::stream::WindowExample;
 use crate::svm::LinearSvm;
@@ -52,7 +51,6 @@ pub struct OnlineAdversary {
     nn: NeuralNet,
     bayes: Option<GaussianNaiveBayes>,
     classes: usize,
-    examples_seen: u64,
 }
 
 impl OnlineAdversary {
@@ -73,18 +71,7 @@ impl OnlineAdversary {
                 .include_bayes
                 .then(|| GaussianNaiveBayes::new(dim, classes)),
             classes,
-            examples_seen: 0,
         }
-    }
-
-    /// The number of classes the adversary distinguishes.
-    pub fn class_count(&self) -> usize {
-        self.classes
-    }
-
-    /// Examples absorbed so far.
-    pub fn examples_seen(&self) -> u64 {
-        self.examples_seen
     }
 
     /// Absorbs one labelled example: the normalizer observes the raw
@@ -103,7 +90,6 @@ impl OnlineAdversary {
         if let Some(bayes) = &mut self.bayes {
             bayes.partial_fit(x, label);
         }
-        self.examples_seen += 1;
     }
 
     /// The majority vote for one feature vector, normalised onto the stack
@@ -149,8 +135,8 @@ pub struct SegmentStats {
 /// Test-then-train evaluation of an [`OnlineAdversary`].
 ///
 /// Every example is scored against the model *before* the model learns from
-/// it, so the cumulative confusion matrices measure honest out-of-sample
-/// performance over the whole stream, and the [`timeline`](Self::timeline)
+/// it, so the segment counts measure honest out-of-sample performance over
+/// the whole stream, and the [`timeline`](Self::timeline)
 /// tracks how that accuracy evolves — flat stream, convergence; mid-stream
 /// defense splice, a visible drop.
 ///
@@ -161,7 +147,6 @@ pub struct SegmentStats {
 #[derive(Debug, Clone)]
 pub struct PrequentialEvaluator {
     adversary: OnlineAdversary,
-    majority: ConfusionMatrix,
     timeline: Vec<PrequentialPoint>,
     snapshot_every: u64,
     segment: SegmentStats,
@@ -178,10 +163,8 @@ impl PrequentialEvaluator {
     /// Wraps an adversary, snapshotting the cumulative accuracy onto the
     /// timeline every `snapshot_every` examples (clamped to at least 1).
     pub fn new(adversary: OnlineAdversary, snapshot_every: u64) -> Self {
-        let classes = adversary.class_count();
         PrequentialEvaluator {
             adversary,
-            majority: ConfusionMatrix::new(classes),
             timeline: Vec::new(),
             snapshot_every: snapshot_every.max(1),
             segment: SegmentStats::default(),
@@ -206,7 +189,6 @@ impl PrequentialEvaluator {
     pub fn test_then_train(&mut self, features: &[f64], label: usize) -> usize {
         self.learn_pending();
         let predicted = self.adversary.predict_majority(features);
-        self.majority.record(label, predicted);
         self.scored += 1;
         self.segment.total += 1;
         if predicted == label {
@@ -241,20 +223,6 @@ impl PrequentialEvaluator {
     /// Examples scored so far.
     pub fn examples(&self) -> u64 {
         self.scored
-    }
-
-    /// Cumulative majority-vote prequential accuracy (0 when empty).
-    pub fn accuracy(&self) -> f64 {
-        if self.scored == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.scored as f64
-        }
-    }
-
-    /// The live cumulative majority-vote confusion matrix.
-    pub fn matrix(&self) -> &ConfusionMatrix {
-        &self.majority
     }
 
     /// The accuracy timeline recorded so far.
@@ -299,14 +267,13 @@ mod tests {
     #[test]
     fn online_adversary_learns_blobs_incrementally() {
         let mut adversary = OnlineAdversary::new(3, 3, &EnsembleConfig::default());
-        assert_eq!(adversary.class_count(), 3);
         let bayes = adversary.bayes.as_ref().map(|b| b.name());
         assert_eq!([adversary.svm.name(), adversary.nn.name()], ["svm", "nn"]);
         assert_eq!(bayes, Some("naive-bayes"));
         for (f, l) in blob_stream(1, 100) {
             adversary.partial_fit(&f, l);
         }
-        assert_eq!(adversary.examples_seen(), 300);
+        assert_eq!(adversary.svm.examples_seen(), 300);
         // Score through the production vote (what `test_then_train` does
         // per window).
         let test = blob_stream(2, 30);
@@ -329,7 +296,6 @@ mod tests {
             evaluator.test_then_train(&f, l);
         }
         assert_eq!(evaluator.examples(), 360);
-        assert_eq!(evaluator.matrix().total(), 360);
         // The timeline was snapshotted every 30 examples.
         assert_eq!(evaluator.timeline().len(), 12);
         // Later accuracy beats the cold-start prefix.
@@ -346,7 +312,6 @@ mod tests {
     /// learnt at once. The reference the deferred evaluator must reproduce.
     struct EagerEvaluator {
         adversary: OnlineAdversary,
-        majority: ConfusionMatrix,
         timeline: Vec<PrequentialPoint>,
         segment: SegmentStats,
         snapshot_every: u64,
@@ -357,7 +322,6 @@ mod tests {
     impl EagerEvaluator {
         fn test_then_train(&mut self, features: &[f64], label: usize) -> usize {
             let predicted = self.adversary.predict_majority(features);
-            self.majority.record(label, predicted);
             self.scored += 1;
             self.segment.total += 1;
             if predicted == label {
@@ -394,7 +358,6 @@ mod tests {
             let base = OnlineAdversary::new(dim, classes, &config);
             let mut eager = EagerEvaluator {
                 adversary: base.clone(),
-                majority: ConfusionMatrix::new(classes),
                 timeline: Vec::new(),
                 segment: SegmentStats::default(),
                 snapshot_every,
@@ -420,7 +383,6 @@ mod tests {
                     assert_eq!(deferred.take_segment(), std::mem::take(&mut eager.segment));
                 }
             }
-            assert_eq!(deferred.matrix(), &eager.majority, "case {case}");
             assert_eq!(
                 deferred.timeline(),
                 eager.timeline.as_slice(),
@@ -428,7 +390,10 @@ mod tests {
             );
             assert_eq!(deferred.take_segment(), eager.segment, "case {case}");
             let trained = deferred.into_adversary();
-            assert_eq!(trained.examples_seen(), eager.adversary.examples_seen());
+            assert_eq!(
+                trained.svm.examples_seen(),
+                eager.adversary.svm.examples_seen()
+            );
             for _ in 0..20 {
                 let (probe, _) = example(&mut rng);
                 assert_eq!(
@@ -446,20 +411,18 @@ mod tests {
         let mut evaluator = PrequentialEvaluator::new(adversary, 1000);
         let stream = blob_stream(5, 60);
         let (a, b) = stream.split_at(90);
+        let mut correct = 0;
         for (f, l) in a {
-            evaluator.test_then_train(f, *l);
+            correct += u64::from(evaluator.test_then_train(f, *l) == *l);
         }
         let first = evaluator.take_segment();
         for (f, l) in b {
-            evaluator.test_then_train(f, *l);
+            correct += u64::from(evaluator.test_then_train(f, *l) == *l);
         }
         let second = evaluator.take_segment();
         assert_eq!(first.total, 90);
         assert_eq!(second.total, 90);
-        assert_eq!(
-            first.majority_correct + second.majority_correct,
-            (evaluator.accuracy() * 180.0).round() as u64
-        );
+        assert_eq!(first.majority_correct + second.majority_correct, correct);
         // The warmed-up second segment (of equal length) is at least as accurate.
         assert!(second.majority_correct >= first.majority_correct);
     }

@@ -751,10 +751,30 @@ mod tests {
         // 60 s windows around a 9.5 s idle gap: the gap must be excluded from
         // inter-arrival statistics on both paths.
         let packets = vec![
-            PacketRecord::at_secs(0.0, 100, Direction::Downlink, AppKind::Browsing),
-            PacketRecord::at_secs(0.5, 120, Direction::Downlink, AppKind::Browsing),
-            PacketRecord::at_secs(10.0, 140, Direction::Downlink, AppKind::Browsing),
-            PacketRecord::at_secs(10.2, 160, Direction::Downlink, AppKind::Browsing),
+            PacketRecord::new(
+                SimTime::from_secs_f64(0.0),
+                100,
+                Direction::Downlink,
+                AppKind::Browsing,
+            ),
+            PacketRecord::new(
+                SimTime::from_secs_f64(0.5),
+                120,
+                Direction::Downlink,
+                AppKind::Browsing,
+            ),
+            PacketRecord::new(
+                SimTime::from_secs_f64(10.0),
+                140,
+                Direction::Downlink,
+                AppKind::Browsing,
+            ),
+            PacketRecord::new(
+                SimTime::from_secs_f64(10.2),
+                160,
+                Direction::Downlink,
+                AppKind::Browsing,
+            ),
         ];
         let trace = Trace::from_packets(Some(AppKind::Browsing), packets);
         let window = SimDuration::from_secs(60);

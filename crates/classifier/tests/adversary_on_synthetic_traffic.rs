@@ -7,8 +7,6 @@
 
 use classifier::ensemble::{AdversaryEnsemble, EnsembleConfig};
 use classifier::window::{build_dataset, FeatureMode, DEFAULT_MIN_PACKETS};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::trace::Trace;
@@ -122,28 +120,4 @@ fn timing_only_features_still_separate_rate_distinct_applications() {
     // Chatting (seconds between packets) vs downloading (milliseconds) must be separable.
     assert!(matrix.class_accuracy(AppKind::Chatting.class_index()) > 0.6);
     assert!(matrix.class_accuracy(AppKind::Downloading.class_index()) > 0.4);
-}
-
-#[test]
-fn stratified_split_keeps_training_and_evaluation_disjoint_yet_balanced() {
-    let window = SimDuration::from_secs(5);
-    let all = build_dataset(
-        &corpus(20, 2, 60.0),
-        window,
-        DEFAULT_MIN_PACKETS,
-        FeatureMode::Full,
-    );
-    let mut rng = StdRng::seed_from_u64(1);
-    let (train, test) = all.stratified_split(&mut rng, 0.3);
-    assert_eq!(train.len() + test.len(), all.len());
-    let train_hist = train.label_histogram();
-    let test_hist = test.label_histogram();
-    for app in AppKind::ALL {
-        let tr = *train_hist.get(&app.class_index()).unwrap_or(&0);
-        let te = *test_hist.get(&app.class_index()).unwrap_or(&0);
-        assert!(tr > 0, "{app} missing from the training split");
-        // Roughly 30 % of each class goes to the test set.
-        let frac = te as f64 / (tr + te).max(1) as f64;
-        assert!((0.1..=0.5).contains(&frac), "{app} test fraction {frac}");
-    }
 }

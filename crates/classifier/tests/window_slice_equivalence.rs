@@ -15,7 +15,7 @@ use classifier::window::FeatureMode;
 use proptest::prelude::*;
 use traffic_gen::app::AppKind;
 use traffic_gen::packet::{Direction, PacketRecord};
-use wlan_sim::time::SimDuration;
+use wlan_sim::time::{SimDuration, SimTime};
 
 /// Deterministic splitmix-style step for drawing slice boundaries and flows.
 fn lcg(state: &mut u64) -> u64 {
@@ -46,7 +46,7 @@ fn stream_of(seed: u64, len: usize, app: AppKind) -> Vec<PacketRecord> {
             } else {
                 Direction::Uplink
             };
-            PacketRecord::at_secs(t, size, direction, app)
+            PacketRecord::new(SimTime::from_secs_f64(t), size, direction, app)
         })
         .collect()
 }

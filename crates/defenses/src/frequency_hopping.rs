@@ -56,11 +56,6 @@ impl FrequencyHopper {
         &self.channels
     }
 
-    /// The dwell time per channel.
-    pub fn dwell(&self) -> SimDuration {
-        self.dwell
-    }
-
     /// The index into [`channels`](Self::channels) in use at `elapsed` time.
     fn channel_index_at(&self, elapsed: SimDuration) -> usize {
         let slot = (elapsed.as_micros() / self.dwell.as_micros().max(1)) as usize;
@@ -180,7 +175,6 @@ mod tests {
     fn default_schedule_matches_the_paper() {
         let fh = FrequencyHopper::default();
         assert_eq!(fh.channels().len(), 3);
-        assert_eq!(fh.dwell(), SimDuration::from_millis(500));
         let channel_at = |ms| fh.channels()[fh.channel_index_at(SimDuration::from_millis(ms))];
         assert_eq!(channel_at(0), Channel::CH1);
         assert_eq!(channel_at(600), Channel::CH6);
@@ -222,8 +216,8 @@ mod tests {
         let mut stage = fh.stage();
         assert_eq!(stage.name(), "frequency-hopping");
         let p = |secs: f64| {
-            PacketRecord::at_secs(
-                secs,
+            PacketRecord::new(
+                SimTime::from_secs_f64(secs),
                 300,
                 traffic_gen::packet::Direction::Uplink,
                 AppKind::Gaming,

@@ -45,4 +45,4 @@ pub use overhead::Overhead;
 pub use padding::{PacketPadder, PaddingStage};
 pub use pseudonym::{PseudonymRotator, PseudonymStage};
 pub use spec::{DefenseStageSpec, MorphCalibrations, StageContext, LIVE_CALIBRATION_SEED};
-pub use stage::{FlowId, FlowMap, FlowTraces, PacketStage, StagePipeline, ROOT_FLOW};
+pub use stage::{FlowId, FlowMap, PacketStage, StagePipeline, ROOT_FLOW};

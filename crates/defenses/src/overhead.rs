@@ -98,6 +98,7 @@ mod tests {
     use super::*;
     use traffic_gen::app::AppKind;
     use traffic_gen::packet::{Direction, PacketRecord};
+    use wlan_sim::time::SimTime;
 
     fn trace_with_sizes(sizes: &[usize]) -> Trace {
         Trace::from_packets(
@@ -106,7 +107,12 @@ mod tests {
                 .iter()
                 .enumerate()
                 .map(|(i, &s)| {
-                    PacketRecord::at_secs(i as f64, s, Direction::Downlink, AppKind::Browsing)
+                    PacketRecord::new(
+                        SimTime::from_secs_f64(i as f64),
+                        s,
+                        Direction::Downlink,
+                        AppKind::Browsing,
+                    )
                 })
                 .collect(),
         )

@@ -119,6 +119,7 @@ mod tests {
     use traffic_gen::app::AppKind;
     use traffic_gen::generator::SessionGenerator;
     use traffic_gen::packet::{Direction, PacketRecord};
+    use wlan_sim::time::SimTime;
 
     #[test]
     fn pads_everything_to_the_target() {
@@ -150,8 +151,8 @@ mod tests {
     fn never_truncates_oversized_packets() {
         let trace = Trace::from_packets(
             Some(AppKind::Downloading),
-            vec![PacketRecord::at_secs(
-                0.0,
+            vec![PacketRecord::new(
+                SimTime::from_secs_f64(0.0),
                 1576,
                 Direction::Downlink,
                 AppKind::Downloading,
@@ -180,7 +181,12 @@ mod tests {
     fn stage_is_one_in_one_out_on_the_incoming_flow() {
         let mut stage = PacketPadder::new().stage();
         assert_eq!(stage.name(), "padding");
-        let p = PacketRecord::at_secs(0.0, 100, Direction::Uplink, AppKind::Chatting);
+        let p = PacketRecord::new(
+            SimTime::from_secs_f64(0.0),
+            100,
+            Direction::Uplink,
+            AppKind::Chatting,
+        );
         let mut out = StageOutput::new();
         stage.on_packet(ROOT_FLOW, &p, &mut out);
         stage.on_packet(3, &p, &mut out);

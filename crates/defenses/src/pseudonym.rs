@@ -54,11 +54,6 @@ impl PseudonymRotator {
         PseudonymRotator { rotation_period }
     }
 
-    /// The rotation period.
-    pub fn rotation_period(&self) -> SimDuration {
-        self.rotation_period
-    }
-
     /// The streaming rotation stage, drawing pseudonyms from `rng`.
     ///
     /// Pass an owned seeded generator for standalone pipelines, or `&mut rng`
@@ -197,7 +192,6 @@ mod tests {
         let trace = SessionGenerator::new(AppKind::Video, 1).generate_secs(180.0);
         let mut rng = StdRng::seed_from_u64(1);
         let rotator = PseudonymRotator::default();
-        assert_eq!(rotator.rotation_period(), SimDuration::from_secs(60));
         let partitions = rotator.partition(&trace, &mut rng);
         assert!(
             partitions.len() >= 3,
@@ -239,8 +233,8 @@ mod tests {
         assert_eq!(stage.name(), "pseudonym");
         let mut out = StageOutput::new();
         let p = |secs: f64| {
-            PacketRecord::at_secs(
-                secs,
+            PacketRecord::new(
+                SimTime::from_secs_f64(secs),
                 500,
                 traffic_gen::packet::Direction::Downlink,
                 AppKind::Video,

@@ -29,7 +29,6 @@
 
 use crate::overhead::Overhead;
 use std::collections::HashMap;
-use traffic_gen::app::AppKind;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::stream::PacketSource;
 use traffic_gen::trace::Trace;
@@ -359,50 +358,6 @@ impl PacketStage for StagePipeline {
     }
 }
 
-/// Collects the output of a stage pipeline into one labelled [`Trace`] per
-/// sub-flow — the batch view of a staged stream.
-#[derive(Debug, Clone, Default)]
-pub struct FlowTraces {
-    app: Option<AppKind>,
-    traces: Vec<Trace>,
-}
-
-impl FlowTraces {
-    /// Creates a collector whose traces carry the ground-truth `app` label.
-    pub fn new(app: Option<AppKind>) -> Self {
-        FlowTraces {
-            app,
-            traces: Vec::new(),
-        }
-    }
-
-    /// Accepts one staged packet (grows the flow table on demand).
-    pub fn accept(&mut self, flow: FlowId, packet: &PacketRecord) {
-        let idx = flow as usize;
-        while self.traces.len() <= idx {
-            let mut t = Trace::new();
-            t.set_app(self.app);
-            self.traces.push(t);
-        }
-        self.traces[idx].push(*packet);
-    }
-
-    /// Total packets collected across all flows.
-    pub fn len(&self) -> usize {
-        self.traces.iter().map(Trace::len).sum()
-    }
-
-    /// Returns `true` when nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Finishes the collection: one trace per sub-flow, indexed by flow id.
-    pub fn into_traces(self) -> Vec<Trace> {
-        self.traces
-    }
-}
-
 /// Drives a whole trace through one stage (including the final flush) and
 /// returns every emitted `(flow, packet)` pair in order — the workhorse of
 /// the batch wrappers.
@@ -420,6 +375,7 @@ mod tests {
     use super::*;
     use crate::padding::PaddingStage;
     use crate::PacketPadder;
+    use traffic_gen::app::AppKind;
     use traffic_gen::generator::SessionGenerator;
     use traffic_gen::MAX_PACKET_SIZE;
 
@@ -432,15 +388,13 @@ mod tests {
         let trace = trace();
         let mut pipeline = StagePipeline::new();
         assert!(pipeline.is_empty());
-        let mut collected = FlowTraces::new(trace.app());
+        let mut collected = Vec::new();
         let consumed = pipeline.run(&mut trace.stream(), |flow, p| {
             assert_eq!(flow, ROOT_FLOW);
-            collected.accept(flow, p);
+            collected.push(*p);
         });
         assert_eq!(consumed, trace.len());
-        let flows = collected.into_traces();
-        assert_eq!(flows.len(), 1);
-        assert_eq!(flows[0].packets(), trace.packets());
+        assert_eq!(collected, trace.packets());
         let overhead = pipeline.overhead();
         assert_eq!(overhead.percent(), 0.0);
         assert_eq!(overhead.original_packets, trace.len() as u64);
@@ -506,27 +460,5 @@ mod tests {
         assert_eq!(map.len(), 3);
         map.reset();
         assert_eq!(map.id_of(0, 3), (0, true));
-    }
-
-    #[test]
-    fn flow_traces_groups_by_flow_id() {
-        let mut collected = FlowTraces::new(Some(AppKind::Video));
-        let p = |secs: f64| {
-            PacketRecord::at_secs(
-                secs,
-                100,
-                traffic_gen::packet::Direction::Downlink,
-                AppKind::Video,
-            )
-        };
-        collected.accept(1, &p(0.0));
-        collected.accept(0, &p(1.0));
-        collected.accept(1, &p(2.0));
-        assert_eq!(collected.len(), 3);
-        let traces = collected.into_traces();
-        assert_eq!(traces.len(), 2);
-        assert_eq!(traces[0].len(), 1);
-        assert_eq!(traces[1].len(), 2);
-        assert!(traces.iter().all(|t| t.app() == Some(AppKind::Video)));
     }
 }

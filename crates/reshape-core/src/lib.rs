@@ -16,8 +16,10 @@
 //! * [`vif`] — virtual interfaces and per-interface statistics.
 //! * [`ranges`] — packet-size range partitioning `(ℓ_{j-1}, ℓ_j]`.
 //! * [`target`] — target distributions φ and the orthogonality criterion (Eq. 2).
-//! * [`optimizer`] — the scheduling objective of Eq. 1 and realized-distribution
-//!   tracking.
+//! * [`optimizer`] — the scheduling objective of Eq. 1 over realized
+//!   distributions: a test oracle the OR tests recompute from the batch
+//!   sub-traces (Eq. 2's check, [`TargetSet::check_orthogonality`](target::TargetSet::check_orthogonality),
+//!   is the oracle for the targets OR routes by).
 //! * [`scheduler`] — the reshaping algorithms: Random (RA), Round-Robin (RR),
 //!   Orthogonal Reshaping over size ranges (OR, Fig. 4) and the size-modulo
 //!   OR variant (Fig. 5).
@@ -26,8 +28,7 @@
 //!   stage pipeline, so defense∘reshaping orderings (morph-then-reshape,
 //!   per-vif padding, …) are first-class streaming data paths.
 //! * [`reshaper`] — the batch façade over the stage: partitions a whole trace
-//!   into per-interface sub-flows, tracks the Eq. 1 realized distributions
-//!   and verifies the zero-overhead invariant.
+//!   into per-interface sub-flows and verifies the zero-overhead invariant.
 //! * [`params`] — the privacy entropy of §III-C3.
 //! * [`power`] — per-packet transmission power control against RSSI linking (§V-A).
 //! * [`combined`] — traffic reshaping combined with morphing on a virtual

@@ -1,4 +1,10 @@
-//! The scheduling objective (Eq. 1) and realized-distribution tracking.
+//! The scheduling objective (Eq. 1) and realized-distribution tracking: a
+//! test oracle. No production path tracks Eq. 1; the OR tests recompute the
+//! realized distributions from the batch [`Reshaper`](crate::reshaper::Reshaper)'s
+//! sub-traces and check the objective is zero and the aggregate conserves
+//! the original traffic (`reshaper` unit tests, `tests/streaming_equivalence.rs`).
+//! The orthogonality check of Eq. 2 lives beside the targets, in
+//! [`TargetSet::check_orthogonality`](crate::target::TargetSet::check_orthogonality).
 //!
 //! The reshaping algorithm is formulated as an online optimisation problem:
 //! minimise the sum, over interfaces, of the Euclidean distance between the
@@ -29,11 +35,6 @@ impl RealizedDistributions {
             counts: vec![vec![0; ranges.len()]; interfaces],
             ranges,
         }
-    }
-
-    /// The size ranges in use.
-    pub fn ranges(&self) -> &SizeRanges {
-        &self.ranges
     }
 
     /// Number of interfaces tracked.
@@ -122,7 +123,7 @@ mod tests {
     fn counts_and_realized_distribution() {
         let mut t = tracker();
         assert_eq!(t.interface_count(), 3);
-        assert_eq!(t.ranges().len(), 3);
+        assert_eq!(t.ranges.len(), 3);
         t.record(VifIndex::new(0), 100);
         t.record(VifIndex::new(0), 200);
         t.record(VifIndex::new(0), 1576);
@@ -164,7 +165,7 @@ mod tests {
         let mut t = tracker();
         // Send every packet to the interface owning its range.
         for size in [100, 200, 150, 800, 900, 1576, 1570, 1556] {
-            let range = t.ranges().range_of(size);
+            let range = t.ranges.range_of(size);
             let owner = targets.owner_of_range(range).unwrap();
             t.record(owner, size);
         }

@@ -5,8 +5,8 @@
 //! signal strength. The paper's suggested countermeasure is per-packet TPC:
 //! vary the transmit power packet by packet so the RSSI of different virtual
 //! interfaces no longer clusters around a single value. This module provides
-//! the TPC model and a simple RSSI-based linking adversary so the experiment
-//! in `§V-A` of EXPERIMENTS.md can quantify the effect.
+//! the TPC model and the RSSI statistics of a linking adversary so the
+//! experiment in `§V-A` of EXPERIMENTS.md can quantify the effect.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -68,20 +68,11 @@ impl PowerController {
     }
 }
 
-/// A simple RSSI-linking adversary: two sets of RSSI observations are judged
-/// to come from the *same* physical transmitter when their mean RSSI differs
-/// by less than `threshold_db`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RssiLinker {
-    /// Maximum mean-RSSI difference (dB) at which two flows are linked.
-    pub threshold_db: f64,
-}
-
-impl Default for RssiLinker {
-    fn default() -> Self {
-        RssiLinker { threshold_db: 2.0 }
-    }
-}
+/// The statistics of an RSSI-linking adversary, which judges two sets of
+/// RSSI observations to come from the *same* physical transmitter when their
+/// mean RSSI is close; per-packet TPC defeats it by widening the spread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RssiLinker;
 
 impl RssiLinker {
     /// Mean of a set of RSSI observations (`None` when empty).
@@ -90,14 +81,6 @@ impl RssiLinker {
             None
         } else {
             Some(observations.iter().sum::<f64>() / observations.len() as f64)
-        }
-    }
-
-    /// Whether the adversary links the two observation sets to one transmitter.
-    pub fn links(&self, a: &[f64], b: &[f64]) -> bool {
-        match (Self::mean(a), Self::mean(b)) {
-            (Some(ma), Some(mb)) => (ma - mb).abs() <= self.threshold_db,
-            _ => false,
         }
     }
 
@@ -137,6 +120,8 @@ mod tests {
         assert!(samples.iter().all(|p| (6.0..=18.0).contains(p)));
         let spread = RssiLinker::spread(&samples);
         assert!(spread > 2.0, "TPC must spread the power, got std {spread}");
+        assert_eq!(RssiLinker::mean(&[]), None);
+        assert_eq!(RssiLinker::spread(&[]), 0.0);
     }
 
     #[test]
@@ -144,22 +129,6 @@ mod tests {
         let tpc = PowerController::default();
         assert_eq!(tpc.nominal_dbm, 12.0);
         assert_eq!(tpc.jitter_db, 6.0);
-    }
-
-    #[test]
-    fn linker_links_similar_and_separates_distant_means() {
-        let linker = RssiLinker::default();
-        let a = vec![-50.0, -51.0, -49.5];
-        let b = vec![-50.4, -50.8, -49.9];
-        let c = vec![-70.0, -69.0, -71.0];
-        assert!(linker.links(&a, &b));
-        assert!(!linker.links(&a, &c));
-        assert!(
-            !linker.links(&a, &[]),
-            "empty observations cannot be linked"
-        );
-        assert_eq!(RssiLinker::mean(&[]), None);
-        assert_eq!(RssiLinker::spread(&[]), 0.0);
     }
 
     #[test]

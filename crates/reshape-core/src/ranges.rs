@@ -108,16 +108,6 @@ impl SizeRanges {
         self.boundaries.is_empty()
     }
 
-    /// The largest representable size `ℓ_max`.
-    pub fn max_size(&self) -> usize {
-        *self.boundaries.last().expect("non-empty by construction")
-    }
-
-    /// The upper boundaries.
-    pub fn boundaries(&self) -> &[usize] {
-        &self.boundaries
-    }
-
     /// The index of the range containing `size`. Sizes above `ℓ_max` fall into
     /// the last range; a size of zero falls into the first.
     pub fn range_of(&self, size: usize) -> usize {
@@ -125,24 +115,6 @@ impl SizeRanges {
             Ok(idx) => idx,
             Err(idx) => idx.min(self.boundaries.len() - 1),
         }
-    }
-
-    /// Computes the empirical distribution of `sizes` over the ranges
-    /// (a probability vector of length `L`, the paper's `P_j`).
-    pub fn distribution_of<I: IntoIterator<Item = usize>>(&self, sizes: I) -> Vec<f64> {
-        let mut counts = vec![0u64; self.len()];
-        let mut total = 0u64;
-        for s in sizes {
-            counts[self.range_of(s)] += 1;
-            total += 1;
-        }
-        if total == 0 {
-            return vec![0.0; self.len()];
-        }
-        counts
-            .into_iter()
-            .map(|c| c as f64 / total as f64)
-            .collect()
     }
 }
 
@@ -161,8 +133,7 @@ mod tests {
     fn paper_default_ranges() {
         let r = SizeRanges::paper_default();
         assert_eq!(r.len(), 3);
-        assert_eq!(r.boundaries(), &[232, 1540, 1576]);
-        assert_eq!(r.max_size(), 1576);
+        assert_eq!(r.boundaries, [232, 1540, 1576]);
         assert_eq!(SizeRanges::default(), r);
     }
 
@@ -209,8 +180,8 @@ mod tests {
         // boundaries 525 / 1050 / 1576 (rounded).
         let r = SizeRanges::equal_width(3, 1576).unwrap();
         assert_eq!(r.len(), 3);
-        assert_eq!(r.max_size(), 1576);
-        assert!((524..=526).contains(&r.boundaries()[0]));
+        assert_eq!(r.boundaries[2], 1576);
+        assert!((524..=526).contains(&r.boundaries[0]));
         assert!(SizeRanges::equal_width(0, 100).is_err());
         assert!(SizeRanges::equal_width(200, 100).is_err());
     }
@@ -224,31 +195,15 @@ mod tests {
         assert!(SizeRanges::new(vec![100, 200, 1576]).is_ok());
     }
 
-    #[test]
-    fn distribution_sums_to_one_and_matches_counts() {
-        let r = SizeRanges::paper_default();
-        let sizes = vec![100, 150, 200, 800, 1576, 1576, 1570, 1550];
-        let dist = r.distribution_of(sizes);
-        assert_eq!(dist.len(), 3);
-        assert!((dist.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((dist[0] - 3.0 / 8.0).abs() < 1e-12);
-        assert!((dist[1] - 1.0 / 8.0).abs() < 1e-12);
-        assert!((dist[2] - 4.0 / 8.0).abs() < 1e-12);
-        assert!(r
-            .distribution_of(std::iter::empty())
-            .iter()
-            .all(|&p| p == 0.0));
-    }
-
     proptest! {
         #[test]
         fn every_size_maps_to_exactly_one_valid_range(size in 0usize..4000) {
             let r = SizeRanges::paper_default();
             let j = r.range_of(size);
             prop_assert!(j < r.len());
-            let lo = if j == 0 { 0 } else { r.boundaries()[j - 1] };
-            let hi = r.boundaries()[j];
-            if size <= r.max_size() && size > 0 {
+            let lo = if j == 0 { 0 } else { r.boundaries[j - 1] };
+            let hi = r.boundaries[j];
+            if size <= r.boundaries[r.len() - 1] && size > 0 {
                 prop_assert!(size > lo && size <= hi, "size {size} not in ({lo}, {hi}]");
             }
         }
@@ -257,9 +212,9 @@ mod tests {
         fn equal_width_covers_whole_space(count in 1usize..12, max in 100usize..3000) {
             let r = SizeRanges::equal_width(count, max).unwrap();
             prop_assert_eq!(r.len(), count);
-            prop_assert_eq!(r.max_size(), max);
+            prop_assert_eq!(r.boundaries[count - 1], max);
             // Boundaries strictly increase.
-            prop_assert!(r.boundaries().windows(2).all(|w| w[0] < w[1]));
+            prop_assert!(r.boundaries.windows(2).all(|w| w[0] < w[1]));
         }
     }
 }

@@ -5,21 +5,21 @@
 //! engine: it feeds a whole [`Trace`] through the stage from
 //! [`ROOT_FLOW`](defenses::stage::ROOT_FLOW), maps each output sub-flow back
 //! to its interface (`vif_of`), and builds one sub-trace per virtual
-//! interface (the sets `S_i` of §III-C1) together with the realized
-//! distributions needed to evaluate the Eq. 1 objective.
-//! Eq. 1 tracking lives here, not in the stage: it is an analysis quantity
-//! (Table I, Figs. 4/5), so only the batch API pays for it. Batch and
-//! streaming assignments are byte-identical for the same algorithm and seed
-//! (property-tested in `tests/streaming_equivalence.rs`). Two invariants are
-//! enforced and tested:
+//! interface (the sets `S_i` of §III-C1). It does not track the Eq. 1
+//! realized distributions: the OR tests recompute them from the sub-traces
+//! with the test oracle
+//! [`RealizedDistributions`](crate::optimizer::RealizedDistributions) and
+//! check the objective is zero; Eq. 2's oracle is
+//! [`TargetSet::check_orthogonality`](crate::target::TargetSet::check_orthogonality).
+//! Batch and streaming assignments are byte-identical for the same algorithm
+//! and seed (property-tested in `tests/streaming_equivalence.rs`). Two
+//! invariants are enforced and tested:
 //!
 //! * **partition**: every packet lands on exactly one interface
 //!   (`∪_i S_i = S`, `S_i ∩ S_j = ∅`), and
 //! * **zero overhead**: the total number of packets and bytes is unchanged —
 //!   reshaping never adds noise traffic.
 
-use crate::optimizer::RealizedDistributions;
-use crate::ranges::SizeRanges;
 use crate::scheduler::ReshapeAlgorithm;
 use crate::stage::ReshapeStage;
 use crate::vif::VifIndex;
@@ -31,7 +31,6 @@ use traffic_gen::trace::Trace;
 pub struct ReshapeOutcome {
     sub_traces: Vec<Trace>,
     assignments: Vec<(usize, VifIndex)>,
-    realized: RealizedDistributions,
 }
 
 impl ReshapeOutcome {
@@ -64,12 +63,6 @@ impl ReshapeOutcome {
     pub fn total_bytes(&self) -> u64 {
         self.sub_traces.iter().map(Trace::total_bytes).sum()
     }
-
-    /// The realized per-interface distributions over the size ranges used for
-    /// tracking (see [`Reshaper::with_tracking_ranges`]).
-    pub fn realized(&self) -> &RealizedDistributions {
-        &self.realized
-    }
 }
 
 /// Applies a reshaping algorithm to whole traces (the batch façade of
@@ -77,23 +70,13 @@ impl ReshapeOutcome {
 #[derive(Debug)]
 pub struct Reshaper {
     stage: ReshapeStage,
-    tracking_ranges: SizeRanges,
 }
 
 impl Reshaper {
-    /// Creates a reshaper around an algorithm, tracking realized distributions
-    /// over the paper's default size ranges.
+    /// Creates a reshaper around an algorithm.
     pub fn new(algorithm: Box<dyn ReshapeAlgorithm>) -> Self {
-        Self::with_tracking_ranges(algorithm, SizeRanges::paper_default())
-    }
-
-    /// Creates a reshaper that tracks realized distributions over custom ranges
-    /// (used by the Fig. 4 experiment, which plots per-interface histograms
-    /// over equal-width ranges).
-    pub fn with_tracking_ranges(algorithm: Box<dyn ReshapeAlgorithm>, ranges: SizeRanges) -> Self {
         Reshaper {
             stage: ReshapeStage::new(algorithm),
-            tracking_ranges: ranges,
         }
     }
 
@@ -116,14 +99,12 @@ impl Reshaper {
         let interfaces = self.stage.interface_count();
         let mut sub_packets = vec![Vec::new(); interfaces];
         let mut assignments = Vec::with_capacity(trace.len());
-        let mut realized = RealizedDistributions::new(interfaces, self.tracking_ranges.clone());
         for (index, (flow, packet)) in stage_trace(&mut self.stage, trace).into_iter().enumerate() {
             let vif = self
                 .stage
                 .vif_of(flow)
                 .expect("the stage maps every output flow to an interface");
             sub_packets[vif.index()].push(packet);
-            realized.record(vif, packet.size);
             assignments.push((index, vif));
         }
         ReshapeOutcome {
@@ -132,7 +113,6 @@ impl Reshaper {
                 .map(|packets| Trace::from_packets(trace.app(), packets))
                 .collect(),
             assignments,
-            realized,
         }
     }
 }
@@ -140,6 +120,8 @@ impl Reshaper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::RealizedDistributions;
+    use crate::ranges::SizeRanges;
     use crate::scheduler::{OrthogonalRanges, RandomAssign, RoundRobin};
     use crate::target::TargetSet;
     use proptest::prelude::*;
@@ -185,8 +167,14 @@ mod tests {
             }
         }
         // OR achieves the Eq. 1 optimum (objective zero).
+        let mut realized = RealizedDistributions::new(3, ranges);
+        for (i, sub) in outcome.sub_traces().iter().enumerate() {
+            for p in sub.packets() {
+                realized.record(VifIndex::new(i), p.size);
+            }
+        }
         let targets = TargetSet::orthogonal(3, 3).unwrap();
-        assert!(outcome.realized().objective(&targets) < 1e-12);
+        assert!(realized.objective(&targets) < 1e-12);
     }
 
     #[test]
@@ -269,7 +257,6 @@ mod tests {
                 let outcome = reshaper.reshape(&trace);
                 prop_assert_eq!(outcome.total_packets(), trace.len());
                 prop_assert_eq!(outcome.total_bytes(), trace.total_bytes());
-                prop_assert_eq!(outcome.realized().total_packets() as usize, trace.len());
             }
         }
     }

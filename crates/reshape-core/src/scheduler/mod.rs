@@ -46,100 +46,19 @@ pub trait ReshapeAlgorithm: std::fmt::Debug + Send {
     fn reset(&mut self) {}
 }
 
-/// The scheduling algorithms compared in Tables II and III, by name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AlgorithmKind {
-    /// Random assignment.
-    Random,
-    /// Round-robin assignment.
-    RoundRobin,
-    /// Orthogonal reshaping over size ranges.
-    OrthogonalRanges,
-    /// Orthogonal reshaping via size modulo.
-    OrthogonalModulo,
-}
-
-impl AlgorithmKind {
-    /// All algorithm kinds, in the order the paper's tables list them.
-    pub const ALL: [AlgorithmKind; 4] = [
-        AlgorithmKind::Random,
-        AlgorithmKind::RoundRobin,
-        AlgorithmKind::OrthogonalRanges,
-        AlgorithmKind::OrthogonalModulo,
-    ];
-
-    /// Builds a boxed scheduler of this kind with `interfaces` virtual
-    /// interfaces, using the paper's default size ranges for OR.
-    pub fn build(self, interfaces: usize, seed: u64) -> Box<dyn ReshapeAlgorithm> {
-        use crate::ranges::SizeRanges;
-        match self {
-            AlgorithmKind::Random => Box::new(RandomAssign::new(interfaces, seed)),
-            AlgorithmKind::RoundRobin => Box::new(RoundRobin::new(interfaces)),
-            AlgorithmKind::OrthogonalRanges => Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(interfaces)
-                    .expect("interface count validated by caller"),
-            )),
-            AlgorithmKind::OrthogonalModulo => Box::new(OrthogonalModulo::new(interfaces)),
-        }
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_support {
-    use super::*;
     use traffic_gen::app::AppKind;
     use traffic_gen::packet::{Direction, PacketRecord};
+    use wlan_sim::time::SimTime;
 
     /// A simple packet of the given size at `index * 10 ms`.
     pub fn packet(index: usize, size: usize) -> PacketRecord {
-        PacketRecord::at_secs(
-            index as f64 * 0.01,
+        PacketRecord::new(
+            SimTime::from_secs_f64(index as f64 * 0.01),
             size,
             Direction::Downlink,
             AppKind::BitTorrent,
         )
-    }
-
-    /// Asserts that every assignment lies inside `0..interfaces`.
-    pub fn assert_assignments_in_range(
-        algorithm: &mut dyn ReshapeAlgorithm,
-        sizes: &[usize],
-    ) -> Vec<VifIndex> {
-        let interfaces = algorithm.interface_count();
-        sizes
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| {
-                let vif = algorithm.assign(&packet(i, s));
-                assert!(vif.index() < interfaces, "{} out of range", vif);
-                vif
-            })
-            .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn algorithm_kinds_build_working_schedulers() {
-        for kind in AlgorithmKind::ALL {
-            let mut algorithm = kind.build(3, 7);
-            assert_eq!(algorithm.interface_count(), 3);
-            assert!(!algorithm.name().is_empty());
-            let assignments = test_support::assert_assignments_in_range(
-                algorithm.as_mut(),
-                &[100, 800, 1576, 60],
-            );
-            assert_eq!(assignments.len(), 4);
-        }
-    }
-
-    #[test]
-    fn kind_list_matches_paper_order() {
-        assert_eq!(AlgorithmKind::ALL.len(), 4);
-        assert_eq!(AlgorithmKind::ALL[0], AlgorithmKind::Random);
-        assert_eq!(AlgorithmKind::ALL[2], AlgorithmKind::OrthogonalRanges);
     }
 }

@@ -75,11 +75,6 @@ impl OrthogonalRanges {
         }
     }
 
-    /// The size ranges in use.
-    pub fn ranges(&self) -> &SizeRanges {
-        &self.ranges
-    }
-
     /// The orthogonal target distributions this scheduler realises.
     pub fn targets(&self) -> &TargetSet {
         &self.targets
@@ -111,7 +106,7 @@ mod tests {
         let mut or = OrthogonalRanges::new(SizeRanges::paper_default());
         assert_eq!(or.interface_count(), 3);
         assert_eq!(or.name(), "OR");
-        assert_eq!(or.ranges().len(), 3);
+        assert_eq!(or.ranges.len(), 3);
         // (0, 232] -> interface 1, (232, 1540] -> interface 2, (1540, 1576] -> interface 3.
         assert_eq!(or.assign(&packet(0, 108)).paper_number(), 1);
         assert_eq!(or.assign(&packet(1, 232)).paper_number(), 1);

@@ -146,6 +146,7 @@ mod tests {
     use traffic_gen::stream::{PacketSource, StreamingSession};
     use traffic_gen::trace::Trace;
     use traffic_gen::MAX_PACKET_SIZE;
+    use wlan_sim::time::SimTime;
 
     fn or_stage() -> ReshapeStage {
         ReshapeStage::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())))
@@ -263,7 +264,11 @@ mod tests {
         // per-packet storage, and every OR sub-flow carries only its own
         // interface's size range.
         let ranges = SizeRanges::paper_default();
-        let mut session = StreamingSession::unbounded(AppKind::BitTorrent, 3);
+        let mut session = StreamingSession::from_model(
+            traffic_gen::models::spec_for(AppKind::BitTorrent),
+            3,
+            None,
+        );
         let mut stage = or_stage();
         let mut out = StageOutput::new();
         for _ in 0..20_000 {
@@ -296,7 +301,12 @@ mod tests {
             }
         }
         let mut stage = ReshapeStage::new(Box::new(Rogue));
-        let p = PacketRecord::at_secs(0.0, 100, Direction::Downlink, AppKind::Video);
+        let p = PacketRecord::new(
+            SimTime::from_secs_f64(0.0),
+            100,
+            Direction::Downlink,
+            AppKind::Video,
+        );
         stage.on_packet(ROOT_FLOW, &p, &mut StageOutput::new());
     }
 }

@@ -164,11 +164,6 @@ impl TargetSet {
         Ok(TargetSet { targets })
     }
 
-    /// The targets, indexed by interface.
-    pub fn targets(&self) -> &[TargetDistribution] {
-        &self.targets
-    }
-
     /// Number of interfaces `I`.
     pub fn interface_count(&self) -> usize {
         self.targets.len()
@@ -231,9 +226,9 @@ mod tests {
         // φ1 = [1,0,0], φ2 = [0,1,0], φ3 = [0,0,1] from §III-C2.
         let set = TargetSet::orthogonal(3, 3).unwrap();
         assert_eq!(set.interface_count(), 3);
-        assert!(set.targets().iter().all(|t| t.len() == 3));
+        assert!(set.targets.iter().all(|t| t.len() == 3));
         set.check_orthogonality().unwrap();
-        for (i, t) in set.targets().iter().enumerate() {
+        for (i, t) in set.targets.iter().enumerate() {
             let expected: Vec<f64> = (0..3).map(|j| if i == j { 1.0 } else { 0.0 }).collect();
             assert_eq!(t.probabilities(), expected.as_slice());
         }
@@ -251,7 +246,7 @@ mod tests {
         // L = 6, I = 3: each interface owns two ranges with probability 1/2 each.
         let set = TargetSet::orthogonal(3, 6).unwrap();
         set.check_orthogonality().unwrap();
-        for t in set.targets() {
+        for t in &set.targets {
             assert!((t.probabilities().iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
         assert_eq!(set.owner_of_range(3), Some(VifIndex::new(0)));
@@ -307,7 +302,7 @@ mod tests {
             // Every range has exactly one owner.
             for j in 0..ranges {
                 let owners = set
-                    .targets()
+                    .targets
                     .iter()
                     .filter(|t| t.probabilities()[j] > 0.0)
                     .count();

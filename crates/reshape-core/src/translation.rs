@@ -7,7 +7,8 @@
 //!
 //! * **uplink** — the client picks a virtual interface, stamps the frame with
 //!   that virtual source address; the AP looks the address up and rewrites it
-//!   back to the physical address before forwarding upstream;
+//!   back to the physical address before forwarding upstream (the simulated
+//!   AP's `wlan_sim::ap::AccessPoint::translate_uplink`);
 //! * **downlink** — the AP picks a virtual interface for the destination and
 //!   rewrites the physical destination to that virtual address; the client
 //!   accepts any of its virtual addresses and rewrites the destination back to
@@ -79,19 +80,6 @@ impl TranslationTable {
             .get(&physical)
             .and_then(|v| v.get(vif.index()))
             .copied()
-    }
-
-    /// Rewrites an uplink frame's virtual source address to the physical one
-    /// (the AP-side translation of Fig. 3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownAddress`] if the source is not a known virtual
-    /// or physical address.
-    pub fn translate_uplink(&self, frame: &Frame) -> Result<Frame> {
-        let src = frame.header().src();
-        let physical = self.physical_of(src).ok_or(Error::UnknownAddress(src))?;
-        Ok(frame.clone().with_src(physical))
     }
 
     /// Rewrites a downlink frame's physical destination to the virtual address
@@ -181,17 +169,11 @@ mod tests {
     }
 
     #[test]
-    fn uplink_and_downlink_translation_round_trip() {
+    fn downlink_translation_round_trip() {
         let mut table = TranslationTable::new();
         let set = vifs(4, 3);
         let ap = MacAddress::new([0x00, 0x1f, 0x3a, 0, 0, 0xaa]);
         table.install(physical(1), &set);
-
-        // Uplink: client sends from virtual interface 1; AP restores the physical source.
-        let uplink = Frame::data(set.macs()[1], ap, vec![0u8; 700]);
-        let restored = table.translate_uplink(&uplink).unwrap();
-        assert_eq!(restored.header().src(), physical(1));
-        assert_eq!(restored.air_size(), uplink.air_size());
 
         // Downlink: AP rewrites the physical destination to virtual interface 2;
         // the client maps it back before handing the packet to upper layers.
@@ -209,13 +191,11 @@ mod tests {
     fn unknown_addresses_are_rejected() {
         let table = TranslationTable::new();
         let ap = MacAddress::new([0x00, 0x1f, 0x3a, 0, 0, 0xaa]);
-        let frame = Frame::data(physical(7), ap, vec![0u8; 100]);
+        let down = Frame::data(ap, physical(7), vec![0u8; 100]);
         assert!(matches!(
-            table.translate_uplink(&frame),
+            table.translate_downlink(&down, VifIndex::new(0)),
             Err(Error::UnknownAddress(_))
         ));
-        let down = Frame::data(ap, physical(7), vec![0u8; 100]);
-        assert!(table.translate_downlink(&down, VifIndex::new(0)).is_err());
         assert!(table.deliver_to_upper_layers(&down).is_err());
     }
 

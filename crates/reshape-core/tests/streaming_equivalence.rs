@@ -2,15 +2,17 @@
 //! [`ReshapeStage`] at arbitrary slice boundaries produces **byte-identical**
 //! per-packet assignments and sub-traces to the batch [`Reshaper`], for every
 //! scheduling algorithm (RA/RR/OR/OR-mod), seed and interface count — and the
-//! batch view's Eq. 1 realized distributions are exactly those of its own
-//! sub-traces.
+//! Eq. 1 realized distributions of the batch sub-traces are those of its
+//! assignments, conserving the original traffic.
 
 use defenses::stage::{PacketStage, StageOutput, ROOT_FLOW};
 use proptest::prelude::*;
 use reshape_core::optimizer::RealizedDistributions;
 use reshape_core::ranges::SizeRanges;
 use reshape_core::reshaper::Reshaper;
-use reshape_core::scheduler::AlgorithmKind;
+use reshape_core::scheduler::{
+    OrthogonalModulo, OrthogonalRanges, RandomAssign, ReshapeAlgorithm, RoundRobin,
+};
 use reshape_core::stage::ReshapeStage;
 use reshape_core::vif::VifIndex;
 use traffic_gen::app::AppKind;
@@ -62,6 +64,18 @@ fn stream_sliced(
     (assignments, subs)
 }
 
+/// The four schedulers of Tables II and III, in the paper's order, over
+/// `interfaces` virtual interfaces.
+fn schedulers(interfaces: usize, seed: u64) -> [Box<dyn ReshapeAlgorithm>; 4] {
+    let ranges = SizeRanges::for_interface_count(interfaces).expect("1..=4 interfaces");
+    [
+        Box::new(RandomAssign::new(interfaces, seed)),
+        Box::new(RoundRobin::new(interfaces)),
+        Box::new(OrthogonalRanges::new(ranges)),
+        Box::new(OrthogonalModulo::new(interfaces)),
+    ]
+}
+
 /// The Eq. 1 realized distributions recomputed from finished sub-traces.
 fn realized_of(subs: &[Trace], ranges: &SizeRanges) -> RealizedDistributions {
     let mut realized = RealizedDistributions::new(subs.len(), ranges.clone());
@@ -85,12 +99,12 @@ proptest! {
     ) {
         let app = AppKind::ALL[app_index];
         let trace = SessionGenerator::new(app, seed).generate_secs(8.0);
-        for kind in AlgorithmKind::ALL {
+        for (batch, online) in schedulers(interfaces, seed).into_iter().zip(schedulers(interfaces, seed)) {
             // Batch path: whole-trace reshape.
-            let outcome = Reshaper::new(kind.build(interfaces, seed)).reshape(&trace);
+            let outcome = Reshaper::new(batch).reshape(&trace);
 
             // Online path: the same packets at arbitrary slice boundaries.
-            let mut stage = ReshapeStage::new(kind.build(interfaces, seed));
+            let mut stage = ReshapeStage::new(online);
             let (assignments, _) =
                 stream_sliced(&mut stage, trace.packets(), trace.app(), slice_seed, max_slice);
 
@@ -110,9 +124,9 @@ proptest! {
         // Collecting the stage's sub-flows by `vif_of` must reproduce the
         // batch sub-traces exactly (same packets, same order, same labels).
         let trace = SessionGenerator::new(AppKind::BitTorrent, seed).generate_secs(6.0);
-        for kind in AlgorithmKind::ALL {
-            let outcome = Reshaper::new(kind.build(interfaces, seed)).reshape(&trace);
-            let mut stage = ReshapeStage::new(kind.build(interfaces, seed));
+        for (batch, online) in schedulers(interfaces, seed).into_iter().zip(schedulers(interfaces, seed)) {
+            let outcome = Reshaper::new(batch).reshape(&trace);
+            let mut stage = ReshapeStage::new(online);
             let (_, subs) =
                 stream_sliced(&mut stage, trace.packets(), trace.app(), slice_seed, max_slice);
             prop_assert_eq!(outcome.sub_traces(), subs.as_slice());
@@ -125,15 +139,22 @@ proptest! {
         interfaces in 1usize..4,
         app_index in 0usize..7,
     ) {
-        // Eq. 1 tracking lives only in the batch view; it must agree with the
-        // distribution recomputed from the sub-traces it returns.
+        // The Eq. 1 oracle fed from the per-packet assignments must agree with
+        // the one recomputed from the sub-traces, and its aggregate must be the
+        // original traffic's distribution (the conservation constraint).
         let trace = SessionGenerator::new(AppKind::ALL[app_index], seed).generate_secs(6.0);
         let ranges = SizeRanges::paper_default();
-        for kind in AlgorithmKind::ALL {
-            let outcome = Reshaper::with_tracking_ranges(kind.build(interfaces, seed), ranges.clone())
-                .reshape(&trace);
-            prop_assert_eq!(outcome.realized(), &realized_of(outcome.sub_traces(), &ranges));
-            prop_assert_eq!(outcome.realized().total_packets() as usize, trace.len());
+        let original = realized_of(std::slice::from_ref(&trace), &ranges);
+        for algorithm in schedulers(interfaces, seed) {
+            let outcome = Reshaper::new(algorithm).reshape(&trace);
+            let mut assigned = RealizedDistributions::new(outcome.interface_count(), ranges.clone());
+            for &(index, vif) in outcome.assignments() {
+                assigned.record(vif, trace.packets()[index].size);
+            }
+            let realized = realized_of(outcome.sub_traces(), &ranges);
+            prop_assert_eq!(&realized, &assigned);
+            prop_assert_eq!(realized.total_packets() as usize, trace.len());
+            prop_assert_eq!(realized.aggregate(), original.aggregate());
         }
     }
 }
@@ -144,7 +165,8 @@ fn streaming_session_reshapes_without_a_trace() {
     // seed must give the same assignments on every run.
     let run = || {
         let mut session = StreamingSession::bounded(AppKind::Video, 42, 20.0);
-        let mut stage = ReshapeStage::new(AlgorithmKind::OrthogonalRanges.build(3, 42));
+        let mut stage =
+            ReshapeStage::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
         let mut out = StageOutput::new();
         let mut assignments = Vec::new();
         while let Some(packet) = session.next_packet() {

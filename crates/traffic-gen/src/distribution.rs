@@ -80,11 +80,6 @@ impl SizeHistogram {
         self.total += 1;
     }
 
-    /// Raw per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// The lower edge (inclusive) of bin `i`, in bytes.
     pub fn bin_lower_edge(&self, i: usize) -> usize {
         i * self.bin_width
@@ -161,39 +156,6 @@ impl SizeHistogram {
         }
         self.max_size
     }
-
-    /// Total-variation distance to another histogram with identical binning.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different bin configuration.
-    pub fn total_variation_distance(&self, other: &SizeHistogram) -> f64 {
-        assert_eq!(self.bin_width, other.bin_width, "bin widths differ");
-        assert_eq!(self.counts.len(), other.counts.len(), "bin counts differ");
-        let a = self.pdf();
-        let b = other.pdf();
-        0.5 * a
-            .iter()
-            .zip(b.iter())
-            .map(|(x, y)| (x - y).abs())
-            .sum::<f64>()
-    }
-
-    /// The dot product of two PDFs — zero means the supports are disjoint,
-    /// which is the orthogonality criterion of Eq. 2 in the paper.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two histograms have different bin configuration.
-    pub fn pdf_dot(&self, other: &SizeHistogram) -> f64 {
-        assert_eq!(self.bin_width, other.bin_width, "bin widths differ");
-        assert_eq!(self.counts.len(), other.counts.len(), "bin counts differ");
-        self.pdf()
-            .iter()
-            .zip(other.pdf().iter())
-            .map(|(a, b)| a * b)
-            .sum()
-    }
 }
 
 /// Summary statistics of a sequence of f64 samples (sizes or inter-arrival times).
@@ -252,11 +214,11 @@ mod tests {
         }
         assert_eq!(h.total(), 5);
         assert!(!h.is_empty());
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        // 2000 clamps into the last bin together with 1570.
-        assert_eq!(h.counts()[15], 2);
         let pdf = h.pdf();
+        assert_eq!(pdf[0], 1.0 / 5.0);
+        assert_eq!(pdf[1], 2.0 / 5.0);
+        // 2000 clamps into the last bin together with 1570.
+        assert_eq!(pdf[15], 2.0 / 5.0);
         assert!((pdf.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         let cdf = h.cdf();
         assert!((cdf.last().unwrap() - 1.0).abs() < 1e-12);
@@ -290,28 +252,13 @@ mod tests {
         let h = SizeHistogram::from_sizes(source, 1576, 8);
         let resampled: Vec<usize> = (0..5_000).map(|_| h.sample(&mut rng)).collect();
         let h2 = SizeHistogram::from_sizes(resampled, 1576, 8);
-        assert!(h.total_variation_distance(&h2) < 0.05);
-    }
-
-    #[test]
-    fn tv_distance_properties() {
-        let a = SizeHistogram::from_sizes(vec![100; 100], 1576, 8);
-        let b = SizeHistogram::from_sizes(vec![1500; 100], 1576, 8);
-        assert_eq!(a.total_variation_distance(&a), 0.0);
-        assert!((a.total_variation_distance(&b) - 1.0).abs() < 1e-12);
-        assert!(
-            (a.pdf_dot(&b)).abs() < 1e-12,
-            "disjoint supports are orthogonal"
-        );
-        assert!(a.pdf_dot(&a) > 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn mismatched_bins_panic() {
-        let a = SizeHistogram::new(1576, 8);
-        let b = SizeHistogram::new(1576, 16);
-        let _ = a.total_variation_distance(&b);
+        let total_variation: f64 = 0.5
+            * h.pdf()
+                .iter()
+                .zip(h2.pdf())
+                .map(|(a, b)| (a - b).abs())
+                .sum::<f64>();
+        assert!(total_variation < 0.05);
     }
 
     #[test]

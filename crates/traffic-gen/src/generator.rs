@@ -43,11 +43,6 @@ impl SessionGenerator {
         self.model.app_kind()
     }
 
-    /// The seed in use.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Generates a trace of the given duration (seconds).
     pub fn generate_secs(&self, duration_secs: f64) -> Trace {
         self.model.generate(self.session_rng(), duration_secs)
@@ -108,7 +103,6 @@ mod tests {
         for app in AppKind::ALL {
             let gen = SessionGenerator::new(app, 5);
             assert_eq!(gen.app(), app);
-            assert_eq!(gen.seed(), 5);
             let trace = gen.generate_secs(15.0);
             assert_eq!(trace.app(), Some(app));
             assert!(!trace.is_empty(), "{app} produced no packets");

@@ -53,24 +53,7 @@ pub enum ArrivalProcess {
     },
 }
 
-impl ArrivalProcess {
-    /// The long-run mean gap between consecutive packets, in seconds.
-    pub fn mean_gap_secs(&self) -> f64 {
-        match self {
-            ArrivalProcess::Poisson { mean_gap_secs } => *mean_gap_secs,
-            ArrivalProcess::ConstantRate { gap_secs, .. } => *gap_secs,
-            ArrivalProcess::OnOff {
-                mean_burst_packets,
-                in_burst_gap_secs,
-                off_gap_secs,
-            } => {
-                // A burst of B packets contributes (B-1) short gaps and one off gap.
-                ((mean_burst_packets - 1.0).max(0.0) * in_burst_gap_secs + off_gap_secs)
-                    / mean_burst_packets.max(1.0)
-            }
-        }
-    }
-}
+impl ArrivalProcess {}
 
 /// One direction of an application's traffic.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,16 +114,6 @@ impl BidirectionalModel {
     /// The application this model imitates.
     pub fn app_kind(&self) -> AppKind {
         self.app
-    }
-
-    /// The downlink flow spec.
-    pub fn downlink(&self) -> &FlowSpec {
-        &self.downlink
-    }
-
-    /// The uplink flow spec.
-    pub fn uplink(&self) -> &FlowSpec {
-        &self.uplink
     }
 
     /// Hands the two flow specs over, downlink first.
@@ -320,28 +293,6 @@ pub(crate) mod test_support {
 mod tests {
     use super::*;
     use rand::SeedableRng;
-
-    #[test]
-    fn arrival_mean_gap_formula() {
-        assert_eq!(
-            ArrivalProcess::Poisson { mean_gap_secs: 0.5 }.mean_gap_secs(),
-            0.5
-        );
-        assert_eq!(
-            ArrivalProcess::ConstantRate {
-                gap_secs: 0.01,
-                jitter_secs: 0.001
-            }
-            .mean_gap_secs(),
-            0.01
-        );
-        let onoff = ArrivalProcess::OnOff {
-            mean_burst_packets: 10.0,
-            in_burst_gap_secs: 0.01,
-            off_gap_secs: 1.0,
-        };
-        assert!((onoff.mean_gap_secs() - (9.0 * 0.01 + 1.0) / 10.0).abs() < 1e-12);
-    }
 
     #[test]
     fn poisson_flow_respects_duration_and_rate() {

@@ -66,11 +66,6 @@ impl PacketRecord {
         }
     }
 
-    /// Convenience constructor with the timestamp given in seconds.
-    pub fn at_secs(secs: f64, size: usize, direction: Direction, app: AppKind) -> Self {
-        PacketRecord::new(SimTime::from_secs_f64(secs), size, direction, app)
-    }
-
     /// Returns a copy with a different size (used by padding / morphing).
     pub fn with_size(mut self, size: usize) -> Self {
         self.size = size;
@@ -94,7 +89,12 @@ mod tests {
 
     #[test]
     fn packet_constructors() {
-        let p = PacketRecord::at_secs(1.5, 1400, Direction::Downlink, AppKind::Video);
+        let p = PacketRecord::new(
+            SimTime::from_secs_f64(1.5),
+            1400,
+            Direction::Downlink,
+            AppKind::Video,
+        );
         assert_eq!(p.time.as_micros(), 1_500_000);
         assert_eq!(p.size, 1400);
         let resized = p.with_size(1576);
@@ -104,7 +104,12 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let p = PacketRecord::at_secs(0.25, 232, Direction::Uplink, AppKind::Chatting);
+        let p = PacketRecord::new(
+            SimTime::from_secs_f64(0.25),
+            232,
+            Direction::Uplink,
+            AppKind::Chatting,
+        );
         let json = serde_json::to_string(&p).unwrap();
         let back: PacketRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, p);

@@ -79,55 +79,6 @@ impl Normal {
     }
 }
 
-/// Samples from a log-normal distribution parameterised by the mean and
-/// standard deviation of the *underlying* normal.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LogNormal {
-    normal: Normal,
-}
-
-impl LogNormal {
-    /// Creates a log-normal sampler with underlying normal `N(mu, sigma)`.
-    pub fn new(mu: f64, sigma: f64) -> Self {
-        LogNormal {
-            normal: Normal::new(mu, sigma),
-        }
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.normal.sample(rng).exp()
-    }
-}
-
-/// Samples from a Pareto distribution with scale `x_min` and shape `alpha`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto sampler.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are positive and finite.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(
-            x_min.is_finite() && x_min > 0.0 && alpha.is_finite() && alpha > 0.0,
-            "invalid pareto parameters x_min={x_min} alpha={alpha}"
-        );
-        Pareto { x_min, alpha }
-    }
-
-    /// Draws one sample (always `>= x_min`).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        self.x_min / u.powf(1.0 / self.alpha)
-    }
-}
-
 /// Samples an index according to a set of non-negative weights.
 ///
 /// Draws are O(1): a guide table maps the uniform variate to a starting
@@ -236,16 +187,6 @@ impl SizeRange {
         SizeRange { lo, hi }
     }
 
-    /// Lower bound (inclusive).
-    pub fn lo(&self) -> usize {
-        self.lo
-    }
-
-    /// Upper bound (inclusive).
-    pub fn hi(&self) -> usize {
-        self.hi
-    }
-
     /// Draws one size.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         if self.lo == self.hi {
@@ -345,30 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn lognormal_is_positive_and_skewed() {
-        let mut rng = rng();
-        let ln = LogNormal::new(0.0, 1.0);
-        let samples: Vec<f64> = (0..5_000).map(|_| ln.sample(&mut rng)).collect();
-        assert!(samples.iter().all(|&x| x > 0.0));
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-        let median = {
-            let mut s = samples.clone();
-            s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            s[s.len() / 2]
-        };
-        assert!(mean > median, "log-normal is right-skewed");
-    }
-
-    #[test]
-    fn pareto_respects_scale() {
-        let mut rng = rng();
-        let p = Pareto::new(3.0, 2.5);
-        for _ in 0..1_000 {
-            assert!(p.sample(&mut rng) >= 3.0);
-        }
-    }
-
-    #[test]
     fn categorical_follows_weights() {
         let mut rng = rng();
         let c = Categorical::new(&[0.7, 0.2, 0.1]);
@@ -440,8 +357,6 @@ mod tests {
     fn size_range_and_mixture() {
         let mut rng = rng();
         let r = SizeRange::new(100, 200);
-        assert_eq!(r.lo(), 100);
-        assert_eq!(r.hi(), 200);
         for _ in 0..500 {
             let s = r.sample(&mut rng);
             assert!((100..=200).contains(&s));

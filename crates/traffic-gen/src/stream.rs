@@ -412,12 +412,6 @@ pub struct StreamingSession {
 }
 
 impl StreamingSession {
-    /// Creates an **infinite** session for `app` from the calibrated default
-    /// model, seeded like the batch generator.
-    pub fn unbounded(app: AppKind, seed: u64) -> Self {
-        Self::from_model(crate::models::spec_for(app), seed, None)
-    }
-
     /// Creates a session bounded to `duration_secs` seconds.
     pub fn bounded(app: AppKind, seed: u64, duration_secs: f64) -> Self {
         Self::from_model(crate::models::spec_for(app), seed, Some(duration_secs))
@@ -527,22 +521,6 @@ impl StreamingSession {
             room -= before;
         }
     }
-
-    /// Collects the whole (necessarily bounded) session into a batch trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session is unbounded — an infinite session cannot be
-    /// materialised.
-    pub fn collect_trace(mut self) -> Trace {
-        assert!(
-            self.downlink.flow.limit_secs.is_some(),
-            "cannot collect an unbounded streaming session into a trace"
-        );
-        let mut packets = Vec::new();
-        self.fill_until(0.0, None, &mut packets, usize::MAX);
-        Trace::from_packets(Some(self.app), packets)
-    }
 }
 
 impl PacketSource for StreamingSession {
@@ -627,11 +605,10 @@ mod tests {
         seed: u64,
         limit: Option<f64>,
     ) -> impl Iterator<Item = PacketRecord> {
-        let model = crate::models::spec_for(app);
-        let flow = |spec: &FlowSpec, lane| {
-            FlowStream::new(spec.clone(), app, lane_rng(app, seed, lane), limit).peekable()
-        };
-        let (mut down, mut up) = (flow(model.downlink(), 1), flow(model.uplink(), 2));
+        let (downlink, uplink) = crate::models::spec_for(app).into_flows();
+        let flow =
+            |spec, lane| FlowStream::new(spec, app, lane_rng(app, seed, lane), limit).peekable();
+        let (mut down, mut up) = (flow(downlink, 1), flow(uplink, 2));
         std::iter::from_fn(move || match (down.peek(), up.peek()) {
             (Some(d), Some(u)) if d.time > u.time => up.next(),
             (Some(_), _) => down.next(),
@@ -651,8 +628,8 @@ mod tests {
             // path: identical packets for every arrival-process family,
             // pulled one at a time or in runs of any length.
             let app = AppKind::ALL[app_index];
-            let model = crate::models::spec_for(app);
-            for spec in [model.downlink(), model.uplink()] {
+            let (downlink, uplink) = crate::models::spec_for(app).into_flows();
+            for spec in [&downlink, &uplink] {
                 let batch = generate_flow(spec, app, &mut StdRng::seed_from_u64(seed), 10.0);
                 let stream = FlowStream::new(spec.clone(), app, StdRng::seed_from_u64(seed), Some(10.0));
                 let streamed: Vec<PacketRecord> = stream.collect();
@@ -772,22 +749,11 @@ mod tests {
     }
 
     #[test]
-    fn bounded_collect_matches_incremental_pulls() {
-        let collected = StreamingSession::bounded(AppKind::Browsing, 2, 12.0).collect_trace();
-        let mut session = StreamingSession::bounded(AppKind::Browsing, 2, 12.0);
-        let mut pulled = Vec::new();
-        while let Some(p) = session.next_packet() {
-            pulled.push(p);
-        }
-        assert_eq!(collected.packets(), pulled.as_slice());
-        assert_eq!(collected.app(), Some(AppKind::Browsing));
-    }
-
-    #[test]
     fn unbounded_session_streams_past_any_batch_horizon() {
         // Pull far enough to cross minutes of session time without ever
         // materialising a trace; memory stays O(1).
-        let mut session = StreamingSession::unbounded(AppKind::BitTorrent, 7);
+        let mut session =
+            StreamingSession::from_model(crate::models::spec_for(AppKind::BitTorrent), 7, None);
         assert_eq!(session.app(), AppKind::BitTorrent);
         let mut last = 0.0f64;
         for _ in 0..50_000 {
@@ -808,12 +774,6 @@ mod tests {
             StreamingSession::bounded(AppKind::Chatting, 11, 30.0).collect();
         assert!(packets.iter().any(|p| p.direction == Direction::Downlink));
         assert!(packets.iter().any(|p| p.direction == Direction::Uplink));
-    }
-
-    #[test]
-    #[should_panic(expected = "unbounded streaming session")]
-    fn collecting_an_unbounded_session_panics() {
-        let _ = StreamingSession::unbounded(AppKind::Video, 1).collect_trace();
     }
 
     #[test]

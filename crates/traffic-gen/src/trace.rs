@@ -9,7 +9,7 @@
 use crate::app::AppKind;
 use crate::packet::{Direction, PacketRecord};
 use serde::{Deserialize, Serialize};
-use wlan_sim::time::{SimDuration, SimTime};
+use wlan_sim::time::SimDuration;
 
 /// The idle-gap threshold used by the paper when computing inter-arrival
 /// times: gaps longer than the eavesdropping window (5 s) are considered idle
@@ -87,11 +87,6 @@ impl Trace {
             .filter(move |p| p.direction == direction)
     }
 
-    /// The timestamp of the first packet.
-    pub fn start_time(&self) -> Option<SimTime> {
-        self.packets.first().map(|p| p.time)
-    }
-
     /// Total number of bytes across all packets.
     pub fn total_bytes(&self) -> u64 {
         self.packets.iter().map(|p| p.size as u64).sum()
@@ -135,16 +130,6 @@ impl Trace {
         }
     }
 
-    /// Merges another trace into this one (stable by timestamp). The label is
-    /// kept only if both traces agree.
-    pub fn merge(&mut self, other: &Trace) {
-        if self.app != other.app {
-            self.app = None;
-        }
-        self.packets.extend_from_slice(&other.packets);
-        self.packets.sort_by_key(|p| p.time);
-    }
-
     /// Splits the trace into consecutive windows of `window` duration,
     /// starting at the first packet. Empty windows are skipped. Each returned
     /// trace inherits the label.
@@ -173,28 +158,6 @@ impl Trace {
         out
     }
 
-    /// Returns a copy of the trace with all timestamps shifted so the first
-    /// packet starts at time zero.
-    pub fn rebased(&self) -> Trace {
-        let Some(start) = self.start_time() else {
-            return self.clone();
-        };
-        let offset = start.as_secs_f64();
-        let packets = self
-            .packets
-            .iter()
-            .map(|p| {
-                let mut q = *p;
-                q.time = SimTime::from_secs_f64(p.time.as_secs_f64() - offset);
-                q
-            })
-            .collect();
-        Trace {
-            app: self.app,
-            packets,
-        }
-    }
-
     /// Serializes the trace to a JSON string.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("trace serialization cannot fail")
@@ -218,9 +181,10 @@ impl Extend<PacketRecord> for Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wlan_sim::time::SimTime;
 
     fn pkt(secs: f64, size: usize, dir: Direction) -> PacketRecord {
-        PacketRecord::at_secs(secs, size, dir, AppKind::Browsing)
+        PacketRecord::new(SimTime::from_secs_f64(secs), size, dir, AppKind::Browsing)
     }
 
     #[test]
@@ -266,7 +230,6 @@ mod tests {
         assert_eq!(t.sizes(Direction::Downlink), vec![100, 200]);
         assert_eq!(t.sizes(Direction::Uplink), vec![600]);
         assert_eq!(Trace::new().mean_packet_size(), 0.0);
-        assert_eq!(Trace::new().start_time(), None);
     }
 
     #[test]
@@ -305,43 +268,6 @@ mod tests {
         }
         assert!(t.windows(SimDuration::ZERO).is_empty());
         assert!(Trace::new().windows(SimDuration::from_secs(5)).is_empty());
-    }
-
-    #[test]
-    fn merge_combines_and_unions_labels() {
-        let mut a = Trace::from_packets(
-            Some(AppKind::Browsing),
-            vec![pkt(0.0, 10, Direction::Downlink)],
-        );
-        let b = Trace::from_packets(
-            Some(AppKind::Browsing),
-            vec![pkt(0.5, 20, Direction::Uplink)],
-        );
-        a.merge(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.app(), Some(AppKind::Browsing));
-        let c = Trace::from_packets(
-            Some(AppKind::Video),
-            vec![pkt(1.0, 30, Direction::Downlink)],
-        );
-        a.merge(&c);
-        assert_eq!(a.app(), None, "conflicting labels are dropped");
-        assert_eq!(a.len(), 3);
-    }
-
-    #[test]
-    fn rebase_shifts_to_zero() {
-        let t = Trace::from_packets(
-            None,
-            vec![
-                pkt(5.0, 10, Direction::Downlink),
-                pkt(7.5, 10, Direction::Downlink),
-            ],
-        );
-        let r = t.rebased();
-        assert_eq!(r.start_time().unwrap().as_secs_f64(), 0.0);
-        assert!((r.packets()[1].time.as_secs_f64() - 2.5).abs() < 1e-9);
-        assert_eq!(Trace::new().rebased(), Trace::new());
     }
 
     #[test]

@@ -54,16 +54,6 @@ proptest! {
     }
 
     #[test]
-    fn merging_preserves_packet_counts(seed_a in 0u64..50, seed_b in 0u64..50) {
-        let mut a = SessionGenerator::new(AppKind::Gaming, seed_a).generate_secs(5.0);
-        let b = SessionGenerator::new(AppKind::Gaming, seed_b).generate_secs(5.0);
-        let expected = a.len() + b.len();
-        a.merge(&b);
-        prop_assert_eq!(a.len(), expected);
-        prop_assert!(a.packets().windows(2).all(|w| w[0].time <= w[1].time));
-    }
-
-    #[test]
     fn histograms_of_generated_traffic_are_proper_distributions(app in any_app(), seed in 0u64..100) {
         let trace = SessionGenerator::new(app, seed).generate_secs(10.0);
         let hist = SizeHistogram::from_sizes(

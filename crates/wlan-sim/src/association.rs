@@ -65,26 +65,11 @@ impl AssociationRecord {
             virtual_addrs: Vec::new(),
         }
     }
-
-    /// Returns `true` if `addr` is either the physical address or one of the
-    /// configured virtual addresses.
-    pub fn owns_address(&self, addr: MacAddress) -> bool {
-        self.physical_addr == addr || self.virtual_addrs.contains(&addr)
-    }
-
-    /// Number of MAC identities (physical + virtual) this station presents.
-    pub fn identity_count(&self) -> usize {
-        1 + self.virtual_addrs.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn addr(last: u8) -> MacAddress {
-        MacAddress::new([0x02, 0, 0, 0, 0, last])
-    }
 
     #[test]
     fn default_state_is_unassociated() {
@@ -102,17 +87,5 @@ mod tests {
         assert_eq!(s.aid(), Some(3));
         assert_eq!(s.to_string(), "associated (aid 3)");
         assert_eq!(AssociationState::Pending.to_string(), "pending");
-    }
-
-    #[test]
-    fn record_tracks_virtual_addresses() {
-        let mut rec = AssociationRecord::new(addr(1), 7);
-        assert_eq!(rec.identity_count(), 1);
-        assert!(rec.owns_address(addr(1)));
-        assert!(!rec.owns_address(addr(2)));
-        rec.virtual_addrs.push(addr(10));
-        rec.virtual_addrs.push(addr(11));
-        assert_eq!(rec.identity_count(), 3);
-        assert!(rec.owns_address(addr(11)));
     }
 }

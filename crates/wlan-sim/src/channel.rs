@@ -125,11 +125,6 @@ impl Medium {
         &self.path_loss
     }
 
-    /// The receiver noise floor in dBm.
-    pub fn noise_floor_dbm(&self) -> f64 {
-        self.noise_floor_dbm
-    }
-
     /// Whether a transmission from `tx` at `tx_power_dbm` is decodable at `rx`
     /// (mean RSSI at least 6 dB above the noise floor).
     pub fn is_receivable(&self, tx: Position, rx: Position, tx_power_dbm: f64) -> bool {
@@ -241,7 +236,6 @@ mod tests {
         let ap = Position::new(0.0, 0.0);
         assert!(medium.is_receivable(ap, Position::new(5.0, 0.0), 15.0));
         assert!(!medium.is_receivable(ap, Position::new(500.0, 0.0), 15.0));
-        assert_eq!(medium.noise_floor_dbm(), -95.0);
     }
 
     #[test]

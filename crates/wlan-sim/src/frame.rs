@@ -87,11 +87,6 @@ impl FrameType {
         })
     }
 
-    /// Returns `true` for data frames.
-    pub fn is_data(self) -> bool {
-        matches!(self, FrameType::Data)
-    }
-
     /// Returns `true` for management frames.
     pub fn is_management(self) -> bool {
         matches!(self, FrameType::Management(_))
@@ -508,7 +503,6 @@ mod tests {
         for t in types {
             assert_eq!(FrameType::from_code(t.to_code()).unwrap(), t);
         }
-        assert!(FrameType::Data.is_data());
         assert!(!FrameType::Data.is_management());
         assert!(FrameType::Management(ManagementSubtype::Beacon).is_management());
     }

@@ -4,8 +4,7 @@
 //! out *unused* MAC addresses from a local pool to become the client's virtual
 //! interface addresses. Because a MAC address has 48 bits, randomly chosen
 //! addresses collide with negligible probability in a small WLAN (the paper
-//! quotes the birthday-paradox bound); [`MacAddressPool::collision_probability`]
-//! reproduces that computation.
+//! quotes the birthday-paradox bound); the pool still rejects a duplicate.
 
 use crate::error::{Error, Result};
 use rand::Rng;
@@ -55,24 +54,6 @@ impl MacAddress {
         rng.fill(&mut octets);
         octets[0] |= 0x02; // locally administered
         octets[0] &= !0x01; // unicast
-        MacAddress(octets)
-    }
-
-    /// Interprets the address as a 48-bit integer (useful for hashing and tests).
-    pub fn to_u64(self) -> u64 {
-        let mut v = 0u64;
-        for b in self.0 {
-            v = (v << 8) | u64::from(b);
-        }
-        v
-    }
-
-    /// Builds an address from the low 48 bits of an integer.
-    pub fn from_u64(v: u64) -> Self {
-        let mut octets = [0u8; 6];
-        for (i, octet) in octets.iter_mut().enumerate() {
-            *octet = ((v >> (8 * (5 - i))) & 0xff) as u8;
-        }
         MacAddress(octets)
     }
 }
@@ -230,26 +211,6 @@ impl MacAddressPool {
     pub fn release(&mut self, addr: MacAddress) -> bool {
         self.in_use.remove(&addr)
     }
-
-    /// Probability that at least two of `n` independently, uniformly chosen
-    /// 48-bit addresses collide (the birthday bound quoted in §III-B1).
-    ///
-    /// Computed in log-space as `1 - exp(Σ ln(1 - k/2^48))` to stay accurate
-    /// for small probabilities.
-    pub fn collision_probability(n: u64) -> f64 {
-        let space = 2f64.powi(48);
-        if n < 2 {
-            return 0.0;
-        }
-        if n as f64 >= space {
-            return 1.0;
-        }
-        let mut log_no_collision = 0.0f64;
-        for k in 1..n {
-            log_no_collision += (1.0 - k as f64 / space).ln();
-        }
-        1.0 - log_no_collision.exp()
-    }
 }
 
 #[cfg(test)]
@@ -290,13 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn u64_round_trip() {
-        let a = MacAddress::new([1, 2, 3, 4, 5, 6]);
-        assert_eq!(MacAddress::from_u64(a.to_u64()), a);
-        assert_eq!(MacAddress::from_u64(0), MacAddress::NULL);
-    }
-
-    #[test]
     fn pool_allocates_distinct_locally_administered_addresses() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut pool = MacAddressPool::new();
@@ -320,21 +274,5 @@ mod tests {
         assert!(pool.release(phys));
         assert!(!pool.release(phys));
         assert!(pool.is_empty());
-    }
-
-    #[test]
-    fn collision_probability_matches_birthday_intuition() {
-        assert_eq!(MacAddressPool::collision_probability(0), 0.0);
-        assert_eq!(MacAddressPool::collision_probability(1), 0.0);
-        let small = MacAddressPool::collision_probability(100);
-        assert!(small < 1e-9, "100 addresses in 2^48 space: {small}");
-        // Probability grows monotonically with n.
-        let a = MacAddressPool::collision_probability(1_000);
-        let b = MacAddressPool::collision_probability(10_000);
-        let c = MacAddressPool::collision_probability(100_000);
-        assert!(a < b && b < c);
-        // At ~2 * 2^24 addresses the probability is substantial (birthday bound).
-        let big = MacAddressPool::collision_probability(1 << 25);
-        assert!(big > 0.8, "expected large collision probability, got {big}");
     }
 }

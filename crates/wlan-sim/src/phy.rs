@@ -75,23 +75,6 @@ impl PhyRate {
         let us = (bits * 1_000_000).div_ceil(self.bits_per_second());
         SimDuration::from_micros(PREAMBLE_US + us)
     }
-
-    /// Picks the highest rate whose minimum sensitivity is satisfied by the
-    /// given RSSI (dBm). A crude but monotone rate-adaptation model.
-    pub fn for_rssi(rssi_dbm: f64) -> PhyRate {
-        match rssi_dbm {
-            r if r >= -55.0 => PhyRate::Mbps54,
-            r if r >= -58.0 => PhyRate::Mbps48,
-            r if r >= -62.0 => PhyRate::Mbps36,
-            r if r >= -67.0 => PhyRate::Mbps24,
-            r if r >= -72.0 => PhyRate::Mbps12,
-            r if r >= -76.0 => PhyRate::Mbps11,
-            r if r >= -79.0 => PhyRate::Mbps6,
-            r if r >= -82.0 => PhyRate::Mbps5_5,
-            r if r >= -85.0 => PhyRate::Mbps2,
-            _ => PhyRate::Mbps1,
-        }
-    }
 }
 
 impl fmt::Display for PhyRate {
@@ -123,15 +106,6 @@ impl Channel {
             Ok(Channel(number))
         } else {
             Err(Error::InvalidChannel(number))
-        }
-    }
-
-    /// Center frequency in MHz.
-    pub fn center_frequency_mhz(self) -> u32 {
-        if self.0 == 14 {
-            2484
-        } else {
-            2407 + 5 * u32::from(self.0)
         }
     }
 
@@ -175,25 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn rate_adaptation_is_monotone_in_rssi() {
-        let mut last = PhyRate::Mbps54;
-        for rssi in (-95..=-40).rev().map(|r| r as f64) {
-            let r = PhyRate::for_rssi(rssi);
-            assert!(r <= last || r == last);
-            last = last.min(r);
-        }
-        assert_eq!(PhyRate::for_rssi(-50.0), PhyRate::Mbps54);
-        assert_eq!(PhyRate::for_rssi(-90.0), PhyRate::Mbps1);
-    }
-
-    #[test]
-    fn channels_validate_and_map_to_frequencies() {
+    fn channels_validate_and_display() {
         assert!(Channel::new(0).is_err());
         assert!(Channel::new(15).is_err());
-        assert_eq!(Channel::new(1).unwrap().center_frequency_mhz(), 2412);
-        assert_eq!(Channel::new(6).unwrap().center_frequency_mhz(), 2437);
-        assert_eq!(Channel::new(11).unwrap().center_frequency_mhz(), 2462);
-        assert_eq!(Channel::new(14).unwrap().center_frequency_mhz(), 2484);
+        assert_eq!(Channel::new(14).unwrap().to_string(), "ch14");
         assert_eq!(Channel::hop_set().len(), 3);
         assert_eq!(Channel::CH6.to_string(), "ch6");
         assert_eq!(PhyRate::Mbps5_5.to_string(), "5.5 Mb/s");

@@ -67,16 +67,6 @@ impl Sniffer {
         self.position
     }
 
-    /// The channel the sniffer is currently tuned to.
-    pub fn channel(&self) -> Channel {
-        self.channel
-    }
-
-    /// Retunes the sniffer to another channel.
-    pub fn set_channel(&mut self, channel: Channel) {
-        self.channel = channel;
-    }
-
     /// All captured frames, in capture order.
     pub fn captures(&self) -> &[CapturedFrame] {
         &self.captures
@@ -201,6 +191,7 @@ mod tests {
     #[test]
     fn observes_only_its_channel() {
         let mut sniffer = make_sniffer();
+        assert_eq!(sniffer.position(), Position::new(8.0, 0.0));
         let medium = Medium::default();
         let mut rng = StdRng::seed_from_u64(0);
         let frame = Frame::data(sta(1), bssid(), vec![0u8; 500]);
@@ -324,14 +315,5 @@ mod tests {
         let rssi = sniffer.mean_rssi_by_device();
         assert_eq!(rssi.len(), 1);
         assert!((rssi[&sta(1)] - (-50.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn channel_retuning() {
-        let mut sniffer = make_sniffer();
-        assert_eq!(sniffer.channel(), Channel::CH6);
-        sniffer.set_channel(Channel::CH11);
-        assert_eq!(sniffer.channel(), Channel::CH11);
-        assert_eq!(sniffer.position(), Position::new(8.0, 0.0));
     }
 }

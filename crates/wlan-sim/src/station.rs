@@ -62,19 +62,9 @@ impl Station {
         self.position
     }
 
-    /// Moves the station.
-    pub fn set_position(&mut self, position: Position) {
-        self.position = position;
-    }
-
     /// Current transmit power in dBm.
     pub fn tx_power_dbm(&self) -> f64 {
         self.tx_power_dbm
-    }
-
-    /// Sets the transmit power (used by the per-packet TPC countermeasure, §V-A).
-    pub fn set_tx_power_dbm(&mut self, dbm: f64) {
-        self.tx_power_dbm = dbm;
     }
 
     /// The association state.
@@ -99,11 +89,6 @@ impl Station {
     /// Completes association with the AID assigned by the AP.
     pub fn complete_association(&mut self, aid: u16) {
         self.association = AssociationState::Associated { aid };
-    }
-
-    /// The virtual MAC addresses configured on this station, in interface order.
-    pub fn virtual_addrs(&self) -> &[MacAddress] {
-        &self.virtual_addrs
     }
 
     /// Installs the virtual MAC addresses received from the AP's configuration
@@ -207,6 +192,8 @@ mod tests {
     #[test]
     fn association_flow() {
         let mut sta = Station::new(addr(1), Position::new(3.0, 4.0));
+        assert_eq!(sta.position(), Position::new(3.0, 4.0));
+        assert_eq!(sta.tx_power_dbm(), DEFAULT_TX_POWER_DBM);
         assert!(!sta.association().is_associated());
         let req = sta.start_association(ap());
         assert_eq!(
@@ -225,7 +212,6 @@ mod tests {
         assert!(sta.accepts(addr(1)));
         assert!(!sta.accepts(addr(10)));
         sta.configure_virtual_addrs(&[addr(10), addr(11), addr(12)]);
-        assert_eq!(sta.virtual_addrs().len(), 3);
         for a in [addr(10), addr(11), addr(12)] {
             assert!(sta.accepts(a));
         }
@@ -273,15 +259,5 @@ mod tests {
         assert_eq!(f2.header().src(), addr(1));
         assert_eq!(sta.frames_sent(), 2);
         assert_ne!(f1.header().sequence(), f2.header().sequence());
-    }
-
-    #[test]
-    fn tx_power_is_adjustable() {
-        let mut sta = Station::new(addr(1), Position::default());
-        assert_eq!(sta.tx_power_dbm(), DEFAULT_TX_POWER_DBM);
-        sta.set_tx_power_dbm(7.5);
-        assert_eq!(sta.tx_power_dbm(), 7.5);
-        sta.set_position(Position::new(1.0, 2.0));
-        assert_eq!(sta.position(), Position::new(1.0, 2.0));
     }
 }

@@ -209,41 +209,6 @@ impl From<SimDuration> for std::time::Duration {
     }
 }
 
-/// A monotone virtual clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    now: SimTime,
-}
-
-impl VirtualClock {
-    /// Creates a clock positioned at time zero.
-    pub fn new() -> Self {
-        VirtualClock { now: SimTime::ZERO }
-    }
-
-    /// Returns the current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Advances the clock by `d` and returns the new time.
-    pub fn advance(&mut self, d: SimDuration) -> SimTime {
-        self.now += d;
-        self.now
-    }
-
-    /// Moves the clock forward to `t`.
-    ///
-    /// The clock is monotone: if `t` is earlier than the current time the call
-    /// is a no-op and the current time is returned.
-    pub fn advance_to(&mut self, t: SimTime) -> SimTime {
-        if t > self.now {
-            self.now = t;
-        }
-        self.now
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,22 +255,6 @@ mod tests {
             SimTime::from_micros(15).checked_sub(SimDuration::from_micros(10)),
             Some(SimTime::from_micros(5))
         );
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let mut clock = VirtualClock::new();
-        assert_eq!(clock.now(), SimTime::ZERO);
-        clock.advance(SimDuration::from_millis(2));
-        assert_eq!(clock.now(), SimTime::from_millis(2));
-        clock.advance_to(SimTime::from_millis(1));
-        assert_eq!(
-            clock.now(),
-            SimTime::from_millis(2),
-            "clock must not move backwards"
-        );
-        clock.advance_to(SimTime::from_millis(7));
-        assert_eq!(clock.now(), SimTime::from_millis(7));
     }
 
     #[test]

@@ -4,21 +4,26 @@
 #   scripts/pub_scan.sh          # exit 1 if an unused item is not allowlisted
 #
 # Definitions: every `pub fn`, `pub struct`, `pub enum`, `pub trait`,
-# `pub type`, `pub const` and `pub static` in crates/*/src and src.
-# Callers: the non-test code of crates/*/src, src, examples/ and
+# `pub type`, `pub const` and `pub static` in crates/*/src and src. An
+# indented `pub fn` inside an `impl` block is a method; every other item is
+# top-level. Callers: the non-test code of crates/*/src, src, examples/ and
 # perfbench/src. "Non-test" means the lines before a file's first
 # `#[cfg(test)]`, minus comment lines (doc comments included) and `use`
 # statements, so neither a doctest nor a re-export counts as a caller.
 #
-# A name counts as used when it occurs as a whole word anywhere in that code
-# more often than it is defined; a type naming itself inside its own
-# top-level `impl` blocks does not count. A module counts as used when one of
-# its top-level items is named outside its own files. The match is by name
-# only, so an item that shares its name with a used one (a getter named like
-# its field, say) is never reported: the scan errs towards keeping. An item
-# that stays on purpose goes in scripts/pub_scan.allow as
+# A method counts as used when that code calls it: `.name(`, `.name::<`, or
+# a `::name` path (which also covers `Type::name` passed as a value). A field
+# read (`self.name`), a struct-literal key (`name:`) or a local of the same
+# name is not a call. A top-level item counts as used when its name occurs as
+# a whole word in that code more often than it is defined; a type naming
+# itself inside its own top-level `impl` blocks does not count. A module
+# counts as used when one of its top-level items is named outside its own
+# files. The match is by name only, so a method that shares its name with a
+# called one (`new`, say) is never reported: the scan errs towards keeping.
+# An item that stays on purpose goes in scripts/pub_scan.allow as
 # `<file> <name> <reason>`; an entry without a reason, or one whose item is
-# used or gone, fails the scan too.
+# used or gone, fails the scan too. scripts/pub_scan_selftest.sh checks
+# these rules on a fixture tree.
 set -euo pipefail
 shopt -s globstar nullglob
 
@@ -61,6 +66,9 @@ nontest "${calling[@]}" | awk -F'\t' -v defs="${defining[*]}" -v allowfile="$all
         file = $1
         text = $3
         files[file] = 1
+        # Leaving a file, or the closing brace of a top-level impl block,
+        # ends the impl.
+        if (file != impl_file) { impl_type = ""; in_impl = 0 }
         if (is_def[file] && match(text, /^[[:space:]]*pub (const |unsafe |async )*(fn|struct|enum|trait|type|const|static) +[A-Za-z_][A-Za-z0-9_]*/)) {
             item = substr(text, RSTART, RLENGTH)
             name = item
@@ -71,6 +79,7 @@ nontest "${calling[@]}" | awk -F'\t' -v defs="${defining[*]}" -v allowfile="$all
             ndef++
             def_file[ndef] = file; def_line[ndef] = $2; def_name[ndef] = name; def_kind[ndef] = kind
             def_top[ndef] = (text ~ /^pub /)
+            def_method[ndef] = (in_impl && kind == "fn" && !def_top[ndef])
             defined[name]++
         }
         if (is_def[file] && text ~ /^pub mod [a-z_0-9]+;/) {
@@ -86,7 +95,6 @@ nontest "${calling[@]}" | awk -F'\t' -v defs="${defining[*]}" -v allowfile="$all
         }
         # A type naming itself inside its own top-level impl block (the
         # header, struct literals, its own variants) is not a use.
-        if (file != impl_file) impl_type = ""
         if (text ~ /^impl[<[:space:]]/) {
             impl_type = text
             sub(/^impl(<[^>]*>)?[[:space:]]+/, "", impl_type)
@@ -94,6 +102,7 @@ nontest "${calling[@]}" | awk -F'\t' -v defs="${defining[*]}" -v allowfile="$all
             match(impl_type, /^[A-Za-z_][A-Za-z0-9_]*/)
             impl_type = substr(impl_type, RSTART, RLENGTH)
             impl_file = file
+            in_impl = 1
             depth = 0
         }
         rest = text
@@ -104,9 +113,17 @@ nontest "${calling[@]}" | awk -F'\t' -v defs="${defining[*]}" -v allowfile="$all
             seen[word]++
             seen_in[word, file]++
         }
-        if (impl_type != "") {
+        # Call-shaped uses: `.name(`, `.name::<` and `::name`.
+        rest = text
+        while (match(rest, /(\.|::)[A-Za-z_][A-Za-z0-9_]*/)) {
+            word = substr(rest, RSTART, RLENGTH)
+            rest = substr(rest, RSTART + RLENGTH)
+            if (word ~ /^::/) called[substr(word, 3)]++
+            else if (rest ~ /^(\(|::<)/) called[substr(word, 2)]++
+        }
+        if (in_impl) {
             depth += gsub(/{/, "{", text) - gsub(/}/, "}", text)
-            if (depth <= 0 && text ~ /}/) impl_type = ""
+            if (depth <= 0 && text ~ /}/) { impl_type = ""; in_impl = 0 }
         }
     }
     function report(file, line, what, name, key) {
@@ -116,10 +133,13 @@ nontest "${calling[@]}" | awk -F'\t' -v defs="${defining[*]}" -v allowfile="$all
         unused++
     }
     END {
-        # An item is used when its name occurs more often than it is defined.
-        for (i = 1; i <= ndef; i++)
-            if (seen[def_name[i]] <= defined[def_name[i]])
-                report(def_file[i], def_line[i], def_kind[i], def_name[i])
+        # A method is used when it is called; any other item when its name
+        # occurs more often than it is defined.
+        for (i = 1; i <= ndef; i++) {
+            if (def_method[i]) used = (called[def_name[i]] > 0)
+            else used = (seen[def_name[i]] > defined[def_name[i]])
+            if (!used) report(def_file[i], def_line[i], def_kind[i], def_name[i])
+        }
         # A module is used when one of its top-level items is named outside
         # the files of the module (m.rs, or m/ with its submodules).
         for (j = 1; j <= nmod; j++) {

@@ -112,8 +112,18 @@ mod tests {
 
     #[test]
     fn packet_to_frame_maps_directions() {
-        let down = PacketRecord::at_secs(0.0, 1400, Direction::Downlink, AppKind::Video);
-        let up = PacketRecord::at_secs(0.1, 200, Direction::Uplink, AppKind::Video);
+        let down = PacketRecord::new(
+            SimTime::from_secs_f64(0.0),
+            1400,
+            Direction::Downlink,
+            AppKind::Video,
+        );
+        let up = PacketRecord::new(
+            SimTime::from_secs_f64(0.1),
+            200,
+            Direction::Uplink,
+            AppKind::Video,
+        );
         let f_down = packet_to_frame(&down, station(), ap());
         assert_eq!(f_down.header().src(), ap());
         assert_eq!(f_down.header().dst(), station());
@@ -123,7 +133,12 @@ mod tests {
         assert_eq!(f_up.header().dst(), ap());
         assert_eq!(f_up.air_size(), 200);
         // Tiny packets are clamped to the MAC overhead.
-        let tiny = PacketRecord::at_secs(0.2, 10, Direction::Uplink, AppKind::Video);
+        let tiny = PacketRecord::new(
+            SimTime::from_secs_f64(0.2),
+            10,
+            Direction::Uplink,
+            AppKind::Video,
+        );
         assert_eq!(
             packet_to_frame(&tiny, station(), ap()).air_size(),
             MAC_OVERHEAD_BYTES
