@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin scenario_run -- \
-//!     [--check] [--out DIR] [--skip-over N] [PATH ...]
+//!     [--check] [--out DIR] [PATH ...]
 //! ```
 //!
 //! Each `PATH` is a spec file or a directory of `*.toml` specs; the committed
@@ -12,9 +12,9 @@
 //! O(groups + events), so even the million-station metropolis spec checks in
 //! milliseconds), otherwise each scenario runs on its spec'd executor and its
 //! report is written to `DIR/<name>.json` (default `scenario-results/`).
-//! `--skip-over N` skips *executing* (not checking) scenarios with more than
-//! N stations, so routine CI sweeps don't run the metropolis family at full
-//! size.
+//! Each run's stats line ends with the process's peak resident set so far
+//! (`VmHWM` from `/proc/self/status`, `n/a` where that is absent), so a run
+//! of the million-station metropolis family shows its memory bound.
 
 use bench::scenario::{default_scenarios_dir, execute_scenario, load_spec, spec_files, train_for};
 use std::path::PathBuf;
@@ -22,7 +22,6 @@ use std::path::PathBuf;
 fn main() {
     let mut check_only = false;
     let mut out_dir = PathBuf::from("scenario-results");
-    let mut skip_over: Option<usize> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -32,12 +31,8 @@ fn main() {
                 Some(dir) => out_dir = PathBuf::from(dir),
                 None => fail("--out needs a directory argument"),
             },
-            "--skip-over" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(n) => skip_over = Some(n),
-                None => fail("--skip-over needs a station-count argument"),
-            },
             "--help" | "-h" => {
-                println!("usage: scenario_run [--check] [--out DIR] [--skip-over N] [PATH ...]");
+                println!("usage: scenario_run [--check] [--out DIR] [PATH ...]");
                 return;
             }
             other => paths.push(PathBuf::from(other)),
@@ -90,14 +85,6 @@ fn main() {
             );
             continue;
         }
-        if skip_over.is_some_and(|cap| scenario.station_count() > cap) {
-            println!(
-                "skip {} ({} stations > --skip-over cap)",
-                scenario.name,
-                scenario.station_count()
-            );
-            continue;
-        }
         let adversary = train_for(&scenario);
         let start = std::time::Instant::now();
         match execute_scenario(&scenario, &adversary, scenario.executor) {
@@ -124,14 +111,15 @@ fn main() {
                 );
                 println!(
                     "    [{}: {} workers, {:.0} stations/s, peak_active {}, \
-                     {} events, {:.1} packets/event, {} calibrations]",
+                     {} events, {:.1} packets/event, {} calibrations, peak RSS {}]",
                     scenario.executor.name(),
                     stats.workers,
                     report.stations as f64 / secs,
                     stats.peak_active,
                     stats.events_popped,
                     stats.packets_per_event(),
-                    stats.calibrations
+                    stats.calibrations,
+                    peak_rss()
                 );
             }
             Err(e) => {
@@ -143,6 +131,19 @@ fn main() {
     if failures > 0 {
         fail(&format!("{failures} scenario(s) failed"));
     }
+}
+
+/// The process's peak resident set size so far (`VmHWM`, in 10^6 bytes as
+/// perfbench's `peak_rss_mb`), or `n/a`.
+fn peak_rss() -> String {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+            let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+            Some(format!("{:.1} MB", kb * 1024.0 / 1e6))
+        })
+        .unwrap_or_else(|| "n/a".to_string())
 }
 
 fn fail(msg: &str) -> ! {

@@ -37,6 +37,7 @@ use defenses::stage::{FlowId, STAGE_BATCH};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reshape_core::reshaper::Reshaper;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::packet::PacketRecord;
@@ -214,7 +215,7 @@ pub fn defended_examples(
 /// observed sub-flow; the resulting confusion matrix is returned.
 ///
 /// The evaluation is sharded with scoped threads — one shard per evaluation
-/// trace, at most `available_parallelism` in flight — and each shard streams
+/// trace, at most `available_parallelism` workers — and each shard streams
 /// its trace through the defense via [`defended_examples`]. Shard results are
 /// joined in trace order, so the outcome is deterministic regardless of
 /// thread scheduling.
@@ -238,10 +239,11 @@ pub fn evaluate_defense(
     matrix.widen_to(AppKind::COUNT)
 }
 
-/// Streams every trace through a defense in parallel (one shard per trace, at
-/// most `available_parallelism` in flight), returning the per-trace example
-/// shards in trace order. The shared body of the batch and online evaluation
-/// modes.
+/// Streams every trace through a defense in parallel, returning the
+/// per-trace example shards in trace order. At most `available_parallelism`
+/// scoped workers each take the next unprocessed trace until none is left,
+/// so a corpus costs that many thread spawns, not one per trace. The shared
+/// body of the batch and online evaluation modes.
 fn defended_example_shards(
     eval_traces: &[Trace],
     defense: &DefenseSpec,
@@ -249,27 +251,34 @@ fn defended_example_shards(
     seed_base: u64,
     mode: FeatureMode,
 ) -> Vec<Vec<WindowExample>> {
-    let parallelism = std::thread::available_parallelism()
+    let workers = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
-        .unwrap_or(8);
-    let mut shards: Vec<Vec<WindowExample>> = Vec::with_capacity(eval_traces.len());
-    for (batch_index, batch) in eval_traces.chunks(parallelism).enumerate() {
-        shards.extend(std::thread::scope(|scope| {
-            let handles: Vec<_> = batch
-                .iter()
-                .enumerate()
-                .map(|(offset, trace)| {
-                    let i = batch_index * parallelism + offset;
-                    let seed = seed_base ^ (i as u64) << 8;
-                    scope.spawn(move || defended_examples(trace, defense, config, seed, mode))
+        .unwrap_or(8)
+        .min(eval_traces.len());
+    let next = AtomicUsize::new(0);
+    let mut shards: Vec<Vec<WindowExample>> = eval_traces.iter().map(|_| Vec::new()).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(trace) = eval_traces.get(i) else {
+                            break done;
+                        };
+                        let seed = seed_base ^ (i as u64) << 8;
+                        done.push((i, defended_examples(trace, defense, config, seed, mode)));
+                    }
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("evaluation shard panicked"))
-                .collect::<Vec<_>>()
-        }));
-    }
+            })
+            .collect();
+        for handle in handles {
+            for (i, examples) in handle.join().expect("evaluation shard panicked") {
+                shards[i] = examples;
+            }
+        }
+    });
     shards
 }
 

@@ -11,8 +11,8 @@
 //! million-station spec compiles in O(groups + events) — and
 //! [`run_scenario`] executes it on the spec'd
 //! [`Executor`](crate::streaming::Executor): the work-stealing pool, or the
-//! virtual-time event core for populations that only fit as
-//! O(active stations) state. The result serializes to JSON.
+//! virtual-time event core, both of which hold memory only for the
+//! stations on air. The result serializes to JSON.
 //!
 //! Adding an experiment is writing a TOML file:
 //!
@@ -22,6 +22,7 @@
 //! 3. CI validates every committed spec with `scenario_run --check` and
 //!    uploads the per-scenario JSON as artifacts.
 
+mod exact_sum;
 pub mod run;
 pub mod spec;
 pub mod toml;
@@ -31,8 +32,9 @@ pub use run::{
     TrainedAdversary,
 };
 pub use spec::{
-    AdversaryMode, AdversarySpec, AlgorithmSpec, CompiledScenario, DefenseSpec, EventKind,
-    EventSpec, Population, Scenario, ScenarioSpec, ScenarioStation, StageSpec, StationGroupSpec,
+    AdversaryMode, AdversarySpec, AlgorithmSpec, Arrivals, CompiledScenario, DefenseSpec,
+    EventKind, EventSpec, Population, Scenario, ScenarioSpec, ScenarioStation, StageSpec,
+    StationGroupSpec,
 };
 
 use serde::Deserialize;

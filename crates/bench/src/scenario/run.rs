@@ -2,23 +2,25 @@
 //!
 //! [`run_scenario`] is the one spec-driven runner: it trains the adversary
 //! the spec asks for ([`train_for`] → a frozen batch ensemble, or a
-//! warm-started online adversary forked per station), then compiles every
-//! station of the [`CompiledScenario`] into a
-//! [`StationRun`](crate::streaming::StationRun) and hands the population to
-//! the spec'd [`Executor`] — the work-stealing pool, or the virtual-time
-//! event core for populations that only fit as O(active stations) state.
+//! warm-started online adversary forked per station), then hands the
+//! population to the spec'd [`Executor`] — the work-stealing pool, or the
+//! virtual-time event core — as its arrivals in canonical order. Each
+//! station is compiled into a [`StationRun`](crate::streaming::StationRun)
+//! at its admission and folded into its worker's tally when it retires.
 //! Station outcomes are deterministic per seed whichever executor (and
-//! worker count) runs them, so the returned [`ScenarioReport`] is a pure
+//! worker count) runs them, and every part of the tally folds
+//! independently of order, so the returned [`ScenarioReport`] is a pure
 //! function of the spec. It serializes straight to JSON through the serde
 //! shim, which is what `scenario_run` writes per scenario; `bench_json`
 //! commits a few of its aggregates as the `scenario_*` keys of
 //! `BENCH_pipeline.json`.
 
 use crate::pipeline::{train_adversary, train_adversary_online};
+use crate::scenario::exact_sum::ExactSum;
 use crate::scenario::spec::{
     AdversaryMode, CompiledScenario, ScenarioStation, SCENARIO_FEATURE_MODE,
 };
-use crate::streaming::{Executor, ExecutorStats, FrozenScorer, ScheduledReport, StationRun};
+use crate::streaming::{Executor, ExecutorStats, Fold, FrozenScorer, ScheduledReport, StationRun};
 use classifier::ensemble::AdversaryEnsemble;
 use classifier::online::{OnlineAdversary, PrequentialEvaluator};
 use serde::Serialize;
@@ -119,14 +121,44 @@ pub fn train_for(scenario: &CompiledScenario) -> TrainedAdversary {
     }
 }
 
-/// One station's folded result: the aggregate counters always, the full
-/// outcome only below the report cap.
-struct StationResult {
+/// The scenario report's running totals, one per executor worker: the
+/// aggregate counters over every station folded in, the exact sum of their
+/// overhead percentages, and the full outcome of each station below the
+/// report cap. Every part merges independently of order, so the report does
+/// not depend on the executor or its worker count.
+#[derive(Debug, Default)]
+struct ScenarioTally {
     packets: u64,
     windows: u64,
     windows_identified: u64,
-    overhead_pct: f64,
-    outcome: Option<StationOutcome>,
+    overhead_pct: ExactSum,
+    outcomes: Vec<(usize, StationOutcome)>,
+}
+
+impl Fold for ScenarioTally {
+    fn merge(&mut self, other: Self) {
+        self.packets += other.packets;
+        self.windows += other.windows;
+        self.windows_identified += other.windows_identified;
+        self.overhead_pct.merge(&other.overhead_pct);
+        self.outcomes.extend(other.outcomes);
+    }
+}
+
+impl ScenarioTally {
+    /// Folds a finished station in; `detail` is the station itself when it
+    /// is below the report cap.
+    fn add(&mut self, index: usize, report: &ScheduledReport, detail: Option<ScenarioStation>) {
+        let overhead_pct = report.overhead().percent();
+        self.packets += report.packets;
+        self.windows += report.windows();
+        self.windows_identified += report.windows_identified();
+        self.overhead_pct.add(overhead_pct);
+        if let Some(station) = detail {
+            self.outcomes
+                .push((index, station_outcome(&station, report, overhead_pct)));
+        }
+    }
 }
 
 /// A compiled station as the builder the executors consume.
@@ -149,46 +181,37 @@ fn station_run(scenario: &CompiledScenario, station: ScenarioStation) -> Station
         .arrival_secs(arrival_secs)
 }
 
-/// Folds a [`ScheduledReport`] into a [`StationResult`].
-fn station_result(
+/// A reported station's full outcome.
+fn station_outcome(
     station: &ScenarioStation,
     report: &ScheduledReport,
-    detailed: bool,
-) -> StationResult {
-    let outcome = detailed.then(|| {
-        let mut labels: Vec<String> = vec![station.defense.label()];
-        labels.extend(station.splices.iter().map(|(_, d)| d.label()));
-        let phases = report
-            .phases
-            .iter()
-            .zip(&labels)
-            .map(|(phase, label)| PhaseOutcome {
-                from_secs: phase.from_secs,
-                defense: label.clone(),
-                windows: phase.windows,
-                windows_identified: phase.windows_identified,
-                overhead_pct: phase.overhead.percent(),
-            })
-            .collect();
-        StationOutcome {
-            app: station.traffic.app,
-            seed: station.traffic.seed,
-            arrival_secs: station.arrival_secs,
-            session_secs: station.session_secs(),
-            packets: report.packets,
-            windows: report.windows(),
-            windows_identified: report.windows_identified(),
-            identification_rate: report.identification_rate(),
-            overhead_pct: report.overhead().percent(),
-            phases,
-        }
-    });
-    StationResult {
+    overhead_pct: f64,
+) -> StationOutcome {
+    let mut labels: Vec<String> = vec![station.defense.label()];
+    labels.extend(station.splices.iter().map(|(_, d)| d.label()));
+    let phases = report
+        .phases
+        .iter()
+        .zip(&labels)
+        .map(|(phase, label)| PhaseOutcome {
+            from_secs: phase.from_secs,
+            defense: label.clone(),
+            windows: phase.windows,
+            windows_identified: phase.windows_identified,
+            overhead_pct: phase.overhead.percent(),
+        })
+        .collect();
+    StationOutcome {
+        app: station.traffic.app,
+        seed: station.traffic.seed,
+        arrival_secs: station.arrival_secs,
+        session_secs: station.session_secs(),
         packets: report.packets,
         windows: report.windows(),
         windows_identified: report.windows_identified(),
-        overhead_pct: report.overhead().percent(),
-        outcome,
+        identification_rate: report.identification_rate(),
+        overhead_pct,
+        phases,
     }
 }
 
@@ -201,40 +224,48 @@ pub fn execute_scenario(
     adversary: &TrainedAdversary,
     executor: Executor,
 ) -> Result<(ScenarioReport, ExecutorStats), String> {
+    // Each station is materialised once, at admission; a station below the
+    // report cap keeps a copy of itself as its ticket for the outcome.
+    let count = scenario.station_count();
+    let arrivals = scenario.population.arrivals();
+    let station_of = |i| {
+        let station = scenario.station(i);
+        let detail = (i < scenario.max_station_reports).then(|| station.clone());
+        (station_run(scenario, station), detail)
+    };
     // One executor call per adversary mode, so each station holds its
     // scorer inline.
-    let count = scenario.station_count();
-    let run_of = |i| station_run(scenario, scenario.station(i));
-    let result_of = |i, report: &ScheduledReport| {
-        let station = scenario.station(i);
-        station_result(&station, report, i < scenario.max_station_reports)
-    };
     let outcome = match adversary {
         TrainedAdversary::Frozen(ensemble) => executor.run(
             count,
-            run_of,
-            |_| FrozenScorer::new(ensemble),
-            |i, report, _| result_of(i, &report),
+            arrivals,
+            |i| {
+                let (run, detail) = station_of(i);
+                (run, FrozenScorer::new(ensemble), detail)
+            },
+            |tally: &mut ScenarioTally, i, report, _, detail| tally.add(i, &report, detail),
         ),
         TrainedAdversary::Warm {
             adversary,
             snapshot_every,
         } => executor.run(
             count,
-            run_of,
-            |_| PrequentialEvaluator::new(adversary.clone(), *snapshot_every),
-            |i, report, _| result_of(i, &report),
+            arrivals,
+            |i| {
+                let (run, detail) = station_of(i);
+                let scorer = PrequentialEvaluator::new(adversary.clone(), *snapshot_every);
+                (run, scorer, detail)
+            },
+            |tally: &mut ScenarioTally, i, report, _, detail| tally.add(i, &report, detail),
         ),
     }?;
-    let results = outcome.results;
-    let packets = results.iter().map(|s| s.packets).sum();
-    let windows: u64 = results.iter().map(|s| s.windows).sum();
-    let windows_identified: u64 = results.iter().map(|s| s.windows_identified).sum();
+    let mut tally = outcome.folded;
+    tally.outcomes.sort_unstable_by_key(|(i, _)| *i);
     // Mean of per-station percentages, Table VI's convention.
-    let mean_overhead_pct = if results.is_empty() {
+    let mean_overhead_pct = if count == 0 {
         0.0
     } else {
-        results.iter().map(|s| s.overhead_pct).sum::<f64>() / results.len() as f64
+        tally.overhead_pct.value() / count as f64
     };
     let report = ScenarioReport {
         scenario: scenario.name.clone(),
@@ -242,17 +273,17 @@ pub fn execute_scenario(
             AdversaryMode::Batch => "batch".to_string(),
             AdversaryMode::Online => "online".to_string(),
         },
-        stations: scenario.station_count(),
-        packets,
-        windows,
-        windows_identified,
-        identification_rate: if windows == 0 {
+        stations: count,
+        packets: tally.packets,
+        windows: tally.windows,
+        windows_identified: tally.windows_identified,
+        identification_rate: if tally.windows == 0 {
             0.0
         } else {
-            windows_identified as f64 / windows as f64
+            tally.windows_identified as f64 / tally.windows as f64
         },
         mean_overhead_pct,
-        station_reports: results.into_iter().filter_map(|s| s.outcome).collect(),
+        station_reports: tally.outcomes.into_iter().map(|(_, o)| o).collect(),
     };
     Ok((report, outcome.stats))
 }

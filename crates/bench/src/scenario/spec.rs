@@ -43,7 +43,8 @@ use reshape_core::scheduler::{
 };
 use reshape_core::stage::ReshapeStage;
 use serde::{Deserialize, Error, Serialize, Value};
-use std::collections::BTreeMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BTreeMap, BinaryHeap};
 use traffic_gen::app::AppKind;
 use traffic_gen::spec::{app_from_value, TrafficSpec};
 use wlan_sim::time::SimDuration;
@@ -790,15 +791,61 @@ struct ChurnOverride {
 pub struct Population {
     groups: Vec<CompiledGroup>,
     churn: BTreeMap<usize, ChurnOverride>,
+    /// The stations an arrive event moves out of their stagger slot, as
+    /// `(arrival second, index)` in canonical order.
+    moved: Vec<(f64, usize)>,
     /// `(wall-clock second, target station or all, defense)` in spec order.
     splices: Vec<(f64, Option<usize>, DefenseSpec)>,
     total: usize,
+}
+
+/// The canonical arrival order: by second ([`f64::total_cmp`]), then by
+/// station index.
+fn canonical(a: (f64, usize), b: (f64, usize)) -> Ordering {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
 }
 
 impl Population {
     /// Total station count.
     pub fn station_count(&self) -> usize {
         self.total
+    }
+
+    /// Every station's `(arrival second, index)`, in canonical order: by
+    /// arrival, ties by index. Lazy, in O(groups + events) state: each
+    /// group's stagger slots arrive in index order, so the iterator merges
+    /// one head per group with the stations arrive events moved.
+    pub fn arrivals(&self) -> Arrivals<'_> {
+        let mut heads = BinaryHeap::with_capacity(self.groups.len());
+        for group in 0..self.groups.len() {
+            heads.extend(self.slot_head(group, 0));
+        }
+        Arrivals {
+            population: self,
+            heads,
+            moved: 0,
+        }
+    }
+
+    /// The first member from `member` on of `group` that arrives in its
+    /// stagger slot (no arrive event moved it), as a merge head.
+    fn slot_head(&self, group: usize, mut member: usize) -> Option<Reverse<ArrivalHead>> {
+        let g = &self.groups[group];
+        while member < g.count
+            && self
+                .churn
+                .get(&(g.first + member))
+                .is_some_and(|c| c.arrival.is_some())
+        {
+            member += 1;
+        }
+        (member < g.count).then(|| {
+            Reverse(ArrivalHead {
+                at_secs: member as f64 * g.stagger_secs,
+                station: g.first + member,
+                group,
+            })
+        })
     }
 
     fn group_of(&self, index: usize) -> &CompiledGroup {
@@ -868,6 +915,68 @@ impl Population {
             departure_secs: over.departure,
             splices,
         }
+    }
+}
+
+/// The next stagger-slot arrival of one group, ordered canonically.
+#[derive(Debug, Clone, Copy)]
+struct ArrivalHead {
+    at_secs: f64,
+    station: usize,
+    group: usize,
+}
+
+impl PartialEq for ArrivalHead {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ArrivalHead {}
+
+impl PartialOrd for ArrivalHead {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ArrivalHead {
+    fn cmp(&self, other: &Self) -> Ordering {
+        canonical((self.at_secs, self.station), (other.at_secs, other.station))
+    }
+}
+
+/// The iterator of [`Population::arrivals`].
+#[derive(Debug, Clone)]
+pub struct Arrivals<'a> {
+    population: &'a Population,
+    /// Each group's next stagger-slot arrival (a min-heap).
+    heads: BinaryHeap<Reverse<ArrivalHead>>,
+    /// The next entry of `population.moved`.
+    moved: usize,
+}
+
+impl Iterator for Arrivals<'_> {
+    type Item = (f64, usize);
+
+    fn next(&mut self) -> Option<(f64, usize)> {
+        let moved = self.population.moved.get(self.moved).copied();
+        let slot = self.heads.peek().map(|h| (h.0.at_secs, h.0.station));
+        let take_moved = match (moved, slot) {
+            (Some(m), Some(s)) => canonical(m, s) == Ordering::Less,
+            (m, _) => m.is_some(),
+        };
+        if take_moved {
+            self.moved += 1;
+            return moved;
+        }
+        let Reverse(head) = self.heads.pop()?;
+        let group = &self.population.groups[head.group];
+        let next = self
+            .population
+            .slot_head(head.group, head.station - group.first + 1);
+        self.heads.extend(next);
+        Some((head.at_secs, head.station))
     }
 }
 
@@ -997,9 +1106,15 @@ impl ScenarioSpec {
                 }
             }
         }
+        let mut moved: Vec<(f64, usize)> = churn
+            .iter()
+            .filter_map(|(&station, over)| over.arrival.map(|at| (at, station)))
+            .collect();
+        moved.sort_by(|&a, &b| canonical(a, b));
         let population = Population {
             groups,
             churn,
+            moved,
             splices,
             total,
         };
@@ -1604,5 +1719,58 @@ mod tests {
             DefenseSpec::parse("morph_or").unwrap().label(),
             "morphing+or"
         );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn arrivals_are_every_station_sorted_by_arrival_then_index(seed in 0u64..u64::MAX) {
+            // One to four groups with staggers of 0 (every member at once),
+            // 0.5 s or 1.3 s. Arrive events land either on the half-second
+            // grid, where they tie with other stations' stagger slots, or
+            // off it, before or after the station's own slot; some stations
+            // also depart.
+            let mut rng = proptest::TestRng::new(seed);
+            let mut spec = demo_spec();
+            let template = spec.stations[0].clone();
+            spec.stations = (0..1 + rng.below(4))
+                .map(|_| StationGroupSpec {
+                    count: 1 + rng.below(12) as usize,
+                    stagger_secs: [0.0, 0.5, 1.3][rng.below(3) as usize],
+                    ..template.clone()
+                })
+                .collect();
+            let total: usize = spec.stations.iter().map(|g| g.count).sum();
+            spec.events = (0..rng.below(8))
+                .map(|_| {
+                    let slot = rng.below(65) as f64 - 5.0;
+                    EventSpec {
+                        at_secs: if rng.below(2) == 0 { slot * 0.5 } else { slot * 0.37 },
+                        station: Some(rng.below(total as u64) as usize),
+                        kind: EventKind::Arrive,
+                        line: None,
+                    }
+                })
+                .collect();
+            let population = spec.build().expect("arrivals alone always build").population;
+            for _ in 0..rng.below(4) {
+                let station = rng.below(total as u64) as usize;
+                spec.events.push(EventSpec {
+                    at_secs: population.arrival_of(station) + 0.5 + rng.below(40) as f64,
+                    station: Some(station),
+                    kind: EventKind::Depart,
+                    line: None,
+                });
+            }
+            let population = spec.build().expect("departures after arrival build").population;
+            let mut expected: Vec<(f64, usize)> =
+                (0..total).map(|i| (population.arrival_of(i), i)).collect();
+            expected.sort_by(|&a, &b| canonical(a, b));
+            let arrivals: Vec<(f64, usize)> = population.arrivals().collect();
+            proptest::prop_assert_eq!(arrivals.len(), total);
+            for (got, want) in arrivals.iter().zip(&expected) {
+                proptest::prop_assert_eq!(got.0.to_bits(), want.0.to_bits());
+                proptest::prop_assert_eq!(got.1, want.1);
+            }
+        }
     }
 }

@@ -21,9 +21,13 @@
 //!   each station to completion on the bounded work-stealing pool;
 //!   [`Executor::VirtualTime`] interleaves stations on per-worker event
 //!   heaps keyed on virtual timestamps, admitting and retiring them by
-//!   schedule so a million-station day fits in O(active stations) memory.
-//!   Per-station reports are identical either way (and for any worker
-//!   count) — stations share no mutable state.
+//!   schedule. Both read the population as a stream of arrivals, build a
+//!   station at its admission and fold its result into a per-worker
+//!   [`Fold`] accumulator the moment it retires, so memory is
+//!   O(workers × live stations + groups + events), not O(population): a
+//!   million-station day fits in a few megabytes. Per-station reports are
+//!   identical either way (and for any worker count) — stations share no
+//!   mutable state.
 //!
 //! Windows closed inside a drain slice are buffered by the machine and
 //! flushed through [`WindowScorer::score_slice`] in [`WINDOW_BATCH`]-sized
@@ -41,7 +45,7 @@ mod vtime;
 
 pub use machine::{FrozenScorer, PhaseReport, ScheduledReport, WindowScorer, WINDOW_BATCH};
 pub use run::{StationRun, STATION_CALIB_SECS};
-pub use vtime::{ExecutionOutcome, Executor, ExecutorStats};
+pub use vtime::{ExecutionOutcome, Executor, ExecutorStats, Fold};
 
 #[cfg(test)]
 mod tests {
@@ -53,6 +57,7 @@ mod tests {
     use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
     use classifier::window::FeatureMode;
     use defenses::overhead::Overhead;
+    use std::collections::BTreeMap;
     use traffic_gen::app::AppKind;
     use traffic_gen::spec::TrafficSpec;
     use wlan_sim::time::SimDuration;
@@ -135,6 +140,30 @@ mod tests {
             windows: report.windows() as usize,
             windows_identified: report.windows_identified() as usize,
         }
+    }
+
+    /// Runs `count` stations on `executor`, handing it their arrivals in
+    /// canonical order, and returns `finish`'s value per station in station
+    /// order, with the scheduling statistics.
+    fn per_station<S: WindowScorer, T: Send>(
+        executor: Executor,
+        count: usize,
+        run_of: impl Fn(usize) -> StationRun + Sync,
+        scorer_of: impl Fn(usize) -> S + Sync,
+        finish: impl Fn(ScheduledReport, S) -> T + Sync,
+    ) -> Result<(Vec<T>, ExecutorStats), String> {
+        let mut arrivals: Vec<(f64, usize)> =
+            (0..count).map(|i| (run_of(i).arrival(), i)).collect();
+        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let outcome = executor.run(
+            count,
+            arrivals.into_iter(),
+            |i| (run_of(i), scorer_of(i), ()),
+            |acc: &mut BTreeMap<usize, T>, i, report, scorer, ()| {
+                acc.insert(i, finish(report, scorer));
+            },
+        )?;
+        Ok((outcome.folded.into_values().collect(), outcome.stats))
     }
 
     /// One spec'd station against a frozen ensemble, via the builder.
@@ -240,16 +269,16 @@ mod tests {
         // running each station sequentially produces, in station order.
         let adversary = quick_adversary();
         let stations = mixed_specs(48);
-        let outcome = Executor::Pooled
-            .run(
-                stations.len(),
-                |i| stations[i].to_run(),
-                |_| FrozenScorer::new(&adversary),
-                |_, report, _| station_report(&report),
-            )
-            .expect("every defense kind builds");
-        assert_eq!(outcome.results.len(), stations.len());
-        assert_eq!(outcome.stats.admitted, stations.len());
+        let (results, stats) = per_station(
+            Executor::Pooled,
+            stations.len(),
+            |i| stations[i].to_run(),
+            |_| FrozenScorer::new(&adversary),
+            |report, _| station_report(&report),
+        )
+        .expect("every defense kind builds");
+        assert_eq!(results.len(), stations.len());
+        assert_eq!(stats.admitted, stations.len());
         let sequential: Vec<StationReport> = stations
             .iter()
             .map(|spec| {
@@ -261,13 +290,13 @@ mod tests {
                 )
             })
             .collect();
-        assert_eq!(outcome.results, sequential);
-        for (spec, report) in stations.iter().zip(&outcome.results) {
+        assert_eq!(results, sequential);
+        for (spec, report) in stations.iter().zip(&results) {
             assert_eq!(report.app, spec.app);
             assert!(report.packets > 0, "{:?} streamed nothing", spec.app);
         }
         // Transforming defenses report their cost through the shared ledger.
-        for (spec, report) in stations.iter().zip(&outcome.results) {
+        for (spec, report) in stations.iter().zip(&results) {
             match spec.defense {
                 "padding" => assert!(report.overhead.percent() > 0.0),
                 "morphing" | "morph_or" => assert!(report.overhead.percent() >= 0.0),
@@ -286,67 +315,67 @@ mod tests {
         let adversary = quick_adversary();
         let stations = mixed_specs(24);
         let run_of = |i: usize| stations[i].to_run().arrival_secs(20.0 * i as f64);
-        let baseline = Executor::Pooled
-            .run(
-                stations.len(),
-                run_of,
-                |_| FrozenScorer::new(&adversary),
-                |_, report, _| station_report(&report),
-            )
-            .expect("every defense kind builds");
+        let (baseline, baseline_stats) = per_station(
+            Executor::Pooled,
+            stations.len(),
+            run_of,
+            |_| FrozenScorer::new(&adversary),
+            |report, _| station_report(&report),
+        )
+        .expect("every defense kind builds");
         let mut events_popped = None;
         for workers in [1usize, 2, 8] {
-            let outcome = Executor::VirtualTime {
-                workers: Some(workers),
-                max_slice: None,
-            }
-            .run(
+            let (results, stats) = per_station(
+                Executor::VirtualTime {
+                    workers: Some(workers),
+                    max_slice: None,
+                },
                 stations.len(),
                 run_of,
                 |_| FrozenScorer::new(&adversary),
-                |_, report, _| station_report(&report),
+                |report, _| station_report(&report),
             )
             .expect("every defense kind builds");
             assert_eq!(
-                outcome.results, baseline.results,
+                results, baseline,
                 "{workers}-worker virtual time diverged from the pool"
             );
-            assert_eq!(outcome.stats.workers, workers);
-            assert_eq!(outcome.stats.admitted, stations.len());
+            assert_eq!(stats.workers, workers);
+            assert_eq!(stats.admitted, stations.len());
             assert_eq!(
-                outcome.stats.peak_active, 1,
+                stats.peak_active, 1,
                 "20 s gaps over 15 s sessions never overlap"
             );
             assert!(
-                outcome.stats.virtual_secs > 20.0 * 23.0,
+                stats.virtual_secs > 20.0 * 23.0,
                 "the last station arrives at 460 s, got {}",
-                outcome.stats.virtual_secs
+                stats.virtual_secs
             );
             // Unbounded coalescing: one admit + one retire per station, and
             // the counters are sharding-invariant.
-            assert_eq!(outcome.stats.events_popped, 2 * stations.len() as u64);
-            assert_eq!(outcome.stats.packets, baseline.stats.packets);
-            assert!(outcome.stats.packets_per_event() > 1.0);
+            assert_eq!(stats.events_popped, 2 * stations.len() as u64);
+            assert_eq!(stats.packets, baseline_stats.packets);
+            assert!(stats.packets_per_event() > 1.0);
             assert_eq!(
-                *events_popped.get_or_insert(outcome.stats.events_popped),
-                outcome.stats.events_popped,
+                *events_popped.get_or_insert(stats.events_popped),
+                stats.events_popped,
                 "events popped must not depend on the worker count"
             );
         }
         // Synchronised arrivals: everyone is on air at once.
-        let all_at_once = Executor::VirtualTime {
-            workers: Some(3),
-            max_slice: None,
-        }
-        .run(
+        let (all_at_once, stats) = per_station(
+            Executor::VirtualTime {
+                workers: Some(3),
+                max_slice: None,
+            },
             stations.len(),
             |i| stations[i].to_run(),
             |_| FrozenScorer::new(&adversary),
-            |_, report, _| station_report(&report),
+            |report, _| station_report(&report),
         )
         .expect("every defense kind builds");
-        assert_eq!(all_at_once.results, baseline.results);
-        assert_eq!(all_at_once.stats.peak_active, stations.len());
+        assert_eq!(all_at_once, baseline);
+        assert_eq!(stats.peak_active, stations.len());
     }
 
     #[test]
@@ -365,25 +394,24 @@ mod tests {
             })
             .collect();
         let window = SimDuration::from_secs(5);
-        let outcome = Executor::Pooled
-            .run(
-                stations.len(),
-                |i| stations[i].to_run().window(window),
-                |_| PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY),
-                |_, report, evaluator| {
-                    let overhead = report.overhead();
-                    OnlineStationReport {
-                        app: report.app,
-                        packets: overhead.transformed_packets,
-                        overhead,
-                        windows: report.windows(),
-                        windows_identified: report.windows_identified(),
-                        timeline: evaluator.timeline().to_vec(),
-                    }
-                },
-            )
-            .expect("every test shorthand builds");
-        let pooled = outcome.results;
+        let (pooled, _) = per_station(
+            Executor::Pooled,
+            stations.len(),
+            |i| stations[i].to_run().window(window),
+            |_| PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY),
+            |report, evaluator| {
+                let overhead = report.overhead();
+                OnlineStationReport {
+                    app: report.app,
+                    packets: overhead.transformed_packets,
+                    overhead,
+                    windows: report.windows(),
+                    windows_identified: report.windows_identified(),
+                    timeline: evaluator.timeline().to_vec(),
+                }
+            },
+        )
+        .expect("every test shorthand builds");
         let sequential: Vec<OnlineStationReport> = stations
             .iter()
             .map(|spec| online_station(spec, &base, window, FeatureMode::Full))

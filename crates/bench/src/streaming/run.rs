@@ -183,16 +183,7 @@ impl StationRun {
     /// Fails if a splice time is not finite or a defense stage cannot be
     /// built (e.g. an invalid interface count for orthogonal reshaping).
     pub fn run(self, scorer: &mut dyn WindowScorer) -> Result<ScheduledReport, String> {
-        self.run_in(scorer, &mut StationScratch::new())
-    }
-
-    /// [`run`](Self::run) on a worker's recycled `scratch` (buffers and
-    /// morphing calibrations).
-    pub(crate) fn run_in(
-        self,
-        scorer: &mut dyn WindowScorer,
-        scratch: &mut StationScratch,
-    ) -> Result<ScheduledReport, String> {
+        let scratch = &mut StationScratch::new();
         let mut station = self.admit(&scratch.calibrations)?;
         station.adopt_scratch(scratch);
         station.drain_until(None, scratch, scorer);

@@ -11,9 +11,9 @@
 //!    `packets`) are sharding-invariant: every event's timestamp derives
 //!    from its station alone, never from the worker that pops it.
 //! 3. The executor admits every station but only ever holds the stations
-//!    whose intervals overlap (`peak_active` ≪ population) — the
-//!    O(active stations) memory claim, asserted on the reduced metropolis
-//!    family.
+//!    whose intervals overlap (`peak_active` ≪ population), asserted on the
+//!    reduced metropolis family; `executor_memory.rs` checks the memory
+//!    bound itself.
 //! 4. A phase splice landing strictly inside a coalesced slice is handled
 //!    by the batched path exactly as per packet (the regression case for
 //!    slice-grained draining).

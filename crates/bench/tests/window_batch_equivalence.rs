@@ -19,11 +19,14 @@
 //!    bit, so a deferred flush can never let a window train before an
 //!    earlier window tested.
 
+mod common;
+
 use bench::pipeline::{train_adversary, train_adversary_online};
 use bench::{DefenseSpec, Executor, ExperimentConfig, FrozenScorer, StationRun, WINDOW_BATCH};
 use classifier::ensemble::AdversaryEnsemble;
 use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
 use classifier::window::FeatureMode;
+use common::per_station;
 use proptest::prelude::*;
 use traffic_gen::app::AppKind;
 use traffic_gen::spec::TrafficSpec;
@@ -77,15 +80,14 @@ fn frozen_reports(
     seed: u64,
     batch: usize,
 ) -> Vec<bench::streaming::ScheduledReport> {
-    executor
-        .run(
-            STATIONS,
-            |i| run_of(i, seed, batch),
-            |_| FrozenScorer::new(adversary),
-            |_, report, _| report,
-        )
-        .expect("frozen run")
-        .results
+    per_station(
+        executor,
+        STATIONS,
+        |i| run_of(i, seed, batch),
+        |_| FrozenScorer::new(adversary),
+        |report, _| report,
+    )
+    .expect("frozen run")
 }
 
 fn live_reports(
@@ -94,15 +96,14 @@ fn live_reports(
     seed: u64,
     batch: usize,
 ) -> Vec<(bench::streaming::ScheduledReport, Vec<PrequentialPoint>)> {
-    executor
-        .run(
-            STATIONS,
-            |i| run_of(i, seed, batch),
-            |_| PrequentialEvaluator::new(base.clone(), 5),
-            |_, report, evaluator| (report, evaluator.timeline().to_vec()),
-        )
-        .expect("live run")
-        .results
+    per_station(
+        executor,
+        STATIONS,
+        |i| run_of(i, seed, batch),
+        |_| PrequentialEvaluator::new(base.clone(), 5),
+        |report, evaluator| (report, evaluator.timeline().to_vec()),
+    )
+    .expect("live run")
 }
 
 proptest! {

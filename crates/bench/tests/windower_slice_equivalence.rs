@@ -17,6 +17,8 @@
 //!    and a mixed live population's prequential timelines survive the same
 //!    sweep unchanged.
 
+mod common;
+
 use bench::pipeline::{train_adversary, train_adversary_online};
 use bench::scenario::{
     default_scenarios_dir, execute_scenario, load_spec, spec_files, train_for, DefenseSpec,
@@ -27,6 +29,7 @@ use bench::{Executor, ExperimentConfig, FrozenScorer, StationRun};
 use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
 use classifier::stream::FlowWindowers;
 use classifier::window::{FeatureMode, DEFAULT_MIN_PACKETS};
+use common::per_station;
 use defenses::spec::StageContext;
 use proptest::prelude::*;
 use traffic_gen::app::AppKind;
@@ -232,15 +235,14 @@ fn sliced_windowing_keeps_live_timelines_executor_invariant() {
     };
     let mut baseline: Option<Vec<(u64, Vec<PrequentialPoint>)>> = None;
     for executor in executors() {
-        let results: Vec<(u64, Vec<PrequentialPoint>)> = executor
-            .run(
-                4,
-                run_of,
-                |_| PrequentialEvaluator::new(base.clone(), 5),
-                |_, report, evaluator| (report.windows(), evaluator.timeline().to_vec()),
-            )
-            .expect("live run")
-            .results;
+        let results: Vec<(u64, Vec<PrequentialPoint>)> = per_station(
+            executor,
+            4,
+            run_of,
+            |_| PrequentialEvaluator::new(base.clone(), 5),
+            |report, evaluator| (report.windows(), evaluator.timeline().to_vec()),
+        )
+        .expect("live run");
         assert!(
             results.iter().any(|(windows, _)| *windows > 0),
             "the population must close windows"

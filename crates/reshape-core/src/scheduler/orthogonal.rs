@@ -17,7 +17,6 @@ use traffic_gen::packet::PacketRecord;
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrthogonalRanges {
     ranges: SizeRanges,
-    targets: TargetSet,
     interfaces: usize,
     /// Precomputed `range -> owning interface` lookup, so the per-packet cost
     /// on the streaming data plane is one binary search plus one array read
@@ -25,7 +24,11 @@ pub struct OrthogonalRanges {
     owners: Vec<VifIndex>,
 }
 
-fn owner_table(targets: &TargetSet, ranges: &SizeRanges) -> Vec<VifIndex> {
+/// The `range -> owner` table of the orthogonal target set over
+/// `interfaces` interfaces; the set itself is dropped once read.
+fn owner_table(interfaces: usize, ranges: &SizeRanges) -> Vec<VifIndex> {
+    let targets = TargetSet::orthogonal(interfaces, ranges.len())
+        .expect("validated interface and range counts");
     (0..ranges.len())
         .map(|range| {
             targets
@@ -40,12 +43,9 @@ impl OrthogonalRanges {
     /// default `L = I` configuration).
     pub fn new(ranges: SizeRanges) -> Self {
         let interfaces = ranges.len();
-        let targets = TargetSet::orthogonal(interfaces, ranges.len())
-            .expect("ranges are non-empty by construction");
-        let owners = owner_table(&targets, &ranges);
+        let owners = owner_table(interfaces, &ranges);
         OrthogonalRanges {
             ranges,
-            targets,
             interfaces,
             owners,
         }
@@ -64,20 +64,12 @@ impl OrthogonalRanges {
             "cannot have more interfaces ({interfaces}) than size ranges ({})",
             ranges.len()
         );
-        let targets = TargetSet::orthogonal(interfaces, ranges.len())
-            .expect("validated interface and range counts");
-        let owners = owner_table(&targets, &ranges);
+        let owners = owner_table(interfaces, &ranges);
         OrthogonalRanges {
             ranges,
-            targets,
             interfaces,
             owners,
         }
-    }
-
-    /// The orthogonal target distributions this scheduler realises.
-    pub fn targets(&self) -> &TargetSet {
-        &self.targets
     }
 }
 
@@ -127,9 +119,27 @@ mod tests {
 
     #[test]
     fn targets_are_orthogonal() {
-        let or = OrthogonalRanges::new(SizeRanges::paper_five());
-        or.targets().check_orthogonality().unwrap();
-        assert_eq!(or.interface_count(), 5);
+        // Eq. 2 holds for the target set the owner table is read from, and
+        // the table routes each range to the one interface whose target
+        // gives it mass, for every interface count the ranges allow.
+        let ranges = SizeRanges::paper_five();
+        for interfaces in 1..=ranges.len() {
+            let targets = TargetSet::orthogonal(interfaces, ranges.len()).unwrap();
+            targets.check_orthogonality().unwrap();
+            let or = OrthogonalRanges::with_interfaces(ranges.clone(), interfaces);
+            assert_eq!(or.interface_count(), interfaces);
+            for (range, owner) in or.owners.iter().enumerate() {
+                assert_eq!(Some(*owner), targets.owner_of_range(range));
+                let mass = |vif: VifIndex| targets.target(vif).unwrap().probabilities()[range];
+                assert!(mass(*owner) > 0.0);
+                for other in (0..interfaces).map(VifIndex::new) {
+                    if other != *owner {
+                        assert_eq!(mass(other), 0.0, "range {range} has two owners");
+                    }
+                }
+            }
+        }
+        assert_eq!(OrthogonalRanges::new(ranges).interface_count(), 5);
     }
 
     #[test]
