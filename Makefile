@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test equivalence-release fmt lint pub-scan bench-json bench-json-check experiments-check perf-test scenario-check scenario-json examples perf-ab ci
+.PHONY: verify build test equivalence-release fmt lint pub-scan bench-json bench-json-check experiments-check perf-test scenario-check scenario-json reports-check examples perf-ab ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -62,14 +62,20 @@ perf-test:
 scenario-check:
 	cargo run -p bench --bin scenario_run -- --check scenarios
 
-# Runs every committed scenario at full size and writes per-scenario JSON
-# reports to scenario-results/ (uploaded as CI artifacts next to
-# BENCH_pipeline.json). The million-station metropolis family takes about
+# Runs every committed scenario and every perfbench workload spec at full
+# size and writes one JSON report per scenario to reports/ (it only reads
+# perfbench/workloads/). The million-station metropolis family takes about
 # 10 s on 2 vCPUs; the executor holds only the stations on air, so its stats
 # line reports a peak RSS under 6 MB (221 MB before the executor streamed its
 # population).
 scenario-json:
-	cargo run --release -p bench --bin scenario_run -- --out scenario-results scenarios
+	cargo run --release -p bench --bin scenario_run -- --out reports scenarios $(wildcard perfbench/workloads/*.toml)
+
+# Regenerates every committed report and fails when one changes, naming the
+# report in the diff; CI blocks on it. Only a change that says why may
+# regenerate reports/.
+reports-check: scenario-json
+	git diff --exit-code reports/
 
 examples:
 	cargo build --examples
@@ -87,4 +93,4 @@ perf-ab:
 	scripts/perf_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS) $(FIRST_SEED)
 
 # Everything CI gates on, in one shot.
-ci: fmt lint pub-scan verify test equivalence-release scenario-check bench-json-check experiments-check perf-test examples
+ci: fmt lint pub-scan verify test equivalence-release scenario-check bench-json-check experiments-check reports-check perf-test examples

@@ -11,7 +11,8 @@
 //! it, so a malformed committed spec fails the build — compilation is
 //! O(groups + events), so even the million-station metropolis spec checks in
 //! milliseconds), otherwise each scenario runs on its spec'd executor and its
-//! report is written to `DIR/<name>.json` (default `scenario-results/`).
+//! report is written to `DIR/<name>.json` (default `reports/`, where the
+//! committed reports live).
 //! Each run's stats line ends with the process's peak resident set so far
 //! (`VmHWM` from `/proc/self/status`, `n/a` where that is absent), so a run
 //! of the million-station metropolis family shows its memory bound.
@@ -21,7 +22,7 @@ use std::path::PathBuf;
 
 fn main() {
     let mut check_only = false;
-    let mut out_dir = PathBuf::from("scenario-results");
+    let mut out_dir = PathBuf::from("reports");
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
