@@ -19,7 +19,7 @@ test:
 # that code.
 equivalence-release:
 	cargo test --release -q -p classifier
-	cargo test --release -q -p bench --test executor_equivalence --test windower_slice_equivalence --test scoring_alloc_budget --test window_batch_equivalence --test executor_memory
+	cargo test --release -q -p bench --test executor_equivalence --test windower_slice_equivalence --test scoring_alloc_budget --test executor_memory
 
 fmt:
 	cargo fmt --all --check

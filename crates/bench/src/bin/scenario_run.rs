@@ -111,9 +111,8 @@ fn main() {
                     out_path.display()
                 );
                 println!(
-                    "    [{}: {} workers, {:.0} stations/s, peak_active {}, \
+                    "    [{} workers, {:.0} stations/s, peak_active {}, \
                      {} events, {:.1} packets/event, {} calibrations, peak RSS {}]",
-                    scenario.executor.name(),
                     stats.workers,
                     report.stations as f64 / secs,
                     stats.peak_active,

@@ -3,12 +3,12 @@
 //! [`run_scenario`] is the one spec-driven runner: it trains the adversary
 //! the spec asks for ([`train_for`] → a frozen batch ensemble, or a
 //! warm-started online adversary forked per station), then hands the
-//! population to the spec'd [`Executor`] — the work-stealing pool, or the
-//! virtual-time event core — as its arrivals in canonical order. Each
-//! station is compiled into a [`StationRun`](crate::streaming::StationRun)
-//! at its admission and folded into its worker's tally when it retires.
-//! Station outcomes are deterministic per seed whichever executor (and
-//! worker count) runs them, and every part of the tally folds
+//! population to the virtual-time [`Executor`] as its arrivals in canonical
+//! order. Each station is compiled into a
+//! [`StationRun`](crate::streaming::StationRun) at its admission and folded
+//! into its worker's tally when it retires. Station outcomes are
+//! deterministic per seed whatever the worker count, and every part of the
+//! tally folds
 //! independently of order, so the returned [`ScenarioReport`] is a pure
 //! function of the spec. It serializes straight to JSON through the serde
 //! shim, which is what `scenario_run` writes per scenario; `bench_json`
@@ -216,7 +216,7 @@ fn station_outcome(
 }
 
 /// Executes a compiled scenario on `executor` with an already-trained
-/// adversary. The report is identical for every executor and worker count;
+/// adversary. The report is identical for every worker count;
 /// the returned [`ExecutorStats`] describe how this particular run was
 /// scheduled (and are deliberately not part of the report).
 pub fn execute_scenario(
@@ -331,7 +331,7 @@ mod tests {
             ],
             adversary: AdversarySpec::default(),
             events: Vec::new(),
-            executor: Executor::Pooled,
+            executor: Executor::virtual_time(),
             max_station_reports: usize::MAX,
         }
     }
@@ -341,7 +341,7 @@ mod tests {
         let scenario = small_spec().build().expect("valid spec");
         let first = run_scenario(&scenario).expect("runs");
         let second = run_scenario(&scenario).expect("runs");
-        assert_eq!(first, second, "pool scheduling must not leak into results");
+        assert_eq!(first, second, "scheduling must not leak into results");
         assert_eq!(first.stations, 3);
         assert!(first.packets > 1000);
         assert!(first.windows > 0);
@@ -365,21 +365,15 @@ mod tests {
         }];
         let scenario = spec.build().expect("valid spec");
         let adversary = train_for(&scenario);
-        let (pooled, pool_stats) =
-            execute_scenario(&scenario, &adversary, Executor::Pooled).expect("runs");
-        for workers in [1usize, 2, 8] {
-            let (vtime, stats) = execute_scenario(
-                &scenario,
-                &adversary,
-                Executor::VirtualTime {
-                    workers: Some(workers),
-                    max_slice: None,
-                },
-            )
-            .expect("runs");
+        let (baseline, _) =
+            execute_scenario(&scenario, &adversary, Executor::on_workers(1)).expect("runs");
+        for workers in [2usize, 8] {
+            let (report, stats) =
+                execute_scenario(&scenario, &adversary, Executor::on_workers(workers))
+                    .expect("runs");
             assert_eq!(
-                vtime, pooled,
-                "{workers}-worker virtual time diverged from the pool"
+                report, baseline,
+                "{workers}-worker virtual time diverged from one worker"
             );
             assert_eq!(stats.admitted, 3);
             assert_eq!(
@@ -387,7 +381,10 @@ mod tests {
                 "station 2 arrives at 12 s while the other two are still live"
             );
         }
-        assert_eq!(pool_stats.admitted, 3);
+        let (aliased, stats) =
+            execute_scenario(&scenario, &adversary, Executor::Pooled).expect("runs");
+        assert_eq!(aliased, baseline, "the pooled alias runs as virtual time");
+        assert!(stats.workers <= 3, "at most one shard per station");
     }
 
     #[test]
@@ -401,15 +398,7 @@ mod tests {
         let scenario = spec.build().expect("valid spec");
         let adversary = train_for(&scenario);
         let run = |workers| {
-            execute_scenario(
-                &scenario,
-                &adversary,
-                Executor::VirtualTime {
-                    workers: Some(workers),
-                    max_slice: None,
-                },
-            )
-            .expect("runs")
+            execute_scenario(&scenario, &adversary, Executor::on_workers(workers)).expect("runs")
         };
         let (one, stats) = run(1);
         assert_eq!(stats.calibrations, 4);
@@ -418,10 +407,10 @@ mod tests {
         let (two, stats) = run(2);
         assert_eq!(stats.calibrations, 6);
         assert_eq!(one, two);
-        let (pooled, stats) =
-            execute_scenario(&scenario, &adversary, Executor::Pooled).expect("runs");
+        let (by_default, stats) =
+            execute_scenario(&scenario, &adversary, Executor::virtual_time()).expect("runs");
         assert!((4..=4 * stats.workers as u64).contains(&stats.calibrations));
-        assert_eq!(one, pooled);
+        assert_eq!(one, by_default);
     }
 
     #[test]
@@ -490,19 +479,12 @@ mod tests {
     fn an_empty_morphing_calibration_is_an_error_not_a_panic() {
         // calib_secs passes `--check` (positive, finite) but is too short
         // for the calibration session to hold a packet: admission fails and
-        // the run reports it, on both executors.
+        // the run reports it, whatever the worker count.
         let mut spec = small_spec();
         spec.calib_secs = 1e-6;
         spec.stations[1].defense = DefenseSpec::parse("morphing").unwrap();
         let scenario = spec.build().expect("passes the static checks");
-        for executor in [
-            Executor::Pooled,
-            Executor::virtual_time(),
-            Executor::VirtualTime {
-                workers: Some(1),
-                max_slice: None,
-            },
-        ] {
+        for executor in [Executor::virtual_time(), Executor::on_workers(1)] {
             let scenario = CompiledScenario {
                 executor,
                 ..scenario.clone()

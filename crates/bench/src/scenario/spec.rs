@@ -612,10 +612,9 @@ pub struct ScenarioSpec {
     pub adversary: AdversarySpec,
     /// The event schedule (splices and churn).
     pub events: Vec<EventSpec>,
-    /// Which executor runs the population (`"pooled"` or `"virtual_time"`);
-    /// the optional `max_slice_secs` key caps the virtual span one station
-    /// drains per event on the virtual-time executor (reports are identical
-    /// for every horizon — it only trades heap traffic for slice length).
+    /// Which executor runs the population: the optional `executor` key
+    /// accepts `"virtual_time"` and its alias `"pooled"`, which both run the
+    /// virtual-time core.
     pub executor: Executor,
     /// How many stations keep a full per-station outcome in the report
     /// (aggregates always cover everyone). Caps report size for
@@ -640,7 +639,6 @@ impl Deserialize for ScenarioSpec {
                 "adversary",
                 "events",
                 "executor",
-                "max_slice_secs",
                 "max_station_reports",
             ],
             "scenario",
@@ -684,25 +682,6 @@ impl Deserialize for ScenarioSpec {
                 return Err(Error::custom(format!(
                     "expected executor tag string, found {other:?}"
                 )))
-            }
-        };
-        let executor = match serde::value_get(map, "max_slice_secs")
-            .map(f64::from_value)
-            .transpose()?
-        {
-            None => executor,
-            Some(secs) => {
-                if !secs.is_finite() || secs <= 0.0 {
-                    return Err(Error::custom(format!(
-                        "max_slice_secs must be a positive, finite number of seconds, got {secs}"
-                    )));
-                }
-                if executor == Executor::Pooled {
-                    return Err(Error::custom(
-                        "max_slice_secs only applies to executor = \"virtual_time\"",
-                    ));
-                }
-                executor.with_max_slice(SimDuration::from_secs_f64(secs))
             }
         };
         let max_station_reports = serde::value_get(map, "max_station_reports")
@@ -1061,7 +1040,13 @@ impl ScenarioSpec {
                 defense: group.defense.clone(),
                 stagger_secs: group.stagger_secs,
             });
-            first += group.count;
+            first = first.checked_add(group.count).ok_or_else(|| {
+                format!(
+                    "station group {group_index}: count {} takes the population past {} stations",
+                    group.count,
+                    usize::MAX
+                )
+            })?;
         }
         let total = first;
         // Churn first (splice times are relative to the arrival they follow,
@@ -1268,7 +1253,7 @@ mod tests {
             ],
             adversary: AdversarySpec::default(),
             events: Vec::new(),
-            executor: Executor::Pooled,
+            executor: Executor::virtual_time(),
             max_station_reports: usize::MAX,
         }
     }
@@ -1545,6 +1530,8 @@ mod tests {
             "[[stations]]\napp = \"bt\"\n[[stations.defense]]\nstage = \"padding\"\nsizes = 400",
             // `defense` on churn events is meaningless, not ignored.
             "[[stations]]\napp = \"bt\"\n[[events]]\nat_secs = 1.0\nkind = \"depart\"\nstation = 0\ndefense = \"padding\"",
+            // The executor has no horizon to cap.
+            "max_slice_secs = 1.0\n[[stations]]\napp = \"bt\"",
         ];
         for doc in cases {
             let value = crate::scenario::toml::parse(doc).expect("well-formed TOML");
@@ -1561,6 +1548,32 @@ mod tests {
         let spec = ScenarioSpec::from_value(&good).expect("valid spec");
         assert_eq!(spec.window_secs, 2.0);
         assert_eq!(spec.stations[0].secs, 9.0);
+    }
+
+    #[test]
+    fn every_executor_tag_builds_the_virtual_time_core() {
+        for doc in [
+            "executor = \"pooled\"\n[[stations]]\napp = \"bt\"",
+            "executor = \"virtual_time\"\n[[stations]]\napp = \"bt\"",
+            "[[stations]]\napp = \"bt\"",
+        ] {
+            let value = crate::scenario::toml::parse(doc).expect("well-formed TOML");
+            let spec = ScenarioSpec::from_value(&value).expect("valid spec");
+            let scenario = spec.build().expect("builds");
+            assert_eq!(scenario.executor, Executor::virtual_time(), "{doc}");
+        }
+    }
+
+    #[test]
+    fn a_population_past_usize_max_is_an_error_naming_its_group() {
+        let doc = format!(
+            "[[stations]]\napp = \"bt\"\ncount = {max}\n[[stations]]\napp = \"video\"\ncount = {max}",
+            max = usize::MAX
+        );
+        let value = crate::scenario::toml::parse(&doc).expect("well-formed TOML");
+        let spec = ScenarioSpec::from_value(&value).expect("parses");
+        let err = spec.build().unwrap_err();
+        assert!(err.starts_with("station group 1: count"), "{err}");
     }
 
     /// Asserts that a one-station `bt` spec with the `[[stations.defense]]`

@@ -1,9 +1,10 @@
 //! The per-station evaluation machine: one packet in, phase splices and
 //! window scoring out.
 //!
-//! [`StationMachine`] is the single evaluation body both executors drive.
-//! It owns a station's defense schedule (`(session-relative second,
-//! pipeline)` phases), its per-sub-flow windower bank and its phase
+//! [`StationMachine`] is the single evaluation body every station runs
+//! through, alone ([`StationRun::run`](super::StationRun::run)) or on the
+//! executor. It owns a station's defense schedule (`(session-relative
+//! second, pipeline)` phases), its per-sub-flow windower bank and its phase
 //! counters; [`offer_slice`](StationMachine::offer_slice) advances the
 //! schedule and processes a time-ordered micro-batch (splitting it at
 //! phase-splice boundaries, so batching is byte-identical to a per-packet
@@ -12,10 +13,10 @@
 //! buffered and pushed through [`WindowScorer::score_slice`] in
 //! [`WINDOW_BATCH`]-sized blocks, in close order — so live test-then-train
 //! scorers still see each window exactly where a per-window feed would have
-//! scored it. Because the machine only ever sees its own station's packets
-//! in order, the pooled executor (station-at-a-time)
-//! and the virtual-time executor (station slices interleaved on a global
-//! clock) produce bit-identical per-station reports — stations share no
+//! scored it (`tests/windower_slice_equivalence.rs` pins this against a
+//! per-packet, per-window evaluation). Because the machine only ever sees
+//! its own station's packets in order, a station's report is the same
+//! whichever worker runs it and whatever runs beside it — stations share no
 //! mutable state, so interleaving cannot leak between them.
 
 use classifier::ensemble::AdversaryEnsemble;
@@ -158,11 +159,10 @@ fn flush_windows(
     scorer: &mut dyn WindowScorer,
     pending: &mut Vec<WindowExample>,
     out: &mut Vec<usize>,
-    batch: usize,
     windows: &mut u64,
     hits: &mut u64,
 ) {
-    for block in pending.chunks(batch.max(1)) {
+    for block in pending.chunks(WINDOW_BATCH) {
         scorer.score_slice(block, out);
         debug_assert_eq!(out.len(), block.len(), "one prediction per window");
         *windows += block.len() as u64;
@@ -176,7 +176,7 @@ fn flush_windows(
 }
 
 /// Reusable staged-output buffers one drain slice fills and the windower
-/// bank consumes. Owned per station-slot by the executors (inside their
+/// bank consumes. Owned per worker (inside its
 /// [`StationScratch`](super::run::StationScratch)) so routing a slice from
 /// the stage pipeline into [`FlowWindowers::push_slice`] allocates nothing
 /// after warm-up.
@@ -190,14 +190,12 @@ pub(crate) struct StagedScratch {
 
 /// Closes the running phase: flushes its pipeline through the windower bank,
 /// closes every trailing window, and scores everything still buffered.
-#[allow(clippy::too_many_arguments)]
 fn close_phase(
     pipeline: &mut StagePipeline,
     windowers: &mut FlowWindowers,
     scorer: &mut dyn WindowScorer,
     pending: &mut Vec<WindowExample>,
     out: &mut Vec<usize>,
-    batch: usize,
     windows: &mut u64,
     hits: &mut u64,
 ) {
@@ -207,7 +205,7 @@ fn close_phase(
         }
     });
     pending.extend(windowers.finish());
-    flush_windows(scorer, pending, out, batch, windows, hits);
+    flush_windows(scorer, pending, out, windows, hits);
 }
 
 /// One station's evaluation, driven one packet at a time.
@@ -234,19 +232,15 @@ pub(crate) struct StationMachine {
     pending: Vec<WindowExample>,
     /// Prediction buffer the flushes reuse.
     slice_out: Vec<usize>,
-    /// Flush granularity (≥ 1; [`WINDOW_BATCH`] unless the run overrides it).
-    window_batch: usize,
 }
 
 impl StationMachine {
-    /// Creates the machine over a non-empty phase schedule, flushing closed
-    /// windows through the scorer in `window_batch`-sized blocks.
+    /// Creates the machine over a non-empty phase schedule.
     pub(crate) fn new(
         app: AppKind,
         phases: Vec<(f64, StagePipeline)>,
         window: SimDuration,
         mode: FeatureMode,
-        window_batch: usize,
     ) -> Self {
         assert!(!phases.is_empty(), "a schedule needs at least one phase");
         StationMachine {
@@ -262,7 +256,6 @@ impl StationMachine {
             packets: 0,
             pending: Vec::new(),
             slice_out: Vec::new(),
-            window_batch: window_batch.max(1),
         }
     }
 
@@ -287,7 +280,6 @@ impl StationMachine {
                 scorer,
                 &mut self.pending,
                 &mut self.slice_out,
-                self.window_batch,
                 &mut self.windows,
                 &mut self.hits,
             );
@@ -315,9 +307,9 @@ impl StationMachine {
     /// staged output of each sub-run is collected into `staged` and routed
     /// through [`FlowWindowers::push_slice`] — one windower-bank dispatch per
     /// same-flow run instead of one per packet — then any block of closed
-    /// windows is flushed in close order (the PR 9 `WINDOW_BATCH`
-    /// semantics: flush-block boundaries never change a report, which the
-    /// window-batch invariance tests pin).
+    /// windows is flushed in close order (flush-block boundaries never
+    /// change a report: `tests/windower_slice_equivalence.rs` scores a
+    /// station of more than [`WINDOW_BATCH`] windows one window at a time).
     pub(crate) fn offer_slice(
         &mut self,
         packets: &[PacketRecord],
@@ -347,12 +339,11 @@ impl StationMachine {
                 });
             self.windowers
                 .push_slice(&staged.flows, &staged.packets, &mut self.pending);
-            if self.pending.len() >= self.window_batch {
+            if self.pending.len() >= WINDOW_BATCH {
                 flush_windows(
                     scorer,
                     &mut self.pending,
                     &mut self.slice_out,
-                    self.window_batch,
                     &mut self.windows,
                     &mut self.hits,
                 );
@@ -376,7 +367,6 @@ impl StationMachine {
             scorer,
             &mut self.pending,
             &mut self.slice_out,
-            self.window_batch,
             &mut self.windows,
             &mut self.hits,
         );

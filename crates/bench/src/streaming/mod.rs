@@ -1,4 +1,4 @@
-//! Streaming evaluation: one [`StationRun`] description, two [`Executor`]s.
+//! Streaming evaluation: one [`StationRun`] description, one [`Executor`].
 //!
 //! The batch pipeline materialises every session as a [`Trace`] before it can
 //! defend or window it, which caps session length by memory and forces one
@@ -17,24 +17,22 @@
 //!   ([`FrozenScorer`]) or a live per-station
 //!   [`PrequentialEvaluator`](classifier::online::PrequentialEvaluator)
 //!   fork that tests-then-trains and reports per-phase segments.
-//! * **Where it executes** — an [`Executor`]: [`Executor::Pooled`] streams
-//!   each station to completion on the bounded work-stealing pool;
-//!   [`Executor::VirtualTime`] interleaves stations on per-worker event
-//!   heaps keyed on virtual timestamps, admitting and retiring them by
-//!   schedule. Both read the population as a stream of arrivals, build a
-//!   station at its admission and fold its result into a per-worker
-//!   [`Fold`] accumulator the moment it retires, so memory is
-//!   O(workers × live stations + groups + events), not O(population): a
-//!   million-station day fits in a few megabytes. Per-station reports are
-//!   identical either way (and for any worker count) — stations share no
-//!   mutable state.
+//! * **How a population executes** — the [`Executor`], the virtual-time
+//!   core: stations are sharded over workers, each with an event heap keyed
+//!   on virtual timestamps, and admitted and retired by schedule. It reads
+//!   the population as a stream of arrivals, builds a station at its
+//!   admission, drains it and folds its result into a per-worker [`Fold`]
+//!   accumulator, so memory is O(workers × live stations + groups +
+//!   events), not O(population): a million-station day fits in a few
+//!   megabytes. Per-station reports are identical for any worker count, and
+//!   to running each station alone with [`StationRun::run`] — stations
+//!   share no mutable state.
 //!
 //! Windows closed inside a drain slice are buffered by the machine and
 //! flushed through [`WindowScorer::score_slice`] in [`WINDOW_BATCH`]-sized
-//! blocks (override per run with
-//! [`StationRun::window_batch`]) — scorers see the windows in exact close
-//! order, so live scorers keep test-then-train order and reports are
-//! bit-identical for every batch size.
+//! blocks — scorers see the windows in exact close order, so live scorers
+//! keep test-then-train order and reports are bit-identical to scoring each
+//! window as it closes.
 //!
 //! [`Trace`]: traffic_gen::trace::Trace
 //! [`StagePipeline`]: defenses::stage::StagePipeline
@@ -262,15 +260,15 @@ mod tests {
     }
 
     #[test]
-    fn pooled_executor_matches_sequential_execution_at_scale() {
+    fn the_executor_matches_sequential_execution_at_scale() {
         // 48 stations across every defense kind — including the composed
-        // morph-then-reshape pipeline — on a pool of at most
-        // available_parallelism workers. The pool must produce exactly what
-        // running each station sequentially produces, in station order.
+        // morph-then-reshape pipeline — on the default executor. It must
+        // produce exactly what running each station sequentially produces,
+        // in station order.
         let adversary = quick_adversary();
         let stations = mixed_specs(48);
         let (results, stats) = per_station(
-            Executor::Pooled,
+            Executor::virtual_time(),
             stations.len(),
             |i| stations[i].to_run(),
             |_| FrozenScorer::new(&adversary),
@@ -308,28 +306,25 @@ mod tests {
     #[test]
     fn virtual_time_matches_the_pool_and_bounds_active_stations() {
         // 24 stations arriving 20 s apart, 15 s sessions: at most two are
-        // ever on air together. The event core must (a) reproduce the pool's
-        // reports bit-for-bit at every worker count and (b) report a merged
-        // peak-active count that is sharding-invariant and far below the
-        // population.
+        // ever on air together. The event core must (a) reproduce running
+        // each station alone bit-for-bit at every worker count and (b)
+        // report a merged peak-active count that is sharding-invariant and
+        // far below the population.
         let adversary = quick_adversary();
         let stations = mixed_specs(24);
         let run_of = |i: usize| stations[i].to_run().arrival_secs(20.0 * i as f64);
-        let (baseline, baseline_stats) = per_station(
-            Executor::Pooled,
-            stations.len(),
-            run_of,
-            |_| FrozenScorer::new(&adversary),
-            |report, _| station_report(&report),
-        )
-        .expect("every defense kind builds");
-        let mut events_popped = None;
+        let sequential: Vec<StationReport> = (0..stations.len())
+            .map(|i| {
+                let report = run_of(i)
+                    .run(&mut FrozenScorer::new(&adversary))
+                    .expect("every defense kind builds");
+                station_report(&report)
+            })
+            .collect();
+        let mut invariant = None;
         for workers in [1usize, 2, 8] {
             let (results, stats) = per_station(
-                Executor::VirtualTime {
-                    workers: Some(workers),
-                    max_slice: None,
-                },
+                Executor::on_workers(workers),
                 stations.len(),
                 run_of,
                 |_| FrozenScorer::new(&adversary),
@@ -337,8 +332,8 @@ mod tests {
             )
             .expect("every defense kind builds");
             assert_eq!(
-                results, baseline,
-                "{workers}-worker virtual time diverged from the pool"
+                results, sequential,
+                "{workers}-worker virtual time diverged from sequential runs"
             );
             assert_eq!(stats.workers, workers);
             assert_eq!(stats.admitted, stations.len());
@@ -351,37 +346,33 @@ mod tests {
                 "the last station arrives at 460 s, got {}",
                 stats.virtual_secs
             );
-            // Unbounded coalescing: one admit + one retire per station, and
-            // the counters are sharding-invariant.
+            // One admit + one retire per station, and the counters are
+            // sharding-invariant.
             assert_eq!(stats.events_popped, 2 * stations.len() as u64);
-            assert_eq!(stats.packets, baseline_stats.packets);
             assert!(stats.packets_per_event() > 1.0);
             assert_eq!(
-                *events_popped.get_or_insert(stats.events_popped),
-                stats.events_popped,
-                "events popped must not depend on the worker count"
+                *invariant.get_or_insert((stats.events_popped, stats.packets)),
+                (stats.events_popped, stats.packets),
+                "events popped and packets must not depend on the worker count"
             );
         }
         // Synchronised arrivals: everyone is on air at once.
         let (all_at_once, stats) = per_station(
-            Executor::VirtualTime {
-                workers: Some(3),
-                max_slice: None,
-            },
+            Executor::on_workers(3),
             stations.len(),
             |i| stations[i].to_run(),
             |_| FrozenScorer::new(&adversary),
             |report, _| station_report(&report),
         )
         .expect("every defense kind builds");
-        assert_eq!(all_at_once, baseline);
+        assert_eq!(all_at_once, sequential);
         assert_eq!(stats.peak_active, stations.len());
     }
 
     #[test]
     fn online_station_pool_matches_sequential_execution() {
-        // The online mode on the work-stealing pool: each station forks the
-        // shared warm adversary, so pooled and sequential runs are identical.
+        // The online mode on the executor: each station forks the shared
+        // warm adversary, so executed and sequential runs are identical.
         let base = warm_base();
         let kinds = ["none", "or", "padding", "morph_or"];
         let stations: Vec<StationSpec> = (0..12)
@@ -394,8 +385,8 @@ mod tests {
             })
             .collect();
         let window = SimDuration::from_secs(5);
-        let (pooled, _) = per_station(
-            Executor::Pooled,
+        let (executed, _) = per_station(
+            Executor::virtual_time(),
             stations.len(),
             |i| stations[i].to_run().window(window),
             |_| PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY),
@@ -416,8 +407,8 @@ mod tests {
             .iter()
             .map(|spec| online_station(spec, &base, window, FeatureMode::Full))
             .collect();
-        assert_eq!(pooled, sequential);
-        for (spec, report) in stations.iter().zip(&pooled) {
+        assert_eq!(executed, sequential);
+        for (spec, report) in stations.iter().zip(&executed) {
             assert_eq!(report.app, spec.app);
             assert!(report.packets > 0);
             assert!(report.windows_identified <= report.windows);
@@ -595,39 +586,5 @@ mod tests {
             .run(&mut FrozenScorer::new(&adversary))
             .expect_err("a NaN splice time cannot be scheduled");
         assert!(err.contains("splice time NaN"), "{err}");
-    }
-
-    #[test]
-    fn window_batch_size_never_changes_a_report() {
-        // The flush granularity is a scheduling knob: per-window (batch 1),
-        // a ragged prime, and the default block size must produce the same
-        // report for both the frozen and the live scorer.
-        let adversary = quick_adversary();
-        let base = warm_base();
-        let run_of = || {
-            StationRun::new(TrafficSpec::bounded(AppKind::BitTorrent, 13, 90.0))
-                .splices(vec![(45.0, DefenseSpec::parse("padding").unwrap())])
-        };
-        let frozen_at = |batch: usize| {
-            run_of()
-                .window_batch(batch)
-                .run(&mut FrozenScorer::new(&adversary))
-                .expect("padding always builds")
-        };
-        let live_at = |batch: usize| {
-            let mut evaluator = PrequentialEvaluator::new(base.clone(), STATION_SNAPSHOT_EVERY);
-            let report = run_of()
-                .window_batch(batch)
-                .run(&mut evaluator)
-                .expect("padding always builds");
-            (report, evaluator.timeline().to_vec())
-        };
-        let frozen_baseline = frozen_at(1);
-        let live_baseline = live_at(1);
-        assert!(frozen_baseline.windows() > 10);
-        for batch in [3, WINDOW_BATCH, 10_000] {
-            assert_eq!(frozen_at(batch), frozen_baseline, "frozen, batch {batch}");
-            assert_eq!(live_at(batch), live_baseline, "live, batch {batch}");
-        }
     }
 }

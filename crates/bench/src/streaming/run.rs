@@ -1,12 +1,13 @@
 //! [`StationRun`]: the one way to describe a station's evaluation.
 //!
-//! Every historical entry point — single station, pooled populations, live
+//! Every historical entry point — single station, populations, live
 //! adversaries, drift splices, arbitrary schedules — is a point in the same
 //! configuration space: a packet source, a defense schedule, a window, a
 //! feature mode and a [`WindowScorer`]. `StationRun` is that space as a
-//! builder. A run describes **what** to evaluate; **where** it executes is
+//! builder. A run describes **what** to evaluate; **when** it executes is
 //! the [`Executor`](super::Executor)'s choice, so the same run streams
-//! unchanged on the work-stealing pool or the virtual-time event core.
+//! unchanged alone ([`StationRun::run`]) or among a population on the
+//! virtual-time event core.
 //!
 //! ```no_run
 //! use bench::streaming::{FrozenScorer, StationRun};
@@ -21,7 +22,7 @@
 //! # Ok::<(), String>(())
 //! ```
 
-use super::machine::{ScheduledReport, StagedScratch, StationMachine, WindowScorer, WINDOW_BATCH};
+use super::machine::{ScheduledReport, StagedScratch, StationMachine, WindowScorer};
 use crate::scenario::spec::DefenseSpec;
 use classifier::window::FeatureMode;
 use defenses::spec::{MorphCalibrations, StageContext};
@@ -58,7 +59,6 @@ pub struct StationRun {
     window: SimDuration,
     mode: FeatureMode,
     arrival_secs: f64,
-    window_batch: usize,
 }
 
 impl StationRun {
@@ -77,7 +77,6 @@ impl StationRun {
             window: SimDuration::from_secs(5),
             mode: FeatureMode::Full,
             arrival_secs: 0.0,
-            window_batch: WINDOW_BATCH,
         }
     }
 
@@ -127,15 +126,6 @@ impl StationRun {
         self
     }
 
-    /// How many closed windows buffer before a batched
-    /// [`WindowScorer::score_slice`] flush (default
-    /// [`WINDOW_BATCH`](super::WINDOW_BATCH); clamped to at least 1). Purely
-    /// a scheduling knob: reports are bit-identical for every batch size.
-    pub fn window_batch(mut self, window_batch: usize) -> Self {
-        self.window_batch = window_batch.max(1);
-        self
-    }
-
     /// The station's ground-truth application.
     pub fn app(&self) -> AppKind {
         self.traffic.app
@@ -150,7 +140,10 @@ impl StationRun {
     /// This is the moment a station starts holding state — before it, a run
     /// is just a description. Morphing stages come from the worker's memo of
     /// `calibrations`.
-    pub(crate) fn admit(self, calibrations: &MorphCalibrations) -> Result<AdmittedStation, String> {
+    pub(crate) fn admit(
+        self,
+        calibrations: &MorphCalibrations,
+    ) -> Result<(StationMachine, StreamingSession), String> {
         let mut splices = self.splices;
         if let Some((at, _)) = splices.iter().find(|(at, _)| !at.is_finite()) {
             return Err(format!("splice time {at} is not finite"));
@@ -166,38 +159,58 @@ impl StationRun {
         for (at, defense) in &splices {
             phases.push((*at, defense.build(&ctx, self.interfaces)?));
         }
-        Ok(AdmittedStation {
-            machine: StationMachine::new(
-                self.traffic.app,
-                phases,
-                self.window,
-                self.mode,
-                self.window_batch,
-            ),
-            source: self.traffic.build(),
-            arrival_secs: self.arrival_secs,
-        })
+        Ok((
+            StationMachine::new(self.traffic.app, phases, self.window, self.mode),
+            self.traffic.build(),
+        ))
     }
 
     /// Runs the station to completion with `scorer`, returning its report.
     /// Fails if a splice time is not finite or a defense stage cannot be
     /// built (e.g. an invalid interface count for orthogonal reshaping).
     pub fn run(self, scorer: &mut dyn WindowScorer) -> Result<ScheduledReport, String> {
-        let scratch = &mut StationScratch::new();
-        let mut station = self.admit(&scratch.calibrations)?;
-        station.adopt_scratch(scratch);
-        station.drain_until(None, scratch, scorer);
-        Ok(station.finish_into(scorer, scratch))
+        self.run_on(&mut StationScratch::new(), scorer)
+            .map(|(report, _)| report)
+    }
+
+    /// Admits the station on a worker's `scratch` and drains its whole
+    /// source in [`STAGE_BATCH`]-sized micro-batches, each filled by one
+    /// [`StreamingSession::fill`] call — byte-identical to stepping per
+    /// packet, because [`StationMachine::offer_slice`] splits each batch at
+    /// phase-splice boundaries. Returns the report and the wall-clock second
+    /// of the last packet (`None` when the source sent none). The phase
+    /// pipelines borrow recycled stage buffers from `scratch` and hand them
+    /// back at retirement, for the worker's next admission.
+    pub(crate) fn run_on(
+        self,
+        scratch: &mut StationScratch,
+        scorer: &mut dyn WindowScorer,
+    ) -> Result<(ScheduledReport, Option<f64>), String> {
+        let arrival_secs = self.arrival_secs;
+        let (mut machine, mut source) = self.admit(&scratch.calibrations)?;
+        machine.adopt_scratch(&mut scratch.outputs);
+        let mut last_secs = None;
+        let StationScratch { batch, staged, .. } = scratch;
+        loop {
+            batch.clear();
+            source.fill(batch, STAGE_BATCH);
+            let Some(last) = batch.last() else { break };
+            last_secs = Some(arrival_secs + last.time.as_secs_f64());
+            machine.offer_slice(batch, staged, scorer);
+            if batch.len() < STAGE_BATCH {
+                break;
+            }
+        }
+        Ok((machine.finish(scorer, &mut scratch.outputs), last_secs))
     }
 }
 
 /// Per-worker recycled state: the drain micro-batch, a pool of stage scratch
-/// buffers handed to pipelines at admission
-/// ([`AdmittedStation::adopt_scratch`]) and reclaimed at retirement
-/// ([`AdmittedStation::finish_into`]), and the memo of morphing
-/// calibrations, so high-churn populations pay the buffer growth and each
-/// `(app, target)` calibration once per worker instead of once per
-/// admission. It lives for one execution.
+/// buffers handed to pipelines at admission and reclaimed at retirement
+/// ([`StationRun::run_on`]), and the memo of morphing calibrations, so
+/// high-churn populations pay the buffer growth and each `(app, target)`
+/// calibration once per worker instead of once per admission. It lives for
+/// one execution.
 #[derive(Debug, Default)]
 pub(crate) struct StationScratch {
     batch: Vec<PacketRecord>,
@@ -212,81 +225,5 @@ impl StationScratch {
             batch: Vec::with_capacity(STAGE_BATCH),
             ..StationScratch::default()
         }
-    }
-}
-
-/// What one coalesced [`drain_until`](AdmittedStation::drain_until) run did.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DrainRun {
-    /// Wall-clock second of the last packet processed (`None` when the run
-    /// processed no packet at all).
-    pub(crate) last_secs: Option<f64>,
-    /// Packets processed during the run.
-    pub(crate) packets: u64,
-}
-
-/// A station that has been admitted: live pipelines, its streaming session,
-/// and the machine driving both. Only admitted stations hold per-station state.
-pub(crate) struct AdmittedStation {
-    machine: StationMachine,
-    source: StreamingSession,
-    arrival_secs: f64,
-}
-
-impl AdmittedStation {
-    /// Wall-clock time of the station's next packet (`None` once the source
-    /// is exhausted) — the timestamp its next event carries in the
-    /// virtual-time heap.
-    pub(crate) fn next_wall_secs(&mut self) -> Option<f64> {
-        self.source.next_time_secs().map(|t| self.arrival_secs + t)
-    }
-
-    /// Seeds the station's phase pipelines with recycled scratch buffers.
-    pub(crate) fn adopt_scratch(&mut self, scratch: &mut StationScratch) {
-        self.machine.adopt_scratch(&mut scratch.outputs);
-    }
-
-    /// Drains every packet whose wall-clock time is strictly before
-    /// `horizon` (the whole source when `None`) in [`STAGE_BATCH`]-sized
-    /// micro-batches — the coalesced fast path, byte-identical to stepping
-    /// per packet because [`StationMachine::offer_slice`] splits each batch
-    /// at phase-splice boundaries. The session fills each batch in one
-    /// [`StreamingSession::fill_until`] call. The caller's `scratch` batch is
-    /// reused across runs and stations.
-    pub(crate) fn drain_until(
-        &mut self,
-        horizon: Option<f64>,
-        scratch: &mut StationScratch,
-        scorer: &mut dyn WindowScorer,
-    ) -> DrainRun {
-        let mut run = DrainRun {
-            last_secs: None,
-            packets: 0,
-        };
-        let StationScratch { batch, staged, .. } = scratch;
-        loop {
-            batch.clear();
-            self.source
-                .fill_until(self.arrival_secs, horizon, batch, STAGE_BATCH);
-            let Some(last) = batch.last() else { break };
-            run.last_secs = Some(self.arrival_secs + last.time.as_secs_f64());
-            run.packets += batch.len() as u64;
-            self.machine.offer_slice(batch, staged, scorer);
-            if batch.len() < STAGE_BATCH {
-                break;
-            }
-        }
-        run
-    }
-
-    /// Retires the station and returns its report, reclaiming the phase
-    /// pipelines' scratch buffers into the per-worker pool for the next
-    /// admission.
-    pub(crate) fn finish_into(
-        self,
-        scorer: &mut dyn WindowScorer,
-        scratch: &mut StationScratch,
-    ) -> ScheduledReport {
-        self.machine.finish(scorer, &mut scratch.outputs)
     }
 }

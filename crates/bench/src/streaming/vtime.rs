@@ -1,10 +1,10 @@
-//! The execution substrate: the work-stealing pool and the virtual-time
-//! discrete-event core, behind one [`Executor`] selector.
+//! The execution substrate: the virtual-time discrete-event core, behind the
+//! [`Executor`] selector.
 //!
-//! Both executors stream their population. They are handed the stations'
-//! arrivals in canonical `(second, index)` order (a scenario's come from
+//! The executor streams its population. It is handed the stations' arrivals
+//! in canonical `(second, index)` order (a scenario's come from
 //! [`Population::arrivals`](crate::scenario::Population::arrivals)) and
-//! materialise each station once, at its admission. Each worker folds a
+//! materialises each station once, at its admission. Each worker folds a
 //! finished station into its own accumulator ([`Fold`]) the moment the
 //! station retires, and the accumulators merge after the join. Memory is
 //! therefore O(workers × live stations + groups + events), never
@@ -13,34 +13,28 @@
 //! where the executor that kept a result slot, two churn records and a
 //! seeded admission per station peaked at 221 MB.
 //!
-//! [`Executor::Pooled`] is the historical strategy: each worker pulls the
-//! next arrival from the shared stream and runs that station to completion.
-//!
-//! [`Executor::VirtualTime`] is the discrete-event core: station *i* runs on
-//! worker *i* mod *W*. Each worker reads the arrival stream itself and keeps
-//! its next own admission beside a **binary heap keyed on virtual
-//! timestamps** that holds only its live stations' events. It always pops
-//! the earlier of the two, by `(time, station, Admit < Resume < Retire)`. A
-//! station that waits between slices is parked in a slab that its `Resume`
-//! event indexes. When a source is exhausted the station retires and every
-//! byte of its state drops.
+//! Station *i* runs on worker *i* mod *W*. Each worker reads the arrival
+//! stream itself and keeps its next own admission beside a **binary heap
+//! keyed on virtual timestamps** that holds its stations' retirements. It
+//! always takes the earlier of the two, by `(time, station, admit before
+//! retire)`.
 //!
 //! # Event coalescing
 //!
-//! Events are **slice-grained**, not packet-grained. When a station's event
-//! fires, the worker drains a whole run of its packets through the batched
-//! [`StationMachine::offer_slice`](super::machine::StationMachine) path —
-//! to source exhaustion by default, or to a configurable `max_slice`
-//! horizon — and re-enters the heap only at that horizon. Coalescing is
+//! Events are **station-grained**, not packet-grained. At its admission a
+//! station drains its whole source through the batched
+//! [`StationMachine::offer_slice`](super::machine::StationMachine) path,
+//! folds its report, drops every byte of its state and leaves only its
+//! retirement in the heap, at its last packet's time. Coalescing is
 //! **unobservable by construction**: stations are mutually independent (the
 //! shared adversary is only read; live scorers are per-station forks), so
 //! no station's report can depend on how packets of *other* stations were
 //! interleaved between its own; and the executor's own statistics derive
 //! from admission/retirement timestamps (arrival and last-packet time),
-//! which the station's source alone determines. Draining a million packets
-//! at one event is therefore bit-identical to popping a million heap events
-//! — the equivalence `tests/executor_equivalence.rs` pins against both the
-//! pooled executor and per-packet-sized horizons at 1/2/8 workers.
+//! which the station's source alone determines. `tests/executor_equivalence.rs`
+//! pins the reports across 1, 2 and 8 workers, and
+//! `tests/windower_slice_equivalence.rs` pins the batched drain against a
+//! per-packet evaluation across phase splices.
 //!
 //! # The churn timeline
 //!
@@ -57,8 +51,8 @@
 //! # The arrival contract
 //!
 //! The arrivals must list every station exactly once, ascending by
-//! `(second, index)`, at the second its run arrives. The executors check
-//! this as they read the stream and fail with an error that names the
+//! `(second, index)`, at the second its run arrives. The executor checks
+//! this as it reads the stream and fails with an error that names the
 //! station: one that goes backwards, repeats, lies out of range or arrives
 //! at another second than its run, or (when exactly one is missing) the
 //! station the stream left out. A failure, of the contract or of a
@@ -66,46 +60,41 @@
 //! worker failed at — the one a single worker meets first.
 
 use super::machine::{ScheduledReport, WindowScorer};
-use super::run::{AdmittedStation, StationRun, StationScratch};
-use std::cmp::Ordering;
+use super::run::{StationRun, StationScratch};
+use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::iter::Fuse;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Mutex;
-use wlan_sim::time::SimDuration;
 
-/// The machine's available parallelism (8 when unknown).
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(8)
-}
-
-/// How a population of [`StationRun`]s executes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// How a population of [`StationRun`]s executes: always on the virtual-time
+/// core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// Run each station to completion on the bounded work-stealing pool.
-    #[default]
+    /// An alias of [`Executor::virtual_time`], kept so older callers still
+    /// compile; it runs exactly as `virtual_time()` does.
     Pooled,
     /// Interleave stations on per-worker virtual-time event heaps, admitting
     /// and retiring them by schedule with memory in the live stations.
     VirtualTime {
-        /// Worker (shard) count; the machine's parallelism when `None`.
-        /// Reports are identical for every worker count.
+        /// Worker (shard) count; the machine's parallelism, at most one per
+        /// station, when `None`. Reports are identical for every worker
+        /// count.
         workers: Option<usize>,
-        /// Longest virtual span one station drains per event before
-        /// re-entering the heap; `None` (the default) drains to source
-        /// exhaustion. Purely a scheduling knob: reports are identical for
-        /// every horizon, only the coalescing ratio changes. Must be
-        /// positive — a horizon of at least 1 µs guarantees every resume
-        /// event makes progress.
-        max_slice: Option<SimDuration>,
+        /// Always `None`: the type admits no horizon, since every station
+        /// drains to exhaustion at its admission. Kept so older callers
+        /// still compile.
+        max_slice: Option<std::convert::Infallible>,
     },
 }
 
+impl Default for Executor {
+    fn default() -> Self {
+        Executor::virtual_time()
+    }
+}
+
 impl Executor {
-    /// The default virtual-time executor (parallelism-sized shard count,
-    /// unbounded coalescing).
+    /// The virtual-time executor on the default shard count.
     pub fn virtual_time() -> Self {
         Executor::VirtualTime {
             workers: None,
@@ -113,58 +102,35 @@ impl Executor {
         }
     }
 
-    /// Caps the virtual span one station drains per event (a no-op on
-    /// [`Executor::Pooled`]).
-    pub fn with_max_slice(self, max_slice: SimDuration) -> Self {
-        match self {
-            Executor::VirtualTime { workers, .. } => Executor::VirtualTime {
-                workers,
-                max_slice: Some(max_slice),
-            },
-            other => other,
-        }
-    }
-
-    /// The executor's spec tag (`"pooled"` / `"virtual_time"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Executor::Pooled => "pooled",
-            Executor::VirtualTime { .. } => "virtual_time",
-        }
-    }
-
-    /// Parses a spec tag.
+    /// Parses a spec tag; `"pooled"` is an alias of `"virtual_time"`.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s.to_ascii_lowercase().as_str() {
-            "pooled" | "pool" => Ok(Executor::Pooled),
-            "virtual_time" | "virtual-time" | "vtime" | "event" => Ok(Executor::virtual_time()),
+            "virtual_time" | "virtual-time" | "vtime" | "event" | "pooled" | "pool" => {
+                Ok(Executor::virtual_time())
+            }
             other => Err(format!(
-                "unknown executor `{other}` (expected `pooled` or `virtual_time`)"
+                "unknown executor `{other}` (expected `virtual_time` or its alias `pooled`)"
             )),
         }
     }
 }
 
 /// Scheduling statistics of one execution. Deliberately **not** part of any
-/// scenario report: reports must be identical across executors, while these
-/// describe how the run was scheduled.
+/// scenario report: reports must be identical across worker counts, while
+/// these describe how the run was scheduled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecutorStats {
-    /// Workers (pool threads or virtual-time shards) used.
+    /// Virtual-time shards used.
     pub workers: usize,
     /// Stations admitted (the whole population).
     pub admitted: usize,
     /// Most stations simultaneously on air, from the merged cross-shard
-    /// timeline (virtual time); the worker count under the pool, which keeps
-    /// at most one station live per worker.
+    /// timeline.
     pub peak_active: usize,
-    /// Last virtual second of the run (0 under the pool, which has no
-    /// common clock).
+    /// Last virtual second of the run.
     pub virtual_secs: f64,
-    /// Events popped across all shards (admissions + resumes + retirements;
-    /// 0 under the pool). Invariant across worker counts for a fixed
-    /// `max_slice`: every event's timestamp — and hence every run's extent —
-    /// derives from its station alone.
+    /// Events popped across all shards: one admission and one retirement
+    /// per station, whatever the worker count.
     pub events_popped: u64,
     /// Packets pulled from every station's source.
     pub packets: u64,
@@ -176,7 +142,7 @@ pub struct ExecutorStats {
 
 impl ExecutorStats {
     /// Packets drained per heap event — the coalescing ratio (0 when no
-    /// events fired, i.e. under the pool).
+    /// events fired).
     pub fn packets_per_event(&self) -> f64 {
         if self.events_popped == 0 {
             0.0
@@ -215,14 +181,6 @@ pub struct ExecutionOutcome<A> {
 /// A failed execution: the arrival-stream position it failed at, and why.
 type Failure = (usize, String);
 
-/// Keeps the failure at the earliest stream position.
-fn keep_first(slot: &Mutex<Option<Failure>>, failure: Failure) {
-    let mut slot = slot.lock().expect("failure slot poisoned");
-    if slot.as_ref().is_none_or(|(at, _)| failure.0 < *at) {
-        *slot = Some(failure);
-    }
-}
-
 /// The arrivals handed to an execution, checked against the arrival
 /// contract as they are pulled, in O(1) state.
 struct CheckedArrivals<I> {
@@ -233,8 +191,6 @@ struct CheckedArrivals<I> {
     /// Sum of the pulled station indices, to name a single missing one.
     index_sum: u128,
     last: Option<(f64, usize)>,
-    /// The first breach, repeated to every later pull.
-    failed: Option<Failure>,
 }
 
 impl<I: Iterator<Item = (f64, usize)>> CheckedArrivals<I> {
@@ -245,24 +201,12 @@ impl<I: Iterator<Item = (f64, usize)>> CheckedArrivals<I> {
             pulled: 0,
             index_sum: 0,
             last: None,
-            failed: None,
         }
     }
 
     /// The next arrival as `(position, second, station)`, `None` once every
     /// station arrived, or the first breach of the contract.
     fn pull(&mut self) -> Result<Option<(usize, f64, usize)>, Failure> {
-        if let Some(failed) = &self.failed {
-            return Err(failed.clone());
-        }
-        let checked = self.check();
-        if let Err(failure) = &checked {
-            self.failed = Some(failure.clone());
-        }
-        checked
-    }
-
-    fn check(&mut self) -> Result<Option<(usize, f64, usize)>, Failure> {
         let position = self.pulled;
         let Some((at, station)) = self.arrivals.next() else {
             let expected = self.count as u128 * (self.count as u128).saturating_sub(1) / 2;
@@ -310,58 +254,31 @@ impl<I: Iterator<Item = (f64, usize)>> CheckedArrivals<I> {
     }
 }
 
-/// A station on air: its admitted machine and source, its own scorer and
-/// the caller's ticket for its fold.
-struct LiveStation<S, C> {
-    inner: AdmittedStation,
-    scorer: S,
-    ticket: C,
-}
-
-/// Materialises the station arriving at `at` and admits it, on the worker's
-/// `scratch`. Its run must arrive at `at` too.
-fn admit_station<S, C>(
+/// Materialises the station arriving at `at` on the worker's `scratch`,
+/// drains it to exhaustion and folds its report into `folded`. Its run must
+/// arrive at `at` too. Returns the packets it drained and the second it
+/// retires at: its last packet's, or `at` for a station that sent none.
+fn run_station<S: WindowScorer, C, A>(
     at: f64,
     station: usize,
     admit: &impl Fn(usize) -> (StationRun, S, C),
+    fold: &impl Fn(&mut A, usize, ScheduledReport, S, C),
     scratch: &mut StationScratch,
-) -> Result<LiveStation<S, C>, String> {
-    let (run, scorer, ticket) = admit(station);
+    folded: &mut A,
+) -> Result<(u64, f64), String> {
+    let (run, mut scorer, ticket) = admit(station);
     if run.arrival().total_cmp(&at) != Ordering::Equal {
         return Err(format!(
             "station {station}: handed an arrival at {at} s, but its run arrives at {} s",
             run.arrival()
         ));
     }
-    let mut inner = run
-        .admit(&scratch.calibrations)
+    let (report, last_secs) = run
+        .run_on(scratch, &mut scorer)
         .map_err(|e| format!("station {station}: {e}"))?;
-    inner.adopt_scratch(scratch);
-    Ok(LiveStation {
-        inner,
-        scorer,
-        ticket,
-    })
-}
-
-impl<S: WindowScorer, C> LiveStation<S, C> {
-    /// Finishes the station and folds its report into `folded`, reclaiming
-    /// its scratch buffers.
-    fn retire_into<A>(
-        self,
-        station: usize,
-        scratch: &mut StationScratch,
-        folded: &mut A,
-        fold: &impl Fn(&mut A, usize, ScheduledReport, S, C),
-    ) {
-        let LiveStation {
-            inner,
-            mut scorer,
-            ticket,
-        } = self;
-        let report = inner.finish_into(&mut scorer, scratch);
-        fold(folded, station, report, scorer, ticket);
-    }
+    let packets = report.packets;
+    fold(folded, station, report, scorer, ticket);
+    Ok((packets, last_secs.unwrap_or(at)))
 }
 
 /// What one worker hands back after the join.
@@ -378,18 +295,17 @@ impl Executor {
     ///
     /// * `arrivals` lists every station's `(arrival second, index)` once,
     ///   ascending by `(second, index)`; it is read lazily, once per worker
-    ///   under virtual time (it must be cheap to clone);
+    ///   (it must be cheap to clone);
     /// * `admit(i)` materialises station `i` at its admission: its run, its
     ///   scorer (a frozen borrow or a live per-station fork) and a ticket
     ///   the caller wants back at the fold;
     /// * `fold(acc, i, report, scorer, ticket)` folds a finished station into
     ///   the worker's accumulator.
     ///
-    /// Per-station reports are identical whichever executor (and worker
-    /// count) runs them: stations share no mutable state, and each one sees
-    /// exactly its own packets in order. Fails on the first station (in
-    /// stream order) that breaches the arrival contract or cannot be
-    /// admitted.
+    /// Per-station reports are identical whatever the worker count:
+    /// stations share no mutable state, and each one sees exactly its own
+    /// packets in order. Fails on the first station (in stream order) that
+    /// breaches the arrival contract or cannot be admitted.
     pub fn run<S, C, A>(
         &self,
         count: usize,
@@ -401,26 +317,18 @@ impl Executor {
         S: WindowScorer,
         A: Fold,
     {
-        let (workers, tallies, timeline) = match *self {
-            Executor::Pooled => {
-                let workers = default_parallelism().min(count.max(1));
-                let tallies = pooled(workers, count, arrivals, &admit, &fold)?;
-                // The pool has no common clock, and keeps at most one
-                // station live per worker.
-                let timeline = Timeline {
-                    peak_active: workers.min(count),
-                    virtual_secs: 0.0,
-                };
-                (workers, tallies, timeline)
-            }
-            Executor::VirtualTime { workers, max_slice } => {
-                let workers = workers.unwrap_or_else(default_parallelism).max(1);
-                let max_slice_secs = max_slice.map(|d| d.as_secs_f64());
-                let (tallies, timeline) =
-                    virtual_time(workers, max_slice_secs, count, arrivals, &admit, &fold)?;
-                (workers, tallies, timeline)
-            }
+        let workers = match *self {
+            Executor::VirtualTime {
+                workers: Some(workers),
+                ..
+            } => workers.max(1),
+            // The machine's parallelism (8 when unknown), at most one shard
+            // per station.
+            _ => std::thread::available_parallelism()
+                .map_or(8, std::num::NonZeroUsize::get)
+                .min(count.max(1)),
         };
+        let (tallies, timeline) = virtual_time(workers, count, arrivals, &admit, &fold)?;
         let mut stats = ExecutorStats {
             workers,
             admitted: count,
@@ -448,66 +356,6 @@ impl Executor {
     }
 }
 
-/// The bounded work-stealing pool: each of `workers` threads pulls the next
-/// arrival from the shared stream and runs that station to completion. Once
-/// a failure is recorded no worker pulls again; the stations already pulled
-/// finish, so the earliest failure is always among those recorded.
-fn pooled<S, C, A>(
-    workers: usize,
-    count: usize,
-    arrivals: impl Iterator<Item = (f64, usize)> + Send,
-    admit: &(impl Fn(usize) -> (StationRun, S, C) + Sync),
-    fold: &(impl Fn(&mut A, usize, ScheduledReport, S, C) + Sync),
-) -> Result<Vec<WorkerTally<A>>, String>
-where
-    S: WindowScorer,
-    A: Fold,
-{
-    let queue = Mutex::new(CheckedArrivals::new(arrivals, count));
-    let failure: Mutex<Option<Failure>> = Mutex::new(None);
-    let tallies = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = StationScratch::new();
-                    let mut tally = WorkerTally::<A>::default();
-                    while failure.lock().expect("failure slot poisoned").is_none() {
-                        let pulled = queue.lock().expect("arrival queue poisoned").pull();
-                        let (position, at, station) = match pulled {
-                            Ok(Some(arrival)) => arrival,
-                            Ok(None) => break,
-                            Err(failed) => {
-                                keep_first(&failure, failed);
-                                break;
-                            }
-                        };
-                        let mut live = match admit_station(at, station, admit, &mut scratch) {
-                            Ok(live) => live,
-                            Err(e) => {
-                                keep_first(&failure, (position, e));
-                                break;
-                            }
-                        };
-                        let run = live.inner.drain_until(None, &mut scratch, &mut live.scorer);
-                        tally.packets += run.packets;
-                        live.retire_into(station, &mut scratch, &mut tally.folded, fold);
-                    }
-                    tally.calibrations = scratch.calibrations.sessions();
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("pool worker panicked"))
-            .collect()
-    });
-    match failure.into_inner().expect("failure slot poisoned") {
-        Some((_, e)) => Err(e),
-        None => Ok(tallies),
-    }
-}
-
 /// Churn records per batch a shard sends to the timeline merge.
 const CHURN_BATCH: usize = 256;
 
@@ -515,7 +363,10 @@ const CHURN_BATCH: usize = 256;
 const CHURN_BATCHES_IN_FLIGHT: usize = 4;
 
 /// One entry of a shard's admission/retirement log: `(virtual second,
-/// station index, +1 admit / -1 retire)`.
+/// station index, +1 admit / -1 retire)`. Records order canonically, by
+/// `(time, station, admit-before-retire)`; shards append them in exactly
+/// this order (see [`drive_shard`]), which is what makes the streaming k-way
+/// merge sufficient.
 #[derive(Debug, Clone, Copy)]
 struct ChurnRecord {
     at_secs: f64,
@@ -523,15 +374,28 @@ struct ChurnRecord {
     delta: i8,
 }
 
-/// The canonical timeline order: `(time, station, admit-before-retire)`.
-/// Shards append records in exactly this order (see [`drive_shard`]), which
-/// is what makes the streaming k-way merge sufficient.
-fn churn_order(a: &ChurnRecord, b: &ChurnRecord) -> Ordering {
-    a.at_secs
-        .total_cmp(&b.at_secs)
-        .then_with(|| a.station.cmp(&b.station))
-        .then_with(|| b.delta.cmp(&a.delta))
+impl Ord for ChurnRecord {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.at_secs
+            .total_cmp(&other.at_secs)
+            .then_with(|| self.station.cmp(&other.station))
+            .then_with(|| other.delta.cmp(&self.delta))
+    }
 }
+
+impl PartialOrd for ChurnRecord {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ChurnRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ChurnRecord {}
 
 /// The cross-shard timeline's statistics.
 #[derive(Debug, Default)]
@@ -575,7 +439,7 @@ fn merge_timeline(lanes: &mut [Lane]) -> Timeline {
         let mut best: Option<(usize, ChurnRecord)> = None;
         for (lane, log) in lanes.iter_mut().enumerate() {
             if let Some(record) = log.head() {
-                if best.is_none_or(|(_, b)| churn_order(&record, &b) == Ordering::Less) {
+                if best.is_none_or(|(_, b)| record < b) {
                     best = Some((lane, record));
                 }
             }
@@ -584,7 +448,7 @@ fn merge_timeline(lanes: &mut [Lane]) -> Timeline {
             return timeline;
         };
         lanes[lane].next += 1;
-        debug_assert!(last.is_none_or(|l| churn_order(&l, &record) != Ordering::Greater));
+        debug_assert!(last.is_none_or(|l| l <= record));
         last = Some(record);
         if record.delta > 0 {
             active += 1;
@@ -602,7 +466,6 @@ fn merge_timeline(lanes: &mut [Lane]) -> Timeline {
 /// failure at the earliest stream position.
 fn virtual_time<S, C, A, I>(
     workers: usize,
-    max_slice_secs: Option<f64>,
     count: usize,
     arrivals: I,
     admit: &(impl Fn(usize) -> (StationRun, S, C) + Sync),
@@ -623,11 +486,8 @@ where
                 let shard = Shard {
                     worker,
                     workers,
-                    max_slice_secs,
                     arrivals,
-                    heap: BinaryHeap::new(),
-                    parked: Vec::new(),
-                    free: Vec::new(),
+                    retiring: BinaryHeap::new(),
                     scratch: StationScratch::new(),
                     log: Vec::with_capacity(CHURN_BATCH),
                     tx,
@@ -662,85 +522,23 @@ where
     }
 }
 
-/// An event in a shard's heap. Only live stations have events: admissions
-/// come from the arrival stream, beside the heap.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    at_secs: f64,
-    station: usize,
-    kind: EventKind,
-    /// The parked station's slab slot (for `Resume`).
-    slot: usize,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKind {
-    /// Build the station's state and drain its first slice.
-    Admit,
-    /// Drain the next slice of a parked station (only exists under a
-    /// `max_slice` horizon).
-    Resume,
-    /// Log the departure of a station whose state already dropped. Carried
-    /// as a heap event so the shard's log is written in pop order — i.e.
-    /// already canonically sorted — even though an unbounded drain learns
-    /// the retirement time far ahead of the virtual clock.
-    Retire,
-}
-
-impl Event {
-    /// Canonical event order: `(time, station, kind)`.
-    fn order(&self, other: &Self) -> Ordering {
-        self.at_secs
-            .total_cmp(&other.at_secs)
-            .then_with(|| self.station.cmp(&other.station))
-            .then_with(|| self.kind.cmp(&other.kind))
-    }
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.order(other) == Ordering::Equal
-    }
-}
-
-impl Eq for Event {}
-
-/// `BinaryHeap` is a max-heap, so the order is reversed to pop the earliest
-/// event first.
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.order(other).reverse()
-    }
-}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// One virtual-time worker's state: its view of the arrival stream, the
-/// heap of its live stations' events, the slab of parked stations, and its
-/// churn log batch.
-struct Shard<S, C, A, I> {
+/// heap of its drained stations' retirements, and its churn log batch.
+struct Shard<A, I> {
     worker: usize,
     workers: usize,
-    max_slice_secs: Option<f64>,
     arrivals: CheckedArrivals<I>,
-    heap: BinaryHeap<Event>,
-    parked: Vec<Option<LiveStation<S, C>>>,
-    free: Vec<usize>,
+    /// Retirements not yet logged, earliest on top. A drain learns a
+    /// station's retirement far ahead of the shard's clock; holding it here
+    /// until the clock reaches it keeps the log in canonical order.
+    retiring: BinaryHeap<Reverse<ChurnRecord>>,
     scratch: StationScratch,
     log: Vec<ChurnRecord>,
     tx: SyncSender<Vec<ChurnRecord>>,
     tally: WorkerTally<A>,
 }
 
-impl<S, C, A, I> Shard<S, C, A, I>
-where
-    S: WindowScorer,
-    I: Iterator<Item = (f64, usize)>,
-{
+impl<A, I: Iterator<Item = (f64, usize)>> Shard<A, I> {
     /// The shard's next own arrival, checking every arrival it skips.
     fn next_own(&mut self) -> Result<Option<(usize, f64, usize)>, Failure> {
         while let Some(arrival) = self.arrivals.pull()? {
@@ -752,12 +550,8 @@ where
     }
 
     /// Appends a churn record, sending the batch once it is full.
-    fn record(&mut self, at_secs: f64, station: usize, delta: i8) {
-        self.log.push(ChurnRecord {
-            at_secs,
-            station,
-            delta,
-        });
+    fn record(&mut self, record: ChurnRecord) {
+        self.log.push(record);
         if self.log.len() == CHURN_BATCH {
             self.send_log();
         }
@@ -768,66 +562,12 @@ where
         // The merge only hangs up after every shard did.
         let _ = self.tx.send(batch);
     }
-
-    /// Drains one coalesced slice of `live` from `at`: everything up to
-    /// `at + max_slice` (everything, when unbounded). The station then
-    /// either parks until its next packet or retires on the spot — folding
-    /// its result and pushing a `Retire` event at its last packet's wall
-    /// time, so the departure is logged in canonical order.
-    fn drain(
-        &mut self,
-        at: f64,
-        station: usize,
-        mut live: LiveStation<S, C>,
-        fold: &impl Fn(&mut A, usize, ScheduledReport, S, C),
-    ) {
-        // A resume event sits at its station's next packet time, so any
-        // positive horizon admits at least that packet: slices always
-        // progress.
-        let horizon = self.max_slice_secs.map(|d| at + d);
-        let run = live
-            .inner
-            .drain_until(horizon, &mut self.scratch, &mut live.scorer);
-        self.tally.packets += run.packets;
-        match live.inner.next_wall_secs() {
-            Some(next) => {
-                let slot = match self.free.pop() {
-                    Some(slot) => {
-                        self.parked[slot] = Some(live);
-                        slot
-                    }
-                    None => {
-                        self.parked.push(Some(live));
-                        self.parked.len() - 1
-                    }
-                };
-                self.heap.push(Event {
-                    at_secs: next,
-                    station,
-                    kind: EventKind::Resume,
-                    slot,
-                });
-            }
-            None => {
-                live.retire_into(station, &mut self.scratch, &mut self.tally.folded, fold);
-                // The retirement timestamp: the last packet's wall time, or
-                // the arrival for a station with no packets — exactly the
-                // per-packet executor's timestamps.
-                self.heap.push(Event {
-                    at_secs: run.last_secs.unwrap_or(at),
-                    station,
-                    kind: EventKind::Retire,
-                    slot: 0,
-                });
-            }
-        }
-    }
 }
 
 /// Drives one shard until its stations all retired. Returns its tally, or
 /// its first failure in stream order (the channel hangs up either way).
 fn drive_shard<S, C, A, I>(
-    mut shard: Shard<S, C, A, I>,
+    mut shard: Shard<A, I>,
     admit: &impl Fn(usize) -> (StationRun, S, C),
     fold: &impl Fn(&mut A, usize, ScheduledReport, S, C),
 ) -> Result<WorkerTally<A>, Failure>
@@ -837,42 +577,39 @@ where
 {
     let mut next_admit = shard.next_own()?;
     loop {
-        // The earlier of the next admission and the heap's top.
-        let admit_next = match (shard.heap.peek(), next_admit) {
-            (None, None) => break,
-            (top, Some((_, at, station))) => top.is_none_or(|top| {
-                let admission = Event {
-                    at_secs: at,
-                    station,
-                    kind: EventKind::Admit,
-                    slot: 0,
-                };
-                admission.order(top) == Ordering::Less
-            }),
-            (Some(_), None) => false,
+        let admission = next_admit.map(|(_, at_secs, station)| ChurnRecord {
+            at_secs,
+            station,
+            delta: 1,
+        });
+        let retirement = shard.retiring.peek().map(|Reverse(top)| *top);
+        // The earlier of the next admission and the earliest retirement.
+        let Some(event) = admission.into_iter().chain(retirement).min() else {
+            break;
         };
         shard.tally.events_popped += 1;
-        if admit_next {
-            let (position, at, station) = next_admit.expect("an admission is pending");
-            let live =
-                admit_station(at, station, admit, &mut shard.scratch).map_err(|e| (position, e))?;
-            shard.record(at, station, 1);
-            shard.drain(at, station, live, fold);
-            next_admit = shard.next_own()?;
+        shard.record(event);
+        if event.delta < 0 {
+            shard.retiring.pop();
             continue;
         }
-        let event = shard.heap.pop().expect("the heap has a top");
-        match event.kind {
-            EventKind::Resume => {
-                let live = shard.parked[event.slot]
-                    .take()
-                    .expect("a resume event names a parked station");
-                shard.free.push(event.slot);
-                shard.drain(event.at_secs, event.station, live, fold);
-            }
-            EventKind::Retire => shard.record(event.at_secs, event.station, -1),
-            EventKind::Admit => unreachable!("admissions never enter the heap"),
-        }
+        let (position, ..) = next_admit.expect("the earlier event is the pending admission");
+        let (packets, retire_secs) = run_station(
+            event.at_secs,
+            event.station,
+            admit,
+            fold,
+            &mut shard.scratch,
+            &mut shard.tally.folded,
+        )
+        .map_err(|e| (position, e))?;
+        shard.tally.packets += packets;
+        shard.retiring.push(Reverse(ChurnRecord {
+            at_secs: retire_secs,
+            station: event.station,
+            delta: -1,
+        }));
+        next_admit = shard.next_own()?;
     }
     if !shard.log.is_empty() {
         shard.send_log();
@@ -910,18 +647,61 @@ mod tests {
         }
     }
 
+    impl Executor {
+        /// The executor on exactly `workers` shards.
+        pub(crate) fn on_workers(workers: usize) -> Self {
+            Executor::VirtualTime {
+                workers: Some(workers),
+                max_slice: None,
+            }
+        }
+    }
+
     fn executors() -> [Executor; 3] {
         [
-            Executor::Pooled,
-            Executor::VirtualTime {
-                workers: Some(1),
-                max_slice: None,
-            },
-            Executor::VirtualTime {
-                workers: Some(3),
-                max_slice: Some(SimDuration::from_secs_f64(0.5)),
-            },
+            Executor::virtual_time(),
+            Executor::on_workers(1),
+            Executor::on_workers(3),
         ]
+    }
+
+    #[test]
+    fn every_executor_tag_and_the_default_run_virtual_time() {
+        for tag in [
+            "pooled",
+            "pool",
+            "virtual_time",
+            "Virtual-Time",
+            "vtime",
+            "event",
+        ] {
+            assert_eq!(Executor::parse(tag), Ok(Executor::virtual_time()), "{tag}");
+        }
+        assert_eq!(Executor::default(), Executor::virtual_time());
+        let e = Executor::parse("threads").unwrap_err();
+        assert!(e.contains("unknown executor `threads`"), "{e}");
+    }
+
+    #[test]
+    fn the_pooled_alias_runs_as_virtual_time() {
+        let run = |executor: Executor| {
+            executor
+                .run(
+                    STATIONS,
+                    valid().into_iter(),
+                    |i| (run_of(i), Blind, ()),
+                    |acc: &mut BTreeMap<usize, ScheduledReport>, i, report, _, _| {
+                        acc.insert(i, report);
+                    },
+                )
+                .expect("a valid stream runs")
+        };
+        let (alias, canonical) = (run(Executor::Pooled), run(Executor::virtual_time()));
+        assert_eq!(alias.folded, canonical.folded);
+        assert_eq!(alias.stats, canonical.stats);
+        // The default shard count never exceeds the population.
+        assert!(canonical.stats.workers <= STATIONS);
+        assert_eq!(canonical.stats.events_popped, 2 * STATIONS as u64);
     }
 
     /// Runs the four stations on `arrivals` on every executor shape,

@@ -1,13 +1,23 @@
-//! Shared by the equivalence suites: a population executed as one result
-//! per station, in station order.
+//! Shared by the executor and equivalence suites: the executor on a fixed
+//! shard count, and a population executed as one result per station, in
+//! station order.
 
 use bench::streaming::ScheduledReport;
 use bench::{Executor, StationRun, WindowScorer};
 use std::collections::BTreeMap;
 
+/// The executor on exactly `workers` shards.
+pub fn on_workers(workers: usize) -> Executor {
+    Executor::VirtualTime {
+        workers: Some(workers),
+        max_slice: None,
+    }
+}
+
 /// Runs `count` stations on `executor`, handing it their arrivals in
 /// canonical `(second, index)` order, and returns `finish`'s value per
 /// station, in station order.
+#[allow(dead_code)] // not every suite that shares this module runs stations one by one
 pub fn per_station<S: WindowScorer, T: Send>(
     executor: Executor,
     count: usize,

@@ -1,34 +1,30 @@
 //! The virtual-time event core's acceptance contract.
 //!
 //! 1. For every committed spec under `scenarios/` — reduced to a handful of
-//!    stations so the property is cheap to check — the virtual-time executor
-//!    reproduces the work-stealing pool's `ScenarioReport` **bit for bit**,
-//!    at 1, 2, and 8 workers, for arbitrary scenario seeds (proptest), and
-//!    for arbitrary coalescing horizons: a 1 µs `max_slice` (one packet per
-//!    slice — the per-packet executor, emulated), a random mid-range
-//!    horizon, and the unbounded default (whole sessions per event).
-//! 2. For a fixed horizon the scheduling statistics (`events_popped`,
-//!    `packets`) are sharding-invariant: every event's timestamp derives
-//!    from its station alone, never from the worker that pops it.
+//!    stations so the property is cheap to check — the executor's
+//!    `ScenarioReport` is **bit for bit** the same at 2 and 8 workers as at
+//!    one, for arbitrary scenario seeds (proptest).
+//! 2. The scheduling statistics (`events_popped`, `packets`) are
+//!    sharding-invariant: every event's timestamp derives from its station
+//!    alone, never from the worker that pops it.
 //! 3. The executor admits every station but only ever holds the stations
 //!    whose intervals overlap (`peak_active` ≪ population), asserted on the
 //!    reduced metropolis family; `executor_memory.rs` checks the memory
 //!    bound itself.
-//! 4. A phase splice landing strictly inside a coalesced slice is handled
-//!    by the batched path exactly as per packet (the regression case for
-//!    slice-grained draining).
 //!
-//! Together these license `executor = "virtual_time"` (with any
-//! `max_slice_secs`) in any committed spec: it changes how a scenario is
-//! scheduled, never what it reports.
+//! A station's drain against a per-packet evaluation, phase splices
+//! included, is pinned in `windower_slice_equivalence.rs`. Together these
+//! license any worker count for any committed spec: it changes how a
+//! scenario is scheduled, never what it reports.
+
+mod common;
 
 use bench::scenario::{
     default_scenarios_dir, execute_scenario, load_spec, spec_files, train_for, ScenarioSpec,
 };
 use bench::Executor;
+use common::on_workers;
 use proptest::prelude::*;
-use wlan_sim::time::SimDuration;
-
 /// Shrinks a committed spec to an equivalence-test size: at most `target`
 /// stations (group counts scaled proportionally), sessions capped at 30 s,
 /// and events aimed at stations that no longer exist dropped. Everything
@@ -57,7 +53,6 @@ proptest! {
     #[test]
     fn virtual_time_reproduces_the_pool_on_every_committed_family(
         seed in 0u64..10_000,
-        horizon_secs in 0.05f64..20.0,
     ) {
         let files = spec_files(&default_scenarios_dir()).expect("scenarios/ exists");
         prop_assert!(files.len() >= 5, "expected the committed families, found {files:?}");
@@ -68,48 +63,31 @@ proptest! {
                 .build()
                 .unwrap_or_else(|e| panic!("{}: reduced spec must build: {e}", file.display()));
             let adversary = train_for(&scenario);
-            let (pool_report, pool_stats) = execute_scenario(&scenario, &adversary, Executor::Pooled)
-                .unwrap_or_else(|e| panic!("{}: pool run: {e}", file.display()));
-            // One packet per slice (the per-packet executor, emulated), an
-            // arbitrary horizon, and unbounded coalescing: all of them must
-            // reproduce the pool bit for bit at every worker count.
-            let horizons = [
-                Some(SimDuration::from_secs_f64(1e-6)),
-                Some(SimDuration::from_secs_f64(horizon_secs)),
-                None,
-            ];
-            for max_slice in horizons {
-                let mut events_popped = None;
-                for workers in [1usize, 2, 8] {
-                    let executor = Executor::VirtualTime {
-                        workers: Some(workers),
-                        max_slice,
-                    };
-                    let (vt_report, stats) = execute_scenario(&scenario, &adversary, executor)
-                        .unwrap_or_else(|e| panic!("{}: virtual-time run: {e}", file.display()));
-                    prop_assert!(
-                        vt_report == pool_report,
-                        "{}: seed {} diverged at {} workers, max_slice {:?}",
-                        file.display(),
-                        seed,
-                        workers,
-                        max_slice
-                    );
-                    prop_assert_eq!(stats.admitted, scenario.station_count());
-                    prop_assert!(
-                        stats.packets == pool_stats.packets,
-                        "both executors drain the same packets"
-                    );
-                    // For a fixed horizon, the event count is a property of
-                    // the stations, not of the sharding.
-                    match events_popped {
-                        None => events_popped = Some(stats.events_popped),
-                        Some(expected) => prop_assert!(
-                            expected == stats.events_popped,
-                            "events popped must not depend on the worker count"
-                        ),
-                    }
-                }
+            let (one_report, one_stats) = execute_scenario(&scenario, &adversary, on_workers(1))
+                .unwrap_or_else(|e| panic!("{}: one-worker run: {e}", file.display()));
+            prop_assert_eq!(one_stats.admitted, scenario.station_count());
+            prop_assert_eq!(one_stats.events_popped, 2 * scenario.station_count() as u64);
+            for workers in [2usize, 8] {
+                let (report, stats) = execute_scenario(&scenario, &adversary, on_workers(workers))
+                    .unwrap_or_else(|e| panic!("{}: {workers}-worker run: {e}", file.display()));
+                prop_assert!(
+                    report == one_report,
+                    "{}: seed {} diverged at {} workers",
+                    file.display(),
+                    seed,
+                    workers
+                );
+                prop_assert_eq!(stats.admitted, one_stats.admitted);
+                prop_assert!(
+                    stats.packets == one_stats.packets,
+                    "every worker count drains the same packets"
+                );
+                prop_assert!(
+                    stats.events_popped == one_stats.events_popped,
+                    "events popped must not depend on the worker count"
+                );
+                prop_assert_eq!(stats.peak_active, one_stats.peak_active);
+                prop_assert_eq!(stats.virtual_secs, one_stats.virtual_secs);
             }
         }
     }
@@ -147,54 +125,16 @@ fn the_event_core_holds_only_the_overlapping_stations() {
         stats.virtual_secs > 500.0,
         "the virtual clock spans the stagger"
     );
-    // Unbounded coalescing drains each station in one go: exactly one
-    // admission and one retirement event per station.
+    // Each station drains in one go: exactly one admission and one
+    // retirement event per station.
     assert_eq!(stats.events_popped, 2 * total as u64);
     assert!(
         stats.packets_per_event() > 10.0,
         "whole sessions coalesce into single events, got {:.1} packets/event",
         stats.packets_per_event()
     );
-    // And the schedule-aware execution still reports exactly what the pool
-    // reports station by station.
-    let (pool_report, _) =
-        execute_scenario(&scenario, &adversary, Executor::Pooled).expect("pool run");
-    assert_eq!(report, pool_report);
-}
-
-#[test]
-fn a_splice_landing_mid_slice_matches_the_pool() {
-    // The committed metropolis events splice station 7 at session-relative
-    // 9 s and station 2 at 10 s. With horizons that are neither divisors
-    // nor multiples of those times, the splice boundary lands strictly
-    // inside a coalesced slice, so `offer_slice` must split the batch at
-    // the boundary exactly where a per-packet feed would have advanced the
-    // schedule.
-    let path = default_scenarios_dir().join("metropolis.toml");
-    let mut spec = reduced(load_spec(&path).unwrap_or_else(|e| panic!("{e}")), 8);
-    spec.seed = 41;
-    assert!(
-        !spec.events.is_empty(),
-        "the reduced metropolis keeps its committed splice/churn events"
-    );
-    let scenario = spec.build().expect("reduced metropolis builds");
-    let adversary = train_for(&scenario);
-    let (pool_report, _) =
-        execute_scenario(&scenario, &adversary, Executor::Pooled).expect("pool run");
-    for horizon_secs in [3.7, 9.9, 60.0] {
-        let executor =
-            Executor::virtual_time().with_max_slice(SimDuration::from_secs_f64(horizon_secs));
-        let (vt_report, _) =
-            execute_scenario(&scenario, &adversary, executor).expect("virtual-time run");
-        assert_eq!(
-            vt_report, pool_report,
-            "a splice inside a {horizon_secs} s slice diverged from the pool"
-        );
-    }
-    // The unbounded default coalesces the whole session — splices included
-    // — into the admission event.
-    let (vt_report, stats) = execute_scenario(&scenario, &adversary, Executor::virtual_time())
-        .expect("virtual-time run");
-    assert_eq!(vt_report, pool_report);
-    assert_eq!(stats.events_popped, 2 * scenario.station_count() as u64);
+    // And the report is the one a single worker produces.
+    let (one_report, _) =
+        execute_scenario(&scenario, &adversary, on_workers(1)).expect("one-worker run");
+    assert_eq!(report, one_report);
 }

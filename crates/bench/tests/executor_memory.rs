@@ -13,8 +13,10 @@
 //! The file holds one test, so no other test thread allocates while it
 //! measures.
 
+mod common;
+
 use bench::scenario::{default_scenarios_dir, execute_scenario, load_spec, train_for};
-use bench::Executor;
+use common::on_workers;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
@@ -81,10 +83,7 @@ fn peak_heap_does_not_grow_with_the_population() {
     // measurement.
     let adversary = train_for(&small);
     for workers in [1usize, 2] {
-        let executor = Executor::VirtualTime {
-            workers: Some(workers),
-            max_slice: None,
-        };
+        let executor = on_workers(workers);
         let mut peaks = Vec::new();
         for scenario in [&small, &large] {
             let before = LIVE.load(Relaxed);

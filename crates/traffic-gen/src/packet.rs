@@ -17,14 +17,6 @@ pub enum Direction {
 impl Direction {
     /// Both directions, downlink first.
     pub const ALL: [Direction; 2] = [Direction::Downlink, Direction::Uplink];
-
-    /// The opposite direction.
-    pub fn reverse(self) -> Direction {
-        match self {
-            Direction::Downlink => Direction::Uplink,
-            Direction::Uplink => Direction::Downlink,
-        }
-    }
 }
 
 impl fmt::Display for Direction {
@@ -78,11 +70,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn direction_reverse_is_involution() {
-        for d in Direction::ALL {
-            assert_eq!(d.reverse().reverse(), d);
-        }
-        assert_eq!(Direction::Downlink.reverse(), Direction::Uplink);
+    fn direction_displays_its_name() {
         assert_eq!(Direction::Downlink.to_string(), "downlink");
         assert_eq!(Direction::Uplink.to_string(), "uplink");
     }

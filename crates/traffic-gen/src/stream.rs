@@ -16,7 +16,7 @@
 //!   uplink;
 //! * [`StreamingSession`] — a full bidirectional session, merged on the fly
 //!   by timestamp from one fixed run per direction, straight into the
-//!   caller's batch ([`StreamingSession::fill_until`]). With no duration
+//!   caller's batch ([`StreamingSession::fill`]). With no duration
 //!   bound it is an *infinite* session: the long-running and multi-station
 //!   scenarios that can never fit in memory as batch traces.
 //!
@@ -401,7 +401,7 @@ fn lane_rng(app: AppKind, seed: u64, lane: u64) -> StdRng {
 /// direction can generate ahead of the merge without changing the packets:
 /// the session holds one fixed run of up to 16 packets per direction, inline,
 /// and its memory stays O(1) regardless of session length.
-/// [`fill_until`](Self::fill_until) merges the runs straight into a caller's
+/// [`fill`](Self::fill) merges the runs straight into a caller's
 /// batch; [`next_packet`](PacketSource::next_packet) reads the same runs one
 /// packet at a time.
 #[derive(Debug, Clone)]
@@ -457,29 +457,9 @@ impl StreamingSession {
         }
     }
 
-    /// The timestamp of the next packet, in seconds from the session start,
-    /// without consuming it (`None` once the session has ended).
-    ///
-    /// This is what the virtual-time executor schedules on: an active
-    /// station sits in the event heap at the wall-clock time of its next
-    /// packet.
-    pub fn next_time_secs(&mut self) -> Option<f64> {
-        let lane = self.next_lane()?;
-        Some(lane.run[lane.pos].time.as_secs_f64())
-    }
-
-    /// Appends up to `max` packets to `out`, in merge order. It stops early
-    /// when the session ends, or before the first packet whose wall-clock
-    /// time `arrival_secs + t` reaches `horizon`; that packet stays next.
-    pub fn fill_until(
-        &mut self,
-        arrival_secs: f64,
-        horizon: Option<f64>,
-        out: &mut Vec<PacketRecord>,
-        max: usize,
-    ) {
-        let before_horizon =
-            |p: &PacketRecord| !horizon.is_some_and(|h| arrival_secs + p.time.as_secs_f64() >= h);
+    /// Appends up to `max` packets to `out`, in merge order; fewer only when
+    /// the session ends.
+    pub fn fill(&mut self, out: &mut Vec<PacketRecord>, max: usize) {
         let mut room = max;
         while room > 0 {
             let (down, up) = (&mut self.downlink, &mut self.uplink);
@@ -491,11 +471,7 @@ impl StreamingSession {
                     for _ in 0..steps {
                         let (d, u) = (down.run[down.pos], up.run[up.pos]);
                         let take_up = d.time > u.time;
-                        let packet = if take_up { u } else { d };
-                        if !before_horizon(&packet) {
-                            return;
-                        }
-                        out.push(packet);
+                        out.push(if take_up { u } else { d });
                         up.pos += usize::from(take_up);
                         down.pos += usize::from(!take_up);
                     }
@@ -509,16 +485,9 @@ impl StreamingSession {
             // One flow has ended: the other's packets follow in order.
             let run = &lane.run[lane.pos..lane.len];
             let take = run.len().min(room);
-            let before = run[..take]
-                .iter()
-                .position(|p| !before_horizon(p))
-                .unwrap_or(take);
-            out.extend_from_slice(&run[..before]);
-            lane.pos += before;
-            if before < take {
-                return;
-            }
-            room -= before;
+            out.extend_from_slice(&run[..take]);
+            lane.pos += take;
+            room -= take;
         }
     }
 }
@@ -657,19 +626,20 @@ mod tests {
             seed in 0u64..1_000,
             bounded in 0usize..2,
             limit in 1.0f64..8.0,
-            arrival in 0.0f64..100.0,
             steps_seed in 0u64..1_000_000,
         ) {
-            // Batches filled up to random sizes and horizons concatenate to
-            // the session's packet-at-a-time stream, which is the merge the
-            // runs replaced; every stop leaves the right packet next.
+            // Batches filled up to random sizes, with single packets pulled
+            // between them, concatenate to the session's packet-at-a-time
+            // stream, which is the merge the runs replaced; every batch
+            // leaves the right packet next.
             let app = AppKind::ALL[app_index];
             let limit = (bounded == 1).then_some(limit);
             let model = || crate::models::spec_for(app);
-            // 40 batches of at most 300 packets never pass packet 12,000.
-            let merged: Vec<PacketRecord> = per_packet_merge(app, seed, limit).take(12_001).collect();
+            // 40 batches of at most 300 packets and 40 single pulls never
+            // pass packet 12,040.
+            let merged: Vec<PacketRecord> = per_packet_merge(app, seed, limit).take(12_041).collect();
             let pulled: Vec<PacketRecord> = StreamingSession::from_model(model(), seed, limit)
-                .take(12_001)
+                .take(12_041)
                 .collect();
             prop_assert_eq!(&pulled, &merged);
 
@@ -678,30 +648,15 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(steps_seed);
             for _ in 0..rng.gen_range(1..=40) {
                 let max = rng.gen_range(1..=300);
-                // No horizon, one exactly at the wall-clock time of one of
-                // the next 400 packets, or one anywhere in the next 30 s.
-                let ahead = merged.len().min(filled.len() + 400) - filled.len();
-                let horizon = match rng.gen_range(0..3) {
-                    1 if ahead > 0 => {
-                        let p = merged[filled.len() + rng.gen_range(0..ahead)];
-                        Some(arrival + p.time.as_secs_f64())
-                    }
-                    2 => Some(arrival + rng.gen_range(0.0..30.0)),
-                    _ => None,
-                };
                 let before = filled.len();
-                session.fill_until(arrival, horizon, &mut filled, max);
+                session.fill(&mut filled, max);
                 let added = filled.len() - before;
                 prop_assert!(added <= max);
-                prop_assert!(filled[before..].iter().all(|p| horizon
-                    .is_none_or(|h| arrival + p.time.as_secs_f64() < h)));
-                let next = session.next_time_secs();
-                prop_assert_eq!(next, merged.get(filled.len()).map(|p| p.time.as_secs_f64()));
-                if added < max {
-                    // A short batch stops at the session end or at the
-                    // first packet at or past the horizon.
-                    prop_assert!(next.is_none_or(|t| horizon.is_some_and(|h| arrival + t >= h)));
-                }
+                // A short batch stops only at the session end.
+                prop_assert!(added == max || merged.len() == filled.len());
+                let next = session.next_packet();
+                prop_assert_eq!(next, merged.get(filled.len()).copied());
+                filled.extend(next);
             }
             prop_assert_eq!(&filled[..], &merged[..filled.len()]);
         }
