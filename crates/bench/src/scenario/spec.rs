@@ -1530,8 +1530,10 @@ mod tests {
             "[[stations]]\napp = \"bt\"\n[[stations.defense]]\nstage = \"padding\"\nsizes = 400",
             // `defense` on churn events is meaningless, not ignored.
             "[[stations]]\napp = \"bt\"\n[[events]]\nat_secs = 1.0\nkind = \"depart\"\nstation = 0\ndefense = \"padding\"",
-            // The executor has no horizon to cap.
+            // The executor has no horizon to cap, and no tag but
+            // `virtual_time` and its alias `pooled`.
             "max_slice_secs = 1.0\n[[stations]]\napp = \"bt\"",
+            "executor = \"threads\"\n[[stations]]\napp = \"bt\"",
         ];
         for doc in cases {
             let value = crate::scenario::toml::parse(doc).expect("well-formed TOML");

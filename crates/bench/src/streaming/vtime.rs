@@ -70,8 +70,8 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 /// core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Executor {
-    /// An alias of [`Executor::virtual_time`], kept so older callers still
-    /// compile; it runs exactly as `virtual_time()` does.
+    /// An alias of [`Executor::virtual_time`], kept because the benchmark
+    /// package still names it; it runs exactly as `virtual_time()` does.
     Pooled,
     /// Interleave stations on per-worker virtual-time event heaps, admitting
     /// and retiring them by schedule with memory in the live stations.
@@ -81,8 +81,8 @@ pub enum Executor {
         /// count.
         workers: Option<usize>,
         /// Always `None`: the type admits no horizon, since every station
-        /// drains to exhaustion at its admission. Kept so older callers
-        /// still compile.
+        /// drains to exhaustion at its admission. Kept because the benchmark
+        /// package still names it.
         max_slice: Option<std::convert::Infallible>,
     },
 }
@@ -666,23 +666,6 @@ mod tests {
     }
 
     #[test]
-    fn every_executor_tag_and_the_default_run_virtual_time() {
-        for tag in [
-            "pooled",
-            "pool",
-            "virtual_time",
-            "Virtual-Time",
-            "vtime",
-            "event",
-        ] {
-            assert_eq!(Executor::parse(tag), Ok(Executor::virtual_time()), "{tag}");
-        }
-        assert_eq!(Executor::default(), Executor::virtual_time());
-        let e = Executor::parse("threads").unwrap_err();
-        assert!(e.contains("unknown executor `threads`"), "{e}");
-    }
-
-    #[test]
     fn the_pooled_alias_runs_as_virtual_time() {
         let run = |executor: Executor| {
             executor
@@ -696,6 +679,7 @@ mod tests {
                 )
                 .expect("a valid stream runs")
         };
+        assert_eq!(Executor::default(), Executor::virtual_time());
         let (alias, canonical) = (run(Executor::Pooled), run(Executor::virtual_time()));
         assert_eq!(alias.folded, canonical.folded);
         assert_eq!(alias.stats, canonical.stats);
