@@ -9,10 +9,9 @@
 //! splices, station arrival/departure churn). [`ScenarioSpec::build`]
 //! compiles it into a [`CompiledScenario`] — population kept symbolic, so a
 //! million-station spec compiles in O(groups + events) — and
-//! [`run_scenario`] executes it on the spec'd
-//! [`Executor`](crate::streaming::Executor): the work-stealing pool, or the
-//! virtual-time event core, both of which hold memory only for the
-//! stations on air. The result serializes to JSON.
+//! [`run_scenario`] executes it on the virtual-time
+//! [`Executor`](crate::streaming::Executor), which holds memory only for
+//! the stations on air. The result serializes to JSON.
 //!
 //! Adding an experiment is writing a TOML file:
 //!

@@ -161,7 +161,7 @@ impl ScenarioTally {
     }
 }
 
-/// A compiled station as the builder the executors consume.
+/// A compiled station as the builder the executor consumes.
 fn station_run(scenario: &CompiledScenario, station: ScenarioStation) -> StationRun {
     let ScenarioStation {
         traffic,

@@ -959,7 +959,7 @@ impl Iterator for Arrivals<'_> {
     }
 }
 
-/// A compiled, validated scenario ready to run on either executor.
+/// A compiled, validated scenario ready to run on the executor.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledScenario {
     /// The scenario's name (report key and output file stem).

@@ -330,7 +330,7 @@ fn sliced_windowing_keeps_every_committed_family_executor_invariant() {
 fn sliced_windowing_keeps_live_timelines_executor_invariant() {
     // A mixed live population (different apps and defenses): the prequential
     // timelines — the strictest observable, one point per scored window —
-    // must be identical on every executor shape.
+    // must be identical at every worker count.
     let base: OnlineAdversary =
         train_adversary_online(&ExperimentConfig::quick(), FeatureMode::Full).into_adversary();
     let run_of = |i: usize| station_run(&CASES[i], 41 + i as u64);
