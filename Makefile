@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test equivalence-release fmt lint pub-scan bench-json bench-json-check experiments-check perf-test scenario-check scenario-json reports-check examples perf-ab ci
+.PHONY: verify build test equivalence-release fmt lint pub-scan experiments-check perf-test scenario-check scenario-json reports-check examples perf-ab ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -33,16 +33,6 @@ lint:
 pub-scan:
 	scripts/pub_scan_selftest.sh
 	scripts/pub_scan.sh
-
-# Deterministic results (overheads, adversary accuracies, scenario-family
-# reports) of the committed workloads; refreshes BENCH_pipeline.json.
-bench-json:
-	cargo run --release -p bench --bin bench_json BENCH_pipeline.json
-
-# Regenerates BENCH_pipeline.json and fails when the committed file changes
-# (about a second once built); CI blocks on it.
-bench-json-check: bench-json
-	git diff --exit-code BENCH_pipeline.json
 
 # Regenerates every paper table and figure (release `experiments paper all`,
 # a few seconds once built) into EXPERIMENTS_paper.txt and fails when the
@@ -93,4 +83,4 @@ perf-ab:
 	scripts/perf_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS) $(FIRST_SEED)
 
 # Everything CI gates on, in one shot.
-ci: fmt lint pub-scan verify test equivalence-release scenario-check bench-json-check experiments-check reports-check perf-test examples
+ci: fmt lint pub-scan verify test equivalence-release scenario-check experiments-check reports-check perf-test examples

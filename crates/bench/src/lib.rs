@@ -38,9 +38,7 @@ pub mod streaming;
 pub mod tables;
 
 pub use corpus::ExperimentConfig;
-pub use scenario::{
-    run_scenario, CompiledScenario, DefenseSpec, Scenario, ScenarioReport, ScenarioSpec,
-};
+pub use scenario::{CompiledScenario, DefenseSpec, ScenarioReport, ScenarioSpec};
 pub use streaming::{
     Executor, ExecutorStats, FrozenScorer, StationRun, WindowScorer, WINDOW_BATCH,
 };

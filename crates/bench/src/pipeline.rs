@@ -317,55 +317,37 @@ pub fn online_adversary(config: &ExperimentConfig) -> OnlineAdversary {
 
 /// Trains the streaming adversary prequentially on the **undefended**
 /// training corpus — the online-mode analogue of [`train_adversary`]. The
-/// returned evaluator carries the warm adversary plus the accuracy timeline
-/// of the warm-up phase; chain [`evaluate_defense_online`] calls on it to
-/// score defenses.
+/// returned evaluator carries the warm adversary, which every online
+/// scenario station forks.
 pub fn train_adversary_online(
     config: &ExperimentConfig,
     mode: FeatureMode,
 ) -> PrequentialEvaluator {
     let mut evaluator = PrequentialEvaluator::new(online_adversary(config), 25);
     let training = config.training_corpus();
-    evaluate_defense_online(
-        &mut evaluator,
-        &training,
-        &DefenseSpec::none(),
-        config,
-        config.train_seed,
-        mode,
-    );
+    score_undefended_online(&mut evaluator, &training, config, config.train_seed, mode);
     evaluator
 }
 
-/// Evaluates one defense in **online-adversary mode**: the defended window
-/// examples of all evaluation traces are interleaved round-robin (the order
-/// a live eavesdropper sees windows close across concurrent sessions) and
-/// scored test-then-train through the evaluator's adversary, which keeps
-/// learning as it scores.
-///
-/// Returns this phase's majority-vote confusion matrix, widened to all seven
-/// classes like [`evaluate_defense`]'s; cumulative state (the timeline, the
-/// adversary itself) stays on `evaluator`, so phases chain: warm up on
-/// undefended traffic, then splice in a defense and watch the prequential
-/// curve drop.
-pub fn evaluate_defense_online(
+/// Scores undefended traffic in **online-adversary mode**: the window
+/// examples of all traces are interleaved round-robin (the order a live
+/// eavesdropper sees windows close across concurrent sessions) and scored
+/// test-then-train through the evaluator's adversary, which keeps learning
+/// as it scores. Returns the pass's majority-vote confusion matrix over all
+/// seven classes.
+fn score_undefended_online(
     evaluator: &mut PrequentialEvaluator,
-    eval_traces: &[Trace],
-    defense: &DefenseSpec,
+    traces: &[Trace],
     config: &ExperimentConfig,
     seed_base: u64,
     mode: FeatureMode,
 ) -> ConfusionMatrix {
-    let shards = defended_example_shards(eval_traces, defense, config, seed_base, mode);
-    let stream = interleave_shards(shards);
+    let shards = defended_example_shards(traces, &DefenseSpec::none(), config, seed_base, mode);
     let mut matrix = ConfusionMatrix::new(AppKind::COUNT);
-    for (features, label) in &stream {
+    for (features, label) in &interleave_shards(shards) {
         let predicted = evaluator.test_then_train(features, *label);
         matrix.record(*label, predicted);
     }
-    // The matrix holds this phase's counts: leave no segment behind for the
-    // stations that fork the evaluator.
-    let _ = evaluator.take_segment();
     matrix
 }
 
@@ -455,7 +437,8 @@ mod tests {
             .build(&ctx, config.interfaces)
             .expect("valid composition");
         let mut emitted = 0usize;
-        pipeline.run(&mut trace.stream(), |_, _| emitted += 1);
+        pipeline.process_batch(trace.packets(), |_, _| emitted += 1);
+        pipeline.finish(|_, _| emitted += 1);
         assert_eq!(emitted, trace.len());
         let end_to_end = pipeline.overhead();
         assert!(end_to_end.percent() > 0.0, "morphing chat adds bytes");
@@ -469,8 +452,9 @@ mod tests {
 
     #[test]
     fn composed_overhead_covers_each_components_contribution() {
-        // Satellite regression for the BENCH_pipeline.json observation that
-        // morphing and morph∘OR report the *same* overhead_pct (13.12).
+        // Regression for the observation that morphing and morph∘OR report
+        // the *same* overhead (reports/throughput_baseline.json: 16.51% for
+        // both).
         // Verified correct, not a ledger bug: ReshapeStage records every
         // byte through its own ledger (absorbed == emitted) but adds none,
         // so the composed end-to-end overhead equals the morphing
@@ -498,7 +482,8 @@ mod tests {
                 .build(&ctx, 3)
                 .expect("valid composition");
             let mut emitted = 0usize;
-            pipeline.run(&mut trace.stream(), |_, _| emitted += 1);
+            pipeline.process_batch(trace.packets(), |_, _| emitted += 1);
+            pipeline.finish(|_, _| emitted += 1);
             assert_eq!(emitted, trace.len(), "{labels:?}");
             let end_to_end = pipeline.overhead();
             assert!(end_to_end.added_bytes() > 0, "{labels:?} adds bytes");
@@ -521,7 +506,8 @@ mod tests {
         // while still recording every byte through the shared ledger.
         let run_overhead = |shorthand: &str| {
             let mut pipeline = spec(shorthand).build(&ctx, 3).expect("valid defense");
-            pipeline.run(&mut trace.stream(), |_, _| {});
+            pipeline.process_batch(trace.packets(), |_, _| {});
+            pipeline.finish(|_, _| {});
             pipeline.overhead()
         };
         let morphing_only = run_overhead("morphing");
@@ -575,14 +561,8 @@ mod tests {
             warmup_examples > 100,
             "warm-up saw {warmup_examples} windows"
         );
-        let online = evaluate_defense_online(
-            &mut evaluator,
-            &eval,
-            &DefenseSpec::none(),
-            &config,
-            config.eval_seed,
-            mode,
-        );
+        let online =
+            score_undefended_online(&mut evaluator, &eval, &config, config.eval_seed, mode);
         let online_acc = online.mean_accuracy();
         eprintln!("batch mean accuracy {batch_acc:.3}, online mean accuracy {online_acc:.3}");
         assert!(

@@ -8,10 +8,10 @@
 //! prequential online), and an optional event schedule (mid-session defense
 //! splices, station arrival/departure churn). [`ScenarioSpec::build`]
 //! compiles it into a [`CompiledScenario`] — population kept symbolic, so a
-//! million-station spec compiles in O(groups + events) — and
-//! [`run_scenario`] executes it on the virtual-time
-//! [`Executor`](crate::streaming::Executor), which holds memory only for
-//! the stations on air. The result serializes to JSON.
+//! million-station spec compiles in O(groups + events) — [`train_for`]
+//! trains its adversary, and [`execute_scenario`] runs it on the
+//! virtual-time [`Executor`](crate::streaming::Executor), which holds memory
+//! only for the stations on air. The result serializes to JSON.
 //!
 //! Adding an experiment is writing a TOML file:
 //!
@@ -27,13 +27,11 @@ pub mod spec;
 pub mod toml;
 
 pub use run::{
-    execute_scenario, run_scenario, train_for, PhaseOutcome, ScenarioReport, StationOutcome,
-    TrainedAdversary,
+    execute_scenario, train_for, PhaseOutcome, ScenarioReport, StationOutcome, TrainedAdversary,
 };
 pub use spec::{
     AdversaryMode, AdversarySpec, AlgorithmSpec, Arrivals, CompiledScenario, DefenseSpec,
-    EventKind, EventSpec, Population, Scenario, ScenarioSpec, ScenarioStation, StageSpec,
-    StationGroupSpec,
+    EventKind, EventSpec, Population, ScenarioSpec, ScenarioStation, StageSpec, StationGroupSpec,
 };
 
 use serde::Deserialize;
@@ -46,24 +44,28 @@ use std::path::{Path, PathBuf};
 pub fn load_spec(path: &Path) -> Result<ScenarioSpec, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    let value = toml::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut spec =
-        ScenarioSpec::from_value(&value).map_err(|e| format!("{}: {e}", path.display()))?;
-    // The value tree carries no spans, but `[[events]]` headers are literal
-    // lines: the i-th header opens the i-th event, in document order.
-    let header_lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, line)| line.trim_start().starts_with("[[events]]"))
-        .map(|(i, _)| (i + 1) as u32);
-    for (event, line) in spec.events.iter_mut().zip(header_lines) {
-        event.line = Some(line);
-    }
+    let mut spec = parse_spec(&text).map_err(|e| format!("{}: {e}", path.display()))?;
     if spec.name.is_empty() {
         spec.name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "scenario".to_string());
+    }
+    Ok(spec)
+}
+
+/// Parses one scenario spec from TOML text, giving the i-th `[[events]]`
+/// entry the line of the i-th `[[events]]` header the reader accepted.
+fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
+    let document = toml::parse(text)?;
+    let mut spec = ScenarioSpec::from_value(&document.value).map_err(|e| e.to_string())?;
+    let header_lines = document
+        .array_headers
+        .iter()
+        .filter(|(path, _)| *path == ["events"])
+        .map(|&(_, line)| line as u32);
+    for (event, line) in spec.events.iter_mut().zip(header_lines) {
+        event.line = Some(line);
     }
     Ok(spec)
 }
@@ -94,5 +96,40 @@ pub fn default_scenarios_dir() -> PathBuf {
         local
     } else {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn event_errors_name_the_line_of_their_own_header_however_it_is_spelt() {
+        // Three spellings of the same header; the second event targets a
+        // station that does not exist.
+        let text = "\
+[[stations]]
+app = \"bt\"
+
+[[ events ]]
+at_secs = 1.0
+kind = \"splice\"
+defense = \"padding\"
+
+[[\"events\"]]
+at_secs = 2.0
+station = 9
+kind = \"depart\"
+
+[[events]]
+at_secs = 3.0
+kind = \"splice\"
+defense = \"or\"
+";
+        let spec = parse_spec(text).expect("parses");
+        let lines: Vec<_> = spec.events.iter().map(|e| e.line).collect();
+        assert_eq!(lines, [Some(4), Some(9), Some(14)]);
+        let err = spec.build().unwrap_err();
+        assert!(err.contains("entry #2 (line 9)"), "{err}");
     }
 }

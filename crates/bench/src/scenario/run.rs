@@ -1,19 +1,16 @@
 //! Executes compiled scenarios and reports results.
 //!
-//! [`run_scenario`] is the one spec-driven runner: it trains the adversary
-//! the spec asks for ([`train_for`] → a frozen batch ensemble, or a
-//! warm-started online adversary forked per station), then hands the
-//! population to the virtual-time [`Executor`] as its arrivals in canonical
-//! order. Each station is compiled into a
-//! [`StationRun`](crate::streaming::StationRun) at its admission and folded
-//! into its worker's tally when it retires. Station outcomes are
-//! deterministic per seed whatever the worker count, and every part of the
-//! tally folds
-//! independently of order, so the returned [`ScenarioReport`] is a pure
-//! function of the spec. It serializes straight to JSON through the serde
-//! shim, which is what `scenario_run` writes per scenario; `bench_json`
-//! commits a few of its aggregates as the `scenario_*` keys of
-//! `BENCH_pipeline.json`.
+//! A scenario runs in two steps. [`train_for`] trains the adversary the spec
+//! asks for (a frozen batch ensemble, or a warm-started online adversary
+//! forked per station), and [`execute_scenario`] hands the population to the
+//! virtual-time [`Executor`] as its arrivals in canonical order. Each station
+//! is compiled into a [`StationRun`](crate::streaming::StationRun) at its
+//! admission and folded into its worker's tally when it retires. Station
+//! outcomes are deterministic per seed whatever the worker count, and every
+//! part of the tally folds independently of order, so the returned
+//! [`ScenarioReport`] is a pure function of the spec. It serializes straight
+//! to JSON through the serde shim, which is what `scenario_run` writes per
+//! scenario to `reports/`, where every committed report is a golden.
 
 use crate::pipeline::{train_adversary, train_adversary_online};
 use crate::scenario::exact_sum::ExactSum;
@@ -288,19 +285,19 @@ pub fn execute_scenario(
     Ok((report, outcome.stats))
 }
 
-/// Runs a compiled scenario end to end: trains the spec'd adversary once,
-/// then executes the population on the spec'd executor.
-pub fn run_scenario(scenario: &CompiledScenario) -> Result<ScenarioReport, String> {
-    let adversary = train_for(scenario);
-    execute_scenario(scenario, &adversary, scenario.executor).map(|(report, _)| report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scenario::spec::{
         AdversarySpec, DefenseSpec, EventKind, EventSpec, ScenarioSpec, StationGroupSpec,
     };
+
+    /// Runs a compiled scenario end to end, as `scenario_run` does: trains
+    /// the spec'd adversary, then executes on the spec'd executor.
+    fn run_scenario(scenario: &CompiledScenario) -> Result<ScenarioReport, String> {
+        let adversary = train_for(scenario);
+        execute_scenario(scenario, &adversary, scenario.executor).map(|(report, _)| report)
+    }
 
     fn small_spec() -> ScenarioSpec {
         ScenarioSpec {

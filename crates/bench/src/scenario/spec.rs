@@ -978,9 +978,6 @@ pub struct CompiledScenario {
     pub population: Population,
 }
 
-/// Historical name of [`CompiledScenario`].
-pub type Scenario = CompiledScenario;
-
 impl CompiledScenario {
     /// Total station count.
     pub fn station_count(&self) -> usize {
@@ -997,11 +994,13 @@ impl ScenarioSpec {
     /// Compiles the spec into a [`CompiledScenario`], validating everything
     /// that can fail statically: station population non-empty, positive
     /// durations, event indices in range, reshape stages valid for their
-    /// interface counts, and a coherent event schedule (a station cannot
-    /// depart before it arrives, and targeted splices must land inside the
-    /// target's active interval). The population itself stays symbolic, so
-    /// compiling a million-station spec is O(groups + events).
+    /// interface counts, a coherent event schedule (a station cannot depart
+    /// before it arrives, and targeted splices must land inside the target's
+    /// active interval) and a name that is one plain file name. The
+    /// population itself stays symbolic, so compiling a million-station spec
+    /// is O(groups + events).
     pub fn build(&self) -> Result<CompiledScenario, String> {
+        report_file_name(&self.name)?;
         if self.stations.is_empty() {
             return Err(format!("scenario `{}` has no stations", self.name));
         }
@@ -1175,6 +1174,20 @@ fn positive_secs(key: &str, secs: f64) -> Result<(), String> {
             "{key} must be a positive, finite number of seconds, got {secs}"
         ))
     }
+}
+
+/// Accepts a scenario name only when it is one plain path component: the
+/// name keys the report file `<name>.json` under the output directory, so a
+/// separator or `..` would write outside it, and an absolute path would
+/// replace the directory.
+fn report_file_name(name: &str) -> Result<(), String> {
+    if name == "." || name == ".." || name.contains(['/', '\\', '\0']) {
+        return Err(format!(
+            "name `{}` must be a plain file name: no `/`, `\\` or NUL, and not `.` or `..`",
+            name.escape_debug()
+        ));
+    }
+    Ok(())
 }
 
 /// Accepts a window length only when [`positive_secs`] does and it fits
@@ -1462,9 +1475,35 @@ mod tests {
             ),
             ("[[stations]]\napp = \"bt\"\nsecs = 1e400", "secs"),
         ] {
-            let value = crate::scenario::toml::parse(doc).expect("well-formed TOML");
+            let value = crate::scenario::toml::parse(doc)
+                .expect("well-formed TOML")
+                .value;
             let spec = ScenarioSpec::from_value(&value).expect("parses");
             assert!(spec.build().unwrap_err().contains(key), "{doc}");
+        }
+    }
+
+    #[test]
+    fn names_that_leave_the_report_directory_are_rejected() {
+        for bad in ["../x", "/tmp/x", "a/b", "a\\b", "a\0b", ".", ".."] {
+            let mut spec = demo_spec();
+            spec.name = bad.to_string();
+            let err = spec.build().unwrap_err();
+            assert!(err.starts_with("name `"), "{bad:?}: {err}");
+        }
+        for fine in ["demo", "a.b", "..x", "x.."] {
+            let mut spec = demo_spec();
+            spec.name = fine.to_string();
+            assert!(spec.build().is_ok(), "{fine:?}");
+        }
+        // The same through the TOML front end `--check` uses.
+        for name in ["../x", "/tmp/x", "..", "a\\\\b"] {
+            let doc = format!("name = \"{name}\"\n[[stations]]\napp = \"bt\"");
+            let value = crate::scenario::toml::parse(&doc)
+                .expect("well-formed TOML")
+                .value;
+            let spec = ScenarioSpec::from_value(&value).expect("parses");
+            assert!(spec.build().unwrap_err().contains("name `"), "{doc}");
         }
     }
 
@@ -1473,7 +1512,9 @@ mod tests {
     /// to build with an error naming `adversary.train.<key>`.
     fn assert_train_rejected(train: &str, key: &str) {
         let doc = format!("[[stations]]\napp = \"bt\"\n[adversary.train]\n{train}");
-        let value = crate::scenario::toml::parse(&doc).expect("well-formed TOML");
+        let value = crate::scenario::toml::parse(&doc)
+            .expect("well-formed TOML")
+            .value;
         let spec = ScenarioSpec::from_value(&value).expect("parses");
         let err = spec.build().unwrap_err();
         assert!(
@@ -1536,7 +1577,9 @@ mod tests {
             "executor = \"threads\"\n[[stations]]\napp = \"bt\"",
         ];
         for doc in cases {
-            let value = crate::scenario::toml::parse(doc).expect("well-formed TOML");
+            let value = crate::scenario::toml::parse(doc)
+                .expect("well-formed TOML")
+                .value;
             assert!(
                 ScenarioSpec::from_value(&value).is_err(),
                 "should reject: {doc}"
@@ -1546,7 +1589,8 @@ mod tests {
         let good = crate::scenario::toml::parse(
             "window_secs = 2.0\n[[stations]]\napp = \"bt\"\nsecs = 9.0",
         )
-        .expect("well-formed TOML");
+        .expect("well-formed TOML")
+        .value;
         let spec = ScenarioSpec::from_value(&good).expect("valid spec");
         assert_eq!(spec.window_secs, 2.0);
         assert_eq!(spec.stations[0].secs, 9.0);
@@ -1559,7 +1603,9 @@ mod tests {
             "executor = \"virtual_time\"\n[[stations]]\napp = \"bt\"",
             "[[stations]]\napp = \"bt\"",
         ] {
-            let value = crate::scenario::toml::parse(doc).expect("well-formed TOML");
+            let value = crate::scenario::toml::parse(doc)
+                .expect("well-formed TOML")
+                .value;
             let spec = ScenarioSpec::from_value(&value).expect("valid spec");
             let scenario = spec.build().expect("builds");
             assert_eq!(scenario.executor, Executor::virtual_time(), "{doc}");
@@ -1572,7 +1618,9 @@ mod tests {
             "[[stations]]\napp = \"bt\"\ncount = {max}\n[[stations]]\napp = \"video\"\ncount = {max}",
             max = usize::MAX
         );
-        let value = crate::scenario::toml::parse(&doc).expect("well-formed TOML");
+        let value = crate::scenario::toml::parse(&doc)
+            .expect("well-formed TOML")
+            .value;
         let spec = ScenarioSpec::from_value(&value).expect("parses");
         let err = spec.build().unwrap_err();
         assert!(err.starts_with("station group 1: count"), "{err}");
@@ -1583,7 +1631,9 @@ mod tests {
     /// these values used to pass `--check` and then panic at admission.
     fn assert_stage_rejected(stage: &str, key: &str) {
         let doc = format!("[[stations]]\napp = \"bt\"\n[[stations.defense]]\n{stage}");
-        let value = crate::scenario::toml::parse(&doc).expect("well-formed TOML");
+        let value = crate::scenario::toml::parse(&doc)
+            .expect("well-formed TOML")
+            .value;
         let spec = ScenarioSpec::from_value(&value).expect("parses");
         let err = spec.build().unwrap_err();
         assert!(err.contains(key), "{stage}: {err}");

@@ -24,8 +24,20 @@ use serde::Value;
 /// schema needs at most 3.
 const MAX_NESTING: usize = 32;
 
-/// Parses a TOML document into a [`Value::Map`] tree.
-pub fn parse(input: &str) -> Result<Value, String> {
+/// A parsed TOML document.
+#[derive(Debug)]
+pub struct Document {
+    /// The document as a [`Value::Map`] tree.
+    pub value: Value,
+    /// The key path and line of every `[[array.of.tables]]` header, in
+    /// document order, however the header spells its keys (`[[ a ]]`,
+    /// `[["a"]]`). The value tree carries no spans, so this is how errors
+    /// about an array entry point into the file.
+    pub array_headers: Vec<(Vec<String>, usize)>,
+}
+
+/// Parses a TOML document.
+pub fn parse(input: &str) -> Result<Document, String> {
     let mut parser = Parser {
         input,
         bytes: input.as_bytes(),
@@ -34,6 +46,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
         depth: 0,
     };
     let mut root = Value::Map(Vec::new());
+    let mut array_headers = Vec::new();
     // Path of the table currently being filled by key/value lines.
     let mut current: Vec<String> = Vec::new();
     loop {
@@ -55,6 +68,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
                 let (parent_path, leaf) = path.split_at(path.len() - 1);
                 let parent = navigate(&mut root, parent_path, parser.line)?;
                 push_array_table(parent, &leaf[0], parser.line)?;
+                array_headers.push((path.clone(), parser.line));
             } else {
                 navigate(&mut root, &path, parser.line)?;
             }
@@ -68,7 +82,10 @@ pub fn parse(input: &str) -> Result<Value, String> {
             insert_at(table, &path, value, parser.line)?;
         }
     }
-    Ok(root)
+    Ok(Document {
+        value: root,
+        array_headers,
+    })
 }
 
 /// Walks `path` from `root`, creating empty tables as needed, entering the
@@ -472,7 +489,7 @@ mode = "online"
 [adversary.train]
 train_sessions = 2
 "#;
-        let v = parse(doc).expect("parses");
+        let v = parse(doc).expect("parses").value;
         assert_eq!(get(&v, "name"), &Value::Str("demo".into()));
         assert_eq!(get(&v, "seed"), &Value::U64(42));
         assert_eq!(get(&v, "ratio"), &Value::F64(0.5));
@@ -509,7 +526,7 @@ algorithm = "or"
 app = "video"
 defense = "padding"
 "#;
-        let v = parse(doc).expect("parses");
+        let v = parse(doc).expect("parses").value;
         let stations = get(&v, "stations").as_seq().expect("array of tables");
         assert_eq!(stations.len(), 2);
         assert_eq!(get(&stations[0], "count"), &Value::U64(4));
@@ -529,7 +546,7 @@ sizes = [
     3, # trailing
 ]
 "#;
-        let v = parse(doc).expect("parses");
+        let v = parse(doc).expect("parses").value;
         assert_eq!(get(get(&v, "window"), "secs"), &Value::F64(5.0));
         let events = get(&v, "events").as_seq().expect("array");
         assert_eq!(get(&events[1], "kind"), &Value::Str("depart".into()));

@@ -130,7 +130,9 @@ pub struct ExecutorStats {
     /// Last virtual second of the run.
     pub virtual_secs: f64,
     /// Events popped across all shards: one admission and one retirement
-    /// per station, whatever the worker count.
+    /// per station, whatever the worker count, so always exactly twice
+    /// [`admitted`](Self::admitted). It counts the population, not work: a
+    /// station drains its whole source at admission.
     pub events_popped: u64,
     /// Packets pulled from every station's source.
     pub packets: u64,
@@ -141,8 +143,10 @@ pub struct ExecutorStats {
 }
 
 impl ExecutorStats {
-    /// Packets drained per heap event — the coalescing ratio (0 when no
-    /// events fired).
+    /// Packets per heap event (0 when no events fired). Every station pops
+    /// exactly two events, so this is half the mean packets per station; it
+    /// moves with the population's traffic, not with how the executor
+    /// batches work.
     pub fn packets_per_event(&self) -> f64 {
         if self.events_popped == 0 {
             0.0

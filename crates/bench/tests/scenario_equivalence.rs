@@ -2,11 +2,11 @@
 //!
 //! 1. Every committed spec under `scenarios/` parses and compiles through
 //!    `ScenarioSpec::build()` (what CI's `scenario_run --check` gates on).
-//! 2. The committed throughput baseline carries exactly the workload
-//!    `bench_json` hard-coded before the refactor, and the pipelines built
-//!    from its specs are **byte-identical** to independent hand-coded
-//!    constructions of the same defenses — so the refactored `bench_json`
-//!    reproduces its prior numbers from data.
+//! 2. The committed throughput baseline carries exactly the workload the
+//!    results binary hard-coded before the scenario engine (its report now
+//!    lives in `reports/`), and the pipelines built from its specs are
+//!    **byte-identical** to independent hand-coded constructions of the same
+//!    defenses.
 //!
 //! The shorthand grammar itself is pinned by `scenario::spec`'s unit tests;
 //! here every named defense only has to read back from its own label.
@@ -48,7 +48,7 @@ fn every_committed_scenario_spec_parses_and_builds() {
 
 #[test]
 fn throughput_baseline_spec_pins_the_historical_bench_json_workload() {
-    // The exact parameters bench_json hard-coded before the scenario engine:
+    // The exact parameters hard-coded before the scenario engine:
     // BitTorrent seed 1 for 60 s, W = 5 s, 3 interfaces, quick()-sized
     // adversary, stations in padding/morphing/morph∘OR order.
     let spec = load_spec(&default_scenarios_dir().join("throughput_baseline.toml"))
@@ -78,7 +78,8 @@ fn throughput_baseline_spec_pins_the_historical_bench_json_workload() {
 /// `(flow, packet)` pair.
 fn staged(mut pipeline: StagePipeline, trace: &Trace) -> Vec<(u32, PacketRecord)> {
     let mut out = Vec::new();
-    pipeline.run(&mut trace.stream(), |flow, p| out.push((flow, *p)));
+    pipeline.process_batch(trace.packets(), |flow, p| out.push((flow, *p)));
+    pipeline.finish(|flow, p| out.push((flow, *p)));
     out
 }
 

@@ -6,7 +6,7 @@
 //! and for composed pipelines, whatever the micro-batch boundaries. This
 //! suite property-tests that promise: arbitrary slice sizes (including
 //! size-1 slices, which degenerate to the per-packet path) against the
-//! per-packet reference, plus the `STAGE_BATCH`-sized `run` entry point.
+//! per-packet reference, plus the `STAGE_BATCH`-sized slices a station feeds.
 //! Flushing stays a `finish`-time event: chopping a stream into slices must
 //! never flush mid-session.
 
@@ -14,7 +14,7 @@ use bench::scenario::DefenseSpec;
 use defenses::overhead::Overhead;
 use defenses::padding::PacketPadder;
 use defenses::spec::StageContext;
-use defenses::stage::{FlowId, StagePipeline};
+use defenses::stage::{FlowId, StagePipeline, STAGE_BATCH};
 use proptest::prelude::*;
 use reshape_core::ranges::SizeRanges;
 use reshape_core::scheduler::OrthogonalRanges;
@@ -106,13 +106,6 @@ fn batched(pipeline: &mut StagePipeline, trace: &Trace, sizes: &[usize]) -> (Emi
     (out, pipeline.overhead())
 }
 
-/// The source-draining entry point (fixed `STAGE_BATCH` micro-batches).
-fn via_run(pipeline: &mut StagePipeline, trace: &Trace) -> (Emitted, Overhead) {
-    let mut out = Vec::new();
-    pipeline.run(&mut trace.stream(), |flow, p| out.push((flow, *p)));
-    (out, pipeline.overhead())
-}
-
 /// The composed pad∘OR pipeline (per-vif padding behind the reshaper) — a
 /// composition no named defense covers, so slice handoff between stages with
 /// different flow fan-outs is exercised too.
@@ -143,10 +136,10 @@ proptest! {
                 sliced == reference,
                 "{kind}: slicing at {sizes:?} changed the output (seed {seed})"
             );
-            let ran = via_run(&mut build(), &trace);
+            let station = batched(&mut build(), &trace, &[STAGE_BATCH]);
             prop_assert!(
-                ran == reference,
-                "{kind}: run() diverged from the per-packet path (seed {seed})"
+                station == reference,
+                "{kind}: STAGE_BATCH slices diverged from the per-packet path (seed {seed})"
             );
         }
     }

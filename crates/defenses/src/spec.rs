@@ -482,7 +482,8 @@ mod tests {
                 .unwrap(),
         );
         let mut out = Vec::new();
-        pipeline.run(&mut trace.stream(), |flow, p| out.push((flow, *p)));
+        pipeline.process_batch(trace.packets(), |flow, p| out.push((flow, *p)));
+        pipeline.finish(|flow, p| out.push((flow, *p)));
         assert_eq!(out.len(), trace.len());
         assert!(out
             .iter()

@@ -30,7 +30,6 @@
 use crate::overhead::Overhead;
 use std::collections::HashMap;
 use traffic_gen::packet::PacketRecord;
-use traffic_gen::stream::PacketSource;
 use traffic_gen::trace::Trace;
 
 /// Identifies one sub-flow in a stage pipeline (dense, starting at 0).
@@ -42,8 +41,8 @@ pub const ROOT_FLOW: FlowId = 0;
 /// The buffer a stage emits `(flow, packet)` pairs into.
 pub type StageOutput = Vec<(FlowId, PacketRecord)>;
 
-/// Packets per micro-batch on the batched fast path ([`StagePipeline::run`]
-/// and [`PacketStage::process_slice`]). Small enough that a batch of
+/// Packets per micro-batch on the batched fast path
+/// ([`StagePipeline::process_batch`] and [`PacketStage::process_slice`]). Small enough that a batch of
 /// `(FlowId, PacketRecord)` pairs stays in L1, large enough to amortise the
 /// per-batch virtual dispatch and buffer bookkeeping to noise.
 pub const STAGE_BATCH: usize = 128;
@@ -51,8 +50,8 @@ pub const STAGE_BATCH: usize = 128;
 /// A per-packet defense stage: packet in, zero or more packets out.
 ///
 /// Implementations must emit packets in non-decreasing timestamp order (the
-/// order every [`PacketSource`] guarantees) so downstream stages and windowers
-/// can stay streaming.
+/// order every [`PacketSource`](traffic_gen::stream::PacketSource)
+/// guarantees) so downstream stages and windowers can stay streaming.
 pub trait PacketStage: std::fmt::Debug + Send {
     /// A short name used in logs and experiment tables.
     fn name(&self) -> &'static str;
@@ -255,38 +254,6 @@ impl StagePipeline {
         }
     }
 
-    /// Drains a whole packet source through the pipeline in
-    /// [`STAGE_BATCH`]-sized micro-batches (byte-identical to the per-packet
-    /// path — see [`process_batch`](Self::process_batch)), flushing at the
-    /// end; returns the number of packets consumed from the source.
-    pub fn run<P, F>(&mut self, source: &mut P, mut sink: F) -> usize
-    where
-        P: PacketSource + ?Sized,
-        F: FnMut(FlowId, &PacketRecord),
-    {
-        let mut batch: Vec<PacketRecord> = Vec::with_capacity(STAGE_BATCH);
-        let mut consumed = 0;
-        loop {
-            batch.clear();
-            while batch.len() < STAGE_BATCH {
-                match source.next_packet() {
-                    Some(packet) => batch.push(packet),
-                    None => break,
-                }
-            }
-            if batch.is_empty() {
-                break;
-            }
-            consumed += batch.len();
-            self.process_batch(&batch, &mut sink);
-            if batch.len() < STAGE_BATCH {
-                break;
-            }
-        }
-        self.finish(&mut sink);
-        consumed
-    }
-
     /// The end-to-end ledger: everything that entered the pipeline vs.
     /// everything the final stage emitted.
     pub fn overhead(&self) -> Overhead {
@@ -389,11 +356,12 @@ mod tests {
         let mut pipeline = StagePipeline::new();
         assert!(pipeline.is_empty());
         let mut collected = Vec::new();
-        let consumed = pipeline.run(&mut trace.stream(), |flow, p| {
+        let mut sink = |flow: FlowId, p: &PacketRecord| {
             assert_eq!(flow, ROOT_FLOW);
             collected.push(*p);
-        });
-        assert_eq!(consumed, trace.len());
+        };
+        pipeline.process_batch(trace.packets(), &mut sink);
+        pipeline.finish(sink);
         assert_eq!(collected, trace.packets());
         let overhead = pipeline.overhead();
         assert_eq!(overhead.percent(), 0.0);
@@ -409,7 +377,8 @@ mod tests {
         let direct = stage_trace(&mut PaddingStage::new(PacketPadder::new()), &trace);
         let mut pipeline = StagePipeline::new().with_stage(PaddingStage::new(PacketPadder::new()));
         let mut staged = Vec::new();
-        pipeline.run(&mut trace.stream(), |flow, p| staged.push((flow, *p)));
+        pipeline.process_batch(trace.packets(), |flow, p| staged.push((flow, *p)));
+        pipeline.finish(|flow, p| staged.push((flow, *p)));
         assert_eq!(direct, staged);
         // The pipeline ledger matches the stage's own ledger for 1:1 stages.
         assert_eq!(pipeline.overhead(), pipeline.stages()[0].overhead());
@@ -428,9 +397,11 @@ mod tests {
             .with_stage(inner)
             .with_stage(PaddingStage::new(PacketPadder::new()));
         let mut flat_out = Vec::new();
-        flat.run(&mut trace.stream(), |f, p| flat_out.push((f, *p)));
+        flat.process_batch(trace.packets(), |f, p| flat_out.push((f, *p)));
+        flat.finish(|f, p| flat_out.push((f, *p)));
         let mut nested_out = Vec::new();
-        nested.run(&mut trace.stream(), |f, p| nested_out.push((f, *p)));
+        nested.process_batch(trace.packets(), |f, p| nested_out.push((f, *p)));
+        nested.finish(|f, p| nested_out.push((f, *p)));
         assert_eq!(flat_out, nested_out);
         assert!(flat_out.iter().all(|(_, p)| p.size == MAX_PACKET_SIZE));
         assert_eq!(flat.overhead(), nested.overhead());
@@ -441,11 +412,13 @@ mod tests {
         let trace = trace();
         let mut pipeline = StagePipeline::new().with_stage(PaddingStage::new(PacketPadder::new()));
         let mut first = Vec::new();
-        pipeline.run(&mut trace.stream(), |f, p| first.push((f, *p)));
+        pipeline.process_batch(trace.packets(), |f, p| first.push((f, *p)));
+        pipeline.finish(|f, p| first.push((f, *p)));
         pipeline.reset();
         assert_eq!(pipeline.overhead(), Overhead::default());
         let mut second = Vec::new();
-        pipeline.run(&mut trace.stream(), |f, p| second.push((f, *p)));
+        pipeline.process_batch(trace.packets(), |f, p| second.push((f, *p)));
+        pipeline.finish(|f, p| second.push((f, *p)));
         assert_eq!(first, second);
     }
 

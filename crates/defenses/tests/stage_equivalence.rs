@@ -120,7 +120,8 @@ proptest! {
         let direct = drive(&mut PacketPadder::new().stage(), &trace);
         let mut pipeline = StagePipeline::new().with_stage(PacketPadder::new().stage());
         let mut piped = Vec::new();
-        pipeline.run(&mut trace.stream(), |flow, p| piped.push((flow, *p)));
+        pipeline.process_batch(trace.packets(), |flow, p| piped.push((flow, *p)));
+        pipeline.finish(|flow, p| piped.push((flow, *p)));
         prop_assert_eq!(direct, piped);
         prop_assert_eq!(pipeline.overhead(), pipeline.stages()[0].overhead());
     }

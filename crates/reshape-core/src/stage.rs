@@ -198,10 +198,10 @@ mod tests {
         let mut pre = StagePipeline::new().with_stage(PacketPadder::new().stage());
         let mut stage = or_stage();
         let mut out = StageOutput::new();
-        let consumed = pre.run(&mut trace.stream(), |flow, packet| {
-            stage.on_packet(flow, packet, &mut out)
-        });
-        assert_eq!(consumed, trace.len());
+        let mut sink =
+            |flow: FlowId, packet: &PacketRecord| stage.on_packet(flow, packet, &mut out);
+        pre.process_batch(trace.packets(), &mut sink);
+        pre.finish(sink);
         assert_eq!(out.len(), trace.len());
         assert!(out.iter().all(|&(flow, _)| flow == 0));
         let large_range = SizeRanges::paper_default().range_of(MAX_PACKET_SIZE);
@@ -220,13 +220,15 @@ mod tests {
             .with_stage(or_stage())
             .with_stage(PacketPadder::new().stage());
         let mut flows: Vec<Vec<usize>> = Vec::new();
-        pipeline.run(&mut trace.stream(), |flow, p| {
+        let mut sink = |flow: FlowId, p: &PacketRecord| {
             let idx = flow as usize;
             while flows.len() <= idx {
                 flows.push(Vec::new());
             }
             flows[idx].push(p.size);
-        });
+        };
+        pipeline.process_batch(trace.packets(), &mut sink);
+        pipeline.finish(sink);
         assert_eq!(flows.iter().map(Vec::len).sum::<usize>(), trace.len());
         assert!(flows.len() > 1, "BT covers more than one size range");
         for sizes in &flows {

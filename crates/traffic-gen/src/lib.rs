@@ -64,7 +64,7 @@ pub use app::AppKind;
 pub use generator::SessionGenerator;
 pub use packet::{Direction, PacketRecord};
 pub use spec::TrafficSpec;
-pub use stream::{FlowStream, PacketSource, StreamingSession, TraceStream};
+pub use stream::{FlowStream, PacketSource, StreamingSession};
 pub use trace::Trace;
 
 /// Maximum on-air packet size observed in the paper's traces (`ℓ_max`).

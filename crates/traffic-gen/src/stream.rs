@@ -6,8 +6,6 @@
 //! whole traces. This module provides that substrate:
 //!
 //! * [`PacketSource`] — the pull-based trait every streaming stage consumes;
-//! * [`TraceStream`] — adapts an existing batch [`Trace`] to the trait, which
-//!   is how the batch and streaming paths are proven byte-identical;
 //! * [`FlowStream`] — one direction of an application model, generated lazily
 //!   a run of packets per call ([`FlowStream::fill_run`]). It is the only
 //!   engine: batch sessions
@@ -26,14 +24,13 @@
 //! [`SessionGenerator::generate_secs`](crate::generator::SessionGenerator::generate_secs).
 //! The same independence lets each direction generate ahead in runs without
 //! changing a packet. Reshaping equivalence is stated where it matters:
-//! feeding the *same* packets (via [`TraceStream`]) through the reshaping
-//! stage yields byte-identical assignments to the batch reshaper.
+//! feeding the *same* packets through the reshaping stage yields
+//! byte-identical assignments to the batch reshaper.
 
 use crate::app::AppKind;
 use crate::models::{make_packet, ArrivalProcess, BidirectionalModel, FlowSpec};
 use crate::packet::{Direction, PacketRecord};
 use crate::sampler::{Exponential, Normal};
-use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wlan_sim::time::SimTime;
@@ -71,65 +68,6 @@ impl<S: PacketSource + ?Sized> PacketSource for Box<S> {
 
     fn label(&self) -> Option<AppKind> {
         (**self).label()
-    }
-}
-
-/// A [`PacketSource`] view over a batch [`Trace`].
-///
-/// Used to drive streaming stages with pre-recorded packets — in particular
-/// by the equivalence tests that prove the reshaping stage reproduces the
-/// batch reshaper exactly.
-#[derive(Debug, Clone)]
-pub struct TraceStream<'a> {
-    label: Option<AppKind>,
-    packets: &'a [PacketRecord],
-    next: usize,
-}
-
-impl<'a> TraceStream<'a> {
-    /// Creates a stream over a trace's packets.
-    pub fn new(trace: &'a Trace) -> Self {
-        TraceStream {
-            label: trace.app(),
-            packets: trace.packets(),
-            next: 0,
-        }
-    }
-
-    /// Number of packets not yet pulled.
-    pub fn remaining(&self) -> usize {
-        self.packets.len() - self.next
-    }
-}
-
-impl PacketSource for TraceStream<'_> {
-    fn next_packet(&mut self) -> Option<PacketRecord> {
-        let packet = self.packets.get(self.next)?;
-        self.next += 1;
-        Some(*packet)
-    }
-
-    fn label(&self) -> Option<AppKind> {
-        self.label
-    }
-}
-
-impl Iterator for TraceStream<'_> {
-    type Item = PacketRecord;
-
-    fn next(&mut self) -> Option<PacketRecord> {
-        self.next_packet()
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining(), Some(self.remaining()))
-    }
-}
-
-impl Trace {
-    /// A [`PacketSource`] over this trace's packets (borrowing, zero-copy).
-    pub fn stream(&self) -> TraceStream<'_> {
-        TraceStream::new(self)
     }
 }
 
@@ -397,7 +335,7 @@ fn lane_rng(app: AppKind, seed: u64, lane: u64) -> StdRng {
 ///
 /// With `limit_secs = None` the session is infinite — the workload the batch
 /// path cannot express, since an unbounded session never fits in memory as a
-/// [`Trace`]. Each flow draws from its own seed-derived RNG stream, so each
+/// [`Trace`](crate::trace::Trace). Each flow draws from its own seed-derived RNG stream, so each
 /// direction can generate ahead of the merge without changing the packets:
 /// the session holds one fixed run of up to 16 packets per direction, inline,
 /// and its memory stays O(1) regardless of session length.
@@ -513,20 +451,8 @@ impl Iterator for StreamingSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generator::SessionGenerator;
     use crate::models::test_support::generate_flow;
     use proptest::prelude::*;
-
-    #[test]
-    fn trace_stream_replays_packets_in_order() {
-        let trace = SessionGenerator::new(AppKind::Gaming, 3).generate_secs(10.0);
-        let mut stream = trace.stream();
-        assert_eq!(stream.label(), Some(AppKind::Gaming));
-        assert_eq!(stream.remaining(), trace.len());
-        let replayed: Vec<PacketRecord> = (&mut stream).collect();
-        assert_eq!(replayed.as_slice(), trace.packets());
-        assert_eq!(stream.next_packet(), None, "exhausted source stays empty");
-    }
 
     /// One to eight run lengths in 1..=64, drawn from `seed`.
     fn run_lengths(seed: u64) -> Vec<usize> {

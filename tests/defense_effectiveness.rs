@@ -14,13 +14,14 @@ use classifier::ensemble::{AdversaryEnsemble, EnsembleConfig};
 use classifier::features::FEATURE_DIM;
 use classifier::stream::FlowWindowers;
 use classifier::window::{build_dataset, windowed_examples, FeatureMode, DEFAULT_MIN_PACKETS};
-use traffic_reshaping::defense::stage::StagePipeline;
+use traffic_reshaping::defense::stage::{FlowId, StagePipeline};
 use traffic_reshaping::reshape::ranges::SizeRanges;
 use traffic_reshaping::reshape::reshaper::Reshaper;
 use traffic_reshaping::reshape::scheduler::{OrthogonalRanges, ReshapeAlgorithm, RoundRobin};
 use traffic_reshaping::reshape::stage::ReshapeStage;
 use traffic_reshaping::traffic::app::AppKind;
 use traffic_reshaping::traffic::generator::SessionGenerator;
+use traffic_reshaping::traffic::packet::PacketRecord;
 use traffic_reshaping::traffic::trace::Trace;
 use wlan_sim::time::SimDuration;
 
@@ -45,11 +46,13 @@ fn streamed_reshaped_dataset(
         let mut windowers =
             FlowWindowers::for_app(window, DEFAULT_MIN_PACKETS, FeatureMode::Full, app);
         let mut examples = Vec::new();
-        pipeline.run(&mut trace.stream(), |flow, packet| {
+        let mut sink = |flow: FlowId, packet: &PacketRecord| {
             if let Some(example) = windowers.push(flow as usize, packet) {
                 examples.push(example);
             }
-        });
+        };
+        pipeline.process_batch(trace.packets(), &mut sink);
+        pipeline.finish(sink);
         examples.extend(windowers.finish());
         for (features, label) in examples {
             dataset.push(features, label);
