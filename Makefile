@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test equivalence-release fmt lint pub-scan experiments-check perf-test scenario-check scenario-json reports-check examples perf-ab ci
+.PHONY: verify build test equivalence-release fmt lint doc pub-scan experiments-check perf-test scenario-check scenario-json reports-check examples perf-ab ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -26,6 +26,11 @@ fmt:
 
 lint:
 	cargo clippy --workspace --all-targets -- -D warnings
+
+# The API docs of every workspace crate; a broken or private intra-doc
+# link is an error.
+doc:
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
 # Fails on a public item of the library crates that no non-test code uses
 # and scripts/pub_scan.allow does not list with a reason (bash + awk only),
@@ -83,4 +88,4 @@ perf-ab:
 	scripts/perf_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS) $(FIRST_SEED)
 
 # Everything CI gates on, in one shot.
-ci: fmt lint pub-scan verify test equivalence-release scenario-check experiments-check reports-check perf-test examples
+ci: fmt lint doc pub-scan verify test equivalence-release scenario-check experiments-check reports-check perf-test examples

@@ -112,12 +112,11 @@ fn main() {
                 );
                 println!(
                     "    [{} workers, {:.0} stations/s, peak_active {}, \
-                     {} events, {:.1} packets/event, {} calibrations, peak RSS {}]",
+                     {:.1} packets/station, {} calibrations, peak RSS {}]",
                     stats.workers,
                     report.stations as f64 / secs,
                     stats.peak_active,
-                    stats.events_popped,
-                    stats.packets_per_event(),
+                    stats.packets as f64 / report.stations.max(1) as f64,
                     stats.calibrations,
                     peak_rss()
                 );

@@ -161,7 +161,8 @@ fn morphed_reference(
 /// Every defense — transforming, partitioning, reshaping or composed — runs
 /// through the same stage pipeline: packets go through the stages in
 /// [`STAGE_BATCH`]-sized slices (`StagePipeline::process_batch`), and each
-/// staged slice goes into one [`StreamingWindower`] per emitted sub-flow via
+/// staged slice goes into one
+/// [`StreamingWindower`](classifier::stream::StreamingWindower) per emitted sub-flow via
 /// [`FlowWindowers::push_slice`] — the slice path a scenario station takes —
 /// touching each packet exactly once with no sub-trace or window
 /// materialisation.

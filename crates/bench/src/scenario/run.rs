@@ -4,7 +4,7 @@
 //! asks for (a frozen batch ensemble, or a warm-started online adversary
 //! forked per station), and [`execute_scenario`] hands the population to the
 //! virtual-time [`Executor`] as its arrivals in canonical order. Each station
-//! is compiled into a [`StationRun`](crate::streaming::StationRun) at its
+//! is compiled into a [`StationRun`] at its
 //! admission and folded into its worker's tally when it retires. Station
 //! outcomes are deterministic per seed whatever the worker count, and every
 //! part of the tally folds independently of order, so the returned

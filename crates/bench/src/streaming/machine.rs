@@ -54,7 +54,7 @@ pub trait WindowScorer {
     }
 }
 
-/// How many closed windows [`StationMachine`] buffers before it pushes them
+/// How many closed windows `StationMachine` buffers before it pushes them
 /// through [`WindowScorer::score_slice`] as one block. Scoring itself is per
 /// window; the bound keeps a drain slice's buffered windows cache-resident.
 pub const WINDOW_BATCH: usize = 64;

@@ -7,7 +7,7 @@
 //!   nothing beyond the capacity of the prediction buffer.
 //! * Live: a per-station fork of the warm online adversary copies model
 //!   state only (its members are concrete and its per-window buffers live
-//!   on the stack), so forking plus the first two windows stays within 15
+//!   on the stack), so forking plus the first two windows stays within 14
 //!   allocations, and every later window allocates nothing but the accuracy
 //!   timeline's growth.
 //!
@@ -119,8 +119,8 @@ fn scoring_a_block_of_windows_allocates_nothing() {
 /// Allocations a fork may make, from `PrequentialEvaluator::new` of the
 /// clone through its first two windows: 13 heap blocks of model state (the
 /// running statistics and the scale they derive, the SVM's 2, the NN's 4
-/// and naive Bayes's 4) and the pending window's feature buffer at the
-/// first window.
+/// and naive Bayes's 4) and, at the first window, the buffer of deferred
+/// training (the pending window and the NN's waiting rows).
 const LIVE_FORK_BUDGET: usize = 14;
 
 #[test]

@@ -23,8 +23,7 @@
 //! per-feature `ln`; only the class priors (which move with every example of
 //! any class) take one `ln` per class per call. A frozen model's priors no
 //! longer move, so the batch adversary's inference plan takes them once
-//! ([`log_priors`](GaussianNaiveBayes::log_priors)) and arbitrates through
-//! [`argmax_posterior`](GaussianNaiveBayes::argmax_posterior).
+//! (`log_priors`) and arbitrates through `argmax_posterior`.
 
 use crate::dataset::Dataset;
 use crate::{Classifier, OnlineClassifier};

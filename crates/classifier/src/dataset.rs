@@ -242,7 +242,7 @@ impl RunningNormalizer {
     }
 
     /// Applies the current z-score statistics to one feature vector.
-    /// Zero-variance columns are centred but not scaled (see [`safe_std`] —
+    /// Zero-variance columns are centred but not scaled (see `safe_std` —
     /// before the fix a constant column yielded NaN/inf features).
     pub fn apply(&self, features: &[f64]) -> Vec<f64> {
         self.scale.apply(features)

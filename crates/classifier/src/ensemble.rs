@@ -221,14 +221,14 @@ impl AdversaryEnsemble {
 
     /// The majority vote of the members on one raw feature vector (ties
     /// broken in favour of the SVM), scored through the inference plan with
-    /// no heap use for layers up to [`STACK_HIDDEN`] wide:
+    /// no heap use for layers up to 64 wide (`STACK_HIDDEN`):
     ///
     /// 1. normalise the features into a stack buffer;
     /// 2. the SVM's vote: the argmax of its panel decision values;
     /// 3. the NN's vote: layer-1 panels, ReLU, layer-2 panels, argmax of the
     ///    logits (softmax is monotonic, so it is skipped as in
     ///    [`NeuralNet`]'s `predict`);
-    /// 4. [`short_circuit_vote`]: naive Bayes, with the plan's log priors,
+    /// 4. `short_circuit_vote`: naive Bayes, with the plan's log priors,
     ///    runs only when the SVM and the NN disagree.
     ///
     /// Every step reproduces the member's own `predict` bit for bit, so the
@@ -260,22 +260,26 @@ impl AdversaryEnsemble {
     }
 }
 
-/// The vote of an SVM/NN adversary with an optional arbiter (naive Bayes):
-/// two agreeing members decide it, and the arbiter runs only when they
+/// The vote of the SVM, a second member and an optional arbiter: two
+/// agreeing members decide it, and the arbiter runs only when they
 /// disagree. Equals [`majority_vote`] over every member's prediction, since
-/// two equal votes out of at most three are already a majority.
+/// two equal votes out of at most three are already a majority; for votes
+/// in range it is therefore symmetric in the second member and the
+/// arbiter. The frozen ensemble asks the NN second with naive Bayes as the
+/// arbiter, the live adversary naive Bayes second with the NN as the
+/// arbiter.
 pub(crate) fn short_circuit_vote(
     svm: usize,
-    nn: usize,
+    second: usize,
     arbiter: Option<impl FnOnce() -> usize>,
     classes: usize,
 ) -> usize {
-    if svm == nn {
+    if svm == second {
         return svm;
     }
     match arbiter {
-        Some(arbiter) => majority_vote(&[svm, nn, arbiter()], classes),
-        None => majority_vote(&[svm, nn], classes),
+        Some(arbiter) => majority_vote(&[svm, second, arbiter()], classes),
+        None => majority_vote(&[svm, second], classes),
     }
 }
 
@@ -551,20 +555,32 @@ mod tests {
     #[test]
     fn short_circuit_vote_is_the_majority_rule_on_every_in_range_pattern() {
         for classes in 1..=6 {
-            for (a, b) in (0..classes).flat_map(|a| (0..classes).map(move |b| (a, b))) {
+            for (svm, nn) in (0..classes).flat_map(|a| (0..classes).map(move |b| (a, b))) {
                 assert_eq!(
-                    short_circuit_vote(a, b, None::<fn() -> usize>, classes),
-                    majority_vote(&[a, b], classes)
+                    short_circuit_vote(svm, nn, None::<fn() -> usize>, classes),
+                    majority_vote(&[svm, nn], classes)
                 );
-                for c in 0..classes {
+                for bayes in 0..classes {
+                    let votes = [svm, nn, bayes];
+                    // The frozen order: Bayes arbitrates the SVM and the NN.
                     let arbiter = || {
-                        assert_ne!(a, b, "the arbiter ran on agreeing votes");
-                        c
+                        assert_ne!(svm, nn, "Bayes ran on agreeing votes");
+                        bayes
                     };
                     assert_eq!(
-                        short_circuit_vote(a, b, Some(arbiter), classes),
-                        majority_vote(&[a, b, c], classes),
-                        "votes {a}, {b}, {c}"
+                        short_circuit_vote(svm, nn, Some(arbiter), classes),
+                        majority_vote(&votes, classes),
+                        "votes {votes:?}"
+                    );
+                    // The live order: the NN arbitrates the SVM and Bayes.
+                    let arbiter = || {
+                        assert_ne!(svm, bayes, "the NN ran on agreeing votes");
+                        nn
+                    };
+                    assert_eq!(
+                        short_circuit_vote(svm, bayes, Some(arbiter), classes),
+                        majority_vote(&votes, classes),
+                        "votes {votes:?}"
                     );
                 }
             }

@@ -8,7 +8,7 @@
 //! [`partial_fit`](OnlineClassifier::partial_fit) performs one
 //! single-example gradient step (a mini-batch of one), sharing the forward
 //! pass with the batch [`train`](NeuralNet::train) loop. Both keep their
-//! per-example activations on the stack up to [`STACK_HIDDEN`] units, so a
+//! per-example activations on the stack up to 64 units (`STACK_HIDDEN`), so a
 //! network holds nothing but its parameters.
 
 use crate::dataset::Dataset;
@@ -332,8 +332,8 @@ impl OnlineClassifier for NeuralNet {
     /// either layer moves, so every parameter sees exactly the update the
     /// accumulate/apply path would have produced (`w -= lr * (δ ·
     /// activation)`, identical expression tree). The activations, the
-    /// output deltas and the hidden deltas live on the stack up to
-    /// [`STACK_HIDDEN`] units.
+    /// output deltas and the hidden deltas live on the stack up to 64
+    /// units (`STACK_HIDDEN`).
     fn partial_fit(&mut self, features: &[f64], label: usize) {
         let hidden = self.b1.len();
         let lr = self.learning_rate;

@@ -19,11 +19,21 @@
 //!   timeline is what exposes concept drift: splice a defense into the
 //!   session and the curve drops.
 //!
-//! Training is **deferred** to the moment it can be observed: the model
-//! learns from window k just before it tests window k+1 (or when
-//! [`PrequentialEvaluator::into_adversary`] hands it out). Every prediction
-//! is the one an eager test-then-train loop makes, and a fork dropped at
-//! station retirement skips its last step, which nothing would ever read.
+//! The vote asks the SVM and naive Bayes first and the NN only when those
+//! two disagree: two agreeing votes out of three are already the majority,
+//! so the NN can change a vote only there (on about one window in ten of
+//! the churn population).
+//!
+//! Training is **deferred** to the moment it can be observed. The running
+//! normaliser, the SVM and naive Bayes learn from window k just before
+//! window k+1 is tested (or when [`PrequentialEvaluator::into_adversary`]
+//! hands the model out). The NN's step for window k waits longer, in a
+//! buffer of at most 16 normalised rows: the NN takes its waiting steps, in
+//! order, when the buffer is full, before it is next asked, and in
+//! `into_adversary`. Every prediction is the one an eager test-then-train
+//! loop makes, and a fork dropped at station retirement skips every step
+//! nothing would ever read: its last window's, and the NN's steps after
+//! its last NN prediction.
 //!
 //! The packet-facing driver is the station runner (`bench::streaming`): its
 //! per-sub-flow [`FlowWindowers`](crate::stream::FlowWindowers) hand every
@@ -38,6 +48,10 @@ use crate::nn::{NeuralNet, STACK_HIDDEN};
 use crate::stream::WindowExample;
 use crate::svm::LinearSvm;
 use crate::{Classifier, OnlineClassifier};
+
+/// The most NN training steps a [`PrequentialEvaluator`] holds back: the
+/// bound of its row buffer (16 rows of 18 features are 2.3 KB).
+const NN_STEPS: usize = 16;
 
 /// The incremental adversary: a running normalizer plus the online SVM, NN
 /// and optional naive Bayes.
@@ -74,41 +88,53 @@ impl OnlineAdversary {
         }
     }
 
-    /// Absorbs one labelled example: the normalizer observes the raw
-    /// features first, then every member takes one incremental step on the
-    /// freshly-normalised vector, which lives on the stack. Nothing
-    /// allocates for feature and hidden widths up to 64.
-    pub fn partial_fit(&mut self, features: &[f64], label: usize) {
+    /// One labelled example's training step, all but the NN's: the
+    /// normalizer observes the raw features first, then the SVM and naive
+    /// Bayes take one incremental step on the freshly normalised vector.
+    /// Returns that vector, written into `stack` (or `heap` past
+    /// [`STACK_HIDDEN`] columns), for the NN's step.
+    fn fit_all_but_nn<'a>(
+        &mut self,
+        features: &[f64],
+        label: usize,
+        stack: &'a mut [f64; STACK_HIDDEN],
+        heap: &'a mut Vec<f64>,
+    ) -> &'a [f64] {
         self.normalizer.observe(features);
-        let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
         let x = self
             .normalizer
             .scale()
-            .transform_onto(features, &mut stack, &mut heap);
+            .transform_onto(features, stack, heap);
         self.svm.partial_fit(x, label);
-        self.nn.partial_fit(x, label);
         if let Some(bayes) = &mut self.bayes {
             bayes.partial_fit(x, label);
         }
+        x
     }
 
     /// The majority vote for one feature vector, normalised onto the stack
     /// with the current running statistics. The vote is the frozen
-    /// ensemble's rule ([`short_circuit_vote`]): naive Bayes, when present,
-    /// predicts only when the SVM and the NN disagree.
-    fn predict_majority(&self, features: &[f64]) -> usize {
+    /// ensemble's rule ([`short_circuit_vote`]) with the SVM and naive Bayes
+    /// asked first: the NN is asked, after `catch_up` has brought it up to
+    /// date, only when they disagree. For votes in range that rule is
+    /// symmetric in its second and third member, so the vote is the
+    /// majority of all three. Without naive Bayes the NN is always asked.
+    fn vote(&mut self, features: &[f64], catch_up: impl FnOnce(&mut NeuralNet)) -> usize {
         let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
         let x: &[f64] = self
             .normalizer
             .scale()
             .transform_onto(features, &mut stack, &mut heap);
-        let arbiter = self.bayes.as_ref().map(|bayes| || bayes.predict(x));
-        short_circuit_vote(
-            self.svm.predict(x),
-            self.nn.predict(x),
-            arbiter,
-            self.classes,
-        )
+        let svm = self.svm.predict(x);
+        let nn = &mut self.nn;
+        let ask_nn = || {
+            catch_up(nn);
+            nn.predict(x)
+        };
+        match &self.bayes {
+            Some(bayes) => short_circuit_vote(svm, bayes.predict(x), Some(ask_nn), self.classes),
+            None => short_circuit_vote(svm, ask_nn(), None::<fn() -> usize>, self.classes),
+        }
     }
 }
 
@@ -132,6 +158,72 @@ pub struct SegmentStats {
     pub majority_correct: u64,
 }
 
+/// The training a [`PrequentialEvaluator`] has not done yet, in one buffer
+/// reused from window to window: the normalised rows of the NN steps not
+/// yet taken, in order, then the raw features of the example scored last,
+/// which nothing has learnt yet.
+#[derive(Debug, Clone, Default)]
+struct Deferred {
+    rows: Vec<f64>,
+    /// The label and the end in `rows` of each NN step not yet taken.
+    nn_steps: [(usize, usize); NN_STEPS],
+    /// How many of `nn_steps` are waiting.
+    nn_waiting: usize,
+    /// The raw example's label; `None` when there is none.
+    label: Option<usize>,
+}
+
+impl Deferred {
+    /// Holds a scored example back for its training step.
+    fn hold(&mut self, features: &[f64], label: usize) {
+        debug_assert!(self.label.is_none(), "an example is already held");
+        // The one allocation: the buffer peaks at `NN_STEPS` rows this wide.
+        if self.rows.capacity() == 0 {
+            self.rows.reserve_exact(NN_STEPS * features.len());
+        }
+        self.rows.extend_from_slice(features);
+        self.label = Some(label);
+    }
+
+    /// The held example's training step: every member but the NN learns
+    /// now, and the NN's step joins the waiting ones. When `NN_STEPS` are
+    /// waiting, the NN takes them.
+    fn learn_held(&mut self, adversary: &mut OnlineAdversary) {
+        let Some(label) = self.label.take() else {
+            return;
+        };
+        let start = self.nn_rows_end();
+        let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
+        let x = adversary.fit_all_but_nn(&self.rows[start..], label, &mut stack, &mut heap);
+        self.rows.truncate(start);
+        self.rows.extend_from_slice(x);
+        self.nn_steps[self.nn_waiting] = (label, self.rows.len());
+        self.nn_waiting += 1;
+        if self.nn_waiting == NN_STEPS {
+            self.train_nn(&mut adversary.nn);
+        }
+    }
+
+    /// The NN takes its waiting steps, in order.
+    fn train_nn(&mut self, nn: &mut NeuralNet) {
+        let mut start = 0;
+        for &(label, end) in &self.nn_steps[..self.nn_waiting] {
+            nn.partial_fit(&self.rows[start..end], label);
+            start = end;
+        }
+        // Only ever called between `learn_held` and `hold`.
+        debug_assert!(self.label.is_none(), "the held example would be lost");
+        self.rows.clear();
+        self.nn_waiting = 0;
+    }
+
+    fn nn_rows_end(&self) -> usize {
+        self.nn_steps[..self.nn_waiting]
+            .last()
+            .map_or(0, |&(_, end)| end)
+    }
+}
+
 /// Test-then-train evaluation of an [`OnlineAdversary`].
 ///
 /// Every example is scored against the model *before* the model learns from
@@ -140,10 +232,14 @@ pub struct SegmentStats {
 /// tracks how that accuracy evolves — flat stream, convergence; mid-stream
 /// defense splice, a visible drop.
 ///
-/// The last example scored is kept **pending**: the model learns from it
-/// at the next [`test_then_train`](Self::test_then_train), just before the
-/// next test, or in [`into_adversary`](Self::into_adversary). An evaluator
-/// dropped without either never pays for that step.
+/// Each window is voted on by the SVM and naive Bayes first; the NN is
+/// asked only when they disagree (always, without naive Bayes). The last
+/// example scored is kept **pending**: the normaliser, the SVM and naive
+/// Bayes learn from it at the next [`test_then_train`](Self::test_then_train),
+/// just before the next test, or in [`into_adversary`](Self::into_adversary).
+/// Its NN step then waits with the others, at most 16, until the buffer is
+/// full, the NN is asked, or `into_adversary` runs. An evaluator dropped
+/// without either never pays for the steps it held back.
 #[derive(Debug, Clone)]
 pub struct PrequentialEvaluator {
     adversary: OnlineAdversary,
@@ -152,11 +248,7 @@ pub struct PrequentialEvaluator {
     segment: SegmentStats,
     correct: u64,
     scored: u64,
-    /// The features of the example scored last and not yet learnt (a
-    /// buffer reused from window to window).
-    pending: Vec<f64>,
-    /// That example's label; `None` when nothing is pending.
-    pending_label: Option<usize>,
+    deferred: Deferred,
 }
 
 impl PrequentialEvaluator {
@@ -170,8 +262,7 @@ impl PrequentialEvaluator {
             segment: SegmentStats::default(),
             correct: 0,
             scored: 0,
-            pending: Vec::new(),
-            pending_label: None,
+            deferred: Deferred::default(),
         }
     }
 
@@ -180,15 +271,17 @@ impl PrequentialEvaluator {
     ///
     /// The model first learns from the previous example, which is the last
     /// moment that step can wait for: window k is learnt just before window
-    /// k+1 is tested. This example becomes the pending one, so each
-    /// prediction equals an eager test-then-train loop's.
+    /// k+1 is tested, except for the NN's step, which waits until the NN is
+    /// asked. This example becomes the pending one, so each prediction
+    /// equals an eager test-then-train loop's.
     ///
     /// # Panics
     ///
     /// Panics if `label` is out of range for the adversary's class count.
     pub fn test_then_train(&mut self, features: &[f64], label: usize) -> usize {
-        self.learn_pending();
-        let predicted = self.adversary.predict_majority(features);
+        self.deferred.learn_held(&mut self.adversary);
+        let deferred = &mut self.deferred;
+        let predicted = self.adversary.vote(features, |nn| deferred.train_nn(nn));
         self.scored += 1;
         self.segment.total += 1;
         if predicted == label {
@@ -201,18 +294,8 @@ impl PrequentialEvaluator {
                 accuracy: self.correct as f64 / self.scored as f64,
             });
         }
-        self.pending.clear();
-        self.pending.extend_from_slice(features);
-        self.pending_label = Some(label);
+        self.deferred.hold(features, label);
         predicted
-    }
-
-    /// The deferred training step: the model learns from the pending
-    /// example, if any.
-    fn learn_pending(&mut self) {
-        if let Some(label) = self.pending_label.take() {
-            self.adversary.partial_fit(&self.pending, label);
-        }
     }
 
     /// Scores and trains on one [`WindowExample`].
@@ -237,9 +320,10 @@ impl PrequentialEvaluator {
     }
 
     /// Unwraps the adversary, trained on every example scored: the pending
-    /// example is learnt first.
+    /// example is learnt first, then the NN takes every step it holds back.
     pub fn into_adversary(mut self) -> OnlineAdversary {
-        self.learn_pending();
+        self.deferred.learn_held(&mut self.adversary);
+        self.deferred.train_nn(&mut self.adversary.nn);
         self.adversary
     }
 }
@@ -247,8 +331,28 @@ impl PrequentialEvaluator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ensemble::majority_vote;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The eager reference of the evaluator's deferred steps and reordered
+    /// vote.
+    impl OnlineAdversary {
+        /// One whole training step at once.
+        fn partial_fit(&mut self, features: &[f64], label: usize) {
+            let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
+            let x = self.fit_all_but_nn(features, label, &mut stack, &mut heap);
+            self.nn.partial_fit(x, label);
+        }
+
+        /// The majority vote of every member, each asked.
+        fn predict_majority(&self, features: &[f64]) -> usize {
+            let x = self.normalizer.apply(features);
+            let mut votes = vec![self.svm.predict(&x), self.nn.predict(&x)];
+            votes.extend(self.bayes.as_ref().map(|bayes| bayes.predict(&x)));
+            majority_vote(&votes, self.classes)
+        }
+    }
 
     fn blob_stream(seed: u64, n_per_class: usize) -> Vec<(Vec<f64>, usize)> {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -275,11 +379,11 @@ mod tests {
         }
         assert_eq!(adversary.svm.examples_seen(), 300);
         // Score through the production vote (what `test_then_train` does
-        // per window).
+        // per window); the NN has no step to catch up on.
         let test = blob_stream(2, 30);
         let correct = test
             .iter()
-            .filter(|(f, l)| adversary.predict_majority(f) == *l)
+            .filter(|(f, l)| adversary.vote(f, |_| {}) == *l)
             .count();
         assert!(
             correct as f64 / test.len() as f64 > 0.9,
@@ -342,6 +446,9 @@ mod tests {
     #[test]
     fn deferred_training_predicts_like_an_eager_loop() {
         let mut rng = StdRng::seed_from_u64(41);
+        // Calls that filled the NN's buffer to its bound, and hand-outs
+        // that found NN steps still waiting: both paths must be exercised.
+        let (mut full_buffers, mut waiting_at_hand_out) = (0, 0);
         for case in 0..40u64 {
             let snapshot_every = 1 + case % 5;
             let dim = rng.gen_range(1..6);
@@ -372,8 +479,12 @@ mod tests {
                     .collect();
                 (features, label)
             };
-            for i in 0..rng.gen_range(1..80) {
+            // Streams shorter and longer than the NN's buffer.
+            for i in 0..rng.gen_range(1..8 * NN_STEPS) {
                 let (features, label) = example(&mut rng);
+                let held = &deferred.deferred;
+                full_buffers +=
+                    usize::from(held.label.is_some() && held.nn_waiting == NN_STEPS - 1);
                 assert_eq!(
                     deferred.test_then_train(&features, label),
                     eager.test_then_train(&features, label),
@@ -389,11 +500,11 @@ mod tests {
                 "case {case}"
             );
             assert_eq!(deferred.take_segment(), eager.segment, "case {case}");
+            waiting_at_hand_out += usize::from(deferred.deferred.nn_waiting > 0);
             let trained = deferred.into_adversary();
-            assert_eq!(
-                trained.svm.examples_seen(),
-                eager.adversary.svm.examples_seen()
-            );
+            assert_eq!(trained.svm, eager.adversary.svm, "case {case}");
+            assert_eq!(trained.nn, eager.adversary.nn, "case {case}");
+            assert_eq!(trained.bayes, eager.adversary.bayes, "case {case}");
             for _ in 0..20 {
                 let (probe, _) = example(&mut rng);
                 assert_eq!(
@@ -403,6 +514,11 @@ mod tests {
                 );
             }
         }
+        assert!(full_buffers > 0, "no stream filled the NN's buffer");
+        assert!(
+            waiting_at_hand_out > 0,
+            "no hand-out found NN steps waiting"
+        );
     }
 
     #[test]

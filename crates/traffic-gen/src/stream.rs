@@ -44,31 +44,6 @@ use wlan_sim::time::SimTime;
 pub trait PacketSource {
     /// Pulls the next packet, or `None` when the source is exhausted.
     fn next_packet(&mut self) -> Option<PacketRecord>;
-
-    /// The ground-truth application label of the stream, if known.
-    fn label(&self) -> Option<AppKind> {
-        None
-    }
-}
-
-impl<S: PacketSource + ?Sized> PacketSource for &mut S {
-    fn next_packet(&mut self) -> Option<PacketRecord> {
-        (**self).next_packet()
-    }
-
-    fn label(&self) -> Option<AppKind> {
-        (**self).label()
-    }
-}
-
-impl<S: PacketSource + ?Sized> PacketSource for Box<S> {
-    fn next_packet(&mut self) -> Option<PacketRecord> {
-        (**self).next_packet()
-    }
-
-    fn label(&self) -> Option<AppKind> {
-        (**self).label()
-    }
 }
 
 /// Packets a [`FlowStream`] generates per run when a caller drains it: the
@@ -264,10 +239,6 @@ impl PacketSource for FlowStream {
         let mut one = [BLANK];
         (self.fill_run(&mut one) == 1).then_some(one[0])
     }
-
-    fn label(&self) -> Option<AppKind> {
-        Some(self.app)
-    }
 }
 
 impl Iterator for FlowStream {
@@ -433,10 +404,6 @@ impl StreamingSession {
 impl PacketSource for StreamingSession {
     fn next_packet(&mut self) -> Option<PacketRecord> {
         self.next_lane().map(Lane::take)
-    }
-
-    fn label(&self) -> Option<AppKind> {
-        Some(self.app)
     }
 }
 
@@ -655,18 +622,5 @@ mod tests {
             StreamingSession::bounded(AppKind::Chatting, 11, 30.0).collect();
         assert!(packets.iter().any(|p| p.direction == Direction::Downlink));
         assert!(packets.iter().any(|p| p.direction == Direction::Uplink));
-    }
-
-    #[test]
-    fn boxed_sources_forward_the_trait() {
-        let mut boxed: Box<dyn PacketSource> =
-            Box::new(StreamingSession::bounded(AppKind::Video, 2, 5.0));
-        assert_eq!(boxed.label(), Some(AppKind::Video));
-        let direct: Vec<PacketRecord> = StreamingSession::bounded(AppKind::Video, 2, 5.0).collect();
-        let mut pulled = Vec::new();
-        while let Some(p) = boxed.next_packet() {
-            pulled.push(p);
-        }
-        assert_eq!(pulled, direct);
     }
 }
