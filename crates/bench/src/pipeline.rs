@@ -51,13 +51,16 @@ use crate::scenario::{DefenseSpec, StageSpec};
 pub fn train_adversary(config: &ExperimentConfig, mode: FeatureMode) -> AdversaryEnsemble {
     let training = config.training_corpus();
     let dataset = build_dataset(&training, config.window(), DEFAULT_MIN_PACKETS, mode);
-    AdversaryEnsemble::train(
-        &dataset,
-        &EnsembleConfig {
-            seed: config.train_seed ^ 0xD15C,
-            ..EnsembleConfig::default()
-        },
-    )
+    AdversaryEnsemble::train(&dataset, &adversary_config(config))
+}
+
+/// The members' hyper-parameters and seed, shared by the batch and the
+/// online adversary.
+fn adversary_config(config: &ExperimentConfig) -> EnsembleConfig {
+    EnsembleConfig {
+        seed: config.train_seed ^ 0xD15C,
+        ..EnsembleConfig::default()
+    }
 }
 
 /// Applies a defense to one labelled trace, returning the sub-flows the
@@ -306,14 +309,7 @@ fn interleave_shards(shards: Vec<Vec<WindowExample>>) -> Vec<WindowExample> {
 /// ensemble: same members, same seeding rule, but learning one window at a
 /// time behind a running normalizer.
 pub fn online_adversary(config: &ExperimentConfig) -> OnlineAdversary {
-    OnlineAdversary::new(
-        FEATURE_DIM,
-        AppKind::COUNT,
-        &EnsembleConfig {
-            seed: config.train_seed ^ 0xD15C,
-            ..EnsembleConfig::default()
-        },
-    )
+    OnlineAdversary::new(FEATURE_DIM, AppKind::COUNT, &adversary_config(config))
 }
 
 /// Trains the streaming adversary prequentially on the **undefended**

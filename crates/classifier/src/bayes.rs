@@ -1,8 +1,11 @@
 //! Gaussian naive Bayes.
 //!
-//! Not part of the paper's adversary, but a useful independent cross-check:
-//! if a dirt-simple generative model already separates the applications, the
-//! SVM/NN results are not an artifact of a particular discriminative trainer.
+//! The third member of both adversaries, next to the paper's SVM and NN. In
+//! their majority votes it decides every window the SVM and the NN disagree
+//! on, and the batch adversary's
+//! [`best_of`](crate::ensemble::AdversaryEnsemble::best_of) ranks it with
+//! the other two, so it is the reported classifier whenever its mean
+//! accuracy is the highest.
 //!
 //! The model is stored as **incremental sufficient statistics** — per-class
 //! counts plus Welford-style running means and centred second moments — so it

@@ -19,10 +19,12 @@
 //! * [`dataset`] — labelled datasets and normalisation.
 //! * [`svm`] — a multi-class linear SVM (one-vs-rest, SGD hinge loss).
 //! * [`nn`] — a multi-layer perceptron with one hidden layer.
-//! * [`bayes`] — Gaussian naive Bayes, used as a sanity check.
+//! * [`bayes`] — Gaussian naive Bayes, the adversary's third member.
 //! * [`metrics`] — confusion matrices, per-class accuracy and the paper's
 //!   false-positive metric.
-//! * [`ensemble`] — "highest accuracy of SVM/NN", as reported by the paper.
+//! * [`ensemble`] — the batch adversary: the SVM, the NN and naive Bayes,
+//!   voting on every window, with the member of highest accuracy reported
+//!   as the paper reports its best classifier.
 //! * [`online`] — the **streaming adversary**: every classifier also
 //!   implements [`OnlineClassifier`] (incremental `partial_fit` on single
 //!   window examples), and [`online::PrequentialEvaluator`] scores the

@@ -8,7 +8,7 @@
 //!
 //! * [`OnlineAdversary`] — the incremental counterpart of the ensemble: a
 //!   [`RunningNormalizer`] (statistics evolve with the stream) in front of
-//!   the SVM, the NN and optionally naive Bayes, held as concrete members
+//!   the SVM, the NN and naive Bayes, held as concrete members
 //!   like the ensemble's, all learning one [`WindowExample`] at a time. Its
 //!   per-window buffers live on the stack, so a clone (a per-station fork)
 //!   copies model state only.
@@ -54,7 +54,7 @@ use crate::{Classifier, OnlineClassifier};
 const NN_STEPS: usize = 16;
 
 /// The incremental adversary: a running normalizer plus the online SVM, NN
-/// and optional naive Bayes.
+/// and naive Bayes.
 ///
 /// Clone a trained (or warm-started) adversary to fork it — e.g. one
 /// independent copy per station in a multi-station scenario.
@@ -63,7 +63,7 @@ pub struct OnlineAdversary {
     normalizer: RunningNormalizer,
     svm: LinearSvm,
     nn: NeuralNet,
-    bayes: Option<GaussianNaiveBayes>,
+    bayes: GaussianNaiveBayes,
     classes: usize,
 }
 
@@ -81,9 +81,7 @@ impl OnlineAdversary {
             normalizer: RunningNormalizer::new(dim),
             svm: LinearSvm::new(dim, classes, &config.svm),
             nn: NeuralNet::new(dim, classes, &config.nn, config.seed ^ 0x55),
-            bayes: config
-                .include_bayes
-                .then(|| GaussianNaiveBayes::new(dim, classes)),
+            bayes: GaussianNaiveBayes::new(dim, classes),
             classes,
         }
     }
@@ -106,9 +104,7 @@ impl OnlineAdversary {
             .scale()
             .transform_onto(features, stack, heap);
         self.svm.partial_fit(x, label);
-        if let Some(bayes) = &mut self.bayes {
-            bayes.partial_fit(x, label);
-        }
+        self.bayes.partial_fit(x, label);
         x
     }
 
@@ -118,7 +114,7 @@ impl OnlineAdversary {
     /// asked first: the NN is asked, after `catch_up` has brought it up to
     /// date, only when they disagree. For votes in range that rule is
     /// symmetric in its second and third member, so the vote is the
-    /// majority of all three. Without naive Bayes the NN is always asked.
+    /// majority of all three.
     fn vote(&mut self, features: &[f64], catch_up: impl FnOnce(&mut NeuralNet)) -> usize {
         let (mut stack, mut heap) = ([0.0; STACK_HIDDEN], Vec::new());
         let x: &[f64] = self
@@ -131,10 +127,7 @@ impl OnlineAdversary {
             catch_up(nn);
             nn.predict(x)
         };
-        match &self.bayes {
-            Some(bayes) => short_circuit_vote(svm, bayes.predict(x), Some(ask_nn), self.classes),
-            None => short_circuit_vote(svm, ask_nn(), None::<fn() -> usize>, self.classes),
-        }
+        short_circuit_vote(svm, self.bayes.predict(x), ask_nn, self.classes)
     }
 }
 
@@ -233,7 +226,7 @@ impl Deferred {
 /// defense splice, a visible drop.
 ///
 /// Each window is voted on by the SVM and naive Bayes first; the NN is
-/// asked only when they disagree (always, without naive Bayes). The last
+/// asked only when they disagree. The last
 /// example scored is kept **pending**: the normaliser, the SVM and naive
 /// Bayes learn from it at the next [`test_then_train`](Self::test_then_train),
 /// just before the next test, or in [`into_adversary`](Self::into_adversary).
@@ -348,8 +341,8 @@ mod tests {
         /// The majority vote of every member, each asked.
         fn predict_majority(&self, features: &[f64]) -> usize {
             let x = self.normalizer.apply(features);
-            let mut votes = vec![self.svm.predict(&x), self.nn.predict(&x)];
-            votes.extend(self.bayes.as_ref().map(|bayes| bayes.predict(&x)));
+            let votes =
+                [&self.svm as &dyn Classifier, &self.nn, &self.bayes].map(|c| c.predict(&x));
             majority_vote(&votes, self.classes)
         }
     }
@@ -371,9 +364,14 @@ mod tests {
     #[test]
     fn online_adversary_learns_blobs_incrementally() {
         let mut adversary = OnlineAdversary::new(3, 3, &EnsembleConfig::default());
-        let bayes = adversary.bayes.as_ref().map(|b| b.name());
-        assert_eq!([adversary.svm.name(), adversary.nn.name()], ["svm", "nn"]);
-        assert_eq!(bayes, Some("naive-bayes"));
+        assert_eq!(
+            [
+                adversary.svm.name(),
+                adversary.nn.name(),
+                adversary.bayes.name()
+            ],
+            ["svm", "nn", "naive-bayes"]
+        );
         for (f, l) in blob_stream(1, 100) {
             adversary.partial_fit(&f, l);
         }
@@ -458,7 +456,6 @@ mod tests {
             // for the first time at random points of the stream.
             let seen = rng.gen_range(1..=classes);
             let config = EnsembleConfig {
-                include_bayes: case % 2 == 0,
                 seed: case,
                 ..EnsembleConfig::default()
             };

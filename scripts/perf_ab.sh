@@ -4,9 +4,12 @@
 #
 #   scripts/perf_ab.sh BASE_REV WORKLOAD PAIRS SECONDS [FIRST_SEED]
 #
-# Builds perfbench for BASE_REV in a temporary `git worktree` under
-# target/perf-ab/ and for the working tree (uncommitted changes included),
-# each into its own target directory under target/perf-ab/. Then runs PAIRS
+# Exports BASE_REV (`git archive`) to target/perf-ab/base-src and the
+# working tree (uncommitted changes and untracked files that are not ignored
+# included) to target/perf-ab/head-src, and builds perfbench from each copy
+# into target/perf-ab/base-build and target/perf-ab/head-build. Both sides'
+# sources and binaries thus sit at paths of equal length: a longer path
+# alone can move glibc's heap layout and so peak RSS. Then runs PAIRS
 # pairs of `--trace 0` runs of SECONDS each; pair i (from 1) uses seed
 # FIRST_SEED + i - 1 (FIRST_SEED defaults to 1) on both sides, so a claim
 # can be re-checked on seeds not used while developing, and the side that
@@ -28,7 +31,8 @@
 #
 # The environment passes through to both sides, e.g.
 #   MALLOC_MMAP_THRESHOLD_=131072 scripts/perf_ab.sh HEAD~1 metropolis_churn 4 10
-# Nothing under perfbench/ and no tracked file is written.
+# Nothing under perfbench/, no tracked file and nothing under .git is
+# written.
 set -euo pipefail
 
 if [ $# -ne 4 ] && [ $# -ne 5 ]; then
@@ -45,24 +49,32 @@ root=$(git rev-parse --show-toplevel)
 cd "$root"
 base_sha=$(git rev-parse --verify "${base_rev}^{commit}")
 ab="$root/target/perf-ab"
-worktree="$ab/base-src"
-mkdir -p "$ab"
+base_src="$ab/base-src"
+head_src="$ab/head-src"
 
 cleanup() {
-    git worktree remove --force "$worktree" 2>/dev/null || rm -rf "$worktree"
-    git worktree prune
+    rm -rf "$base_src" "$head_src"
 }
 trap cleanup EXIT
 cleanup
-git worktree add --quiet --detach "$worktree" "$base_sha"
+mkdir -p "$base_src" "$head_src"
+git archive "$base_sha" | tar -x -C "$base_src"
+# Every file git would commit from the working tree: tracked ones not
+# deleted, and untracked ones not ignored.
+git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' file; do
+        if [ -e "$file" ] || [ -L "$file" ]; then
+            printf '%s\0' "$file"
+        fi
+    done | tar --null -T - -cf - | tar -x -C "$head_src"
 
 build() { # SOURCE_ROOT TARGET_DIR
     cargo build --release --offline --quiet \
         --manifest-path "$1/perfbench/Cargo.toml" --target-dir "$2"
 }
 echo "building perfbench at ${base_rev} (${base_sha:0:12}) and at the working tree" >&2
-build "$worktree" "$ab/base-build"
-build "$root" "$ab/head-build"
+build "$base_src" "$ab/base-build"
+build "$head_src" "$ab/head-build"
 base_bin="$ab/base-build/release/perfbench"
 head_bin="$ab/head-build/release/perfbench"
 
