@@ -51,11 +51,13 @@ experiments-check:
 perf-test:
 	cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
-# Validates every committed scenario spec (parse + compile). CI gates on it,
-# so a malformed spec under scenarios/ fails the build. Debug profile: the
-# check is parse-and-validate only, and the CI test job builds debug anyway.
+# Validates every committed scenario spec and perfbench workload spec (parse
+# + compile; it only reads perfbench/workloads/). CI gates on it, so a
+# malformed spec, or a spec-layer change that breaks one, fails the build.
+# Debug profile: the check is parse-and-validate only, and the CI test job
+# builds debug anyway.
 scenario-check:
-	cargo run -p bench --bin scenario_run -- --check scenarios
+	cargo run -p bench --bin scenario_run -- --check scenarios $(wildcard perfbench/workloads/*.toml)
 
 # Runs every committed scenario and every perfbench workload spec at full
 # size and writes one JSON report per scenario to reports/ (it only reads

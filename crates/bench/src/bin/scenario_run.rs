@@ -13,6 +13,9 @@
 //! milliseconds), otherwise each scenario runs on its spec'd executor and its
 //! report is written to `DIR/<name>.json` (default `reports/`, where the
 //! committed reports live).
+//! Every failure names its spec file: load and build errors read
+//! `path:line: key: message`, and a failed run prints the path before its
+//! error, so a run over a directory says which spec failed.
 //! Each run's stats line ends with the process's peak resident set so far
 //! (`VmHWM` from `/proc/self/status`, `n/a` where that is absent), so a run
 //! of the million-station metropolis family shows its memory bound.
@@ -122,7 +125,7 @@ fn main() {
                 );
             }
             Err(e) => {
-                eprintln!("FAIL {}: {e}", scenario.name);
+                eprintln!("FAIL {}: {e}", file.display());
                 failures += 1;
             }
         }

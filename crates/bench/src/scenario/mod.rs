@@ -6,7 +6,8 @@
 //! population (per-station [`TrafficSpec`](traffic_gen::spec::TrafficSpec)),
 //! a [`DefenseSpec`] stage list per station, an [`AdversarySpec`] (batch or
 //! prequential online), and an optional event schedule (mid-session defense
-//! splices, station arrival/departure churn). [`ScenarioSpec::build`]
+//! splices, station arrival/departure churn). [`load_spec`] reads it (only
+//! [`spec`] reads keys, citing `path:line: key`), and [`ScenarioSpec::build`]
 //! compiles it into a [`CompiledScenario`] — population kept symbolic, so a
 //! million-station spec compiles in O(groups + events) — [`train_for`]
 //! trains its adversary, and [`execute_scenario`] runs it on the
@@ -34,17 +35,16 @@ pub use spec::{
     EventKind, EventSpec, Population, ScenarioSpec, ScenarioStation, StageSpec, StationGroupSpec,
 };
 
-use serde::Deserialize;
 use std::path::{Path, PathBuf};
 
 /// Loads one scenario spec from a TOML file; the file stem names the
-/// scenario unless the spec sets `name` itself. Each `[[events]]` entry is
-/// annotated with its header's line number, so `build()` errors point into
-/// the file.
+/// scenario unless the spec sets `name` itself. Every error reads
+/// `path:line: key: message`, and the loaded scenario, station groups and
+/// events keep their key lines, so `build()` errors point into the file too.
 pub fn load_spec(path: &Path) -> Result<ScenarioSpec, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: cannot read: {e}", path.display()))?;
-    let mut spec = parse_spec(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+    let mut spec = parse_spec(&path.display().to_string(), &text)?;
     if spec.name.is_empty() {
         spec.name = path
             .file_stem()
@@ -54,19 +54,12 @@ pub fn load_spec(path: &Path) -> Result<ScenarioSpec, String> {
     Ok(spec)
 }
 
-/// Parses one scenario spec from TOML text, giving the i-th `[[events]]`
-/// entry the line of the i-th `[[events]]` header the reader accepted.
-fn parse_spec(text: &str) -> Result<ScenarioSpec, String> {
-    let document = toml::parse(text)?;
-    let mut spec = ScenarioSpec::from_value(&document.value).map_err(|e| e.to_string())?;
-    let header_lines = document
-        .array_headers
-        .iter()
-        .filter(|(path, _)| *path == ["events"])
-        .map(|&(_, line)| line as u32);
-    for (event, line) in spec.events.iter_mut().zip(header_lines) {
-        event.line = Some(line);
-    }
+/// Reads one scenario spec from TOML text, citing `file` in its errors.
+fn parse_spec(file: &str, text: &str) -> Result<ScenarioSpec, String> {
+    let root = toml::parse(text).map_err(|e| format!("{file}:{e}"))?;
+    let mut fields = toml::Fields::new(file, &root);
+    let spec = ScenarioSpec::read(&mut fields)?;
+    fields.finish()?;
     Ok(spec)
 }
 
@@ -105,8 +98,9 @@ mod tests {
 
     #[test]
     fn event_errors_name_the_line_of_their_own_header_however_it_is_spelt() {
-        // Three spellings of the same header; the second event targets a
-        // station that does not exist.
+        // Three spellings of the same header; the second event leaves out
+        // the station a departure needs, so its error falls back to the
+        // header's line.
         let text = "\
 [[stations]]
 app = \"bt\"
@@ -118,18 +112,30 @@ defense = \"padding\"
 
 [[\"events\"]]
 at_secs = 2.0
-station = 9
 kind = \"depart\"
 
 [[events]]
 at_secs = 3.0
-kind = \"splice\"
-defense = \"or\"
+station = 9
+kind = \"depart\"
 ";
-        let spec = parse_spec(text).expect("parses");
-        let lines: Vec<_> = spec.events.iter().map(|e| e.line).collect();
-        assert_eq!(lines, [Some(4), Some(9), Some(14)]);
+        let spec = parse_spec("t.toml", text).expect("parses");
         let err = spec.build().unwrap_err();
-        assert!(err.contains("entry #2 (line 9)"), "{err}");
+        assert_eq!(
+            err,
+            "t.toml:9: station: missing: arrive and depart events need one"
+        );
+        let mut spec = parse_spec("t.toml", text).expect("parses");
+        spec.events.remove(1);
+        let err = spec.build().unwrap_err();
+        assert_eq!(err, "t.toml:15: station: 9 is out of range (0..1)");
+    }
+
+    #[test]
+    fn load_errors_start_with_the_path_and_line() {
+        let err = parse_spec("t.toml", "seed = 1\nseed = 2").unwrap_err();
+        assert_eq!(err, "t.toml:2: duplicate key `seed`");
+        let err = load_spec(Path::new("no/such.toml")).unwrap_err();
+        assert!(err.starts_with("no/such.toml: cannot read: "), "{err}");
     }
 }

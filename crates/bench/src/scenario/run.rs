@@ -291,6 +291,7 @@ mod tests {
     use crate::scenario::spec::{
         AdversarySpec, DefenseSpec, EventKind, EventSpec, ScenarioSpec, StationGroupSpec,
     };
+    use crate::scenario::toml::Lines;
 
     /// Runs a compiled scenario end to end, as `scenario_run` does: trains
     /// the spec'd adversary, then executes on the spec'd executor.
@@ -315,6 +316,7 @@ mod tests {
                     interfaces: None,
                     defense: DefenseSpec::parse("or").unwrap(),
                     stagger_secs: 0.0,
+                    lines: Lines::default(),
                 },
                 StationGroupSpec {
                     app: AppKind::Video,
@@ -324,12 +326,14 @@ mod tests {
                     interfaces: None,
                     defense: DefenseSpec::none(),
                     stagger_secs: 0.0,
+                    lines: Lines::default(),
                 },
             ],
             adversary: AdversarySpec::default(),
             events: Vec::new(),
             executor: Executor::virtual_time(),
             max_station_reports: usize::MAX,
+            lines: Lines::default(),
         }
     }
 
@@ -358,7 +362,7 @@ mod tests {
             at_secs: 12.0,
             station: Some(2),
             kind: EventKind::Arrive,
-            line: None,
+            lines: Lines::default(),
         }];
         let scenario = spec.build().expect("valid spec");
         let adversary = train_for(&scenario);
@@ -434,7 +438,7 @@ mod tests {
             at_secs: 10.0,
             station: Some(1),
             kind: EventKind::Depart,
-            line: None,
+            lines: Lines::default(),
         }];
         let report = run_scenario(&spec.build().expect("valid")).expect("runs");
         let [full, departed, _] = &report.station_reports[..] else {
@@ -458,7 +462,7 @@ mod tests {
             at_secs: 15.0,
             station: None,
             kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
-            line: None,
+            lines: Lines::default(),
         }];
         let report = run_scenario(&spec.build().expect("valid")).expect("runs");
         assert_eq!(report.adversary_mode, "online");

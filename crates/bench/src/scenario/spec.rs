@@ -1,14 +1,16 @@
-//! The declarative scenario schema and its compiler.
+//! The declarative scenario schema, its reader and its compiler.
 //!
 //! A [`ScenarioSpec`] is the paper's whole evaluation grid as data: a station
 //! population (each station a [`TrafficSpec`] plus a [`DefenseSpec`] stage
 //! list), an [`AdversarySpec`] (batch or online/prequential), and an optional
 //! [`EventSpec`] schedule for mid-session defense splices and station
-//! arrival/departure churn. [`ScenarioSpec::build`] compiles the spec into
-//! the existing streaming machinery — [`TrafficSpec`] → `StreamingSession`,
-//! [`DefenseSpec`] → [`StagePipeline`], adversary spec → ensemble/evaluator —
-//! after validating everything that can fail statically, so `--check` passes
-//! imply a runnable scenario.
+//! arrival/departure churn. The schema is read here alone, each type from
+//! its own table through the field reader of [`toml`](super::toml); loaded
+//! elements keep their key [`Lines`]. [`ScenarioSpec::build`] checks every
+//! value, citing its key, and compiles the spec into the existing streaming
+//! machinery — [`TrafficSpec`] → `StreamingSession`, [`DefenseSpec`] →
+//! [`StagePipeline`], adversary spec → ensemble/evaluator — so `--check`
+//! passes imply a runnable scenario.
 //!
 //! The schema (see `scenarios/*.toml` for committed examples):
 //!
@@ -32,21 +34,22 @@
 //! defense = "morph_or"
 //! ```
 
+use super::toml::{Fields, Lines, Value};
 use crate::corpus::ExperimentConfig;
 use crate::streaming::Executor;
 use classifier::window::FeatureMode;
-use defenses::spec::{DefenseStageSpec, StageContext};
+use defenses::spec::{duration_secs, DefenseStageSpec, StageContext};
 use defenses::stage::StagePipeline;
 use reshape_core::ranges::SizeRanges;
 use reshape_core::scheduler::{
     OrthogonalModulo, OrthogonalRanges, RandomAssign, ReshapeAlgorithm, RoundRobin,
 };
 use reshape_core::stage::ReshapeStage;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use traffic_gen::app::AppKind;
-use traffic_gen::spec::{app_from_value, TrafficSpec};
+use traffic_gen::spec::TrafficSpec;
+use traffic_gen::MAX_PACKET_SIZE;
 use wlan_sim::time::SimDuration;
 
 /// A reshaping scheduler, as data (Tables II/III's four algorithms).
@@ -87,28 +90,31 @@ impl AlgorithmSpec {
     }
 
     /// Constructs the scheduler, seeded exactly like the historical
-    /// hand-coded pipelines.
+    /// hand-coded pipelines. Fails on no interfaces, or on more OR ranges
+    /// than packet sizes.
     pub fn build(self, interfaces: usize, seed: u64) -> Result<Box<dyn ReshapeAlgorithm>, String> {
+        self.validate(interfaces)?;
         Ok(match self {
             AlgorithmSpec::Random => Box::new(RandomAssign::new(interfaces, seed)),
             AlgorithmSpec::RoundRobin => Box::new(RoundRobin::new(interfaces)),
             AlgorithmSpec::Orthogonal => Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(interfaces)
-                    .map_err(|e| format!("invalid interface count {interfaces}: {e}"))?,
+                SizeRanges::for_interface_count(interfaces).map_err(|e| e.to_string())?,
             )),
             AlgorithmSpec::OrthogonalModulo => Box::new(OrthogonalModulo::new(interfaces)),
         })
     }
 
-    /// Whether the algorithm is valid for `interfaces` virtual interfaces.
+    /// Checks the virtual-interface count: at least one for every
+    /// algorithm, and for OR at most one per packet size.
     fn validate(self, interfaces: usize) -> Result<(), String> {
-        match self {
-            AlgorithmSpec::Orthogonal => SizeRanges::for_interface_count(interfaces)
-                .map(|_| ())
-                .map_err(|e| format!("invalid interface count {interfaces}: {e}")),
-            _ if interfaces == 0 => Err("interface count must be positive".to_string()),
-            _ => Ok(()),
+        at_least_one(interfaces)?;
+        if self == AlgorithmSpec::Orthogonal && interfaces > MAX_PACKET_SIZE {
+            return Err(format!(
+                "or splits {MAX_PACKET_SIZE} packet sizes into at most as many ranges, \
+                 got {interfaces}"
+            ));
         }
+        Ok(())
     }
 }
 
@@ -136,73 +142,56 @@ impl StageSpec {
             StageSpec::Reshape { algorithm, .. } => algorithm.name(),
         }
     }
-}
 
-impl Serialize for StageSpec {
-    fn to_value(&self) -> Value {
-        match self {
-            StageSpec::Defense(d) => d.to_value(),
-            StageSpec::Reshape {
+    /// The stage a bare tag names, with default parameters: an algorithm
+    /// tag is a reshape stage over the station's interfaces, any other tag
+    /// a defense stage.
+    fn from_tag(tag: &str) -> Result<Self, String> {
+        if let Ok(algorithm) = AlgorithmSpec::parse(tag) {
+            return Ok(StageSpec::Reshape {
                 algorithm,
-                interfaces,
-            } => {
-                let mut entries = vec![
-                    ("stage".to_string(), Value::Str("reshape".to_string())),
-                    (
-                        "algorithm".to_string(),
-                        Value::Str(algorithm.name().to_string()),
-                    ),
-                ];
-                if let Some(i) = interfaces {
-                    entries.push(("interfaces".to_string(), Value::U64(*i as u64)));
-                }
-                Value::Map(entries)
-            }
+                interfaces: None,
+            });
         }
+        Ok(StageSpec::Defense(match tag {
+            "padding" | "pad" => DefenseStageSpec::Padding { size: None },
+            "morphing" | "morph" => DefenseStageSpec::Morphing { target: None },
+            "pseudonym" => DefenseStageSpec::Pseudonym { period_secs: None },
+            "frequency_hopping" | "fh" => DefenseStageSpec::FrequencyHopping { dwell_ms: None },
+            other => return Err(format!("unknown defense stage `{other}`")),
+        }))
     }
-}
 
-impl Deserialize for StageSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        // A bare algorithm tag is a reshape stage; any other bare tag (or a
-        // table without `stage = "reshape"`) is a defense stage.
-        if let Value::Str(s) = v {
-            if let Ok(algorithm) = AlgorithmSpec::parse(s) {
+    /// Reads a stage table: `stage = "reshape"` with an `algorithm` (OR by
+    /// default) and `interfaces`, or a defense tag with its parameter.
+    fn read(f: &mut Fields) -> Result<Self, String> {
+        let tag: String = f.required("stage")?;
+        let defense = match StageSpec::from_tag(&tag) {
+            _ if tag == "reshape" => {
                 return Ok(StageSpec::Reshape {
-                    algorithm,
-                    interfaces: None,
-                });
+                    algorithm: f
+                        .parse("algorithm", AlgorithmSpec::parse)?
+                        .unwrap_or(AlgorithmSpec::Orthogonal),
+                    interfaces: f.optional("interfaces")?,
+                })
             }
-            return DefenseStageSpec::from_value(v).map(StageSpec::Defense);
-        }
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected a stage table or tag"))?;
-        let tag = match serde::value_get(map, "stage") {
-            Some(Value::Str(s)) => s.as_str(),
-            _ => return Err(Error::custom("stage table is missing `stage`")),
+            Ok(StageSpec::Defense(defense)) => defense,
+            _ => return Err(f.error("stage", format!("unknown defense stage `{tag}`"))),
         };
-        if tag == "reshape" {
-            serde::value_deny_unknown(map, &["stage", "algorithm", "interfaces"], "reshape stage")?;
-            let algorithm = match serde::value_get(map, "algorithm") {
-                Some(Value::Str(s)) => AlgorithmSpec::parse(s).map_err(Error::custom)?,
-                Some(other) => {
-                    return Err(Error::custom(format!(
-                        "expected algorithm tag, found {other:?}"
-                    )))
-                }
-                None => AlgorithmSpec::Orthogonal,
-            };
-            let interfaces = serde::value_get(map, "interfaces")
-                .map(usize::from_value)
-                .transpose()?;
-            Ok(StageSpec::Reshape {
-                algorithm,
-                interfaces,
-            })
-        } else {
-            DefenseStageSpec::from_value(v).map(StageSpec::Defense)
-        }
+        Ok(StageSpec::Defense(match defense {
+            DefenseStageSpec::Padding { .. } => DefenseStageSpec::Padding {
+                size: f.optional("size")?,
+            },
+            DefenseStageSpec::Morphing { .. } => DefenseStageSpec::Morphing {
+                target: f.parse("target", str::parse)?,
+            },
+            DefenseStageSpec::Pseudonym { .. } => DefenseStageSpec::Pseudonym {
+                period_secs: f.optional("period_secs")?,
+            },
+            DefenseStageSpec::FrequencyHopping { .. } => DefenseStageSpec::FrequencyHopping {
+                dwell_ms: f.optional("dwell_ms")?,
+            },
+        }))
     }
 }
 
@@ -233,10 +222,34 @@ impl DefenseSpec {
         };
         let stages = tags
             .split('+')
-            .map(|tag| StageSpec::from_value(&Value::Str(tag.to_string())))
-            .collect::<Result<_, _>>()
-            .map_err(|e| format!("unknown defense `{s}`: {e}"))?;
+            .map(StageSpec::from_tag)
+            .collect::<Result<_, _>>()?;
         Ok(DefenseSpec { stages })
+    }
+
+    /// Reads the `defense` key of a station group or splice event: the
+    /// shorthand, or a stage list of tables and bare tags.
+    fn read(f: &mut Fields) -> Result<Option<Self>, String> {
+        let Some(value) = f.value("defense") else {
+            return Ok(None);
+        };
+        let at = |e: String| f.error("defense", e);
+        let stages = match value {
+            Value::Str(s) => DefenseSpec::parse(s).map_err(at)?.stages,
+            Value::Array(items) => items
+                .iter()
+                .map(|item| match item {
+                    Value::Str(tag) => StageSpec::from_tag(tag).map_err(at),
+                    table => f.nested("defense", table, StageSpec::read),
+                })
+                .collect::<Result<_, _>>()?,
+            other => {
+                return Err(at(format!(
+                    "expected a defense or a stage list, found {other}"
+                )))
+            }
+        };
+        Ok(Some(DefenseSpec { stages }))
     }
 
     /// A human-readable label (`"morphing+or"`, `"none"`).
@@ -276,45 +289,6 @@ impl DefenseSpec {
         }
         Ok(pipeline)
     }
-
-    /// Everything that can fail in [`build`](Self::build), checked without
-    /// constructing stages (morphing calibration is expensive).
-    pub fn validate(&self, interfaces: usize) -> Result<(), String> {
-        for stage in &self.stages {
-            match stage {
-                StageSpec::Defense(d) => d.validate()?,
-                StageSpec::Reshape {
-                    algorithm,
-                    interfaces: stage_interfaces,
-                } => algorithm.validate(stage_interfaces.unwrap_or(interfaces))?,
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Serialize for DefenseSpec {
-    fn to_value(&self) -> Value {
-        Value::Seq(self.stages.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl Deserialize for DefenseSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            // The shorthand (`defense = "morph_or"`).
-            Value::Str(s) => DefenseSpec::parse(s).map_err(Error::custom),
-            Value::Seq(stages) => Ok(DefenseSpec {
-                stages: stages
-                    .iter()
-                    .map(StageSpec::from_value)
-                    .collect::<Result<_, _>>()?,
-            }),
-            other => Err(Error::custom(format!(
-                "expected defense shorthand or stage list, found {other:?}"
-            ))),
-        }
-    }
 }
 
 /// A group of identical stations (traffic model + defense), expanded into
@@ -338,60 +312,23 @@ pub struct StationGroupSpec {
     /// `i * stagger_secs` (0 = everyone at once). This is how large
     /// populations state continuous churn in O(1) spec space.
     pub stagger_secs: f64,
+    /// The lines of the group's keys in its spec file, when loaded from one.
+    pub lines: Lines,
 }
 
-impl Deserialize for StationGroupSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected a station table"))?;
-        serde::value_deny_unknown(
-            map,
-            &[
-                "app",
-                "count",
-                "seed",
-                "secs",
-                "interfaces",
-                "defense",
-                "stagger_secs",
-            ],
-            "station group",
-        )?;
-        let app = app_from_value(
-            serde::value_get(map, "app")
-                .ok_or_else(|| Error::custom("station group is missing `app`"))?,
-        )?;
-        let count = serde::value_get(map, "count")
-            .map(usize::from_value)
-            .transpose()?
-            .unwrap_or(1);
-        let seed = serde::value_get(map, "seed")
-            .map(u64::from_value)
-            .transpose()?;
-        let secs = serde::value_get(map, "secs")
-            .map(f64::from_value)
-            .transpose()?
-            .unwrap_or(60.0);
-        let interfaces = serde::value_get(map, "interfaces")
-            .map(usize::from_value)
-            .transpose()?;
-        let defense = serde::value_get(map, "defense")
-            .map(DefenseSpec::from_value)
-            .transpose()?
-            .unwrap_or_default();
-        let stagger_secs = serde::value_get(map, "stagger_secs")
-            .map(f64::from_value)
-            .transpose()?
-            .unwrap_or(0.0);
+impl StationGroupSpec {
+    /// Reads a `[[stations]]` table.
+    fn read(f: &mut Fields) -> Result<Self, String> {
+        let app = f.parse("app", str::parse)?;
         Ok(StationGroupSpec {
-            app,
-            count,
-            seed,
-            secs,
-            interfaces,
-            defense,
-            stagger_secs,
+            app: app.ok_or_else(|| f.error("app", "missing"))?,
+            count: f.optional("count")?.unwrap_or(1),
+            seed: f.optional("seed")?,
+            secs: f.optional("secs")?.unwrap_or(60.0),
+            interfaces: f.optional("interfaces")?,
+            defense: DefenseSpec::read(f)?.unwrap_or_default(),
+            stagger_secs: f.optional("stagger_secs")?.unwrap_or(0.0),
+            lines: f.lines(),
         })
     }
 }
@@ -428,87 +365,38 @@ impl Default for AdversarySpec {
     }
 }
 
-impl Deserialize for AdversarySpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected an adversary table"))?;
-        serde::value_deny_unknown(map, &["mode", "train", "snapshot_every"], "adversary spec")?;
-        let mode = match serde::value_get(map, "mode") {
-            None => AdversaryMode::Batch,
-            Some(Value::Str(s)) => match s.as_str() {
-                "batch" => AdversaryMode::Batch,
-                "online" | "prequential" => AdversaryMode::Online,
-                other => return Err(Error::custom(format!("unknown adversary mode `{other}`"))),
-            },
-            Some(other) => {
-                return Err(Error::custom(format!(
-                    "expected adversary mode string, found {other:?}"
-                )))
-            }
-        };
-        let train = match serde::value_get(map, "train") {
-            Some(t) => config_overlay(t)?,
-            None => ExperimentConfig::quick(),
-        };
-        let snapshot_every = serde::value_get(map, "snapshot_every")
-            .map(u64::from_value)
-            .transpose()?
-            .unwrap_or(10);
+impl AdversarySpec {
+    /// Reads the `[adversary]` table; absent keys keep their defaults.
+    fn read(f: &mut Fields) -> Result<Self, String> {
+        let mode = f.parse("mode", |mode| match mode {
+            "batch" => Ok(AdversaryMode::Batch),
+            "online" | "prequential" => Ok(AdversaryMode::Online),
+            other => Err(format!("unknown adversary mode `{other}`")),
+        })?;
+        let default = AdversarySpec::default();
         Ok(AdversarySpec {
-            mode,
-            train,
-            snapshot_every,
+            mode: mode.unwrap_or(default.mode),
+            train: f.table("train", read_train)?.unwrap_or(default.train),
+            snapshot_every: f
+                .optional("snapshot_every")?
+                .unwrap_or(default.snapshot_every),
         })
     }
 }
 
-/// Reads an [`ExperimentConfig`] table where every field is optional,
-/// overlaying [`ExperimentConfig::quick`] — spec files only state what they
-/// change.
-fn config_overlay(v: &Value) -> Result<ExperimentConfig, Error> {
-    let map = v
-        .as_map()
-        .ok_or_else(|| Error::custom("expected a train-config table"))?;
-    serde::value_deny_unknown(
-        map,
-        &[
-            "train_seed",
-            "eval_seed",
-            "train_sessions",
-            "train_session_secs",
-            "eval_sessions",
-            "eval_session_secs",
-            "window_secs",
-            "interfaces",
-        ],
-        "train config",
-    )?;
+/// Reads the `[adversary.train]` table, overlaying
+/// [`ExperimentConfig::quick`]: spec files only state what they change.
+fn read_train(f: &mut Fields) -> Result<ExperimentConfig, String> {
     let mut config = ExperimentConfig::quick();
-    if let Some(x) = serde::value_get(map, "train_seed") {
-        config.train_seed = u64::from_value(x)?;
+    macro_rules! overlay {
+        ($($key:ident),*) => {$(
+            if let Some(value) = f.optional(stringify!($key))? {
+                config.$key = value;
+            }
+        )*};
     }
-    if let Some(x) = serde::value_get(map, "eval_seed") {
-        config.eval_seed = u64::from_value(x)?;
-    }
-    if let Some(x) = serde::value_get(map, "train_sessions") {
-        config.train_sessions = usize::from_value(x)?;
-    }
-    if let Some(x) = serde::value_get(map, "train_session_secs") {
-        config.train_session_secs = f64::from_value(x)?;
-    }
-    if let Some(x) = serde::value_get(map, "eval_sessions") {
-        config.eval_sessions = usize::from_value(x)?;
-    }
-    if let Some(x) = serde::value_get(map, "eval_session_secs") {
-        config.eval_session_secs = f64::from_value(x)?;
-    }
-    if let Some(x) = serde::value_get(map, "window_secs") {
-        config.window_secs = f64::from_value(x)?;
-    }
-    if let Some(x) = serde::value_get(map, "interfaces") {
-        config.interfaces = usize::from_value(x)?;
-    }
+    overlay!(train_seed, eval_seed, train_sessions, train_session_secs);
+    overlay!(eval_sessions, eval_session_secs, window_secs, interfaces);
     Ok(config)
 }
 
@@ -533,62 +421,32 @@ pub struct EventSpec {
     pub station: Option<usize>,
     /// What happens.
     pub kind: EventKind,
-    /// The `[[events]]` header's line in the spec file, when loaded from
-    /// one — build errors cite it.
-    pub line: Option<u32>,
+    /// The lines of the event's keys in its spec file, when loaded from one.
+    pub lines: Lines,
 }
 
 impl EventSpec {
-    /// How a build error names this event (`[[events]] entry #2 (line 31)`).
-    fn describe(&self, index: usize) -> String {
-        match self.line {
-            Some(line) => format!("[[events]] entry #{} (line {line})", index + 1),
-            None => format!("[[events]] entry #{}", index + 1),
-        }
-    }
-}
-
-impl Deserialize for EventSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected an event table"))?;
-        serde::value_deny_unknown(map, &["at_secs", "station", "kind", "defense"], "event")?;
-        let at_secs = f64::from_value(
-            serde::value_get(map, "at_secs")
-                .ok_or_else(|| Error::custom("event is missing `at_secs`"))?,
-        )?;
-        let station = serde::value_get(map, "station")
-            .map(usize::from_value)
-            .transpose()?;
-        let kind = match serde::value_get(map, "kind") {
-            Some(Value::Str(s)) => match s.as_str() {
-                "splice" => {
-                    let defense = serde::value_get(map, "defense")
-                        .ok_or_else(|| Error::custom("splice event is missing `defense`"))?;
-                    EventKind::Splice(DefenseSpec::from_value(defense)?)
-                }
-                "arrive" | "depart" => {
-                    if serde::value_get(map, "defense").is_some() {
-                        return Err(Error::custom(format!(
-                            "`defense` does not apply to a {s} event"
-                        )));
-                    }
-                    if s == "arrive" {
-                        EventKind::Arrive
-                    } else {
-                        EventKind::Depart
-                    }
-                }
-                other => return Err(Error::custom(format!("unknown event kind `{other}`"))),
-            },
-            _ => return Err(Error::custom("event is missing `kind`")),
+    /// Reads an `[[events]]` table: a splice needs a `defense`, which
+    /// arrive and depart events do not take.
+    fn read(f: &mut Fields) -> Result<Self, String> {
+        let at_secs = f.required("at_secs")?;
+        let station = f.optional("station")?;
+        let kind: String = f.required("kind")?;
+        let kind = match (kind.as_str(), DefenseSpec::read(f)?) {
+            ("splice", Some(defense)) => EventKind::Splice(defense),
+            ("splice", None) => return Err(f.error("defense", "missing from a splice event")),
+            ("arrive", None) => EventKind::Arrive,
+            ("depart", None) => EventKind::Depart,
+            ("arrive" | "depart", Some(_)) => {
+                return Err(f.error("defense", format!("does not apply to a {kind} event")))
+            }
+            (other, _) => return Err(f.error("kind", format!("unknown event kind `{other}`"))),
         };
         Ok(EventSpec {
             at_secs,
             station,
             kind,
-            line: None,
+            lines: f.lines(),
         })
     }
 }
@@ -620,85 +478,28 @@ pub struct ScenarioSpec {
     /// (aggregates always cover everyone). Caps report size for
     /// million-station scenarios.
     pub max_station_reports: usize,
+    /// The lines of the root table's keys (`[adversary]` and
+    /// `[adversary.train]` included), when loaded from a spec file.
+    pub lines: Lines,
 }
 
-impl Deserialize for ScenarioSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let map = v
-            .as_map()
-            .ok_or_else(|| Error::custom("expected a scenario table"))?;
-        serde::value_deny_unknown(
-            map,
-            &[
-                "name",
-                "seed",
-                "window_secs",
-                "calib_secs",
-                "interfaces",
-                "stations",
-                "adversary",
-                "events",
-                "executor",
-                "max_station_reports",
-            ],
-            "scenario",
-        )?;
-        let name = serde::value_get(map, "name")
-            .map(String::from_value)
-            .transpose()?
-            .unwrap_or_default();
-        let seed = serde::value_get(map, "seed")
-            .map(u64::from_value)
-            .transpose()?
-            .unwrap_or(0);
-        let window_secs = serde::value_get(map, "window_secs")
-            .map(f64::from_value)
-            .transpose()?
-            .unwrap_or(5.0);
-        let calib_secs = serde::value_get(map, "calib_secs")
-            .map(f64::from_value)
-            .transpose()?
-            .unwrap_or(60.0);
-        let interfaces = serde::value_get(map, "interfaces")
-            .map(usize::from_value)
-            .transpose()?
-            .unwrap_or(3);
-        let stations = serde::value_get(map, "stations")
-            .map(Vec::<StationGroupSpec>::from_value)
-            .transpose()?
-            .unwrap_or_default();
-        let adversary = serde::value_get(map, "adversary")
-            .map(AdversarySpec::from_value)
-            .transpose()?
-            .unwrap_or_default();
-        let events = serde::value_get(map, "events")
-            .map(Vec::<EventSpec>::from_value)
-            .transpose()?
-            .unwrap_or_default();
-        let executor = match serde::value_get(map, "executor") {
-            None => Executor::default(),
-            Some(Value::Str(s)) => Executor::parse(s).map_err(Error::custom)?,
-            Some(other) => {
-                return Err(Error::custom(format!(
-                    "expected executor tag string, found {other:?}"
-                )))
-            }
-        };
-        let max_station_reports = serde::value_get(map, "max_station_reports")
-            .map(usize::from_value)
-            .transpose()?
-            .unwrap_or(usize::MAX);
+impl ScenarioSpec {
+    /// Reads a scenario from the root table of a spec file.
+    pub(crate) fn read(f: &mut Fields) -> Result<Self, String> {
         Ok(ScenarioSpec {
-            name,
-            seed,
-            window_secs,
-            calib_secs,
-            interfaces,
-            stations,
-            adversary,
-            events,
-            executor,
-            max_station_reports,
+            name: f.optional("name")?.unwrap_or_default(),
+            seed: f.optional("seed")?.unwrap_or(0),
+            window_secs: f.optional("window_secs")?.unwrap_or(5.0),
+            calib_secs: f.optional("calib_secs")?.unwrap_or(60.0),
+            interfaces: f.optional("interfaces")?.unwrap_or(3),
+            stations: f.tables("stations", StationGroupSpec::read)?,
+            adversary: f
+                .table("adversary", AdversarySpec::read)?
+                .unwrap_or_default(),
+            events: f.tables("events", EventSpec::read)?,
+            executor: f.parse("executor", Executor::parse)?.unwrap_or_default(),
+            max_station_reports: f.optional("max_station_reports")?.unwrap_or(usize::MAX),
+            lines: f.lines(),
         })
     }
 }
@@ -827,8 +628,13 @@ impl Population {
         })
     }
 
+    /// The index of the group station `index` belongs to.
+    fn group_index(&self, index: usize) -> usize {
+        self.groups.partition_point(|g| g.first + g.count <= index)
+    }
+
     fn group_of(&self, index: usize) -> &CompiledGroup {
-        &self.groups[self.groups.partition_point(|g| g.first + g.count <= index)]
+        &self.groups[self.group_index(index)]
     }
 
     /// The station's wall-clock arrival second (override or stagger).
@@ -991,44 +797,54 @@ impl CompiledScenario {
 }
 
 impl ScenarioSpec {
-    /// Compiles the spec into a [`CompiledScenario`], validating everything
-    /// that can fail statically: station population non-empty, positive
-    /// durations, event indices in range, reshape stages valid for their
-    /// interface counts, a coherent event schedule (a station cannot depart
-    /// before it arrives, and targeted splices must land inside the target's
-    /// active interval) and a name that is one plain file name. The
-    /// population itself stays symbolic, so compiling a million-station spec
-    /// is O(groups + events).
+    /// Compiles the spec into a [`CompiledScenario`], checking every value
+    /// that can fail statically and citing its key (`path:line: key:` for a
+    /// loaded spec): a non-empty population, durations that
+    /// [`duration_secs`] accepts, counts of at least one, event indices in
+    /// range, reshape stages valid for their interface counts, a coherent
+    /// event schedule (a station cannot depart before it arrives, and
+    /// targeted splices must land inside the target's active interval) and a
+    /// name that is one plain file name. The population itself stays
+    /// symbolic, so compiling a million-station spec is O(groups + events).
     pub fn build(&self) -> Result<CompiledScenario, String> {
-        report_file_name(&self.name)?;
-        if self.stations.is_empty() {
-            return Err(format!("scenario `{}` has no stations", self.name));
+        let at = |key: &str, e: String| self.lines.cite(key, e);
+        for (key, check) in [
+            ("name", report_file_name(&self.name)),
+            ("stations", at_least_one(self.stations.len())),
+            ("window_secs", duration_secs(self.window_secs)),
+            ("calib_secs", duration_secs(self.calib_secs)),
+        ] {
+            check.map_err(|e| at(key, e))?;
         }
-        window_secs("window_secs", self.window_secs)?;
-        positive_secs("calib_secs", self.calib_secs)?;
-        validate_train(&self.adversary.train)?;
+        let train = &self.adversary.train;
+        for (key, check) in [
+            ("train_sessions", at_least_one(train.train_sessions)),
+            (
+                "train_session_secs",
+                duration_secs(train.train_session_secs),
+            ),
+            ("eval_sessions", at_least_one(train.eval_sessions)),
+            ("eval_session_secs", duration_secs(train.eval_session_secs)),
+            ("window_secs", duration_secs(train.window_secs)),
+        ] {
+            check.map_err(|e| at(&format!("adversary.train.{key}"), e))?;
+        }
         let mut groups = Vec::with_capacity(self.stations.len());
         let mut first = 0usize;
-        for (group_index, group) in self.stations.iter().enumerate() {
-            if group.count == 0 {
-                return Err(format!("station group {group_index} has count 0"));
-            }
-            positive_secs("secs", group.secs)
-                .map_err(|e| format!("station group {group_index}: {e}"))?;
-            if !group.stagger_secs.is_finite() || group.stagger_secs < 0.0 {
-                return Err(format!(
-                    "station group {group_index} has invalid stagger_secs {}",
-                    group.stagger_secs
-                ));
+        for (gi, group) in self.stations.iter().enumerate() {
+            let at = |key: &str, e: String| group.lines.cite(key, e);
+            for (key, check) in [
+                ("count", at_least_one(group.count)),
+                ("secs", duration_secs(group.secs)),
+                ("stagger_secs", stagger_secs(group.stagger_secs)),
+            ] {
+                check.map_err(|e| at(key, e))?;
             }
             let interfaces = group.interfaces.unwrap_or(self.interfaces);
-            group
-                .defense
-                .validate(interfaces)
-                .map_err(|e| format!("station group {group_index} ({}): {e}", group.app))?;
+            self.check_defense(&group.defense, gi, &at)?;
             let base_seed = group
                 .seed
-                .unwrap_or_else(|| derive_group_seed(self.seed, group_index));
+                .unwrap_or_else(|| derive_group_seed(self.seed, gi));
             groups.push(CompiledGroup {
                 first,
                 count: group.count,
@@ -1039,55 +855,26 @@ impl ScenarioSpec {
                 defense: group.defense.clone(),
                 stagger_secs: group.stagger_secs,
             });
-            first = first.checked_add(group.count).ok_or_else(|| {
-                format!(
-                    "station group {group_index}: count {} takes the population past {} stations",
-                    group.count,
-                    usize::MAX
-                )
-            })?;
+            let past = || format!("{} takes the population past usize::MAX", group.count);
+            first = first
+                .checked_add(group.count)
+                .ok_or_else(|| at("count", past()))?;
         }
         let total = first;
         // Churn first (splice times are relative to the arrival they follow,
-        // and departure checks need the final arrival).
+        // and departure checks need the final arrival); the event checks
+        // follow.
         let mut churn: BTreeMap<usize, ChurnOverride> = BTreeMap::new();
         let mut splices: Vec<(f64, Option<usize>, DefenseSpec)> = Vec::new();
-        for (index, event) in self.events.iter().enumerate() {
-            if !event.at_secs.is_finite() {
-                return Err(format!("{}: at_secs must be finite", event.describe(index)));
-            }
-            match &event.kind {
-                EventKind::Arrive | EventKind::Depart => {
-                    let station = event.station.ok_or_else(|| {
-                        format!(
-                            "{}: arrive/depart events need a `station` index",
-                            event.describe(index)
-                        )
-                    })?;
-                    if station >= total {
-                        return Err(format!(
-                            "{}: station {station} out of range (0..{total})",
-                            event.describe(index)
-                        ));
-                    }
-                    let entry = churn.entry(station).or_default();
-                    match event.kind {
-                        EventKind::Arrive => entry.arrival = Some(event.at_secs),
-                        EventKind::Depart => entry.departure = Some(event.at_secs),
-                        _ => unreachable!(),
-                    }
+        for event in &self.events {
+            let at_secs = Some(event.at_secs);
+            match (&event.kind, event.station) {
+                (EventKind::Arrive, Some(i)) => churn.entry(i).or_default().arrival = at_secs,
+                (EventKind::Depart, Some(i)) => churn.entry(i).or_default().departure = at_secs,
+                (EventKind::Splice(defense), i) => {
+                    splices.push((event.at_secs, i, defense.clone()))
                 }
-                EventKind::Splice(defense) => {
-                    if let Some(i) = event.station {
-                        if i >= total {
-                            return Err(format!(
-                                "{}: station {i} out of range (0..{total})",
-                                event.describe(index)
-                            ));
-                        }
-                    }
-                    splices.push((event.at_secs, event.station, defense.clone()));
-                }
+                (_, None) => {}
             }
         }
         let mut moved: Vec<(f64, usize)> = churn
@@ -1102,54 +889,54 @@ impl ScenarioSpec {
             splices,
             total,
         };
-        // Schedule-coherence pass, now that every arrival is final. Global
-        // splices keep the historical clamp-to-arrival semantics; targeted
-        // ones must land inside the target's active interval.
-        for (index, event) in self.events.iter().enumerate() {
-            match &event.kind {
-                EventKind::Depart => {
-                    let station = event.station.expect("validated above");
-                    let arrival = population.arrival_of(station);
-                    if event.at_secs <= arrival {
-                        return Err(format!(
-                            "{}: station {station} departs at {} s but arrives at {} s \
-                             — its session would be empty",
-                            event.describe(index),
-                            event.at_secs,
-                            arrival
+        // Every arrival is final now. Global splices keep the historical
+        // clamp-to-arrival semantics; targeted ones must land inside the
+        // target's active interval.
+        for event in &self.events {
+            let at = |key: &str, e: String| event.lines.cite(key, e);
+            let at_secs = event.at_secs;
+            if !at_secs.is_finite() {
+                return Err(at("at_secs", format!("must be finite, got {at_secs:?}")));
+            }
+            match (&event.kind, event.station) {
+                (_, Some(i)) if i >= total => {
+                    return Err(at("station", format!("{i} is out of range (0..{total})")));
+                }
+                (EventKind::Arrive | EventKind::Depart, None) => {
+                    let missing = "missing: arrive and depart events need one";
+                    return Err(at("station", missing.to_string()));
+                }
+                (EventKind::Depart, Some(i)) => {
+                    let arrival = population.arrival_of(i);
+                    if at_secs <= arrival {
+                        return Err(at(
+                            "at_secs",
+                            format!(
+                                "station {i} departs at {at_secs:?} s but arrives at \
+                                 {arrival:?} s — its session would be empty"
+                            ),
                         ));
                     }
                 }
-                EventKind::Splice(defense) => match event.station {
-                    Some(i) => {
-                        defense
-                            .validate(population.group_of(i).interfaces)
-                            .map_err(|e| {
-                                format!("{}: splice on station {i}: {e}", event.describe(index))
-                            })?;
-                        let (arrival, end) = population.interval_of(i);
-                        if event.at_secs < arrival || event.at_secs > end {
-                            return Err(format!(
-                                "{}: splice at {} s lands outside station {i}'s active \
-                                 interval [{arrival} s, {end} s]",
-                                event.describe(index),
-                                event.at_secs
-                            ));
-                        }
+                (EventKind::Splice(defense), Some(i)) => {
+                    self.check_defense(defense, population.group_index(i), &at)?;
+                    let (arrival, end) = population.interval_of(i);
+                    if at_secs < arrival || at_secs > end {
+                        return Err(at(
+                            "at_secs",
+                            format!(
+                                "splice at {at_secs:?} s lands outside station {i}'s active \
+                                 interval [{arrival:?} s, {end:?} s]"
+                            ),
+                        ));
                     }
-                    None => {
-                        for (gi, group) in population.groups.iter().enumerate() {
-                            defense.validate(group.interfaces).map_err(|e| {
-                                format!(
-                                    "{}: splice on station group {gi} ({}): {e}",
-                                    event.describe(index),
-                                    group.app
-                                )
-                            })?;
-                        }
+                }
+                (EventKind::Splice(defense), None) => {
+                    for gi in 0..self.stations.len() {
+                        self.check_defense(defense, gi, &at)?;
                     }
-                },
-                EventKind::Arrive => {}
+                }
+                (EventKind::Arrive, Some(_)) => {}
             }
         }
         Ok(CompiledScenario {
@@ -1162,18 +949,58 @@ impl ScenarioSpec {
             population,
         })
     }
+
+    /// Checks every stage of `defense` on the stations of group `gi` without
+    /// constructing it (morphing calibration is expensive). `at` cites a key
+    /// of the element the defense belongs to; a reshape stage without its own
+    /// `interfaces` is cited at the key its count comes from.
+    fn check_defense(
+        &self,
+        defense: &DefenseSpec,
+        gi: usize,
+        at: &dyn Fn(&str, String) -> String,
+    ) -> Result<(), String> {
+        let (count, lines) = match self.stations[gi].interfaces {
+            Some(count) => (count, &self.stations[gi].lines),
+            None => (self.interfaces, &self.lines),
+        };
+        for (i, stage) in defense.stages.iter().enumerate() {
+            match *stage {
+                StageSpec::Defense(d) => d
+                    .validate()
+                    .map_err(|(key, e)| at(&format!("defense[{i}].{key}"), e))?,
+                StageSpec::Reshape {
+                    algorithm,
+                    interfaces: Some(own),
+                } => algorithm
+                    .validate(own)
+                    .map_err(|e| at(&format!("defense[{i}].interfaces"), e))?,
+                StageSpec::Reshape { algorithm, .. } => algorithm
+                    .validate(count)
+                    .map_err(|e| lines.cite("interfaces", e))?,
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Accepts a duration key only when it is a positive, finite number of
-/// seconds (`x <= 0.0` alone lets NaN through).
-fn positive_secs(key: &str, secs: f64) -> Result<(), String> {
-    if secs.is_finite() && secs > 0.0 {
-        Ok(())
-    } else {
-        Err(format!(
-            "{key} must be a positive, finite number of seconds, got {secs}"
-        ))
+/// Accepts a stagger only when it is a non-negative, finite number of
+/// seconds.
+fn stagger_secs(secs: f64) -> Result<(), String> {
+    if secs.is_finite() && secs >= 0.0 {
+        return Ok(());
     }
+    Err(format!(
+        "must be a non-negative, finite number of seconds, got {secs:?}"
+    ))
+}
+
+/// Accepts a count of at least one.
+fn at_least_one(count: usize) -> Result<(), String> {
+    if count == 0 {
+        return Err("must be at least 1, got 0".to_string());
+    }
+    Ok(())
 }
 
 /// Accepts a scenario name only when it is one plain path component: the
@@ -1183,40 +1010,9 @@ fn positive_secs(key: &str, secs: f64) -> Result<(), String> {
 fn report_file_name(name: &str) -> Result<(), String> {
     if name == "." || name == ".." || name.contains(['/', '\\', '\0']) {
         return Err(format!(
-            "name `{}` must be a plain file name: no `/`, `\\` or NUL, and not `.` or `..`",
+            "`{}` must be a plain file name: no `/`, `\\` or NUL, and not `.` or `..`",
             name.escape_debug()
         ));
-    }
-    Ok(())
-}
-
-/// Accepts a window length only when [`positive_secs`] does and it fits
-/// [`SimDuration`], which counts whole microseconds in a u64.
-fn window_secs(key: &str, secs: f64) -> Result<(), String> {
-    positive_secs(key, secs)?;
-    if !(0.5..u64::MAX as f64).contains(&(secs * 1e6)) {
-        return Err(format!(
-            "{key} {secs} is outside the simulator's time range (1 µs to {:.3e} s)",
-            u64::MAX as f64 / 1e6
-        ));
-    }
-    Ok(())
-}
-
-/// Validates the `[adversary.train]` overlay: training on an empty corpus
-/// panics, and an infinite session never finishes generating.
-fn validate_train(train: &ExperimentConfig) -> Result<(), String> {
-    let key = |name: &str| format!("adversary.train.{name}");
-    positive_secs(&key("train_session_secs"), train.train_session_secs)?;
-    positive_secs(&key("eval_session_secs"), train.eval_session_secs)?;
-    window_secs(&key("window_secs"), train.window_secs)?;
-    for (name, sessions) in [
-        ("train_sessions", train.train_sessions),
-        ("eval_sessions", train.eval_sessions),
-    ] {
-        if sessions == 0 {
-            return Err(format!("{} must be at least 1, got 0", key(name)));
-        }
     }
     Ok(())
 }
@@ -1237,6 +1033,17 @@ pub const SCENARIO_FEATURE_MODE: FeatureMode = FeatureMode::Full;
 mod tests {
     use super::*;
 
+    /// Reads `text` as the spec file `t.toml`.
+    fn load(text: &str) -> Result<ScenarioSpec, String> {
+        crate::scenario::parse_spec("t.toml", text)
+    }
+
+    /// [`demo_spec`] as a spec file, one key a line: the groups' headers sit
+    /// on lines 4 and 10, and events appended to it start on line 14.
+    const DEMO: &str = "name = \"demo\"\nseed = 7\ncalib_secs = 30.0\n\
+        [[stations]]\napp = \"bt\"\ncount = 2\nseed = 100\nsecs = 40.0\ndefense = \"or\"\n\
+        [[stations]]\napp = \"video\"\nsecs = 40.0\ninterfaces = 5\n";
+
     fn demo_spec() -> ScenarioSpec {
         ScenarioSpec {
             name: "demo".to_string(),
@@ -1253,6 +1060,7 @@ mod tests {
                     interfaces: None,
                     defense: DefenseSpec::parse("or").unwrap(),
                     stagger_secs: 0.0,
+                    lines: Lines::default(),
                 },
                 StationGroupSpec {
                     app: AppKind::Video,
@@ -1262,12 +1070,14 @@ mod tests {
                     interfaces: Some(5),
                     defense: DefenseSpec::none(),
                     stagger_secs: 0.0,
+                    lines: Lines::default(),
                 },
             ],
             adversary: AdversarySpec::default(),
             events: Vec::new(),
             executor: Executor::virtual_time(),
             max_station_reports: usize::MAX,
+            lines: Lines::default(),
         }
     }
 
@@ -1288,6 +1098,14 @@ mod tests {
     }
 
     #[test]
+    fn a_loaded_spec_compiles_like_the_same_spec_built_in_code() {
+        // Every key the file leaves out takes the default `demo_spec` spells
+        // out.
+        let loaded = load(DEMO).expect("valid spec");
+        assert_eq!(loaded.build(), demo_spec().build());
+    }
+
+    #[test]
     fn staggered_groups_spread_arrivals_without_events() {
         let mut spec = demo_spec();
         spec.stations[0].stagger_secs = 7.5;
@@ -1304,7 +1122,7 @@ mod tests {
             at_secs: 3.0,
             station: Some(1),
             kind: EventKind::Arrive,
-            line: None,
+            lines: Lines::default(),
         }];
         let scenario = spec.build().expect("valid spec");
         assert_eq!(scenario.station(1).arrival_secs, 3.0);
@@ -1318,19 +1136,19 @@ mod tests {
                 at_secs: 10.0,
                 station: Some(1),
                 kind: EventKind::Arrive,
-                line: None,
+                lines: Lines::default(),
             },
             EventSpec {
                 at_secs: 30.0,
                 station: Some(1),
                 kind: EventKind::Depart,
-                line: None,
+                lines: Lines::default(),
             },
             EventSpec {
                 at_secs: 20.0,
                 station: None,
                 kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
-                line: None,
+                lines: Lines::default(),
             },
         ];
         let scenario = spec.build().expect("valid spec");
@@ -1349,63 +1167,52 @@ mod tests {
     #[test]
     fn incoherent_event_schedules_are_rejected_with_their_entry() {
         // Departing before arriving used to clip silently to an empty
-        // session; now it is a build error naming the offending entry.
-        let mut spec = demo_spec();
-        spec.events = vec![
-            EventSpec {
-                at_secs: 50.0,
-                station: Some(1),
-                kind: EventKind::Arrive,
-                line: Some(12),
-            },
-            EventSpec {
-                at_secs: 20.0,
-                station: Some(1),
-                kind: EventKind::Depart,
-                line: Some(17),
-            },
-        ];
+        // session; now it is a build error citing the offending key.
+        let churn = "[[events]]\nat_secs = 50.0\nstation = 1\nkind = \"arrive\"\n\
+            [[events]]\nat_secs = 20.0\nstation = 1\nkind = \"depart\"\n";
+        let spec = load(&format!("{DEMO}{churn}")).expect("valid spec");
         let err = spec.build().expect_err("depart before arrive");
         assert!(
-            err.contains("[[events]] entry #2 (line 17)") && err.contains("departs"),
+            err.starts_with(
+                "t.toml:19: at_secs: station 1 departs at 20.0 s but arrives at 50.0 s"
+            ),
             "unexpected error: {err}"
         );
+        // Built in code, the error names the key alone.
+        let mut spec = demo_spec();
+        spec.events = load(&format!("{DEMO}{churn}")).unwrap().events;
+        spec.events
+            .iter_mut()
+            .for_each(|e| e.lines = Lines::default());
+        let err = spec.build().expect_err("depart before arrive");
+        assert!(err.starts_with("at_secs: station 1"), "{err}");
 
         // A targeted splice after the station's departure is equally dead.
-        spec.events = vec![
-            EventSpec {
-                at_secs: 10.0,
-                station: Some(0),
-                kind: EventKind::Depart,
-                line: None,
-            },
-            EventSpec {
-                at_secs: 25.0,
-                station: Some(0),
-                kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
-                line: Some(31),
-            },
-        ];
-        let err = spec.build().expect_err("splice outside the interval");
+        let dead = "[[events]]\nat_secs = 10.0\nstation = 0\nkind = \"depart\"\n\
+            [[events]]\nat_secs = 25.0\nstation = 0\nkind = \"splice\"\ndefense = \"padding\"\n";
+        let err = load(&format!("{DEMO}{dead}")).unwrap().build();
+        let err = err.expect_err("splice outside the interval");
         assert!(
-            err.contains("(line 31)") && err.contains("active interval"),
+            err.starts_with("t.toml:19: at_secs: splice at 25.0 s lands outside station 0's")
+                && err.contains("active interval"),
             "unexpected error: {err}"
         );
 
         // Global splices keep the historical clamp semantics (the committed
         // scenarios rely on a global splice landing mid-churn).
+        let mut spec = demo_spec();
         spec.events = vec![
             EventSpec {
                 at_secs: 10.0,
                 station: Some(0),
                 kind: EventKind::Depart,
-                line: None,
+                lines: Lines::default(),
             },
             EventSpec {
                 at_secs: 25.0,
                 station: None,
                 kind: EventKind::Splice(DefenseSpec::parse("padding").unwrap()),
-                line: None,
+                lines: Lines::default(),
             },
         ];
         assert!(spec.build().is_ok());
@@ -1419,16 +1226,18 @@ mod tests {
 
         let mut bad_interfaces = demo_spec();
         bad_interfaces.stations[0].interfaces = Some(0);
-        assert!(bad_interfaces.build().unwrap_err().contains('0'));
+        let err = bad_interfaces.build().unwrap_err();
+        assert_eq!(err, "interfaces: must be at least 1, got 0");
 
         let mut bad_event = demo_spec();
         bad_event.events = vec![EventSpec {
             at_secs: 1.0,
             station: Some(9),
             kind: EventKind::Depart,
-            line: None,
+            lines: Lines::default(),
         }];
-        assert!(bad_event.build().is_err());
+        let err = bad_event.build().unwrap_err();
+        assert_eq!(err, "station: 9 is out of range (0..3)");
 
         let mut bad_stagger = demo_spec();
         bad_stagger.stations[0].stagger_secs = -1.0;
@@ -1442,14 +1251,20 @@ mod tests {
         for bad in [0.0, -5.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut spec = demo_spec();
             spec.calib_secs = bad;
-            assert!(spec.build().unwrap_err().contains("calib_secs"), "{bad}");
+            assert!(
+                spec.build().unwrap_err().starts_with("calib_secs: "),
+                "{bad}"
+            );
             let mut spec = demo_spec();
             spec.window_secs = bad;
-            assert!(spec.build().unwrap_err().contains("window_secs"), "{bad}");
+            assert!(
+                spec.build().unwrap_err().starts_with("window_secs: "),
+                "{bad}"
+            );
             let mut spec = demo_spec();
             spec.stations[1].secs = bad;
             let err = spec.build().unwrap_err();
-            assert!(err.contains("station group 1: secs"), "{bad}: {err}");
+            assert!(err.starts_with("secs: "), "{bad}: {err}");
         }
         // Beyond SimDuration's u64 microseconds, or below one microsecond.
         for bad in [1e300, 1.9e13, 1e-9] {
@@ -1458,28 +1273,31 @@ mod tests {
             assert!(spec.build().unwrap_err().contains("window_secs"), "{bad}");
         }
         // The same keys through the TOML front end `--check` uses
-        // (`1e400` parses to infinity).
-        for (doc, key) in [
-            ("calib_secs = 0.0\n[[stations]]\napp = \"bt\"", "calib_secs"),
+        // (`1e400` parses to infinity); values print as they are written.
+        for (doc, want) in [
             (
-                "calib_secs = -5.0\n[[stations]]\napp = \"bt\"",
-                "calib_secs",
+                "calib_secs = 0.0\n[[stations]]\napp = \"bt\"",
+                "t.toml:1: calib_secs: must be a positive, finite number of seconds, got 0.0",
+            ),
+            (
+                "calib_secs = -5\n[[stations]]\napp = \"bt\"",
+                "t.toml:1: calib_secs: must be a positive, finite number of seconds, got -5.0",
             ),
             (
                 "window_secs = 1e400\n[[stations]]\napp = \"bt\"",
-                "window_secs",
+                "t.toml:1: window_secs: must be a positive, finite number of seconds, got inf",
             ),
             (
                 "window_secs = 1e300\n[[stations]]\napp = \"bt\"",
-                "window_secs",
+                "t.toml:1: window_secs: 1e300 s is outside the simulator's time range",
             ),
-            ("[[stations]]\napp = \"bt\"\nsecs = 1e400", "secs"),
+            (
+                "[[stations]]\napp = \"bt\"\nsecs = 1e400",
+                "t.toml:3: secs: must be a positive",
+            ),
         ] {
-            let value = crate::scenario::toml::parse(doc)
-                .expect("well-formed TOML")
-                .value;
-            let spec = ScenarioSpec::from_value(&value).expect("parses");
-            assert!(spec.build().unwrap_err().contains(key), "{doc}");
+            let err = load(doc).expect("parses").build().unwrap_err();
+            assert!(err.starts_with(want), "{doc}: {err}");
         }
     }
 
@@ -1489,7 +1307,7 @@ mod tests {
             let mut spec = demo_spec();
             spec.name = bad.to_string();
             let err = spec.build().unwrap_err();
-            assert!(err.starts_with("name `"), "{bad:?}: {err}");
+            assert!(err.starts_with("name: `"), "{bad:?}: {err}");
         }
         for fine in ["demo", "a.b", "..x", "x.."] {
             let mut spec = demo_spec();
@@ -1499,26 +1317,19 @@ mod tests {
         // The same through the TOML front end `--check` uses.
         for name in ["../x", "/tmp/x", "..", "a\\\\b"] {
             let doc = format!("name = \"{name}\"\n[[stations]]\napp = \"bt\"");
-            let value = crate::scenario::toml::parse(&doc)
-                .expect("well-formed TOML")
-                .value;
-            let spec = ScenarioSpec::from_value(&value).expect("parses");
-            assert!(spec.build().unwrap_err().contains("name `"), "{doc}");
+            let err = load(&doc).expect("parses").build().unwrap_err();
+            assert!(err.starts_with("t.toml:1: name: `"), "{doc}: {err}");
         }
     }
 
     /// Asserts that a spec whose `[adversary.train]` table holds `train`
     /// parses, as `--check` did before the overlay was validated, but fails
-    /// to build with an error naming `adversary.train.<key>`.
+    /// to build with an error citing `key` on line 4.
     fn assert_train_rejected(train: &str, key: &str) {
         let doc = format!("[[stations]]\napp = \"bt\"\n[adversary.train]\n{train}");
-        let value = crate::scenario::toml::parse(&doc)
-            .expect("well-formed TOML")
-            .value;
-        let spec = ScenarioSpec::from_value(&value).expect("parses");
-        let err = spec.build().unwrap_err();
+        let err = load(&doc).expect("parses").build().unwrap_err();
         assert!(
-            err.contains(&format!("adversary.train.{key}")),
+            err.starts_with(&format!("t.toml:4: {key}: ")),
             "{train}: {err}"
         );
     }
@@ -1550,6 +1361,11 @@ mod tests {
         // Beyond `SimDuration`'s range, finite or not.
         assert_train_rejected("window_secs = 1e400", "window_secs");
         assert_train_rejected("window_secs = 1e300", "window_secs");
+        // Built in code, the error names the whole key path.
+        let mut spec = demo_spec();
+        spec.adversary.train.window_secs = 0.0;
+        let err = spec.build().unwrap_err();
+        assert!(err.starts_with("adversary.train.window_secs: "), "{err}");
     }
 
     #[test]
@@ -1561,39 +1377,116 @@ mod tests {
     #[test]
     fn typoed_spec_keys_are_rejected_not_defaulted() {
         // The `--check` CI gate must catch misspelled keys instead of
-        // silently running with defaults.
+        // silently running with defaults, and say where they are.
         let cases = [
-            "windows_secs = 2.0\n[[stations]]\napp = \"bt\"",
-            "[[stations]]\napp = \"bt\"\nsecss = 9.0",
-            "[[stations]]\napp = \"bt\"\n[adversary]\nmod = \"online\"",
-            "[[stations]]\napp = \"bt\"\n[adversary.train]\ntrain_sesions = 2",
-            "[[stations]]\napp = \"bt\"\n[[events]]\nat_secs = 1.0\nkind = \"splice\"\nstations = 0\ndefense = \"padding\"",
-            "[[stations]]\napp = \"bt\"\n[[stations.defense]]\nstage = \"padding\"\nsizes = 400",
+            (
+                "windows_secs = 2.0\n[[stations]]\napp = \"bt\"",
+                "t.toml:1: windows_secs: unknown key",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\nsecss = 9.0",
+                "t.toml:3: secss: unknown key",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\n[adversary]\nmod = \"online\"",
+                "t.toml:4: mod: unknown key",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\n[adversary.train]\ntrain_sesions = 2",
+                "t.toml:4: train_sesions: unknown key",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\n[[events]]\nat_secs = 1.0\nkind = \"splice\"\nstations = 0\ndefense = \"padding\"",
+                "t.toml:6: stations: unknown key",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\n[[stations.defense]]\nstage = \"padding\"\nsizes = 400",
+                "t.toml:5: sizes: unknown key",
+            ),
             // `defense` on churn events is meaningless, not ignored.
-            "[[stations]]\napp = \"bt\"\n[[events]]\nat_secs = 1.0\nkind = \"depart\"\nstation = 0\ndefense = \"padding\"",
+            (
+                "[[stations]]\napp = \"bt\"\n[[events]]\nat_secs = 1.0\nkind = \"depart\"\nstation = 0\ndefense = \"padding\"",
+                "t.toml:7: defense: does not apply to a depart event",
+            ),
             // The executor has no horizon to cap, and no tag but
             // `virtual_time` and its alias `pooled`.
-            "max_slice_secs = 1.0\n[[stations]]\napp = \"bt\"",
-            "executor = \"threads\"\n[[stations]]\napp = \"bt\"",
+            (
+                "max_slice_secs = 1.0\n[[stations]]\napp = \"bt\"",
+                "t.toml:1: max_slice_secs: unknown key",
+            ),
+            (
+                "executor = \"threads\"\n[[stations]]\napp = \"bt\"",
+                "t.toml:1: executor: unknown executor `threads`",
+            ),
         ];
-        for doc in cases {
-            let value = crate::scenario::toml::parse(doc)
-                .expect("well-formed TOML")
-                .value;
-            assert!(
-                ScenarioSpec::from_value(&value).is_err(),
-                "should reject: {doc}"
-            );
+        for (doc, want) in cases {
+            let err = load(doc).expect_err(doc);
+            assert!(err.starts_with(want), "{doc}: {err}");
         }
         // The un-typoed sibling parses fine.
-        let good = crate::scenario::toml::parse(
-            "window_secs = 2.0\n[[stations]]\napp = \"bt\"\nsecs = 9.0",
-        )
-        .expect("well-formed TOML")
-        .value;
-        let spec = ScenarioSpec::from_value(&good).expect("valid spec");
+        let spec =
+            load("window_secs = 2.0\n[[stations]]\napp = \"bt\"\nsecs = 9.0").expect("valid spec");
         assert_eq!(spec.window_secs, 2.0);
         assert_eq!(spec.stations[0].secs, 9.0);
+    }
+
+    #[test]
+    fn values_of_the_wrong_type_are_errors_citing_their_key() {
+        for (doc, want) in [
+            (
+                "seed = 1.5",
+                "t.toml:1: seed: expected an integer, found 1.5",
+            ),
+            (
+                "seed = \"7\"",
+                "t.toml:1: seed: expected an integer, found \"7\"",
+            ),
+            (
+                "seed = 18446744073709551616",
+                "t.toml:1: seed: expected an integer from 0 to 18446744073709551615, \
+                 found 18446744073709551616",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\ncount = -3",
+                "t.toml:3: count: expected an integer from 0 to",
+            ),
+            ("[[stations]]\ncount = 1", "t.toml:1: app: missing"),
+            (
+                "[[stations]]\napp = 3",
+                "t.toml:2: app: expected a string, found 3",
+            ),
+            (
+                "[[stations]]\napp = \"telnet\"",
+                "t.toml:2: app: unknown application name: \"telnet\"",
+            ),
+            (
+                "[adversary]\nmode = 3",
+                "t.toml:2: mode: expected a string, found 3",
+            ),
+            (
+                "adversary = 3",
+                "t.toml:1: adversary: expected a table, found 3",
+            ),
+            (
+                "stations = \"bt\"",
+                "t.toml:1: stations: expected tables, found \"bt\"",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\ndefense = 3",
+                "t.toml:3: defense: expected a defense or a stage list, found 3",
+            ),
+            (
+                "[[stations]]\napp = \"bt\"\ndefense = \"bogus\"",
+                "t.toml:3: defense: unknown defense stage `bogus`",
+            ),
+            (
+                "[[events]]\nat_secs = 1.0\nkind = \"splice\"",
+                "t.toml:1: defense: missing from a splice event",
+            ),
+        ] {
+            let err = load(doc).expect_err(doc);
+            assert!(err.starts_with(want), "{doc}: {err}");
+        }
     }
 
     #[test]
@@ -1603,10 +1496,7 @@ mod tests {
             "executor = \"virtual_time\"\n[[stations]]\napp = \"bt\"",
             "[[stations]]\napp = \"bt\"",
         ] {
-            let value = crate::scenario::toml::parse(doc)
-                .expect("well-formed TOML")
-                .value;
-            let spec = ScenarioSpec::from_value(&value).expect("valid spec");
+            let spec = load(doc).expect("valid spec");
             let scenario = spec.build().expect("builds");
             assert_eq!(scenario.executor, Executor::virtual_time(), "{doc}");
         }
@@ -1618,25 +1508,26 @@ mod tests {
             "[[stations]]\napp = \"bt\"\ncount = {max}\n[[stations]]\napp = \"video\"\ncount = {max}",
             max = usize::MAX
         );
-        let value = crate::scenario::toml::parse(&doc)
-            .expect("well-formed TOML")
-            .value;
-        let spec = ScenarioSpec::from_value(&value).expect("parses");
-        let err = spec.build().unwrap_err();
-        assert!(err.starts_with("station group 1: count"), "{err}");
+        let err = load(&doc).expect("parses").build().unwrap_err();
+        assert!(
+            err.starts_with(
+                "t.toml:6: count: 18446744073709551615 takes the population past usize::MAX"
+            ),
+            "{err}"
+        );
     }
 
     /// Asserts that a one-station `bt` spec with the `[[stations.defense]]`
-    /// entry `stage` parses but fails to build with an error naming `key`:
-    /// these values used to pass `--check` and then panic at admission.
+    /// entry `stage` parses but fails to build with an error citing `key` on
+    /// line 5: these values used to pass `--check` and then panic at
+    /// admission.
     fn assert_stage_rejected(stage: &str, key: &str) {
         let doc = format!("[[stations]]\napp = \"bt\"\n[[stations.defense]]\n{stage}");
-        let value = crate::scenario::toml::parse(&doc)
-            .expect("well-formed TOML")
-            .value;
-        let spec = ScenarioSpec::from_value(&value).expect("parses");
-        let err = spec.build().unwrap_err();
-        assert!(err.contains(key), "{stage}: {err}");
+        let err = load(&doc).expect("parses").build().unwrap_err();
+        assert!(
+            err.starts_with(&format!("t.toml:5: {key}: ")),
+            "{stage}: {err}"
+        );
     }
 
     #[test]
@@ -1660,6 +1551,50 @@ mod tests {
     }
 
     #[test]
+    fn an_interface_count_of_zero_is_one_error_for_every_algorithm() {
+        for algorithm in ["or", "rr"] {
+            // The stage's own count, the group's and the scenario's.
+            for (doc, line) in [
+                (
+                    format!(
+                        "[[stations]]\napp = \"bt\"\n[[stations.defense]]\nstage = \"reshape\"\n\
+                         algorithm = \"{algorithm}\"\ninterfaces = 0"
+                    ),
+                    6,
+                ),
+                (
+                    format!(
+                        "[[stations]]\napp = \"bt\"\ninterfaces = 0\ndefense = \"{algorithm}\""
+                    ),
+                    3,
+                ),
+                (
+                    format!(
+                        "interfaces = 0\n[[stations]]\napp = \"bt\"\ndefense = \"{algorithm}\""
+                    ),
+                    1,
+                ),
+            ] {
+                let err = load(&doc).expect("parses").build().unwrap_err();
+                assert_eq!(
+                    err,
+                    format!("t.toml:{line}: interfaces: must be at least 1, got 0")
+                );
+            }
+        }
+        // OR needs a packet size per range; round-robin does not.
+        let doc = |algorithm| {
+            format!("[[stations]]\napp = \"bt\"\ninterfaces = 2000\ndefense = \"{algorithm}\"")
+        };
+        assert!(load(&doc("rr")).unwrap().build().is_ok());
+        let err = load(&doc("or")).unwrap().build().unwrap_err();
+        assert!(
+            err.starts_with("t.toml:3: interfaces: or splits 1576"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn invalid_splice_stages_are_rejected() {
         // Splices validate their stages like station groups do.
         let mut spec = demo_spec();
@@ -1671,10 +1606,17 @@ mod tests {
                     size: Some(0),
                 })],
             }),
-            line: Some(4),
+            lines: Lines::default(),
         }];
         let err = spec.build().unwrap_err();
-        assert!(err.contains("(line 4)") && err.contains("size"), "{err}");
+        assert_eq!(err, "defense[0].size: must be at least 1 byte, got 0");
+        let splice = "[[events]]\nat_secs = 10.0\nkind = \"splice\"\n\
+            [[events.defense]]\nstage = \"padding\"\nsize = 0\n";
+        let err = load(&format!("{DEMO}{splice}"))
+            .unwrap()
+            .build()
+            .unwrap_err();
+        assert_eq!(err, "t.toml:19: size: must be at least 1 byte, got 0");
     }
 
     #[test]
@@ -1720,19 +1662,85 @@ mod tests {
             ("PADDING", vec![padding]),
         ];
         for (shorthand, stages) in named {
-            let spec = DefenseSpec::from_value(&Value::Str(shorthand.to_string()))
-                .unwrap_or_else(|e| panic!("{shorthand:?}: {e}"));
+            let spec =
+                DefenseSpec::parse(shorthand).unwrap_or_else(|e| panic!("{shorthand:?}: {e}"));
             assert_eq!(spec.stages, stages, "{shorthand:?}");
             // The table form reads back the same list.
-            assert_eq!(DefenseSpec::from_value(&spec.to_value()).unwrap(), spec);
+            assert_eq!(
+                load(&stage_tables(&spec)).unwrap().stations[0].defense,
+                spec
+            );
         }
 
         for bad in ["bogus", "or+", "+", "none+or", ""] {
-            assert!(
-                DefenseSpec::from_value(&Value::Str(bad.to_string())).is_err(),
-                "{bad:?} must be rejected"
-            );
+            assert!(DefenseSpec::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    /// A one-group spec whose defense is `defense` as a
+    /// `[[stations.defense]]` stage list.
+    fn stage_tables(defense: &DefenseSpec) -> String {
+        let mut doc = "[[stations]]\napp = \"bt\"\n".to_string();
+        for stage in &defense.stages {
+            doc += &match stage {
+                StageSpec::Reshape { algorithm, .. } => format!(
+                    "[[stations.defense]]\nstage = \"reshape\"\nalgorithm = \"{}\"\n",
+                    algorithm.name()
+                ),
+                StageSpec::Defense(d) => {
+                    format!("[[stations.defense]]\nstage = \"{}\"\n", d.name())
+                }
+            };
+        }
+        doc
+    }
+
+    #[test]
+    fn stage_lists_read_every_parameter() {
+        let doc = "[[stations]]\napp = \"bt\"\n\
+            [[stations.defense]]\nstage = \"padding\"\nsize = 1576\n\
+            [[stations.defense]]\nstage = \"morph\"\ntarget = \"video\"\n\
+            [[stations.defense]]\nstage = \"pseudonym\"\nperiod_secs = 30\n\
+            [[stations.defense]]\nstage = \"fh\"\ndwell_ms = 200\n\
+            [[stations.defense]]\nstage = \"reshape\"\nalgorithm = \"rr\"\ninterfaces = 4\n\
+            [[stations.defense]]\nstage = \"reshape\"\n";
+        let stages = load(doc).unwrap().stations[0].defense.stages.clone();
+        assert_eq!(
+            stages,
+            [
+                StageSpec::Defense(DefenseStageSpec::Padding { size: Some(1576) }),
+                StageSpec::Defense(DefenseStageSpec::Morphing {
+                    target: Some(AppKind::Video)
+                }),
+                StageSpec::Defense(DefenseStageSpec::Pseudonym {
+                    period_secs: Some(30.0)
+                }),
+                StageSpec::Defense(DefenseStageSpec::FrequencyHopping {
+                    dwell_ms: Some(200)
+                }),
+                StageSpec::Reshape {
+                    algorithm: AlgorithmSpec::RoundRobin,
+                    interfaces: Some(4)
+                },
+                StageSpec::Reshape {
+                    algorithm: AlgorithmSpec::Orthogonal,
+                    interfaces: None
+                },
+            ]
+        );
+        // An inline list mixes bare tags and tables.
+        let doc = "[[stations]]\napp = \"bt\"\n\
+            defense = [\"morphing\", { stage = \"padding\", size = 400 }, \"OR\"]";
+        assert_eq!(
+            load(doc).unwrap().stations[0].defense.label(),
+            "morphing+padding+or"
+        );
+        // A reshape algorithm is not a stage table's tag.
+        let err = load("[[stations]]\napp = \"bt\"\n[[stations.defense]]\nstage = \"or\"");
+        assert_eq!(
+            err.unwrap_err(),
+            "t.toml:4: stage: unknown defense stage `or`"
+        );
     }
 
     #[test]
@@ -1768,16 +1776,9 @@ mod tests {
         ] {
             let spec = DefenseSpec { stages };
             let label = spec.label();
-            assert_eq!(
-                DefenseSpec::from_value(&Value::Str(label.clone())).unwrap(),
-                spec,
-                "{label}"
-            );
-            assert_eq!(
-                DefenseSpec::from_value(&spec.to_value()).unwrap(),
-                spec,
-                "{label}"
-            );
+            assert_eq!(DefenseSpec::parse(&label).unwrap(), spec, "{label}");
+            let tables = load(&stage_tables(&spec)).unwrap();
+            assert_eq!(tables.stations[0].defense, spec, "{label}");
         }
         assert_eq!(DefenseSpec::none().label(), "none");
         assert_eq!(
@@ -1812,7 +1813,7 @@ mod tests {
                         at_secs: if rng.below(2) == 0 { slot * 0.5 } else { slot * 0.37 },
                         station: Some(rng.below(total as u64) as usize),
                         kind: EventKind::Arrive,
-                        line: None,
+                        lines: Lines::default(),
                     }
                 })
                 .collect();
@@ -1823,7 +1824,7 @@ mod tests {
                     at_secs: population.arrival_of(station) + 0.5 + rng.below(40) as f64,
                     station: Some(station),
                     kind: EventKind::Depart,
-                    line: None,
+                    lines: Lines::default(),
                 });
             }
             let population = spec.build().expect("departures after arrival build").population;

@@ -1,43 +1,89 @@
-//! A minimal TOML reader for scenario specs.
+//! A minimal TOML reader for scenario specs, and the typed field reader the
+//! spec schema is read through.
 //!
 //! The build environment vendors its dependencies, and none of them parse
 //! TOML — so the scenario engine carries its own reader for the subset the
-//! spec schema uses, producing the same [`Value`] tree `serde_json` works on
-//! (specs deserialize through the exact same `Deserialize` impls either way):
+//! spec schema uses. [`parse`] turns text into a [`Table`] tree that records
+//! the line of every key and table:
 //!
 //! * `[table]`, `[dotted.table]` and `[[array.of.tables]]` headers,
 //! * bare / quoted / dotted keys,
 //! * basic (`"…"` with escapes) and literal (`'…'`) strings,
-//! * integers (with `_` separators), floats, booleans,
+//! * integers (with `_` separators) and floats,
 //! * arrays (multi-line allowed) and inline tables,
 //! * `#` comments.
 //!
-//! Dates, multi-line strings and exotic escapes are not part of the schema
-//! and are rejected with a line-numbered error rather than misparsed. So is
-//! nesting deeper than `MAX_NESTING` (32): arrays and inline tables parse
+//! Booleans, dates, multi-line strings, `nan`, `inf` and exotic escapes are
+//! not part of the schema and are rejected with a line-numbered error
+//! rather than misparsed (a spec writes infinity as `1e400`). So is nesting
+//! deeper than `MAX_NESTING` (32): arrays and inline tables parse
 //! recursively, and an unbounded document would overflow the stack.
+//!
+//! The schema in [`spec`](super::spec) reads the tree through `Fields`,
+//! whose getters mark each key they read, so an unknown key is rejected
+//! without a list of allowed ones. [`Lines`] keeps a loaded element's key
+//! lines for `ScenarioSpec::build`. Every spec error reads `path:line: key:
+//! message`; [`parse`] starts its errors at the line, and
+//! [`load_spec`](super::load_spec) puts the path in front.
 
-use serde::Value;
+use std::fmt::{self, Display};
 
 /// The deepest nesting the reader accepts, counted separately for nested
 /// arrays/inline tables and for the segments of one dotted key. The spec
 /// schema needs at most 3.
 const MAX_NESTING: usize = 32;
 
-/// A parsed TOML document.
-#[derive(Debug)]
-pub struct Document {
-    /// The document as a [`Value::Map`] tree.
-    pub value: Value,
-    /// The key path and line of every `[[array.of.tables]]` header, in
-    /// document order, however the header spells its keys (`[[ a ]]`,
-    /// `[["a"]]`). The value tree carries no spans, so this is how errors
-    /// about an array entry point into the file.
-    pub array_headers: Vec<(Vec<String>, usize)>,
+/// A TOML value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// A string.
+    Str(String),
+    /// An integer. Every `i64` and `u64` fits, so a value outside its key's
+    /// range is an error that names the key, not a syntax error.
+    Int(i128),
+    /// A float.
+    Float(f64),
+    /// An array.
+    Array(Vec<Value>),
+    /// A `[table]`, an `[[array.of.tables]]` entry or an inline table.
+    Table(Table),
 }
 
-/// Parses a TOML document.
-pub fn parse(input: &str) -> Result<Document, String> {
+/// How an error quotes a value: scalars as written (`-1.0`, `1e300`,
+/// `"bt"`), arrays and tables by kind.
+impl Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Str(s) => write!(f, "{s:?}"),
+            Value::Int(n) => write!(f, "{n}"),
+            Value::Float(x) => write!(f, "{x:?}"),
+            Value::Array(_) => f.write_str("an array"),
+            Value::Table(_) => f.write_str("a table"),
+        }
+    }
+}
+
+/// A table of a parsed document; [`parse`] returns the root.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Table {
+    /// The line of the header, key or `{` that opened the table; 1 for the
+    /// root.
+    pub line: usize,
+    /// `(key, line, value)` in document order.
+    pub entries: Vec<(String, usize, Value)>,
+}
+
+impl Table {
+    fn new(line: usize) -> Self {
+        Table {
+            line,
+            entries: Vec::new(),
+        }
+    }
+}
+
+/// Parses a TOML document into its root table.
+pub fn parse(input: &str) -> Result<Table, String> {
     let mut parser = Parser {
         input,
         bytes: input.as_bytes(),
@@ -45,13 +91,13 @@ pub fn parse(input: &str) -> Result<Document, String> {
         line: 1,
         depth: 0,
     };
-    let mut root = Value::Map(Vec::new());
-    let mut array_headers = Vec::new();
+    let mut root = Table::new(1);
     // Path of the table currently being filled by key/value lines.
     let mut current: Vec<String> = Vec::new();
     loop {
         parser.skip_trivia();
         let Some(b) = parser.peek() else { break };
+        let line = parser.line;
         if b == b'[' {
             parser.advance();
             let array_of_tables = parser.peek() == Some(b'[');
@@ -65,12 +111,10 @@ pub fn parse(input: &str) -> Result<Document, String> {
             }
             parser.end_of_line()?;
             if array_of_tables {
-                let (parent_path, leaf) = path.split_at(path.len() - 1);
-                let parent = navigate(&mut root, parent_path, parser.line)?;
-                push_array_table(parent, &leaf[0], parser.line)?;
-                array_headers.push((path.clone(), parser.line));
+                let (leaf, parent_path) = path.split_last().expect("keys are never empty");
+                push_array_table(navigate(&mut root, parent_path, line)?, leaf, line)?;
             } else {
-                navigate(&mut root, &path, parser.line)?;
+                navigate(&mut root, &path, line)?;
             }
             current = path;
         } else {
@@ -78,88 +122,267 @@ pub fn parse(input: &str) -> Result<Document, String> {
             parser.expect(b'=')?;
             let value = parser.parse_value()?;
             parser.end_of_line()?;
-            let table = navigate(&mut root, &current, parser.line)?;
-            insert_at(table, &path, value, parser.line)?;
+            insert_at(navigate(&mut root, &current, line)?, &path, value, line)?;
         }
     }
-    Ok(Document {
-        value: root,
-        array_headers,
-    })
+    Ok(root)
 }
 
-/// Walks `path` from `root`, creating empty tables as needed, entering the
-/// **last** element of any array-of-tables on the way (standard TOML
+/// Walks `path` from `table`, creating empty tables as needed, entering the
+/// **last** element of any array of tables on the way (standard TOML
 /// resolution). Returns the table at the end of the path.
 fn navigate<'a>(
-    root: &'a mut Value,
+    mut table: &'a mut Table,
     path: &[String],
     line: usize,
-) -> Result<&'a mut Value, String> {
-    let mut node = root;
+) -> Result<&'a mut Table, String> {
     for seg in path {
-        // Enter the newest element when the cursor sits on an array of tables.
-        if let Value::Seq(items) = node {
-            node = items
-                .last_mut()
-                .ok_or_else(|| format!("line {line}: empty array of tables"))?;
-        }
-        let Value::Map(entries) = node else {
-            return Err(format!("line {line}: `{seg}` is not a table"));
+        let index = match table.entries.iter().position(|(k, ..)| k == seg) {
+            Some(index) => index,
+            None => {
+                let fresh = Value::Table(Table::new(line));
+                table.entries.push((seg.clone(), line, fresh));
+                table.entries.len() - 1
+            }
         };
-        if !entries.iter().any(|(k, _)| k == seg) {
-            entries.push((seg.clone(), Value::Map(Vec::new())));
-        }
-        let idx = entries
-            .iter()
-            .position(|(k, _)| k == seg)
-            .expect("just ensured the key exists");
-        node = &mut entries[idx].1;
+        table = match &mut table.entries[index].2 {
+            Value::Table(t) => t,
+            Value::Array(items) => match items.last_mut() {
+                Some(Value::Table(t)) => t,
+                _ => return Err(format!("{line}: `{seg}` is not a table")),
+            },
+            _ => return Err(format!("{line}: `{seg}` is not a table")),
+        };
     }
-    if let Value::Seq(items) = node {
-        node = items
-            .last_mut()
-            .ok_or_else(|| format!("line {line}: empty array of tables"))?;
-    }
-    match node {
-        Value::Map(_) => Ok(node),
-        _ => Err(format!("line {line}: path does not name a table")),
-    }
+    Ok(table)
 }
 
 /// Appends a fresh table to the array of tables `key` inside `parent`.
-fn push_array_table(parent: &mut Value, key: &str, line: usize) -> Result<(), String> {
-    let Value::Map(entries) = parent else {
-        return Err(format!("line {line}: parent of `{key}` is not a table"));
-    };
-    match entries.iter_mut().find(|(k, _)| k == key) {
-        Some((_, Value::Seq(items))) => {
-            items.push(Value::Map(Vec::new()));
-            Ok(())
+fn push_array_table(parent: &mut Table, key: &str, line: usize) -> Result<(), String> {
+    let fresh = Value::Table(Table::new(line));
+    match parent.entries.iter_mut().find(|(k, ..)| k == key) {
+        Some((.., Value::Array(items))) => items.push(fresh),
+        Some(_) => {
+            return Err(format!(
+                "{line}: `{key}` is already defined and is not an array of tables"
+            ))
         }
-        Some(_) => Err(format!(
-            "line {line}: `{key}` is already defined and is not an array of tables"
-        )),
-        None => {
-            entries.push((key.to_string(), Value::Seq(vec![Value::Map(Vec::new())])));
-            Ok(())
-        }
+        None => parent
+            .entries
+            .push((key.to_string(), line, Value::Array(vec![fresh]))),
     }
+    Ok(())
 }
 
 /// Inserts `value` at (possibly dotted) `path` inside `table`, creating
 /// intermediate tables; duplicate keys are an error.
-fn insert_at(table: &mut Value, path: &[String], value: Value, line: usize) -> Result<(), String> {
+fn insert_at(table: &mut Table, path: &[String], value: Value, line: usize) -> Result<(), String> {
     let (leaf, parents) = path.split_last().expect("keys are never empty");
     let target = navigate(table, parents, line)?;
-    let Value::Map(entries) = target else {
-        unreachable!("navigate returns tables");
-    };
-    if entries.iter().any(|(k, _)| k == leaf) {
-        return Err(format!("line {line}: duplicate key `{leaf}`"));
+    if target.entries.iter().any(|(k, ..)| k == leaf) {
+        return Err(format!("{line}: duplicate key `{leaf}`"));
     }
-    entries.push((leaf.clone(), value));
+    target.entries.push((leaf.clone(), line, value));
     Ok(())
+}
+
+/// A type a spec field reads as.
+pub(crate) trait FromValue: Sized {
+    /// Reads `value`, or says what was expected instead.
+    fn from_value(value: &Value) -> Result<Self, String>;
+}
+
+impl FromValue for f64 {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        match *value {
+            Value::Float(x) => Ok(x),
+            Value::Int(n) => Ok(n as f64),
+            ref other => Err(format!("expected a number, found {other}")),
+        }
+    }
+}
+
+macro_rules! unsigned {
+    ($($t:ty),*) => {$(
+        impl FromValue for $t {
+            fn from_value(value: &Value) -> Result<Self, String> {
+                match *value {
+                    Value::Int(n) => <$t>::try_from(n).map_err(|_| {
+                        format!("expected an integer from 0 to {}, found {n}", <$t>::MAX)
+                    }),
+                    ref other => Err(format!("expected an integer, found {other}")),
+                }
+            }
+        }
+    )*};
+}
+unsigned!(u64, usize);
+
+impl FromValue for String {
+    fn from_value(value: &Value) -> Result<Self, String> {
+        match value {
+            Value::Str(s) => Ok(s.clone()),
+            other => Err(format!("expected a string, found {other}")),
+        }
+    }
+}
+
+/// Reads one table of a spec file into typed fields. Each getter marks its
+/// key read and cites the key's line when the value does not convert;
+/// [`finish`](Self::finish) rejects the keys no getter read.
+#[derive(Debug)]
+pub(crate) struct Fields<'a> {
+    file: &'a str,
+    table: &'a Table,
+    read: Vec<bool>,
+}
+
+impl<'a> Fields<'a> {
+    /// A reader of `table`, citing `file` in its errors.
+    pub fn new(file: &'a str, table: &'a Table) -> Self {
+        let read = vec![false; table.entries.len()];
+        Fields { file, table, read }
+    }
+
+    /// The lines of the table's keys, for [`Lines::cite`].
+    pub fn lines(&self) -> Lines {
+        let mut keys = Vec::new();
+        record(&mut keys, "", self.table);
+        let (file, line) = (self.file.to_string(), self.table.line);
+        Lines { file, line, keys }
+    }
+
+    /// `file:line: key: message`, at the line of `key` (of the table when
+    /// the key is absent).
+    pub fn error(&self, key: &str, message: impl Display) -> String {
+        self.lines().cite(key, message)
+    }
+
+    /// The value of `key`, marked read.
+    pub fn value(&mut self, key: &str) -> Option<&'a Value> {
+        let index = self.table.entries.iter().position(|(k, ..)| k == key)?;
+        self.read[index] = true;
+        Some(&self.table.entries[index].2)
+    }
+
+    /// The value of `key`; `None` when it is absent.
+    pub fn optional<T: FromValue>(&mut self, key: &str) -> Result<Option<T>, String> {
+        let value = self.value(key).map(T::from_value);
+        value.transpose().map_err(|e| self.error(key, e))
+    }
+
+    /// The value of `key`, which must be present.
+    pub fn required<T: FromValue>(&mut self, key: &str) -> Result<T, String> {
+        let value = self.optional(key)?;
+        value.ok_or_else(|| self.error(key, "missing"))
+    }
+
+    /// The string of `key` converted by `parse`; `None` when it is absent.
+    pub fn parse<T>(
+        &mut self,
+        key: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let value = self.optional::<String>(key)?.as_deref().map(parse);
+        value.transpose().map_err(|e| self.error(key, e))
+    }
+
+    /// The sub-table `key` read by `read`; `None` when it is absent.
+    pub fn table<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        let value = self.value(key);
+        value.map(|value| self.nested(key, value, read)).transpose()
+    }
+
+    /// Every table of the array of tables `key`, each read by `read`; empty
+    /// when the key is absent.
+    pub fn tables<T>(
+        &mut self,
+        key: &str,
+        mut read: impl FnMut(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        match self.value(key) {
+            None => Ok(Vec::new()),
+            Some(Value::Array(items)) => items
+                .iter()
+                .map(|item| self.nested(key, item, &mut read))
+                .collect(),
+            Some(other) => Err(self.error(key, format!("expected tables, found {other}"))),
+        }
+    }
+
+    /// Reads `value`, the table (or a table of the array) at `key`, with
+    /// `read`, then rejects its unread keys.
+    pub fn nested<T>(
+        &self,
+        key: &str,
+        value: &'a Value,
+        read: impl FnOnce(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let Value::Table(table) = value else {
+            return Err(self.error(key, format!("expected a table, found {value}")));
+        };
+        let mut fields = Fields::new(self.file, table);
+        let read = read(&mut fields)?;
+        fields.finish()?;
+        Ok(read)
+    }
+
+    /// Rejects the first key no getter read.
+    pub fn finish(&self) -> Result<(), String> {
+        match self.read.iter().position(|read| !read) {
+            Some(index) => Err(self.error(&self.table.entries[index].0, "unknown key")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Records every key of `table` and of the tables inside it under its dotted
+/// path (`adversary.train.window_secs`, `defense[1].size`).
+fn record(keys: &mut Vec<(String, usize)>, prefix: &str, table: &Table) {
+    for (key, line, value) in &table.entries {
+        let path = format!("{prefix}{key}");
+        match value {
+            Value::Table(t) => record(keys, &format!("{path}."), t),
+            Value::Array(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    if let Value::Table(t) = item {
+                        record(keys, &format!("{path}[{i}]."), t);
+                    }
+                }
+            }
+            _ => {}
+        }
+        keys.push((path, *line));
+    }
+}
+
+/// The file and lines a spec element (the scenario, a station group, an
+/// event) was read from, so that a value check after loading can cite the
+/// key it rejects. Empty for an element built in code.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Lines {
+    file: String,
+    line: usize,
+    keys: Vec<(String, usize)>,
+}
+
+impl Lines {
+    /// An error about `key`, a dotted path inside the element: `file:line:
+    /// leaf: message` for a loaded element (at the element's own line when
+    /// the key is absent), `key: message` for one built in code.
+    pub fn cite(&self, key: &str, message: impl Display) -> String {
+        if self.file.is_empty() {
+            return format!("{key}: {message}");
+        }
+        let line = self.keys.iter().find(|(k, _)| k == key);
+        let line = line.map_or(self.line, |k| k.1);
+        let leaf = key.rsplit('.').next().unwrap_or(key);
+        format!("{}:{line}: {leaf}: {message}", self.file)
+    }
 }
 
 struct Parser<'a> {
@@ -185,8 +408,9 @@ impl Parser<'_> {
             .unwrap_or(char::REPLACEMENT_CHARACTER)
     }
 
-    fn nesting_error(&self) -> String {
-        format!("line {}: nesting deeper than {MAX_NESTING}", self.line)
+    /// An error at the cursor's line.
+    fn error(&self, message: impl Display) -> String {
+        format!("{}: {message}", self.line)
     }
 
     fn advance(&mut self) {
@@ -229,7 +453,7 @@ impl Parser<'_> {
             self.advance();
             Ok(())
         } else {
-            Err(format!("line {}: expected `{}`", self.line, b as char))
+            Err(self.error(format_args!("expected `{}`", b as char)))
         }
     }
 
@@ -237,17 +461,15 @@ impl Parser<'_> {
     fn end_of_line(&mut self) -> Result<(), String> {
         self.skip_spaces();
         match self.peek() {
-            None | Some(b'\n') => Ok(()),
-            Some(b'\r') => Ok(()),
+            None | Some(b'\n' | b'\r') => Ok(()),
             Some(b'#') => {
                 self.skip_comment();
                 Ok(())
             }
-            Some(_) => Err(format!(
-                "line {}: unexpected `{}` after value",
-                self.line,
+            Some(_) => Err(self.error(format_args!(
+                "unexpected `{}` after value",
                 self.peek_char()
-            )),
+            ))),
         }
     }
 
@@ -256,7 +478,7 @@ impl Parser<'_> {
         let mut path = Vec::new();
         loop {
             if path.len() == MAX_NESTING {
-                return Err(self.nesting_error());
+                return Err(self.error(format_args!("nesting deeper than {MAX_NESTING}")));
             }
             self.skip_spaces();
             path.push(self.parse_key()?);
@@ -271,8 +493,7 @@ impl Parser<'_> {
 
     fn parse_key(&mut self) -> Result<String, String> {
         match self.peek() {
-            Some(b'"') => self.parse_basic_string(),
-            Some(b'\'') => self.parse_literal_string(),
+            Some(b'"' | b'\'') => self.parse_string(),
             Some(b) if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' => {
                 let start = self.pos;
                 while matches!(self.peek(), Some(b) if b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
@@ -283,20 +504,18 @@ impl Parser<'_> {
                     .expect("ASCII key")
                     .to_string())
             }
-            _ => Err(format!("line {}: expected a key", self.line)),
+            _ => Err(self.error("expected a key")),
         }
     }
 
     fn parse_value(&mut self) -> Result<Value, String> {
         self.skip_spaces();
         match self.peek() {
-            Some(b'"') => self.parse_basic_string().map(Value::Str),
-            Some(b'\'') => self.parse_literal_string().map(Value::Str),
+            Some(b'"' | b'\'') => self.parse_string().map(Value::Str),
             Some(b'[') => self.nested(Self::parse_array),
             Some(b'{') => self.nested(Self::parse_inline_table),
-            Some(b't' | b'f') => self.parse_bool(),
             Some(b) if b == b'-' || b == b'+' || b.is_ascii_digit() => self.parse_number(),
-            _ => Err(format!("line {}: expected a value", self.line)),
+            _ => Err(self.error("expected a value")),
         }
     }
 
@@ -304,22 +523,12 @@ impl Parser<'_> {
     /// past `MAX_NESTING`.
     fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
         if self.depth == MAX_NESTING {
-            return Err(self.nesting_error());
+            return Err(self.error(format_args!("nesting deeper than {MAX_NESTING}")));
         }
         self.depth += 1;
         let value = parse(self);
         self.depth -= 1;
         value
-    }
-
-    fn parse_bool(&mut self) -> Result<Value, String> {
-        for (lit, val) in [("true", true), ("false", false)] {
-            if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-                self.pos += lit.len();
-                return Ok(Value::Bool(val));
-            }
-        }
-        Err(format!("line {}: invalid literal", self.line))
     }
 
     fn parse_number(&mut self) -> Result<Value, String> {
@@ -340,83 +549,46 @@ impl Parser<'_> {
             .chars()
             .filter(|c| *c != '_')
             .collect();
-        let err =
-            |e: &dyn std::fmt::Display| format!("line {}: invalid number `{text}`: {e}", self.line);
+        let err = |e: &dyn Display| self.error(format_args!("invalid number `{text}`: {e}"));
         if is_float {
-            text.parse::<f64>().map(Value::F64).map_err(|e| err(&e))
-        } else if text.starts_with('-') {
-            text.parse::<i64>().map(Value::I64).map_err(|e| err(&e))
+            text.parse::<f64>().map(Value::Float).map_err(|e| err(&e))
         } else {
-            text.parse::<u64>().map(Value::U64).map_err(|e| err(&e))
+            text.parse::<i128>().map(Value::Int).map_err(|e| err(&e))
         }
     }
 
-    fn parse_basic_string(&mut self) -> Result<String, String> {
-        self.advance(); // opening quote
+    /// Parses a basic (`"…"`, with escapes) or a literal (`'…'`) string.
+    fn parse_string(&mut self) -> Result<String, String> {
+        let quote = self.peek();
+        self.advance();
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None | Some(b'\n') => {
-                    return Err(format!("line {}: unterminated string", self.line))
-                }
-                Some(b'"') => {
+            let c = match self.peek() {
+                None | Some(b'\n') => return Err(self.error("unterminated string")),
+                b if b == quote => {
                     self.advance();
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(b'\\') if quote == Some(b'"') => {
                     self.advance();
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| format!("line {}: unterminated escape", self.line))?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        _ => {
-                            return Err(format!(
-                                "line {}: unsupported escape `\\{}`",
-                                self.line,
-                                self.peek_char()
-                            ))
+                    match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        None => return Err(self.error("unterminated escape")),
+                        Some(_) => {
+                            let c = self.peek_char();
+                            return Err(self.error(format_args!("unsupported escape `\\{c}`")));
                         }
-                    });
-                    self.advance();
-                }
-                Some(_) => {
-                    // Consume one UTF-8 sequence.
-                    let start = self.pos;
-                    self.advance();
-                    while matches!(self.peek(), Some(b) if (b & 0xC0) == 0x80) {
-                        self.advance();
                     }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos])
-                            .map_err(|e| format!("line {}: invalid utf-8: {e}", self.line))?,
-                    );
                 }
-            }
-        }
-    }
-
-    fn parse_literal_string(&mut self) -> Result<String, String> {
-        self.advance(); // opening quote
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                None | Some(b'\n') => {
-                    return Err(format!("line {}: unterminated string", self.line))
-                }
-                Some(b'\'') => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|e| format!("line {}: invalid utf-8: {e}", self.line))?
-                        .to_string();
-                    self.advance();
-                    return Ok(s);
-                }
-                Some(_) => self.advance(),
-            }
+                Some(_) => self.peek_char(),
+            };
+            // An escape is one ASCII byte, like the character it stands for.
+            out.push(c);
+            self.pos += c.len_utf8();
         }
     }
 
@@ -427,36 +599,37 @@ impl Parser<'_> {
             self.skip_trivia();
             if self.peek() == Some(b']') {
                 self.advance();
-                return Ok(Value::Seq(items));
+                return Ok(Value::Array(items));
             }
             items.push(self.parse_value()?);
             self.skip_trivia();
             match self.peek() {
                 Some(b',') => self.advance(),
                 Some(b']') => {}
-                _ => return Err(format!("line {}: expected `,` or `]`", self.line)),
+                _ => return Err(self.error("expected `,` or `]`")),
             }
         }
     }
 
     fn parse_inline_table(&mut self) -> Result<Value, String> {
         self.advance(); // `{`
-        let mut table = Value::Map(Vec::new());
+        let mut table = Table::new(self.line);
         loop {
             self.skip_spaces();
             if self.peek() == Some(b'}') {
                 self.advance();
-                return Ok(table);
+                return Ok(Value::Table(table));
             }
+            let line = self.line;
             let path = self.parse_key_path()?;
             self.expect(b'=')?;
             let value = self.parse_value()?;
-            insert_at(&mut table, &path, value, self.line)?;
+            insert_at(&mut table, &path, value, line)?;
             self.skip_spaces();
             match self.peek() {
                 Some(b',') => self.advance(),
                 Some(b'}') => {}
-                _ => return Err(format!("line {}: expected `,` or `}}`", self.line)),
+                _ => return Err(self.error("expected `,` or `}`")),
             }
         }
     }
@@ -465,10 +638,28 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::value_get;
 
-    fn get<'a>(v: &'a Value, key: &str) -> &'a Value {
-        value_get(v.as_map().expect("table"), key).expect(key)
+    fn get<'a>(table: &'a Table, key: &str) -> &'a Value {
+        &table.entries.iter().find(|(k, ..)| k == key).expect(key).2
+    }
+
+    fn table(value: &Value) -> &Table {
+        match value {
+            Value::Table(t) => t,
+            other => panic!("not a table: {other:?}"),
+        }
+    }
+
+    fn array(value: &Value) -> &[Value] {
+        match value {
+            Value::Array(items) => items,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    /// The line `key` was written on in `table`.
+    fn line_of(table: &Table, key: &str) -> usize {
+        table.entries.iter().find(|(k, ..)| k == key).expect(key).1
     }
 
     #[test]
@@ -480,7 +671,6 @@ seed = 42
 ratio = 0.5
 negative = -3
 big = 1_000_000
-on = true
 label = 'literal #not a comment'
 
 [adversary]
@@ -489,23 +679,24 @@ mode = "online"
 [adversary.train]
 train_sessions = 2
 "#;
-        let v = parse(doc).expect("parses").value;
-        assert_eq!(get(&v, "name"), &Value::Str("demo".into()));
-        assert_eq!(get(&v, "seed"), &Value::U64(42));
-        assert_eq!(get(&v, "ratio"), &Value::F64(0.5));
-        assert_eq!(get(&v, "negative"), &Value::I64(-3));
-        assert_eq!(get(&v, "big"), &Value::U64(1_000_000));
-        assert_eq!(get(&v, "on"), &Value::Bool(true));
+        let root = parse(doc).expect("parses");
+        assert_eq!(get(&root, "name"), &Value::Str("demo".into()));
+        assert_eq!(get(&root, "seed"), &Value::Int(42));
+        assert_eq!(get(&root, "ratio"), &Value::Float(0.5));
+        assert_eq!(get(&root, "negative"), &Value::Int(-3));
+        assert_eq!(get(&root, "big"), &Value::Int(1_000_000));
         assert_eq!(
-            get(&v, "label"),
+            get(&root, "label"),
             &Value::Str("literal #not a comment".into())
         );
-        let adversary = get(&v, "adversary");
+        let adversary = table(get(&root, "adversary"));
         assert_eq!(get(adversary, "mode"), &Value::Str("online".into()));
-        assert_eq!(
-            get(get(adversary, "train"), "train_sessions"),
-            &Value::U64(2)
-        );
+        let train = table(get(adversary, "train"));
+        assert_eq!(get(train, "train_sessions"), &Value::Int(2));
+        // Every key and table knows its line.
+        assert_eq!(line_of(&root, "name"), 3);
+        assert_eq!((adversary.line, line_of(adversary, "mode")), (10, 11));
+        assert_eq!((train.line, line_of(train, "train_sessions")), (13, 14));
     }
 
     #[test]
@@ -526,14 +717,24 @@ algorithm = "or"
 app = "video"
 defense = "padding"
 "#;
-        let v = parse(doc).expect("parses").value;
-        let stations = get(&v, "stations").as_seq().expect("array of tables");
+        let root = parse(doc).expect("parses");
+        let stations = array(get(&root, "stations"));
         assert_eq!(stations.len(), 2);
-        assert_eq!(get(&stations[0], "count"), &Value::U64(4));
-        let defense = get(&stations[0], "defense").as_seq().expect("nested array");
+        assert_eq!(get(table(&stations[0]), "count"), &Value::Int(4));
+        let defense = array(get(table(&stations[0]), "defense"));
         assert_eq!(defense.len(), 2);
-        assert_eq!(get(&defense[1], "algorithm"), &Value::Str("or".into()));
-        assert_eq!(get(&stations[1], "defense"), &Value::Str("padding".into()));
+        assert_eq!(
+            get(table(&defense[1]), "algorithm"),
+            &Value::Str("or".into())
+        );
+        assert_eq!(
+            get(table(&stations[1]), "defense"),
+            &Value::Str("padding".into())
+        );
+        // Each entry of an array of tables opens on its header's line.
+        assert_eq!(table(&stations[1]).line, 13);
+        assert_eq!(table(&defense[1]).line, 9);
+        assert_eq!(line_of(table(&defense[1]), "algorithm"), 11);
     }
 
     #[test]
@@ -546,24 +747,33 @@ sizes = [
     3, # trailing
 ]
 "#;
-        let v = parse(doc).expect("parses").value;
-        assert_eq!(get(get(&v, "window"), "secs"), &Value::F64(5.0));
-        let events = get(&v, "events").as_seq().expect("array");
-        assert_eq!(get(&events[1], "kind"), &Value::Str("depart".into()));
+        let root = parse(doc).expect("parses");
+        assert_eq!(get(table(get(&root, "window")), "secs"), &Value::Float(5.0));
+        let events = array(get(&root, "events"));
+        assert_eq!(get(table(&events[1]), "kind"), &Value::Str("depart".into()));
         assert_eq!(
-            get(&v, "sizes"),
-            &Value::Seq(vec![Value::U64(1), Value::U64(2), Value::U64(3)])
+            get(&root, "sizes"),
+            &Value::Array(vec![Value::Int(1), Value::Int(2), Value::Int(3)])
         );
+        // A multi-line value sits on its key's line.
+        assert_eq!(line_of(&root, "sizes"), 4);
     }
 
     #[test]
     fn rejects_malformed_documents_with_line_numbers() {
         assert!(parse("key = ").is_err());
         assert!(parse("= 3").is_err());
-        assert!(parse("a = 1\na = 2").unwrap_err().contains("line 2"));
+        assert!(parse("a = 1\na = 2")
+            .unwrap_err()
+            .starts_with("2: duplicate key `a`"));
         assert!(parse("a = \"unterminated").is_err());
         assert!(parse("[t]\nx = 1 garbage").is_err());
         assert!(parse("a = 2020-01-01").is_err(), "dates are not supported");
+        assert!(parse("a = true").is_err(), "no spec key is a boolean");
+        for literal in ["nan", "inf", "-nan", "+inf"] {
+            let err = parse(&format!("\na = {literal}")).unwrap_err();
+            assert!(err.starts_with("2: "), "{literal}: {err}");
+        }
     }
 
     #[test]
@@ -577,7 +787,7 @@ sizes = [
             format!("y = {}", "[".repeat(MAX_NESTING + 1)),
         ] {
             let err = parse(&format!("x = 1\n\n{doc}")).expect_err("nesting past the limit");
-            assert!(err.starts_with("line 3: nesting deeper than 32"), "{err}");
+            assert!(err.starts_with("3: nesting deeper than 32"), "{err}");
         }
         // The limit itself still parses.
         let at_limit = format!("a = {}{}", "[".repeat(MAX_NESTING), "]".repeat(MAX_NESTING));
@@ -589,8 +799,22 @@ sizes = [
     #[test]
     fn errors_quote_the_offending_character_decoded() {
         let err = parse("a = 1 é = 1").unwrap_err();
-        assert_eq!(err, "line 1: unexpected `é` after value");
+        assert_eq!(err, "1: unexpected `é` after value");
         let err = parse("a = \"\\é\"").unwrap_err();
-        assert_eq!(err, "line 1: unsupported escape `\\é`");
+        assert_eq!(err, "1: unsupported escape `\\é`");
+    }
+
+    #[test]
+    fn lines_cite_a_key_by_file_and_line_or_by_its_path() {
+        let root =
+            parse("[[stations]]\napp = 'bt'\n[[stations.defense]]\nsize = 0\n").expect("parses");
+        let lines = Fields::new("f.toml", &root).lines();
+        let err = lines.cite("stations[0].defense[0].size", "bad");
+        assert_eq!(err, "f.toml:4: size: bad");
+        // A key the file leaves out is cited at the element's own line.
+        assert_eq!(lines.cite("seed", "bad"), "f.toml:1: seed: bad");
+        // Built in code, the key path stands in for the line.
+        let err = Lines::default().cite("adversary.train.window_secs", "bad");
+        assert_eq!(err, "adversary.train.window_secs: bad");
     }
 }

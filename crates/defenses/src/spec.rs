@@ -1,10 +1,12 @@
-//! Defense stages as **data**: serde-buildable stage specifications.
+//! Defense stages as **data**: stage specifications.
 //!
-//! The scenario engine composes whole experiments from committed spec files.
+//! The scenario engine composes whole experiments from committed spec files
+//! (read by `bench::scenario`, the one place the schema is parsed).
 //! [`DefenseStageSpec`] is this crate's end of that contract: one value names
 //! a defense stage (padding, morphing, pseudonym rotation, frequency hopping)
-//! plus its parameters, and [`build`](DefenseStageSpec::build) constructs the
-//! streaming [`PacketStage`] from it. The seeding rules match the hand-coded
+//! plus its parameters, [`validate`](DefenseStageSpec::validate) checks them
+//! and [`build`](DefenseStageSpec::build) constructs the streaming
+//! [`PacketStage`] from it. The seeding rules match the hand-coded
 //! pipelines the bench crate used before the refactor, so a spec-built stage
 //! is byte-identical per seed to its historical construction — with one
 //! exception: live morphing calibration (below).
@@ -33,10 +35,8 @@ use crate::pseudonym::PseudonymRotator;
 use crate::stage::PacketStage;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Error, Serialize, Value};
 use std::cell::{Cell, OnceCell};
 use traffic_gen::app::AppKind;
-use traffic_gen::spec::app_from_value;
 use traffic_gen::trace::Trace;
 use wlan_sim::time::SimDuration;
 
@@ -188,29 +188,25 @@ impl DefenseStageSpec {
         }
     }
 
-    /// Checks the stage's parameters, naming the bad key: a padding `size`
-    /// of at least one byte, a pseudonym `period_secs` that is positive,
-    /// finite and within [`SimDuration`]'s range (whole microseconds in a
-    /// u64), and a hopping `dwell_ms` of at least one millisecond that fits
-    /// the same range. Everything else the constructors would assert on.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Checks the stage's parameters, returning the bad key with its error:
+    /// a padding `size` of at least one byte, a pseudonym `period_secs` that
+    /// [`duration_secs`] accepts, and a hopping `dwell_ms` of at least one
+    /// millisecond that fits [`SimDuration`]'s range. Everything else the
+    /// constructors would assert on.
+    pub fn validate(&self) -> Result<(), (&'static str, String)> {
         match *self {
             DefenseStageSpec::Padding { size: Some(0) } => {
-                Err("padding: size must be at least 1 byte, got 0".to_string())
+                Err(("size", "must be at least 1 byte, got 0".to_string()))
             }
             DefenseStageSpec::Pseudonym {
                 period_secs: Some(secs),
-            } if !(0.5..u64::MAX as f64).contains(&(secs * 1e6)) => Err(format!(
-                "pseudonym: period_secs must be a positive, finite number of seconds \
-                 between 1 µs and {:.3e} s, got {secs}",
-                u64::MAX as f64 / 1e6
-            )),
+            } => duration_secs(secs).map_err(|e| ("period_secs", e)),
             DefenseStageSpec::FrequencyHopping { dwell_ms: Some(ms) }
                 if ms == 0 || ms > u64::MAX / 1_000 =>
             {
-                Err(format!(
-                    "frequency_hopping: dwell_ms must be between 1 and {}, got {ms}",
-                    u64::MAX / 1_000
+                Err((
+                    "dwell_ms",
+                    format!("must be between 1 and {}, got {ms}", u64::MAX / 1_000),
                 ))
             }
             _ => Ok(()),
@@ -223,7 +219,8 @@ impl DefenseStageSpec {
     /// calibration session (or the context's source trace) holds no packets,
     /// since no size distribution can be estimated from it.
     pub fn build(&self, ctx: &StageContext<'_>) -> Result<Box<dyn PacketStage>, String> {
-        self.validate()?;
+        self.validate()
+            .map_err(|(key, e)| format!("{}: {key}: {e}", self.name()))?;
         Ok(match self {
             DefenseStageSpec::Padding { size } => {
                 let padder = match size {
@@ -312,99 +309,31 @@ fn calibrated_morpher(
     Ok(TrafficMorpher::from_target_histogram(target, &hist))
 }
 
+/// Accepts a duration in seconds only when it is positive, finite (`x <=
+/// 0.0` alone lets NaN through) and within [`SimDuration`]'s range: whole
+/// microseconds, at least one, in a u64. Every duration key of a spec is
+/// checked by it.
+pub fn duration_secs(secs: f64) -> Result<(), String> {
+    if !(secs.is_finite() && secs > 0.0) {
+        return Err(format!(
+            "must be a positive, finite number of seconds, got {secs:?}"
+        ));
+    }
+    if !(0.5..u64::MAX as f64).contains(&(secs * 1e6)) {
+        return Err(format!(
+            "{secs:?} s is outside the simulator's time range (1 µs to {:.3e} s)",
+            u64::MAX as f64 / 1e6
+        ));
+    }
+    Ok(())
+}
+
 /// The error of a calibration session (or source trace) without packets.
 fn no_packets(app: AppKind, calib_secs: f64) -> String {
     format!(
         "morphing: no {app} packets to estimate a size distribution from \
-         (calib_secs = {calib_secs} s)"
+         (calib_secs = {calib_secs:?} s)"
     )
-}
-
-impl Serialize for DefenseStageSpec {
-    fn to_value(&self) -> Value {
-        let mut entries = vec![("stage".to_string(), Value::Str(self.name().to_string()))];
-        match self {
-            DefenseStageSpec::Padding { size: Some(s) } => {
-                entries.push(("size".to_string(), Value::U64(*s as u64)));
-            }
-            DefenseStageSpec::Morphing { target: Some(t) } => {
-                entries.push(("target".to_string(), t.to_value()));
-            }
-            DefenseStageSpec::Pseudonym {
-                period_secs: Some(secs),
-            } => {
-                entries.push(("period_secs".to_string(), Value::F64(*secs)));
-            }
-            DefenseStageSpec::FrequencyHopping { dwell_ms: Some(ms) } => {
-                entries.push(("dwell_ms".to_string(), Value::U64(*ms)));
-            }
-            _ => {}
-        }
-        Value::Map(entries)
-    }
-}
-
-impl Deserialize for DefenseStageSpec {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        // Both the bare tag (`"padding"`) and the parameterised table form
-        // (`{ stage = "padding", size = 1576 }`) are accepted.
-        let (tag, map): (&str, &[(String, Value)]) = match v {
-            Value::Str(s) => (s.as_str(), &[]),
-            Value::Map(m) => {
-                let tag = serde::value_get(m, "stage")
-                    .ok_or_else(|| Error::custom("defense stage table is missing `stage`"))?;
-                match tag {
-                    Value::Str(s) => (s.as_str(), m.as_slice()),
-                    other => {
-                        return Err(Error::custom(format!(
-                            "expected stage name string, found {other:?}"
-                        )))
-                    }
-                }
-            }
-            other => {
-                return Err(Error::custom(format!(
-                    "expected defense stage name or table, found {other:?}"
-                )))
-            }
-        };
-        let opt_f64 = |key: &str| -> Result<Option<f64>, Error> {
-            serde::value_get(map, key).map(f64::from_value).transpose()
-        };
-        let opt_u64 = |key: &str| -> Result<Option<u64>, Error> {
-            serde::value_get(map, key).map(u64::from_value).transpose()
-        };
-        let known = |allowed: &[&str]| serde::value_deny_unknown(map, allowed, "defense stage");
-        match tag {
-            "padding" | "pad" => {
-                known(&["stage", "size"])?;
-                Ok(DefenseStageSpec::Padding {
-                    size: opt_u64("size")?.map(|s| s as usize),
-                })
-            }
-            "morphing" | "morph" => {
-                known(&["stage", "target"])?;
-                Ok(DefenseStageSpec::Morphing {
-                    target: serde::value_get(map, "target")
-                        .map(app_from_value)
-                        .transpose()?,
-                })
-            }
-            "pseudonym" => {
-                known(&["stage", "period_secs"])?;
-                Ok(DefenseStageSpec::Pseudonym {
-                    period_secs: opt_f64("period_secs")?,
-                })
-            }
-            "frequency_hopping" | "fh" => {
-                known(&["stage", "dwell_ms"])?;
-                Ok(DefenseStageSpec::FrequencyHopping {
-                    dwell_ms: opt_u64("dwell_ms")?,
-                })
-            }
-            other => Err(Error::custom(format!("unknown defense stage `{other}`"))),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -621,30 +550,5 @@ mod tests {
         for spec in [size(1), period(1e-6), dwell(1)] {
             assert!(spec.build(&ctx).is_ok(), "{spec:?}");
         }
-    }
-
-    #[test]
-    fn specs_round_trip_through_serde_values() {
-        let specs = [
-            DefenseStageSpec::Padding { size: Some(1576) },
-            DefenseStageSpec::Padding { size: None },
-            DefenseStageSpec::Morphing {
-                target: Some(AppKind::Video),
-            },
-            DefenseStageSpec::Pseudonym {
-                period_secs: Some(30.0),
-            },
-            DefenseStageSpec::FrequencyHopping { dwell_ms: None },
-        ];
-        for spec in specs {
-            let back = DefenseStageSpec::from_value(&spec.to_value()).expect("round trip");
-            assert_eq!(back, spec);
-        }
-        // Bare tags parse too.
-        assert_eq!(
-            DefenseStageSpec::from_value(&Value::Str("fh".into())).unwrap(),
-            DefenseStageSpec::FrequencyHopping { dwell_ms: None }
-        );
-        assert!(DefenseStageSpec::from_value(&Value::Str("quantum".into())).is_err());
     }
 }
