@@ -8,14 +8,13 @@
 
 use classifier::metrics::ConfusionMatrix;
 use classifier::window::FeatureMode;
-use serde::{Deserialize, Serialize};
 
 use crate::corpus::ExperimentConfig;
 use crate::pipeline;
 use crate::scenario::DefenseSpec;
 
 /// One ablation variant and its outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationOutcome {
     /// Human-readable name of the variant.
     pub variant: String,

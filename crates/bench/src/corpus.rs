@@ -6,14 +6,13 @@
 //! binary and EXPERIMENTS.md) and [`ExperimentConfig::quick`] (small sizes for
 //! unit tests and the default training corpus of scenario adversaries).
 
-use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::trace::Trace;
 use wlan_sim::time::SimDuration;
 
 /// Sizing and seeding of one experiment run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Base seed for the training corpus.
     pub train_seed: u64,

@@ -4,7 +4,6 @@
 use reshape_core::ranges::SizeRanges;
 use reshape_core::reshaper::Reshaper;
 use reshape_core::scheduler::{OrthogonalModulo, OrthogonalRanges, ReshapeAlgorithm};
-use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::distribution::SizeHistogram;
 use traffic_gen::generator::SessionGenerator;
@@ -16,7 +15,7 @@ use traffic_gen::MAX_PACKET_SIZE;
 pub const FIGURE_BIN_WIDTH: usize = 8;
 
 /// One application's downlink packet-size distribution (Fig. 1 series).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AppSizePdf {
     /// The application.
     pub app: AppKind,
@@ -65,7 +64,7 @@ pub fn figure1(seed: u64, session_secs: f64) -> Vec<AppSizePdf> {
 
 /// One interface's series in Fig. 4 / Fig. 5: the per-range packet counts and
 /// summary statistics of the sub-flow carried by that interface.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct InterfaceSeries {
     /// Paper-style interface number (1-based); 0 denotes the original traffic.
     pub interface: usize,
@@ -83,7 +82,7 @@ pub struct InterfaceSeries {
 }
 
 /// The complete data behind Fig. 4 or Fig. 5.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OrFigure {
     /// Which scheduling rule produced it ("OR" for Fig. 4, "OR-mod" for Fig. 5).
     pub algorithm: String,

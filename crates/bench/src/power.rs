@@ -15,11 +15,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use reshape_core::power::{PowerController, RssiLinker};
-use serde::{Deserialize, Serialize};
 use wlan_sim::channel::{Medium, Position};
 
 /// The outcome of the power-analysis experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerAnalysisResult {
     /// Fraction of frames attributed to the correct station without TPC.
     pub attribution_without_tpc: f64,

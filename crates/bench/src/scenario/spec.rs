@@ -396,7 +396,7 @@ fn read_train(f: &mut Fields) -> Result<ExperimentConfig, String> {
         )*};
     }
     overlay!(train_seed, eval_seed, train_sessions, train_session_secs);
-    overlay!(eval_sessions, eval_session_secs, window_secs, interfaces);
+    overlay!(eval_sessions, eval_session_secs, window_secs);
     Ok(config)
 }
 
@@ -813,6 +813,10 @@ impl ScenarioSpec {
             ("stations", at_least_one(self.stations.len())),
             ("window_secs", duration_secs(self.window_secs)),
             ("calib_secs", duration_secs(self.calib_secs)),
+            (
+                "adversary.snapshot_every",
+                at_least_one(self.adversary.snapshot_every),
+            ),
         ] {
             check.map_err(|e| at(key, e))?;
         }
@@ -996,8 +1000,8 @@ fn stagger_secs(secs: f64) -> Result<(), String> {
 }
 
 /// Accepts a count of at least one.
-fn at_least_one(count: usize) -> Result<(), String> {
-    if count == 0 {
+fn at_least_one<T: Default + PartialEq>(count: T) -> Result<(), String> {
+    if count == T::default() {
         return Err("must be at least 1, got 0".to_string());
     }
     Ok(())
@@ -1375,6 +1379,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_snapshot_every_is_rejected() {
+        let doc = "[[stations]]\napp = \"bt\"\n[adversary]\nmode = \"online\"\nsnapshot_every = 0";
+        let err = load(doc).expect("parses").build().unwrap_err();
+        assert!(
+            err.starts_with("t.toml:5: snapshot_every: must be at least 1, got 0"),
+            "{err}"
+        );
+        // Built in code, the error names the whole key path.
+        let mut spec = demo_spec();
+        spec.adversary.snapshot_every = 0;
+        let err = spec.build().unwrap_err();
+        assert!(
+            err.starts_with("adversary.snapshot_every: must be at least 1, got 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn typoed_spec_keys_are_rejected_not_defaulted() {
         // The `--check` CI gate must catch misspelled keys instead of
         // silently running with defaults, and say where they are.
@@ -1394,6 +1416,12 @@ mod tests {
             (
                 "[[stations]]\napp = \"bt\"\n[adversary.train]\ntrain_sesions = 2",
                 "t.toml:4: train_sesions: unknown key",
+            ),
+            // Training runs on undefended corpora, so an interface count
+            // there would be accepted and never read.
+            (
+                "[[stations]]\napp = \"bt\"\n[adversary.train]\ninterfaces = 3",
+                "t.toml:4: interfaces: unknown key",
             ),
             (
                 "[[stations]]\napp = \"bt\"\n[[events]]\nat_secs = 1.0\nkind = \"splice\"\nstations = 0\ndefense = \"padding\"",

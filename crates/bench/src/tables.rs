@@ -11,7 +11,6 @@ use reshape_core::ranges::SizeRanges;
 use reshape_core::reshaper::Reshaper;
 use reshape_core::scheduler::OrthogonalRanges;
 use reshape_core::vif::VifIndex;
-use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::packet::Direction;
@@ -29,7 +28,7 @@ use crate::scenario::DefenseSpec;
 /// One row of Table I: an application's downlink features as the paper
 /// publishes them, on the original traffic and on each of the three OR
 /// virtual interfaces.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureRow {
     /// The application.
     pub app: AppKind,
@@ -81,7 +80,7 @@ pub fn table1(config: &ExperimentConfig) -> Vec<FeatureRow> {
 
 /// An accuracy table (Tables II, III and V share this shape): per-application
 /// accuracy for a set of defense columns, plus the mean row.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccuracyTable {
     /// The eavesdropping window in seconds.
     pub window_secs: f64,
@@ -168,7 +167,7 @@ pub fn table3(config: &ExperimentConfig) -> AccuracyTable {
 
 /// Table IV: per-application false-positive rate of the classifier on the
 /// original traffic and under OR.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FalsePositiveTable {
     /// The eavesdropping window in seconds.
     pub window_secs: f64,
@@ -247,7 +246,7 @@ pub fn table5(config: &ExperimentConfig, interface_counts: &[usize]) -> Accuracy
 // ---------------------------------------------------------------------------
 
 /// One row of Table VI.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EfficiencyRow {
     /// The application.
     pub app: AppKind,
@@ -283,7 +282,7 @@ fn dominant_direction_trace(trace: &Trace) -> Trace {
 
 /// Table VI: the timing-only attack succeeds against padding and morphing at
 /// great cost, while reshaping reduces accuracy at zero byte overhead.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EfficiencyTable {
     /// Per-application rows.
     pub rows: Vec<EfficiencyRow>,
@@ -362,7 +361,7 @@ pub fn table6(config: &ExperimentConfig) -> EfficiencyTable {
 
 /// Result of the §V-C experiment: OR alone vs. OR plus morphing on the
 /// small-packet interface.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CombinedResult {
     /// Mean accuracy under OR alone.
     pub or_accuracy: f64,

@@ -30,10 +30,9 @@
 
 use crate::dataset::Dataset;
 use crate::{Classifier, OnlineClassifier};
-use serde::{Deserialize, Serialize};
 
 /// A Gaussian naive Bayes classifier over incremental sufficient statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaussianNaiveBayes {
     dim: usize,
     /// Examples absorbed in total (cached sum of `counts`).

@@ -2,10 +2,9 @@
 
 use crate::nn::{stack_or_heap, STACK_HIDDEN};
 use crate::stream::RunningStats;
-use serde::{Deserialize, Serialize};
 
 /// One labelled training/evaluation example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LabeledExample {
     /// The feature vector.
     pub features: Vec<f64>,
@@ -14,7 +13,7 @@ pub struct LabeledExample {
 }
 
 /// A collection of labelled examples with a fixed feature dimension.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Dataset {
     dim: usize,
     examples: Vec<LabeledExample>,
@@ -97,7 +96,7 @@ impl Dataset {
 /// This is the **frozen snapshot** form: fixed means and standard deviations
 /// fitted once (on a batch training set, or taken from a
 /// [`RunningNormalizer`] at any point of a stream).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Normalizer {
     means: Vec<f64>,
     stds: Vec<f64>,

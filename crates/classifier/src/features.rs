@@ -7,7 +7,6 @@
 //! statistics), giving an 18-dimensional feature vector per eavesdropping
 //! window.
 
-use serde::{Deserialize, Serialize};
 use traffic_gen::distribution::SummaryStats;
 use traffic_gen::packet::Direction;
 use traffic_gen::trace::{Trace, IDLE_GAP_SECS};
@@ -19,7 +18,7 @@ pub const FEATURES_PER_DIRECTION: usize = 9;
 pub const FEATURE_DIM: usize = FEATURES_PER_DIRECTION * 2;
 
 /// An extracted feature vector for one eavesdropping window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureVector {
     values: Vec<f64>,
 }

@@ -9,11 +9,10 @@
 //! * **false positive (FP)** — per application X, the fraction of *other*
 //!   applications' instances that were classified as X.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A confusion matrix over `n` classes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfusionMatrix {
     classes: usize,
     /// Flat row-major `classes × classes` counts: `counts[true · classes +

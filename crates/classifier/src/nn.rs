@@ -17,10 +17,9 @@ use crate::{Classifier, OnlineClassifier};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the MLP trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NnConfig {
     /// Number of hidden units.
     pub hidden_units: usize,
@@ -44,7 +43,7 @@ impl Default for NnConfig {
 }
 
 /// A multi-layer perceptron (trainable incrementally).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NeuralNet {
     /// Layer 1 weights: flat row-major `hidden_units × dim`.
     w1: Vec<f64>,

@@ -20,10 +20,9 @@ use crate::{Classifier, OnlineClassifier};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of the SVM trainer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SvmConfig {
     /// Number of passes over the training data.
     pub epochs: usize,
@@ -44,7 +43,7 @@ impl Default for SvmConfig {
 }
 
 /// A one-vs-rest linear SVM (trainable incrementally).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearSvm {
     /// Flat row-major `classes × dim` weight matrix (the layout
     /// [`kernel::matvec_bias`] consumes directly).

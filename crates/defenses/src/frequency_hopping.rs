@@ -16,14 +16,13 @@
 
 use crate::overhead::Overhead;
 use crate::stage::{stage_trace, FlowId, FlowMap, PacketStage, StageOutput};
-use serde::{Deserialize, Serialize};
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::trace::Trace;
 use wlan_sim::phy::Channel;
 use wlan_sim::time::{SimDuration, SimTime};
 
 /// A deterministic channel-hopping schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrequencyHopper {
     channels: Vec<Channel>,
     dwell: SimDuration,

@@ -27,7 +27,6 @@
 
 use crate::overhead::Overhead;
 use crate::stage::{stage_trace, FlowId, PacketStage, StageOutput};
-use serde::{Deserialize, Serialize};
 use traffic_gen::app::AppKind;
 use traffic_gen::distribution::SizeHistogram;
 use traffic_gen::generator::SessionGenerator;
@@ -70,7 +69,7 @@ pub(crate) fn calibration_histogram(app: AppKind, seed: u64, secs: f64) -> SizeH
 
 /// Morphs packet sizes of a source trace toward a target application's
 /// empirical size distribution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMorpher {
     target_app: AppKind,
     target_cdf: Vec<f64>,

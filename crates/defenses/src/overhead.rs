@@ -10,12 +10,11 @@
 //! [`record`](Overhead::record), and the batch entry points simply return
 //! their stage's ledger — there is no per-defense bookkeeping anywhere else.
 
-use serde::{Deserialize, Serialize};
 use traffic_gen::trace::Trace;
 
 /// The byte and packet overhead a defense (or a whole stage pipeline) added
 /// to a traffic stream.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Overhead {
     /// Bytes of the original traffic absorbed so far.
     pub original_bytes: u64,

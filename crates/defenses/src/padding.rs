@@ -14,13 +14,12 @@
 
 use crate::overhead::Overhead;
 use crate::stage::{stage_trace, FlowId, PacketStage, StageOutput};
-use serde::{Deserialize, Serialize};
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::trace::Trace;
 use traffic_gen::MAX_PACKET_SIZE;
 
 /// Pads every packet of a trace to a fixed size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketPadder {
     target_size: usize,
 }

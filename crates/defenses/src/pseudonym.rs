@@ -18,14 +18,13 @@
 use crate::overhead::Overhead;
 use crate::stage::{FlowId, FlowMap, PacketStage, StageOutput, ROOT_FLOW};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::trace::Trace;
 use wlan_sim::mac::MacAddress;
 use wlan_sim::time::{SimDuration, SimTime};
 
 /// Rotates the client MAC address every `rotation_period`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PseudonymRotator {
     rotation_period: SimDuration,
 }

@@ -127,7 +127,7 @@ impl ConfigClient {
 }
 
 /// Policy the AP uses to pick the number of interfaces it grants (step 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ApConfigPolicy {
     /// The maximum number of virtual interfaces the AP grants per client.
     pub max_interfaces_per_client: usize,

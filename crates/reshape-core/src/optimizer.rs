@@ -17,11 +17,10 @@
 use crate::ranges::SizeRanges;
 use crate::target::TargetSet;
 use crate::vif::VifIndex;
-use serde::{Deserialize, Serialize};
 
 /// Tracks, for every interface, how many packets of each size range have been
 /// scheduled onto it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RealizedDistributions {
     ranges: SizeRanges,
     /// `counts[interface][range]`.

@@ -9,10 +9,9 @@
 //! experiment in `§V-A` of EXPERIMENTS.md can quantify the effect.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A per-packet transmission power controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerController {
     /// Nominal transmit power in dBm.
     pub nominal_dbm: f64,

@@ -8,11 +8,10 @@
 //! splits, and Fig. 4 uses three equal-width ranges.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use traffic_gen::MAX_PACKET_SIZE;
 
 /// A partition of `(0, ℓ_max]` into `L` half-open ranges.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SizeRanges {
     /// Strictly increasing upper boundaries `ℓ_1 < ℓ_2 < … < ℓ_L = ℓ_max`.
     boundaries: Vec<usize>,

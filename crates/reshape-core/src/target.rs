@@ -10,10 +10,9 @@
 
 use crate::error::{Error, Result};
 use crate::vif::VifIndex;
-use serde::{Deserialize, Serialize};
 
 /// A target packet-size distribution over `L` ranges for one virtual interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetDistribution {
     probabilities: Vec<f64>,
 }
@@ -84,7 +83,7 @@ impl TargetDistribution {
 }
 
 /// A complete set of target distributions, one per virtual interface.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetSet {
     targets: Vec<TargetDistribution>,
 }

@@ -16,14 +16,13 @@
 
 use crate::error::{Error, Result};
 use crate::vif::{VifIndex, VirtualInterfaceSet};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wlan_sim::frame::Frame;
 use wlan_sim::mac::MacAddress;
 
 /// A bidirectional mapping between one station's physical address and its
 /// virtual interface addresses.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TranslationTable {
     /// virtual address -> physical address.
     to_physical: HashMap<MacAddress, MacAddress>,

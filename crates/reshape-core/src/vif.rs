@@ -5,7 +5,6 @@
 //! every packet to exactly one of them. The types here track the interfaces
 //! configured on a station together with per-interface traffic statistics.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wlan_sim::mac::MacAddress;
 
@@ -13,7 +12,7 @@ use wlan_sim::mac::MacAddress;
 ///
 /// The paper numbers interfaces `1..=I`; we use zero-based indices internally
 /// and keep the paper's numbering in display output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VifIndex(usize);
 
 impl VifIndex {
@@ -46,7 +45,7 @@ impl From<usize> for VifIndex {
 }
 
 /// Running statistics for one virtual interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VifStats {
     /// Number of packets dispatched to this interface.
     pub packets: u64,
@@ -72,7 +71,7 @@ impl VifStats {
 }
 
 /// One virtual MAC interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VirtualInterface {
     index: VifIndex,
     mac: MacAddress,
@@ -111,7 +110,7 @@ impl VirtualInterface {
 }
 
 /// The ordered set of virtual interfaces configured on a station.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct VirtualInterfaceSet {
     interfaces: Vec<VirtualInterface>,
 }

@@ -1,12 +1,12 @@
 //! The seven online activities profiled by the paper.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::str::FromStr;
 
 /// One of the seven popular online applications whose traffic the paper
 /// profiles and the adversary tries to identify (§II-A, Fig. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum AppKind {
     /// Web browsing — bursty traffic, mixed packet sizes.
     Browsing,

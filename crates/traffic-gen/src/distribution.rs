@@ -6,11 +6,10 @@
 //! histogram machinery those figures (and the morphing defense) are built on.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An empirical distribution over packet sizes, stored as a fixed-width
 /// histogram over `0..=max_size`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeHistogram {
     bin_width: usize,
     max_size: usize,
@@ -159,7 +158,7 @@ impl SizeHistogram {
 }
 
 /// Summary statistics of a sequence of f64 samples (sizes or inter-arrival times).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SummaryStats {
     /// Number of samples.
     pub count: usize,

@@ -1,12 +1,11 @@
 //! Packet records: the atoms of a traffic trace.
 
 use crate::app::AppKind;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use wlan_sim::time::SimTime;
 
 /// The direction of a packet relative to the wireless client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {
     /// From the AP to the client (the receiver side of Fig. 1).
     Downlink,
@@ -35,7 +34,7 @@ impl fmt::Display for Direction {
 /// big it was on the air, and which way it travelled. The `app` label is the
 /// ground truth used for training and scoring the classifier; a real
 /// adversary does not see it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketRecord {
     /// Transmission timestamp.
     pub time: SimTime,
@@ -88,18 +87,5 @@ mod tests {
         let resized = p.with_size(1576);
         assert_eq!(resized.size, 1576);
         assert_eq!(resized.time, p.time);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = PacketRecord::new(
-            SimTime::from_secs_f64(0.25),
-            232,
-            Direction::Uplink,
-            AppKind::Chatting,
-        );
-        let json = serde_json::to_string(&p).unwrap();
-        let back: PacketRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, p);
     }
 }

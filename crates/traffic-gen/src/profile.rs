@@ -7,11 +7,10 @@
 //! to them, and the Table I experiment compares the reproduction against them.
 
 use crate::app::AppKind;
-use serde::{Deserialize, Serialize};
 
 /// First-order statistics of an application's downlink traffic as reported in
 /// Table I of the paper ("Original" column).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppProfile {
     /// The application.
     pub app: AppKind,

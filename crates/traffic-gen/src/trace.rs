@@ -8,7 +8,6 @@
 
 use crate::app::AppKind;
 use crate::packet::{Direction, PacketRecord};
-use serde::{Deserialize, Serialize};
 use wlan_sim::time::SimDuration;
 
 /// The idle-gap threshold used by the paper when computing inter-arrival
@@ -18,7 +17,7 @@ pub const IDLE_GAP_SECS: f64 = 5.0;
 
 /// An ordered trace of packets, optionally labelled with the application that
 /// produced it.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     app: Option<AppKind>,
     packets: Vec<PacketRecord>,
@@ -157,11 +156,6 @@ impl Trace {
         }
         out
     }
-
-    /// Serializes the trace to a JSON string.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialization cannot fail")
-    }
 }
 
 impl FromIterator<PacketRecord> for Trace {
@@ -268,21 +262,6 @@ mod tests {
         }
         assert!(t.windows(SimDuration::ZERO).is_empty());
         assert!(Trace::new().windows(SimDuration::from_secs(5)).is_empty());
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = Trace::from_packets(
-            Some(AppKind::BitTorrent),
-            vec![
-                pkt(0.0, 1576, Direction::Downlink),
-                pkt(0.01, 108, Direction::Uplink),
-            ],
-        );
-        let json = t.to_json();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
-        assert!(serde_json::from_str::<Trace>("not json").is_err());
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Association state machine shared by stations and the access point.
 
 use crate::mac::MacAddress;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The association state of a station with respect to an AP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AssociationState {
     /// Not associated with any AP.
     #[default]
@@ -45,7 +44,7 @@ impl fmt::Display for AssociationState {
 }
 
 /// A record the AP keeps for every associated station.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AssociationRecord {
     /// The station's unique physical MAC address.
     pub physical_addr: MacAddress,

@@ -9,10 +9,9 @@
 //! (b) demonstrate per-packet transmission-power control as a countermeasure.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A position in the 2-D simulation plane, in meters.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Position {
     /// X coordinate in meters.
     pub x: f64,
@@ -33,7 +32,7 @@ impl Position {
 }
 
 /// Log-distance path-loss model with optional log-normal shadowing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathLossModel {
     /// Path loss at the reference distance, in dB.
     pub reference_loss_db: f64,
@@ -96,7 +95,7 @@ impl PathLossModel {
 }
 
 /// Parameters of the wireless medium shared by all nodes of a WLAN.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Medium {
     path_loss: PathLossModel,
     noise_floor_dbm: f64,

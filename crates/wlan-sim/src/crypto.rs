@@ -16,7 +16,7 @@ use crate::error::{Error, Result};
 use serde::{Deserialize, Serialize};
 
 /// A symmetric link key shared between a station and its AP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LinkKey([u8; 16]);
 
 impl LinkKey {

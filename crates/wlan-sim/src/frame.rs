@@ -11,7 +11,6 @@ use crate::crypto::SealedPayload;
 use crate::error::{Error, Result};
 use crate::mac::MacAddress;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size in bytes of the modelled MAC header (frame control, duration, three
@@ -19,7 +18,7 @@ use std::fmt;
 pub const MAC_OVERHEAD_BYTES: usize = 34;
 
 /// Management frame subtypes used by the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ManagementSubtype {
     /// Beacon broadcast by the AP.
@@ -33,7 +32,7 @@ pub enum ManagementSubtype {
 }
 
 /// Control frame subtypes used by the simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum ControlSubtype {
     /// Link-layer acknowledgement.
@@ -45,7 +44,7 @@ pub enum ControlSubtype {
 }
 
 /// The type of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
     /// Management frames (association, beacons, …).
     Management(ManagementSubtype),
@@ -94,7 +93,7 @@ impl FrameType {
 }
 
 /// The addressing and control portion of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameHeader {
     frame_type: FrameType,
     src: MacAddress,
@@ -154,14 +153,14 @@ impl FrameHeader {
 /// bytes, or a [`SealedPayload`] when link encryption is on. In every state the
 /// on-air size reported by [`Frame::air_size`] is header overhead plus payload
 /// length, which is the quantity the eavesdropper observes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     header: FrameHeader,
     payload: Payload,
 }
 
 /// Payload variants of a [`Frame`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// No payload (control frames).
     None,

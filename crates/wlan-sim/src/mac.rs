@@ -91,17 +91,6 @@ impl FromStr for MacAddress {
     }
 }
 
-impl serde::MapKey for MacAddress {
-    fn to_key(&self) -> String {
-        self.to_string()
-    }
-
-    fn from_key(s: &str) -> std::result::Result<Self, serde::Error> {
-        s.parse()
-            .map_err(|_| serde::Error::custom(format!("invalid MAC address map key {s:?}")))
-    }
-}
-
 impl From<[u8; 6]> for MacAddress {
     fn from(octets: [u8; 6]) -> Self {
         MacAddress(octets)

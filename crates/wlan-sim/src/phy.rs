@@ -7,11 +7,10 @@
 
 use crate::error::{Error, Result};
 use crate::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An 802.11a/b/g data rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[non_exhaustive]
 pub enum PhyRate {
     /// 1 Mb/s (802.11b DSSS).
@@ -85,7 +84,7 @@ impl fmt::Display for PhyRate {
 }
 
 /// A 2.4 GHz 802.11 channel number (1..=14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Channel(u8);
 
 impl Channel {

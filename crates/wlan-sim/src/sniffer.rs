@@ -14,11 +14,10 @@ use crate::mac::MacAddress;
 use crate::phy::Channel;
 use crate::time::SimTime;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A single frame as observed by the eavesdropper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapturedFrame {
     /// Capture timestamp.
     pub time: SimTime,

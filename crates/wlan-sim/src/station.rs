@@ -12,14 +12,13 @@ use crate::association::AssociationState;
 use crate::channel::Position;
 use crate::frame::{Frame, FrameType, ManagementSubtype};
 use crate::mac::MacAddress;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Default transmit power in dBm for client stations.
 pub const DEFAULT_TX_POWER_DBM: f64 = 15.0;
 
 /// A wireless client station.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Station {
     physical_addr: MacAddress,
     position: Position,

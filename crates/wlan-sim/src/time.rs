@@ -5,7 +5,6 @@
 //! every interval is a [`SimDuration`]. Keeping the two as distinct newtypes
 //! prevents the classic "added two absolute timestamps" bug.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub, SubAssign};
 
@@ -13,15 +12,11 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 pub const MICROS_PER_SEC: u64 = 1_000_000;
 
 /// An absolute instant on the simulation clock, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A non-negative span of simulated time, in microseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {
