@@ -1,6 +1,6 @@
 # Local targets mirroring the CI jobs so local and CI runs are identical.
 
-.PHONY: verify build test equivalence-release fmt lint doc pub-scan derive-scan experiments-check perf-test scenario-check scenario-json reports-check examples perf-ab ci
+.PHONY: verify build test equivalence-release fmt lint doc api-scan experiments-check perf-test scenario-check scenario-json reports-check examples perf-ab ci
 
 # The tier-1 gate: exactly what the driver and the CI `test` job run.
 verify:
@@ -32,20 +32,14 @@ lint:
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
-# Fails on a public item of the library crates that no non-test code uses
-# and scripts/pub_scan.allow does not list with a reason (bash + awk only),
-# after checking the scan's rules on its fixture tree.
-pub-scan:
-	scripts/pub_scan_selftest.sh
-	scripts/pub_scan.sh
-
-# Fails on a serde derive or impl of the workspace crates that the
-# libraries, binaries, examples and perfbench still build without (cargo
-# check on a copy under target/derive-scan/, one removal at a time), after
-# checking the scan on its fixture crate. About 12 s cold, 6 s warm, on 2 vCPUs.
-derive-scan:
-	scripts/derive_scan_selftest.sh
-	scripts/derive_scan.sh
+# Fails on a public item of the workspace crates that no non-test code
+# uses and scripts/api_scan.allow does not list with a reason, and on a
+# serde derive or impl that the libraries, binaries, examples and perfbench
+# still build without. The compiler decides both, on a copy under
+# target/api-scan/; the scan is first checked on its fixture crate.
+api-scan:
+	scripts/api_scan_selftest.sh
+	scripts/api_scan.sh
 
 # Regenerates every paper table and figure (release `experiments paper all`,
 # a few seconds once built) into EXPERIMENTS_paper.txt and fails when the
@@ -98,4 +92,4 @@ perf-ab:
 	scripts/perf_ab.sh $(BASE) $(WORKLOAD) $(PAIRS) $(RUN_SECONDS) $(FIRST_SEED)
 
 # Everything CI gates on, in one shot.
-ci: fmt lint doc pub-scan derive-scan verify test equivalence-release scenario-check experiments-check reports-check perf-test examples
+ci: fmt lint doc api-scan verify test equivalence-release scenario-check experiments-check reports-check perf-test examples

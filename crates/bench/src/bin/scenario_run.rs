@@ -15,13 +15,16 @@
 //! committed reports live).
 //! Every failure names its spec file: load and build errors read
 //! `path:line: key: message`, and a failed run prints the path before its
-//! error, so a run over a directory says which spec failed.
+//! error, so a run over a directory says which spec failed. An argument
+//! that starts with `--` and is no option above exits 2 with the usage line.
 //! Each run's stats line ends with the process's peak resident set so far
 //! (`VmHWM` from `/proc/self/status`, `n/a` where that is absent), so a run
 //! of the million-station metropolis family shows its memory bound.
 
 use bench::scenario::{default_scenarios_dir, execute_scenario, load_spec, spec_files, train_for};
 use std::path::PathBuf;
+
+const USAGE: &str = "usage: scenario_run [--check] [--out DIR] [PATH ...]";
 
 fn main() {
     let mut check_only = false;
@@ -36,8 +39,12 @@ fn main() {
                 None => fail("--out needs a directory argument"),
             },
             "--help" | "-h" => {
-                println!("usage: scenario_run [--check] [--out DIR] [PATH ...]");
+                println!("{USAGE}");
                 return;
+            }
+            other if other.starts_with("--") => {
+                eprintln!("scenario_run: unknown option `{other}`\n{USAGE}");
+                std::process::exit(2);
             }
             other => paths.push(PathBuf::from(other)),
         }

@@ -22,16 +22,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` if there are no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as aligned text (also valid GitHub Markdown).
     pub fn render(&self) -> String {
         let columns = self
@@ -100,8 +90,6 @@ mod tests {
         let mut t = TextTable::new(["App.", "Original (%)", "OR (%)"]);
         t.row(["br.", "37.77", "1.90"]);
         t.row(["mean", "83.24", "43.69"]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
         let rendered = t.render();
         assert!(rendered.contains("| App."));
         assert!(rendered.contains("| br. "));

@@ -502,7 +502,7 @@ mod tests {
         spec.calib_secs = 1e-6;
         spec.stations[0].defense = DefenseSpec::parse("morph_or").unwrap();
         let scenario = spec.build().expect("passes the static checks");
-        let memo = defenses::spec::MorphCalibrations::new();
+        let memo = defenses::spec::MorphCalibrations::default();
         for i in 0..2 {
             let Err(err) = station_run(&scenario, scenario.station(i)).admit(&memo) else {
                 panic!("station {i} must fail to admit");

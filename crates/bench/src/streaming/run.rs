@@ -28,7 +28,6 @@ use classifier::window::FeatureMode;
 use defenses::spec::{MorphCalibrations, StageContext};
 use defenses::stage::STAGE_BATCH;
 use std::cmp::Ordering;
-use traffic_gen::app::AppKind;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::spec::TrafficSpec;
 use traffic_gen::stream::StreamingSession;
@@ -124,11 +123,6 @@ impl StationRun {
     pub fn arrival_secs(mut self, arrival_secs: f64) -> Self {
         self.arrival_secs = arrival_secs;
         self
-    }
-
-    /// The station's ground-truth application.
-    pub fn app(&self) -> AppKind {
-        self.traffic.app
     }
 
     /// The station's wall-clock arrival second.

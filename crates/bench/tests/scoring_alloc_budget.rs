@@ -166,5 +166,5 @@ fn a_live_fork_copies_only_model_state_and_scores_without_allocating() {
             "window {i} allocated {scored} times (timeline points appended: {snapshot})"
         );
     }
-    assert_eq!(evaluator.examples(), WINDOW_BATCH as u64);
+    assert_eq!(evaluator.take_segment().total, WINDOW_BATCH as u64);
 }

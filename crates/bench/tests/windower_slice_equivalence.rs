@@ -263,7 +263,6 @@ proptest! {
                 "prequential timelines diverged: {}",
                 case.defense
             );
-            prop_assert_eq!(reference_eval.examples(), live_eval.examples());
         }
         prop_assert!(
             largest_phase > WINDOW_BATCH as u64,

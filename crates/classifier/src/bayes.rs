@@ -101,11 +101,6 @@ impl GaussianNaiveBayes {
             .collect()
     }
 
-    /// Number of classes.
-    pub fn class_count(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Every class's log prior, as [`predict`](Classifier::predict) takes
     /// them on each call.
     pub(crate) fn log_priors(&self) -> Vec<f64> {
@@ -229,7 +224,7 @@ mod tests {
     fn separates_gaussian_blobs() {
         let data = gaussian_blobs(1);
         let nb = GaussianNaiveBayes::train(&data);
-        assert_eq!(nb.class_count(), 3);
+        assert_eq!(nb.counts.len(), 3);
         let correct = nb
             .predict_dataset(&data)
             .iter()

@@ -205,16 +205,6 @@ impl RunningNormalizer {
         }
     }
 
-    /// The feature dimensionality.
-    pub fn dim(&self) -> usize {
-        self.stats.len()
-    }
-
-    /// Number of feature vectors absorbed so far.
-    pub fn count(&self) -> u64 {
-        self.stats.first().map_or(0, RunningStats::count)
-    }
-
     /// Absorbs one feature vector into the per-column statistics and
     /// re-derives the kept scale of every column it moved.
     pub fn observe(&mut self, features: &[f64]) {
@@ -240,29 +230,16 @@ impl RunningNormalizer {
         }
     }
 
-    /// Applies the current z-score statistics to one feature vector.
-    /// Zero-variance columns are centred but not scaled (see `safe_std` —
-    /// before the fix a constant column yielded NaN/inf features).
-    pub fn apply(&self, features: &[f64]) -> Vec<f64> {
-        self.scale.apply(features)
-    }
-
-    /// Appends the normalised form of `features` to `out` with the
-    /// **current** statistics — the allocation-free counterpart of
-    /// [`apply`](Self::apply).
-    pub fn transform_into(&self, features: &[f64], out: &mut Vec<f64>) {
-        self.scale.transform_into(features, out);
-    }
-
-    /// The scale of the current statistics, as the transforms apply it.
-    pub(crate) fn scale(&self) -> &Normalizer {
+    /// The scale of the current statistics, the normalisation every
+    /// prediction and training step applies.
+    pub fn scale(&self) -> &Normalizer {
         &self.scale
     }
 
     /// Freezes the current statistics into a static [`Normalizer`], derived
     /// afresh from them. After [`observe`](Self::observe) it equals the kept
-    /// scale, so applying the snapshot is bit-identical to
-    /// [`apply`](Self::apply).
+    /// scale, so applying the snapshot is bit-identical to applying
+    /// [`scale`](Self::scale).
     pub fn snapshot(&self) -> Normalizer {
         Normalizer::derive(&self.stats)
     }
@@ -336,9 +313,9 @@ mod tests {
         for e in d.examples() {
             running.observe(&e.features);
         }
-        let out = running.apply(&[3.0, 2.0]);
+        let out = running.scale().apply(&[3.0, 2.0]);
         assert!(out.iter().all(|v| v.is_finite()), "running: {out:?}");
-        let off = running.apply(&[7.5, 2.0]);
+        let off = running.scale().apply(&[7.5, 2.0]);
         assert!(
             off.iter().all(|v| v.is_finite()),
             "running off-mean: {off:?}"
@@ -353,14 +330,12 @@ mod tests {
         for e in d.examples() {
             running.observe(&e.features);
         }
-        assert_eq!(running.count(), d.len() as u64);
-        assert_eq!(running.dim(), d.dim());
         // Normalizer::fit is literally a running snapshot, so the frozen
         // statistics agree exactly, and apply() agrees between the running
         // and snapshot forms.
         assert_eq!(running.snapshot(), batch);
         let x = &d.examples()[7].features;
-        assert_eq!(running.apply(x), batch.apply(x));
+        assert_eq!(running.scale().apply(x), batch.apply(x));
     }
 
     #[test]
@@ -368,10 +343,10 @@ mod tests {
         let mut running = RunningNormalizer::new(1);
         running.observe(&[0.0]);
         // One sample: zero variance, centred but unscaled.
-        assert_eq!(running.apply(&[1.0]), vec![1.0]);
+        assert_eq!(running.scale().apply(&[1.0]), vec![1.0]);
         running.observe(&[10.0]);
         // Mean 5, std 5 now.
-        let z = running.apply(&[10.0]);
+        let z = running.scale().apply(&[10.0]);
         assert!((z[0] - 1.0).abs() < 1e-12);
     }
 }

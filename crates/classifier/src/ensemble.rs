@@ -147,11 +147,6 @@ impl AdversaryEnsemble {
         [&self.svm, &self.nn, &self.bayes]
     }
 
-    /// The number of classes the adversary distinguishes.
-    pub fn class_count(&self) -> usize {
-        self.class_count
-    }
-
     /// Evaluates one member classifier on an evaluation set, returning its
     /// confusion matrix.
     fn evaluate_member(&self, member: &dyn Classifier, eval: &Dataset) -> ConfusionMatrix {
@@ -340,7 +335,7 @@ mod tests {
         let train = blobs(1, 1.0);
         let test = blobs(2, 1.0);
         let ensemble = AdversaryEnsemble::train(&train, &EnsembleConfig::default());
-        assert_eq!(ensemble.class_count(), 3);
+        assert_eq!(ensemble.class_count, 3);
         assert_eq!(member_names(&ensemble), ["svm", "nn", "naive-bayes"]);
         let (name, matrix) = ensemble.evaluate_best(&test);
         assert!(["svm", "nn", "naive-bayes"].contains(&name));

@@ -70,11 +70,6 @@ impl FeatureVector {
     pub fn into_values(self) -> Vec<f64> {
         self.values
     }
-
-    /// The dimensionality (always [`FEATURE_DIM`]).
-    pub fn dim(&self) -> usize {
-        self.values.len()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +102,7 @@ mod tests {
             ],
         );
         let fv = FeatureVector::from_trace(&trace);
-        assert_eq!(fv.dim(), FEATURE_DIM);
+        assert_eq!(fv.values().len(), FEATURE_DIM);
         let v = fv.values();
         assert_eq!(v[0], 3.0); // downlink packet count
         assert_eq!(v[1], 100.0); // min size

@@ -39,11 +39,6 @@ impl ConfusionMatrix {
         &self.counts[class * self.classes..(class + 1) * self.classes]
     }
 
-    /// Number of classes.
-    pub fn class_count(&self) -> usize {
-        self.classes
-    }
-
     /// Records one classification outcome.
     ///
     /// # Panics
@@ -239,7 +234,7 @@ mod tests {
         let m = from_pairs(3, &[(0, 0), (0, 1), (1, 1), (2, 1)]);
         assert_eq!(m.count(0, 1), 1);
         assert_eq!(m.class_total(0), 2);
-        assert_eq!(m.class_count(), 3);
+        assert_eq!(m.classes, 3);
         assert!((m.class_accuracy(0) - 0.5).abs() < 1e-12);
         // FP for class 1: true 0 predicted 1 (1) + true 2 predicted 1 (1) over 3 negatives.
         assert!((m.false_positive_rate(1) - 2.0 / 3.0).abs() < 1e-12);

@@ -223,19 +223,6 @@ impl NeuralNet {
         softmax_in_place(probs);
     }
 
-    /// Class probabilities for a feature vector.
-    pub fn probabilities(&self, features: &[f64]) -> Vec<f64> {
-        let mut hidden = vec![0.0; self.b1.len()];
-        let mut probs = vec![0.0; self.b2.len()];
-        self.forward_onto(features, &mut hidden, &mut probs);
-        probs
-    }
-
-    /// Number of classes the network distinguishes.
-    pub fn class_count(&self) -> usize {
-        self.b2.len()
-    }
-
     /// Both layers as `(row-major weights, biases, row width)`: layer 1 is
     /// `hidden × dim`, layer 2 `classes × hidden`. For packing into lane
     /// panels.
@@ -391,6 +378,17 @@ impl OnlineClassifier for NeuralNet {
 mod tests {
     use super::*;
 
+    /// The reference `predict` is pinned against.
+    impl NeuralNet {
+        /// Class probabilities for a feature vector.
+        fn probabilities(&self, features: &[f64]) -> Vec<f64> {
+            let mut hidden = vec![0.0; self.b1.len()];
+            let mut probs = vec![0.0; self.b2.len()];
+            self.forward_onto(features, &mut hidden, &mut probs);
+            probs
+        }
+    }
+
     fn ring_dataset(seed: u64) -> Dataset {
         // A non-linearly-separable problem: class 0 near the origin, class 1 on a ring.
         let mut rng = StdRng::seed_from_u64(seed);
@@ -416,7 +414,7 @@ mod tests {
             .count();
         let accuracy = correct as f64 / data.len() as f64;
         assert!(accuracy > 0.9, "accuracy {accuracy}");
-        assert_eq!(nn.class_count(), 2);
+        assert_eq!(nn.b2.len(), 2);
         assert_eq!(nn.name(), "nn");
     }
 

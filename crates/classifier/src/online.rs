@@ -296,11 +296,6 @@ impl PrequentialEvaluator {
         self.test_then_train(&example.0, example.1)
     }
 
-    /// Examples scored so far.
-    pub fn examples(&self) -> u64 {
-        self.scored
-    }
-
     /// The accuracy timeline recorded so far.
     pub fn timeline(&self) -> &[PrequentialPoint] {
         &self.timeline
@@ -340,7 +335,7 @@ mod tests {
 
         /// The majority vote of every member, each asked.
         fn predict_majority(&self, features: &[f64]) -> usize {
-            let x = self.normalizer.apply(features);
+            let x = self.normalizer.scale().apply(features);
             let votes =
                 [&self.svm as &dyn Classifier, &self.nn, &self.bayes].map(|c| c.predict(&x));
             majority_vote(&votes, self.classes)
@@ -397,7 +392,7 @@ mod tests {
         for (f, l) in blob_stream(3, 120) {
             evaluator.test_then_train(&f, l);
         }
-        assert_eq!(evaluator.examples(), 360);
+        assert_eq!(evaluator.take_segment().total, 360);
         // The timeline was snapshotted every 30 examples.
         assert_eq!(evaluator.timeline().len(), 12);
         // Later accuracy beats the cold-start prefix.

@@ -595,11 +595,6 @@ impl FlowWindowers {
         }
     }
 
-    /// Number of sub-flows seen so far.
-    pub fn flow_count(&self) -> usize {
-        self.windowers.len()
-    }
-
     /// Folds one packet of sub-flow `flow` in; returns a finished example
     /// when this packet closes that sub-flow's previous window.
     pub fn push(&mut self, flow: usize, packet: &PacketRecord) -> Option<WindowExample> {
@@ -788,8 +783,12 @@ mod tests {
     #[test]
     fn zero_window_emits_nothing() {
         let trace = SessionGenerator::new(AppKind::Video, 1).generate_secs(5.0);
-        let mut windower =
-            StreamingWindower::for_app(SimDuration::ZERO, 1, FeatureMode::Full, AppKind::Video);
+        let mut windower = StreamingWindower::for_app(
+            SimDuration::from_micros(0),
+            1,
+            FeatureMode::Full,
+            AppKind::Video,
+        );
         for p in trace.packets() {
             assert!(windower.push(p).is_none());
         }

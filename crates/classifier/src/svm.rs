@@ -120,11 +120,6 @@ impl LinearSvm {
         kernel::matvec_bias(&self.weights, &self.biases, features, self.dim, out);
     }
 
-    /// Number of classes the model distinguishes.
-    pub fn class_count(&self) -> usize {
-        self.biases.len()
-    }
-
     /// The decision layer as `(row-major classes × dim weights, biases,
     /// dim)`, for packing into lane panels.
     pub(crate) fn layer(&self) -> (&[f64], &[f64], usize) {
@@ -219,7 +214,7 @@ mod tests {
     fn learns_binary_separation() {
         let data = separable_dataset(2, 60, 1);
         let svm = LinearSvm::train(&data, &SvmConfig::default(), 2);
-        assert_eq!(svm.class_count(), 2);
+        assert_eq!(svm.biases.len(), 2);
         let correct = svm
             .predict_dataset(&data)
             .iter()

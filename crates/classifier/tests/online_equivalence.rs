@@ -272,7 +272,7 @@ proptest! {
         }
         prop_assert_eq!(&running.snapshot(), &batch);
         let probe: Vec<f64> = (0..dim).map(|_| rng.gen_range(-1e3..1e3)).collect();
-        prop_assert_eq!(running.apply(&probe), batch.apply(&probe));
+        prop_assert_eq!(running.scale().apply(&probe), batch.apply(&probe));
     }
 
     #[test]
@@ -311,7 +311,7 @@ proptest! {
             let width = rng.gen_range(dim - 1..=dim + 1);
             let probe: Vec<f64> = (0..width).map(|_| rng.gen_range(-2e3..2e3)).collect();
             out.clear();
-            running.transform_into(&probe, &mut out);
+            running.scale().transform_into(&probe, &mut out);
             let inline: Vec<u64> = probe
                 .iter()
                 .zip(&stats)

@@ -123,11 +123,6 @@ impl FrequencyHoppingStage {
         }
     }
 
-    /// Number of channel sub-flows opened so far.
-    pub fn flow_count(&self) -> usize {
-        self.flows.len()
-    }
-
     /// The index into the schedule's hop set that sub-flow `flow` carries.
     pub fn channel_index_of(&self, flow: FlowId) -> Option<usize> {
         self.channel_indices.get(flow as usize).copied()
@@ -241,11 +236,11 @@ mod tests {
                 Channel::CH1
             ]
         );
-        assert_eq!(stage.flow_count(), 3);
+        assert_eq!(stage.flows.len(), 3);
         assert_eq!(stage.channel_index_of(9), None);
         assert_eq!(stage.overhead().percent(), 0.0, "FH adds no bytes");
         stage.reset();
-        assert_eq!(stage.flow_count(), 0);
+        assert!(stage.flows.is_empty());
         assert_eq!(stage.overhead(), Overhead::default());
     }
 
@@ -265,6 +260,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_dwell_panics() {
-        let _ = FrequencyHopper::new(vec![Channel::CH1], SimDuration::ZERO);
+        let _ = FrequencyHopper::new(vec![Channel::CH1], SimDuration::from_micros(0));
     }
 }

@@ -110,11 +110,6 @@ impl TrafficMorpher {
         }
     }
 
-    /// The application whose distribution is being imitated.
-    pub fn target_app(&self) -> AppKind {
-        self.target_app
-    }
-
     /// Maps a quantile in `[0, 1]` to a size drawn from the target CDF (the
     /// first bin whose cumulative mass reaches `q`).
     fn target_size_at_quantile(&self, q: f64) -> usize {
@@ -214,11 +209,6 @@ impl MorphingStage {
         }
     }
 
-    /// The application whose distribution is being imitated.
-    pub fn target_app(&self) -> AppKind {
-        self.morpher.target_app()
-    }
-
     /// Morphs one size (the per-packet kernel shared with the batch path).
     fn morph_size(&self, size: usize) -> usize {
         debug_assert!(
@@ -287,7 +277,6 @@ mod tests {
         let chat = trace_of(AppKind::Chatting, 1, 120.0);
         let gaming = trace_of(AppKind::Gaming, 2, 120.0);
         let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
-        assert_eq!(morpher.target_app(), AppKind::Gaming);
         let (morphed, overhead) = morpher.apply(&chat);
         assert_eq!(morphed.len(), chat.len());
         let before = chat.mean_packet_size();
@@ -363,7 +352,6 @@ mod tests {
         let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
         let mut stage = morpher.stage_for_source_trace(&chat);
         assert_eq!(stage.name(), "morphing");
-        assert_eq!(stage.target_app(), AppKind::Gaming);
         let mut out = StageOutput::new();
         for p in chat.packets() {
             stage.on_packet(ROOT_FLOW, p, &mut out);

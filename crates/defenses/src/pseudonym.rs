@@ -280,6 +280,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_period_panics() {
-        let _ = PseudonymRotator::new(SimDuration::ZERO);
+        let _ = PseudonymRotator::new(SimDuration::from_micros(0));
     }
 }

@@ -116,11 +116,6 @@ impl Default for MorphCalibrations {
 }
 
 impl MorphCalibrations {
-    /// An empty memo.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Calibration sessions generated through this memo so far.
     pub fn sessions(&self) -> u64 {
         self.sessions.get()
@@ -435,7 +430,7 @@ mod tests {
             .build(&StageContext::live(AppKind::BitTorrent, 3, 20.0))
             .is_ok());
         // The memo caches the error and returns it on every build.
-        let memo = MorphCalibrations::new();
+        let memo = MorphCalibrations::default();
         let ctx = StageContext {
             calibrations: Some(&memo),
             ..StageContext::live(AppKind::BitTorrent, 3, 1e-6)
@@ -465,7 +460,7 @@ mod tests {
     fn live_morphing_is_independent_of_the_station_seed_and_equals_the_memo() {
         let trace = trace();
         let spec = DefenseStageSpec::Morphing { target: None };
-        let memo = MorphCalibrations::new();
+        let memo = MorphCalibrations::default();
         let reference = morphed(
             spec,
             &StageContext::live(AppKind::BitTorrent, 0, 20.0),
@@ -499,7 +494,7 @@ mod tests {
 
     #[test]
     fn the_memo_calibrates_each_app_target_pair_once() {
-        let memo = MorphCalibrations::new();
+        let memo = MorphCalibrations::default();
         let build = |app, target, calib_secs| {
             let ctx = StageContext {
                 calibrations: Some(&memo),

@@ -180,16 +180,6 @@ impl StagePipeline {
         &self.stages
     }
 
-    /// Number of stages.
-    pub fn len(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// Returns `true` for the identity pipeline.
-    pub fn is_empty(&self) -> bool {
-        self.stages.is_empty()
-    }
-
     /// Seeds the ping-pong scratch with recycled buffers, keeping their
     /// capacity so a freshly built pipeline skips the first batches' growth.
     /// A no-op for buffers that already have capacity.
@@ -354,7 +344,7 @@ mod tests {
     fn empty_pipeline_is_the_identity() {
         let trace = trace();
         let mut pipeline = StagePipeline::new();
-        assert!(pipeline.is_empty());
+        assert!(pipeline.stages().is_empty());
         let mut collected = Vec::new();
         let mut sink = |flow: FlowId, p: &PacketRecord| {
             assert_eq!(flow, ROOT_FLOW);

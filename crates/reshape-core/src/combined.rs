@@ -25,13 +25,6 @@ pub struct CombinedOutcome {
     pub overhead: Overhead,
 }
 
-impl CombinedOutcome {
-    /// Total packets across all interfaces.
-    pub fn total_packets(&self) -> usize {
-        self.sub_traces.iter().map(Trace::len).sum()
-    }
-}
-
 /// Reshaping followed by morphing on selected virtual interfaces.
 #[derive(Debug)]
 pub struct CombinedDefense {
@@ -50,11 +43,6 @@ impl CombinedDefense {
             reshaper: Reshaper::new(algorithm),
             morphers,
         }
-    }
-
-    /// The number of virtual interfaces.
-    pub fn interface_count(&self) -> usize {
-        self.reshaper.interface_count()
     }
 
     /// Applies reshaping and then morphs the configured interfaces.
@@ -115,9 +103,11 @@ mod tests {
     fn packet_count_is_preserved_and_only_selected_interfaces_morph() {
         let bt = trace_of(AppKind::BitTorrent, 1);
         let mut defense = combined_for_bt();
-        assert_eq!(defense.interface_count(), 3);
         let outcome = defense.apply(&bt);
-        assert_eq!(outcome.total_packets(), bt.len());
+        assert_eq!(
+            outcome.sub_traces.iter().map(Trace::len).sum::<usize>(),
+            bt.len()
+        );
         assert_eq!(outcome.morphed_interfaces, vec![VifIndex::new(0)]);
         // The morphed interface's mean grows; the others keep their OR shape.
         assert!(outcome.sub_traces[0].mean_packet_size() > 232.0);
@@ -155,6 +145,9 @@ mod tests {
         let outcome = defense.apply(&bt);
         assert_eq!(outcome.overhead.percent(), 0.0);
         assert!(outcome.morphed_interfaces.is_empty());
-        assert_eq!(outcome.total_packets(), bt.len());
+        assert_eq!(
+            outcome.sub_traces.iter().map(Trace::len).sum::<usize>(),
+            bt.len()
+        );
     }
 }

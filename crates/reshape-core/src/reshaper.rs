@@ -80,11 +80,6 @@ impl Reshaper {
         }
     }
 
-    /// The number of virtual interfaces of the underlying algorithm.
-    pub fn interface_count(&self) -> usize {
-        self.stage.interface_count()
-    }
-
     /// The name of the underlying algorithm.
     pub fn algorithm_name(&self) -> &'static str {
         self.stage.name()

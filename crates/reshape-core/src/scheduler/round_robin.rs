@@ -29,11 +29,6 @@ impl RoundRobin {
             next: 0,
         }
     }
-
-    /// The packet counter position (the index of the next packet, `k`).
-    pub fn position(&self) -> usize {
-        self.next
-    }
 }
 
 impl ReshapeAlgorithm for RoundRobin {
@@ -70,7 +65,7 @@ mod tests {
             .map(|i| rr.assign(&packet(i, 1000)).index())
             .collect();
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2, 0]);
-        assert_eq!(rr.position(), 7);
+        assert_eq!(rr.next, 7);
     }
 
     #[test]

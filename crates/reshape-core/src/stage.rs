@@ -69,11 +69,6 @@ impl ReshapeStage {
         self.interfaces
     }
 
-    /// Number of output sub-flows opened so far (≤ incoming flows × vifs).
-    pub fn flow_count(&self) -> usize {
-        self.next_flow as usize
-    }
-
     /// Returns the output flow for `(flow, vif)`, allocating the next dense
     /// id on first sight (same contract as `FlowMap::id_of`).
     #[inline]
@@ -205,7 +200,7 @@ mod tests {
         assert_eq!(out.len(), trace.len());
         assert!(out.iter().all(|&(flow, _)| flow == 0));
         let large_range = SizeRanges::paper_default().range_of(MAX_PACKET_SIZE);
-        assert_eq!(stage.flow_count(), 1);
+        assert_eq!(stage.next_flow, 1);
         assert_eq!(stage.vif_of(0), Some(VifIndex::new(large_range)));
         assert_eq!(pre.overhead().original_bytes, trace.total_bytes());
         assert!(pre.overhead().percent() > 0.0);
@@ -249,7 +244,7 @@ mod tests {
             first.extend(out.iter().copied());
         }
         stage.reset();
-        assert_eq!(stage.flow_count(), 0);
+        assert_eq!(stage.next_flow, 0);
         assert_eq!(stage.overhead(), Overhead::default());
         let mut second = Vec::new();
         for p in trace.packets() {
@@ -282,7 +277,7 @@ mod tests {
             assert_eq!(ranges.range_of(emitted.size), vif.index());
         }
         assert_eq!(stage.overhead().original_packets, 20_000);
-        assert_eq!(stage.flow_count(), 3, "one sub-flow per interface");
+        assert_eq!(stage.next_flow, 3, "one sub-flow per interface");
     }
 
     #[test]

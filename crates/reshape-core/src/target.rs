@@ -18,48 +18,9 @@ pub struct TargetDistribution {
 }
 
 impl TargetDistribution {
-    /// Creates a target distribution.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidTargetDistribution`] if the vector is empty,
-    /// contains entries outside `[0, 1]`, or does not sum to one (within 1e-9).
-    pub fn new(probabilities: Vec<f64>) -> Result<Self> {
-        if probabilities.is_empty() {
-            return Err(Error::InvalidTargetDistribution(
-                "empty distribution".into(),
-            ));
-        }
-        if probabilities
-            .iter()
-            .any(|p| !(0.0..=1.0).contains(p) || !p.is_finite())
-        {
-            return Err(Error::InvalidTargetDistribution(format!(
-                "entries must lie in [0, 1]: {probabilities:?}"
-            )));
-        }
-        let sum: f64 = probabilities.iter().sum();
-        if (sum - 1.0).abs() > 1e-9 {
-            return Err(Error::InvalidTargetDistribution(format!(
-                "entries must sum to 1, got {sum}"
-            )));
-        }
-        Ok(TargetDistribution { probabilities })
-    }
-
     /// The probabilities `φ^i_j`.
     pub fn probabilities(&self) -> &[f64] {
         &self.probabilities
-    }
-
-    /// Number of ranges `L`.
-    pub fn len(&self) -> usize {
-        self.probabilities.len()
-    }
-
-    /// Returns `true` when the distribution has no entries (never after construction).
-    pub fn is_empty(&self) -> bool {
-        self.probabilities.is_empty()
     }
 
     /// Dot product with another target distribution (Eq. 2).
@@ -89,25 +50,6 @@ pub struct TargetSet {
 }
 
 impl TargetSet {
-    /// Creates a set from per-interface targets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidTargetDistribution`] if the set is empty or the
-    /// targets have inconsistent lengths.
-    pub fn new(targets: Vec<TargetDistribution>) -> Result<Self> {
-        if targets.is_empty() {
-            return Err(Error::InvalidTargetDistribution("no targets given".into()));
-        }
-        let len = targets[0].len();
-        if targets.iter().any(|t| t.len() != len) {
-            return Err(Error::InvalidTargetDistribution(
-                "targets must all cover the same number of ranges".into(),
-            ));
-        }
-        Ok(TargetSet { targets })
-    }
-
     /// The canonical OR target set for `interfaces` interfaces over `ranges`
     /// ranges: range `j` is owned by interface `j % interfaces`. With
     /// `ranges == interfaces` this is exactly the paper's
@@ -209,15 +151,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    #[test]
-    fn valid_and_invalid_distributions() {
-        assert!(TargetDistribution::new(vec![0.5, 0.5]).is_ok());
-        assert!(TargetDistribution::new(vec![]).is_err());
-        assert!(TargetDistribution::new(vec![0.7, 0.7]).is_err());
-        assert!(TargetDistribution::new(vec![-0.1, 1.1]).is_err());
-        assert!(TargetDistribution::new(vec![f64::NAN, 1.0]).is_err());
-        let ind = TargetDistribution::new(vec![0.0, 1.0, 0.0]).unwrap();
-        assert_eq!(ind.probabilities(), &[0.0, 1.0, 0.0]);
+    /// A target over `probabilities`, as written.
+    fn target(probabilities: &[f64]) -> TargetDistribution {
+        TargetDistribution {
+            probabilities: probabilities.to_vec(),
+        }
     }
 
     #[test]
@@ -225,7 +163,7 @@ mod tests {
         // φ1 = [1,0,0], φ2 = [0,1,0], φ3 = [0,0,1] from §III-C2.
         let set = TargetSet::orthogonal(3, 3).unwrap();
         assert_eq!(set.interface_count(), 3);
-        assert!(set.targets.iter().all(|t| t.len() == 3));
+        assert!(set.targets.iter().all(|t| t.probabilities().len() == 3));
         set.check_orthogonality().unwrap();
         for (i, t) in set.targets.iter().enumerate() {
             let expected: Vec<f64> = (0..3).map(|j| if i == j { 1.0 } else { 0.0 }).collect();
@@ -254,9 +192,9 @@ mod tests {
 
     #[test]
     fn non_orthogonal_sets_are_detected() {
-        let a = TargetDistribution::new(vec![0.5, 0.5, 0.0]).unwrap();
-        let b = TargetDistribution::new(vec![0.0, 0.5, 0.5]).unwrap();
-        let set = TargetSet::new(vec![a, b]).unwrap();
+        let set = TargetSet {
+            targets: vec![target(&[0.5, 0.5, 0.0]), target(&[0.0, 0.5, 0.5])],
+        };
         let err = set.check_orthogonality().unwrap_err();
         assert!(matches!(
             err,
@@ -269,18 +207,14 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_lengths_are_rejected() {
-        let a = TargetDistribution::new(vec![1.0]).unwrap();
-        let b = TargetDistribution::new(vec![0.5, 0.5]).unwrap();
-        assert!(TargetSet::new(vec![a, b]).is_err());
-        assert!(TargetSet::new(vec![]).is_err());
+    fn empty_orthogonal_sets_are_rejected() {
         assert!(TargetSet::orthogonal(0, 3).is_err());
         assert!(TargetSet::orthogonal(3, 0).is_err());
     }
 
     #[test]
     fn distance_to_realized_distribution() {
-        let t = TargetDistribution::new(vec![1.0, 0.0, 0.0]).unwrap();
+        let t = target(&[1.0, 0.0, 0.0]);
         assert_eq!(t.distance_to(&[1.0, 0.0, 0.0]), 0.0);
         let d = t.distance_to(&[0.0, 1.0, 0.0]);
         assert!((d - 2f64.sqrt()).abs() < 1e-12);

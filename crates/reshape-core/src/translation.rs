@@ -59,11 +59,6 @@ impl TranslationTable {
         }
     }
 
-    /// Number of stations with installed mappings.
-    pub fn station_count(&self) -> usize {
-        self.to_virtual.len()
-    }
-
     /// Resolves a virtual address to the owning physical address. Physical
     /// addresses known to the table resolve to themselves.
     pub fn physical_of(&self, addr: MacAddress) -> Option<MacAddress> {
@@ -134,7 +129,7 @@ mod tests {
         let mut table = TranslationTable::new();
         let set = vifs(1, 3);
         table.install(physical(1), &set);
-        assert_eq!(table.station_count(), 1);
+        assert_eq!(table.to_virtual.len(), 1);
         for (i, mac) in set.macs().iter().enumerate() {
             assert_eq!(table.physical_of(*mac), Some(physical(1)));
             assert_eq!(table.virtual_of(physical(1), VifIndex::new(i)), Some(*mac));

@@ -18,7 +18,8 @@ use reshape_core::vif::VifIndex;
 use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::packet::PacketRecord;
-use traffic_gen::stream::{PacketSource, StreamingSession};
+use traffic_gen::spec::TrafficSpec;
+use traffic_gen::stream::PacketSource;
 use traffic_gen::trace::Trace;
 
 /// Feeds `packets` through `stage` from [`ROOT_FLOW`] via `process_slice`,
@@ -164,7 +165,7 @@ fn streaming_session_reshapes_without_a_trace() {
     // End-to-end streaming: generator -> stage, no Trace anywhere. The same
     // seed must give the same assignments on every run.
     let run = || {
-        let mut session = StreamingSession::bounded(AppKind::Video, 42, 20.0);
+        let mut session = TrafficSpec::bounded(AppKind::Video, 42, 20.0).build();
         let mut stage =
             ReshapeStage::new(Box::new(OrthogonalRanges::new(SizeRanges::paper_default())));
         let mut out = StageOutput::new();

@@ -5,8 +5,6 @@
 //! virtual interface under Orthogonal Reshaping. This module provides the
 //! histogram machinery those figures (and the morphing defense) are built on.
 
-use rand::Rng;
-
 /// An empirical distribution over packet sizes, stored as a fixed-width
 /// histogram over `0..=max_size`.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,11 +53,6 @@ impl SizeHistogram {
     /// The configured bin width in bytes.
     pub fn bin_width(&self) -> usize {
         self.bin_width
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
     }
 
     /// Returns `true` if nothing has been recorded.
@@ -135,26 +128,6 @@ impl SizeHistogram {
         }
         self.max_size
     }
-
-    /// Samples a size from the empirical distribution (uniform within a bin).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histogram is empty.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        assert!(self.total > 0, "cannot sample from an empty histogram");
-        let target = rng.gen_range(0..self.total);
-        let mut acc = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if target < acc {
-                let lo = self.bin_lower_edge(i);
-                let hi = (lo + self.bin_width - 1).min(self.max_size);
-                return if lo == hi { lo } else { rng.gen_range(lo..=hi) };
-            }
-        }
-        self.max_size
-    }
 }
 
 /// Summary statistics of a sequence of f64 samples (sizes or inter-arrival times).
@@ -202,8 +175,6 @@ impl SummaryStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn histogram_counts_and_pdf() {
@@ -211,7 +182,7 @@ mod tests {
         for s in [50, 150, 150, 1570, 2000] {
             h.add(s);
         }
-        assert_eq!(h.total(), 5);
+        assert_eq!(h.total, 5);
         assert!(!h.is_empty());
         let pdf = h.pdf();
         assert_eq!(pdf[0], 1.0 / 5.0);
@@ -240,24 +211,6 @@ mod tests {
         assert!((mean - 800.0).abs() < 20.0, "mean {mean}");
         assert!(h.quantile(0.25) < 200);
         assert!(h.quantile(0.75) > 1400);
-    }
-
-    #[test]
-    fn sampling_reproduces_the_distribution() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let source: Vec<usize> = (0..5_000)
-            .map(|i| if i % 4 == 0 { 150 } else { 1550 })
-            .collect();
-        let h = SizeHistogram::from_sizes(source, 1576, 8);
-        let resampled: Vec<usize> = (0..5_000).map(|_| h.sample(&mut rng)).collect();
-        let h2 = SizeHistogram::from_sizes(resampled, 1576, 8);
-        let total_variation: f64 = 0.5
-            * h.pdf()
-                .iter()
-                .zip(h2.pdf())
-                .map(|(a, b)| (a - b).abs())
-                .sum::<f64>();
-        assert!(total_variation < 0.05);
     }
 
     #[test]

@@ -53,8 +53,6 @@ pub enum ArrivalProcess {
     },
 }
 
-impl ArrivalProcess {}
-
 /// One direction of an application's traffic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {

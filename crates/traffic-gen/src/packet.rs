@@ -82,7 +82,7 @@ mod tests {
             Direction::Downlink,
             AppKind::Video,
         );
-        assert_eq!(p.time.as_micros(), 1_500_000);
+        assert_eq!(p.time.as_secs_f64(), 1.5);
         assert_eq!(p.size, 1400);
         let resized = p.with_size(1576);
         assert_eq!(resized.size, 1576);

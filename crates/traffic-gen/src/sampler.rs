@@ -29,11 +29,6 @@ impl Exponential {
         Exponential { mean }
     }
 
-    /// The configured mean.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         let u: f64 = rng.gen_range(f64::EPSILON..1.0);
@@ -150,16 +145,6 @@ impl Categorical {
         i
     }
 
-    /// Number of categories.
-    pub fn len(&self) -> usize {
-        self.cumulative.len()
-    }
-
-    /// Returns `true` if there are no categories (never happens after `new`).
-    pub fn is_empty(&self) -> bool {
-        self.cumulative.is_empty()
-    }
-
     /// Draws one category index (a single uniform draw, then the O(1)
     /// guide-table lookup).
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
@@ -228,21 +213,6 @@ impl SizeMixture {
         let idx = self.categorical.sample(rng);
         self.ranges[idx].sample(rng)
     }
-
-    /// The expected value of the mixture, assuming uniform sampling inside
-    /// each range (used to calibrate models against Table I).
-    pub fn mean(&self) -> f64 {
-        let weights = &self.categorical.cumulative;
-        let total = *weights.last().expect("non-empty");
-        let mut mean = 0.0;
-        let mut prev = 0.0;
-        for (i, r) in self.ranges.iter().enumerate() {
-            let w = (weights[i] - prev) / total;
-            prev = weights[i];
-            mean += w * (r.lo as f64 + r.hi as f64) / 2.0;
-        }
-        mean
-    }
 }
 
 #[cfg(test)]
@@ -262,7 +232,7 @@ mod tests {
         let n = 20_000;
         let mean: f64 = (0..n).map(|_| exp.sample(&mut rng)).sum::<f64>() / n as f64;
         assert!((mean - 0.05).abs() < 0.003, "sample mean {mean}");
-        assert_eq!(exp.mean(), 0.05);
+        assert_eq!(exp.mean, 0.05);
     }
 
     #[test]
@@ -289,8 +259,6 @@ mod tests {
     fn categorical_follows_weights() {
         let mut rng = rng();
         let c = Categorical::new(&[0.7, 0.2, 0.1]);
-        assert_eq!(c.len(), 3);
-        assert!(!c.is_empty());
         let mut counts = [0usize; 3];
         let n = 30_000;
         for _ in 0..n {
@@ -368,10 +336,7 @@ mod tests {
         assert!(samples.iter().any(|&s| s <= 200));
         assert!(samples.iter().any(|&s| s >= 1500));
         let mean = samples.iter().sum::<usize>() as f64 / samples.len() as f64;
-        assert!(
-            (mean - mix.mean()).abs() < 20.0,
-            "mean {mean} vs {}",
-            mix.mean()
-        );
+        // Uniform inside each range: 0.5 × 150 + 0.5 × 1538.
+        assert!((mean - 844.0).abs() < 20.0, "mean {mean}");
     }
 }

@@ -50,7 +50,8 @@ mod tests {
     fn spec_builds_the_same_stream_as_the_direct_constructor() {
         let spec = TrafficSpec::bounded(AppKind::BitTorrent, 7, 20.0);
         let from_spec: Vec<_> = spec.build().collect();
-        let direct: Vec<_> = StreamingSession::bounded(AppKind::BitTorrent, 7, 20.0).collect();
+        let direct: Vec<_> =
+            StreamingSession::from_model(spec_for(AppKind::BitTorrent), 7, Some(20.0)).collect();
         assert_eq!(from_spec, direct);
         assert!(!from_spec.is_empty());
     }

@@ -315,24 +315,17 @@ fn lane_rng(app: AppKind, seed: u64, lane: u64) -> StdRng {
 /// packet at a time.
 #[derive(Debug, Clone)]
 pub struct StreamingSession {
-    app: AppKind,
     downlink: Lane,
     uplink: Lane,
 }
 
 impl StreamingSession {
-    /// Creates a session bounded to `duration_secs` seconds.
-    pub fn bounded(app: AppKind, seed: u64, duration_secs: f64) -> Self {
-        Self::from_model(crate::models::spec_for(app), seed, Some(duration_secs))
-    }
-
     /// Creates a session from an explicit bidirectional model, which the
     /// session's two flows take over.
     pub fn from_model(model: BidirectionalModel, seed: u64, limit_secs: Option<f64>) -> Self {
         let app = model.app_kind();
         let (downlink, uplink) = model.into_flows();
         StreamingSession {
-            app,
             downlink: Lane::new(FlowStream::new(
                 downlink,
                 app,
@@ -346,11 +339,6 @@ impl StreamingSession {
                 limit_secs,
             )),
         }
-    }
-
-    /// The application being generated.
-    pub fn app(&self) -> AppKind {
-        self.app
     }
 
     /// The lane holding the next packet in merge order, or `None` once both
@@ -419,6 +407,7 @@ impl Iterator for StreamingSession {
 mod tests {
     use super::*;
     use crate::models::test_support::generate_flow;
+    use crate::spec::TrafficSpec;
     use proptest::prelude::*;
 
     /// One to eight run lengths in 1..=64, drawn from `seed`.
@@ -576,7 +565,7 @@ mod tests {
     #[test]
     fn session_stream_is_sorted_labelled_and_bounded() {
         for app in AppKind::ALL {
-            let packets: Vec<PacketRecord> = StreamingSession::bounded(app, 9, 15.0).collect();
+            let packets: Vec<PacketRecord> = TrafficSpec::bounded(app, 9, 15.0).build().collect();
             assert!(!packets.is_empty(), "{app} streamed no packets");
             assert!(packets.windows(2).all(|w| w[0].time <= w[1].time));
             assert!(packets.iter().all(|p| p.time.as_secs_f64() <= 15.0 + 1e-9));
@@ -589,9 +578,15 @@ mod tests {
 
     #[test]
     fn session_stream_is_deterministic_per_seed() {
-        let a: Vec<PacketRecord> = StreamingSession::bounded(AppKind::Video, 5, 10.0).collect();
-        let b: Vec<PacketRecord> = StreamingSession::bounded(AppKind::Video, 5, 10.0).collect();
-        let c: Vec<PacketRecord> = StreamingSession::bounded(AppKind::Video, 6, 10.0).collect();
+        let a: Vec<PacketRecord> = TrafficSpec::bounded(AppKind::Video, 5, 10.0)
+            .build()
+            .collect();
+        let b: Vec<PacketRecord> = TrafficSpec::bounded(AppKind::Video, 5, 10.0)
+            .build()
+            .collect();
+        let c: Vec<PacketRecord> = TrafficSpec::bounded(AppKind::Video, 6, 10.0)
+            .build()
+            .collect();
         assert_eq!(a, b);
         assert_ne!(a, c, "different seeds give different streams");
     }
@@ -602,7 +597,6 @@ mod tests {
         // materialising a trace; memory stays O(1).
         let mut session =
             StreamingSession::from_model(crate::models::spec_for(AppKind::BitTorrent), 7, None);
-        assert_eq!(session.app(), AppKind::BitTorrent);
         let mut last = 0.0f64;
         for _ in 0..50_000 {
             let p = session.next_packet().expect("infinite source never ends");
@@ -618,8 +612,9 @@ mod tests {
 
     #[test]
     fn both_directions_appear_in_streamed_sessions() {
-        let packets: Vec<PacketRecord> =
-            StreamingSession::bounded(AppKind::Chatting, 11, 30.0).collect();
+        let packets: Vec<PacketRecord> = TrafficSpec::bounded(AppKind::Chatting, 11, 30.0)
+            .build()
+            .collect();
         assert!(packets.iter().any(|p| p.direction == Direction::Downlink));
         assert!(packets.iter().any(|p| p.direction == Direction::Uplink));
     }

@@ -29,14 +29,6 @@ impl Trace {
         Trace::default()
     }
 
-    /// Creates an empty trace labelled with `app`.
-    pub fn for_app(app: AppKind) -> Self {
-        Trace {
-            app: Some(app),
-            packets: Vec::new(),
-        }
-    }
-
     /// Builds a trace from packets; the packets are sorted by timestamp.
     pub fn from_packets(app: Option<AppKind>, mut packets: Vec<PacketRecord>) -> Self {
         packets.sort_by_key(|p| p.time);
@@ -260,7 +252,7 @@ mod tests {
                 .saturating_since(w.packets()[0].time);
             assert!(span.as_secs_f64() <= 5.0 + 1e-9);
         }
-        assert!(t.windows(SimDuration::ZERO).is_empty());
+        assert!(t.windows(SimDuration::from_micros(0)).is_empty());
         assert!(Trace::new().windows(SimDuration::from_secs(5)).is_empty());
     }
 

@@ -10,6 +10,7 @@ use traffic_gen::app::AppKind;
 use traffic_gen::generator::SessionGenerator;
 use traffic_gen::packet::Direction;
 use traffic_gen::trace::Trace;
+use wlan_sim::time::SimTime;
 
 /// Packet count and FNV-1a 64 digest of a trace.
 type Digest = (usize, u64);
@@ -23,6 +24,7 @@ fn digest(trace: &Trace) -> Digest {
         };
         let bytes = p
             .time
+            .saturating_since(SimTime::ZERO)
             .as_micros()
             .to_le_bytes()
             .into_iter()

@@ -54,7 +54,7 @@ proptest! {
             MAX_PACKET_SIZE,
             8,
         );
-        if hist.total() > 0 {
+        if !hist.is_empty() {
             let pdf_sum: f64 = hist.pdf().iter().sum();
             prop_assert!((pdf_sum - 1.0).abs() < 1e-9);
             let cdf = hist.cdf();

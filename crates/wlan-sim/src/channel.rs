@@ -111,14 +111,6 @@ impl Default for Medium {
 }
 
 impl Medium {
-    /// Creates a medium with the given path-loss model and noise floor.
-    pub fn new(path_loss: PathLossModel, noise_floor_dbm: f64) -> Self {
-        Medium {
-            path_loss,
-            noise_floor_dbm,
-        }
-    }
-
     /// The configured path-loss model.
     pub fn path_loss(&self) -> &PathLossModel {
         &self.path_loss
@@ -231,7 +223,7 @@ mod tests {
 
     #[test]
     fn receivability_threshold() {
-        let medium = Medium::new(deterministic(40.0, 3.5), -95.0);
+        let medium = Medium::default();
         let ap = Position::new(0.0, 0.0);
         assert!(medium.is_receivable(ap, Position::new(5.0, 0.0), 15.0));
         assert!(!medium.is_receivable(ap, Position::new(500.0, 0.0), 15.0));

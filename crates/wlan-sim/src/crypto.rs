@@ -20,11 +20,6 @@ use serde::{Deserialize, Serialize};
 pub struct LinkKey([u8; 16]);
 
 impl LinkKey {
-    /// Creates a key from 16 raw bytes.
-    pub const fn new(bytes: [u8; 16]) -> Self {
-        LinkKey(bytes)
-    }
-
     /// Derives a deterministic per-session key from a seed (test/simulation helper).
     pub fn from_seed(seed: u64) -> Self {
         let mut bytes = [0u8; 16];

@@ -23,8 +23,6 @@ pub enum Error {
     UnknownDestination(crate::mac::MacAddress),
     /// Text could not be parsed as a MAC address.
     ParseMacAddress(String),
-    /// An invalid channel number was supplied (valid 2.4 GHz channels are 1..=14).
-    InvalidChannel(u8),
     /// Decryption failed because the key did not match.
     DecryptionFailed,
 }
@@ -39,7 +37,6 @@ impl fmt::Display for Error {
             Error::FrameDecode(msg) => write!(f, "frame decode error: {msg}"),
             Error::UnknownDestination(a) => write!(f, "unknown destination address {a}"),
             Error::ParseMacAddress(s) => write!(f, "invalid mac address syntax: {s:?}"),
-            Error::InvalidChannel(c) => write!(f, "invalid 802.11 channel number {c}"),
             Error::DecryptionFailed => write!(f, "decryption failed: wrong key"),
         }
     }
@@ -62,7 +59,6 @@ mod tests {
             Error::FrameDecode("short".into()),
             Error::UnknownDestination(MacAddress::BROADCAST),
             Error::ParseMacAddress("xx".into()),
-            Error::InvalidChannel(99),
             Error::DecryptionFailed,
         ];
         for e in samples {

@@ -99,7 +99,7 @@ pub struct FrameHeader {
     src: MacAddress,
     dst: MacAddress,
     bssid: MacAddress,
-    sequence: u16,
+    pub(crate) sequence: u16,
     protected: bool,
 }
 
@@ -134,11 +134,6 @@ impl FrameHeader {
     /// BSSID of the serving AP.
     pub fn bssid(&self) -> MacAddress {
         self.bssid
-    }
-
-    /// MAC-layer sequence number.
-    pub fn sequence(&self) -> u16 {
-        self.sequence
     }
 
     /// Whether the payload is link-encrypted (Protected Frame bit).
@@ -444,7 +439,7 @@ mod tests {
         let decoded = Frame::decode(&f.encode()).unwrap();
         assert_eq!(decoded, f);
         assert_eq!(decoded.header().bssid(), addr(9));
-        assert_eq!(decoded.header().sequence(), 1234);
+        assert_eq!(decoded.header().sequence, 1234);
     }
 
     #[test]
@@ -479,7 +474,7 @@ mod tests {
             .with_sequence(3);
         assert_eq!(g.header().src(), addr(7));
         assert_eq!(g.header().dst(), addr(8));
-        assert_eq!(g.header().sequence(), 3);
+        assert_eq!(g.header().sequence, 3);
         assert_eq!(
             g.air_size(),
             f.air_size(),

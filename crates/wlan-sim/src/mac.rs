@@ -132,21 +132,6 @@ impl MacAddressPool {
         Ok(())
     }
 
-    /// Returns `true` when the address is currently reserved or allocated.
-    pub fn contains(&self, addr: MacAddress) -> bool {
-        self.in_use.contains(&addr)
-    }
-
-    /// Number of addresses currently reserved or allocated.
-    pub fn len(&self) -> usize {
-        self.in_use.len()
-    }
-
-    /// Returns `true` if no addresses are reserved.
-    pub fn is_empty(&self) -> bool {
-        self.in_use.is_empty()
-    }
-
     /// Allocates one unused, locally-administered unicast address.
     ///
     /// # Errors
@@ -246,10 +231,9 @@ mod tests {
         let addrs = pool.allocate_many(&mut rng, 64).unwrap();
         let unique: HashSet<_> = addrs.iter().copied().collect();
         assert_eq!(unique.len(), 64);
-        assert_eq!(pool.len(), 64);
         for a in &addrs {
             assert_ne!(a.octets()[0] & 0x02, 0, "locally administered");
-            assert!(pool.contains(*a));
+            assert!(pool.register(*a).is_err(), "{a} is taken");
         }
     }
 
@@ -259,9 +243,11 @@ mod tests {
         let phys = MacAddress::new([0x00, 0x11, 0x22, 0x33, 0x44, 0x55]);
         pool.register(phys).unwrap();
         assert!(pool.register(phys).is_err());
-        assert!(pool.contains(phys));
         assert!(pool.release(phys));
         assert!(!pool.release(phys));
-        assert!(pool.is_empty());
+        assert!(
+            pool.register(phys).is_ok(),
+            "a released address is free again"
+        );
     }
 }

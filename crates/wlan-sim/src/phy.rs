@@ -5,7 +5,6 @@
 //! rate set and computes per-frame airtime so inter-arrival times on the
 //! medium are physically plausible.
 
-use crate::error::{Error, Result};
 use crate::time::SimDuration;
 use std::fmt;
 
@@ -36,20 +35,6 @@ pub enum PhyRate {
 }
 
 impl PhyRate {
-    /// All supported rates, in increasing order.
-    pub const ALL: [PhyRate; 10] = [
-        PhyRate::Mbps1,
-        PhyRate::Mbps2,
-        PhyRate::Mbps5_5,
-        PhyRate::Mbps6,
-        PhyRate::Mbps11,
-        PhyRate::Mbps12,
-        PhyRate::Mbps24,
-        PhyRate::Mbps36,
-        PhyRate::Mbps48,
-        PhyRate::Mbps54,
-    ];
-
     /// The rate in bits per second.
     pub fn bits_per_second(self) -> u64 {
         match self {
@@ -95,19 +80,6 @@ impl Channel {
     /// Channel 11 (2462 MHz).
     pub const CH11: Channel = Channel(11);
 
-    /// Creates a channel, validating the number.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidChannel`] unless `1 <= number <= 14`.
-    pub fn new(number: u8) -> Result<Channel> {
-        if (1..=14).contains(&number) {
-            Ok(Channel(number))
-        } else {
-            Err(Error::InvalidChannel(number))
-        }
-    }
-
     /// The non-overlapping hop set `1, 6, 11` used by the paper's
     /// frequency-hopping baseline (VirtualWiFi with a 500 ms dwell).
     pub fn hop_set() -> [Channel; 3] {
@@ -128,7 +100,18 @@ mod tests {
     #[test]
     fn rate_ordering_and_bits() {
         let mut last = 0;
-        for r in PhyRate::ALL {
+        for r in [
+            PhyRate::Mbps1,
+            PhyRate::Mbps2,
+            PhyRate::Mbps5_5,
+            PhyRate::Mbps6,
+            PhyRate::Mbps11,
+            PhyRate::Mbps12,
+            PhyRate::Mbps24,
+            PhyRate::Mbps36,
+            PhyRate::Mbps48,
+            PhyRate::Mbps54,
+        ] {
             assert!(r.bits_per_second() > last);
             last = r.bits_per_second();
         }
@@ -148,10 +131,8 @@ mod tests {
     }
 
     #[test]
-    fn channels_validate_and_display() {
-        assert!(Channel::new(0).is_err());
-        assert!(Channel::new(15).is_err());
-        assert_eq!(Channel::new(14).unwrap().to_string(), "ch14");
+    fn channels_and_rates_display() {
+        assert_eq!(Channel(14).to_string(), "ch14");
         assert_eq!(Channel::hop_set().len(), 3);
         assert_eq!(Channel::CH6.to_string(), "ch6");
         assert_eq!(PhyRate::Mbps5_5.to_string(), "5.5 Mb/s");

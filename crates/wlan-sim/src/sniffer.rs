@@ -61,24 +61,9 @@ impl Sniffer {
         }
     }
 
-    /// The sniffer's position.
-    pub fn position(&self) -> Position {
-        self.position
-    }
-
     /// All captured frames, in capture order.
     pub fn captures(&self) -> &[CapturedFrame] {
         &self.captures
-    }
-
-    /// Number of captured frames.
-    pub fn len(&self) -> usize {
-        self.captures.len()
-    }
-
-    /// Returns `true` if nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.captures.is_empty()
     }
 
     /// Clears the capture buffer.
@@ -124,12 +109,6 @@ impl Sniffer {
         true
     }
 
-    /// Records a frame unconditionally (useful for trace-driven experiments
-    /// where PHY reception is not being modelled).
-    pub fn record(&mut self, capture: CapturedFrame) {
-        self.captures.push(capture);
-    }
-
     /// Groups captured **data** frames by device address: for each frame the
     /// key is the non-AP side (destination when the frame came from the AP,
     /// source otherwise). This is the adversary's per-"user" view; under
@@ -171,7 +150,7 @@ impl Sniffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::PathLossModel;
+    use crate::frame::ManagementSubtype;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -187,10 +166,28 @@ mod tests {
         Sniffer::new(Position::new(8.0, 0.0), bssid(), Channel::CH6)
     }
 
+    /// Observes every frame on the sniffer's channel from a transmitter at
+    /// `tx`, in range of the default medium.
+    fn observe_all(sniffer: &mut Sniffer, frames: &[(Frame, Position)]) {
+        let medium = Medium::default();
+        let mut rng = StdRng::seed_from_u64(0);
+        for (frame, tx) in frames {
+            let captured = sniffer.observe(
+                SimTime::ZERO,
+                frame,
+                *tx,
+                15.0,
+                Channel::CH6,
+                &medium,
+                &mut rng,
+            );
+            assert!(captured);
+        }
+    }
+
     #[test]
     fn observes_only_its_channel() {
         let mut sniffer = make_sniffer();
-        assert_eq!(sniffer.position(), Position::new(8.0, 0.0));
         let medium = Medium::default();
         let mut rng = StdRng::seed_from_u64(0);
         let frame = Frame::data(sta(1), bssid(), vec![0u8; 500]);
@@ -213,8 +210,7 @@ mod tests {
             &medium,
             &mut rng
         ));
-        assert_eq!(sniffer.len(), 1);
-        assert!(!sniffer.is_empty());
+        assert_eq!(sniffer.captures().len(), 1);
         let c = sniffer.captures()[0];
         assert_eq!(c.size, frame.air_size());
         assert!(!c.from_ap);
@@ -225,14 +221,7 @@ mod tests {
     #[test]
     fn out_of_range_transmissions_are_missed() {
         let mut sniffer = make_sniffer();
-        let medium = Medium::new(
-            PathLossModel {
-                exponent: 4.0,
-                shadowing_sigma_db: 0.0,
-                ..PathLossModel::default()
-            },
-            -95.0,
-        );
+        let medium = Medium::default();
         let mut rng = StdRng::seed_from_u64(0);
         let frame = Frame::data(sta(1), bssid(), vec![0u8; 500]);
         let far = Position::new(10_000.0, 0.0);
@@ -250,26 +239,21 @@ mod tests {
     #[test]
     fn flows_are_grouped_by_device_address() {
         let mut sniffer = make_sniffer();
-        // Uplink from station 1, downlink to station 1, downlink to station 2.
-        let records = [
-            (sta(1), bssid(), false, 100),
-            (bssid(), sta(1), true, 1500),
-            (bssid(), sta(2), true, 800),
-            (bssid(), MacAddress::BROADCAST, true, 200), // ignored (multicast)
-        ];
-        for (i, (src, dst, from_ap, size)) in records.iter().enumerate() {
-            sniffer.record(CapturedFrame {
-                time: SimTime::from_millis(i as u64),
-                size: *size,
-                src: *src,
-                dst: *dst,
-                bssid: bssid(),
-                channel: Channel::CH6,
-                rssi_dbm: -50.0,
-                is_data: true,
-                from_ap: *from_ap,
-            });
-        }
+        let here = Position::new(0.0, 0.0);
+        // Uplink from station 1, downlink to station 1, downlink to station
+        // 2, and a broadcast, which is ignored.
+        observe_all(
+            &mut sniffer,
+            &[
+                (Frame::data(sta(1), bssid(), vec![0; 100]), here),
+                (Frame::data(bssid(), sta(1), vec![0; 1500]), here),
+                (Frame::data(bssid(), sta(2), vec![0; 800]), here),
+                (
+                    Frame::data(bssid(), MacAddress::BROADCAST, vec![0; 200]),
+                    here,
+                ),
+            ],
+        );
         let flows = sniffer.flows_by_device();
         assert_eq!(flows.len(), 2);
         assert_eq!(flows[&sta(1)].len(), 2);
@@ -279,40 +263,42 @@ mod tests {
     #[test]
     fn management_frames_are_excluded_from_flows() {
         let mut sniffer = make_sniffer();
-        sniffer.record(CapturedFrame {
-            time: SimTime::ZERO,
-            size: 60,
-            src: sta(1),
-            dst: bssid(),
-            bssid: bssid(),
-            channel: Channel::CH6,
-            rssi_dbm: -48.0,
-            is_data: false,
-            from_ap: false,
-        });
+        let request = FrameType::Management(ManagementSubtype::AssociationRequest);
+        observe_all(
+            &mut sniffer,
+            &[(
+                Frame::builder(request, sta(1), bssid()).build(),
+                Position::new(0.0, 0.0),
+            )],
+        );
         assert!(sniffer.flows_by_device().is_empty());
         sniffer.clear();
-        assert!(sniffer.is_empty());
+        assert!(sniffer.captures().is_empty());
     }
 
     #[test]
     fn mean_rssi_tracks_uplink_transmitters_only() {
         let mut sniffer = make_sniffer();
-        for (rssi, from_ap) in [(-40.0, false), (-60.0, false), (-10.0, true)] {
-            sniffer.record(CapturedFrame {
-                time: SimTime::ZERO,
-                size: 100,
-                src: if from_ap { bssid() } else { sta(1) },
-                dst: if from_ap { sta(1) } else { bssid() },
-                bssid: bssid(),
-                channel: Channel::CH6,
-                rssi_dbm: rssi,
-                is_data: true,
-                from_ap,
-            });
-        }
+        observe_all(
+            &mut sniffer,
+            &[
+                (
+                    Frame::data(sta(1), bssid(), vec![0; 100]),
+                    Position::new(2.0, 0.0),
+                ),
+                (
+                    Frame::data(sta(1), bssid(), vec![0; 100]),
+                    Position::new(0.0, 0.0),
+                ),
+                (
+                    Frame::data(bssid(), sta(1), vec![0; 100]),
+                    Position::new(7.0, 0.0),
+                ),
+            ],
+        );
+        let uplink: Vec<f64> = sniffer.captures()[..2].iter().map(|c| c.rssi_dbm).collect();
         let rssi = sniffer.mean_rssi_by_device();
         assert_eq!(rssi.len(), 1);
-        assert!((rssi[&sta(1)] - (-50.0)).abs() < 1e-9);
+        assert!((rssi[&sta(1)] - (uplink[0] + uplink[1]) / 2.0).abs() < 1e-9);
     }
 }

@@ -257,6 +257,6 @@ mod tests {
         assert_eq!(f1.header().src(), addr(10));
         assert_eq!(f2.header().src(), addr(1));
         assert_eq!(sta.frames_sent(), 2);
-        assert_ne!(f1.header().sequence(), f2.header().sequence());
+        assert_ne!(f1.header().sequence, f2.header().sequence);
     }
 }

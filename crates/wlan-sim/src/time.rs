@@ -23,21 +23,6 @@ impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
 
-    /// Creates a time from a count of microseconds since the simulation start.
-    pub const fn from_micros(micros: u64) -> Self {
-        SimTime(micros)
-    }
-
-    /// Creates a time from a count of milliseconds since the simulation start.
-    pub const fn from_millis(millis: u64) -> Self {
-        SimTime(millis * 1_000)
-    }
-
-    /// Creates a time from a count of whole seconds since the simulation start.
-    pub const fn from_secs(secs: u64) -> Self {
-        SimTime(secs * MICROS_PER_SEC)
-    }
-
     /// Creates a time from fractional seconds since the simulation start.
     ///
     /// # Panics
@@ -51,11 +36,6 @@ impl SimTime {
         SimTime((secs * MICROS_PER_SEC as f64).round() as u64)
     }
 
-    /// Returns the number of microseconds since the simulation start.
-    pub const fn as_micros(self) -> u64 {
-        self.0
-    }
-
     /// Returns the time as fractional seconds since the simulation start.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_SEC as f64
@@ -63,27 +43,14 @@ impl SimTime {
 
     /// Returns the span between `self` and an earlier instant.
     ///
-    /// Returns [`SimDuration::ZERO`] when `earlier` is actually later than
+    /// Returns a zero duration when `earlier` is actually later than
     /// `self`, mirroring `Instant::saturating_duration_since`.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked addition of a duration, `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
-    /// Checked subtraction of a duration, `None` if the result would precede time zero.
-    pub fn checked_sub(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_sub(d.0).map(SimTime)
-    }
 }
 
 impl SimDuration {
-    /// The empty interval.
-    pub const ZERO: SimDuration = SimDuration(0);
-
     /// Creates a duration from microseconds.
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros)
@@ -125,11 +92,6 @@ impl SimDuration {
     /// Returns true if the duration is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Saturating multiplication by an integer factor.
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(factor))
     }
 }
 
@@ -208,48 +170,38 @@ impl From<SimDuration> for std::time::Duration {
 mod tests {
     use super::*;
 
+    /// The instant `micros` microseconds after the simulation start.
+    fn at(micros: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(micros)
+    }
+
     #[test]
     fn conversions_round_trip() {
         let t = SimTime::from_secs_f64(1.25);
-        assert_eq!(t.as_micros(), 1_250_000);
+        assert_eq!(t, at(1_250_000));
         assert!((t.as_secs_f64() - 1.25).abs() < 1e-9);
-        assert_eq!(SimTime::from_millis(5).as_micros(), 5_000);
-        assert_eq!(SimTime::from_secs(2).as_micros(), 2 * MICROS_PER_SEC);
+        assert_eq!(SimDuration::from_millis(5).as_micros(), 5_000);
         assert_eq!(SimDuration::from_secs(3).as_micros(), 3 * MICROS_PER_SEC);
     }
 
     #[test]
     fn arithmetic_between_times_and_durations() {
-        let a = SimTime::from_micros(100);
+        let a = at(100);
         let d = SimDuration::from_micros(40);
-        assert_eq!(a + d, SimTime::from_micros(140));
+        assert_eq!(a + d, at(140));
         assert_eq!((a + d) - a, d);
         assert_eq!((a + d) - d, a);
         let mut b = a;
         b += d;
-        assert_eq!(b, SimTime::from_micros(140));
+        assert_eq!(b, at(140));
     }
 
     #[test]
     fn saturating_since_never_underflows() {
-        let early = SimTime::from_micros(10);
-        let late = SimTime::from_micros(50);
+        let early = at(10);
+        let late = at(50);
         assert_eq!(late.saturating_since(early).as_micros(), 40);
-        assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn checked_ops() {
-        let t = SimTime::from_micros(u64::MAX - 1);
-        assert!(t.checked_add(SimDuration::from_micros(10)).is_none());
-        assert_eq!(
-            SimTime::from_micros(5).checked_sub(SimDuration::from_micros(10)),
-            None
-        );
-        assert_eq!(
-            SimTime::from_micros(15).checked_sub(SimDuration::from_micros(10)),
-            Some(SimTime::from_micros(5))
-        );
+        assert!(early.saturating_since(late).is_zero());
     }
 
     #[test]
@@ -260,7 +212,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(SimTime::from_secs(1).to_string(), "1.000000s");
+        assert_eq!(SimTime::from_secs_f64(1.0).to_string(), "1.000000s");
         assert_eq!(SimDuration::from_millis(1500).to_string(), "1.500000s");
     }
 

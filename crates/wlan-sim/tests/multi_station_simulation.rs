@@ -59,7 +59,7 @@ fn two_station_bss_with_eavesdropper() {
     let mut events: Vec<(SimTime, Event)> = Vec::new();
     for k in 0..200u64 {
         let station = (k % 2) as usize;
-        let t = SimTime::from_millis(k * 10);
+        let t = SimTime::ZERO + SimDuration::from_millis(k * 10);
         let event = if k % 3 == 0 {
             Event::Downlink {
                 station,
@@ -86,7 +86,7 @@ fn two_station_bss_with_eavesdropper() {
                 let frame =
                     sta.build_uplink_frame(sta.physical_addr(), bssid(), vec![0u8; payload]);
                 // Airtime is well-defined for the selected rate.
-                assert!(PhyRate::Mbps54.airtime(frame.air_size()) > SimDuration::ZERO);
+                assert!(!PhyRate::Mbps54.airtime(frame.air_size()).is_zero());
                 sniffer.observe(
                     time,
                     &frame,
