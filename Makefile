@@ -12,14 +12,14 @@ build:
 test:
 	cargo test --workspace
 
-# The bit-identity suites, the scoring allocation budgets and the executor's
-# memory bound in the release profile the benchmark runs. The lane-panel
+# The bit-identity suites, the scoring and per-station allocation budgets
+# and the executor's memory bound in the release profile the benchmark runs. The lane-panel
 # kernels are written for the autovectorizer, and only the release build
 # vectorises them, so the debug runs of `verify` and `test` do not exercise
 # that code.
 equivalence-release:
 	cargo test --release -q -p classifier
-	cargo test --release -q -p bench --test executor_equivalence --test windower_slice_equivalence --test scoring_alloc_budget --test executor_memory
+	cargo test --release -q -p bench --test executor_equivalence --test windower_slice_equivalence --test scoring_alloc_budget --test station_alloc_budget --test executor_memory
 
 fmt:
 	cargo fmt --all --check

@@ -45,6 +45,7 @@ use traffic_gen::trace::Trace;
 use wlan_sim::time::SimDuration;
 
 use crate::corpus::ExperimentConfig;
+use crate::scenario::spec::OrSchedulers;
 use crate::scenario::{DefenseSpec, StageSpec};
 
 /// Trains the paper's adversary on original traffic windows.
@@ -131,7 +132,11 @@ fn apply_stage(
             interfaces,
         } => {
             let scheduler = algorithm
-                .build(interfaces.unwrap_or(config.interfaces), seed)
+                .build(
+                    interfaces.unwrap_or(config.interfaces),
+                    seed,
+                    &OrSchedulers::default(),
+                )
                 .expect("reference interface count is valid");
             Reshaper::new(scheduler)
                 .reshape(trace)
@@ -153,7 +158,7 @@ fn morphed_reference(
     let target_app = target.unwrap_or_else(|| paper_morphing_target(app));
     let target_trace =
         SessionGenerator::new(target_app, seed ^ 0xfeed).generate_secs(config.train_session_secs);
-    TrafficMorpher::from_target_trace(target_app, &target_trace)
+    TrafficMorpher::from_target_trace(&target_trace)
         .apply(trace)
         .0
 }
@@ -233,7 +238,7 @@ pub fn evaluate_defense(
     let shards = defended_example_shards(eval_traces, defense, config, config.eval_seed, mode);
     let mut dataset = Dataset::new(FEATURE_DIM);
     for (features, label) in shards.into_iter().flatten() {
-        dataset.push(features, label);
+        dataset.push(features.to_vec(), label);
     }
     if dataset.is_empty() {
         return ConfusionMatrix::new(AppKind::COUNT);

@@ -292,6 +292,7 @@ mod tests {
         AdversarySpec, DefenseSpec, EventKind, EventSpec, ScenarioSpec, StationGroupSpec,
     };
     use crate::scenario::toml::Lines;
+    use crate::streaming::StationScratch;
 
     /// Runs a compiled scenario end to end, as `scenario_run` does: trains
     /// the spec'd adversary, then executes on the spec'd executor.
@@ -502,13 +503,17 @@ mod tests {
         spec.calib_secs = 1e-6;
         spec.stations[0].defense = DefenseSpec::parse("morph_or").unwrap();
         let scenario = spec.build().expect("passes the static checks");
-        let memo = defenses::spec::MorphCalibrations::default();
+        let mut scratch = StationScratch::default();
         for i in 0..2 {
-            let Err(err) = station_run(&scenario, scenario.station(i)).admit(&memo) else {
+            let Err(err) = station_run(&scenario, scenario.station(i)).admit(&mut scratch) else {
                 panic!("station {i} must fail to admit");
             };
             assert!(err.contains("calib_secs"), "station {i}: {err}");
         }
-        assert_eq!(memo.sessions(), 1, "the failed calibration is cached");
+        assert_eq!(
+            scratch.calibrations.sessions(),
+            1,
+            "the failed calibration is cached"
+        );
     }
 }

@@ -45,6 +45,7 @@ use reshape_core::scheduler::{
     OrthogonalModulo, OrthogonalRanges, RandomAssign, ReshapeAlgorithm, RoundRobin,
 };
 use reshape_core::stage::ReshapeStage;
+use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use traffic_gen::app::AppKind;
@@ -90,16 +91,19 @@ impl AlgorithmSpec {
     }
 
     /// Constructs the scheduler, seeded exactly like the historical
-    /// hand-coded pipelines. Fails on no interfaces, or on more OR ranges
-    /// than packet sizes.
-    pub fn build(self, interfaces: usize, seed: u64) -> Result<Box<dyn ReshapeAlgorithm>, String> {
+    /// hand-coded pipelines; an OR scheduler comes from the `schedulers`
+    /// memo. Fails on no interfaces, or on more OR ranges than packet sizes.
+    pub fn build(
+        self,
+        interfaces: usize,
+        seed: u64,
+        schedulers: &OrSchedulers,
+    ) -> Result<Box<dyn ReshapeAlgorithm>, String> {
         self.validate(interfaces)?;
         Ok(match self {
             AlgorithmSpec::Random => Box::new(RandomAssign::new(interfaces, seed)),
             AlgorithmSpec::RoundRobin => Box::new(RoundRobin::new(interfaces)),
-            AlgorithmSpec::Orthogonal => Box::new(OrthogonalRanges::new(
-                SizeRanges::for_interface_count(interfaces).map_err(|e| e.to_string())?,
-            )),
+            AlgorithmSpec::Orthogonal => Box::new(schedulers.orthogonal(interfaces)?),
             AlgorithmSpec::OrthogonalModulo => Box::new(OrthogonalModulo::new(interfaces)),
         })
     }
@@ -115,6 +119,31 @@ impl AlgorithmSpec {
             ));
         }
         Ok(())
+    }
+}
+
+/// One OR scheduler per interface count: a memo of the range and owner
+/// tables that building an OR stage would otherwise compute at every
+/// admission. The schedulers it hands out share those tables, so a clone
+/// allocates nothing. It is not `Sync`; each executor worker owns one for
+/// one execution, beside its [`MorphCalibrations`](defenses::spec::MorphCalibrations).
+#[derive(Debug, Default)]
+pub struct OrSchedulers {
+    built: RefCell<Vec<OrthogonalRanges>>,
+}
+
+impl OrSchedulers {
+    /// The OR scheduler over `interfaces` interfaces (one per size range),
+    /// built on first use.
+    fn orthogonal(&self, interfaces: usize) -> Result<OrthogonalRanges, String> {
+        let mut built = self.built.borrow_mut();
+        if let Some(scheduler) = built.iter().find(|s| s.interface_count() == interfaces) {
+            return Ok(scheduler.clone());
+        }
+        let ranges = SizeRanges::for_interface_count(interfaces).map_err(|e| e.to_string())?;
+        let scheduler = OrthogonalRanges::new(ranges);
+        built.push(scheduler.clone());
+        Ok(scheduler)
     }
 }
 
@@ -272,6 +301,16 @@ impl DefenseSpec {
         ctx: &StageContext<'_>,
         interfaces: usize,
     ) -> Result<StagePipeline, String> {
+        self.build_with(ctx, interfaces, &OrSchedulers::default())
+    }
+
+    /// [`build`](Self::build), taking OR schedulers from a worker's memo.
+    pub(crate) fn build_with(
+        &self,
+        ctx: &StageContext<'_>,
+        interfaces: usize,
+        schedulers: &OrSchedulers,
+    ) -> Result<StagePipeline, String> {
         let mut pipeline = StagePipeline::new();
         for stage in &self.stages {
             match stage {
@@ -282,7 +321,7 @@ impl DefenseSpec {
                 } => {
                     let count = stage_interfaces.unwrap_or(interfaces);
                     pipeline.push_stage(Box::new(ReshapeStage::new(
-                        algorithm.build(count, ctx.seed)?,
+                        algorithm.build(count, ctx.seed, schedulers)?,
                     )));
                 }
             }

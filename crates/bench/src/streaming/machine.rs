@@ -188,6 +188,21 @@ pub(crate) struct StagedScratch {
     packets: Vec<PacketRecord>,
 }
 
+/// What a retired machine leaves its worker for the next admission: the
+/// windower bank, the window and prediction buffers, and a pool of stage
+/// scratch buffers. Owned per worker (inside its
+/// [`StationScratch`](super::run::StationScratch)), so a churning population
+/// pays their growth once per worker instead of once per station. Every
+/// buffer is empty and the bank reset before a station uses it, so nothing
+/// carries over from one station to the next.
+#[derive(Debug, Default)]
+pub(crate) struct MachineBuffers {
+    windowers: Option<FlowWindowers>,
+    pending: Vec<WindowExample>,
+    slice_out: Vec<usize>,
+    stage_outputs: Vec<StageOutput>,
+}
+
 /// Closes the running phase: flushes its pipeline through the windower bank,
 /// closes every trailing window, and scores everything still buffered.
 fn close_phase(
@@ -235,38 +250,45 @@ pub(crate) struct StationMachine {
 }
 
 impl StationMachine {
-    /// Creates the machine over a non-empty phase schedule.
+    /// Creates the machine over a non-empty phase schedule, on the buffers
+    /// the worker's last retired machine left in `recycled`: its windower
+    /// bank and window buffers, and stage scratch for every phase pipeline
+    /// (see [`StagePipeline::adopt_scratch`]), so admission skips the growth
+    /// a fresh station's first batches would otherwise pay.
     pub(crate) fn new(
         app: AppKind,
-        phases: Vec<(f64, StagePipeline)>,
+        mut phases: Vec<(f64, StagePipeline)>,
         window: SimDuration,
         mode: FeatureMode,
+        recycled: &mut MachineBuffers,
     ) -> Self {
         assert!(!phases.is_empty(), "a schedule needs at least one phase");
+        let pool = &mut recycled.stage_outputs;
+        for (_, pipeline) in &mut phases {
+            let a = pool.pop().unwrap_or_default();
+            let b = pool.pop().unwrap_or_default();
+            pipeline.adopt_scratch(a, b);
+        }
+        let windowers = match recycled.windowers.take() {
+            Some(mut bank) => {
+                bank.reset_for_app(window, DEFAULT_MIN_PACKETS, mode, app);
+                bank
+            }
+            None => FlowWindowers::for_app(window, DEFAULT_MIN_PACKETS, mode, app),
+        };
         StationMachine {
             app,
             phases,
             index: 0,
             window,
             mode,
-            windowers: FlowWindowers::for_app(window, DEFAULT_MIN_PACKETS, mode, app),
+            windowers,
             reports: Vec::new(),
             windows: 0,
             hits: 0,
             packets: 0,
-            pending: Vec::new(),
-            slice_out: Vec::new(),
-        }
-    }
-
-    /// Seeds every phase pipeline's scratch from a pool of recycled buffers
-    /// (see [`StagePipeline::adopt_scratch`]) so admission skips the growth
-    /// a fresh station's first batches would otherwise pay.
-    pub(crate) fn adopt_scratch(&mut self, pool: &mut Vec<StageOutput>) {
-        for (_, pipeline) in &mut self.phases {
-            let a = pool.pop().unwrap_or_default();
-            let b = pool.pop().unwrap_or_default();
-            pipeline.adopt_scratch(a, b);
+            pending: std::mem::take(&mut recycled.pending),
+            slice_out: std::mem::take(&mut recycled.slice_out),
         }
     }
 
@@ -292,8 +314,8 @@ impl StationMachine {
             });
             self.windows = 0;
             self.hits = 0;
-            self.windowers =
-                FlowWindowers::for_app(self.window, DEFAULT_MIN_PACKETS, self.mode, self.app);
+            self.windowers
+                .reset_for_app(self.window, DEFAULT_MIN_PACKETS, self.mode, self.app);
             self.index += 1;
         }
     }
@@ -353,13 +375,13 @@ impl StationMachine {
     }
 
     /// Session end: closes the running phase, reports any phase scheduled
-    /// past the end as empty, reclaims every phase pipeline's scratch
-    /// buffers into `reclaim` for the next admission, and returns the
-    /// station's report.
+    /// past the end as empty, hands every buffer (the phase pipelines'
+    /// scratch included) back to `recycled` for the next admission, and
+    /// returns the station's report.
     pub(crate) fn finish(
         mut self,
         scorer: &mut dyn WindowScorer,
-        reclaim: &mut Vec<StageOutput>,
+        recycled: &mut MachineBuffers,
     ) -> ScheduledReport {
         close_phase(
             &mut self.phases[self.index].1,
@@ -391,9 +413,17 @@ impl StationMachine {
             let (mut a, mut b) = pipeline.release_scratch();
             a.clear();
             b.clear();
-            reclaim.push(a);
-            reclaim.push(b);
+            recycled.stage_outputs.push(a);
+            recycled.stage_outputs.push(b);
         }
+        debug_assert!(
+            self.pending.is_empty(),
+            "the last flush scored every window"
+        );
+        self.slice_out.clear();
+        recycled.windowers = Some(self.windowers);
+        recycled.pending = self.pending;
+        recycled.slice_out = self.slice_out;
         ScheduledReport {
             app: self.app,
             packets: self.packets,

@@ -34,6 +34,17 @@
 //! keep test-then-train order and reports are bit-identical to scoring each
 //! window as it closes.
 //!
+//! A station costs little to admit and retire. Each executor worker keeps
+//! per-worker state for one execution. Its memos hold each application's
+//! compiled traffic model, each OR scheduler's range and owner tables and
+//! each morphing calibration, built on first use and shared by reference
+//! after. Its recycled buffers are the drain batch, the stage scratch, and
+//! what a retired station leaves: its windower bank and its window and
+//! prediction buffers. A window is a fixed feature row, so closing one
+//! allocates nothing. Every recycled buffer is emptied and the bank reset
+//! before the next station uses it, so a station's report does not depend
+//! on the stations its worker ran before.
+//!
 //! [`Trace`]: traffic_gen::trace::Trace
 //! [`StagePipeline`]: defenses::stage::StagePipeline
 
@@ -42,6 +53,8 @@ mod run;
 mod vtime;
 
 pub use machine::{FrozenScorer, PhaseReport, ScheduledReport, WindowScorer, WINDOW_BATCH};
+#[cfg(test)]
+pub(crate) use run::StationScratch;
 pub use run::{StationRun, STATION_CALIB_SECS};
 pub use vtime::{ExecutionOutcome, Executor, ExecutorStats, Fold};
 
@@ -55,7 +68,11 @@ mod tests {
     use classifier::online::{OnlineAdversary, PrequentialEvaluator, PrequentialPoint};
     use classifier::window::FeatureMode;
     use defenses::overhead::Overhead;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
+    use std::sync::OnceLock;
     use traffic_gen::app::AppKind;
     use traffic_gen::spec::TrafficSpec;
     use wlan_sim::time::SimDuration;
@@ -574,6 +591,90 @@ mod tests {
             defended.identification_rate(),
             undefended.identification_rate()
         );
+    }
+
+    /// The defenses the recycling test draws stations' phases from.
+    const RECYCLED_DEFENSES: [&str; 5] = ["none", "or", "morph_or", "padding", "morphing"];
+
+    /// A station drawn for the recycling test: app, seed, session length,
+    /// defense, 0–2 splices, interface count, window and feature mode.
+    #[derive(Debug, Clone)]
+    struct DrawnStation {
+        app: AppKind,
+        seed: u64,
+        secs: f64,
+        defense: &'static str,
+        splices: Vec<(f64, &'static str)>,
+        interfaces: usize,
+        window_secs: u64,
+        mode: FeatureMode,
+    }
+
+    impl DrawnStation {
+        fn to_run(&self) -> StationRun {
+            let parse = |d: &str| DefenseSpec::parse(d).expect("valid shorthand");
+            StationRun::new(TrafficSpec::bounded(self.app, self.seed, self.secs))
+                .defense(parse(self.defense))
+                .splices(self.splices.iter().map(|&(at, d)| (at, parse(d))).collect())
+                .interfaces(self.interfaces)
+                .calib_secs(20.0)
+                .window(SimDuration::from_secs(self.window_secs))
+                .feature_mode(self.mode)
+        }
+    }
+
+    /// A station drawn from `seed`: any app, 5–40 s of traffic, any of
+    /// [`RECYCLED_DEFENSES`] with 0–2 splices of them, 2–4 interfaces, a
+    /// 2 or 5 s window and either feature mode.
+    fn drawn_station(seed: u64) -> DrawnStation {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let defense =
+            |rng: &mut StdRng| RECYCLED_DEFENSES[rng.gen_range(0..RECYCLED_DEFENSES.len())];
+        let first = defense(&mut rng);
+        let splices = (0..rng.gen_range(0..=2))
+            .map(|_| (rng.gen_range(0.0..40.0), defense(&mut rng)))
+            .collect();
+        DrawnStation {
+            app: AppKind::ALL[rng.gen_range(0..AppKind::COUNT)],
+            seed: rng.gen_range(0..1_000),
+            secs: rng.gen_range(5.0..40.0),
+            defense: first,
+            splices,
+            interfaces: rng.gen_range(2..=4),
+            window_secs: if rng.gen::<bool>() { 2 } else { 5 },
+            mode: if rng.gen::<bool>() {
+                FeatureMode::Full
+            } else {
+                FeatureMode::TimingOnly
+            },
+        }
+    }
+
+    /// One frozen adversary for every case of the recycling test.
+    fn shared_adversary() -> &'static AdversaryEnsemble {
+        static ADVERSARY: OnceLock<AdversaryEnsemble> = OnceLock::new();
+        ADVERSARY.get_or_init(quick_adversary)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        /// A worker recycles a retired station's buffers and keeps its
+        /// memos for the next admission: station B run after station A on
+        /// the same scratch reports exactly what B reports alone.
+        #[test]
+        fn recycled_buffers_and_memos_carry_nothing_between_stations(
+            seed_a in 0u64..u64::MAX,
+            seed_b in 0u64..u64::MAX,
+        ) {
+            let (a, b) = (drawn_station(seed_a), drawn_station(seed_b));
+            let adversary = shared_adversary();
+            let mut scratch = StationScratch::new();
+            let mut scorer = FrozenScorer::new(adversary);
+            a.to_run().run_on(&mut scratch, &mut scorer).expect("station A runs");
+            let (after_a, _) = b.to_run().run_on(&mut scratch, &mut scorer).expect("station B runs");
+            let alone = b.to_run().run(&mut scorer).expect("station B runs alone");
+            prop_assert_eq!(after_a, alone);
+        }
     }
 
     #[test]

@@ -22,12 +22,15 @@
 //! # Ok::<(), String>(())
 //! ```
 
-use super::machine::{ScheduledReport, StagedScratch, StationMachine, WindowScorer};
-use crate::scenario::spec::DefenseSpec;
+use super::machine::{
+    MachineBuffers, ScheduledReport, StagedScratch, StationMachine, WindowScorer,
+};
+use crate::scenario::spec::{DefenseSpec, OrSchedulers};
 use classifier::window::FeatureMode;
 use defenses::spec::{MorphCalibrations, StageContext};
 use defenses::stage::STAGE_BATCH;
 use std::cmp::Ordering;
+use traffic_gen::models::AppModels;
 use traffic_gen::packet::PacketRecord;
 use traffic_gen::spec::TrafficSpec;
 use traffic_gen::stream::StreamingSession;
@@ -130,13 +133,14 @@ impl StationRun {
         self.arrival_secs
     }
 
-    /// Admits the station: builds its defense pipelines and packet source.
-    /// This is the moment a station starts holding state — before it, a run
-    /// is just a description. Morphing stages come from the worker's memo of
-    /// `calibrations`.
+    /// Admits the station on a worker's `scratch`: builds its defense
+    /// pipelines and packet source, and hands the machine the buffers the
+    /// worker's last station left. This is the moment a station starts
+    /// holding state — before it, a run is just a description. The source's
+    /// model, OR schedulers and morphing stages come from the worker's memos.
     pub(crate) fn admit(
         self,
-        calibrations: &MorphCalibrations,
+        scratch: &mut StationScratch,
     ) -> Result<(StationMachine, StreamingSession), String> {
         let mut splices = self.splices;
         if let Some((at, _)) = splices.iter().find(|(at, _)| !at.is_finite()) {
@@ -146,17 +150,25 @@ impl StationRun {
         // (`-0.0` and `0.0` included) keep their insertion order.
         splices.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(Ordering::Equal));
         let ctx = StageContext {
-            calibrations: Some(calibrations),
+            calibrations: Some(&scratch.calibrations),
             ..StageContext::live(self.traffic.app, self.traffic.seed, self.calib_secs)
         };
-        let mut phases = vec![(0.0, self.initial.build(&ctx, self.interfaces)?)];
+        let build =
+            |defense: &DefenseSpec| defense.build_with(&ctx, self.interfaces, &scratch.schedulers);
+        let mut phases = Vec::with_capacity(1 + splices.len());
+        phases.push((0.0, build(&self.initial)?));
         for (at, defense) in &splices {
-            phases.push((*at, defense.build(&ctx, self.interfaces)?));
+            phases.push((*at, build(defense)?));
         }
-        Ok((
-            StationMachine::new(self.traffic.app, phases, self.window, self.mode),
-            self.traffic.build(),
-        ))
+        let source = self.traffic.build_from(&scratch.models);
+        let machine = StationMachine::new(
+            self.traffic.app,
+            phases,
+            self.window,
+            self.mode,
+            &mut scratch.recycled,
+        );
+        Ok((machine, source))
     }
 
     /// Runs the station to completion with `scorer`, returning its report.
@@ -181,8 +193,7 @@ impl StationRun {
         scorer: &mut dyn WindowScorer,
     ) -> Result<(ScheduledReport, Option<f64>), String> {
         let arrival_secs = self.arrival_secs;
-        let (mut machine, mut source) = self.admit(&scratch.calibrations)?;
-        machine.adopt_scratch(&mut scratch.outputs);
+        let (mut machine, mut source) = self.admit(scratch)?;
         let mut last_secs = None;
         let StationScratch { batch, staged, .. } = scratch;
         loop {
@@ -195,21 +206,27 @@ impl StationRun {
                 break;
             }
         }
-        Ok((machine.finish(scorer, &mut scratch.outputs), last_secs))
+        Ok((machine.finish(scorer, &mut scratch.recycled), last_secs))
     }
 }
 
-/// Per-worker recycled state: the drain micro-batch, a pool of stage scratch
-/// buffers handed to pipelines at admission and reclaimed at retirement
-/// ([`StationRun::run_on`]), and the memo of morphing calibrations, so
-/// high-churn populations pay the buffer growth and each `(app, target)`
-/// calibration once per worker instead of once per admission. It lives for
-/// one execution.
+/// Per-worker recycled state and memos, living for one execution. The
+/// drain micro-batch, the staged-output buffers and the buffers a retired
+/// machine leaves (its windower bank, window and prediction buffers and
+/// stage scratch) are reused by the worker's next admission
+/// ([`StationRun::run_on`]). The memos hold what admission would otherwise
+/// rebuild per station: each application's compiled traffic model, each OR
+/// scheduler's range and owner tables, and each `(app, target)` morphing
+/// calibration. So high-churn populations pay the buffer growth and the
+/// memo entries once per worker instead of once per admission. Nothing is
+/// shared between workers or kept past the execution.
 #[derive(Debug, Default)]
 pub(crate) struct StationScratch {
     batch: Vec<PacketRecord>,
     staged: StagedScratch,
-    outputs: Vec<defenses::stage::StageOutput>,
+    recycled: MachineBuffers,
+    models: AppModels,
+    schedulers: OrSchedulers,
     pub(crate) calibrations: MorphCalibrations,
 }
 

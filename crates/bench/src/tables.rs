@@ -330,8 +330,7 @@ pub fn table6(config: &ExperimentConfig) -> EfficiencyTable {
             let target_app = paper_morphing_target(app);
             let target = SessionGenerator::new(target_app, config.train_seed ^ 0x0f0f)
                 .generate_secs(config.train_session_secs);
-            let (_, morph) =
-                TrafficMorpher::from_target_trace(target_app, &target).apply(&dominant);
+            let (_, morph) = TrafficMorpher::from_target_trace(&target).apply(&dominant);
             morphing_overhead = morphing_overhead.combined(&morph);
         }
         rows.push(EfficiencyRow {
@@ -390,7 +389,7 @@ pub fn combined_defense(config: &ExperimentConfig) -> CombinedResult {
     let mut dataset = Dataset::new(FEATURE_DIM);
     let mut overhead = Overhead::default();
     for trace in &eval {
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
+        let morpher = TrafficMorpher::from_target_trace(&gaming);
         let mut defense = CombinedDefense::new(
             Box::new(OrthogonalRanges::new(
                 SizeRanges::for_interface_count(config.interfaces).expect("valid count"),
@@ -403,7 +402,7 @@ pub fn combined_defense(config: &ExperimentConfig) -> CombinedResult {
             for (features, label) in
                 windowed_examples(sub, config.window(), DEFAULT_MIN_PACKETS, FeatureMode::Full)
             {
-                dataset.push(features, label);
+                dataset.push(features.to_vec(), label);
             }
         }
     }

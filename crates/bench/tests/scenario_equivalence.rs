@@ -152,7 +152,7 @@ fn hand_coded_pipeline(
         };
         let target =
             SessionGenerator::new(target_app, calib_seed ^ 0xfeed).generate_secs(calib_secs);
-        let morpher = TrafficMorpher::from_target_trace(target_app, &target);
+        let morpher = TrafficMorpher::from_target_trace(&target);
         match source {
             Some(trace) => morpher.stage_for_source_trace(trace),
             None => {

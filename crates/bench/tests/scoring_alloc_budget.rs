@@ -17,6 +17,7 @@
 use bench::pipeline::{train_adversary, train_adversary_online};
 use bench::streaming::{FrozenScorer, WindowScorer, WINDOW_BATCH};
 use bench::ExperimentConfig;
+use classifier::features::FEATURE_DIM;
 use classifier::online::PrequentialEvaluator;
 use classifier::stream::WindowExample;
 use classifier::window::{build_dataset, FeatureMode, DEFAULT_MIN_PACKETS};
@@ -65,6 +66,11 @@ fn allocations() -> usize {
     ALLOCATIONS.with(Cell::get)
 }
 
+/// A dataset example's features as the fixed row a windower emits.
+fn row(features: &[f64]) -> [f64; FEATURE_DIM] {
+    features.try_into().expect("FEATURE_DIM features")
+}
+
 #[test]
 fn scoring_a_block_of_windows_allocates_nothing() {
     let config = ExperimentConfig::quick();
@@ -88,8 +94,8 @@ fn scoring_a_block_of_windows_allocates_nothing() {
         .examples()
         .iter()
         .flat_map(|e| {
-            let scaled = e.features.iter().map(|v| v * 3.5 - 1.0).collect();
-            [(e.features.clone(), e.label), (scaled, e.label)]
+            let scaled = row(&e.features).map(|v| v * 3.5 - 1.0);
+            [(row(&e.features), e.label), (scaled, e.label)]
         })
         .take(WINDOW_BATCH)
         .collect();
@@ -136,7 +142,7 @@ fn a_live_fork_copies_only_model_state_and_scores_without_allocating() {
     let windows: Vec<WindowExample> = data
         .examples()
         .iter()
-        .map(|e| (e.features.clone(), e.label))
+        .map(|e| (row(&e.features), e.label))
         .take(WINDOW_BATCH)
         .collect();
     assert_eq!(windows.len(), WINDOW_BATCH);

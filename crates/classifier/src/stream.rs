@@ -19,7 +19,7 @@
 //! the running sum-of-squares form and agree to floating-point rounding
 //! (equivalence is property-tested in this module).
 
-use crate::features::FEATURE_DIM;
+use crate::features::{FEATURES_PER_DIRECTION, FEATURE_DIM};
 use crate::window::FeatureMode;
 use traffic_gen::app::AppKind;
 use traffic_gen::packet::{Direction, PacketRecord};
@@ -275,35 +275,37 @@ impl DirAccumulator {
         self.last_time_secs = Some(t);
     }
 
-    fn write_features(&self, values: &mut Vec<f64>) {
-        values.push(self.sizes.count() as f64);
-        values.push(self.sizes.min());
-        values.push(self.sizes.max());
-        values.push(self.sizes.mean());
-        values.push(self.sizes.std_dev());
-        self.write_gap_features(values);
+    /// Writes the direction's feature block into `block` (one direction's
+    /// [`FEATURES_PER_DIRECTION`] columns).
+    fn write_features(&self, block: &mut [f64]) {
+        block[0] = self.sizes.count() as f64;
+        block[1] = self.sizes.min();
+        block[2] = self.sizes.max();
+        block[3] = self.sizes.mean();
+        block[4] = self.sizes.std_dev();
+        self.write_gap_features(block);
     }
 
     /// The [`FeatureMode::TimingOnly`] feature block: the size statistics are
-    /// defined as zero (except the count), so they are written as literal
-    /// zeros instead of computing means and standard deviations that a
+    /// defined as zero (except the count), so the zeros the row starts with
+    /// stay instead of computing means and standard deviations that a
     /// post-pass would immediately overwrite.
-    fn write_timing_features(&self, values: &mut Vec<f64>) {
-        values.push(self.sizes.count() as f64);
-        values.extend_from_slice(&[0.0; 4]);
-        self.write_gap_features(values);
+    fn write_timing_features(&self, block: &mut [f64]) {
+        block[0] = self.sizes.count() as f64;
+        self.write_gap_features(block);
     }
 
-    fn write_gap_features(&self, values: &mut Vec<f64>) {
-        values.push(self.gaps.min());
-        values.push(self.gaps.max());
-        values.push(self.gaps.mean());
-        values.push(self.gaps.std_dev());
+    fn write_gap_features(&self, block: &mut [f64]) {
+        block[5] = self.gaps.min();
+        block[6] = self.gaps.max();
+        block[7] = self.gaps.mean();
+        block[8] = self.gaps.std_dev();
     }
 }
 
-/// One labelled example emitted by the streaming windower.
-pub type WindowExample = (Vec<f64>, usize);
+/// One labelled example emitted by the streaming windower: a fixed feature
+/// row and its class label, so closing a window allocates nothing.
+pub type WindowExample = ([f64; FEATURE_DIM], usize);
 
 /// Folds a time-ordered packet stream into eavesdropping windows of `W`
 /// seconds and emits one feature-vector example per populated window.
@@ -347,6 +349,17 @@ impl StreamingWindower {
             up: DirAccumulator::default(),
             scratch: RunScratch::default(),
         }
+    }
+
+    /// Returns the windower to the state [`new`](Self::new) builds with
+    /// these arguments, keeping only the capacity of its run-folding
+    /// buffers (which are written before they are read).
+    fn reset(&mut self, window: SimDuration, min_packets: usize, mode: FeatureMode, label: usize) {
+        let scratch = std::mem::take(&mut self.scratch);
+        *self = StreamingWindower {
+            scratch,
+            ..StreamingWindower::new(window, min_packets, mode, label)
+        };
     }
 
     /// Creates a windower labelled with an application's class index.
@@ -542,22 +555,23 @@ impl StreamingWindower {
         if packets < self.min_packets {
             return None;
         }
-        let mut values = Vec::with_capacity(FEATURE_DIM);
+        let mut row = [0.0; FEATURE_DIM];
+        let (down_block, up_block) = row.split_at_mut(FEATURES_PER_DIRECTION);
         match self.mode {
             FeatureMode::Full => {
-                down.write_features(&mut values);
-                up.write_features(&mut values);
+                down.write_features(down_block);
+                up.write_features(up_block);
             }
             // Size columns (indices 1..=4 of each direction block) are
-            // defined as zero in timing-only mode; writing the zeros
-            // directly skips the dead mean/std work and is identical to
-            // computing then overwriting them.
+            // defined as zero in timing-only mode; leaving the zeros skips
+            // the dead mean/std work and is identical to computing then
+            // overwriting them.
             FeatureMode::TimingOnly => {
-                down.write_timing_features(&mut values);
-                up.write_timing_features(&mut values);
+                down.write_timing_features(down_block);
+                up.write_timing_features(up_block);
             }
         }
-        Some((values, self.label))
+        Some((row, self.label))
     }
 }
 
@@ -566,15 +580,22 @@ impl StreamingWindower {
 /// (each emitted sub-flow is windowed independently, exactly like windowing
 /// the materialised partition would).
 ///
-/// Windowers are allocated the first time a sub-flow index appears, all with
-/// the same window/label configuration; each holds O(1) state.
+/// A windower starts the first time a sub-flow index appears, all with the
+/// same window/label configuration; each holds O(1) state.
+/// [`reset_for_app`](Self::reset_for_app) empties the bank for another
+/// station or phase but keeps its windowers' allocations, so a recycled bank
+/// starts windowers without allocating.
 #[derive(Debug, Clone)]
 pub struct FlowWindowers {
     window: SimDuration,
     min_packets: usize,
     mode: FeatureMode,
     label: usize,
+    /// The windowers of sub-flows `0..active`; the ones past `active` are
+    /// kept from an earlier use of the bank and reset when their sub-flow
+    /// appears.
     windowers: Vec<StreamingWindower>,
+    active: usize,
 }
 
 impl FlowWindowers {
@@ -592,7 +613,25 @@ impl FlowWindowers {
             mode,
             label: app.class_index(),
             windowers: Vec::new(),
+            active: 0,
         }
+    }
+
+    /// Empties the bank and reconfigures it: afterwards it behaves exactly
+    /// like [`for_app`](Self::for_app) with these arguments, but keeps the
+    /// windowers it already holds for the sub-flows that appear next.
+    pub fn reset_for_app(
+        &mut self,
+        window: SimDuration,
+        min_packets: usize,
+        mode: FeatureMode,
+        app: AppKind,
+    ) {
+        self.window = window;
+        self.min_packets = min_packets;
+        self.mode = mode;
+        self.label = app.class_index();
+        self.active = 0;
     }
 
     /// Folds one packet of sub-flow `flow` in; returns a finished example
@@ -639,24 +678,32 @@ impl FlowWindowers {
         }
     }
 
-    /// Grows the bank so sub-flow `flow` exists (first-appearance allocation
-    /// order, like the historical grow-loop).
+    /// Starts every sub-flow up to `flow` that has not started yet: a kept
+    /// windower is reset, a missing one created.
     fn ensure(&mut self, flow: usize) {
+        if flow < self.active {
+            return;
+        }
+        let (window, min_packets, mode, label) =
+            (self.window, self.min_packets, self.mode, self.label);
+        let kept = (flow + 1).min(self.windowers.len());
+        for windower in &mut self.windowers[self.active..kept] {
+            windower.reset(window, min_packets, mode, label);
+        }
         if self.windowers.len() <= flow {
-            let (window, min_packets, mode, label) =
-                (self.window, self.min_packets, self.mode, self.label);
             self.windowers.resize_with(flow + 1, || {
                 StreamingWindower::new(window, min_packets, mode, label)
             });
         }
+        self.active = flow + 1;
     }
 
-    /// Closes every sub-flow's trailing window, returning the populated ones.
-    pub fn finish(&mut self) -> Vec<WindowExample> {
-        self.windowers
+    /// Closes every sub-flow's trailing window, yielding the populated ones
+    /// in sub-flow order.
+    pub fn finish(&mut self) -> impl Iterator<Item = WindowExample> + '_ {
+        self.windowers[..self.active]
             .iter_mut()
             .filter_map(StreamingWindower::finish)
-            .collect()
     }
 }
 
@@ -689,7 +736,8 @@ mod tests {
                     FeatureMode::Full => FeatureVector::from_trace(&w),
                     FeatureMode::TimingOnly => FeatureVector::timing_only(&w),
                 };
-                (fv.into_values(), app.class_index())
+                let row = fv.into_values().try_into().expect("FEATURE_DIM features");
+                (row, app.class_index())
             })
             .collect()
     }

@@ -12,7 +12,7 @@
 
 use crate::dataset::Dataset;
 use crate::features::FEATURE_DIM;
-use crate::stream::StreamingWindower;
+use crate::stream::{StreamingWindower, WindowExample};
 use traffic_gen::trace::Trace;
 use wlan_sim::time::SimDuration;
 
@@ -39,7 +39,7 @@ pub fn windowed_examples(
     window: SimDuration,
     min_packets: usize,
     mode: FeatureMode,
-) -> Vec<(Vec<f64>, usize)> {
+) -> Vec<WindowExample> {
     let Some(app) = trace.app() else {
         return Vec::new();
     };
@@ -68,7 +68,7 @@ pub fn build_dataset(
     let mut data = Dataset::new(FEATURE_DIM);
     for trace in traces {
         for (features, label) in windowed_examples(trace, window, min_packets, mode) {
-            data.push(features, label);
+            data.push(features.to_vec(), label);
         }
     }
     data

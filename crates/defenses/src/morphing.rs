@@ -71,7 +71,6 @@ pub(crate) fn calibration_histogram(app: AppKind, seed: u64, secs: f64) -> SizeH
 /// empirical size distribution.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficMorpher {
-    target_app: AppKind,
     target_cdf: Vec<f64>,
     bin_width: usize,
 }
@@ -83,8 +82,8 @@ impl TrafficMorpher {
     /// # Panics
     ///
     /// Panics if the target trace is empty.
-    pub fn from_target_trace(target_app: AppKind, target_trace: &Trace) -> Self {
-        Self::from_target_histogram(target_app, &morphing_histogram(target_trace))
+    pub fn from_target_trace(target_trace: &Trace) -> Self {
+        Self::from_target_histogram(&morphing_histogram(target_trace))
     }
 
     /// Builds a morpher from a size histogram of the target application
@@ -93,7 +92,7 @@ impl TrafficMorpher {
     /// # Panics
     ///
     /// Panics if the histogram is empty or uses other bins.
-    pub(crate) fn from_target_histogram(target_app: AppKind, target: &SizeHistogram) -> Self {
+    pub(crate) fn from_target_histogram(target: &SizeHistogram) -> Self {
         assert!(
             !target.is_empty(),
             "cannot build a morphing target from an empty trace"
@@ -104,7 +103,6 @@ impl TrafficMorpher {
             "not a morphing histogram"
         );
         TrafficMorpher {
-            target_app,
             target_cdf: target.cdf(),
             bin_width: MORPH_BIN_WIDTH,
         }
@@ -276,7 +274,7 @@ mod tests {
     fn morphing_moves_the_mean_toward_the_target() {
         let chat = trace_of(AppKind::Chatting, 1, 120.0);
         let gaming = trace_of(AppKind::Gaming, 2, 120.0);
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
+        let morpher = TrafficMorpher::from_target_trace(&gaming);
         let (morphed, overhead) = morpher.apply(&chat);
         assert_eq!(morphed.len(), chat.len());
         let before = chat.mean_packet_size();
@@ -298,7 +296,7 @@ mod tests {
         let video = trace_of(AppKind::Video, 3, 30.0);
         let chat = trace_of(AppKind::Chatting, 4, 120.0);
         // Morphing large-packet video toward small-packet chat must not shrink anything.
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Chatting, &chat);
+        let morpher = TrafficMorpher::from_target_trace(&chat);
         let (morphed, overhead) = morpher.apply(&video);
         for (orig, new) in video.packets().iter().zip(morphed.packets()) {
             assert!(new.size >= orig.size);
@@ -312,7 +310,7 @@ mod tests {
     fn timing_is_unchanged() {
         let chat = trace_of(AppKind::Chatting, 5, 60.0);
         let gaming = trace_of(AppKind::Gaming, 6, 60.0);
-        let (morphed, _) = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming).apply(&chat);
+        let (morphed, _) = TrafficMorpher::from_target_trace(&gaming).apply(&chat);
         for (a, b) in chat.packets().iter().zip(morphed.packets()) {
             assert_eq!(a.time, b.time);
             assert_eq!(a.direction, b.direction);
@@ -332,7 +330,7 @@ mod tests {
             let source = trace_of(*app, 10 + i as u64, 60.0);
             let target_app = paper_morphing_target(*app);
             let target = trace_of(target_app, 100 + i as u64, 60.0);
-            let (_, morph) = TrafficMorpher::from_target_trace(target_app, &target).apply(&source);
+            let (_, morph) = TrafficMorpher::from_target_trace(&target).apply(&source);
             let (_, pad) = crate::padding::PacketPadder::new().apply(&source);
             morph_total += morph.percent();
             pad_total += pad.percent();
@@ -349,7 +347,7 @@ mod tests {
         // without ever seeing the whole trace.
         let chat = trace_of(AppKind::Chatting, 7, 60.0);
         let gaming = trace_of(AppKind::Gaming, 8, 60.0);
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
+        let morpher = TrafficMorpher::from_target_trace(&gaming);
         let mut stage = morpher.stage_for_source_trace(&chat);
         assert_eq!(stage.name(), "morphing");
         let mut out = StageOutput::new();
@@ -371,7 +369,7 @@ mod tests {
     #[test]
     fn empty_source_is_a_no_op() {
         let gaming = trace_of(AppKind::Gaming, 9, 30.0);
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
+        let morpher = TrafficMorpher::from_target_trace(&gaming);
         let (out, overhead) = morpher.apply(&Trace::new());
         assert!(out.is_empty());
         assert_eq!(overhead.percent(), 0.0);
@@ -380,21 +378,20 @@ mod tests {
     #[test]
     #[should_panic]
     fn empty_target_trace_panics() {
-        let _ = TrafficMorpher::from_target_trace(AppKind::Gaming, &Trace::new());
+        let _ = TrafficMorpher::from_target_trace(&Trace::new());
     }
 
     #[test]
     #[should_panic]
     fn empty_source_trace_panics_for_the_stage() {
         let gaming = trace_of(AppKind::Gaming, 10, 30.0);
-        let _ = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming)
-            .stage_for_source_trace(&Trace::new());
+        let _ = TrafficMorpher::from_target_trace(&gaming).stage_for_source_trace(&Trace::new());
     }
 
     fn stage_for_tests() -> MorphingStage {
         let chat = trace_of(AppKind::Chatting, 11, 60.0);
         let gaming = trace_of(AppKind::Gaming, 12, 60.0);
-        TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming).stage_for_source_trace(&chat)
+        TrafficMorpher::from_target_trace(&gaming).stage_for_source_trace(&chat)
     }
 
     #[test]
@@ -426,7 +423,7 @@ mod tests {
         // MTU allows; any larger (still admissible) size must clamp to the
         // last bin's quantile rather than index out of bounds.
         let gaming = trace_of(AppKind::Gaming, 13, 60.0);
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
+        let morpher = TrafficMorpher::from_target_trace(&gaming);
         // Short source CDF: two bins covering sizes 0..16 only.
         let stage = MorphingStage::new(morpher, vec![0.5, 1.0]);
         let at_last_bin = stage.morph_size(8);
@@ -438,7 +435,7 @@ mod tests {
     #[test]
     fn degenerate_single_bin_cdf_morphs_every_size_to_the_top_quantile() {
         let gaming = trace_of(AppKind::Gaming, 14, 60.0);
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
+        let morpher = TrafficMorpher::from_target_trace(&gaming);
         let top = morpher.target_size_at_quantile(1.0);
         let stage = MorphingStage::new(morpher, vec![1.0]);
         for size in [0, 1, 64, 700, MAX_PACKET_SIZE] {

@@ -301,7 +301,7 @@ fn calibrated_morpher(
     if hist.is_empty() {
         return Err(no_packets(target, calib_secs));
     }
-    Ok(TrafficMorpher::from_target_histogram(target, &hist))
+    Ok(TrafficMorpher::from_target_histogram(&hist))
 }
 
 /// Accepts a duration in seconds only when it is positive, finite (`x <=
@@ -382,8 +382,8 @@ mod tests {
             .unwrap();
         let target_trace =
             SessionGenerator::new(AppKind::Video, ctx.seed ^ 0xfeed).generate_secs(20.0);
-        let mut direct = TrafficMorpher::from_target_trace(AppKind::Video, &target_trace)
-            .stage_for_source_trace(&trace);
+        let mut direct =
+            TrafficMorpher::from_target_trace(&target_trace).stage_for_source_trace(&trace);
         assert_eq!(
             stage_trace(from_spec.as_mut(), &trace),
             stage_trace(&mut direct, &trace)
@@ -481,7 +481,6 @@ mod tests {
         }
         // Both sessions are seeded by the documented constant.
         let mut direct = TrafficMorpher::from_target_trace(
-            AppKind::Video,
             &SessionGenerator::new(AppKind::Video, LIVE_CALIBRATION_SEED ^ 0xfeed)
                 .generate_secs(20.0),
         )

@@ -57,7 +57,7 @@ proptest! {
         let trace = trace_of(app_index, seed, 20.0);
         let target_app = paper_morphing_target(AppKind::ALL[app_index]);
         let target = SessionGenerator::new(target_app, seed ^ 0xfeed).generate_secs(30.0);
-        let morpher = TrafficMorpher::from_target_trace(target_app, &target);
+        let morpher = TrafficMorpher::from_target_trace(&target);
         let (batch, batch_overhead) = morpher.apply(&trace);
         // The wrapper estimates the source CDF from the trace itself; the
         // streaming stage is handed the same calibration up front.

@@ -92,7 +92,7 @@ mod tests {
     fn combined_for_bt() -> CombinedDefense {
         // Morph the small-packet interface of a BT flow to look like gaming.
         let gaming = trace_of(AppKind::Gaming, 7);
-        let morpher = TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming);
+        let morpher = TrafficMorpher::from_target_trace(&gaming);
         CombinedDefense::new(
             Box::new(OrthogonalRanges::new(SizeRanges::paper_default())),
             vec![(VifIndex::new(0), morpher)],

@@ -11,31 +11,43 @@ use super::ReshapeAlgorithm;
 use crate::ranges::SizeRanges;
 use crate::target::TargetSet;
 use crate::vif::VifIndex;
+use std::sync::Arc;
 use traffic_gen::packet::PacketRecord;
 
 /// The OR scheduler over size ranges.
+///
+/// Its tables are built once and shared: a clone is a reference count, so a
+/// scheduler cloned for every station allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrthogonalRanges {
-    ranges: SizeRanges,
+    tables: Arc<OwnerTable>,
     interfaces: usize,
-    /// Precomputed `range -> owning interface` lookup, so the per-packet cost
-    /// on the streaming data plane is one binary search plus one array read
-    /// instead of a scan over the target distributions.
+}
+
+/// The size ranges and the precomputed `range -> owning interface` lookup,
+/// so the per-packet cost on the streaming data plane is one binary search
+/// plus one array read instead of a scan over the target distributions.
+#[derive(Debug, PartialEq)]
+struct OwnerTable {
+    ranges: SizeRanges,
     owners: Vec<VifIndex>,
 }
 
-/// The `range -> owner` table of the orthogonal target set over
-/// `interfaces` interfaces; the set itself is dropped once read.
-fn owner_table(interfaces: usize, ranges: &SizeRanges) -> Vec<VifIndex> {
-    let targets = TargetSet::orthogonal(interfaces, ranges.len())
-        .expect("validated interface and range counts");
-    (0..ranges.len())
-        .map(|range| {
-            targets
-                .owner_of_range(range)
-                .expect("orthogonal target sets assign every range an owner")
-        })
-        .collect()
+impl OwnerTable {
+    /// The table of the orthogonal target set over `interfaces` interfaces;
+    /// the set itself is dropped once read.
+    fn new(ranges: SizeRanges, interfaces: usize) -> Arc<Self> {
+        let targets = TargetSet::orthogonal(interfaces, ranges.len())
+            .expect("validated interface and range counts");
+        let owners = (0..ranges.len())
+            .map(|range| {
+                targets
+                    .owner_of_range(range)
+                    .expect("orthogonal target sets assign every range an owner")
+            })
+            .collect();
+        Arc::new(OwnerTable { ranges, owners })
+    }
 }
 
 impl OrthogonalRanges {
@@ -43,11 +55,9 @@ impl OrthogonalRanges {
     /// default `L = I` configuration).
     pub fn new(ranges: SizeRanges) -> Self {
         let interfaces = ranges.len();
-        let owners = owner_table(interfaces, &ranges);
         OrthogonalRanges {
-            ranges,
+            tables: OwnerTable::new(ranges, interfaces),
             interfaces,
-            owners,
         }
     }
 
@@ -64,18 +74,17 @@ impl OrthogonalRanges {
             "cannot have more interfaces ({interfaces}) than size ranges ({})",
             ranges.len()
         );
-        let owners = owner_table(interfaces, &ranges);
         OrthogonalRanges {
-            ranges,
+            tables: OwnerTable::new(ranges, interfaces),
             interfaces,
-            owners,
         }
     }
 }
 
 impl ReshapeAlgorithm for OrthogonalRanges {
     fn assign(&mut self, packet: &PacketRecord) -> VifIndex {
-        self.owners[self.ranges.range_of(packet.size)]
+        let tables = &*self.tables;
+        tables.owners[tables.ranges.range_of(packet.size)]
     }
 
     fn interface_count(&self) -> usize {
@@ -98,7 +107,7 @@ mod tests {
         let mut or = OrthogonalRanges::new(SizeRanges::paper_default());
         assert_eq!(or.interface_count(), 3);
         assert_eq!(or.name(), "OR");
-        assert_eq!(or.ranges.len(), 3);
+        assert_eq!(or.tables.ranges.len(), 3);
         // (0, 232] -> interface 1, (232, 1540] -> interface 2, (1540, 1576] -> interface 3.
         assert_eq!(or.assign(&packet(0, 108)).paper_number(), 1);
         assert_eq!(or.assign(&packet(1, 232)).paper_number(), 1);
@@ -128,7 +137,7 @@ mod tests {
             targets.check_orthogonality().unwrap();
             let or = OrthogonalRanges::with_interfaces(ranges.clone(), interfaces);
             assert_eq!(or.interface_count(), interfaces);
-            for (range, owner) in or.owners.iter().enumerate() {
+            for (range, owner) in or.tables.owners.iter().enumerate() {
                 assert_eq!(Some(*owner), targets.owner_of_range(range));
                 let mass = |vif: VifIndex| targets.target(vif).unwrap().probabilities()[range];
                 assert!(mass(*owner) > 0.0);

@@ -3,9 +3,10 @@
 //! Every application gets its own module whose `model()` returns a
 //! [`BidirectionalModel`] calibrated against the packet-size PDFs of Fig. 1
 //! and the downlink statistics of Table I; [`spec_for`] looks one up by
-//! [`AppKind`]. The models share a small toolkit defined here: a [`FlowSpec`]
-//! describes one direction of traffic as a packet-size mixture plus an
-//! arrival process, and [`FlowStream`] turns a spec into packets.
+//! [`AppKind`], and [`AppModels`] keeps one per application for a worker.
+//! The models share a small toolkit defined here: a [`FlowSpec`] describes
+//! one direction of traffic as a packet-size mixture plus an arrival
+//! process, and [`FlowStream`] turns a spec into packets.
 
 pub mod bittorrent;
 pub mod browsing;
@@ -23,6 +24,7 @@ use crate::stream::FlowStream;
 use crate::trace::Trace;
 use rand::rngs::StdRng;
 use rand::RngCore;
+use std::cell::OnceCell;
 use wlan_sim::time::SimTime;
 
 /// How packets of a flow are spaced in time.
@@ -171,6 +173,23 @@ pub fn spec_for(app: AppKind) -> BidirectionalModel {
         AppKind::Uploading => uploading::model(),
         AppKind::Video => video::model(),
         AppKind::BitTorrent => bittorrent::model(),
+    }
+}
+
+/// Every application's calibrated model, compiled on first use: a memo of
+/// [`spec_for`]. The models it hands out share their size-mixture tables,
+/// so a session built from one allocates nothing. It is not `Sync`; each
+/// executor worker owns one for one execution.
+#[derive(Debug, Default)]
+pub struct AppModels {
+    /// Slot `app.class_index()`.
+    slots: [OnceCell<BidirectionalModel>; AppKind::COUNT],
+}
+
+impl AppModels {
+    /// The calibrated model of `app`, compiled on first use.
+    pub fn model(&self, app: AppKind) -> &BidirectionalModel {
+        self.slots[app.class_index()].get_or_init(|| spec_for(app))
     }
 }
 

@@ -7,6 +7,7 @@
 //! here directly from uniform variates.
 
 use rand::Rng;
+use std::sync::Arc;
 
 /// Samples from an exponential distribution with the given mean (seconds,
 /// bytes, …).
@@ -96,15 +97,20 @@ impl Categorical {
     ///
     /// Panics if `weights` is empty, contains a negative or non-finite value,
     /// or sums to zero.
-    pub fn new(weights: &[f64]) -> Self {
-        assert!(!weights.is_empty(), "categorical needs at least one weight");
-        let mut cumulative = Vec::with_capacity(weights.len());
+    pub fn new(weights: impl IntoIterator<Item = f64>) -> Self {
         let mut acc = 0.0;
-        for &w in weights {
-            assert!(w.is_finite() && w >= 0.0, "invalid categorical weight {w}");
-            acc += w;
-            cumulative.push(acc);
-        }
+        let cumulative: Vec<f64> = weights
+            .into_iter()
+            .map(|w| {
+                assert!(w.is_finite() && w >= 0.0, "invalid categorical weight {w}");
+                acc += w;
+                acc
+            })
+            .collect();
+        assert!(
+            !cumulative.is_empty(),
+            "categorical needs at least one weight"
+        );
         assert!(acc > 0.0, "categorical weights must not all be zero");
         // Over-provision buckets 4× so most buckets span at most one
         // category boundary and the fix-up scan in `index_of` is O(1).
@@ -184,8 +190,17 @@ impl SizeRange {
 
 /// A mixture of size ranges with weights: the workhorse behind the bimodal
 /// packet-size PDFs of Fig. 1.
+///
+/// Its tables are built once and shared: a clone is a reference count, so
+/// a model cloned for every station allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizeMixture {
+    tables: Arc<MixtureTables>,
+}
+
+/// The component weights' sampler and the components' size ranges.
+#[derive(Debug, PartialEq)]
+struct MixtureTables {
     categorical: Categorical,
     ranges: Vec<SizeRange>,
 }
@@ -197,21 +212,24 @@ impl SizeMixture {
     ///
     /// Panics if `components` is empty or any weight/range is invalid.
     pub fn new(components: &[(f64, usize, usize)]) -> Self {
-        let weights: Vec<f64> = components.iter().map(|(w, _, _)| *w).collect();
-        let ranges: Vec<SizeRange> = components
+        let categorical = Categorical::new(components.iter().map(|(w, _, _)| *w));
+        let ranges = components
             .iter()
             .map(|(_, lo, hi)| SizeRange::new(*lo, *hi))
             .collect();
         SizeMixture {
-            categorical: Categorical::new(&weights),
-            ranges,
+            tables: Arc::new(MixtureTables {
+                categorical,
+                ranges,
+            }),
         }
     }
 
     /// Draws one packet size.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let idx = self.categorical.sample(rng);
-        self.ranges[idx].sample(rng)
+        let tables = &*self.tables;
+        let idx = tables.categorical.sample(rng);
+        tables.ranges[idx].sample(rng)
     }
 }
 
@@ -258,7 +276,7 @@ mod tests {
     #[test]
     fn categorical_follows_weights() {
         let mut rng = rng();
-        let c = Categorical::new(&[0.7, 0.2, 0.1]);
+        let c = Categorical::new([0.7, 0.2, 0.1]);
         let mut counts = [0usize; 3];
         let n = 30_000;
         for _ in 0..n {
@@ -273,7 +291,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn categorical_rejects_all_zero_weights() {
-        let _ = Categorical::new(&[0.0, 0.0]);
+        let _ = Categorical::new([0.0, 0.0]);
     }
 
     #[test]
@@ -290,7 +308,7 @@ mod tests {
             (0..97).map(|i| (i % 7) as f64 + 0.25).collect(),
         ];
         for weights in &weight_sets {
-            let c = Categorical::new(weights);
+            let c = Categorical::new(weights.iter().copied());
             let total = *c.cumulative.last().unwrap();
             for _ in 0..5_000 {
                 let x: f64 = rng.gen_range(0.0..total);

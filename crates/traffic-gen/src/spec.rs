@@ -8,7 +8,7 @@
 //! (same seed, same packets) without a line of Rust.
 
 use crate::app::AppKind;
-use crate::models::spec_for;
+use crate::models::{spec_for, AppModels};
 use crate::stream::StreamingSession;
 
 /// One station's traffic, as data: the application model to run, the seed
@@ -39,6 +39,13 @@ impl TrafficSpec {
     pub fn build(&self) -> StreamingSession {
         StreamingSession::from_model(spec_for(self.app), self.seed, self.secs)
     }
+
+    /// Builds the same source as [`build`](Self::build) from a worker's
+    /// memo of compiled models; once the memo holds the application's
+    /// model, this allocates nothing.
+    pub fn build_from(&self, models: &AppModels) -> StreamingSession {
+        StreamingSession::from_model(models.model(self.app).clone(), self.seed, self.secs)
+    }
 }
 
 #[cfg(test)]
@@ -54,6 +61,19 @@ mod tests {
             StreamingSession::from_model(spec_for(AppKind::BitTorrent), 7, Some(20.0)).collect();
         assert_eq!(from_spec, direct);
         assert!(!from_spec.is_empty());
+    }
+
+    #[test]
+    fn a_source_built_from_the_memo_equals_a_fresh_build() {
+        let models = AppModels::default();
+        for app in AppKind::ALL {
+            for seed in [3, 7] {
+                let spec = TrafficSpec::bounded(app, seed, 20.0);
+                let fresh: Vec<_> = spec.build().collect();
+                let memoised: Vec<_> = spec.build_from(&models).collect();
+                assert_eq!(memoised, fresh, "{app}, seed {seed}");
+            }
+        }
     }
 
     #[test]

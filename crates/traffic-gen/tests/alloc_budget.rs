@@ -3,12 +3,15 @@
 //! Every admitted station builds one `StreamingSession` from its
 //! `TrafficSpec`, so the allocations of that build are paid once per station
 //! on churning populations, and generation must allocate nothing after it.
+//! A station built from its worker's memo of compiled models allocates
+//! nothing at all.
 //! The allocator counts per thread, so the test harness's own threads do not
 //! leak into the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use traffic_gen::app::AppKind;
+use traffic_gen::models::AppModels;
 use traffic_gen::spec::TrafficSpec;
 use traffic_gen::stream::PacketSource;
 
@@ -55,6 +58,21 @@ fn allocations() -> usize {
 }
 
 #[test]
+fn a_session_from_the_worker_memo_allocates_nothing() {
+    let models = AppModels::default();
+    for app in AppKind::ALL {
+        let spec = TrafficSpec::bounded(app, 7, 30.0);
+        // The first build compiles the app's model into the memo.
+        drop(spec.build_from(&models));
+        let start = allocations();
+        let session = spec.build_from(&models);
+        let built = allocations() - start;
+        assert_eq!(built, 0, "{app}: a memoised build made {built} allocations");
+        drop(session);
+    }
+}
+
+#[test]
 fn building_a_session_allocates_only_its_model_and_draining_it_nothing() {
     const BATCH: usize = 128;
     let mut batch = Vec::with_capacity(BATCH);
@@ -64,10 +82,10 @@ fn building_a_session_allocates_only_its_model_and_draining_it_nothing() {
         let mut session = spec.build();
         let built = allocations() - start;
         // Two flows, each a size mixture: its ranges, the categorical's
-        // cumulative weights and guide table, and the weights it is built
-        // from.
-        assert!(
-            built <= 8,
+        // cumulative weights and guide table, and the shared block that
+        // holds them.
+        assert_eq!(
+            built, 8,
             "{app}: building the session made {built} allocations"
         );
 

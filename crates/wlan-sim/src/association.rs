@@ -23,14 +23,6 @@ impl AssociationState {
     pub fn is_associated(&self) -> bool {
         matches!(self, AssociationState::Associated { .. })
     }
-
-    /// The association ID, if associated.
-    pub fn aid(&self) -> Option<u16> {
-        match self {
-            AssociationState::Associated { aid } => Some(*aid),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for AssociationState {
@@ -75,7 +67,6 @@ mod tests {
         let s = AssociationState::default();
         assert_eq!(s, AssociationState::Unassociated);
         assert!(!s.is_associated());
-        assert_eq!(s.aid(), None);
         assert_eq!(s.to_string(), "unassociated");
     }
 
@@ -83,7 +74,6 @@ mod tests {
     fn associated_state_reports_aid() {
         let s = AssociationState::Associated { aid: 3 };
         assert!(s.is_associated());
-        assert_eq!(s.aid(), Some(3));
         assert_eq!(s.to_string(), "associated (aid 3)");
         assert_eq!(AssociationState::Pending.to_string(), "pending");
     }

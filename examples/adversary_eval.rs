@@ -4,8 +4,9 @@
 //! cargo run --release --example adversary_eval
 //! ```
 //!
-//! The adversary (SVM + neural network, best-of ensemble) is trained on
-//! windows of original traffic from all seven applications, then evaluated
+//! The adversary (an ensemble of an SVM, a neural network and naive Bayes,
+//! scored by its best member) is trained on windows of original traffic
+//! from all seven applications, then evaluated
 //! twice: against fresh original traffic and against the per-interface
 //! sub-flows produced by Orthogonal Reshaping. The printed per-application
 //! accuracies reproduce the headline result of the paper (Tables II/III):
@@ -36,7 +37,7 @@ fn main() {
     let window = SimDuration::from_secs(WINDOW_SECS);
 
     // --- Train on original traffic. ------------------------------------------
-    println!("training the SVM/NN adversary on original traffic …");
+    println!("training the SVM/NN/naive-Bayes adversary on original traffic …");
     let training = corpus(1, 3, 120.0);
     let train_set = build_dataset(&training, window, DEFAULT_MIN_PACKETS, FeatureMode::Full);
     println!(
@@ -65,7 +66,7 @@ fn main() {
             for (features, label) in
                 windowed_examples(sub, window, DEFAULT_MIN_PACKETS, FeatureMode::Full)
             {
-                eval_reshaped.push(features, label);
+                eval_reshaped.push(features.to_vec(), label);
             }
         }
     }

@@ -52,8 +52,7 @@ fn main() {
         flows: vec![padded],
         overhead: pad_overhead,
     });
-    let (morphed, morph_overhead) =
-        TrafficMorpher::from_target_trace(AppKind::Gaming, &gaming).apply(&original);
+    let (morphed, morph_overhead) = TrafficMorpher::from_target_trace(&gaming).apply(&original);
     reports.push(DefenseReport {
         name: "morphing -> gaming",
         flows: vec![morphed],

@@ -55,7 +55,7 @@ fn streamed_reshaped_dataset(
         pipeline.finish(sink);
         examples.extend(windowers.finish());
         for (features, label) in examples {
-            dataset.push(features, label);
+            dataset.push(features.to_vec(), label);
         }
     }
     dataset
@@ -76,7 +76,7 @@ fn batch_reference_dataset(
             for (features, label) in
                 windowed_examples(sub, window, DEFAULT_MIN_PACKETS, FeatureMode::Full)
             {
-                dataset.push(features, label);
+                dataset.push(features.to_vec(), label);
             }
         }
     }

@@ -74,7 +74,7 @@ proptest! {
         let target_app = paper_morphing_target(app);
         let target = SessionGenerator::new(target_app, seed ^ 0xff).generate_secs(6.0);
         let (morphed, morph_overhead) =
-            TrafficMorpher::from_target_trace(target_app, &target).apply(&trace);
+            TrafficMorpher::from_target_trace(&target).apply(&trace);
         prop_assert_eq!(morphed.len(), trace.len());
         for (before, after) in trace.packets().iter().zip(morphed.packets()) {
             prop_assert!(after.size >= before.size);
