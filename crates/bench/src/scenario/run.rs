@@ -143,15 +143,16 @@ impl Fold for ScenarioTally {
 }
 
 impl ScenarioTally {
-    /// Folds a finished station in; `detail` is the station itself when it
-    /// is below the report cap.
-    fn add(&mut self, index: usize, report: &ScheduledReport, detail: Option<ScenarioStation>) {
+    /// Folds a finished station in; one below the scenario's report cap is
+    /// materialised again for its outcome.
+    fn add(&mut self, scenario: &CompiledScenario, index: usize, report: &ScheduledReport) {
         let overhead_pct = report.overhead().percent();
         self.packets += report.packets;
         self.windows += report.windows();
         self.windows_identified += report.windows_identified();
         self.overhead_pct.add(overhead_pct);
-        if let Some(station) = detail {
+        if index < scenario.max_station_reports {
+            let station = scenario.station(index);
             self.outcomes
                 .push((index, station_outcome(&station, report, overhead_pct)));
         }
@@ -165,7 +166,6 @@ fn station_run(scenario: &CompiledScenario, station: ScenarioStation) -> Station
         interfaces,
         defense,
         arrival_secs,
-        departure_secs: _,
         splices,
     } = station;
     StationRun::new(traffic)
@@ -221,26 +221,19 @@ pub fn execute_scenario(
     adversary: &TrainedAdversary,
     executor: Executor,
 ) -> Result<(ScenarioReport, ExecutorStats), String> {
-    // Each station is materialised once, at admission; a station below the
-    // report cap keeps a copy of itself as its ticket for the outcome.
+    // Each station is materialised at admission, and once more at its fold
+    // when it is below the report cap.
     let count = scenario.station_count();
     let arrivals = scenario.population.arrivals();
-    let station_of = |i| {
-        let station = scenario.station(i);
-        let detail = (i < scenario.max_station_reports).then(|| station.clone());
-        (station_run(scenario, station), detail)
-    };
+    let run_of = |i| station_run(scenario, scenario.station(i));
     // One executor call per adversary mode, so each station holds its
     // scorer inline.
     let outcome = match adversary {
         TrainedAdversary::Frozen(ensemble) => executor.run(
             count,
             arrivals,
-            |i| {
-                let (run, detail) = station_of(i);
-                (run, FrozenScorer::new(ensemble), detail)
-            },
-            |tally: &mut ScenarioTally, i, report, _, detail| tally.add(i, &report, detail),
+            |i| (run_of(i), FrozenScorer::new(ensemble)),
+            |tally: &mut ScenarioTally, i, report, _| tally.add(scenario, i, &report),
         ),
         TrainedAdversary::Warm {
             adversary,
@@ -249,11 +242,10 @@ pub fn execute_scenario(
             count,
             arrivals,
             |i| {
-                let (run, detail) = station_of(i);
                 let scorer = PrequentialEvaluator::new(adversary.clone(), *snapshot_every);
-                (run, scorer, detail)
+                (run_of(i), scorer)
             },
-            |tally: &mut ScenarioTally, i, report, _, detail| tally.add(i, &report, detail),
+            |tally: &mut ScenarioTally, i, report, _| tally.add(scenario, i, &report),
         ),
     }?;
     let mut tally = outcome.folded;

@@ -36,7 +36,7 @@
 
 use super::toml::{Fields, Lines, Value};
 use crate::corpus::ExperimentConfig;
-use crate::streaming::Executor;
+use crate::streaming::{Canonical, Executor};
 use classifier::window::FeatureMode;
 use defenses::spec::{duration_secs, DefenseStageSpec, StageContext};
 use defenses::stage::StagePipeline;
@@ -46,7 +46,7 @@ use reshape_core::scheduler::{
 };
 use reshape_core::stage::ReshapeStage;
 use std::cell::RefCell;
-use std::cmp::{Ordering, Reverse};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use traffic_gen::app::AppKind;
 use traffic_gen::spec::TrafficSpec;
@@ -555,8 +555,6 @@ pub struct ScenarioStation {
     pub defense: DefenseSpec,
     /// Wall-clock second the station arrives (0 unless churned in).
     pub arrival_secs: f64,
-    /// Wall-clock second the station departs, when churned out.
-    pub departure_secs: Option<f64>,
     /// Mid-session defense splices, as `(session-relative second, defense)`
     /// sorted by time.
     pub splices: Vec<(f64, DefenseSpec)>,
@@ -618,12 +616,6 @@ pub struct Population {
     total: usize,
 }
 
-/// The canonical arrival order: by second ([`f64::total_cmp`]), then by
-/// station index.
-fn canonical(a: (f64, usize), b: (f64, usize)) -> Ordering {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1))
-}
-
 impl Population {
     /// Total station count.
     pub fn station_count(&self) -> usize {
@@ -648,7 +640,7 @@ impl Population {
 
     /// The first member from `member` on of `group` that arrives in its
     /// stagger slot (no arrive event moved it), as a merge head.
-    fn slot_head(&self, group: usize, mut member: usize) -> Option<Reverse<ArrivalHead>> {
+    fn slot_head(&self, group: usize, mut member: usize) -> Option<Reverse<(Canonical, usize)>> {
         let g = &self.groups[group];
         while member < g.count
             && self
@@ -659,11 +651,10 @@ impl Population {
             member += 1;
         }
         (member < g.count).then(|| {
-            Reverse(ArrivalHead {
-                at_secs: member as f64 * g.stagger_secs,
-                station: g.first + member,
+            Reverse((
+                Canonical(member as f64 * g.stagger_secs, g.first + member),
                 group,
-            })
+            ))
         })
     }
 
@@ -736,37 +727,8 @@ impl Population {
             interfaces: group.interfaces,
             defense: group.defense.clone(),
             arrival_secs,
-            departure_secs: over.departure,
             splices,
         }
-    }
-}
-
-/// The next stagger-slot arrival of one group, ordered canonically.
-#[derive(Debug, Clone, Copy)]
-struct ArrivalHead {
-    at_secs: f64,
-    station: usize,
-    group: usize,
-}
-
-impl PartialEq for ArrivalHead {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for ArrivalHead {}
-
-impl PartialOrd for ArrivalHead {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ArrivalHead {
-    fn cmp(&self, other: &Self) -> Ordering {
-        canonical((self.at_secs, self.station), (other.at_secs, other.station))
     }
 }
 
@@ -774,8 +736,8 @@ impl Ord for ArrivalHead {
 #[derive(Debug, Clone)]
 pub struct Arrivals<'a> {
     population: &'a Population,
-    /// Each group's next stagger-slot arrival (a min-heap).
-    heads: BinaryHeap<Reverse<ArrivalHead>>,
+    /// Each group's next stagger-slot arrival and the group (a min-heap).
+    heads: BinaryHeap<Reverse<(Canonical, usize)>>,
     /// The next entry of `population.moved`.
     moved: usize,
 }
@@ -785,22 +747,20 @@ impl Iterator for Arrivals<'_> {
 
     fn next(&mut self) -> Option<(f64, usize)> {
         let moved = self.population.moved.get(self.moved).copied();
-        let slot = self.heads.peek().map(|h| (h.0.at_secs, h.0.station));
+        let slot = self.heads.peek().map(|Reverse((head, _))| *head);
         let take_moved = match (moved, slot) {
-            (Some(m), Some(s)) => canonical(m, s) == Ordering::Less,
+            (Some((at, station)), Some(slot)) => Canonical(at, station) < slot,
             (m, _) => m.is_some(),
         };
         if take_moved {
             self.moved += 1;
             return moved;
         }
-        let Reverse(head) = self.heads.pop()?;
-        let group = &self.population.groups[head.group];
-        let next = self
-            .population
-            .slot_head(head.group, head.station - group.first + 1);
-        self.heads.extend(next);
-        Some((head.at_secs, head.station))
+        let Reverse((Canonical(at, station), group)) = self.heads.pop()?;
+        let first = self.population.groups[group].first;
+        self.heads
+            .extend(self.population.slot_head(group, station - first + 1));
+        Some((at, station))
     }
 }
 
@@ -924,7 +884,7 @@ impl ScenarioSpec {
             .iter()
             .filter_map(|(&station, over)| over.arrival.map(|at| (at, station)))
             .collect();
-        moved.sort_by(|&a, &b| canonical(a, b));
+        moved.sort_by_key(|&(at, station)| Canonical(at, station));
         let population = Population {
             groups,
             churn,
@@ -1197,7 +1157,6 @@ mod tests {
         let scenario = spec.build().expect("valid spec");
         let churned = scenario.station(1);
         assert_eq!(churned.arrival_secs, 10.0);
-        assert_eq!(churned.departure_secs, Some(30.0));
         // 40 s of traffic clipped to the 20 s the station is on air.
         assert_eq!(churned.session_secs(), 20.0);
         // The global splice lands session-relative: 20 - 10 = 10 s in.
@@ -1484,6 +1443,10 @@ mod tests {
             (
                 "executor = \"threads\"\n[[stations]]\napp = \"bt\"",
                 "t.toml:1: executor: unknown executor `threads`",
+            ),
+            (
+                "executor = \"vtime\"\n[[stations]]\napp = \"bt\"",
+                "t.toml:1: executor: unknown executor `vtime`",
             ),
         ];
         for (doc, want) in cases {
@@ -1897,7 +1860,7 @@ mod tests {
             let population = spec.build().expect("departures after arrival build").population;
             let mut expected: Vec<(f64, usize)> =
                 (0..total).map(|i| (population.arrival_of(i), i)).collect();
-            expected.sort_by(|&a, &b| canonical(a, b));
+            expected.sort_by_key(|&(at, i)| Canonical(at, i));
             let arrivals: Vec<(f64, usize)> = population.arrivals().collect();
             proptest::prop_assert_eq!(arrivals.len(), total);
             for (got, want) in arrivals.iter().zip(&expected) {

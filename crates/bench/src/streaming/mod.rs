@@ -18,15 +18,15 @@
 //!   [`PrequentialEvaluator`](classifier::online::PrequentialEvaluator)
 //!   fork that tests-then-trains and reports per-phase segments.
 //! * **How a population executes** — the [`Executor`], the virtual-time
-//!   core: stations are sharded over workers, each with an event heap keyed
-//!   on virtual timestamps, and admitted and retired by schedule. It reads
-//!   the population as a stream of arrivals, builds a station at its
-//!   admission, drains it and folds its result into a per-worker [`Fold`]
-//!   accumulator, so memory is O(workers × live stations + groups +
-//!   events), not O(population): a million-station day fits in a few
-//!   megabytes. Per-station reports are identical for any worker count, and
-//!   to running each station alone with [`StationRun::run`] — stations
-//!   share no mutable state.
+//!   core: stations are sharded over workers, and each worker runs its own
+//!   in arrival order while one sweep of the timeline counts how many are
+//!   on air at once. It reads the population as a stream of arrivals,
+//!   builds a station at its admission, drains it and folds its result into
+//!   a per-worker [`Fold`] accumulator, so memory is O(workers × live
+//!   stations + groups + events), not O(population): a million-station day
+//!   fits in a few megabytes. Per-station reports are identical for any
+//!   worker count, and to running each station alone with
+//!   [`StationRun::run`] — stations share no mutable state.
 //!
 //! Windows closed inside a drain slice are buffered by the machine and
 //! flushed through [`WindowScorer::score_slice`] in [`WINDOW_BATCH`]-sized
@@ -56,6 +56,7 @@ pub use machine::{FrozenScorer, PhaseReport, ScheduledReport, WindowScorer, WIND
 #[cfg(test)]
 pub(crate) use run::StationScratch;
 pub use run::{StationRun, STATION_CALIB_SECS};
+pub(crate) use vtime::Canonical;
 pub use vtime::{ExecutionOutcome, Executor, ExecutorStats, Fold};
 
 #[cfg(test)]
@@ -169,12 +170,12 @@ mod tests {
     ) -> Result<(Vec<T>, ExecutorStats), String> {
         let mut arrivals: Vec<(f64, usize)> =
             (0..count).map(|i| (run_of(i).arrival(), i)).collect();
-        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        arrivals.sort_by_key(|&(at, i)| Canonical(at, i));
         let outcome = executor.run(
             count,
             arrivals.into_iter(),
-            |i| (run_of(i), scorer_of(i), ()),
-            |acc: &mut BTreeMap<usize, T>, i, report, scorer, ()| {
+            |i| (run_of(i), scorer_of(i)),
+            |acc: &mut BTreeMap<usize, T>, i, report, scorer| {
                 acc.insert(i, finish(report, scorer));
             },
         )?;
@@ -357,11 +358,6 @@ mod tests {
             assert_eq!(
                 stats.peak_active, 1,
                 "20 s gaps over 15 s sessions never overlap"
-            );
-            assert!(
-                stats.virtual_secs > 20.0 * 23.0,
-                "the last station arrives at 460 s, got {}",
-                stats.virtual_secs
             );
             // One admit + one retire per station, and the counters are
             // sharding-invariant.

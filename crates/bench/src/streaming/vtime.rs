@@ -1,31 +1,30 @@
-//! The execution substrate: the virtual-time discrete-event core, behind the
-//! [`Executor`] selector.
+//! The execution substrate: the virtual-time core, behind the [`Executor`]
+//! selector.
 //!
 //! The executor streams its population. It is handed the stations' arrivals
 //! in canonical `(second, index)` order (a scenario's come from
 //! [`Population::arrivals`](crate::scenario::Population::arrivals)) and
 //! materialises each station once, at its admission. Each worker folds a
-//! finished station into its own accumulator ([`Fold`]) the moment the
-//! station retires, and the accumulators merge after the join. Memory is
-//! therefore O(workers × live stations + groups + events), never
-//! O(population): full-size `scenarios/metropolis.toml` (a million stations,
-//! about 2,000 on air at once) peaks under 6 MB resident on two workers,
-//! where the executor that kept a result slot, two churn records and a
-//! seeded admission per station peaked at 221 MB.
+//! finished station into its own accumulator ([`Fold`]) the moment it has
+//! drained, and the accumulators merge after the join. Memory is therefore
+//! O(workers × live stations + groups + events), never O(population):
+//! full-size `scenarios/metropolis.toml` (a million stations, about 2,000
+//! on air at once) peaks under 6 MB resident on two workers, where the
+//! executor that kept a result slot, two churn records and a seeded
+//! admission per station peaked at 221 MB.
 //!
 //! Station *i* runs on worker *i* mod *W*. Each worker reads the arrival
-//! stream itself and keeps its next own admission beside a **binary heap
-//! keyed on virtual timestamps** that holds its stations' retirements. It
-//! always takes the earlier of the two, by `(time, station, admit before
-//! retire)`.
+//! stream itself and runs its own stations in arrival order, one after the
+//! other, each to exhaustion. It sends the second each station retires at
+//! to the calling thread in batches, through a bounded channel.
 //!
 //! # Event coalescing
 //!
 //! Events are **station-grained**, not packet-grained. At its admission a
 //! station drains its whole source through the batched
 //! [`StationMachine::offer_slice`](super::machine::StationMachine) path,
-//! folds its report, drops every byte of its state and leaves only its
-//! retirement in the heap, at its last packet's time. Coalescing is
+//! folds its report and drops every byte of its state; only its retirement
+//! second, its last packet's, goes on to the timeline. Coalescing is
 //! **unobservable by construction**: stations are mutually independent (the
 //! shared adversary is only read; live scorers are per-station forks), so
 //! no station's report can depend on how packets of *other* stations were
@@ -38,15 +37,14 @@
 //!
 //! # The churn timeline
 //!
-//! Every worker writes its admissions and retirements in pop order, which is
-//! exactly the canonical `(time, station, admit-before-retire)` order,
-//! because retirements are heap events themselves. It sends them in batches
-//! through a bounded channel to the calling thread, which k-way merges the
-//! workers' batches as they arrive into one canonical timeline, and folds
-//! that into the peak-active count and the last virtual second of
-//! [`ExecutorStats`]. The timeline is the same for 1, 2 or 8 workers: each
-//! record's timestamp derives from its station alone, never from
-//! scheduling. No batch outlives the merge step that consumes it.
+//! The calling thread sweeps the timeline once. It reads the arrival stream
+//! too and takes station *s*'s retirement from worker *s* mod *W*'s channel.
+//! Before it counts an admission `(at, s)` it retires every live station
+//! `(r, s')` with `(r, s') < (at, s)`, which is the canonical `(time,
+//! station, admit-before-retire)` order. It holds a heap of the live
+//! stations only, and folds the sweep into the peak-active count of
+//! [`ExecutorStats`]. The count is the same for 1, 2 or 8 workers: each
+//! timestamp derives from its station alone, never from scheduling.
 //!
 //! # The arrival contract
 //!
@@ -57,14 +55,16 @@
 //! at another second than its run, or (when exactly one is missing) the
 //! station the stream left out. A failure, of the contract or of a
 //! station's admission, is reported at the earliest stream position any
-//! worker failed at — the one a single worker meets first.
+//! worker failed at — the one a single worker meets first. A worker that
+//! fails hangs up its channel; the sweep stops there and hangs up every
+//! other, so no worker stays blocked on a full channel.
 
 use super::machine::{ScheduledReport, WindowScorer};
 use super::run::{StationRun, StationScratch};
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::iter::Fuse;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, SyncSender};
 
 /// How a population of [`StationRun`]s executes: always on the virtual-time
 /// core.
@@ -73,8 +73,8 @@ pub enum Executor {
     /// An alias of [`Executor::virtual_time`], kept because the benchmark
     /// package still names it; it runs exactly as `virtual_time()` does.
     Pooled,
-    /// Interleave stations on per-worker virtual-time event heaps, admitting
-    /// and retiring them by schedule with memory in the live stations.
+    /// Shard stations over workers and sweep their admissions and
+    /// retirements in virtual time, with memory in the live stations.
     VirtualTime {
         /// Worker (shard) count; the machine's parallelism, at most one per
         /// station, when `None`. Reports are identical for every worker
@@ -102,12 +102,10 @@ impl Executor {
         }
     }
 
-    /// Parses a spec tag; `"pooled"` is an alias of `"virtual_time"`.
+    /// Parses a spec tag: `"virtual_time"`, or its alias `"pooled"`.
     pub fn parse(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "virtual_time" | "virtual-time" | "vtime" | "event" | "pooled" | "pool" => {
-                Ok(Executor::virtual_time())
-            }
+        match s {
+            "virtual_time" | "pooled" => Ok(Executor::virtual_time()),
             other => Err(format!(
                 "unknown executor `{other}` (expected `virtual_time` or its alias `pooled`)"
             )),
@@ -124,12 +122,9 @@ pub struct ExecutorStats {
     pub workers: usize,
     /// Stations admitted (the whole population).
     pub admitted: usize,
-    /// Most stations simultaneously on air, from the merged cross-shard
-    /// timeline.
+    /// Most stations simultaneously on air, from the timeline sweep.
     pub peak_active: usize,
-    /// Last virtual second of the run.
-    pub virtual_secs: f64,
-    /// Events popped across all shards: one admission and one retirement
+    /// Events the timeline sweep counted: one admission and one retirement
     /// per station, whatever the worker count, so always exactly twice
     /// [`admitted`](Self::admitted). It counts the population, not work: a
     /// station drains its whole source at admission.
@@ -143,7 +138,7 @@ pub struct ExecutorStats {
 }
 
 impl ExecutorStats {
-    /// Packets per heap event (0 when no events fired). Every station pops
+    /// Packets per event (0 when no events fired). Every station counts
     /// exactly two events, so this is half the mean packets per station; it
     /// moves with the population's traffic, not with how the executor
     /// batches work.
@@ -157,9 +152,9 @@ impl ExecutorStats {
 }
 
 /// A per-worker accumulator of finished stations. Each worker folds the
-/// stations it retires into its own (in whatever order they retire), and the
-/// executor merges the workers' accumulators after the join, so a fold that
-/// must not depend on the worker count has to be order-independent.
+/// stations it drains into its own (in its stations' arrival order), and
+/// the executor merges the workers' accumulators after the join, so a fold
+/// that must not depend on the worker count has to be order-independent.
 pub trait Fold: Default + Send {
     /// Absorbs another worker's accumulator.
     fn merge(&mut self, other: Self);
@@ -182,6 +177,31 @@ pub struct ExecutionOutcome<A> {
     pub stats: ExecutorStats,
 }
 
+/// A point of the timeline in canonical order: by second
+/// ([`f64::total_cmp`]), then by station index.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Canonical(pub(crate) f64, pub(crate) usize);
+
+impl Ord for Canonical {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+impl PartialOrd for Canonical {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Canonical {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Canonical {}
+
 /// A failed execution: the arrival-stream position it failed at, and why.
 type Failure = (usize, String);
 
@@ -194,7 +214,7 @@ struct CheckedArrivals<I> {
     pulled: usize,
     /// Sum of the pulled station indices, to name a single missing one.
     index_sum: u128,
-    last: Option<(f64, usize)>,
+    last: Option<Canonical>,
 }
 
 impl<I: Iterator<Item = (f64, usize)>> CheckedArrivals<I> {
@@ -239,21 +259,23 @@ impl<I: Iterator<Item = (f64, usize)>> CheckedArrivals<I> {
                 self.count
             ));
         }
-        if let Some((last_at, last)) = self.last {
-            match last_at.total_cmp(&at).then(last.cmp(&station)) {
+        let here = Canonical(at, station);
+        if let Some(last) = self.last {
+            match last.cmp(&here) {
                 Ordering::Less => {}
                 Ordering::Equal => return fail(format!("arrives twice at {at} s")),
                 Ordering::Greater => {
                     return fail(format!(
-                        "arrives at {at} s after station {last} at {last_at} s; arrivals \
-                         must ascend by (second, index)"
+                        "arrives at {at} s after station {} at {} s; arrivals \
+                         must ascend by (second, index)",
+                        last.1, last.0
                     ))
                 }
             }
         }
         self.pulled += 1;
         self.index_sum += station as u128;
-        self.last = Some((at, station));
+        self.last = Some(here);
         Ok(Some((position, at, station)))
     }
 }
@@ -262,15 +284,15 @@ impl<I: Iterator<Item = (f64, usize)>> CheckedArrivals<I> {
 /// drains it to exhaustion and folds its report into `folded`. Its run must
 /// arrive at `at` too. Returns the packets it drained and the second it
 /// retires at: its last packet's, or `at` for a station that sent none.
-fn run_station<S: WindowScorer, C, A>(
+fn run_station<S: WindowScorer, A>(
     at: f64,
     station: usize,
-    admit: &impl Fn(usize) -> (StationRun, S, C),
-    fold: &impl Fn(&mut A, usize, ScheduledReport, S, C),
+    admit: &impl Fn(usize) -> (StationRun, S),
+    fold: &impl Fn(&mut A, usize, ScheduledReport, S),
     scratch: &mut StationScratch,
     folded: &mut A,
 ) -> Result<(u64, f64), String> {
-    let (run, mut scorer, ticket) = admit(station);
+    let (run, mut scorer) = admit(station);
     if run.arrival().total_cmp(&at) != Ordering::Equal {
         return Err(format!(
             "station {station}: handed an arrival at {at} s, but its run arrives at {} s",
@@ -281,7 +303,7 @@ fn run_station<S: WindowScorer, C, A>(
         .run_on(scratch, &mut scorer)
         .map_err(|e| format!("station {station}: {e}"))?;
     let packets = report.packets;
-    fold(folded, station, report, scorer, ticket);
+    fold(folded, station, report, scorer);
     Ok((packets, last_secs.unwrap_or(at)))
 }
 
@@ -289,7 +311,6 @@ fn run_station<S: WindowScorer, C, A>(
 #[derive(Default)]
 struct WorkerTally<A> {
     folded: A,
-    events_popped: u64,
     packets: u64,
     calibrations: u64,
 }
@@ -299,23 +320,22 @@ impl Executor {
     ///
     /// * `arrivals` lists every station's `(arrival second, index)` once,
     ///   ascending by `(second, index)`; it is read lazily, once per worker
-    ///   (it must be cheap to clone);
-    /// * `admit(i)` materialises station `i` at its admission: its run, its
-    ///   scorer (a frozen borrow or a live per-station fork) and a ticket
-    ///   the caller wants back at the fold;
-    /// * `fold(acc, i, report, scorer, ticket)` folds a finished station into
-    ///   the worker's accumulator.
+    ///   and once by the timeline sweep (it must be cheap to clone);
+    /// * `admit(i)` materialises station `i` at its admission: its run and
+    ///   its scorer (a frozen borrow or a live per-station fork);
+    /// * `fold(acc, i, report, scorer)` folds a finished station into the
+    ///   worker's accumulator.
     ///
     /// Per-station reports are identical whatever the worker count:
     /// stations share no mutable state, and each one sees exactly its own
     /// packets in order. Fails on the first station (in stream order) that
     /// breaches the arrival contract or cannot be admitted.
-    pub fn run<S, C, A>(
+    pub fn run<S, A>(
         &self,
         count: usize,
         arrivals: impl Iterator<Item = (f64, usize)> + Clone + Send,
-        admit: impl Fn(usize) -> (StationRun, S, C) + Sync,
-        fold: impl Fn(&mut A, usize, ScheduledReport, S, C) + Sync,
+        admit: impl Fn(usize) -> (StationRun, S) + Sync,
+        fold: impl Fn(&mut A, usize, ScheduledReport, S) + Sync,
     ) -> Result<ExecutionOutcome<A>, String>
     where
         S: WindowScorer,
@@ -332,18 +352,49 @@ impl Executor {
                 .map_or(8, std::num::NonZeroUsize::get)
                 .min(count.max(1)),
         };
-        let (tallies, timeline) = virtual_time(workers, count, arrivals, &admit, &fold)?;
+        // One shard per worker reads the arrival stream for its own
+        // stations, while the calling thread sweeps their retirements.
+        let (results, (peak_active, events_popped)) = std::thread::scope(|scope| {
+            let mut lanes = Vec::with_capacity(workers);
+            let mut handles = Vec::with_capacity(workers);
+            for worker in 0..workers {
+                let (tx, rx) = sync_channel(RETIRE_BATCHES_IN_FLIGHT);
+                let arrivals = CheckedArrivals::new(arrivals.clone(), count);
+                let (admit, fold) = (&admit, &fold);
+                handles.push(
+                    scope.spawn(move || drive_shard(worker, workers, arrivals, tx, admit, fold)),
+                );
+                lanes.push(rx.into_iter().flatten());
+            }
+            // The sweep drops every lane before the join.
+            let timeline = sweep(arrivals, lanes);
+            let results: Vec<Result<WorkerTally<A>, Failure>> = handles
+                .into_iter()
+                .map(|handle| handle.join().expect("virtual-time shard panicked"))
+                .collect();
+            (results, timeline)
+        });
+        let mut tallies = Vec::with_capacity(workers);
+        let mut failures = Vec::new();
+        for result in results {
+            match result {
+                Ok(tally) => tallies.push(tally),
+                Err(failure) => failures.push(failure),
+            }
+        }
+        // The failure at the earliest stream position wins.
+        if let Some((_, e)) = failures.into_iter().min_by_key(|(position, _)| *position) {
+            return Err(e);
+        }
         let mut stats = ExecutorStats {
             workers,
             admitted: count,
-            peak_active: timeline.peak_active,
-            virtual_secs: timeline.virtual_secs,
-            events_popped: 0,
+            peak_active,
+            events_popped,
             packets: 0,
             calibrations: 0,
         };
         for tally in &tallies {
-            stats.events_popped += tally.events_popped;
             stats.packets += tally.packets;
             stats.calibrations += tally.calibrations;
         }
@@ -360,266 +411,81 @@ impl Executor {
     }
 }
 
-/// Churn records per batch a shard sends to the timeline merge.
-const CHURN_BATCH: usize = 256;
+/// Retirement seconds per batch a shard sends to the timeline sweep.
+const RETIRE_BATCH: usize = 256;
 
-/// Batches in flight per shard before the shard waits for the merge.
-const CHURN_BATCHES_IN_FLIGHT: usize = 4;
+/// Batches in flight per shard before the shard waits for the sweep.
+const RETIRE_BATCHES_IN_FLIGHT: usize = 4;
 
-/// One entry of a shard's admission/retirement log: `(virtual second,
-/// station index, +1 admit / -1 retire)`. Records order canonically, by
-/// `(time, station, admit-before-retire)`; shards append them in exactly
-/// this order (see [`drive_shard`]), which is what makes the streaming k-way
-/// merge sufficient.
-#[derive(Debug, Clone, Copy)]
-struct ChurnRecord {
-    at_secs: f64,
-    station: usize,
-    delta: i8,
-}
-
-impl Ord for ChurnRecord {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.at_secs
-            .total_cmp(&other.at_secs)
-            .then_with(|| self.station.cmp(&other.station))
-            .then_with(|| other.delta.cmp(&self.delta))
-    }
-}
-
-impl PartialOrd for ChurnRecord {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for ChurnRecord {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for ChurnRecord {}
-
-/// The cross-shard timeline's statistics.
-#[derive(Debug, Default)]
-struct Timeline {
-    peak_active: usize,
-    virtual_secs: f64,
-}
-
-/// A shard's churn log as the merge reads it: the batch being read and the
-/// channel the next ones come through (`None` once the shard hung up).
-struct Lane {
-    batch: Vec<ChurnRecord>,
-    next: usize,
-    rx: Option<Receiver<Vec<ChurnRecord>>>,
-}
-
-impl Lane {
-    /// The lane's next record, waiting for the shard's next batch if needed
-    /// (`None` once the shard finished and every record was read).
-    fn head(&mut self) -> Option<ChurnRecord> {
-        while self.next == self.batch.len() {
-            match self.rx.as_ref()?.recv() {
-                Ok(batch) => {
-                    self.batch = batch;
-                    self.next = 0;
-                }
-                Err(_) => self.rx = None,
-            }
-        }
-        Some(self.batch[self.next])
-    }
-}
-
-/// Folds the shards' churn logs, merged in canonical order as they stream
-/// in, into the timeline's statistics. Returns once every shard hung up.
-fn merge_timeline(lanes: &mut [Lane]) -> Timeline {
-    let mut timeline = Timeline::default();
-    let mut active = 0usize;
-    let mut last: Option<ChurnRecord> = None;
-    loop {
-        let mut best: Option<(usize, ChurnRecord)> = None;
-        for (lane, log) in lanes.iter_mut().enumerate() {
-            if let Some(record) = log.head() {
-                if best.is_none_or(|(_, b)| record < b) {
-                    best = Some((lane, record));
-                }
-            }
-        }
-        let Some((lane, record)) = best else {
-            return timeline;
+/// Sweeps the timeline once: admits the stations in arrival order, taking
+/// station *s*'s retirement second from lane *s* mod `lanes.len()`, and
+/// retires every live station that precedes an admission canonically
+/// before counting it. Returns `(peak active, admissions + retirements)`.
+/// Stops at the first lane that hangs up before it hands the retirement
+/// asked for: its shard failed.
+fn sweep(
+    arrivals: impl Iterator<Item = (f64, usize)>,
+    mut lanes: Vec<impl Iterator<Item = f64>>,
+) -> (usize, u64) {
+    let mut live = BinaryHeap::new();
+    let (mut peak_active, mut events) = (0, 0u64);
+    for (at, station) in arrivals {
+        let lane = station % lanes.len();
+        let Some(retire) = lanes[lane].next() else {
+            break;
         };
-        lanes[lane].next += 1;
-        debug_assert!(last.is_none_or(|l| l <= record));
-        last = Some(record);
-        if record.delta > 0 {
-            active += 1;
-            timeline.peak_active = timeline.peak_active.max(active);
-        } else {
-            active -= 1;
+        let admission = Canonical(at, station);
+        while live.peek().is_some_and(|Reverse(r)| *r < admission) {
+            live.pop();
+            events += 1;
         }
-        timeline.virtual_secs = timeline.virtual_secs.max(record.at_secs);
+        live.push(Reverse(Canonical(retire, station)));
+        peak_active = peak_active.max(live.len());
+        events += 1;
     }
+    (peak_active, events + live.len() as u64)
 }
 
-/// The virtual-time core: one shard per worker, each reading the arrival
-/// stream for its own stations, while the calling thread merges their churn
-/// logs. Returns the workers' tallies and the merged timeline, or the
-/// failure at the earliest stream position.
-fn virtual_time<S, C, A, I>(
-    workers: usize,
-    count: usize,
-    arrivals: I,
-    admit: &(impl Fn(usize) -> (StationRun, S, C) + Sync),
-    fold: &(impl Fn(&mut A, usize, ScheduledReport, S, C) + Sync),
-) -> Result<(Vec<WorkerTally<A>>, Timeline), String>
-where
-    S: WindowScorer,
-    A: Fold,
-    I: Iterator<Item = (f64, usize)> + Clone + Send,
-{
-    let (results, timeline) = std::thread::scope(|scope| {
-        let mut lanes = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for worker in 0..workers {
-            let (tx, rx) = sync_channel(CHURN_BATCHES_IN_FLIGHT);
-            let arrivals = CheckedArrivals::new(arrivals.clone(), count);
-            handles.push(scope.spawn(move || {
-                let shard = Shard {
-                    worker,
-                    workers,
-                    arrivals,
-                    retiring: BinaryHeap::new(),
-                    scratch: StationScratch::new(),
-                    log: Vec::with_capacity(CHURN_BATCH),
-                    tx,
-                    tally: WorkerTally::default(),
-                };
-                drive_shard(shard, admit, fold)
-            }));
-            lanes.push(Lane {
-                batch: Vec::new(),
-                next: 0,
-                rx: Some(rx),
-            });
-        }
-        let timeline = merge_timeline(&mut lanes);
-        let results: Vec<Result<WorkerTally<A>, Failure>> = handles
-            .into_iter()
-            .map(|handle| handle.join().expect("virtual-time shard panicked"))
-            .collect();
-        (results, timeline)
-    });
-    let mut tallies = Vec::with_capacity(workers);
-    let mut failures = Vec::new();
-    for result in results {
-        match result {
-            Ok(tally) => tallies.push(tally),
-            Err(failure) => failures.push(failure),
-        }
-    }
-    match failures.into_iter().min_by_key(|(position, _)| *position) {
-        Some((_, e)) => Err(e),
-        None => Ok((tallies, timeline)),
-    }
-}
-
-/// One virtual-time worker's state: its view of the arrival stream, the
-/// heap of its drained stations' retirements, and its churn log batch.
-struct Shard<A, I> {
+/// Drives one shard: runs each of its own stations in arrival order and
+/// sends their retirement seconds to the sweep in batches. Returns its
+/// tally, or its first failure in stream order; the channel hangs up either
+/// way. A shard whose sweep hung up stops early: another shard failed.
+fn drive_shard<S, A, I>(
     worker: usize,
     workers: usize,
-    arrivals: CheckedArrivals<I>,
-    /// Retirements not yet logged, earliest on top. A drain learns a
-    /// station's retirement far ahead of the shard's clock; holding it here
-    /// until the clock reaches it keeps the log in canonical order.
-    retiring: BinaryHeap<Reverse<ChurnRecord>>,
-    scratch: StationScratch,
-    log: Vec<ChurnRecord>,
-    tx: SyncSender<Vec<ChurnRecord>>,
-    tally: WorkerTally<A>,
-}
-
-impl<A, I: Iterator<Item = (f64, usize)>> Shard<A, I> {
-    /// The shard's next own arrival, checking every arrival it skips.
-    fn next_own(&mut self) -> Result<Option<(usize, f64, usize)>, Failure> {
-        while let Some(arrival) = self.arrivals.pull()? {
-            if arrival.2 % self.workers == self.worker {
-                return Ok(Some(arrival));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Appends a churn record, sending the batch once it is full.
-    fn record(&mut self, record: ChurnRecord) {
-        self.log.push(record);
-        if self.log.len() == CHURN_BATCH {
-            self.send_log();
-        }
-    }
-
-    fn send_log(&mut self) {
-        let batch = std::mem::replace(&mut self.log, Vec::with_capacity(CHURN_BATCH));
-        // The merge only hangs up after every shard did.
-        let _ = self.tx.send(batch);
-    }
-}
-
-/// Drives one shard until its stations all retired. Returns its tally, or
-/// its first failure in stream order (the channel hangs up either way).
-fn drive_shard<S, C, A, I>(
-    mut shard: Shard<A, I>,
-    admit: &impl Fn(usize) -> (StationRun, S, C),
-    fold: &impl Fn(&mut A, usize, ScheduledReport, S, C),
+    mut arrivals: CheckedArrivals<I>,
+    tx: SyncSender<Vec<f64>>,
+    admit: &impl Fn(usize) -> (StationRun, S),
+    fold: &impl Fn(&mut A, usize, ScheduledReport, S),
 ) -> Result<WorkerTally<A>, Failure>
 where
     S: WindowScorer,
+    A: Default,
     I: Iterator<Item = (f64, usize)>,
 {
-    let mut next_admit = shard.next_own()?;
-    loop {
-        let admission = next_admit.map(|(_, at_secs, station)| ChurnRecord {
-            at_secs,
-            station,
-            delta: 1,
-        });
-        let retirement = shard.retiring.peek().map(|Reverse(top)| *top);
-        // The earlier of the next admission and the earliest retirement.
-        let Some(event) = admission.into_iter().chain(retirement).min() else {
-            break;
-        };
-        shard.tally.events_popped += 1;
-        shard.record(event);
-        if event.delta < 0 {
-            shard.retiring.pop();
+    let mut tally = WorkerTally::default();
+    let mut scratch = StationScratch::new();
+    let mut retirements = Vec::with_capacity(RETIRE_BATCH);
+    while let Some((position, at, station)) = arrivals.pull()? {
+        if station % workers != worker {
             continue;
         }
-        let (position, ..) = next_admit.expect("the earlier event is the pending admission");
-        let (packets, retire_secs) = run_station(
-            event.at_secs,
-            event.station,
-            admit,
-            fold,
-            &mut shard.scratch,
-            &mut shard.tally.folded,
-        )
-        .map_err(|e| (position, e))?;
-        shard.tally.packets += packets;
-        shard.retiring.push(Reverse(ChurnRecord {
-            at_secs: retire_secs,
-            station: event.station,
-            delta: -1,
-        }));
-        next_admit = shard.next_own()?;
+        let (packets, retire) =
+            run_station(at, station, admit, fold, &mut scratch, &mut tally.folded)
+                .map_err(|e| (position, e))?;
+        tally.packets += packets;
+        retirements.push(retire);
+        if retirements.len() == RETIRE_BATCH {
+            let batch = std::mem::replace(&mut retirements, Vec::with_capacity(RETIRE_BATCH));
+            if tx.send(batch).is_err() {
+                break;
+            }
+        }
     }
-    if !shard.log.is_empty() {
-        shard.send_log();
-    }
-    shard.tally.calibrations = shard.scratch.calibrations.sessions();
-    Ok(shard.tally)
+    // Fails only when the sweep already stopped at another shard's failure.
+    let _ = tx.send(retirements);
+    tally.calibrations = scratch.calibrations.sessions();
+    Ok(tally)
 }
 
 #[cfg(test)]
@@ -676,8 +542,8 @@ mod tests {
                 .run(
                     STATIONS,
                     valid().into_iter(),
-                    |i| (run_of(i), Blind, ()),
-                    |acc: &mut BTreeMap<usize, ScheduledReport>, i, report, _, _| {
+                    |i| (run_of(i), Blind),
+                    |acc: &mut BTreeMap<usize, ScheduledReport>, i, report, _| {
                         acc.insert(i, report);
                     },
                 )
@@ -700,8 +566,8 @@ mod tests {
             let outcome = executor.run(
                 STATIONS,
                 arrivals.iter().copied(),
-                |i| (run_of(i), Blind, ()),
-                |acc: &mut BTreeMap<usize, u64>, i, report, _, _| {
+                |i| (run_of(i), Blind),
+                |acc: &mut BTreeMap<usize, u64>, i, report, _| {
                     acc.insert(i, report.packets);
                 },
             );
@@ -724,15 +590,15 @@ mod tests {
                 .run(
                     STATIONS,
                     valid().into_iter(),
-                    |i| (run_of(i), Blind, i * 10),
-                    |acc: &mut BTreeMap<usize, usize>, i, report, _, ticket| {
+                    |i| (run_of(i), Blind),
+                    |acc: &mut BTreeMap<usize, u64>, i, report, _| {
                         assert!(report.packets > 0);
-                        assert!(acc.insert(i, ticket).is_none());
+                        assert!(acc.insert(i, report.packets).is_none());
                     },
                 )
                 .expect("a valid stream runs");
-            let folded: Vec<(usize, usize)> = outcome.folded.into_iter().collect();
-            let expected: Vec<(usize, usize)> = (0..STATIONS).map(|i| (i, i * 10)).collect();
+            let folded: Vec<usize> = outcome.folded.into_keys().collect();
+            let expected: Vec<usize> = (0..STATIONS).collect();
             assert_eq!(folded, expected, "{executor:?}");
             assert_eq!(outcome.stats.admitted, STATIONS);
         }
@@ -790,5 +656,97 @@ mod tests {
             e.starts_with("station 1: handed an arrival at 0.5 s"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn a_failure_wakes_shards_blocked_on_a_full_channel() {
+        // Station 1 is handed the wrong second, so shard 1 fails at once.
+        // Station 0's admission waits until shard 2 has filled its channel
+        // and blocked on the next batch; the sweep then reaches station 1,
+        // finds its lane hung up and must hang up shard 2's.
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        const WORKERS: usize = 3;
+        let blocked_at = RETIRE_BATCH * (RETIRE_BATCHES_IN_FLIGHT + 1);
+        let count = WORKERS * (blocked_at + RETIRE_BATCH);
+        let shard_2_admitted = AtomicUsize::new(0);
+        let admit = |i: usize| {
+            if i == 0 {
+                while shard_2_admitted.load(SeqCst) < blocked_at {
+                    std::thread::yield_now();
+                }
+            } else if i % WORKERS == 2 {
+                shard_2_admitted.fetch_add(1, SeqCst);
+            }
+            let run = StationRun::new(TrafficSpec::bounded(AppKind::Chatting, i as u64, 0.01));
+            (run.arrival_secs(if i == 1 { 1.0 } else { 0.0 }), Blind)
+        };
+        let e = Executor::on_workers(WORKERS)
+            .run(
+                count,
+                (0..count).map(|i| (0.0, i)),
+                admit,
+                |acc: &mut BTreeMap<usize, u64>, i, report, _| {
+                    acc.insert(i, report.packets);
+                },
+            )
+            .expect_err("station 1 cannot be admitted");
+        assert_eq!(
+            e,
+            "station 1: handed an arrival at 0 s, but its run arrives at 1 s"
+        );
+        assert_eq!(
+            shard_2_admitted.load(SeqCst),
+            blocked_at,
+            "shard 2 stopped where the full channel blocked it"
+        );
+    }
+
+    /// Runs the sweep over stations given as `(arrival, session)` pairs on
+    /// `workers` lanes.
+    fn swept(stations: &[(f64, f64)], workers: usize) -> (usize, u64) {
+        let mut arrivals: Vec<(f64, usize)> = stations
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, _))| (at, i))
+            .collect();
+        arrivals.sort_by_key(|&(at, i)| Canonical(at, i));
+        let mut lanes = vec![Vec::new(); workers];
+        for &(at, i) in &arrivals {
+            lanes[i % workers].push(at + stations[i].1);
+        }
+        sweep(
+            arrivals.into_iter(),
+            lanes.into_iter().map(Vec::into_iter).collect(),
+        )
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn the_sweep_counts_what_a_brute_force_overlap_count_does(
+            seed in 0u64..u64::MAX,
+            workers in 1usize..=4,
+        ) {
+            // Up to 40 stations on half-second grids: equal seconds and
+            // zero-length sessions are common.
+            let mut rng = proptest::TestRng::new(seed);
+            let stations: Vec<(f64, f64)> = (0..rng.below(41))
+                .map(|_| (rng.below(6) as f64 * 0.5, rng.below(4) as f64 * 0.5))
+                .collect();
+            let admission = |i: usize| Canonical(stations[i].0, i);
+            let retirement = |i: usize| Canonical(stations[i].0 + stations[i].1, i);
+            // Station j is on air at i's admission when it was admitted no
+            // later and retires no earlier, in canonical order.
+            let brute = (0..stations.len())
+                .map(|i| {
+                    (0..stations.len())
+                        .filter(|&j| admission(j) <= admission(i) && retirement(j) >= admission(i))
+                        .count()
+                })
+                .max()
+                .unwrap_or(0);
+            let (peak_active, events) = swept(&stations, workers);
+            proptest::prop_assert_eq!(peak_active, brute);
+            proptest::prop_assert_eq!(events, 2 * stations.len() as u64);
+        }
     }
 }

@@ -30,8 +30,8 @@ pub fn per_station<S: WindowScorer, T: Send>(
     let outcome = executor.run(
         count,
         arrivals.into_iter(),
-        |i| (run_of(i), scorer_of(i), ()),
-        |acc: &mut BTreeMap<usize, T>, i, report, scorer, ()| {
+        |i| (run_of(i), scorer_of(i)),
+        |acc: &mut BTreeMap<usize, T>, i, report, scorer| {
             acc.insert(i, finish(report, scorer));
         },
     )?;

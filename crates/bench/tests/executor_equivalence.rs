@@ -87,7 +87,6 @@ proptest! {
                     "events popped must not depend on the worker count"
                 );
                 prop_assert_eq!(stats.peak_active, one_stats.peak_active);
-                prop_assert_eq!(stats.virtual_secs, one_stats.virtual_secs);
             }
         }
     }
@@ -120,10 +119,6 @@ fn the_event_core_holds_only_the_overlapping_stations() {
         stats.peak_active <= 8,
         "only overlapping sessions are live at once, got peak_active = {}",
         stats.peak_active
-    );
-    assert!(
-        stats.virtual_secs > 500.0,
-        "the virtual clock spans the stagger"
     );
     // Each station drains in one go: exactly one admission and one
     // retirement event per station.

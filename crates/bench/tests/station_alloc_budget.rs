@@ -57,9 +57,9 @@ static ALLOCATOR: Counting = Counting;
 /// defense's stage list, its phase list, the pipeline's stage list, the
 /// reshape stage and its scheduler, the stage's flow and interface tables,
 /// and its phase reports. An undefended gaming station (3%) makes 2: the
-/// phase list and the phase reports. The rest is the churn log, one batch
-/// per 128 stations.
-const EXTRA_STATIONS_ALLOCATE: usize = 15_662;
+/// phase list and the phase reports. The rest is the retirement seconds
+/// the worker sends to the timeline sweep, one batch per 256 stations.
+const EXTRA_STATIONS_ALLOCATE: usize = 15_654;
 
 /// The population of the N-station run.
 const N: usize = 2_000;
@@ -91,7 +91,7 @@ fn a_metropolis_station_makes_a_fixed_number_of_allocations() {
         made
     };
     // The first execution also sets up the calling thread's wait on the
-    // worker's churn channel, once per thread.
+    // worker's retirement channel, once per thread.
     count(&small);
     // A worker that finds the channel full sets up its own wait, which
     // depends on thread timing, not on the stations; the fewest of three
